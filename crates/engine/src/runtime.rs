@@ -26,12 +26,13 @@
 //!   ring lanes* ([`common::ring`]) — each [`Client`] registers a
 //!   dedicated bounded lock-free lane with each worker it talks to, so
 //!   the hot path crosses no shared mutex and no MPSC channel; rare
-//!   control traffic (lane registration, reservations, 2PC outcomes,
-//!   shutdown) rides a plain shared channel, and a [`common::ring::
-//!   Doorbell`] wakes a worker that parked with everything empty. A
-//!   worker collects work *in runs*: it drains the control channel, then
-//!   sweeps its lanes fairly (round-robin, one message per lane per pass)
-//!   until a pass comes up empty. The swept single-partition transactions
+//!   control traffic (lane registration, speculation-window 2PC outcomes,
+//!   snapshot fences, shutdown) rides a plain shared channel, and a
+//!   [`common::ring::Doorbell`] wakes a worker that parked with everything
+//!   empty. A worker collects work *in runs*: it drains the control
+//!   channel, then sweeps its lanes fairly (round-robin, one message per
+//!   lane per pass) until a pass comes up empty. The swept
+//!   single-partition transactions
 //!   execute as one group — their durable effects share a single commit
 //!   flush and their acknowledgements go out together in completion order
 //!   (group commit + group ack) — and the flush window itself is
@@ -170,7 +171,7 @@ use crate::sim::RequestGenerator;
 use common::flush::FlushSequencer;
 use common::ring::{self, Doorbell, PushError};
 use common::sync::atomic::{AtomicU64, Ordering};
-use common::sync::mpsc::{channel, sync_channel, Receiver, Sender, SyncSender, TryRecvError};
+use common::sync::mpsc::{channel, sync_channel, Receiver, Sender, SyncSender};
 use common::sync::{Arc, Condvar, Mutex, PoisonError};
 use common::{
     derive_seed, seeded_rng, Error, FxHashMap, PartitionId, PartitionSet, ProcId, QueryId, Result,
@@ -191,9 +192,9 @@ use crate::metrics::MaintenanceReport;
 /// ([`CtrlMsg::SpecFinish`]), whose sender rings the doorbell, so the
 /// worker parks like any idle worker; this timeout only bounds how long a
 /// window can dangle if its coordinator died without sending an outcome
-/// (detected as a disconnect of the reservation channel). Rare by
-/// construction, so it can be long — a speculating worker costs ~40
-/// wake-ups per second, which matters on single-core hosts.
+/// (detected as its fragment lane closing). Rare by construction, so it
+/// can be long — a speculating worker costs ~40 wake-ups per second, which
+/// matters on single-core hosts.
 const SPEC_WATCHDOG: Duration = Duration::from_millis(25);
 
 /// Watchdog interval of a client parked on its reply slot. A reply
@@ -208,7 +209,7 @@ const REPLY_WATCHDOG: Duration = Duration::from_millis(25);
 const LANE_CAPACITY: usize = 8;
 
 /// Backlog depth at which the adaptive group-commit window reaches the
-/// full `commit_flush_us` cap (see [`adaptive_flush`]).
+/// full `commit_flush_us` cap (see [`adaptive_window`]).
 const FLUSH_KNEE: usize = 8;
 
 /// Bounded yield-spin a client performs on its reply slot before falling
@@ -417,15 +418,9 @@ impl Drop for LockGuard<'_> {
 
 /// A fragment command sent to a reserved worker.
 enum FragCmd {
-    /// Execute this partition's slice of one query invocation. Legacy:
-    /// production coordinators ship [`FragCmd::ExecBatch`]; workers keep
-    /// serving `Exec` for hand-driven protocol tests (hence the allow —
-    /// only `cfg(test)` code constructs it).
-    #[allow(dead_code)]
-    Exec { proc: ProcId, query: QueryId, params: Vec<Value> },
     /// Every fragment this partition owes for one query batch, shipped as
     /// a single message (one lane push, one modeled network hop, one
-    /// reply) instead of one `Exec` round trip per query. Items execute
+    /// reply) instead of one round trip per query. Items execute
     /// in batch order; the participant stops at its own first constraint
     /// violation — the coordinator re-derives the batch-global abort
     /// point from the merged per-item outcomes ([`FragReply::Batch`]),
@@ -463,18 +458,12 @@ enum FragCmd {
 
 /// A reserved worker's answer to a fragment command.
 enum FragReply {
-    /// One [`FragCmd::Exec`]'s rows (legacy path; read by test drivers).
-    #[allow(dead_code)]
-    Rows(Vec<Row>),
     /// Per-item outcomes of an [`FragCmd::ExecBatch`], in item order. A
     /// participant that hit a constraint stops there, so the vector may be
     /// shorter than the batch it answers; the coordinator only ever reads
     /// items up to the batch-global abort point, which is covered on every
     /// target (see `run_distributed`).
     Batch(Vec<BatchItem>),
-    /// One [`FragCmd::Exec`]'s constraint violation (legacy path).
-    #[allow(dead_code)]
-    Constraint(String),
     Finished,
     Fatal(Error),
 }
@@ -486,18 +475,6 @@ enum BatchItem {
     Constraint(String),
 }
 
-/// Reservation of one worker by a distributed transaction's coordinator —
-/// the *legacy* per-transaction channel pair, kept alongside the reusable
-/// fragment lanes ([`FragConn`]) for hand-driven protocol tests and
-/// embedders predating lanes. Production coordination registers one
-/// [`CtrlMsg::FragLane`] per (client, worker) pair instead and reuses it
-/// for every distributed transaction after: the partition lock *is* the
-/// reservation, so the lock holder's first lane push opens service.
-struct Reserve {
-    frags: Receiver<FragCmd>,
-    results: Sender<FragReply>,
-}
-
 /// One client's distributed-path connection at the worker: a reusable
 /// bounded SPSC fragment lane plus the client's reusable fragment reply
 /// slot — registered once per (client, worker) pair over the control
@@ -507,6 +484,43 @@ struct Reserve {
 struct FragConn {
     frags: ring::Consumer<FragCmd>,
     replies: Arc<ReplySlot<FragReply>>,
+}
+
+impl FragConn {
+    /// Blocks for the next fragment command; `None` when the coordinator
+    /// is gone (producer dropped). Waits park on the worker's own doorbell
+    /// — the coordinator rings it after every push; stray rings from other
+    /// clients just cost a re-check.
+    fn recv(&mut self, bell: &Doorbell) -> Option<FragCmd> {
+        loop {
+            if let Some(cmd) = self.frags.pop() {
+                return Some(cmd);
+            }
+            if self.frags.is_closed() {
+                return None;
+            }
+            // Doorbell protocol: announce intent, MANDATORY second
+            // look (a push-and-ring that landed before the parked
+            // bit went up is only visible here), then sleep.
+            let token = bell.prepare_park();
+            if self.frags.is_empty() && !self.frags.is_closed() {
+                bell.park(token);
+            } else {
+                bell.cancel_park();
+            }
+        }
+    }
+
+    /// Delivers a reply to the coordinator; false if it is gone.
+    fn send(&self, reply: FragReply) -> bool {
+        // A closed lane's coordinator died: nobody will ever take
+        // this reply, so leave the slot reusable-empty instead.
+        if self.frags.is_closed() {
+            return false;
+        }
+        self.replies.put(reply);
+        true
+    }
 }
 
 /// Wall-clock stage timings measured at the worker for one fast-path
@@ -578,14 +592,10 @@ enum CtrlMsg<S> {
     /// commands arrive on the lane afterwards — only the partition-lock
     /// holder pushes, so the lock itself serializes transactions on it.
     FragLane(FragConn),
-    /// Legacy per-transaction reservation (see [`Reserve`]); constructed
-    /// by hand-driven protocol tests only, still served by every worker.
-    #[allow(dead_code)]
-    Reserve(Reserve),
     /// 2PC outcome for the speculation window this worker has open — sent
-    /// on the control channel (not the reservation channel) so a
-    /// speculating worker parks on its doorbell instead of polling two
-    /// receivers.
+    /// on the control channel (not the fragment lane, whose next command
+    /// may already belong to a later transaction) so a speculating worker
+    /// parks on its doorbell and never pops the lane mid-window.
     SpecFinish {
         commit: bool,
     },
@@ -787,6 +797,28 @@ struct Shared<A: LiveAdvisor> {
     durable: Option<Durable<A::Session>>,
 }
 
+impl<A: LiveAdvisor> Shared<A> {
+    /// The run-wide counters as of now, stamped with `window_us` and the
+    /// flush-sequencer and durability counters kept outside the metrics
+    /// mutex — the one snapshot both [`LiveRuntime::metrics`] and teardown
+    /// report.
+    fn metrics_snapshot(&self, window_us: f64) -> RunMetrics {
+        // Snapshots must stay available even if a client thread panicked
+        // while folding its per-call metrics in: the aggregate is additive,
+        // never half-updated in a way a reader could misread.
+        let mut m = self.metrics.lock().unwrap_or_else(PoisonError::into_inner).clone();
+        m.window_us = window_us;
+        (m.flushes_total, m.flushes_coalesced) = self.seq.counters();
+        if let Some(d) = &self.durable {
+            (m.log_records, m.log_bytes_written) = d.logs.counters();
+            // ordering: Relaxed — metrics-only counter.
+            m.snapshots_taken = d.snapshots_taken.load(Ordering::Relaxed);
+            m.recovery_ms = d.recovery_ms;
+        }
+        m
+    }
+}
+
 /// Live durability state (DESIGN.md §7), shared by workers, coordinators,
 /// the flusher thread, and the snapshotter.
 struct Durable<S> {
@@ -901,64 +933,137 @@ fn flush(d: Duration) {
 /// (group commit: one flush covers every write in the group).
 type DeferredAck<S> = (Arc<SingleSlot<S>>, SingleReply<S>);
 
-/// Drains the control channel: registers new lanes, parks reservations,
-/// records shutdown. With `window_finish` set (a speculation window is
-/// open) the first 2PC outcome is stored there and the drain stops — the
-/// outcome ends the window, and everything behind it stays queued for
-/// after; without it a stray outcome (its window already resolved via the
-/// disconnect watchdog) is dropped. Never blocks: the doorbell is the
-/// only park/wake mechanism, and every control sender rings it.
-fn gather_ctrl<S>(
-    ctrl: &Receiver<CtrlMsg<S>>,
-    lanes: &mut Vec<ring::Consumer<SingleMsg<S>>>,
-    frag_lanes: &mut Vec<FragConn>,
-    resv: &mut VecDeque<Reserve>,
-    snaps: &mut Vec<(u64, Sender<()>)>,
-    shutdown: &mut bool,
-    mut window_finish: Option<&mut Option<bool>>,
-) {
-    while let Ok(m) = ctrl.try_recv() {
-        match m {
-            CtrlMsg::Lane(l) => lanes.push(l),
-            CtrlMsg::FragLane(c) => frag_lanes.push(c),
-            CtrlMsg::Reserve(r) => resv.push_back(r),
-            CtrlMsg::Snapshot { gen, done } => snaps.push((gen, done)),
-            CtrlMsg::SpecFinish { commit } => {
-                if let Some(slot) = window_finish.as_deref_mut() {
-                    *slot = Some(commit);
-                    return;
+/// One worker's inbound state: the control receiver and doorbell (its half
+/// of the [`WorkerGate`]), the registered fast-path and fragment lanes, and
+/// what the control channel has delivered but the main loop has not yet
+/// served (snapshot fences, the shutdown flag). Every "collect work" step
+/// of [`worker_loop`] and [`speculate`] is one [`Intake::poll`] /
+/// [`Intake::poll_window`] — control drain, fair lane sweep, "anything to
+/// do?" — so the doorbell protocol's mandatory second look is the same
+/// code as the first.
+struct Intake<'a, S> {
+    ctrl: &'a Receiver<CtrlMsg<S>>,
+    bell: &'a Doorbell,
+    lanes: Vec<ring::Consumer<SingleMsg<S>>>,
+    frag_lanes: Vec<FragConn>,
+    /// Pending cluster-snapshot requests (served only at the main loop's
+    /// top — never inside a speculation window).
+    snaps: Vec<(u64, Sender<()>)>,
+    shutdown: bool,
+}
+
+impl<'a, S> Intake<'a, S> {
+    fn new(ctrl: &'a Receiver<CtrlMsg<S>>, bell: &'a Doorbell) -> Self {
+        Intake {
+            ctrl,
+            bell,
+            lanes: Vec::new(),
+            frag_lanes: Vec::new(),
+            snaps: Vec::new(),
+            shutdown: false,
+        }
+    }
+
+    /// Drains the control channel: registers new lanes, queues snapshot
+    /// fences, records shutdown. With `window_finish` set (a speculation
+    /// window is open) the first 2PC outcome is stored there and the drain
+    /// stops — the outcome ends the window, and everything behind it stays
+    /// queued for after; without it a stray outcome (its window already
+    /// resolved via the disconnect watchdog) is dropped. Never blocks: the
+    /// doorbell is the only park/wake mechanism, and every control sender
+    /// rings it.
+    fn gather_ctrl(&mut self, mut window_finish: Option<&mut Option<bool>>) {
+        while let Ok(m) = self.ctrl.try_recv() {
+            match m {
+                CtrlMsg::Lane(l) => self.lanes.push(l),
+                CtrlMsg::FragLane(c) => self.frag_lanes.push(c),
+                CtrlMsg::Snapshot { gen, done } => self.snaps.push((gen, done)),
+                CtrlMsg::SpecFinish { commit } => {
+                    if let Some(slot) = window_finish.as_deref_mut() {
+                        *slot = Some(commit);
+                        return;
+                    }
+                }
+                CtrlMsg::Shutdown => self.shutdown = true,
+            }
+        }
+    }
+
+    /// Fair sweep over the fast-path lanes: one pop per lane per pass,
+    /// round-robin, until a full pass yields nothing — no lane can starve
+    /// another, and a blocking client has at most one call in flight per
+    /// lane, so the sweep is bounded and ends as soon as every client is
+    /// waiting on a reply. Lanes whose producer dropped (client gone) are
+    /// retired once drained.
+    fn sweep_lanes(&mut self, run: &mut Vec<SingleMsg<S>>) {
+        loop {
+            let mut any = false;
+            for lane in self.lanes.iter_mut() {
+                if let Some(m) = lane.pop() {
+                    run.push(m);
+                    any = true;
                 }
             }
-            CtrlMsg::Shutdown => *shutdown = true,
-        }
-    }
-}
-
-/// Fair sweep over the fast-path lanes: one pop per lane per pass,
-/// round-robin, until a full pass yields nothing — no lane can starve
-/// another, and a blocking client has at most one call in flight per
-/// lane, so the sweep is bounded and ends as soon as every client is
-/// waiting on a reply. Lanes whose producer dropped (client gone) are
-/// retired once drained.
-fn sweep_lanes<S>(lanes: &mut Vec<ring::Consumer<SingleMsg<S>>>, run: &mut Vec<SingleMsg<S>>) {
-    loop {
-        let mut any = false;
-        for lane in lanes.iter_mut() {
-            if let Some(m) = lane.pop() {
-                run.push(m);
-                any = true;
+            if !any {
+                break;
             }
         }
-        if !any {
-            break;
+        self.lanes.retain(|l| !l.is_closed());
+    }
+
+    /// The first fragment lane with a command buffered, if any — a
+    /// distributed transaction is waiting to be served.
+    fn next_reservation(&self) -> Option<usize> {
+        self.frag_lanes.iter().position(|c| !c.frags.is_empty())
+    }
+
+    /// One collection step outside a speculation window: control drain,
+    /// lane sweep, then whether the main loop has anything to do — swept
+    /// singles, a waiting reservation, a snapshot fence, or shutdown.
+    fn poll(&mut self, run: &mut Vec<SingleMsg<S>>) -> bool {
+        self.gather_ctrl(None);
+        self.sweep_lanes(run);
+        !run.is_empty()
+            || self.next_reservation().is_some()
+            || !self.snaps.is_empty()
+            || self.shutdown
+    }
+
+    /// One collection step inside a speculation window: the control drain
+    /// comes *before* the sweep, so an outcome already buffered ends the
+    /// window before any further singles are admitted (they execute
+    /// non-speculatively after it). Only swept singles and the outcome
+    /// count as work here — reservations, fences, and shutdown wait for
+    /// the window to resolve.
+    fn poll_window(&mut self, run: &mut Vec<SingleMsg<S>>, finish: &mut Option<bool>) -> bool {
+        self.gather_ctrl(Some(finish));
+        if finish.is_none() {
+            self.sweep_lanes(run);
+        }
+        !run.is_empty() || finish.is_some()
+    }
+
+    /// Total fast-path backlog currently buffered across the lanes.
+    fn lane_depth(&self) -> usize {
+        self.lanes.iter().map(ring::Consumer::len).sum()
+    }
+
+    /// Shutdown teardown: calls swept but not yet executed, plus
+    /// everything still buffered in the lanes, fail cleanly — the client
+    /// racing shutdown gets an error rather than silence (its
+    /// abandoned-lane watchdog is only the backstop for a message
+    /// discarded between push and sweep).
+    fn fail_lanes(&mut self, run: &mut Vec<SingleMsg<S>>) {
+        let dead = |m: SingleMsg<S>| {
+            m.reply.put(SingleReply::Fatal(Error::Other("runtime shut down".into())));
+        };
+        run.drain(..).for_each(&dead);
+        for lane in self.lanes.iter_mut() {
+            while let Some(m) = lane.pop() {
+                dead(m);
+            }
         }
     }
-    lanes.retain(|l| !l.is_closed());
-}
-
-/// Total fast-path backlog currently buffered across this worker's lanes.
-fn lane_depth<S>(lanes: &[ring::Consumer<SingleMsg<S>>]) -> usize {
-    lanes.iter().map(ring::Consumer::len).sum()
 }
 
 /// Adaptive group-commit coalescing window: how long commit
@@ -1000,17 +1105,16 @@ fn release_acks<S>(pending: &mut Vec<DeferredAck<S>>) {
 /// window — but it lets `RunMetrics` report how many group closes
 /// coalesced with a flush another worker or coordinator had in flight.
 /// In durable mode the group instead rides the flusher thread
-/// ([`release_group`]); the returned ticket becomes the worker's new
-/// `last_ticket` high-water mark.
+/// ([`release_group`]), which advances the worker's `last_ticket`
+/// high-water mark.
 fn close_group<A: LiveAdvisor>(
     env: &Shared<A>,
     pending: &mut Vec<DeferredAck<A::Session>>,
-    last_ticket: u64,
-) -> Option<u64> {
-    if pending.is_empty() {
-        return None;
+    last_ticket: &mut u64,
+) {
+    if !pending.is_empty() {
+        release_group(env, std::mem::take(pending), true, last_ticket);
     }
-    release_group(env, std::mem::take(pending), true, last_ticket)
 }
 
 /// Releases one closed commit group under the configured durability
@@ -1023,38 +1127,39 @@ fn close_group<A: LiveAdvisor>(
 /// unflushed group's writes) ride `last_ticket`, the ticket of the last
 /// group this worker routed, which the flusher's FIFO guarantees is
 /// already durable by the time the job is seen, so no extra device
-/// operation results. Returns the ticket the group rides, if any.
+/// operation results. `last_ticket` is advanced to the ticket the group
+/// rides, if any.
 fn release_group<A: LiveAdvisor>(
     env: &Shared<A>,
     mut acks: Vec<DeferredAck<A::Session>>,
     wrote: bool,
-    last_ticket: u64,
-) -> Option<u64> {
+    last_ticket: &mut u64,
+) {
     let Some(d) = &env.durable else {
         if wrote && !env.commit_flush.is_zero() {
             env.seq.commit_group();
         }
         release_acks(&mut acks);
-        return None;
+        return;
     };
     let ticket = if wrote {
         env.seq.enqueue()
-    } else if last_ticket > env.seq.durable_epoch() {
-        last_ticket
+    } else if *last_ticket > env.seq.durable_epoch() {
+        *last_ticket
     } else {
         // Everything this worker ever routed is already durable: the
         // read-only replies depend on durable state only. Ack inline.
         release_acks(&mut acks);
-        return None;
+        return;
     };
+    *last_ticket = ticket;
     if let Err(err) = d.flusher.send(FlushJob::Group { ticket, acks }) {
         // Flusher already stopped (teardown race): flush synchronously
         // and release here — held acks must never be dropped.
-        let FlushJob::Group { ticket, mut acks } = err.0 else { return Some(ticket) };
+        let FlushJob::Group { ticket, mut acks } = err.0 else { return };
         env.seq.wait_durable_dev(ticket, &FileDevice(Arc::clone(&d.logs)));
         release_acks(&mut acks);
     }
-    Some(ticket)
 }
 
 /// Takes a transaction-consistent snapshot of the whole cluster: fences
@@ -1096,11 +1201,11 @@ fn snapshot_cluster<A: LiveAdvisor>(env: &Shared<A>) -> Option<u64> {
 }
 
 /// One partition's server loop: collect work *in runs* until shutdown,
-/// then hand the shard back. Each run is a control-channel drain
-/// ([`gather_ctrl`]) followed by a fair lane sweep ([`sweep_lanes`]); if
-/// both come up empty the worker parks on its doorbell under the
+/// then hand the shard back. Each run is one [`Intake::poll`] — a
+/// control-channel drain followed by a fair lane sweep; if it comes up
+/// empty the worker parks on its doorbell under the
 /// [`common::ring::Doorbell`] protocol (announce intent, mandatory second
-/// sweep, then sleep).
+/// poll, then sleep).
 ///
 /// Committed writes form one open *group* whose acknowledgements are
 /// held in `pending` until the group's single commit flush — and the
@@ -1115,11 +1220,11 @@ fn snapshot_cluster<A: LiveAdvisor>(env: &Shared<A>) -> Option<u64> {
 /// observes exactly the state a one-message-at-a-time loop would have
 /// produced.
 ///
-/// Reservations that arrive during a speculation window stay parked in
-/// `resv` and are admitted once the window resolves (they may open
-/// windows of their own). At shutdown, calls still buffered in the lanes
-/// are failed cleanly ([`fail_lanes`]) rather than executed — a client
-/// racing shutdown gets an error, never silence.
+/// Reservations that arrive during a speculation window stay buffered in
+/// their fragment lanes and are admitted once the window resolves (they
+/// may open windows of their own). At shutdown, calls still buffered in
+/// the lanes are failed cleanly ([`Intake::fail_lanes`]) rather than
+/// executed — a client racing shutdown gets an error, never silence.
 fn worker_loop<A: LiveAdvisor>(
     mut shard: Shard,
     ctrl: &Receiver<CtrlMsg<A::Session>>,
@@ -1127,128 +1232,65 @@ fn worker_loop<A: LiveAdvisor>(
     me: usize,
 ) -> Shard {
     let bell = &env.workers[me].bell;
-    let mut lanes: Vec<ring::Consumer<SingleMsg<A::Session>>> = Vec::new();
-    let mut frag_lanes: Vec<FragConn> = Vec::new();
-    let mut resv: VecDeque<Reserve> = VecDeque::new();
+    let mut intake = Intake::new(ctrl, bell);
     let mut run: Vec<SingleMsg<A::Session>> = Vec::new();
     // Held acknowledgements of the open commit group, plus when its
     // oldest unflushed commit completed (the coalescing deadline's
     // anchor).
     let mut pending: Vec<DeferredAck<A::Session>> = Vec::new();
-    // Pending cluster-snapshot requests (served only here, at the main
-    // loop's top — never inside a speculation window), and the ticket of
-    // the last commit group this worker routed to the flusher (durable
-    // mode's read-ordering high-water mark; see [`release_group`]).
-    let mut snaps: Vec<(u64, Sender<()>)> = Vec::new();
+    // The ticket of the last commit group this worker routed to the
+    // flusher (durable mode's read-ordering high-water mark; see
+    // [`release_group`]).
     let mut last_ticket = 0u64;
     let mut opened = Instant::now();
-    let mut shutdown = false;
-    while !shutdown {
-        while let Some((gen, done)) = snaps.pop() {
+    while !intake.shutdown {
+        while let Some((gen, done)) = intake.snaps.pop() {
             // The snapshot fence holds every partition lock, so this shard
             // is at a transaction boundary: close the group, rotate the
             // command log to the new generation (the rotation makes the
             // old segment durable first), and serialize the shard. The
             // `expect`s fire *before* the completion send — the
             // snapshotter abandons the generation if this worker dies.
-            if let Some(t) = close_group(env, &mut pending, last_ticket) {
-                last_ticket = t;
-            }
+            close_group(env, &mut pending, &mut last_ticket);
             let d = env.durable.as_ref().expect("snapshot request requires durability state");
             d.logs.rotate(shard.partition(), gen).expect("rotate command log");
             wal::write_snapshot(d.logs.dir(), shard.partition(), gen, &shard.snapshot_rows())
                 .expect("write snapshot");
             let _ = done.send(());
         }
-        if let Some(r) = resv.pop_front() {
-            // The reservation closes the open group: flush and ack before
-            // the distributed transaction reads anything.
-            if let Some(t) = close_group(env, &mut pending, last_ticket) {
-                last_ticket = t;
-            }
-            if let Some(spec) = serve_reservation(&mut shard, env, FragSource::Legacy(r)) {
-                shutdown = speculate(
-                    &mut shard,
-                    env,
-                    ctrl,
-                    bell,
-                    &mut lanes,
-                    &mut frag_lanes,
-                    &mut resv,
-                    &mut snaps,
-                    &mut last_ticket,
-                    spec,
-                );
-            }
-            continue;
-        }
         // A non-empty fragment lane is a reservation: its client holds
         // this partition's lock and pushed the transaction's first
         // command. At most one lane holds a live transaction (the lock is
         // exclusive); a closed lane's leftovers come from a coordinator
         // that died mid-transaction and are rolled back inside serve.
-        if let Some(i) = frag_lanes.iter().position(|c| !c.frags.is_empty()) {
-            if let Some(t) = close_group(env, &mut pending, last_ticket) {
-                last_ticket = t;
-            }
-            let src = FragSource::Lane { conns: &mut frag_lanes, i, bell };
-            if let Some(spec) = serve_reservation(&mut shard, env, src) {
-                shutdown = speculate(
-                    &mut shard,
-                    env,
-                    ctrl,
-                    bell,
-                    &mut lanes,
-                    &mut frag_lanes,
-                    &mut resv,
-                    &mut snaps,
-                    &mut last_ticket,
-                    spec,
-                );
+        if let Some(lane) = intake.next_reservation() {
+            // The reservation closes the open group: flush and ack before
+            // the distributed transaction reads anything.
+            close_group(env, &mut pending, &mut last_ticket);
+            if let Some(spec) = serve_reservation(&mut shard, env, &mut intake, lane) {
+                speculate(&mut shard, env, &mut intake, &mut last_ticket, spec);
             }
             continue;
         }
-        frag_lanes.retain(|c| !c.frags.is_closed());
-        gather_ctrl(ctrl, &mut lanes, &mut frag_lanes, &mut resv, &mut snaps, &mut shutdown, None);
-        sweep_lanes(&mut lanes, &mut run);
-        if shutdown {
+        intake.frag_lanes.retain(|c| !c.frags.is_closed());
+        let busy = intake.poll(&mut run);
+        if intake.shutdown {
             break;
         }
-        if run.is_empty() && resv.is_empty() && !has_frags(&frag_lanes) && snaps.is_empty() {
+        if !busy {
             // No work means no backlog: close the group (normally already
             // closed by the post-run check below — this is the backstop
             // for a group left open by a race with an emptying lane).
-            if let Some(t) = close_group(env, &mut pending, last_ticket) {
-                last_ticket = t;
-            }
+            close_group(env, &mut pending, &mut last_ticket);
             // Closed-loop clients resubmit within microseconds of their
-            // acks, so a bounded yield-spin re-sweep usually catches the
+            // acks, so a bounded yield-spin re-poll usually catches the
             // next batch without a futex park/wake cycle (whose scheduler
             // latency would land squarely in the Queueing bucket). Only a
             // genuinely idle worker falls through to the park protocol.
-            let mut found = false;
-            for _ in 0..IDLE_SPIN {
+            let found = (0..IDLE_SPIN).any(|_| {
                 std::thread::yield_now();
-                gather_ctrl(
-                    ctrl,
-                    &mut lanes,
-                    &mut frag_lanes,
-                    &mut resv,
-                    &mut snaps,
-                    &mut shutdown,
-                    None,
-                );
-                sweep_lanes(&mut lanes, &mut run);
-                if !run.is_empty()
-                    || !resv.is_empty()
-                    || has_frags(&frag_lanes)
-                    || !snaps.is_empty()
-                    || shutdown
-                {
-                    found = true;
-                    break;
-                }
-            }
+                intake.poll(&mut run)
+            });
             if found {
                 continue;
             }
@@ -1256,25 +1298,10 @@ fn worker_loop<A: LiveAdvisor>(
             // second look — a ring that landed before the parked bit went
             // up is only visible here — and only then sleep.
             let token = bell.prepare_park();
-            gather_ctrl(
-                ctrl,
-                &mut lanes,
-                &mut frag_lanes,
-                &mut resv,
-                &mut snaps,
-                &mut shutdown,
-                None,
-            );
-            sweep_lanes(&mut lanes, &mut run);
-            if run.is_empty()
-                && resv.is_empty()
-                && !has_frags(&frag_lanes)
-                && snaps.is_empty()
-                && !shutdown
-            {
-                bell.park(token);
-            } else {
+            if intake.poll(&mut run) {
                 bell.cancel_park();
+            } else {
+                bell.park(token);
             }
             continue;
         }
@@ -1315,9 +1342,7 @@ fn worker_loop<A: LiveAdvisor>(
                     // rest of the drain would only add batch time to the
                     // writer's ack latency — and drag every read served
                     // behind it into the fence.
-                    if let Some(t) = close_group(env, &mut pending, last_ticket) {
-                        last_ticket = t;
-                    }
+                    close_group(env, &mut pending, &mut last_ticket);
                 }
             } else if env.durable.as_ref().is_some_and(|d| d.read_fence)
                 && last_ticket > env.seq.durable_epoch()
@@ -1327,9 +1352,7 @@ fn worker_loop<A: LiveAdvisor>(
                 // depend on its writes. Ride the prior ticket through the
                 // flusher (FIFO makes the release a no-wait, no new
                 // device operation) instead of acking un-durable state.
-                if let Some(t) = release_group(env, vec![(reply, out.reply)], false, last_ticket) {
-                    last_ticket = t;
-                }
+                release_group(env, vec![(reply, out.reply)], false, &mut last_ticket);
             } else {
                 // Nothing unflushed precedes this one in the group, so its
                 // result depends on durable state only — ack now, at the
@@ -1347,44 +1370,20 @@ fn worker_loop<A: LiveAdvisor>(
             // shared device is being written *right now*, so riding that
             // operation beats waiting for a window that would demand a
             // fresh one (the adaptive window, made cross-worker).
-            let depth = lane_depth(&lanes);
+            let depth = intake.lane_depth();
             if depth == 0
                 || opened.elapsed() >= adaptive_window(env.commit_flush, depth)
                 || env.seq.flush_in_progress()
             {
-                if let Some(t) = close_group(env, &mut pending, last_ticket) {
-                    last_ticket = t;
-                }
+                close_group(env, &mut pending, &mut last_ticket);
             }
         }
     }
     // Shutdown closes the open group before failing the stragglers: the
     // held acks are *completed* transactions and must reach their clients.
-    close_group(env, &mut pending, last_ticket);
-    fail_lanes(&mut run, &mut lanes);
+    close_group(env, &mut pending, &mut last_ticket);
+    intake.fail_lanes(&mut run);
     shard
-}
-
-/// Whether any registered fragment lane has a command buffered — a
-/// distributed transaction is waiting to be served.
-fn has_frags(frag_lanes: &[FragConn]) -> bool {
-    frag_lanes.iter().any(|c| !c.frags.is_empty())
-}
-
-/// Shutdown teardown: calls swept but not yet executed, plus everything
-/// still buffered in the lanes, fail cleanly — the client racing shutdown
-/// gets an error rather than silence (its abandoned-lane watchdog is only
-/// the backstop for a message discarded between push and sweep).
-fn fail_lanes<S>(run: &mut Vec<SingleMsg<S>>, lanes: &mut [ring::Consumer<SingleMsg<S>>]) {
-    let dead = |m: SingleMsg<S>| {
-        m.reply.put(SingleReply::Fatal(Error::Other("runtime shut down".into())));
-    };
-    run.drain(..).for_each(&dead);
-    for lane in lanes.iter_mut() {
-        while let Some(m) = lane.pop() {
-            dead(m);
-        }
-    }
 }
 
 /// What one fast-path execution produced: the client reply plus what the
@@ -1636,90 +1635,14 @@ fn run_single<A: LiveAdvisor>(
     }
 }
 
-/// Where a reservation's fragment commands come from and where its
-/// replies go: the client's registered fragment lane (production — the
-/// partition lock *is* the reservation, so the lock holder's first push
-/// opens service), or the legacy per-transaction channel pair
-/// ([`CtrlMsg::Reserve`] — hand-driven protocol tests and embedders
-/// predating lanes).
-enum FragSource<'a> {
-    Lane { conns: &'a mut Vec<FragConn>, i: usize, bell: &'a Doorbell },
-    Legacy(Reserve),
-}
-
-impl FragSource<'_> {
-    /// Blocks for the next fragment command; `None` when the coordinator
-    /// is gone (producer dropped / channel disconnected). Lane waits park
-    /// on the worker's own doorbell — the coordinator rings it after every
-    /// push; stray rings from other clients just cost a re-check.
-    fn recv(&mut self) -> Option<FragCmd> {
-        match self {
-            FragSource::Legacy(r) => r.frags.recv().ok(),
-            FragSource::Lane { conns, i, bell } => {
-                let lane = &mut conns[*i].frags;
-                loop {
-                    if let Some(cmd) = lane.pop() {
-                        return Some(cmd);
-                    }
-                    if lane.is_closed() {
-                        return None;
-                    }
-                    // Doorbell protocol: announce intent, MANDATORY second
-                    // look (a push-and-ring that landed before the parked
-                    // bit went up is only visible here), then sleep.
-                    let token = bell.prepare_park();
-                    if lane.is_empty() && !lane.is_closed() {
-                        bell.park(token);
-                    } else {
-                        bell.cancel_park();
-                    }
-                }
-            }
-        }
-    }
-
-    /// Delivers a reply to the coordinator; false if it is gone.
-    fn send(&mut self, reply: FragReply) -> bool {
-        match self {
-            FragSource::Legacy(r) => r.results.send(reply).is_ok(),
-            FragSource::Lane { conns, i, .. } => {
-                let conn = &conns[*i];
-                // A closed lane's coordinator died: nobody will ever take
-                // this reply, so leave the slot reusable-empty instead.
-                if conn.frags.is_closed() {
-                    return false;
-                }
-                conn.replies.put(reply);
-                true
-            }
-        }
-    }
-
-    /// Consumes the source into the channel handle a speculation window
-    /// keeps (a lane itself stays registered at the worker).
-    fn into_spec_channel(self) -> SpecChannel {
-        match self {
-            FragSource::Legacy(r) => SpecChannel::Legacy { frags: r.frags, results: r.results },
-            FragSource::Lane { i, .. } => SpecChannel::Lane(i),
-        }
-    }
-}
-
-/// The channel a speculation window keeps toward its coordinator: the
-/// index of the client's fragment lane in the worker's `frag_lanes`
-/// (stable — lanes are only retired between transactions, never while a
-/// window is open), or the legacy per-transaction endpoints moved out of
-/// the reservation.
-enum SpecChannel {
-    Lane(usize),
-    Legacy { frags: Receiver<FragCmd>, results: Sender<FragReply> },
-}
-
 /// A speculation window opened by an early-prepared distributed
-/// transaction: its coordinator channel plus the shard's undo stack and
-/// the conflict mask.
+/// transaction: its coordinator's fragment lane plus the shard's undo
+/// stack and the conflict mask.
 struct SpecSession {
-    chan: SpecChannel,
+    /// Index of the coordinator's lane in the worker's fragment lanes
+    /// (stable — lanes are only retired between transactions, never while
+    /// a window is open).
+    lane: usize,
     stack: SpeculationStack,
     /// [`crate::sim::table_bit`] mask of tables written inside the window
     /// so far: the early-prepared fragment's writes plus every deferred
@@ -1739,13 +1662,16 @@ struct SpecSession {
 fn serve_reservation<A: LiveAdvisor>(
     shard: &mut Shard,
     env: &Shared<A>,
-    mut src: FragSource<'_>,
+    intake: &mut Intake<'_, A::Session>,
+    lane: usize,
 ) -> Option<SpecSession> {
+    let bell = intake.bell;
+    let conn = &mut intake.frag_lanes[lane];
     let mut undo = UndoLog::new();
     let mut wrote_tables = 0u64;
     let mut dist_id: Option<u64> = None;
     loop {
-        match src.recv() {
+        match conn.recv(bell) {
             Some(FragCmd::LogBegin { txn_id, proc, args }) => {
                 // Durable mode only (never sent otherwise): record the
                 // distributed transaction's begin at its service position —
@@ -1757,25 +1683,6 @@ fn serve_reservation<A: LiveAdvisor>(
                     d.logs.append(shard.partition(), &rec);
                 }
                 dist_id = Some(txn_id);
-            }
-            Some(FragCmd::Exec { proc, query, params }) => {
-                flush(env.msg_delay);
-                let def = env.catalog.proc(proc).query(query);
-                let reply = match execute_fragment(shard, def, &params, &mut undo) {
-                    Ok(rows) => {
-                        if def.is_write() {
-                            wrote_tables |= crate::sim::table_bit(def.table);
-                        }
-                        FragReply::Rows(rows)
-                    }
-                    Err(Error::Constraint(msg)) => FragReply::Constraint(msg),
-                    Err(e) => FragReply::Fatal(e),
-                };
-                if !src.send(reply) {
-                    // Coordinator vanished: restore the shard and move on.
-                    let _ = shard.rollback(&mut undo);
-                    return None;
-                }
             }
             Some(FragCmd::ExecBatch { proc, queries }) => {
                 // One modeled network hop covers the whole sub-batch —
@@ -1810,7 +1717,8 @@ fn serve_reservation<A: LiveAdvisor>(
                     Some(e) => FragReply::Fatal(e),
                     None => FragReply::Batch(items),
                 };
-                if !src.send(reply) {
+                if !conn.send(reply) {
+                    // Coordinator vanished: restore the shard and move on.
                     let _ = shard.rollback(&mut undo);
                     return None;
                 }
@@ -1833,12 +1741,7 @@ fn serve_reservation<A: LiveAdvisor>(
                 // ungrouped per-participant flush stalled this partition's
                 // whole fast path behind every distributed writer.
                 let stack = SpeculationStack::new(undo);
-                return Some(SpecSession {
-                    chan: src.into_spec_channel(),
-                    stack,
-                    written_tables: wrote_tables,
-                    dist_id,
-                });
+                return Some(SpecSession { lane, stack, written_tables: wrote_tables, dist_id });
             }
             Some(FragCmd::VoteFinish { commit }) => {
                 // Coalesced 2PC: flush-and-vote plus the decision in one
@@ -1862,7 +1765,7 @@ fn serve_reservation<A: LiveAdvisor>(
                         Err(e) => FragReply::Fatal(e),
                     }
                 };
-                let _ = src.send(reply);
+                let _ = conn.send(reply);
                 return None;
             }
             None => {
@@ -1875,30 +1778,25 @@ fn serve_reservation<A: LiveAdvisor>(
 
 /// Runs the worker through one speculation window: swept single-partition
 /// transactions execute speculatively (deferred acknowledgement, undo
-/// force-enabled) and new reservations are parked in `resv` until the
-/// early-prepared transaction's 2PC outcome arrives. Work is collected in
-/// runs exactly like [`worker_loop`] — control channel first, then a fair
-/// lane sweep — and one adaptive group flush covers a run's speculative
-/// commits (they must be durable before any acknowledgement, immediate or
-/// deferred, goes out), with non-conflicting acknowledgements leaving as
-/// a group. The control channel is gathered *before* each sweep, so an
-/// outcome already buffered ends the window before any further singles
-/// are admitted — they execute non-speculatively after it, a schedule the
-/// racing clients cannot distinguish. Returns true if a shutdown was
-/// observed while speculating (the window still resolves first).
-#[allow(clippy::too_many_arguments)]
+/// force-enabled) and new reservations stay buffered in their fragment
+/// lanes until the early-prepared transaction's 2PC outcome arrives. Work
+/// is collected in runs exactly like [`worker_loop`] — control channel
+/// first, then a fair lane sweep ([`Intake::poll_window`]) — and one
+/// adaptive group flush covers a run's speculative commits (they must be
+/// durable before any acknowledgement, immediate or deferred, goes out),
+/// with non-conflicting acknowledgements leaving as a group. The control
+/// channel is gathered *before* each sweep, so an outcome already buffered
+/// ends the window before any further singles are admitted — they execute
+/// non-speculatively after it, a schedule the racing clients cannot
+/// distinguish. A shutdown observed while speculating is recorded on the
+/// intake (the window still resolves first).
 fn speculate<A: LiveAdvisor>(
     shard: &mut Shard,
     env: &Shared<A>,
-    ctrl: &Receiver<CtrlMsg<A::Session>>,
-    bell: &Doorbell,
-    lanes: &mut Vec<ring::Consumer<SingleMsg<A::Session>>>,
-    frag_lanes: &mut Vec<FragConn>,
-    resv: &mut VecDeque<Reserve>,
-    snaps: &mut Vec<(u64, Sender<()>)>,
+    intake: &mut Intake<'_, A::Session>,
     last_ticket: &mut u64,
     mut spec: SpecSession,
-) -> bool {
+) {
     // A deferred completion: the client's slot, the reply, the request
     // (unless the reply carries it itself — needed to route the `Cascaded`
     // retry if the window aborts), and the command-log id of its contingent
@@ -1908,74 +1806,33 @@ fn speculate<A: LiveAdvisor>(
     type Deferred<S> = (Arc<SingleSlot<S>>, SingleReply<S>, Option<Request>, Option<u64>);
     let mut deferred: Vec<Deferred<A::Session>> = Vec::new();
     let mut run: Vec<SingleMsg<A::Session>> = Vec::new();
-    let mut shutdown = false;
+    let bell = intake.bell;
     // `None` = the coordinator disappeared without an outcome (it unwound);
     // the window resolves exactly like an abort.
     let outcome: Option<bool> = 'window: loop {
         let mut finish: Option<bool> = None;
-        gather_ctrl(ctrl, lanes, frag_lanes, resv, snaps, &mut shutdown, Some(&mut finish));
-        if finish.is_none() {
-            sweep_lanes(lanes, &mut run);
-        }
-        if run.is_empty() && finish.is_none() {
+        if !intake.poll_window(&mut run, &mut finish) {
             // Idle: park under the doorbell protocol, but with the
             // watchdog timeout — the outcome normally arrives as a rung
             // control message, so an empty 25 ms is only expected for a
             // long-running coordinator, unless it died (its fragment lane
-            // or reservation channel disconnects without a buffered
-            // outcome) or it still speaks the reservation-channel
-            // protocol's in-band VoteFinish (tests, legacy).
+            // closes without a buffered outcome).
             let token = bell.prepare_park();
-            gather_ctrl(ctrl, lanes, frag_lanes, resv, snaps, &mut shutdown, Some(&mut finish));
-            if finish.is_none() {
-                sweep_lanes(lanes, &mut run);
-            }
-            if run.is_empty() && finish.is_none() {
-                if bell.park_timeout(token, SPEC_WATCHDOG) {
-                    match &spec.chan {
-                        SpecChannel::Legacy { frags, results } => loop {
-                            match frags.try_recv() {
-                                Ok(FragCmd::VoteFinish { commit }) => break 'window Some(commit),
-                                Ok(FragCmd::Prepare { .. }) => {} // duplicate: already prepared
-                                Ok(FragCmd::LogBegin { .. }) => {} // begin already logged
-                                Ok(FragCmd::Exec { .. } | FragCmd::ExecBatch { .. }) => {
-                                    // The coordinator treats a batch that
-                                    // re-targets a released partition as a
-                                    // mispredict before shipping anything:
-                                    // protocol violation.
-                                    let _ = results.send(FragReply::Fatal(Error::Other(
-                                        "fragment shipped to an early-prepared partition".into(),
-                                    )));
-                                }
-                                Err(TryRecvError::Empty) => break,
-                                Err(TryRecvError::Disconnected) => break 'window None,
-                            }
-                        },
-                        SpecChannel::Lane(i) => {
-                            // Production coordinators deliver the outcome on
-                            // the control channel; the lane matters here only
-                            // as the liveness signal. Anything buffered in it
-                            // belongs to the *next* transaction of a client
-                            // that reacquired after an early release — never
-                            // popped here. A closed (drained, producer
-                            // dropped) lane means the coordinator died; one
-                            // final control drain closes the race where it
-                            // sent the outcome just before dropping.
-                            if frag_lanes[*i].frags.is_closed() {
-                                let mut last: Option<bool> = None;
-                                gather_ctrl(
-                                    ctrl,
-                                    lanes,
-                                    frag_lanes,
-                                    resv,
-                                    snaps,
-                                    &mut shutdown,
-                                    Some(&mut last),
-                                );
-                                break 'window last;
-                            }
-                        }
-                    }
+            if !intake.poll_window(&mut run, &mut finish) {
+                // Coordinators deliver the outcome on the control channel;
+                // the lane matters here only as the liveness signal.
+                // Anything buffered in it belongs to the *next*
+                // transaction of a client that reacquired after an early
+                // release — never popped here. A closed (drained, producer
+                // dropped) lane means the coordinator died; one final
+                // control drain closes the race where it sent the outcome
+                // just before dropping.
+                if bell.park_timeout(token, SPEC_WATCHDOG)
+                    && intake.frag_lanes[spec.lane].frags.is_closed()
+                {
+                    let mut last: Option<bool> = None;
+                    intake.gather_ctrl(Some(&mut last));
+                    break 'window last;
                 }
                 continue 'window;
             }
@@ -2054,9 +1911,7 @@ fn speculate<A: LiveAdvisor>(
         // (accounting on the simulated device, a real flusher hand-off in
         // durable mode) when any of them wrote.
         if !acks.is_empty() {
-            if let Some(t) = release_group(env, acks, group_wrote, *last_ticket) {
-                *last_ticket = t;
-            }
+            release_group(env, acks, group_wrote, last_ticket);
         }
         if let Some(commit) = finish {
             break 'window Some(commit);
@@ -2083,16 +1938,14 @@ fn speculate<A: LiveAdvisor>(
             }
             if !deferred.is_empty() {
                 let acks = deferred.into_iter().map(|(slot, reply, _, _)| (slot, reply)).collect();
-                if let Some(t) = release_group(env, acks, true, *last_ticket) {
-                    *last_ticket = t;
-                }
+                release_group(env, acks, true, last_ticket);
             }
         } else {
             for (slot, reply, _, _) in deferred {
                 slot.put(reply);
             }
         }
-        spec_reply(frag_lanes, &spec.chan, FragReply::Finished);
+        intake.frag_lanes[spec.lane].send(FragReply::Finished);
     } else {
         // Cascading rollback (LIFO) of every speculative commit, then the
         // fragment itself; deferred clients retry transparently. Durable
@@ -2115,25 +1968,7 @@ fn speculate<A: LiveAdvisor>(
             slot.put(SingleReply::Cascaded { req });
         }
         if outcome.is_some() {
-            spec_reply(frag_lanes, &spec.chan, reply);
-        }
-    }
-    shutdown
-}
-
-/// Delivers a speculation window's final participant acknowledgement over
-/// its coordinator channel; dropped when the coordinator is already gone
-/// (a closed lane's reply slot must stay reusable-empty).
-fn spec_reply(frag_lanes: &[FragConn], chan: &SpecChannel, reply: FragReply) {
-    match chan {
-        SpecChannel::Legacy { results, .. } => {
-            let _ = results.send(reply);
-        }
-        SpecChannel::Lane(i) => {
-            let conn = &frag_lanes[*i];
-            if !conn.frags.is_closed() {
-                conn.replies.put(reply);
-            }
+            intake.frag_lanes[spec.lane].send(reply);
         }
     }
 }
@@ -2210,9 +2045,9 @@ fn record_remaining_hold(
 /// The client-side half of one [`FragConn`]: the producer of this
 /// client's fragment lane to one worker plus the reusable reply slot that
 /// worker fills. Registered lazily on the client's first distributed use
-/// of the partition, then reused by every later distributed transaction —
-/// the per-transaction channel pairs (and their reservation round trip)
-/// are gone from the steady state entirely.
+/// of the partition, then reused by every later distributed transaction:
+/// the steady state has no per-transaction channel setup and no
+/// reservation round trip.
 struct FragPort {
     tx: ring::Producer<FragCmd>,
     replies: Arc<ReplySlot<FragReply>>,
@@ -3310,8 +3145,9 @@ impl<A: LiveAdvisor + 'static> LiveRuntime<A> {
                     // every sender is gone): records queued before shutdown
                     // are consumed, so `feedback_records + feedback_dropped`
                     // equals the records the clients emitted.
-                    // An advisor that reported `maintains() == true` but
-                    // returns no maintainer is a contract violation; drain
+                    // An advisor whose `maintainer()` answered `Some` to the
+                    // start-time probe but `None` here violates its
+                    // contract; drain
                     // the queue (so client try_sends keep succeeding and
                     // shutdown still joins cleanly) and report zero work
                     // instead of taking the maintenance thread down.
@@ -3378,17 +3214,7 @@ impl<A: LiveAdvisor + 'static> LiveRuntime<A> {
     /// Maintenance-thread counters (`model_swaps`, `feedback_records`,
     /// per-epoch accuracy) are folded in at [`LiveRuntime::shutdown`] only.
     pub fn metrics(&self) -> RunMetrics {
-        // Mid-run snapshots must stay available even if a client thread
-        // panicked while folding its per-call metrics in (same reasoning as
-        // teardown below: the aggregate is additive, never half-updated in
-        // a way a reader could misread).
-        let mut m = self.shared.metrics.lock().unwrap_or_else(PoisonError::into_inner).clone();
-        m.window_us = self.shared.started.elapsed().as_secs_f64() * 1e6;
-        let (ft, fc) = self.shared.seq.counters();
-        m.flushes_total = ft;
-        m.flushes_coalesced = fc;
-        absorb_durability(&mut m, self.shared.durable.as_ref());
-        m
+        self.shared.metrics_snapshot(self.shared.started.elapsed().as_secs_f64() * 1e6)
     }
 
     /// Stops the runtime: every in-flight call resolves (workers finish
@@ -3427,7 +3253,7 @@ impl<A: LiveAdvisor + 'static> LiveRuntime<A> {
         // open speculation window) before observing the sentinel, so
         // in-flight transactions complete and their feedback records get
         // a chance to precede the Stop below. Calls still buffered in a
-        // lane when its worker exits fail cleanly (see [`fail_lanes`]).
+        // lane when its worker exits fail cleanly (see `Intake::fail_lanes`).
         for gate in &self.shared.workers {
             gate.send_ctrl(CtrlMsg::Shutdown);
         }
@@ -3484,29 +3310,12 @@ impl<A: LiveAdvisor + 'static> LiveRuntime<A> {
                 std::panic::resume_unwind(p);
             }
         }
-        let mut metrics =
-            self.shared.metrics.lock().unwrap_or_else(PoisonError::into_inner).clone();
+        let mut metrics = self.shared.metrics_snapshot(window_us);
         if let Some(report) = maint_report {
             metrics.absorb_maintenance(&report);
         }
-        metrics.window_us = window_us;
-        let (ft, fc) = self.shared.seq.counters();
-        metrics.flushes_total = ft;
-        metrics.flushes_coalesced = fc;
-        absorb_durability(&mut metrics, self.shared.durable.as_ref());
         Some((metrics, shards))
     }
-}
-
-/// Folds the durability subsystem's counters into a metrics snapshot.
-fn absorb_durability<S>(m: &mut RunMetrics, durable: Option<&Durable<S>>) {
-    let Some(d) = durable else { return };
-    let (records, bytes) = d.logs.counters();
-    m.log_records = records;
-    m.log_bytes_written = bytes;
-    // ordering: Relaxed — metrics-only counter.
-    m.snapshots_taken = d.snapshots_taken.load(Ordering::Relaxed);
-    m.recovery_ms = d.recovery_ms;
 }
 
 impl<A: LiveAdvisor + 'static> Drop for LiveRuntime<A> {
@@ -3685,45 +3494,36 @@ mod tests {
 
     /// Sorted `(key, row)` snapshot of one table slice, for byte-identical
     /// state comparisons across a speculation window.
-    fn table_snapshot(shard: &Shard, table: usize) -> Vec<(Vec<Value>, Row)> {
-        let mut rows: Vec<(Vec<Value>, Row)> =
+    type TableRows = Vec<(Vec<Value>, Row)>;
+
+    fn table_snapshot(shard: &Shard, table: usize) -> TableRows {
+        let mut rows: TableRows =
             shard.table(table).iter().map(|(k, r)| (k.clone(), r.clone())).collect();
         rows.sort();
         rows
     }
 
-    /// Hand-drives the worker protocol through one speculation window:
-    /// reserve → fragment → early prepare → speculative single → 2PC
-    /// outcome. Deterministic: the worker drains ctrl then sweeps lanes
-    /// each round; with `expect_deferred` the deferral assertion doubles
-    /// as the processed-before-outcome sync (non-conflicting replies
-    /// instead arrive before the outcome is even sent). Channels and the
-    /// lane producer live inside the scope so a failed assertion
-    /// disconnects the worker rather than deadlocking the join.
-    /// Returns (reply, post snapshot, pre snapshot).
-    #[allow(clippy::type_complexity)]
-    fn drive_speculation(
-        commit: bool,
-        spec_args: Vec<Value>,
-        expect_deferred: bool,
-    ) -> (SingleReply<()>, Vec<(Vec<Value>, Row)>, Vec<(Vec<Value>, Row)>) {
-        let db = kv_database(2, 8);
+    type TestEnv = Shared<AssumeSinglePartition>;
+
+    /// Upper bound on any reply wait in the hand-driven protocol tests.
+    const WAIT: Duration = Duration::from_secs(30);
+
+    /// A single-gate [`Shared`] for hand-driving worker 0, plus that
+    /// worker's control receiver; the lock manager and feedback plumbing
+    /// stay unused.
+    fn test_env(parts: u32, commit_flush: Duration) -> (TestEnv, Receiver<CtrlMsg<()>>) {
         let reg = kv_registry();
-        let catalog = reg.catalog();
-        let (ctrl_tx, ctrl_rx) = channel::<CtrlMsg<()>>();
-        // A single-gate Shared: the test drives worker 0's control channel
-        // and one hand-made SPSC lane directly; the lock manager and
-        // feedback plumbing stay unused.
+        let (ctrl_tx, ctrl_rx) = channel();
         let env = Shared {
-            catalog,
+            catalog: reg.catalog(),
             registry: reg,
             advisor: AssumeSinglePartition::new(),
             cfg: LiveConfig::default(),
-            num_partitions: 2,
-            commit_flush: Duration::ZERO,
+            num_partitions: parts,
+            commit_flush,
             msg_delay: Duration::ZERO,
             workers: vec![WorkerGate { ctrl: ctrl_tx, bell: Doorbell::new() }],
-            locks: LockManager::new(2),
+            locks: LockManager::new(parts),
             seq: FlushSequencer::new(),
             metrics: Mutex::new(RunMetrics::default()),
             fb_tx: None,
@@ -3731,82 +3531,173 @@ mod tests {
             started: Instant::now(),
             durable: None,
         };
-        let mut shards = db.into_shards();
-        shards.truncate(1); // partition 0's worker only
-        let shard = shards.pop().unwrap();
-        let before = table_snapshot(&shard, 0);
-        let (shard, reply) = std::thread::scope(|s| {
-            let env = &env;
-            let h = s.spawn(move || worker_loop::<AssumeSinglePartition>(shard, &ctrl_rx, env, 0));
-            // Reserve partition 0 for a "distributed" transaction and run
-            // one write fragment there: bump id 0 by 10.
-            let (ftx, frx) = channel();
-            let (rtx, rrx) = channel();
-            assert!(
-                env.workers[0].send_ctrl(CtrlMsg::Reserve(Reserve { frags: frx, results: rtx }))
-            );
-            ftx.send(FragCmd::Exec {
-                proc: 0,
-                query: 1,
-                params: vec![Value::Int(0), Value::Int(10)],
-            })
-            .unwrap();
-            assert!(matches!(rrx.recv().unwrap(), FragReply::Rows(r) if r.len() == 1));
-            // Early prepare: unacknowledged; the worker is parked on the
-            // reservation channel, so the window opens before it observes
-            // any lane or ctrl message sent afterwards.
-            ftx.send(FragCmd::Prepare { speculate: true }).unwrap();
-            // A single-partition transaction arrives mid-window on a fresh
-            // lane. Its plan asks for OP3 (disable_undo) — speculation must
-            // override it.
-            let (mut ltx, lrx) = ring::spsc::<SingleMsg<()>>(LANE_CAPACITY);
-            assert!(env.workers[0].send_ctrl(CtrlMsg::Lane(lrx)));
-            let slot = Arc::new(ReplySlot::new());
-            let plan = TxnPlan {
-                base_partition: 0,
-                lock_set: PartitionSet::single(0),
-                disable_undo: true,
-                early_prepare: false,
-                estimate_cost_us: 0.0,
-            };
-            assert!(ltx
-                .push(SingleMsg {
-                    req: Request { proc: 0, args: spec_args, origin_node: 0 },
-                    plan,
-                    session: (),
-                    reply: Arc::clone(&slot),
-                    enqueued: Instant::now(),
+        (env, ctrl_rx)
+    }
+
+    /// The client side of the wire protocol against worker 0, spoken
+    /// through the production entry points ([`push_frag`] for fragment
+    /// commands, [`send_on_lane`] for fast-path singles — both register
+    /// their lane on first use, exactly as a [`Client`] does). Dropping it
+    /// retires both lanes and sends `Shutdown`, so a script that panics
+    /// releases the worker instead of deadlocking the scope join.
+    struct Driver<'a> {
+        env: &'a TestEnv,
+        ports: Vec<Option<FragPort>>,
+        lanes: Vec<Option<ring::Producer<SingleMsg<()>>>>,
+    }
+
+    impl<'a> Driver<'a> {
+        fn new(env: &'a TestEnv) -> Self {
+            Driver { env, ports: vec![None], lanes: vec![None] }
+        }
+
+        /// Pushes one fragment command — the lock holder's side of a
+        /// reservation (the first push opens service at the worker).
+        fn frag(&mut self, cmd: FragCmd) {
+            push_frag(&mut self.ports, &self.env.workers, 0, cmd).expect("fragment push");
+        }
+
+        /// Blocks for the worker's reply on the fragment lane's slot.
+        fn frag_reply(&self) -> FragReply {
+            let port = self.ports[0].as_ref().expect("fragment lane registered");
+            port.replies.take_within(WAIT).expect("fragment reply")
+        }
+
+        /// The per-query rows of the `ExecBatch` reply now due.
+        fn batch_rows(&self) -> Vec<Vec<Row>> {
+            let FragReply::Batch(items) = self.frag_reply() else { panic!("expected a Batch") };
+            items
+                .into_iter()
+                .map(|item| match item {
+                    BatchItem::Rows(rows) => rows,
+                    BatchItem::Constraint(msg) => panic!("constraint: {msg}"),
                 })
-                .is_ok());
-            env.workers[0].bell.ring();
-            // Outcome delivery: commits take the ctrl route the coordinator
-            // uses; aborts take the reservation-channel route so the
-            // disconnect watchdog's legacy arm stays covered.
-            let send_outcome = || {
-                if commit {
-                    assert!(env.workers[0].send_ctrl(CtrlMsg::SpecFinish { commit }));
-                } else {
-                    ftx.send(FragCmd::VoteFinish { commit }).unwrap();
-                }
+                .collect()
+        }
+
+        /// Ships one `ExecBatch` and returns its per-query rows.
+        fn exec(&mut self, queries: Vec<(QueryId, Vec<Value>)>) -> Vec<Vec<Row>> {
+            self.frag(FragCmd::ExecBatch { proc: 0, queries });
+            self.batch_rows()
+        }
+
+        /// Coalesced 2PC on the lane: `VoteFinish`, then its ack.
+        fn vote_finish(&mut self, commit: bool) {
+            self.frag(FragCmd::VoteFinish { commit });
+            assert!(matches!(self.frag_reply(), FragReply::Finished));
+        }
+
+        /// The 2PC outcome of an open speculation window, on the control
+        /// channel as coordinators send it (commit and abort alike).
+        fn spec_finish(&self, commit: bool) {
+            assert!(self.env.workers[0].send_ctrl(CtrlMsg::SpecFinish { commit }));
+        }
+
+        /// Submits one `MultiGet(args)` single planned for partition 0 and
+        /// returns the fresh reply slot it will be acknowledged on.
+        fn single(&mut self, args: Vec<Value>, disable_undo: bool) -> Arc<SingleSlot<()>> {
+            let slot = Arc::new(ReplySlot::new());
+            let msg = SingleMsg {
+                req: Request { proc: 0, args, origin_node: 0 },
+                plan: TxnPlan { disable_undo, ..TxnPlan::single(0) },
+                session: (),
+                reply: Arc::clone(&slot),
+                enqueued: Instant::now(),
             };
-            let reply = if expect_deferred {
+            send_on_lane(&mut self.lanes, &self.env.workers, 0, msg).expect("lane push");
+            slot
+        }
+
+        /// The coordinator dies: its fragment-lane producer drops, then the
+        /// ring that lets a parked worker notice ([`Client`]'s drop order).
+        fn drop_frag_port(&mut self) {
+            self.ports[0] = None;
+            self.env.workers[0].bell.ring();
+        }
+    }
+
+    impl Drop for Driver<'_> {
+        fn drop(&mut self) {
+            self.ports.clear();
+            self.lanes.clear();
+            self.env.workers[0].send_ctrl(CtrlMsg::Shutdown);
+        }
+    }
+
+    /// Runs worker 0 over `shard` while `script` drives it, then shuts the
+    /// worker down and hands back the shard with the script's result.
+    /// Whatever `driver` buffered before the call is what the worker finds
+    /// queued when it starts.
+    fn drive_worker<'a, T>(
+        ctrl_rx: Receiver<CtrlMsg<()>>,
+        shard: Shard,
+        driver: Driver<'a>,
+        script: impl FnOnce(&mut Driver<'a>) -> T,
+    ) -> (Shard, T) {
+        let env = driver.env;
+        std::thread::scope(move |s| {
+            // Owned by this closure, so an unwinding script drops it (and
+            // thereby stops the worker) before the scope joins.
+            let mut driver = driver;
+            let h = s.spawn(move || worker_loop::<AssumeSinglePartition>(shard, &ctrl_rx, env, 0));
+            let out = script(&mut driver);
+            drop(driver);
+            (h.join().expect("worker thread"), out)
+        })
+    }
+
+    /// Partition 0's shard of a two-partition KV database.
+    fn shard_zero_of_two() -> Shard {
+        let mut shards = kv_database(2, 8).into_shards();
+        shards.truncate(1);
+        shards.pop().expect("partition 0")
+    }
+
+    /// `MultiGet` arguments bumping id 0 (which lives at partition 0).
+    fn bump_id0() -> Vec<Value> {
+        vec![Value::Array(vec![Value::Int(0)])]
+    }
+
+    /// Hand-drives the worker protocol through one speculation window:
+    /// write fragment → early prepare → speculative single → 2PC outcome.
+    /// Deterministic: the worker is blocked on the fragment lane until the
+    /// prepare arrives, so the window is open before the single's lane is
+    /// even registered; with `expect_deferred` the deferral assertion
+    /// doubles as the processed-before-outcome sync (non-conflicting
+    /// replies instead arrive before the outcome is even sent).
+    /// Returns (reply, post snapshot, pre snapshot).
+    fn drive_speculation(
+        commit: bool,
+        spec_args: Vec<Value>,
+        expect_deferred: bool,
+    ) -> (SingleReply<()>, TableRows, TableRows) {
+        let (env, ctrl_rx) = test_env(2, Duration::ZERO);
+        let shard = shard_zero_of_two();
+        let before = table_snapshot(&shard, 0);
+        let (shard, reply) = drive_worker(ctrl_rx, shard, Driver::new(&env), |d| {
+            // Open a "distributed" transaction at partition 0 with one
+            // write fragment: bump id 0 by 10.
+            let rows = d.exec(vec![(1, vec![Value::Int(0), Value::Int(10)])]);
+            assert_eq!(rows[0].len(), 1);
+            // Early prepare: unacknowledged.
+            d.frag(FragCmd::Prepare { speculate: true });
+            // A single-partition transaction arrives mid-window. Its plan
+            // asks for OP3 (disable_undo) — speculation must override it.
+            let slot = d.single(spec_args, true);
+            let early = if expect_deferred {
                 // The acknowledgement must wait for the outcome.
                 assert!(
                     slot.take_within(Duration::from_millis(200)).is_none(),
                     "conflicting speculative ack leaked before the 2PC outcome"
                 );
-                send_outcome();
-                assert!(matches!(rrx.recv().unwrap(), FragReply::Finished));
-                slot.take_within(Duration::from_secs(30)).expect("deferred ack")
+                None
             } else {
                 // Non-conflicting: acknowledged before any outcome exists.
-                let reply = slot.take_within(Duration::from_secs(30)).expect("immediate ack");
-                send_outcome();
-                assert!(matches!(rrx.recv().unwrap(), FragReply::Finished));
-                reply
+                Some(slot.take_within(WAIT).expect("immediate ack"))
             };
-            assert!(env.workers[0].send_ctrl(CtrlMsg::Shutdown));
-            (h.join().unwrap(), reply)
+            d.spec_finish(commit);
+            assert!(matches!(d.frag_reply(), FragReply::Finished));
+            early.unwrap_or_else(|| slot.take_within(WAIT).expect("deferred ack"))
         });
         (reply, table_snapshot(&shard, 0), before)
     }
@@ -3879,6 +3770,50 @@ mod tests {
     }
 
     #[test]
+    fn dead_coordinator_aborts_the_window_and_a_stray_outcome_is_dropped() {
+        let (env, ctrl_rx) = test_env(2, Duration::ZERO);
+        let shard = shard_zero_of_two();
+        let before = table_snapshot(&shard, 0);
+        let (shard, ()) = drive_worker(ctrl_rx, shard, Driver::new(&env), |d| {
+            d.exec(vec![(1, vec![Value::Int(0), Value::Int(10)])]);
+            d.frag(FragCmd::Prepare { speculate: true });
+            let slot = d.single(bump_id0(), false);
+            assert!(
+                slot.take_within(Duration::from_millis(200)).is_none(),
+                "conflicting speculative ack leaked out of an unresolved window"
+            );
+            // The coordinator unwinds inside the window without sending an
+            // outcome: only the watchdog can resolve it — as an abort.
+            d.drop_frag_port();
+            assert!(
+                matches!(
+                    slot.take_within(WAIT).expect("cascade notice"),
+                    SingleReply::Cascaded { .. }
+                ),
+                "a window orphaned by its coordinator must cascade its deferred clients"
+            );
+            // An outcome that arrives after the watchdog resolved the
+            // window is stray: dropped, not applied to anything.
+            d.spec_finish(true);
+            // The worker keeps serving, non-speculatively, on the restored
+            // state.
+            match d.single(bump_id0(), false).take_within(WAIT).expect("post-window ack") {
+                SingleReply::Done { committed, speculative, .. } => {
+                    assert!(committed);
+                    assert!(!speculative, "the window is closed");
+                }
+                _ => panic!("expected Done"),
+            }
+        });
+        // The fragment's +10 and the speculative +1 are gone byte-for-byte;
+        // only the post-window bump remains.
+        let mut expected = before;
+        let id0 = expected.iter_mut().find(|(k, _)| k[0] == Value::Int(0)).unwrap();
+        id0.1[2] = Value::Int(1);
+        assert_eq!(table_snapshot(&shard, 0), expected);
+    }
+
+    #[test]
     fn lock_guard_release_early_frees_the_slot() {
         let mgr = LockManager::new(2);
         let mut guard = mgr.guard(PartitionSet::from_iter([0u32, 1]));
@@ -3935,131 +3870,44 @@ mod tests {
     /// singles, a reservation whose fragment reads the bumped row, then two
     /// more singles — and returns (reply shapes in send order, the row
     /// value the fragment observed, final table snapshot). With `batched`
-    /// the lane, its three singles, and the reservation (with its whole
-    /// fragment script) are buffered before the worker thread starts, so
-    /// the sequence is served out of backlog drains: one group flush and
-    /// group ack ahead of the reservation. Without it each call waits for
-    /// its reply before the next is sent — the one-message-at-a-time
-    /// schedule batching must be indistinguishable from.
-    #[allow(clippy::type_complexity)]
-    fn drive_batched_drain(batched: bool) -> (Vec<(bool, bool)>, i64, Vec<(Vec<Value>, Row)>) {
-        let reg = kv_registry();
-        let catalog = reg.catalog();
-        let (ctrl_tx, ctrl_rx) = channel::<CtrlMsg<()>>();
-        let env = Shared {
-            catalog,
-            registry: reg,
-            advisor: AssumeSinglePartition::new(),
-            cfg: LiveConfig::default(),
-            num_partitions: 1,
-            commit_flush: Duration::from_micros(100),
-            msg_delay: Duration::ZERO,
-            workers: vec![WorkerGate { ctrl: ctrl_tx, bell: Doorbell::new() }],
-            locks: LockManager::new(1),
-            seq: FlushSequencer::new(),
-            metrics: Mutex::new(RunMetrics::default()),
-            fb_tx: None,
-            next_client: AtomicU64::new(0),
-            started: Instant::now(),
-            durable: None,
+    /// both lanes, the three singles, and the reservation's opening
+    /// `ExecBatch` are buffered before the worker thread starts, so the
+    /// sequence is served out of backlog drains: one group flush and group
+    /// ack ahead of the reservation. Without it each call waits for its
+    /// reply before the next is sent — the one-message-at-a-time schedule
+    /// batching must be indistinguishable from.
+    fn drive_batched_drain(batched: bool) -> (Vec<(bool, bool)>, i64, TableRows) {
+        let (env, ctrl_rx) = test_env(1, Duration::from_micros(100));
+        let shard = kv_database(1, 8).into_shards().pop().unwrap();
+        let read_id0 = || vec![(0, vec![Value::Int(0)])];
+        let take = |slot: Arc<SingleSlot<()>>| match slot.take_within(WAIT).expect("single ack") {
+            SingleReply::Done { committed, speculative, .. } => (committed, speculative),
+            _ => panic!("expected Done"),
         };
-        let mut shards = kv_database(1, 8).into_shards();
-        let shard = shards.pop().unwrap();
-        let single_plan = TxnPlan {
-            base_partition: 0,
-            lock_set: PartitionSet::single(0),
-            disable_undo: false,
-            early_prepare: false,
-            estimate_cost_us: 0.0,
-        };
-        let mk_single = |reply: &Arc<SingleSlot<()>>| SingleMsg {
-            req: Request { proc: 0, args: vec![Value::Array(vec![Value::Int(0)])], origin_node: 0 },
-            plan: single_plan,
-            session: (),
-            reply: Arc::clone(reply),
-            enqueued: Instant::now(),
-        };
-        let mut observed = 0i64;
-        let mut replies = Vec::new();
-        let shard = std::thread::scope(|s| {
-            let env = &env;
-            let (mut ltx, lrx) = ring::spsc::<SingleMsg<()>>(LANE_CAPACITY);
-            let (ftx, frx) = channel();
-            let (rtx, rrx) = channel();
-            let exec = FragCmd::Exec { proc: 0, query: 0, params: vec![Value::Int(0)] };
-            let done_shape = |reply| match reply {
-                SingleReply::Done { committed, speculative, .. } => (committed, speculative),
-                _ => panic!("expected Done"),
-            };
-            let take = |slot: &Arc<SingleSlot<()>>| {
-                done_shape(slot.take_within(Duration::from_secs(30)).expect("single ack"))
-            };
-            if batched {
-                // Everything below is buffered before the worker starts:
-                // its first ctrl drain registers the lane and parks the
-                // reservation, and the lane sweep picks the three singles
-                // up as one group — executed, flushed, and acknowledged
-                // ahead of the reservation.
-                assert!(env.workers[0].send_ctrl(CtrlMsg::Lane(lrx)));
-                let mut slots = Vec::new();
-                for _ in 0..3 {
-                    let slot = Arc::new(ReplySlot::new());
-                    assert!(ltx.push(mk_single(&slot)).is_ok());
-                    slots.push(slot);
-                }
-                assert!(env.workers[0]
-                    .send_ctrl(CtrlMsg::Reserve(Reserve { frags: frx, results: rtx })));
-                ftx.send(exec).unwrap();
-                ftx.send(FragCmd::VoteFinish { commit: true }).unwrap();
-                let h =
-                    s.spawn(move || worker_loop::<AssumeSinglePartition>(shard, &ctrl_rx, env, 0));
-                match rrx.recv().unwrap() {
-                    FragReply::Rows(rows) => observed = rows[0][2].expect_int(),
-                    _ => panic!("expected rows"),
-                }
-                assert!(matches!(rrx.recv().unwrap(), FragReply::Finished));
-                for slot in &slots {
-                    replies.push(take(slot));
-                }
-                // The trailing pair goes out only once the reservation has
-                // resolved: under lane dispatch an earlier push could race
-                // into the first group, which the old global FIFO forbade.
-                for _ in 0..2 {
-                    let slot = Arc::new(ReplySlot::new());
-                    assert!(ltx.push(mk_single(&slot)).is_ok());
-                    env.workers[0].bell.ring();
-                    replies.push(take(&slot));
-                }
-                assert!(env.workers[0].send_ctrl(CtrlMsg::Shutdown));
-                h.join().unwrap()
+        let mut driver = Driver::new(&env);
+        let mut early = Vec::new();
+        if batched {
+            // The worker's first control drain registers both lanes and
+            // its lane sweep picks the three singles up as one group —
+            // executed, flushed, and acknowledged ahead of the reservation
+            // the buffered fragment command opens.
+            early.extend((0..3).map(|_| driver.single(bump_id0(), false)));
+            driver.frag(FragCmd::ExecBatch { proc: 0, queries: read_id0() });
+        }
+        let (shard, (replies, observed)) = drive_worker(ctrl_rx, shard, driver, |d| {
+            let mut replies = Vec::new();
+            let rows = if batched {
+                d.batch_rows()
             } else {
-                let h =
-                    s.spawn(move || worker_loop::<AssumeSinglePartition>(shard, &ctrl_rx, env, 0));
-                assert!(env.workers[0].send_ctrl(CtrlMsg::Lane(lrx)));
-                let mut serve_single = || {
-                    let slot = Arc::new(ReplySlot::new());
-                    assert!(ltx.push(mk_single(&slot)).is_ok());
-                    env.workers[0].bell.ring();
-                    take(&slot)
-                };
-                for _ in 0..3 {
-                    replies.push(serve_single());
-                }
-                assert!(env.workers[0]
-                    .send_ctrl(CtrlMsg::Reserve(Reserve { frags: frx, results: rtx })));
-                ftx.send(exec).unwrap();
-                match rrx.recv().unwrap() {
-                    FragReply::Rows(rows) => observed = rows[0][2].expect_int(),
-                    _ => panic!("expected rows"),
-                }
-                ftx.send(FragCmd::VoteFinish { commit: true }).unwrap();
-                assert!(matches!(rrx.recv().unwrap(), FragReply::Finished));
-                for _ in 0..2 {
-                    replies.push(serve_single());
-                }
-                assert!(env.workers[0].send_ctrl(CtrlMsg::Shutdown));
-                h.join().unwrap()
-            }
+                replies.extend((0..3).map(|_| take(d.single(bump_id0(), false))));
+                d.exec(read_id0())
+            };
+            d.vote_finish(true);
+            replies.extend(early.into_iter().map(take));
+            // The trailing pair goes out only once the reservation has
+            // resolved: an earlier push could race into the first group.
+            replies.extend((0..2).map(|_| take(d.single(bump_id0(), false))));
+            (replies, rows[0][0][2].expect_int())
         });
         (replies, observed, table_snapshot(&shard, 0))
     }
@@ -4081,91 +3929,29 @@ mod tests {
     /// Runs one worker over the same four-query fragment script — bump id
     /// 0 by 7, read it back, bump a missing id (zero rows), read id 3 —
     /// then commits via `VoteFinish`. With `batched` the script ships as
-    /// one [`FragCmd::ExecBatch`] on a registered fragment lane (the
-    /// production protocol); without it each query goes out as a legacy
-    /// [`FragCmd::Exec`] over a per-transaction [`Reserve`] pair. Returns
-    /// (per-query result rows in script order, final table snapshot) —
-    /// batching must be indistinguishable from the one-command-at-a-time
-    /// schedule.
-    #[allow(clippy::type_complexity)]
-    fn drive_fragment_script(batched: bool) -> (Vec<Vec<Row>>, Vec<(Vec<Value>, Row)>) {
-        let reg = kv_registry();
-        let catalog = reg.catalog();
-        let (ctrl_tx, ctrl_rx) = channel::<CtrlMsg<()>>();
-        let env = Shared {
-            catalog,
-            registry: reg,
-            advisor: AssumeSinglePartition::new(),
-            cfg: LiveConfig::default(),
-            num_partitions: 1,
-            commit_flush: Duration::ZERO,
-            msg_delay: Duration::ZERO,
-            workers: vec![WorkerGate { ctrl: ctrl_tx, bell: Doorbell::new() }],
-            locks: LockManager::new(1),
-            seq: FlushSequencer::new(),
-            metrics: Mutex::new(RunMetrics::default()),
-            fb_tx: None,
-            next_client: AtomicU64::new(0),
-            started: Instant::now(),
-            durable: None,
-        };
-        let mut shards = kv_database(1, 8).into_shards();
-        let shard = shards.pop().unwrap();
+    /// one four-item [`FragCmd::ExecBatch`]; without it as four one-item
+    /// batches, each awaited before the next — the one-command-at-a-time
+    /// schedule. Returns (per-query result rows in script order, final
+    /// table snapshot) — batching must be indistinguishable.
+    fn drive_fragment_script(batched: bool) -> (Vec<Vec<Row>>, TableRows) {
+        let (env, ctrl_rx) = test_env(1, Duration::ZERO);
+        let shard = kv_database(1, 8).into_shards().pop().unwrap();
         let script: Vec<(QueryId, Vec<Value>)> = vec![
             (1, vec![Value::Int(0), Value::Int(7)]),
             (0, vec![Value::Int(0)]),
             (1, vec![Value::Int(99), Value::Int(1)]),
             (0, vec![Value::Int(3)]),
         ];
-        let mut rows_out: Vec<Vec<Row>> = Vec::new();
-        let shard = std::thread::scope(|s| {
-            let env = &env;
-            let h = s.spawn(move || worker_loop::<AssumeSinglePartition>(shard, &ctrl_rx, env, 0));
-            if batched {
-                let (mut ftx, frx) = ring::spsc::<FragCmd>(LANE_CAPACITY);
-                let slot = Arc::new(ReplySlot::<FragReply>::new());
-                assert!(env.workers[0].send_ctrl(CtrlMsg::FragLane(FragConn {
-                    frags: frx,
-                    replies: Arc::clone(&slot),
-                })));
-                assert!(ftx.push(FragCmd::ExecBatch { proc: 0, queries: script }).is_ok());
-                env.workers[0].bell.ring();
-                match slot.take_within(Duration::from_secs(30)).expect("batch reply") {
-                    FragReply::Batch(items) => {
-                        for item in items {
-                            match item {
-                                BatchItem::Rows(rows) => rows_out.push(rows),
-                                BatchItem::Constraint(msg) => panic!("constraint: {msg}"),
-                            }
-                        }
-                    }
-                    _ => panic!("expected a Batch reply"),
-                }
-                assert!(ftx.push(FragCmd::VoteFinish { commit: true }).is_ok());
-                env.workers[0].bell.ring();
-                assert!(matches!(
-                    slot.take_within(Duration::from_secs(30)).expect("finish ack"),
-                    FragReply::Finished
-                ));
+        let (shard, rows) = drive_worker(ctrl_rx, shard, Driver::new(&env), |d| {
+            let rows = if batched {
+                d.exec(script)
             } else {
-                let (ftx, frx) = channel();
-                let (rtx, rrx) = channel();
-                assert!(env.workers[0]
-                    .send_ctrl(CtrlMsg::Reserve(Reserve { frags: frx, results: rtx })));
-                for (query, params) in script {
-                    ftx.send(FragCmd::Exec { proc: 0, query, params }).unwrap();
-                    match rrx.recv().unwrap() {
-                        FragReply::Rows(rows) => rows_out.push(rows),
-                        _ => panic!("expected rows"),
-                    }
-                }
-                ftx.send(FragCmd::VoteFinish { commit: true }).unwrap();
-                assert!(matches!(rrx.recv().unwrap(), FragReply::Finished));
-            }
-            assert!(env.workers[0].send_ctrl(CtrlMsg::Shutdown));
-            h.join().unwrap()
+                script.into_iter().flat_map(|q| d.exec(vec![q])).collect()
+            };
+            d.vote_finish(true);
+            rows
         });
-        (rows_out, table_snapshot(&shard, 0))
+        (rows, table_snapshot(&shard, 0))
     }
 
     #[test]
