@@ -119,6 +119,25 @@ pub(crate) mod testing {
         db
     }
 
+    /// Generator issuing `MultiGet` over ids that map to `spread`
+    /// partitions — shared by the simulator's and the live runtime's tests.
+    pub struct KvGen {
+        pub spread: u32,
+        pub parts: u32,
+        pub counter: u64,
+    }
+
+    impl crate::sim::RequestGenerator for KvGen {
+        fn next_request(&mut self, client: u64) -> (ProcId, Vec<Value>) {
+            self.counter += 1;
+            let start = (client * 13 + self.counter * 7) % u64::from(self.parts);
+            let ids: Vec<Value> = (0..self.spread)
+                .map(|k| Value::Int(((start + u64::from(k)) % u64::from(self.parts)) as i64))
+                .collect();
+            (0, vec![Value::Array(ids)])
+        }
+    }
+
     /// `MultiGet` reads `ids[0..]`, then increments `VAL` on each, then
     /// commits; aborts instead if any id is missing. Query 0 = `GetKV`,
     /// query 1 = `BumpKV`.

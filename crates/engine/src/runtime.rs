@@ -699,28 +699,12 @@ impl<T> ReplySlot<T> {
         reply
     }
 
-    /// Waits up to `dur` for a reply — test hook for deferred-ack checks.
+    /// Waits up to `dur` (to [`REPLY_WATCHDOG`] granularity) for a reply —
+    /// test hook for deferred-ack checks.
     #[cfg(test)]
     fn take_within(&self, dur: Duration) -> Option<T> {
         let deadline = Instant::now() + dur;
-        let mut st = self.state.lock().unwrap_or_else(PoisonError::into_inner);
-        // ordering: Relaxed — published by the mutex, as in
-        // `take_or_abandon`.
-        self.sleeper.store(1, Ordering::Relaxed);
-        let reply = loop {
-            if let Some(r) = st.take() {
-                break Some(r);
-            }
-            let now = Instant::now();
-            if now >= deadline {
-                break None;
-            }
-            let (g, _) =
-                self.cv.wait_timeout(st, deadline - now).unwrap_or_else(PoisonError::into_inner);
-            st = g;
-        };
-        self.sleeper.store(0, Ordering::Relaxed);
-        reply
+        self.take_or_abandon(|| Instant::now() >= deadline)
     }
 }
 
@@ -935,12 +919,10 @@ type DeferredAck<S> = (Arc<SingleSlot<S>>, SingleReply<S>);
 
 /// One worker's inbound state: the control receiver and doorbell (its half
 /// of the [`WorkerGate`]), the registered fast-path and fragment lanes, and
-/// what the control channel has delivered but the main loop has not yet
-/// served (snapshot fences, the shutdown flag). Every "collect work" step
-/// of [`worker_loop`] and [`speculate`] is one [`Intake::poll`] /
-/// [`Intake::poll_window`] — control drain, fair lane sweep, "anything to
-/// do?" — so the doorbell protocol's mandatory second look is the same
-/// code as the first.
+/// what the control channel delivered but the main loop has not yet served.
+/// Every "collect work" step of [`worker_loop`] and [`speculate`] is one
+/// [`Intake::poll`] / [`Intake::poll_window`], so the doorbell protocol's
+/// mandatory second look is the same code as the first.
 struct Intake<'a, S> {
     ctrl: &'a Receiver<CtrlMsg<S>>,
     bell: &'a Doorbell,
@@ -952,18 +934,7 @@ struct Intake<'a, S> {
     shutdown: bool,
 }
 
-impl<'a, S> Intake<'a, S> {
-    fn new(ctrl: &'a Receiver<CtrlMsg<S>>, bell: &'a Doorbell) -> Self {
-        Intake {
-            ctrl,
-            bell,
-            lanes: Vec::new(),
-            frag_lanes: Vec::new(),
-            snaps: Vec::new(),
-            shutdown: false,
-        }
-    }
-
+impl<S> Intake<'_, S> {
     /// Drains the control channel: registers new lanes, queues snapshot
     /// fences, records shutdown. With `window_finish` set (a speculation
     /// window is open) the first 2PC outcome is stored there and the drain
@@ -1041,11 +1012,6 @@ impl<'a, S> Intake<'a, S> {
             self.sweep_lanes(run);
         }
         !run.is_empty() || finish.is_some()
-    }
-
-    /// Total fast-path backlog currently buffered across the lanes.
-    fn lane_depth(&self) -> usize {
-        self.lanes.iter().map(ring::Consumer::len).sum()
     }
 
     /// Shutdown teardown: calls swept but not yet executed, plus
@@ -1232,7 +1198,14 @@ fn worker_loop<A: LiveAdvisor>(
     me: usize,
 ) -> Shard {
     let bell = &env.workers[me].bell;
-    let mut intake = Intake::new(ctrl, bell);
+    let mut intake = Intake {
+        ctrl,
+        bell,
+        lanes: Vec::new(),
+        frag_lanes: Vec::new(),
+        snaps: Vec::new(),
+        shutdown: false,
+    };
     let mut run: Vec<SingleMsg<A::Session>> = Vec::new();
     // Held acknowledgements of the open commit group, plus when its
     // oldest unflushed commit completed (the coalescing deadline's
@@ -1370,7 +1343,7 @@ fn worker_loop<A: LiveAdvisor>(
             // shared device is being written *right now*, so riding that
             // operation beats waiting for a window that would demand a
             // fresh one (the adaptive window, made cross-worker).
-            let depth = intake.lane_depth();
+            let depth: usize = intake.lanes.iter().map(ring::Consumer::len).sum();
             if depth == 0
                 || opened.elapsed() >= adaptive_window(env.commit_flush, depth)
                 || env.seq.flush_in_progress()
@@ -1474,7 +1447,9 @@ fn run_single<A: LiveAdvisor>(
     let mut wrote_tables = 0u64;
     let mut est_us = 0.0f64;
     let mut pending_abort: Option<String> = None;
-    loop {
+    // How the transaction ended: the reply, the request (unless the reply
+    // carries it), and the undo log a speculative commit retains.
+    let (reply, req, spec_undo) = loop {
         let step = match pending_abort.take() {
             Some(msg) => Step::Abort(msg),
             None => inst.next(results.as_deref()),
@@ -1507,19 +1482,13 @@ fn run_single<A: LiveAdvisor>(
                     if let Err(e) = shard.rollback(&mut undo) {
                         return SingleOutcome::plain(SingleReply::Fatal(e), Some(req));
                     }
-                    return SingleOutcome {
-                        reply: SingleReply::Mispredict {
-                            req,
-                            observed: accessed.union(seen),
-                            session,
-                            times: StageTimes::default(),
-                        },
-                        req: None,
-                        spec_undo: None,
-                        touched_tables,
-                        wrote_tables,
-                        est_us,
+                    let reply = SingleReply::Mispredict {
+                        req,
+                        observed: accessed.union(seen),
+                        session,
+                        times: StageTimes::default(),
                     };
+                    break (reply, None, None);
                 }
                 let mut batch_results = Vec::with_capacity(batch.len());
                 for inv in batch {
@@ -1583,24 +1552,10 @@ fn run_single<A: LiveAdvisor>(
                         undo.can_rollback(),
                         "speculative transaction ran without undo (OP3 leak)"
                     );
-                    return SingleOutcome {
-                        reply,
-                        req: Some(req),
-                        spec_undo: Some(undo),
-                        touched_tables,
-                        wrote_tables,
-                        est_us,
-                    };
+                    break (reply, Some(req), Some(undo));
                 }
                 undo.clear();
-                return SingleOutcome {
-                    reply,
-                    req: Some(req),
-                    spec_undo: None,
-                    touched_tables,
-                    wrote_tables,
-                    est_us,
-                };
+                break (reply, Some(req), None);
             }
             Step::Abort(_) => {
                 if !undo.can_rollback() {
@@ -1612,27 +1567,22 @@ fn run_single<A: LiveAdvisor>(
                 if let Err(e) = shard.rollback(&mut undo) {
                     return SingleOutcome::plain(SingleReply::Fatal(e), Some(req));
                 }
-                return SingleOutcome {
-                    reply: SingleReply::Done {
-                        committed: false,
-                        session,
-                        accessed,
-                        access_counts,
-                        undo_disabled_ever,
-                        speculative: speculating,
-                        times: StageTimes::default(),
-                    },
-                    req: Some(req),
-                    // Aborted effects are already rolled back; nothing for
-                    // the stack, but the masks still classify conflicts.
-                    spec_undo: None,
-                    touched_tables,
-                    wrote_tables,
-                    est_us,
+                let reply = SingleReply::Done {
+                    committed: false,
+                    session,
+                    accessed,
+                    access_counts,
+                    undo_disabled_ever,
+                    speculative: speculating,
+                    times: StageTimes::default(),
                 };
+                // Aborted effects are already rolled back; nothing for
+                // the stack, but the masks still classify conflicts.
+                break (reply, Some(req), None);
             }
         }
-    }
+    };
+    SingleOutcome { reply, req, spec_undo, touched_tables, wrote_tables, est_us }
 }
 
 /// A speculation window opened by an early-prepared distributed
@@ -2145,8 +2095,9 @@ fn run_distributed<A: LiveAdvisor>(
     // executor like the others — control code runs here on the
     // coordinator.
     let n = env.num_partitions as usize;
-    // Sends the 2PC outcome everywhere and waits for every ack; every call
-    // site returns immediately afterwards, so the lock guard releases only
+    // Sends the 2PC outcome everywhere and waits for every ack (timing the
+    // round into `acc`'s 2PC share); every call site returns immediately
+    // afterwards, so the lock guard releases only
     // after all fragment effects are final (abort: undone; commit: kept —
     // durability is the caller's sequenced flush after this returns).
     // Coalesced 2PC (§2): each still-reserved participant gets one
@@ -2161,10 +2112,12 @@ fn run_distributed<A: LiveAdvisor>(
     // acknowledgement is awaited, so participant-side work and modeled
     // delays overlap in wall-clock time.
     let finish_all = |ports: &mut [Option<FragPort>],
+                      acc: &mut StageAcc,
                       released: PartitionSet,
                       windowed: PartitionSet,
                       commit: bool|
      -> Result<()> {
+        let t_fin = Instant::now();
         let mut failure = None;
         for p in lock_set.iter() {
             if windowed.contains(p) {
@@ -2190,10 +2143,10 @@ fn run_distributed<A: LiveAdvisor>(
                 None => failure = Some(Error::Other(format!("worker {p} hung up"))),
             }
         }
-        match failure {
-            None => Ok(()),
-            Some(e) => Err(e),
-        }
+        let tw = us_since(t_fin);
+        acc.coord_us += tw;
+        acc.twopc_us += tw;
+        failure.map_or(Ok(()), Err)
     };
 
     let mut inst = env.registry.get(req.proc).instantiate(&req.args);
@@ -2204,7 +2157,7 @@ fn run_distributed<A: LiveAdvisor>(
     // Per-participant reply cursors for the current batch, reused across
     // batch steps (entries are taken by the merge and cleared after it).
     let mut per_part: Vec<Option<std::vec::IntoIter<BatchItem>>> = (0..n).map(|_| None).collect();
-    loop {
+    let (fin, committed) = loop {
         // Control code runs here on the coordinator: Execution time.
         let t_step = Instant::now();
         let step = match pending_abort.take() {
@@ -2233,11 +2186,7 @@ fn run_distributed<A: LiveAdvisor>(
                     q_targets.push(targets);
                 }
                 if violation {
-                    let t_fin = Instant::now();
-                    let fin = finish_all(ports, released, windowed, false);
-                    let tw = us_since(t_fin);
-                    acc.coord_us += tw;
-                    acc.twopc_us += tw;
+                    let fin = finish_all(ports, acc, released, windowed, false);
                     record_remaining_hold(lock_holds, lock_set, released, t_locked);
                     return match fin {
                         Ok(()) => Attempt::Mispredict { observed: accessed.union(seen), session },
@@ -2311,11 +2260,7 @@ fn run_distributed<A: LiveAdvisor>(
                     }
                 }
                 if let Some(e) = fatal {
-                    let t_fin = Instant::now();
-                    let _ = finish_all(ports, released, windowed, false);
-                    let tw = us_since(t_fin);
-                    acc.coord_us += tw;
-                    acc.twopc_us += tw;
+                    let _ = finish_all(ports, acc, released, windowed, false);
                     record_remaining_hold(lock_holds, lock_set, released, t_locked);
                     return Attempt::Fatal(e);
                 }
@@ -2425,11 +2370,7 @@ fn run_distributed<A: LiveAdvisor>(
                 acc.exec_us += (us_since(t_batch) - batch_est_us).max(0.0);
             }
             Step::Commit => {
-                let t_fin = Instant::now();
-                let fin = finish_all(ports, released, windowed, true);
-                let tw = us_since(t_fin);
-                acc.coord_us += tw;
-                acc.twopc_us += tw;
+                let fin = finish_all(ports, acc, released, windowed, true);
                 // One durability wait per distributed write commit,
                 // through the shared sequencer — and *after* the lock
                 // guard drops. The ticket is taken first, while every
@@ -2478,40 +2419,26 @@ fn run_distributed<A: LiveAdvisor>(
                     acc.coord_us += fw;
                     acc.flush_us += fw;
                 }
-                return match fin {
-                    Ok(()) => Attempt::Done {
-                        committed: true,
-                        accessed,
-                        access_counts,
-                        undo_disabled_ever: false,
-                        speculative: false,
-                        early_released: !released.is_empty(),
-                        session,
-                    },
-                    Err(e) => Attempt::Fatal(e),
-                };
+                break (fin, true);
             }
             Step::Abort(_) => {
-                let t_fin = Instant::now();
-                let fin = finish_all(ports, released, windowed, false);
-                let tw = us_since(t_fin);
-                acc.coord_us += tw;
-                acc.twopc_us += tw;
+                let fin = finish_all(ports, acc, released, windowed, false);
                 record_remaining_hold(lock_holds, lock_set, released, t_locked);
-                return match fin {
-                    Ok(()) => Attempt::Done {
-                        committed: false,
-                        accessed,
-                        access_counts,
-                        undo_disabled_ever: false,
-                        speculative: false,
-                        early_released: !released.is_empty(),
-                        session,
-                    },
-                    Err(e) => Attempt::Fatal(e),
-                };
+                break (fin, false);
             }
         }
+    };
+    match fin {
+        Ok(()) => Attempt::Done {
+            committed,
+            accessed,
+            access_counts,
+            undo_disabled_ever: false,
+            speculative: false,
+            early_released: !released.is_empty(),
+            session,
+        },
+        Err(e) => Attempt::Fatal(e),
     }
 }
 
@@ -2785,30 +2712,26 @@ impl<A: LiveAdvisor + 'static> Client<A> {
                         self.spare.insert(proc, r);
                     }
                     let r = req.as_ref().expect("request survives a mispredict");
-                    if attempt > env.cfg.max_restarts {
-                        // Forced fallback: the *plan* is lock-all without
-                        // consulting the advisor — exactly like the
+                    let t_est = Instant::now();
+                    let (p, ns) = env.advisor.replan_live(r, observed, attempt, &ctx);
+                    acc.est_us += us_since(t_est);
+                    session = ns;
+                    plan = if attempt > env.cfg.max_restarts {
+                        // Forced fallback: the *plan* is lock-all whatever
+                        // the advisor answered — exactly like the
                         // simulator past `max_restarts`, guaranteeing
                         // termination for any advisor. (The aborted
                         // attempt's session was torn down above like any
                         // other; riding it into the retry would
                         // concatenate two walks into one feedback path and
                         // intern phantom states.)
-                        let t_est = Instant::now();
-                        let (_, ns) = env.advisor.replan_live(r, observed, attempt, &ctx);
-                        acc.est_us += us_since(t_est);
-                        plan = TxnPlan::lock_all(
+                        TxnPlan::lock_all(
                             observed.first().unwrap_or(plan.base_partition),
                             env.num_partitions,
-                        );
-                        session = ns;
+                        )
                     } else {
-                        let t_est = Instant::now();
-                        let (p, ns) = env.advisor.replan_live(r, observed, attempt, &ctx);
-                        acc.est_us += us_since(t_est);
-                        plan = p;
-                        session = ns;
-                    }
+                        p
+                    };
                 }
                 Attempt::Cascaded => {
                     // The speculative execution was discarded by a cascade;
@@ -3395,27 +3318,7 @@ pub fn run_live<A: LiveAdvisor + 'static>(
 mod tests {
     use super::*;
     use crate::baselines::{AssumeDistributed, AssumeSinglePartition};
-    use crate::procedure::testing::{kv_database, kv_registry};
-
-    /// Generator issuing MultiGet over ids that map to `spread` partitions
-    /// (the live twin of the simulator's test generator).
-    struct KvGen {
-        spread: u32,
-        parts: u32,
-        client: u64,
-        counter: u64,
-    }
-
-    impl RequestGenerator for KvGen {
-        fn next_request(&mut self, _client: u64) -> (ProcId, Vec<Value>) {
-            self.counter += 1;
-            let start = (self.client * 13 + self.counter * 7) % u64::from(self.parts);
-            let ids: Vec<Value> = (0..self.spread)
-                .map(|k| Value::Int(((start + u64::from(k)) % u64::from(self.parts)) as i64))
-                .collect();
-            (0, vec![Value::Array(ids)])
-        }
-    }
+    use crate::procedure::testing::{kv_database, kv_registry, KvGen};
 
     fn live_run<A: LiveAdvisor + 'static>(
         advisor: A,
@@ -3429,10 +3332,8 @@ mod tests {
             db,
             reg,
             advisor,
-            &move |client| {
-                Box::new(KvGen { spread, parts, client, counter: 0 })
-                    as Box<dyn RequestGenerator + Send>
-            },
+            // `run_live` hands each stream its own client id per request.
+            &move |_| Box::new(KvGen { spread, parts, counter: 0 }) as Box<_>,
             cfg,
         )
         .expect("no halts")
@@ -3496,11 +3397,14 @@ mod tests {
     /// state comparisons across a speculation window.
     type TableRows = Vec<(Vec<Value>, Row)>;
 
-    fn table_snapshot(shard: &Shard, table: usize) -> TableRows {
-        let mut rows: TableRows =
-            shard.table(table).iter().map(|(k, r)| (k.clone(), r.clone())).collect();
+    fn sorted_rows(table: &storage::Table) -> TableRows {
+        let mut rows: TableRows = table.iter().map(|(k, r)| (k.clone(), r.clone())).collect();
         rows.sort();
         rows
+    }
+
+    fn table_snapshot(shard: &Shard, table: usize) -> TableRows {
+        sorted_rows(shard.table(table))
     }
 
     type TestEnv = Shared<AssumeSinglePartition>;
@@ -3835,35 +3739,18 @@ mod tests {
         // With a real flush delay, doubling the workers roughly doubles
         // throughput for single-partition work even on one core — the
         // flushes overlap. Keep the margin loose: CI machines are noisy.
-        let mk = |parts: u32| {
-            let cfg = LiveConfig {
-                requests_per_client: 60,
-                commit_flush_us: 200,
-                clients_per_partition: 2,
-                ..Default::default()
-            };
-            let advisor = AssumeDistributed::new();
-            let (m, _) = live_run(advisor, 1, parts, &cfg);
-            m.throughput_tps()
-        };
-        // Lock-all cannot overlap flushes (every commit holds all
-        // partitions), so this measures the serialized baseline...
-        let serialized = mk(2);
-        // ...while the single-partition fast path overlaps them.
         let cfg = LiveConfig {
             requests_per_client: 60,
             commit_flush_us: 200,
             clients_per_partition: 2,
             ..Default::default()
         };
-        let advisor = AssumeSinglePartition::new();
-        let (m, _) = live_run(advisor, 1, 2, &cfg);
-        assert!(
-            m.throughput_tps() > serialized,
-            "fast path {} <= lock-all {}",
-            m.throughput_tps(),
-            serialized
-        );
+        // Lock-all cannot overlap flushes (every commit holds all
+        // partitions), so this measures the serialized baseline...
+        let serialized = live_run(AssumeDistributed::new(), 1, 2, &cfg).0.throughput_tps();
+        // ...while the single-partition fast path overlaps them.
+        let fast = live_run(AssumeSinglePartition::new(), 1, 2, &cfg).0.throughput_tps();
+        assert!(fast > serialized, "fast path {fast} <= lock-all {serialized}");
     }
 
     /// Runs one worker over the same six-message sequence — three bump
@@ -4066,8 +3953,14 @@ mod tests {
 
     /// Single-partition advisor whose maintainer sleeps per record,
     /// building a feedback backlog that drains long after the workers
-    /// finish.
-    struct SlowMaintained;
+    /// finish. With `withdrawn` set it offers that maintainer to the
+    /// start-time probe only and withdraws it when the maintenance thread
+    /// asks again — the contract violation the maintenance loop must
+    /// survive (regression: this used to panic the maintenance thread,
+    /// turning shutdown into a join on a panicked thread).
+    struct SlowMaintained {
+        withdrawn: Option<std::sync::atomic::AtomicBool>,
+    }
 
     impl LiveAdvisor for SlowMaintained {
         type Session = ();
@@ -4103,7 +3996,11 @@ mod tests {
         }
 
         fn maintainer(&self) -> Option<Box<dyn LiveMaintainer + '_>> {
-            Some(Box::new(SleepyMaintainer { seen: 0 }))
+            let probed_before = self
+                .withdrawn
+                .as_ref()
+                .is_some_and(|probed| probed.swap(true, std::sync::atomic::Ordering::SeqCst));
+            (!probed_before).then(|| Box::new(SleepyMaintainer { seen: 0 }) as Box<_>)
         }
     }
 
@@ -4127,7 +4024,7 @@ mod tests {
         let rt = LiveRuntime::start(
             kv_database(1, 8),
             kv_registry(),
-            SlowMaintained,
+            SlowMaintained { withdrawn: None },
             LiveConfig::default(),
         );
         let mut client = rt.client();
@@ -4161,63 +4058,12 @@ mod tests {
         );
     }
 
-    /// Advisor that offers a maintainer to the start-time probe, then
-    /// withdraws it when the maintenance thread asks again — the contract
-    /// violation the maintenance loop must survive (regression: this used
-    /// to panic the maintenance thread, turning shutdown into a join on a
-    /// panicked thread).
-    struct WithdrawnMaintainer {
-        probed: std::sync::atomic::AtomicBool,
-    }
-
-    impl LiveAdvisor for WithdrawnMaintainer {
-        type Session = ();
-
-        fn name(&self) -> &str {
-            "withdrawn-maintainer"
-        }
-
-        fn plan_live(&self, _req: &Request, ctx: &PlanContext<'_>) -> (TxnPlan, ()) {
-            (TxnPlan::single(ctx.random_local_partition), ())
-        }
-
-        fn replan_live(
-            &self,
-            _req: &Request,
-            _observed: PartitionSet,
-            _attempt: u32,
-            ctx: &PlanContext<'_>,
-        ) -> (TxnPlan, ()) {
-            (TxnPlan::lock_all(ctx.random_local_partition, ctx.num_partitions), ())
-        }
-
-        fn on_end_live(&self, _session: (), _outcome: TxnOutcome) -> Option<TxnFeedback> {
-            Some(TxnFeedback {
-                proc: 0,
-                model: 0,
-                epoch: 0,
-                path: Vec::new(),
-                terminal: Some(true),
-                deviated: false,
-                predicted: PartitionSet::single(0),
-            })
-        }
-
-        fn maintainer(&self) -> Option<Box<dyn LiveMaintainer + '_>> {
-            if self.probed.swap(true, std::sync::atomic::Ordering::SeqCst) {
-                None
-            } else {
-                Some(Box::new(SleepyMaintainer { seen: 0 }))
-            }
-        }
-    }
-
     #[test]
     fn maintenance_survives_withdrawn_maintainer() {
         let rt = LiveRuntime::start(
             kv_database(1, 8),
             kv_registry(),
-            WithdrawnMaintainer { probed: std::sync::atomic::AtomicBool::new(false) },
+            SlowMaintained { withdrawn: Some(std::sync::atomic::AtomicBool::new(false)) },
             LiveConfig::default(),
         );
         let mut client = rt.client();
@@ -4259,15 +4105,23 @@ mod tests {
 
     /// Sorted `(key, row)` contents of table 0 on every partition — the
     /// byte-identical-state comparator for recovery tests.
-    fn sorted_tables(db: &Database, parts: u32) -> Vec<Vec<(Vec<Value>, Row)>> {
-        (0..parts)
-            .map(|p| {
-                let mut rows: Vec<(Vec<Value>, Row)> =
-                    db.table(p, 0).iter().map(|(k, r)| (k.clone(), r.clone())).collect();
-                rows.sort();
-                rows
-            })
-            .collect()
+    fn sorted_tables(db: &Database, parts: u32) -> Vec<TableRows> {
+        (0..parts).map(|p| sorted_rows(db.table(p, 0))).collect()
+    }
+
+    /// Recovers a pristine `parts`-partition KV database from `cfg`'s log
+    /// directory and shuts down again, removing the directory: (recovery
+    /// report, final metrics, sorted tables).
+    fn recover_kv<A: LiveAdvisor + 'static>(
+        advisor: A,
+        parts: u32,
+        cfg: LiveConfig,
+    ) -> (RecoveryReport, RunMetrics, Vec<TableRows>) {
+        let dir = cfg.durability.as_ref().expect("durable config").dir.clone();
+        let (rt, report) = LiveRuntime::recover(kv_database(parts, 8), kv_registry(), advisor, cfg);
+        let (m, db) = rt.shutdown();
+        let _ = std::fs::remove_dir_all(dir);
+        (report, m, sorted_tables(&db, parts))
     }
 
     #[test]
@@ -4284,19 +4138,12 @@ mod tests {
         assert_eq!(m.snapshots_taken, 0);
         // Replay the log against a pristine database: every committed
         // writer re-executes, reproducing the exact table contents.
-        let (rt, report) = LiveRuntime::recover(
-            kv_database(4, 8),
-            kv_registry(),
-            AssumeSinglePartition::new(),
-            cfg,
-        );
-        let (m2, db2) = rt.shutdown();
+        let (report, m2, tables2) = recover_kv(AssumeSinglePartition::new(), 4, cfg);
         assert_eq!(report.replayed, m.committed);
         assert_eq!(report.skipped, 0, "clean shutdown leaves no undecided work");
         assert_eq!(report.snapshot_gen, None);
         assert!(m2.recovery_ms > 0.0, "recovery time must be reported");
-        assert_eq!(sorted_tables(&db, 4), sorted_tables(&db2, 4));
-        let _ = std::fs::remove_dir_all(&dir);
+        assert_eq!(sorted_tables(&db, 4), tables2);
     }
 
     #[test]
@@ -4332,16 +4179,9 @@ mod tests {
         assert_eq!((committed, aborted), (30, 30));
         assert_eq!((m.committed, m.user_aborts), (30, 30));
         assert_eq!(m.log_records, 30, "only committed writers are logged");
-        let (rt2, report) = LiveRuntime::recover(
-            kv_database(2, 8),
-            kv_registry(),
-            AssumeSinglePartition::new(),
-            cfg,
-        );
-        let (_, db2) = rt2.shutdown();
+        let (report, _, tables2) = recover_kv(AssumeSinglePartition::new(), 2, cfg);
         assert_eq!(report.replayed, 30);
-        assert_eq!(sorted_tables(&db, 2), sorted_tables(&db2, 2));
-        let _ = std::fs::remove_dir_all(&dir);
+        assert_eq!(sorted_tables(&db, 2), tables2);
     }
 
     #[test]
@@ -4354,13 +4194,10 @@ mod tests {
         };
         let (m, db) = live_run(AssumeDistributed::new(), 2, 4, &cfg);
         assert!(m.distributed > 0, "lock-all traffic is distributed");
-        let (rt, report) =
-            LiveRuntime::recover(kv_database(4, 8), kv_registry(), AssumeDistributed::new(), cfg);
-        let (_, db2) = rt.shutdown();
+        let (report, _, tables2) = recover_kv(AssumeDistributed::new(), 4, cfg);
         assert_eq!(report.replayed, m.committed, "each 2PC commit replays exactly once");
         assert_eq!(report.skipped, 0);
-        assert_eq!(sorted_tables(&db, 4), sorted_tables(&db2, 4));
-        let _ = std::fs::remove_dir_all(&dir);
+        assert_eq!(sorted_tables(&db, 4), tables2);
     }
 
     #[test]
@@ -4386,17 +4223,10 @@ mod tests {
         let (m, db) = rt.shutdown();
         assert_eq!(m.committed, 90);
         assert_eq!(m.snapshots_taken, 1);
-        let (rt2, report) = LiveRuntime::recover(
-            kv_database(4, 8),
-            kv_registry(),
-            AssumeSinglePartition::new(),
-            cfg,
-        );
-        let (_, db2) = rt2.shutdown();
+        let (report, _, tables2) = recover_kv(AssumeSinglePartition::new(), 4, cfg);
         assert_eq!(report.snapshot_gen, Some(gen));
         assert_eq!(report.replayed, 40, "only post-snapshot commits replay");
-        assert_eq!(sorted_tables(&db, 4), sorted_tables(&db2, 4));
-        let _ = std::fs::remove_dir_all(&dir);
+        assert_eq!(sorted_tables(&db, 4), tables2);
     }
 
     #[test]

@@ -714,26 +714,8 @@ impl<'a> Simulation<'a> {
 mod tests {
     use super::*;
     use crate::baselines::{AssumeDistributed, AssumeSinglePartition, Oracle};
-    use crate::procedure::testing::{kv_database, kv_registry};
+    use crate::procedure::testing::{kv_database, kv_registry, KvGen};
     use common::Value;
-
-    /// Generator issuing MultiGet over ids that map to `spread` partitions.
-    struct KvGen {
-        spread: u32,
-        parts: u32,
-        counter: u64,
-    }
-
-    impl RequestGenerator for KvGen {
-        fn next_request(&mut self, client: u64) -> (ProcId, Vec<Value>) {
-            self.counter += 1;
-            let start = (client * 13 + self.counter * 7) % u64::from(self.parts);
-            let ids: Vec<Value> = (0..self.spread)
-                .map(|k| Value::Int(((start + u64::from(k)) % u64::from(self.parts)) as i64))
-                .collect();
-            (0, vec![Value::Array(ids)])
-        }
-    }
 
     fn run_with<A: TxnAdvisor>(mut advisor: A, spread: u32, parts: u32) -> RunMetrics {
         let mut db = kv_database(parts, 8);
