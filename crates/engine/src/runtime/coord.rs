@@ -1,0 +1,594 @@
+//! The coordinator side of a distributed transaction (runs on the client).
+
+use super::lifecycle::{Durable, Shared};
+use super::wire::{
+    us_since, BatchItem, CtrlMsg, FragCmd, FragConn, FragPort, FragReply, ReplySlot, StageTimes,
+    WorkerGate,
+};
+use super::LANE_CAPACITY;
+use crate::advisor::{LiveAdvisor, Request, TxnPlan};
+use crate::exec::ExecutedQuery;
+use crate::procedure::Step;
+use common::ring;
+use common::sync::Arc;
+use common::{Error, FxHashMap, PartitionId, PartitionSet, QueryId, Result, Value};
+use std::time::Instant;
+use storage::Row;
+use wal::FileDevice;
+
+/// How one execution attempt ended, from the client's point of view.
+pub(super) enum Attempt<S> {
+    Done {
+        committed: bool,
+        accessed: PartitionSet,
+        access_counts: FxHashMap<PartitionId, u32>,
+        undo_disabled_ever: bool,
+        speculative: bool,
+        early_released: bool,
+        session: S,
+    },
+    Mispredict {
+        observed: PartitionSet,
+        session: S,
+    },
+    /// Rolled back by a speculation cascade; retry with the same plan and a
+    /// fresh session (no restart counted).
+    Cascaded,
+    Fatal(Error),
+}
+
+/// Client-side Fig. 11 stage accumulator for one `Client::call`: folded
+/// into `RunMetrics::profile` once the call resolves, with the residual
+/// against total wall time reported as `Other`.
+#[derive(Debug, Clone, Copy, Default)]
+pub(super) struct StageAcc {
+    pub(super) est_us: f64,
+    pub(super) exec_us: f64,
+    pub(super) coord_us: f64,
+    pub(super) queue_us: f64,
+    /// Sub-buckets *of* `coord_us` (each amount below is also added to
+    /// `coord_us`), splitting the distributed path's coordination cost the
+    /// way Fig. 11's analysis needs it: time blocked acquiring the lock
+    /// set, time in the 2PC finish round (outcome sends + acks), and time
+    /// waiting on the shared commit-flush sequencer. The fast path's
+    /// residual coordination (group flush waits, channel hops) lands in
+    /// none of them.
+    pub(super) lock_us: f64,
+    pub(super) twopc_us: f64,
+    pub(super) flush_us: f64,
+}
+
+impl StageAcc {
+    /// Folds one fast-path round trip: the stages the worker measured,
+    /// plus the round trip's unexplained remainder (channel hops, waiting
+    /// for the group flush and groupmates) as coordination.
+    pub(super) fn fold_reply(&mut self, times: StageTimes, round_trip_us: f64) {
+        self.queue_us += times.queued_us;
+        self.est_us += times.est_us;
+        self.exec_us += times.exec_us;
+        self.coord_us += (round_trip_us - times.queued_us - times.est_us - times.exec_us).max(0.0);
+    }
+}
+
+/// Records one lock-hold sample (acquisition → now) for every partition
+/// still held in `lock_set` minus `released`, into the client's reused
+/// sample buffer (folded under the metrics lock once per call).
+fn record_remaining_hold(
+    samples: &mut Vec<f64>,
+    lock_set: PartitionSet,
+    released: PartitionSet,
+    t_locked: Instant,
+) {
+    let us = t_locked.elapsed().as_secs_f64() * 1e6;
+    for _ in lock_set.difference(released).iter() {
+        samples.push(us);
+    }
+}
+
+/// Bounded yield-retry on a full fragment lane before declaring the
+/// worker wedged. Fragment shipping is ping-pong per worker (at most an
+/// unacknowledged `Prepare` plus the next transaction's opening command
+/// sit in a lane), so the retry only guards a protocol bug, never a real
+/// backlog.
+const FRAG_PUSH_RETRY: u32 = 1 << 16;
+
+/// Ensures this client's fragment lane to worker `p` exists (registering
+/// it over the control channel on first use), pushes one command, and
+/// rings the worker's doorbell.
+pub(super) fn push_frag<S>(
+    ports: &mut [Option<FragPort>],
+    workers: &[WorkerGate<S>],
+    p: usize,
+    cmd: FragCmd,
+) -> Result<()> {
+    if ports[p].is_none() {
+        let (tx, rx) = ring::spsc(LANE_CAPACITY);
+        let replies = Arc::new(ReplySlot::new());
+        if !workers[p]
+            .send_ctrl(CtrlMsg::FragLane(FragConn { frags: rx, replies: Arc::clone(&replies) }))
+        {
+            return Err(Error::Other(format!("worker {p} is gone")));
+        }
+        ports[p] = Some(FragPort { tx, replies });
+    }
+    let port = ports[p].as_mut().expect("port just ensured");
+    let mut cmd = cmd;
+    for _ in 0..FRAG_PUSH_RETRY {
+        match port.tx.push(cmd) {
+            Ok(()) => {
+                workers[p].bell.ring();
+                return Ok(());
+            }
+            Err(ring::PushError::Disconnected(_)) => {
+                return Err(Error::Other(format!("worker {p} is gone")));
+            }
+            Err(ring::PushError::Full(c)) => {
+                cmd = c;
+                std::thread::yield_now();
+            }
+        }
+    }
+    Err(Error::Other(format!("fragment lane to worker {p} wedged")))
+}
+
+/// Coordinates one distributed transaction from the client thread: atomic
+/// lock acquisition, batched fragment shipping over the reusable lanes,
+/// early prepares (OP4), 2PC outcome, and the one sequenced commit flush.
+#[allow(clippy::too_many_lines)]
+pub(super) fn run_distributed<A: LiveAdvisor>(
+    env: &Shared<A>,
+    req: &Request,
+    plan: &TxnPlan,
+    mut session: A::Session,
+    lock_holds: &mut Vec<f64>,
+    ports: &mut [Option<FragPort>],
+    acc: &mut StageAcc,
+) -> Attempt<A::Session> {
+    let workers = &env.workers;
+    let lock_set = plan.lock_set;
+    // Held for the whole coordination; the drop guard also releases on an
+    // unwind, so a panicking coordinator cannot wedge later transactions
+    // (an unwinding client also drops its lane producers, and workers roll
+    // back fragments of a closed lane).
+    let t_acquire = Instant::now();
+    let mut locks_held = env.locks.guard(lock_set);
+    let lock_wait = us_since(t_acquire);
+    acc.coord_us += lock_wait;
+    acc.lock_us += lock_wait;
+    let t_locked = Instant::now();
+    // Early-released partitions: `released` is the union the mispredict
+    // rule and metrics see; `windowed` is the subset whose fragment wrote
+    // (speculation window open, 2PC outcome still owed), the rest were
+    // read-only participants and are completely done with this txn.
+    let mut released = PartitionSet::EMPTY;
+    let mut windowed = PartitionSet::EMPTY;
+    // Partitions any write query touched so far (the coordinator's view of
+    // which fragments are contingent — same catalog knowledge the workers
+    // have, so the two sides always agree on whether a window opens).
+    let mut wrote_parts = PartitionSet::EMPTY;
+    // Durable mode: this transaction's command-log id, and the participants
+    // whose logs already hold its `DistBegin` (shipped once per partition,
+    // before its first fragment).
+    let dist_id = env.durable.as_ref().map(Durable::next_id);
+    let mut began = PartitionSet::EMPTY;
+    // No reservation step: holding a partition's lock entitles this client
+    // to push on its (lazily registered) fragment lane, and the first push
+    // opens service at the worker. The base partition is a fragment
+    // executor like the others — control code runs here on the
+    // coordinator.
+    let n = env.num_partitions as usize;
+    // Sends the 2PC outcome everywhere and waits for every ack (timing the
+    // round into `acc`'s 2PC share); every call site returns immediately
+    // afterwards, so the lock guard releases only
+    // after all fragment effects are final (abort: undone; commit: kept —
+    // durability is the caller's sequenced flush after this returns).
+    // Coalesced 2PC (§2): each still-reserved participant gets one
+    // `VoteFinish` carrying the flush-and-vote *and* the decision — the
+    // split Vote round bought no information (participants always vote
+    // yes; fragment errors surfaced at execution), only an extra message
+    // round of lock-hold time per participant. Early prepares already
+    // voted, unsolicited, off the critical path; windowed participants
+    // take the outcome on their worker's control channel (the speculating
+    // worker parks on its doorbell); read-only released participants hear
+    // nothing (they are already out). All sends go out before any
+    // acknowledgement is awaited, so participant-side work and modeled
+    // delays overlap in wall-clock time.
+    let finish_all = |ports: &mut [Option<FragPort>],
+                      acc: &mut StageAcc,
+                      released: PartitionSet,
+                      windowed: PartitionSet,
+                      commit: bool|
+     -> Result<()> {
+        let t_fin = Instant::now();
+        let mut failure = None;
+        for p in lock_set.iter() {
+            if windowed.contains(p) {
+                workers[p as usize].send_ctrl(CtrlMsg::SpecFinish { commit });
+            } else if !released.contains(p) {
+                if let Err(e) =
+                    push_frag(ports, workers, p as usize, FragCmd::VoteFinish { commit })
+                {
+                    failure = Some(e);
+                }
+            }
+        }
+        for p in lock_set.difference(released).union(windowed).iter() {
+            let Some(port) = ports[p as usize].as_ref() else {
+                // The lane registration itself failed above: worker gone.
+                failure = Some(Error::Other(format!("worker {p} is gone")));
+                continue;
+            };
+            match port.replies.take_or_abandon(|| port.tx.is_closed()) {
+                Some(FragReply::Finished) => {}
+                Some(FragReply::Fatal(e)) => failure = Some(e),
+                Some(_) => failure = Some(Error::Other("fragment protocol violation".into())),
+                None => failure = Some(Error::Other(format!("worker {p} hung up"))),
+            }
+        }
+        let tw = us_since(t_fin);
+        acc.coord_us += tw;
+        acc.twopc_us += tw;
+        failure.map_or(Ok(()), Err)
+    };
+
+    let mut inst = env.registry.get(req.proc).instantiate(&req.args);
+    let mut results: Option<Vec<Vec<Row>>> = None;
+    let mut accessed = PartitionSet::EMPTY;
+    let mut access_counts: FxHashMap<PartitionId, u32> = FxHashMap::default();
+    let mut pending_abort: Option<String> = None;
+    // Per-participant reply cursors for the current batch, reused across
+    // batch steps (entries are taken by the merge and cleared after it).
+    let mut per_part: Vec<Option<std::vec::IntoIter<BatchItem>>> = (0..n).map(|_| None).collect();
+    let (fin, committed) = loop {
+        // Control code runs here on the coordinator: Execution time.
+        let t_step = Instant::now();
+        let step = match pending_abort.take() {
+            Some(msg) => Step::Abort(msg),
+            None => inst.next(results.as_deref()),
+        };
+        acc.exec_us += us_since(t_step);
+        match step {
+            Step::Queries(batch) => {
+                let t_batch = Instant::now();
+                let mut batch_est_us = 0.0f64;
+                let mut seen = PartitionSet::EMPTY;
+                let mut violation = false;
+                let mut q_targets: Vec<PartitionSet> = Vec::with_capacity(batch.len());
+                for inv in &batch {
+                    let def = env.catalog.proc(req.proc).query(inv.query);
+                    let targets = def.estimate_partitions_n(env.num_partitions, &inv.params);
+                    seen = seen.union(targets);
+                    // Re-touching an early-released partition is a
+                    // mispredict like leaving the lock set (same rule as
+                    // the simulator).
+                    if !targets.is_subset(lock_set) || !targets.intersect(released).is_empty() {
+                        violation = true;
+                        break;
+                    }
+                    q_targets.push(targets);
+                }
+                if violation {
+                    let fin = finish_all(ports, acc, released, windowed, false);
+                    record_remaining_hold(lock_holds, lock_set, released, t_locked);
+                    return match fin {
+                        Ok(()) => Attempt::Mispredict { observed: accessed.union(seen), session },
+                        Err(e) => Attempt::Fatal(e),
+                    };
+                }
+                // Ship each participant's share of the batch as ONE
+                // `ExecBatch` — one lane push, one modeled network hop and
+                // one reply per participant per batch step, where the
+                // per-query path paid all three per query. Participants
+                // execute their sub-batches concurrently, each stopping at
+                // its own first constraint violation; all pushes go out
+                // before any reply is awaited.
+                let mut to_ship: Vec<Vec<(QueryId, Vec<Value>)>> = vec![Vec::new(); n];
+                for (inv, targets) in batch.iter().zip(&q_targets) {
+                    for p in targets.iter() {
+                        to_ship[p as usize].push((inv.query, inv.params.clone()));
+                    }
+                }
+                let mut fatal: Option<Error> = None;
+                let mut shipped = PartitionSet::EMPTY;
+                for p in lock_set.iter() {
+                    let queries = std::mem::take(&mut to_ship[p as usize]);
+                    if queries.is_empty() {
+                        continue;
+                    }
+                    if let Some(id) = dist_id {
+                        if !began.contains(p) {
+                            // The begin record precedes the partition's
+                            // first fragment in lane order, so the worker
+                            // logs it at exactly the position the fragments
+                            // serialize at.
+                            let begin = FragCmd::LogBegin {
+                                txn_id: id,
+                                proc: req.proc,
+                                args: req.args.clone(),
+                            };
+                            if let Err(e) = push_frag(ports, workers, p as usize, begin) {
+                                fatal = Some(e);
+                                continue;
+                            }
+                            began.insert(p);
+                        }
+                    }
+                    match push_frag(
+                        ports,
+                        workers,
+                        p as usize,
+                        FragCmd::ExecBatch { proc: req.proc, queries },
+                    ) {
+                        Ok(()) => shipped.insert(p),
+                        // Keep shipping to the survivors: their replies and
+                        // rollbacks still need collecting below.
+                        Err(e) => fatal = Some(e),
+                    }
+                }
+                // One reply per shipped participant, ascending partition
+                // order; each is the participant's item list for its whole
+                // sub-batch.
+                for p in shipped.iter() {
+                    let port = ports[p as usize].as_ref().expect("shipped over this port");
+                    match port.replies.take_or_abandon(|| port.tx.is_closed()) {
+                        Some(FragReply::Batch(items)) => {
+                            per_part[p as usize] = Some(items.into_iter());
+                        }
+                        Some(FragReply::Fatal(e)) => fatal = Some(e),
+                        Some(_) => {
+                            fatal = Some(Error::Other("fragment protocol violation".into()));
+                        }
+                        None => fatal = Some(Error::Other(format!("worker {p} hung up"))),
+                    }
+                }
+                if let Some(e) = fatal {
+                    let _ = finish_all(ports, acc, released, windowed, false);
+                    record_remaining_hold(lock_holds, lock_set, released, t_locked);
+                    return Attempt::Fatal(e);
+                }
+                // Merge per query in ascending partition order — identical
+                // row order and abort choice to the per-query path. The
+                // first query with any constraint reply is the batch-global
+                // abort point: no participant stopped before it (an earlier
+                // local constraint would be an earlier global one), so
+                // every target of every query up to and including it
+                // reports an item, and items past it stay unread — the 2PC
+                // rollback erases whatever a participant over-executed.
+                let mut pending_release = PartitionSet::EMPTY;
+                let mut batch_results = Vec::with_capacity(batch.len());
+                for (inv, targets) in batch.into_iter().zip(q_targets) {
+                    let def = env.catalog.proc(req.proc).query(inv.query);
+                    let is_write = def.is_write();
+                    let mut rows = Vec::new();
+                    let mut constraint: Option<String> = None;
+                    for p in targets.iter() {
+                        match per_part[p as usize].as_mut().and_then(Iterator::next) {
+                            Some(BatchItem::Rows(mut r)) => rows.append(&mut r),
+                            Some(BatchItem::Constraint(msg)) => constraint = Some(msg),
+                            None => {
+                                // Unreachable by the argument above; kept
+                                // defensive so a protocol bug aborts the
+                                // transaction instead of desyncing cursors.
+                                constraint = Some("fragment batch underrun".into());
+                            }
+                        }
+                    }
+                    accessed = accessed.union(targets);
+                    if is_write {
+                        wrote_parts = wrote_parts.union(targets);
+                    }
+                    for p in targets.iter() {
+                        *access_counts.entry(p).or_insert(0) += 1;
+                    }
+                    if let Some(msg) = constraint {
+                        pending_abort = Some(msg);
+                        break;
+                    }
+                    // Runtime updates: OP3 is ignored on the distributed
+                    // path (undo stays on), but OP4 finish declarations
+                    // accumulate for the end-of-batch early prepare.
+                    let t_est = Instant::now();
+                    let upd = env.advisor.on_query_live(
+                        &mut session,
+                        &ExecutedQuery {
+                            query: inv.query,
+                            params: inv.params,
+                            partitions: targets,
+                            is_write,
+                        },
+                    );
+                    batch_est_us += us_since(t_est);
+                    if plan.early_prepare {
+                        pending_release = pending_release.union(upd.finished);
+                    }
+                    batch_results.push(rows);
+                }
+                for leftover in &mut per_part {
+                    *leftover = None;
+                }
+                // Early prepare (OP4): release finished partitions at batch
+                // granularity — the same point the simulator applies
+                // `pending_release`, so a later query in this batch never
+                // sees a partition released mid-batch there but live here.
+                // Unlike the simulator, the *base* partition is releasable
+                // too: live control code runs on the coordinating client,
+                // so the base is just another fragment executor (the
+                // simulator's base runs the control code and stays busy to
+                // commit).
+                let to_release = pending_release.difference(released).intersect(lock_set);
+                for p in to_release.iter() {
+                    // Unacknowledged by design (the paper's unsolicited
+                    // vote): the worker serves this lane's commands in
+                    // order, so it observes the prepare before anything a
+                    // later lock holder pushes — releasing the lock
+                    // immediately after the push is safe, and not blocking
+                    // here keeps the coordinator off the scheduler's
+                    // critical path (one ack round trip per released
+                    // partition is measurable on small hosts).
+                    let speculate = wrote_parts.contains(p);
+                    if let Err(e) =
+                        push_frag(ports, workers, p as usize, FragCmd::Prepare { speculate })
+                    {
+                        // The guard drop releases everything still held —
+                        // record the hold time for those partitions like
+                        // every other release path (this partition is still
+                        // held too: `released` not yet updated).
+                        record_remaining_hold(lock_holds, lock_set, released, t_locked);
+                        return Attempt::Fatal(e);
+                    }
+                    released.insert(p);
+                    if speculate {
+                        windowed.insert(p);
+                    }
+                    lock_holds.push(t_locked.elapsed().as_secs_f64() * 1e6);
+                    locks_held.release_early(p);
+                }
+                results = Some(batch_results);
+                // Everything in this arm except the advisor calls —
+                // fragment shipping, participant execution, reply
+                // collection, early-prepare sends — counts as Execution;
+                // the advisor share is Estimation.
+                acc.est_us += batch_est_us;
+                acc.exec_us += (us_since(t_batch) - batch_est_us).max(0.0);
+            }
+            Step::Commit => {
+                let fin = finish_all(ports, acc, released, windowed, true);
+                // One durability wait per distributed write commit,
+                // through the shared sequencer — and *after* the lock
+                // guard drops. The ticket is taken first, while every
+                // participant's ack is in hand (their log writes
+                // happen-before it), so one device operation covers all
+                // of them; the wait itself is group commit: effects are
+                // visible the moment the locks release, only this
+                // client's acknowledgement stalls on the device. Holding
+                // the lock set through the sleep instead serializes every
+                // other coordinator behind a 200 µs hold (measured: lock
+                // wait was 82% of 2-worker TATP call time) — and any
+                // later transaction that needs this commit durable
+                // enqueues a ticket at least as large, so releasing early
+                // never reorders durability. This replaces one full-cap
+                // sleep per writing participant *on the participant's own
+                // thread*, which stalled that partition's entire fast
+                // path for the duration.
+                let ticket = (fin.is_ok()
+                    && !wrote_parts.is_empty()
+                    && (env.durable.is_some() || !env.commit_flush.is_zero()))
+                .then(|| env.seq.enqueue());
+                record_remaining_hold(lock_holds, lock_set, released, t_locked);
+                drop(locks_held);
+                if let Some(t) = ticket {
+                    let t_flush = Instant::now();
+                    match &env.durable {
+                        // Real device: every participant's begin and
+                        // decision records are on their logs (the Finished
+                        // acks above happen-after the appends), so one
+                        // sequenced `write+fsync` makes the whole
+                        // transaction durable. Ride the flusher's windowed
+                        // group commit rather than leading eagerly —
+                        // leading here would pin the fsync rate to the
+                        // distributed-commit rate and collapse throughput
+                        // to the device.
+                        Some(d) => {
+                            env.seq.wait_covered(
+                                t,
+                                &FileDevice(Arc::clone(&d.logs)),
+                                d.group_window,
+                            );
+                        }
+                        None => env.seq.wait_durable(t, env.commit_flush),
+                    }
+                    let fw = us_since(t_flush);
+                    acc.coord_us += fw;
+                    acc.flush_us += fw;
+                }
+                break (fin, true);
+            }
+            Step::Abort(_) => {
+                let fin = finish_all(ports, acc, released, windowed, false);
+                record_remaining_hold(lock_holds, lock_set, released, t_locked);
+                break (fin, false);
+            }
+        }
+    };
+    match fin {
+        Ok(()) => Attempt::Done {
+            committed,
+            accessed,
+            access_counts,
+            undo_disabled_ever: false,
+            speculative: false,
+            early_released: !released.is_empty(),
+            session,
+        },
+        Err(e) => Attempt::Fatal(e),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::super::{LiveConfig, LiveRuntime};
+    use super::*;
+    use crate::advisor::{PlanContext, TxnOutcome};
+    use crate::procedure::testing::{kv_database, kv_registry};
+
+    /// Plans `{0, 1}` for every request regardless of its true target, so
+    /// work on partition 2 mispredicts on every attempt until the forced
+    /// lock-all fallback.
+    struct WrongLockSet;
+
+    impl LiveAdvisor for WrongLockSet {
+        type Session = ();
+
+        fn name(&self) -> &str {
+            "wrong-lock-set"
+        }
+
+        fn plan_live(&self, _req: &Request, _ctx: &PlanContext<'_>) -> (TxnPlan, ()) {
+            (
+                TxnPlan {
+                    base_partition: 0,
+                    lock_set: PartitionSet::from_iter([0u32, 1]),
+                    disable_undo: false,
+                    early_prepare: false,
+                    estimate_cost_us: 0.0,
+                },
+                (),
+            )
+        }
+
+        fn replan_live(
+            &self,
+            req: &Request,
+            _observed: PartitionSet,
+            _attempt: u32,
+            ctx: &PlanContext<'_>,
+        ) -> (TxnPlan, ()) {
+            self.plan_live(req, ctx)
+        }
+    }
+
+    #[test]
+    fn lock_hold_recorded_on_mispredict_and_commit_releases() {
+        // MultiGet over id 2 (partition 2 of 4) under a {0,1} plan: three
+        // mispredicted attempts (max_restarts = 2) each release two held
+        // partitions without reaching a commit, then the lock-all fallback
+        // commits holding four. Before the fix only the commit path
+        // recorded, so exactly the contended attempts went missing.
+        let rt = LiveRuntime::start(
+            kv_database(4, 8),
+            kv_registry(),
+            WrongLockSet,
+            LiveConfig::default(),
+        );
+        let mut client = rt.client();
+        let outcome = client.call(0, vec![Value::Array(vec![Value::Int(2)])]).unwrap();
+        assert!(matches!(outcome, TxnOutcome::Committed));
+        let (m, _) = rt.shutdown();
+        assert_eq!(m.restarts, 3);
+        assert_eq!(
+            m.lock_hold.count(),
+            3 * 2 + 4,
+            "every release path must record one sample per held partition"
+        );
+    }
+}

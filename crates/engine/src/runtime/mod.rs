@@ -1,0 +1,241 @@
+//! The live multi-threaded partition runtime.
+//!
+//! Where [`crate::Simulation`] charges a cost model for time, this module
+//! runs the paper's architecture (§2, Fig. 1) for real: one OS worker
+//! thread per partition with *exclusive ownership* of that partition's
+//! [`storage::Shard`], a lock-free SPSC ring-lane dispatcher with a
+//! doorbell-parked control channel, and any number of caller-owned
+//! [`Client`] handles that route every request through a shared, trained,
+//! read-only [`LiveAdvisor`].
+//!
+//! ## Module map — one protocol per module
+//!
+//! * `lock` — the partition-lock manager (`LockManager`, `LockGuard`).
+//! * `wire` — every cross-thread message and its carrier (`FragCmd`,
+//!   `FragReply`, `SingleMsg`, `SingleReply`, `CtrlMsg`, `ReplySlot`,
+//!   `WorkerGate`, `FragConn` / `FragPort`).
+//! * `worker` — the partition server: `Intake`, `worker_loop`, the
+//!   `run_single` fast path, group commit, and the `flusher_loop` thread.
+//! * `spec` — the participant side of a distributed transaction
+//!   (`serve_reservation`) and OP4 speculation (`speculate`).
+//! * `coord` — the coordinator side (`run_distributed`, `push_frag`).
+//! * `client` — [`Client`] and its fast-path `send_on_lane`.
+//! * `lifecycle` — [`LiveConfig`], `Shared`, `Durable`, [`LiveRuntime`]
+//!   start / recover / teardown, cluster snapshots, [`run_live`].
+//!
+//! ## Thread and ownership model
+//!
+//! The runtime is a *server*, embeddable as a library: [`LiveRuntime::
+//! start`] owns the worker threads, the lock manager, and (when the
+//! advisor learns) the maintenance thread; everything those threads share
+//! lives in one `Arc`-held `Shared` block, so the runtime outlives the
+//! stack frame that started it. [`LiveRuntime::client`] mints cheap `Send`
+//! [`Client`] handles; [`Client::call`] plans, coordinates, and blocks for
+//! one transaction. [`LiveRuntime::shutdown`] drains in-flight work, stops
+//! every owned thread, and reassembles the [`Database`]. The closed-loop
+//! benchmark entry point [`run_live`] is a thin wrapper over exactly this
+//! lifecycle.
+//!
+//! * **Workers** (one per partition) own their shard outright — no locks
+//!   guard row access, ever. Fast-path requests arrive on *per-client SPSC
+//!   ring lanes* ([`common::ring`]) — each [`Client`] registers a
+//!   dedicated bounded lock-free lane with each worker it talks to, so
+//!   the hot path crosses no shared mutex and no MPSC channel; rare
+//!   control traffic (lane registration, speculation-window 2PC outcomes,
+//!   snapshot fences, shutdown) rides a plain shared channel, and a
+//!   [`common::ring::Doorbell`] wakes a worker that parked with everything
+//!   empty. A worker collects work *in runs*: it drains the control
+//!   channel, then sweeps its lanes fairly (round-robin, one message per
+//!   lane per pass) until a pass comes up empty. The swept
+//!   single-partition transactions execute as one group — their durable
+//!   effects share a single commit flush and their acknowledgements go out
+//!   together in completion order (group commit + group ack) — and the
+//!   flush window itself is *adaptive*: sized by the backlog the lanes show when the group
+//!   closes, from zero (nobody waiting — flush immediately) up to the
+//!   `commit_flush_us` cap (deep backlog — widen the window so the next
+//!   group coalesces more). A reservation from a distributed transaction
+//!   is admitted after the current group (everything swept before it is
+//!   flushed and acknowledged first; per-client FIFO order is the lane
+//!   itself).
+//! * **Clients** (the paper's §6.4 load generators, or any embedding
+//!   application thread) plan each request via the shared advisor, then
+//!   either hand the whole transaction to its base partition's worker, or
+//!   — for a multi-partition lock set — become the transaction's
+//!   *coordinator*: they acquire the cluster lock atomically, drive the
+//!   control code themselves, and ship query fragments over reusable
+//!   per-(client, worker) SPSC *fragment lanes* (`FragConn`, registered
+//!   once like the fast path's lanes), batched per participant per query
+//!   batch (`FragCmd::ExecBatch`). Holding a partition's lock entitles
+//!   the client to push on its lane — the lock *is* the reservation, so
+//!   the steady state has no per-transaction channel setup and no
+//!   reservation round trip at all.
+//! * **The lock manager** is sharded by partition: one FIFO ticket queue
+//!   and condvar per partition, claimed in ascending partition order —
+//!   distributed transactions on disjoint shards never touch the same
+//!   mutex. The globally consistent claim order makes lock acquisition
+//!   deadlock-free (the classic ordered-resource argument), and no wait
+//!   edge ever points *into* the lock manager after acquisition: workers
+//!   never take locks, and a coordinator acquires its whole set up front
+//!   and only releases afterwards. A reservation only ever waits behind
+//!   finite single-partition work or reservations of already-granted (and
+//!   therefore progressing) transactions, so the runtime as a whole stays
+//!   deadlock-free by construction.
+//!
+//! Mispredicts are handled exactly like [`crate::Simulation`]: a query
+//! batch that targets a partition outside the lock set rolls the
+//! transaction back, the advisor replans (`attempt` counting up), and after
+//! `max_restarts` the transaction falls back to a lock-all plan that cannot
+//! mispredict.
+//!
+//! Commit runs real two-phase commit, coalesced per (coordinator,
+//! participant) pair: participants in this engine always vote yes (every
+//! fragment error already surfaced at execution), so the coordinator ships
+//! one `VoteFinish` message carrying the flush-and-vote *and* the decision
+//! together and awaits one acknowledgement — halving the per-participant
+//! round trips and the modeled network hops of the split `Vote` + `Finish`
+//! rounds while keeping identical outcomes. Commit durability is paid
+//! once per distributed write transaction, *by the coordinator*: after
+//! every participant acked it waits on the shared cross-worker
+//! [`common::flush::FlushSequencer`], whose epoch tickets let concurrent
+//! coordinators (and worker group commits) coalesce into one device
+//! operation — participants never sleep a flush on their own thread, so a
+//! distributed commit no longer stalls its partitions' fast paths.
+//! `LiveConfig::msg_delay_us` optionally sleeps at the participant before
+//! each fragment *message* (a whole `ExecBatch` counts once) — the live
+//! twin of `CostModel::remote_msg_us` — so 2PC costs wall-clock lock-hold
+//! time as it would over a network.
+//!
+//! ## Early prepare + speculative execution (OP4, §2/§4.4)
+//!
+//! When the advisor declares locked partitions *finished* mid-transaction
+//! (`Updates::finished`, gated by `TxnPlan::early_prepare`), the
+//! coordinator sends those workers an early-prepare at the end of the
+//! batch and releases their slots in the lock manager at once — the
+//! prepare *is* the unsolicited 2PC vote, nothing is awaited, and the
+//! worker (serving this lane's commands in order) is guaranteed to
+//! observe it before anything a later lock holder pushes. Unlike the
+//! simulator's engine the base partition is releasable too: live control
+//! code runs on the coordinating client, so the base is just another
+//! fragment executor. A *read-only* participant simply drops the
+//! reservation — nothing to flush, undo, or decide (the classic 2PC
+//! read-only optimization). A participant whose fragment *wrote* keeps
+//! the fragment's undo log as the base of a [`storage::SpeculationStack`], and
+//! opens a speculation window: until the 2PC outcome arrives — pushed on
+//! the worker's control channel as `CtrlMsg::SpecFinish` — queued
+//! single-partition transactions execute *speculatively*, with undo
+//! logging force-enabled regardless of OP3 (§4.3). A speculative
+//! transaction that touched no table written inside the window (by the
+//! fragment or by a deferred speculative commit) is acknowledged
+//! immediately and its effects are final — §2 OP4's non-conflicting case,
+//! the same table-mask rule the simulator charges; every *conflicting*
+//! completion — commit, user abort, or mispredict — is deferred, and a
+//! conflicting speculative commit pushes its undo log onto the stack. On
+//! commit the stack is discarded and the deferred acknowledgements go out
+//! in completion order; on abort the stack unwinds LIFO (cascading
+//! rollback) restoring the shard byte-for-byte, and each deferred client
+//! receives `Cascaded` — it transparently re-derives the same plan with a
+//! fresh advisor session and retries (not counted as a mispredict
+//! restart). Reservations from *other* distributed transactions that
+//! arrive during a speculation window are admitted only once the window
+//! resolves; touching an early-released partition again is a mispredict,
+//! exactly as in the simulator.
+//!
+//! Deadlock-freedom still holds: a speculating worker waits only for the
+//! coordinator that early-prepared it, and "C' reserves a worker
+//! speculating for C" implies C' acquired its (atomic, all-or-nothing)
+//! lock set *after* C released that slot — so every wait edge points from
+//! a later-granted transaction to an earlier-granted one and no cycle can
+//! form; blocked single-partition clients hold no locks at all.
+//!
+//! ## On-line model maintenance (§4.5)
+//!
+//! Every session teardown (commit, user abort, or mispredict replan) may
+//! yield structured [`TxnFeedback`]; clients push it into a *bounded*
+//! channel with `try_send` — never blocking the acknowledgement path — and
+//! a background **maintenance thread** (spawned by [`LiveRuntime::start`]
+//! when the advisor provides a [`LiveMaintainer`]) drains it, accumulates per-model
+//! accuracy and transition deltas, rebuilds only drifted models, and
+//! publishes them as new advisor epochs that *fresh* transactions pick up
+//! while in-flight ones keep their snapshot (see DESIGN.md §5). Dropped
+//! records (`RunMetrics::feedback_dropped`) cost signal, not correctness.
+//!
+//! ## Per-stage time attribution (Fig. 11, live)
+//!
+//! Every [`Client::call`] attributes its wall time across the paper's
+//! Fig. 11 buckets into `RunMetrics::profile`: advisor planning/updates →
+//! `Estimation`; fragment/control-code execution → `Execution`; lock
+//! acquisition, 2PC, and the sequenced commit flush → `Coordination`,
+//! further split into `CoordSub::{LockWait, TwoPc, Flush}` sub-buckets on
+//! the distributed path; time a fast-path message sat on the worker queue
+//! → `Queueing`; the unattributed remainder (channel hops, group-commit
+//! waits measured at the worker, cascade retries) → `Other`. `Planning`
+//! stays a sim-only bucket — the live runtime ships pre-compiled
+//! fragments.
+
+mod client;
+mod coord;
+mod lifecycle;
+mod lock;
+mod spec;
+mod wire;
+mod worker;
+
+pub use client::Client;
+pub use lifecycle::{run_live, LiveConfig, LiveRuntime};
+
+#[cfg(doc)]
+use crate::{LiveAdvisor, LiveMaintainer, TxnFeedback};
+use std::time::Duration;
+#[cfg(doc)]
+use storage::Database;
+
+/// Watchdog interval of a speculating worker. The 2PC outcome normally
+/// arrives *pushed* on the worker's control channel
+/// (`CtrlMsg::SpecFinish`), whose sender rings the doorbell, so the
+/// worker parks like any idle worker; this timeout only bounds how long a
+/// window can dangle if its coordinator died without sending an outcome
+/// (detected as its fragment lane closing). Rare by construction, so it
+/// can be long — a speculating worker costs ~40 wake-ups per second, which
+/// matters on single-core hosts.
+const SPEC_WATCHDOG: Duration = Duration::from_millis(25);
+
+/// Watchdog interval of a client parked on its reply slot. A reply
+/// normally arrives as a condvar signal; the tick only bounds how long a
+/// client can sleep past a shutdown that retired its lane with the call
+/// still buffered (the "calls racing shutdown fail cleanly" contract).
+const REPLY_WATCHDOG: Duration = Duration::from_millis(25);
+
+/// Capacity of one client→worker SPSC lane. A blocking [`Client`] has at
+/// most one call in flight, so any power of two ≥ 2 works; 8 leaves slack
+/// for embedders that pipeline a few calls per thread before blocking.
+const LANE_CAPACITY: usize = 8;
+
+/// Backlog depth at which the adaptive group-commit window reaches the
+/// full `commit_flush_us` cap (see `adaptive_window`).
+const FLUSH_KNEE: usize = 8;
+
+/// Bounded yield-spin a client performs on its reply slot before falling
+/// back to the condvar (`ReplySlot::take_or_abandon`). Each iteration is
+/// one `yield_now`, so even on a single-core host the worker gets the CPU
+/// immediately. Sized past the typical closed-loop reply wait (a few
+/// peers' service plus scheduling) — a client that parks mid-steady-state
+/// costs a futex wait *and* puts a wake on the worker's ack path, so the
+/// budget errs long; it is only ever burned in full when no reply is
+/// coming (shutdown races), where the condvar backstop still bounds the
+/// wait.
+const REPLY_SPIN: u32 = 256;
+
+/// Bounded yield-spin re-sweeps an out-of-work worker performs before
+/// engaging the doorbell park protocol (`worker_loop`). Sized to cover
+/// a full closed-loop client cohort's between-call processing (each
+/// yield donates the CPU to one of them), so the steady state never pays
+/// a park/unpark futex cycle per batch.
+const IDLE_SPIN: u32 = 256;
+
+/// Transparent cascade redos of one request before the client falls back to
+/// a lock-all plan. Cascades are rare by construction (they need an
+/// early-prepared transaction to abort *and* a conflicting speculative
+/// execution in its window), so the bound exists purely as a liveness
+/// backstop against a pathological stream of aborting windows on one
+/// partition.
+const MAX_CASCADE_RETRIES: u32 = 8;

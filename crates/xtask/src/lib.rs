@@ -7,15 +7,16 @@
 //!   `// ordering:` rationale comment *and* a `file :: Ordering::Variant`
 //!   entry in `crates/xtask/ordering_allowlist.txt`. Stale allowlist
 //!   entries fail too, so the list always mirrors the tree.
-//! * **ascending-locks** — `LockManager::acquire` in `engine/src/runtime.rs`
-//!   claims partitions via `for p in set.iter()` (ascending by
+//! * **ascending-locks** — `LockManager::acquire` in
+//!   `engine/src/runtime/lock.rs` claims partitions via `for p in set.iter()` (ascending by
 //!   construction) and its body contains no reversal (`.rev()` /
 //!   `Reverse`); deadlock-freedom rests on this order.
 //! * **facade-purity** — modules ported to `common::sync` (`epoch.rs`,
-//!   `runtime.rs`) must not name `std::sync` outside `#[cfg(test)]`: a
-//!   stray std type would silently bypass the model checker.
+//!   everything under `engine/src/runtime/`) must not name `std::sync`
+//!   outside `#[cfg(test)]`: a stray std type would silently bypass the
+//!   model checker.
 //! * **send-unwrap** — no `unwrap()` / `expect(` on channel `.send(` calls
-//!   in `runtime.rs` worker paths: a shutdown race would escalate a benign
+//!   under `engine/src/runtime/`: a shutdown race would escalate a benign
 //!   disconnect into a panic.
 //!
 //! Deliberately text-based (no `syn`, no dependencies): the rules key on
@@ -45,15 +46,29 @@ impl fmt::Display for Violation {
 
 /// Files ported to the `common::sync` facade: `std::sync` is banned in
 /// their non-test code (the facade itself and test modules are exempt).
+/// An entry ending in `/` covers every file under that directory.
 const FACADE_PORTED: &[&str] = &[
     "crates/common/src/epoch.rs",
     "crates/common/src/flush.rs",
     "crates/common/src/ring.rs",
-    "crates/engine/src/runtime.rs",
+    RUNTIME_DIR,
 ];
 
-/// The file whose lock-claim loop and send calls get the pattern rules.
-const RUNTIME_RS: &str = "crates/engine/src/runtime.rs";
+/// The live runtime's modules: their send calls get the send-unwrap rule.
+const RUNTIME_DIR: &str = "crates/engine/src/runtime/";
+
+/// The file whose lock-claim loop gets the ascending-locks rule.
+const LOCK_RS: &str = "crates/engine/src/runtime/lock.rs";
+
+/// Whether `rel` is the file `entry` names, or — for an `entry` ending in
+/// `/` — lies under that directory.
+fn path_matches(rel: &str, entry: &str) -> bool {
+    if entry.ends_with('/') {
+        rel.contains(entry)
+    } else {
+        rel.ends_with(entry)
+    }
+}
 
 /// Entry point for `cargo xtask lint`.
 pub fn lint() -> ExitCode {
@@ -167,11 +182,13 @@ pub fn check_file(
     if !all_test {
         out.extend(rule_ordering_rationale(rel, &lines, &mask, allowlist, used_entries));
     }
-    if rel.ends_with(RUNTIME_RS) || rel == RUNTIME_RS {
+    if path_matches(rel, LOCK_RS) {
         out.extend(rule_ascending_locks(rel, &lines, &mask));
+    }
+    if path_matches(rel, RUNTIME_DIR) {
         out.extend(rule_send_unwrap(rel, &lines, &mask));
     }
-    if FACADE_PORTED.iter().any(|f| rel == *f || rel.ends_with(f)) {
+    if FACADE_PORTED.iter().any(|f| path_matches(rel, f)) {
         out.extend(rule_facade_purity(rel, &lines, &mask));
     }
     out
@@ -477,9 +494,9 @@ mod tests {
         let src = fixture("descending_locks.rs");
         let mut used = BTreeSet::new();
         let v = check_file(
-            "crates/engine/src/runtime.rs",
+            LOCK_RS,
             &src,
-            &parse_allowlist("crates/engine/src/runtime.rs :: Ordering::Relaxed"),
+            &parse_allowlist("crates/engine/src/runtime/lock.rs :: Ordering::Relaxed"),
             &mut used,
         );
         assert!(
@@ -500,13 +517,17 @@ mod tests {
             1,
             "test-module use must be exempt: {v:?}"
         );
+        // Every module under the runtime directory is facade-ported too.
+        let v = check_file("crates/engine/src/runtime/spec.rs", &src, &BTreeSet::new(), &mut used);
+        assert!(rules_of(&v).contains(&"facade-purity"), "runtime/ is covered by prefix: {v:?}");
     }
 
     #[test]
     fn send_unwrap_fixture_fails() {
         let src = fixture("send_unwrap.rs");
         let mut used = BTreeSet::new();
-        let v = check_file("crates/engine/src/runtime.rs", &src, &BTreeSet::new(), &mut used);
+        let v =
+            check_file("crates/engine/src/runtime/worker.rs", &src, &BTreeSet::new(), &mut used);
         let sends: Vec<_> = v.iter().filter(|x| x.rule == "send-unwrap").collect();
         assert_eq!(sends.len(), 2, "unwrap() and expect() must both trip: {v:?}");
     }
