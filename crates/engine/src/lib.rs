@@ -1,22 +1,27 @@
-//! An H-Store-style parallel main-memory OLTP engine under discrete-event
-//! simulated time.
+//! An H-Store-style parallel main-memory OLTP engine, runnable two ways:
+//! under discrete-event simulated time ([`Simulation`]) and as a live
+//! multi-threaded server ([`LiveRuntime`], [`runtime`]).
 //!
 //! Architecture (paper §2, Fig. 1): a cluster of shared-nothing nodes, each
 //! hosting single-threaded execution engines with exclusive access to one
 //! data partition. Clients invoke pre-defined stored procedures; procedures
 //! submit *batches* of parameterized queries and block on their results.
 //!
-//! Everything behavioural is real — queries read and write rows in
+//! Everything behavioural is real in both — queries read and write rows in
 //! [`storage::Database`], partition locks are acquired and released, undo
 //! logs roll back aborts, two-phase commit coordinates distributed
 //! transactions, and the early-prepare/speculative-execution optimizations
-//! (OP4) change when partitions become available. Only *time* is simulated:
-//! a calibrated cost model ([`cost::CostModel`]) charges CPU and network
-//! microseconds, which makes every throughput experiment in the paper
-//! reproducible deterministically on one machine (see DESIGN.md §1 for the
-//! substitution argument).
+//! (OP4) change when partitions become available. The simulator replaces
+//! only *time*: a calibrated cost model ([`cost::CostModel`]) charges CPU
+//! and network microseconds, which makes every throughput experiment in the
+//! paper reproducible deterministically on one machine (see DESIGN.md §1
+//! for the substitution argument). The live runtime runs the same
+//! architecture on real threads — one worker per partition, lock-free
+//! client lanes, a sharded lock manager, real 2PC — with optional command
+//! logging, snapshots, and crash recovery ([`durability`]; DESIGN.md §4, §7).
 //!
-//! The pluggable [`advisor::TxnAdvisor`] decides, per transaction, the base
+//! The pluggable [`advisor::TxnAdvisor`] (simulator) and
+//! [`advisor::LiveAdvisor`] (live runtime) decide, per transaction, the base
 //! partition (OP1), the lock set (OP2), whether to run without undo logging
 //! (OP3), and when partitions are finished (OP4). The baseline advisors from
 //! the paper's evaluation live in [`baselines`]; the Houdini advisor lives in

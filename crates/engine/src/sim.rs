@@ -594,18 +594,6 @@ impl<'a> Simulation<'a> {
                             Bucket::Coordination,
                             msgs + self.costs.twopc_cpu_us,
                         );
-                        #[cfg(feature = "sim-debug")]
-                        {
-                            let unreleased = lock_set.len() as usize - 1 - released.len();
-                            if unreleased > 8 {
-                                eprintln!(
-                                    "SIMDBG proc={proc} lock={} released={} held={} t0={t0:.0} t_commit={t_commit:.0}",
-                                    lock_set.len(),
-                                    released.len(),
-                                    held.len()
-                                );
-                            }
-                        }
                         // Close speculation windows on early-released
                         // partitions: speculative work there becomes final
                         // once we commit.

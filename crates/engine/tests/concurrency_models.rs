@@ -27,7 +27,7 @@ fn assert_pass(report: &Report, what: &str) {
 
 // ===========================================================================
 // 1. Sharded lock manager: ticket FIFO + ascending-partition claim order
-//    (mirrors LockManager::acquire/release in engine/src/runtime.rs)
+//    (mirrors LockManager::acquire/release in engine/src/runtime/lock.rs)
 // ===========================================================================
 
 struct ShardQueue {

@@ -18,19 +18,15 @@
 //! * `snaplog` — phase-1 traffic, snapshot, phase-2 traffic, crash
 //!   (recovery restores the snapshot *and* replays phase 2).
 //!
-//! The phase sizes below are mirrored by `tests/recovery.rs`; keep them
-//! in sync.
+//! Cluster shape, phase sizes, and the (write-disjoint) client streams
+//! come from [`predictive_oltp::crash_plan`], which the test shares.
 
 use engine::baselines::{AssumeDistributed, AssumeSinglePartition};
 use engine::{DurabilityConfig, LiveAdvisor, LiveConfig, LiveRuntime};
+use predictive_oltp::crash_plan::{client_stream, CLIENTS, PARTS, PHASE1, PHASE2};
 use std::path::Path;
 use std::sync::Barrier;
 use workloads::Bench;
-
-const PARTS: u32 = 2;
-const CLIENTS: u64 = 4;
-const PHASE1: u64 = 150;
-const PHASE2: u64 = 100;
 
 fn drive<A: LiveAdvisor + 'static>(advisor: A, dir: &Path, mode: &str, seed: u64) -> ! {
     let db = Bench::Tatp.database(PARTS);
@@ -49,15 +45,15 @@ fn drive<A: LiveAdvisor + 'static>(advisor: A, dir: &Path, mode: &str, seed: u64
             let mut client = rt.client();
             let barrier = &barrier;
             s.spawn(move || {
-                let mut gen = Bench::Tatp.client_generator(PARTS, seed, c);
+                let mut next = client_stream(seed, c);
                 for _ in 0..PHASE1 {
-                    let (proc, args) = gen.next_request(client.id());
+                    let (proc, args) = next();
                     client.call(proc, args).expect("phase-1 call");
                 }
                 barrier.wait();
                 barrier.wait();
                 for _ in 0..phase2 {
-                    let (proc, args) = gen.next_request(client.id());
+                    let (proc, args) = next();
                     client.call(proc, args).expect("phase-2 call");
                 }
             });

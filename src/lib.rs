@@ -12,6 +12,8 @@
 //! documentation for details, `DESIGN.md` for the system inventory and the
 //! experiment index, and `EXPERIMENTS.md` for the paper-vs-measured record.
 
+pub mod crash_plan;
+
 pub use common;
 pub use engine;
 pub use houdini;
