@@ -8,9 +8,10 @@
 //!   entry in `crates/xtask/ordering_allowlist.txt`. Stale allowlist
 //!   entries fail too, so the list always mirrors the tree.
 //! * **ascending-locks** — `LockManager::acquire` in
-//!   `engine/src/runtime/lock.rs` claims partitions via `for p in set.iter()` (ascending by
-//!   construction) and its body contains no reversal (`.rev()` /
-//!   `Reverse`); deadlock-freedom rests on this order.
+//!   `engine/src/runtime/lock.rs` claims partitions via
+//!   `for p in set.iter()` (ascending by construction) and its body
+//!   contains no reversal (`.rev()` / `Reverse`); deadlock-freedom rests
+//!   on this order.
 //! * **facade-purity** — modules ported to `common::sync` (`epoch.rs`,
 //!   everything under `engine/src/runtime/`) must not name `std::sync`
 //!   outside `#[cfg(test)]`: a stray std type would silently bypass the

@@ -34,7 +34,7 @@ pub fn client_stream(seed: u64, c: u64) -> impl FnMut() -> (ProcId, Vec<Value>) 
     let mut gen = Bench::Tatp.client_generator(PARTS, seed, c);
     move || loop {
         let (proc, args) = gen.next_request(c);
-        if subscriber(&args).rem_euclid(CLIENTS as i64) == c as i64 {
+        if subscriber(&args) % CLIENTS == c {
             return (proc, args);
         }
     }
@@ -42,9 +42,9 @@ pub fn client_stream(seed: u64, c: u64) -> impl FnMut() -> (ProcId, Vec<Value>) 
 
 /// The subscriber a TATP request addresses: always its first argument,
 /// as `s_id` or as the `NBR`-prefixed subscriber number.
-fn subscriber(args: &[Value]) -> i64 {
+fn subscriber(args: &[Value]) -> u64 {
     match &args[0] {
-        Value::Int(s_id) => *s_id,
+        Value::Int(s_id) => u64::try_from(*s_id).expect("subscriber ids are non-negative"),
         Value::Str(nbr) => nbr[3..].parse().expect("NBR-prefixed subscriber number"),
         other => panic!("TATP request keyed by {other:?}"),
     }
@@ -59,7 +59,7 @@ mod tests {
         for c in 0..CLIENTS {
             let mut next = client_stream(417, c);
             for _ in 0..200 {
-                assert_eq!(subscriber(&next().1) % CLIENTS as i64, c as i64);
+                assert_eq!(subscriber(&next().1) % CLIENTS, c);
             }
         }
     }
