@@ -123,14 +123,10 @@ fn ablation_mapping_threshold(c: &mut Criterion) {
 fn ablation_early_prepare(c: &mut Criterion) {
     // Throughput with and without OP4, using the oracle so prediction
     // accuracy is not a confound.
-    let with = {
-        let mut o = Oracle::new();
-        run_sim(Bench::Tatp, 8, &mut o, Scale::Quick, 7).0.throughput_tps()
-    };
-    let without = {
-        let mut o = Oracle::without_early_prepare();
-        run_sim(Bench::Tatp, 8, &mut o, Scale::Quick, 7).0.throughput_tps()
-    };
+    let with = run_sim(Bench::Tatp, 8, &Oracle::new(), Scale::Quick, 7).0.throughput_tps();
+    let without = run_sim(Bench::Tatp, 8, &Oracle::without_early_prepare(), Scale::Quick, 7)
+        .0
+        .throughput_tps();
     println!(
         "# ablation_early_prepare (TATP, 8 partitions, oracle): \
          with OP4 = {with:.0} txn/s, without = {without:.0} txn/s"
@@ -138,10 +134,7 @@ fn ablation_early_prepare(c: &mut Criterion) {
     let mut group = c.benchmark_group("ablation_early_prepare");
     group.sample_size(10);
     group.bench_function("tatp_oracle_with_op4", |b| {
-        b.iter(|| {
-            let mut o = Oracle::new();
-            black_box(run_sim(Bench::Tatp, 8, &mut o, Scale::Quick, 7).0.committed)
-        })
+        b.iter(|| black_box(run_sim(Bench::Tatp, 8, &Oracle::new(), Scale::Quick, 7).0.committed))
     });
     group.finish();
 }

@@ -21,7 +21,7 @@ fn fig3_motivating(c: &mut Criterion) {
         b.iter(|| {
             let mut db = Bench::Tpcc.database(4);
             let reg = Bench::Tpcc.registry();
-            let mut advisor = Oracle::new();
+            let advisor = Oracle::new();
             let mut gen = new_order_generator(4, 11);
             let cfg = engine::SimConfig {
                 num_partitions: 4,
@@ -32,7 +32,7 @@ fn fig3_motivating(c: &mut Criterion) {
             let sim = engine::Simulation::new(
                 &mut db,
                 &reg,
-                &mut advisor,
+                &advisor,
                 &mut gen,
                 engine::CostModel::default(),
                 cfg,
@@ -128,18 +128,18 @@ fn fig12_throughput(c: &mut Criterion) {
     println!("{}", run_experiment("fig11", Scale::Quick));
     println!("{}", run_experiment("table4", Scale::Quick));
     println!("{}", run_experiment("fig12", Scale::Quick));
-    let mut houdini = trained_houdini(Bench::Tatp, 8, 1200, true, 0.5, 31);
+    let houdini = trained_houdini(Bench::Tatp, 8, 1200, true, 0.5, 31);
     c.bench_function("fig12/tatp_houdini_sim_8p", |b| {
-        b.iter(|| black_box(run_sim(Bench::Tatp, 8, &mut houdini, Scale::Quick, 37).0.committed))
+        b.iter(|| black_box(run_sim(Bench::Tatp, 8, &houdini, Scale::Quick, 37).0.committed))
     });
 }
 
 /// Fig. 13 kernel: threshold sensitivity (prints the sweep, times one run).
 fn fig13_confidence(c: &mut Criterion) {
     println!("{}", run_experiment("fig13", Scale::Quick));
-    let mut houdini = trained_houdini(Bench::Tpcc, 8, 1200, true, 0.0, 41);
+    let houdini = trained_houdini(Bench::Tpcc, 8, 1200, true, 0.0, 41);
     c.bench_function("fig13/tpcc_houdini_sim_threshold0", |b| {
-        b.iter(|| black_box(run_sim(Bench::Tpcc, 8, &mut houdini, Scale::Quick, 43).0.committed))
+        b.iter(|| black_box(run_sim(Bench::Tpcc, 8, &houdini, Scale::Quick, 43).0.committed))
     });
     let _: u64 = {
         // keep the generator helper linked

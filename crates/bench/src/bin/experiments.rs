@@ -2,8 +2,10 @@
 //!
 //! Usage: `experiments [--full] <id>...` where ids are `fig3 fig4 fig5 fig7
 //! fig8 fig9 fig10 table3 fig11 table4 fig12 fig13 live live-latency
-//! live-drift live-profile check-live-profile` or `all`. `--full` uses the
-//! larger trace sizes
+//! live-drift live-profile live-durability check-live-profile
+//! check-dist-profile check-durability` or `all` (the list is
+//! `bench::experiments::EXPERIMENTS`; an unknown id prints the usage and
+//! exits 2 before anything runs). `--full` uses the larger trace sizes
 //! and longer simulated windows recorded in EXPERIMENTS.md; the default
 //! quick scale finishes in seconds per experiment. `live` measures real
 //! wall-clock throughput on the multi-threaded partition runtime instead of
@@ -12,22 +14,29 @@
 //! sweep; `live-drift` measures on-line model maintenance (§4.5) under a
 //! mid-run TATP skew flip; `live-profile` measures the live Fig. 11
 //! per-stage wall-clock breakdown (estimation / execution / coordination /
-//! queueing); `check-live-profile` is the CI smoke gate that fails (exits
-//! nonzero) if the 1-worker TATP coordination share regresses to the
-//! pre-SPSC-lane level.
+//! queueing); `live-durability` measures the command log's overhead
+//! (DESIGN.md §7). The `check-*` ids are the CI smoke gates, which fail
+//! (exit nonzero) on a regression: `check-live-profile` if the 1-worker
+//! TATP coordination share regresses to the pre-SPSC-lane level,
+//! `check-dist-profile` if 2-worker TATP throughput drops under its floor
+//! or the commit/abort counts drift, `check-durability` if command logging
+//! costs more than 10% of the no-logging rate.
 
-use bench::experiments::run_experiment;
+use bench::experiments::{run_experiment, EXPERIMENTS};
 use bench::Scale;
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let full = args.iter().any(|a| a == "--full");
     let scale = if full { Scale::Full } else { Scale::Quick };
-    let ids: Vec<&String> = args.iter().filter(|a| !a.starts_with("--")).collect();
-    if ids.is_empty() {
-        eprintln!(
-            "usage: experiments [--full] <fig3|fig4|fig5|fig7|fig8|fig9|fig10|table3|fig11|table4|fig12|fig13|live|live-latency|live-drift|live-profile|check-live-profile|all>..."
-        );
+    let ids: Vec<&str> = args.iter().map(String::as_str).filter(|a| !a.starts_with("--")).collect();
+    let known = |id: &str| EXPERIMENTS.iter().any(|(name, _)| *name == id);
+    if ids.is_empty() || !ids.iter().all(|id| known(id)) {
+        for id in ids.iter().filter(|id| !known(id)) {
+            eprintln!("unknown experiment id: {id}");
+        }
+        let names: Vec<&str> = EXPERIMENTS.iter().map(|(name, _)| *name).collect();
+        eprintln!("usage: experiments [--full] <{}>...", names.join("|"));
         std::process::exit(2);
     }
     for id in ids {

@@ -9,8 +9,8 @@ use crate::setup::{
 use common::{derive_seed, Value};
 use engine::baselines::{AssumeDistributed, AssumeSinglePartition, Oracle};
 use engine::{
-    Bucket, CoordSub, CostModel, DurabilityConfig, LiveConfig, LiveRuntime, RequestGenerator,
-    RunMetrics, Simulation, TxnAdvisor,
+    Bucket, CoordSub, CostModel, DurabilityConfig, LiveAdvisor, LiveConfig, LiveRuntime,
+    RequestGenerator, RunMetrics, Simulation,
 };
 use houdini::{
     evaluate_accuracy, train, AccuracyReport, CatalogRule, Houdini, HoudiniConfig, ModelSet,
@@ -55,6 +55,15 @@ fn new_order_trace(parts: u32, n: usize, seed: u64) -> (engine::Catalog, trace::
 /// Fig. 3 — NewOrder throughput vs partitions under the three §2.1
 /// execution strategies.
 pub fn fig3(scale: Scale) -> String {
+    fn tps<A: LiveAdvisor>(parts: u32, scale: Scale, advisor: &A) -> f64 {
+        let mut db = Bench::Tpcc.database(parts);
+        let reg = Bench::Tpcc.registry();
+        let mut gen = new_order_generator(parts, 11);
+        let cfg = sim_config(parts, scale, 17);
+        let sim = Simulation::new(&mut db, &reg, advisor, &mut gen, CostModel::default(), cfg);
+        let (m, _) = sim.run().expect("fig3 sim");
+        m.throughput_tps()
+    }
     let mut out = String::new();
     let _ = writeln!(
         out,
@@ -62,38 +71,13 @@ pub fn fig3(scale: Scale) -> String {
          parts  proper-selection  assume-single-partition  assume-distributed"
     );
     for parts in CLUSTER_SIZES {
-        let mut row = format!("{parts:5}");
-        for advisor_id in 0..3 {
-            let tps = {
-                let mut db = Bench::Tpcc.database(parts);
-                let reg = Bench::Tpcc.registry();
-                let mut gen = new_order_generator(parts, 11);
-                let cfg = sim_config(parts, scale, 17);
-                let mut oracle;
-                let mut asp;
-                let mut adist;
-                let advisor: &mut dyn TxnAdvisor = match advisor_id {
-                    0 => {
-                        oracle = Oracle::new();
-                        &mut oracle
-                    }
-                    1 => {
-                        asp = AssumeSinglePartition::new();
-                        &mut asp
-                    }
-                    _ => {
-                        adist = AssumeDistributed::new();
-                        &mut adist
-                    }
-                };
-                let sim =
-                    Simulation::new(&mut db, &reg, advisor, &mut gen, CostModel::default(), cfg);
-                let (m, _) = sim.run().expect("fig3 sim");
-                m.throughput_tps()
-            };
-            let _ = write!(row, "  {tps:16.0}");
-        }
-        let _ = writeln!(out, "{row}");
+        let _ = writeln!(
+            out,
+            "{parts:5}  {:16.0}  {:16.0}  {:16.0}",
+            tps(parts, scale, &Oracle::new()),
+            tps(parts, scale, &AssumeSinglePartition::new()),
+            tps(parts, scale, &AssumeDistributed::new()),
+        );
     }
     out
 }
@@ -333,8 +317,8 @@ pub fn fig11(scale: Scale) -> String {
          proc                      estim   exec   plan  coord  queue  other\n",
     );
     for bench in Bench::ALL {
-        let mut houdini = trained_houdini(bench, parts, scale.trace_len(), true, 0.5, 31);
-        let (_, profiler) = run_sim(bench, parts, &mut houdini, scale, 37);
+        let houdini = trained_houdini(bench, parts, scale.trace_len(), true, 0.5, 31);
+        let (_, profiler) = run_sim(bench, parts, &houdini, scale, 37);
         let catalog = bench.registry().catalog();
         for proc in profiler.procs() {
             let name = &catalog.proc(proc).name;
@@ -373,8 +357,8 @@ pub fn table4(scale: Scale) -> String {
          proc                       OP1     OP2     OP3     OP4   est(ms)\n",
     );
     for bench in Bench::ALL {
-        let mut houdini = trained_houdini(bench, parts, scale.trace_len(), true, 0.5, 41);
-        let (metrics, profiler) = run_sim(bench, parts, &mut houdini, scale, 43);
+        let houdini = trained_houdini(bench, parts, scale.trace_len(), true, 0.5, 41);
+        let (metrics, profiler) = run_sim(bench, parts, &houdini, scale, 43);
         let catalog = bench.registry().catalog();
         let mut procs: Vec<u32> = metrics.ops.keys().copied().collect();
         procs.sort_unstable();
@@ -411,16 +395,16 @@ pub fn fig12(scale: Scale) -> String {
     for bench in Bench::ALL {
         for parts in CLUSTER_SIZES {
             let tps_part = {
-                let mut h = trained_houdini(bench, parts, scale.trace_len(), true, 0.5, 51);
-                run_sim(bench, parts, &mut h, scale, 53).0.throughput_tps()
+                let h = trained_houdini(bench, parts, scale.trace_len(), true, 0.5, 51);
+                run_sim(bench, parts, &h, scale, 53).0.throughput_tps()
             };
             let tps_glob = {
-                let mut h = trained_houdini(bench, parts, scale.trace_len(), false, 0.5, 51);
-                run_sim(bench, parts, &mut h, scale, 53).0.throughput_tps()
+                let h = trained_houdini(bench, parts, scale.trace_len(), false, 0.5, 51);
+                run_sim(bench, parts, &h, scale, 53).0.throughput_tps()
             };
             let tps_asp = {
-                let mut a = AssumeSinglePartition::new();
-                run_sim(bench, parts, &mut a, scale, 53).0.throughput_tps()
+                let a = AssumeSinglePartition::new();
+                run_sim(bench, parts, &a, scale, 53).0.throughput_tps()
             };
             let _ = writeln!(
                 out,
@@ -451,8 +435,8 @@ pub fn fig13(scale: Scale) -> String {
         let preds = train(&catalog, parts, &wl, &cfg);
         for (ti, &t) in thresholds.iter().enumerate() {
             let hcfg = HoudiniConfig { threshold: t, ..Default::default() };
-            let mut h = Houdini::new(preds.clone(), catalog.clone(), parts, hcfg);
-            let (m, _) = run_sim(bench, parts, &mut h, scale, 67);
+            let h = Houdini::new(preds.clone(), catalog.clone(), parts, hcfg);
+            let (m, _) = run_sim(bench, parts, &h, scale, 67);
             let _ = write!(rows[ti], "  {:7.0}", m.throughput_tps());
         }
     }
@@ -1751,51 +1735,50 @@ pub fn check_durability(scale: Scale) -> String {
     )
 }
 
-/// Runs one experiment by id (`fig3`, `table3`, ...; `all` runs everything).
+/// Renders one experiment at the given scale.
+pub type Runner = fn(Scale) -> String;
+
+/// Every experiment id the `experiments` binary accepts, with its runner —
+/// the single list behind dispatch, `all`, and the usage text.
+pub const EXPERIMENTS: &[(&str, Runner)] = &[
+    ("fig3", fig3),
+    ("fig4", |_| fig4()),
+    ("fig5", |_| fig5()),
+    ("fig7", |_| fig7()),
+    ("fig8", |_| fig8()),
+    ("fig9", |_| fig9()),
+    ("fig10", |_| fig10()),
+    ("table3", table3),
+    ("fig11", fig11),
+    ("table4", table4),
+    ("fig12", fig12),
+    ("fig13", fig13),
+    ("live", live),
+    ("live-latency", live_latency),
+    ("live-drift", live_drift),
+    ("live-profile", live_profile),
+    ("live-durability", live_durability),
+    ("check-live-profile", check_live_profile),
+    ("check-dist-profile", check_dist_profile),
+    ("check-durability", check_durability),
+    ("all", all),
+];
+
+/// Every paper artifact plus the live measurements (`live-latency` is part
+/// of `live`; the `check-*` gates are CI-only).
+fn all(scale: Scale) -> String {
+    EXPERIMENTS
+        .iter()
+        .filter(|(id, _)| !matches!(*id, "all" | "live-latency") && !id.starts_with("check-"))
+        .map(|(_, run)| run(scale) + "\n")
+        .collect()
+}
+
+/// Dispatches an experiment by id (`fig3`, `table4`, `live`, ...).
 pub fn run_experiment(id: &str, scale: Scale) -> String {
-    match id {
-        "fig3" => fig3(scale),
-        "fig4" => fig4(),
-        "fig5" => fig5(),
-        "fig7" => fig7(),
-        "fig8" => fig8(),
-        "fig9" => fig9(),
-        "fig10" => fig10(),
-        "table3" => table3(scale),
-        "fig11" => fig11(scale),
-        "table4" => table4(scale),
-        "fig12" => fig12(scale),
-        "fig13" => fig13(scale),
-        "live" => live(scale),
-        "live-latency" => live_latency(scale),
-        "live-drift" => live_drift(scale),
-        "live-profile" => live_profile(scale),
-        "live-durability" => live_durability(scale),
-        "check-live-profile" => check_live_profile(scale),
-        "check-dist-profile" => check_dist_profile(scale),
-        "check-durability" => check_durability(scale),
-        "all" => {
-            let ids = [
-                "fig3",
-                "fig4",
-                "fig5",
-                "fig7",
-                "fig8",
-                "fig9",
-                "fig10",
-                "table3",
-                "fig11",
-                "table4",
-                "fig12",
-                "fig13",
-                "live",
-                "live-drift",
-                "live-profile",
-                "live-durability",
-            ];
-            ids.iter().map(|i| run_experiment(i, scale) + "\n").collect()
-        }
-        other => format!("unknown experiment id: {other}\n"),
+    match EXPERIMENTS.iter().find(|(name, _)| *name == id) {
+        Some((_, run)) => run(scale),
+        None => format!("unknown experiment id: {id}\n"),
     }
 }
 

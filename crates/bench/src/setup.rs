@@ -3,7 +3,7 @@
 use common::{derive_seed, ProcId, Value};
 use engine::{
     run_live, run_offline, Catalog, CostModel, LiveAdvisor, LiveConfig, Profiler, RequestGenerator,
-    RunMetrics, SimConfig, Simulation, TxnAdvisor,
+    RunMetrics, SimConfig, Simulation,
 };
 use houdini::{train, Houdini, HoudiniConfig, TrainingConfig};
 use trace::Workload;
@@ -107,10 +107,10 @@ pub fn sim_config(parts: u32, scale: Scale, seed: u64) -> SimConfig {
 }
 
 /// Runs one timed simulation of `bench` under `advisor`.
-pub fn run_sim(
+pub fn run_sim<A: LiveAdvisor>(
     bench: Bench,
     parts: u32,
-    advisor: &mut dyn TxnAdvisor,
+    advisor: &A,
     scale: Scale,
     seed: u64,
 ) -> (RunMetrics, Profiler) {
@@ -179,8 +179,7 @@ mod tests {
 
     #[test]
     fn quick_sim_runs() {
-        let mut oracle = Oracle::new();
-        let (m, _) = run_sim(Bench::Tatp, 4, &mut oracle, Scale::Quick, 5);
+        let (m, _) = run_sim(Bench::Tatp, 4, &Oracle::new(), Scale::Quick, 5);
         assert!(m.committed > 100, "committed = {}", m.committed);
     }
 

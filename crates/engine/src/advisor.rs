@@ -1,15 +1,19 @@
 //! The advisor interface: where transaction predictions enter the engine.
 //!
-//! Before a transaction starts, the engine asks its [`TxnAdvisor`] for a
-//! [`TxnPlan`] — the base partition (OP1), the partitions to lock (OP2), and
-//! whether to disable undo logging from the start (OP3). While the
-//! transaction runs, the engine reports every executed query back through
-//! [`TxnAdvisor::on_query`], and the advisor may respond with runtime
-//! updates (§4.4): disable undo logging now (OP3) or declare partitions
-//! finished so the engine can send early-prepares and begin speculative
-//! execution there (OP4).
+//! There is one contract, [`LiveAdvisor`], and both engines drive it: the
+//! live runtime from many client threads at once, the simulator from its
+//! single event loop. Before a transaction starts, the engine asks the
+//! advisor for a [`TxnPlan`] — the base partition (OP1), the partitions to
+//! lock (OP2), and whether to disable undo logging from the start (OP3) —
+//! plus a per-transaction session. While the transaction runs, the engine
+//! reports every executed query back through
+//! [`LiveAdvisor::on_query_live`], and the advisor may respond with
+//! runtime updates (§4.4): disable undo logging now (OP3) or declare
+//! partitions finished so the engine can send early-prepares and begin
+//! speculative execution there (OP4). Tearing the session down yields the
+//! [`TxnFeedback`] that on-line maintenance (§4.5) learns from.
 //!
-//! The paper's baselines implement this trait in [`crate::baselines`];
+//! The paper's baselines implement the trait in [`crate::baselines`];
 //! Houdini implements it in the `houdini` crate.
 
 use crate::catalog::Catalog;
@@ -89,22 +93,6 @@ pub struct Updates {
     pub cost_us: f64,
 }
 
-/// What the advisor can see when planning: the catalog, the registry, the
-/// live database (the Oracle dry-runs against it), and the cluster size.
-pub struct PlanEnv<'a> {
-    /// The live database.
-    pub db: &'a mut Database,
-    /// Procedure implementations.
-    pub registry: &'a ProcedureRegistry,
-    /// Procedure/query metadata.
-    pub catalog: &'a Catalog,
-    /// Number of partitions in the cluster.
-    pub num_partitions: u32,
-    /// Random value in `[0, num_partitions)` the advisor may use for
-    /// random-placement policies; pre-drawn so advisors stay deterministic.
-    pub random_local_partition: PartitionId,
-}
-
 /// How a transaction finished, reported back to the advisor.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TxnOutcome {
@@ -120,9 +108,10 @@ pub enum TxnOutcome {
     Mispredicted,
 }
 
-/// Structured per-transaction path feedback handed back from live session
-/// teardown ([`LiveAdvisor::on_end_live`]) and shipped over the runtime's
-/// bounded feedback channel to the maintenance thread (§4.5).
+/// Structured per-transaction path feedback handed back from session
+/// teardown ([`LiveAdvisor::end_live_reclaim`]) to the advisor's
+/// [`LiveMaintainer`] (§4.5) — over the live runtime's bounded feedback
+/// channel, or directly in the simulator.
 #[derive(Debug, Clone)]
 pub struct TxnFeedback {
     /// Procedure executed.
@@ -147,11 +136,12 @@ pub struct TxnFeedback {
     pub predicted: PartitionSet,
 }
 
-/// Background on-line model maintenance (§4.5), owned by the live
-/// runtime's maintenance thread. [`crate::LiveRuntime`] obtains one from
-/// [`LiveAdvisor::maintainer`], feeds it every [`TxnFeedback`] record the
-/// clients emit (in channel-arrival order), and collects the final report
-/// at shutdown. The maintainer may publish new model epochs at any point;
+/// On-line model maintenance (§4.5). The engine obtains one maintainer
+/// from [`LiveAdvisor::maintainer`], feeds it every [`TxnFeedback`] record
+/// session teardown emits, and collects the final report when the run ends:
+/// [`crate::LiveRuntime`] does so on a background thread (records in
+/// channel-arrival order), [`crate::Simulation`] synchronously (records in
+/// issue order). The maintainer may publish new model epochs at any point;
 /// in-flight transactions keep the snapshot they planned with.
 pub trait LiveMaintainer: Send {
     /// Consumes one feedback record, possibly recomputing stale models and
@@ -162,10 +152,11 @@ pub trait LiveMaintainer: Send {
     fn report(&self) -> MaintenanceReport;
 }
 
-/// What a *live* advisor can see when planning. Unlike [`PlanEnv`] there is
-/// no database handle: in the live runtime the storage shards are owned by
-/// the worker threads, so planning must depend only on immutable, shared
-/// state (catalog, trained models) plus the request itself.
+/// What an advisor can see when planning. There is no database handle: in
+/// the live runtime the storage shards are owned by the worker threads, so
+/// planning must depend only on immutable, shared state (catalog, trained
+/// models) plus the request itself. (The simulator, which does own its
+/// database, lends it through [`LiveAdvisor::plan_with_database`].)
 #[derive(Debug, Clone, Copy)]
 pub struct PlanContext<'a> {
     /// Procedure/query metadata.
@@ -178,25 +169,25 @@ pub struct PlanContext<'a> {
     pub random_local_partition: PartitionId,
 }
 
-/// The thread-safe prediction interface of the live runtime.
+/// The prediction interface, thread-safe by construction.
 ///
-/// This is the split plan/feedback form of [`TxnAdvisor`]: the advisor
-/// itself is shared immutably across every client and worker thread
-/// (`&self`, `Sync`), and all per-transaction scratch state lives in an
-/// explicit [`LiveAdvisor::Session`] value that travels with the
+/// The advisor itself is shared immutably across every client and worker
+/// thread (`&self`, `Sync`), and all per-transaction scratch state lives in
+/// an explicit [`LiveAdvisor::Session`] value that travels with the
 /// transaction — to the owning worker for single-partition work, or staying
 /// with the coordinator for distributed work. A trained advisor therefore
-/// serves the whole cluster concurrently without locks.
+/// serves the whole cluster concurrently without locks, and the
+/// single-threaded simulator drives the very same calls.
 ///
 /// On-line model maintenance (§4.5) runs *beside* traffic rather than
 /// inside it: session teardown returns structured [`TxnFeedback`], the
-/// runtime ships it over a bounded channel to a background maintenance
-/// thread driving the advisor's [`LiveMaintainer`], and the maintainer
-/// publishes rebuilt models as new epochs that fresh transactions pick up
-/// (epoch-swapped advisor state; see DESIGN.md §5).
+/// engine hands it to the advisor's [`LiveMaintainer`] (the live runtime
+/// over a bounded channel to a background thread, the simulator inline),
+/// and the maintainer publishes rebuilt models as new epochs that fresh
+/// transactions pick up (epoch-swapped advisor state; see DESIGN.md §5).
 pub trait LiveAdvisor: Send + Sync {
-    /// Per-transaction scratch state carried between `plan_live`,
-    /// `on_query_live`, and `on_end_live`. Sessions travel to worker
+    /// Per-transaction scratch state carried from planning through
+    /// `on_query_live` to `end_live_reclaim`. Sessions travel to worker
     /// threads owned by a [`crate::LiveRuntime`], so they must be
     /// self-contained (`'static`): anything borrowed from the advisor has
     /// to ride in an `Arc` snapshot instead of a reference.
@@ -205,16 +196,44 @@ pub trait LiveAdvisor: Send + Sync {
     /// Advisor name for reports.
     fn name(&self) -> &str;
 
-    /// Produces the initial plan and session for a new request.
-    fn plan_live(&self, req: &Request, ctx: &PlanContext<'_>) -> (TxnPlan, Self::Session);
+    /// Produces the initial plan and session for a new request. `spare` is
+    /// a session reclaimed by [`LiveAdvisor::end_live_reclaim`] from an
+    /// earlier transaction of the *same procedure* on the *same client*
+    /// (`None` when the caller keeps no cache). Advisors with
+    /// allocation-heavy sessions graft the spare's already-sized buffers
+    /// into the fresh session; the rest drop it. Implementations must not
+    /// let any stale prediction state survive the graft — only raw
+    /// capacity (maps, vectors) may be reused.
+    fn plan_live_reusing(
+        &self,
+        req: &Request,
+        ctx: &PlanContext<'_>,
+        spare: Option<Self::Session>,
+    ) -> (TxnPlan, Self::Session);
+
+    /// [`LiveAdvisor::plan_live_reusing`] for an engine that can lend the
+    /// advisor its database — the simulator, which owns all storage on one
+    /// thread. Only an advisor that needs ground truth
+    /// ([`crate::baselines::Oracle`]) overrides this; the default plans
+    /// exactly as the live runtime would.
+    fn plan_with_database(
+        &self,
+        req: &Request,
+        ctx: &PlanContext<'_>,
+        _db: &mut Database,
+        _registry: &ProcedureRegistry,
+    ) -> (TxnPlan, Self::Session) {
+        self.plan_live_reusing(req, ctx, None)
+    }
 
     /// Observes one executed query; returns runtime updates. Default: none.
     fn on_query_live(&self, _session: &mut Self::Session, _q: &ExecutedQuery) -> Updates {
         Updates::default()
     }
 
-    /// Produces a new plan after a mispredict abort (same contract as
-    /// [`TxnAdvisor::replan`]).
+    /// Produces a new plan after a mispredict abort. `observed` is the union
+    /// of partitions the transaction touched (or tried to touch) before
+    /// aborting; `attempt` counts restarts so far (first restart = 1).
     fn replan_live(
         &self,
         req: &Request,
@@ -223,48 +242,22 @@ pub trait LiveAdvisor: Send + Sync {
         ctx: &PlanContext<'_>,
     ) -> (TxnPlan, Self::Session);
 
-    /// Transaction (or mispredicted attempt) finished; the session is
-    /// handed back for disposal and may yield structured path feedback for
-    /// the maintenance thread. Default: nothing to learn.
-    fn on_end_live(&self, _session: Self::Session, _outcome: TxnOutcome) -> Option<TxnFeedback> {
-        None
-    }
-
-    /// Like [`LiveAdvisor::plan_live`], but offered a `spare` session
-    /// reclaimed by [`LiveAdvisor::end_live_reclaim`] from an earlier
-    /// transaction of the *same procedure* on the *same client*. Advisors
-    /// with allocation-heavy sessions override this to graft the spare's
-    /// already-sized buffers into the fresh session; the default drops the
-    /// spare and plans from scratch. Implementations must not let any
-    /// stale prediction state survive the graft — only raw capacity
-    /// (maps, vectors) may be reused.
-    fn plan_live_reusing(
-        &self,
-        req: &Request,
-        ctx: &PlanContext<'_>,
-        spare: Option<Self::Session>,
-    ) -> (TxnPlan, Self::Session) {
-        drop(spare);
-        self.plan_live(req, ctx)
-    }
-
-    /// Session teardown with scratch reclamation: returns exactly what
-    /// [`LiveAdvisor::on_end_live`] would, plus (optionally) the spent
-    /// session so the calling client can cache it and hand it back to the
-    /// next [`LiveAdvisor::plan_live_reusing`] for the same procedure.
-    /// The default preserves the consume-only contract and reclaims
-    /// nothing.
+    /// Session teardown: the transaction (or mispredicted attempt)
+    /// finished. May yield structured path feedback for the maintainer,
+    /// and may hand the spent session back so the caller can cache it for
+    /// the next [`LiveAdvisor::plan_live_reusing`] of the same procedure.
+    /// Default: nothing to learn, nothing to reclaim.
     fn end_live_reclaim(
         &self,
-        session: Self::Session,
-        outcome: TxnOutcome,
+        _session: Self::Session,
+        _outcome: TxnOutcome,
     ) -> (Option<TxnFeedback>, Option<Self::Session>) {
-        (self.on_end_live(session, outcome), None)
+        (None, None)
     }
 
-    /// The advisor's background maintenance driver, if it learns from live
-    /// feedback. Called once per [`crate::run_live`]; `None` (the default)
-    /// disables the feedback channel and maintenance thread entirely.
+    /// The advisor's maintenance driver, if it learns from feedback.
+    /// Called once per run; `None` (the default) disables the feedback
+    /// path (and the live runtime's maintenance thread) entirely.
     fn maintainer(&self) -> Option<Box<dyn LiveMaintainer + '_>> {
         None
     }
@@ -281,8 +274,23 @@ impl<A: LiveAdvisor> LiveAdvisor for std::sync::Arc<A> {
         (**self).name()
     }
 
-    fn plan_live(&self, req: &Request, ctx: &PlanContext<'_>) -> (TxnPlan, Self::Session) {
-        (**self).plan_live(req, ctx)
+    fn plan_live_reusing(
+        &self,
+        req: &Request,
+        ctx: &PlanContext<'_>,
+        spare: Option<Self::Session>,
+    ) -> (TxnPlan, Self::Session) {
+        (**self).plan_live_reusing(req, ctx, spare)
+    }
+
+    fn plan_with_database(
+        &self,
+        req: &Request,
+        ctx: &PlanContext<'_>,
+        db: &mut Database,
+        registry: &ProcedureRegistry,
+    ) -> (TxnPlan, Self::Session) {
+        (**self).plan_with_database(req, ctx, db, registry)
     }
 
     fn on_query_live(&self, session: &mut Self::Session, q: &ExecutedQuery) -> Updates {
@@ -299,19 +307,6 @@ impl<A: LiveAdvisor> LiveAdvisor for std::sync::Arc<A> {
         (**self).replan_live(req, observed, attempt, ctx)
     }
 
-    fn on_end_live(&self, session: Self::Session, outcome: TxnOutcome) -> Option<TxnFeedback> {
-        (**self).on_end_live(session, outcome)
-    }
-
-    fn plan_live_reusing(
-        &self,
-        req: &Request,
-        ctx: &PlanContext<'_>,
-        spare: Option<Self::Session>,
-    ) -> (TxnPlan, Self::Session) {
-        (**self).plan_live_reusing(req, ctx, spare)
-    }
-
     fn end_live_reclaim(
         &self,
         session: Self::Session,
@@ -323,36 +318,6 @@ impl<A: LiveAdvisor> LiveAdvisor for std::sync::Arc<A> {
     fn maintainer(&self) -> Option<Box<dyn LiveMaintainer + '_>> {
         (**self).maintainer()
     }
-}
-
-/// The prediction interface. One advisor instance serves a whole simulation;
-/// the simulator processes one transaction at a time, so the advisor may
-/// keep per-transaction scratch state between `plan` and `on_query` calls.
-pub trait TxnAdvisor {
-    /// Advisor name for reports.
-    fn name(&self) -> &str;
-
-    /// Produces the initial plan for a new request.
-    fn plan(&mut self, req: &Request, env: &mut PlanEnv<'_>) -> TxnPlan;
-
-    /// Observes one executed query; returns runtime updates. Default: none.
-    fn on_query(&mut self, _q: &ExecutedQuery) -> Updates {
-        Updates::default()
-    }
-
-    /// Produces a new plan after a mispredict abort. `observed` is the union
-    /// of partitions the transaction touched (or tried to touch) before
-    /// aborting; `attempt` counts restarts so far (first restart = 1).
-    fn replan(
-        &mut self,
-        req: &Request,
-        observed: PartitionSet,
-        attempt: u32,
-        env: &mut PlanEnv<'_>,
-    ) -> TxnPlan;
-
-    /// Transaction finished; advisor may update internal models.
-    fn on_end(&mut self, _outcome: TxnOutcome) {}
 }
 
 #[cfg(test)]

@@ -8,12 +8,15 @@
 //!   "Assume Single-Partition").
 //! * [`Oracle`] — the client tells the DBMS exactly which partitions each
 //!   request needs and whether it aborts (Fig. 3's "Proper Selection", the
-//!   best case). It dry-runs the procedure against the live database, which
-//!   in the deterministic simulator yields ground truth.
+//!   best case). It dry-runs the procedure against the database the
+//!   simulator lends it, which in the deterministic simulator yields ground
+//!   truth.
 
-use crate::advisor::{LiveAdvisor, PlanContext, PlanEnv, Request, TxnAdvisor, TxnPlan, Updates};
+use crate::advisor::{LiveAdvisor, PlanContext, Request, TxnPlan, Updates};
 use crate::exec::{run_offline, ExecutedQuery};
+use crate::procedure::ProcedureRegistry;
 use common::{FxHashMap, PartitionId, PartitionSet};
+use storage::Database;
 
 /// Locks every partition for every transaction.
 #[derive(Debug, Default)]
@@ -26,26 +29,6 @@ impl AssumeDistributed {
     }
 }
 
-impl TxnAdvisor for AssumeDistributed {
-    fn name(&self) -> &str {
-        "assume-distributed"
-    }
-
-    fn plan(&mut self, _req: &Request, env: &mut PlanEnv<'_>) -> TxnPlan {
-        TxnPlan::lock_all(env.random_local_partition, env.num_partitions)
-    }
-
-    fn replan(
-        &mut self,
-        _req: &Request,
-        _observed: PartitionSet,
-        _attempt: u32,
-        env: &mut PlanEnv<'_>,
-    ) -> TxnPlan {
-        TxnPlan::lock_all(env.random_local_partition, env.num_partitions)
-    }
-}
-
 impl LiveAdvisor for AssumeDistributed {
     type Session = ();
 
@@ -53,7 +36,12 @@ impl LiveAdvisor for AssumeDistributed {
         "assume-distributed"
     }
 
-    fn plan_live(&self, _req: &Request, ctx: &PlanContext<'_>) -> (TxnPlan, ()) {
+    fn plan_live_reusing(
+        &self,
+        _req: &Request,
+        ctx: &PlanContext<'_>,
+        _spare: Option<()>,
+    ) -> (TxnPlan, ()) {
         (TxnPlan::lock_all(ctx.random_local_partition, ctx.num_partitions), ())
     }
 
@@ -83,8 +71,7 @@ impl AssumeSinglePartition {
     }
 }
 
-/// The DB2-style escalation policy (§2.1) shared by the simulated-time and
-/// live assume-single-partition advisors: a transaction that touched one
+/// The DB2-style escalation policy (§2.1): a transaction that touched one
 /// other partition is redirected there; one that touched several is
 /// restarted locking the partitions it tried to access, escalating to
 /// lock-all after repeated violations.
@@ -112,26 +99,6 @@ fn asp_escalation(
     }
 }
 
-impl TxnAdvisor for AssumeSinglePartition {
-    fn name(&self) -> &str {
-        "assume-single-partition"
-    }
-
-    fn plan(&mut self, _req: &Request, env: &mut PlanEnv<'_>) -> TxnPlan {
-        TxnPlan::single(env.random_local_partition)
-    }
-
-    fn replan(
-        &mut self,
-        _req: &Request,
-        observed: PartitionSet,
-        attempt: u32,
-        env: &mut PlanEnv<'_>,
-    ) -> TxnPlan {
-        asp_escalation(observed, attempt, env.random_local_partition, env.num_partitions)
-    }
-}
-
 impl LiveAdvisor for AssumeSinglePartition {
     type Session = ();
 
@@ -139,7 +106,12 @@ impl LiveAdvisor for AssumeSinglePartition {
         "assume-single-partition"
     }
 
-    fn plan_live(&self, _req: &Request, ctx: &PlanContext<'_>) -> (TxnPlan, ()) {
+    fn plan_live_reusing(
+        &self,
+        _req: &Request,
+        ctx: &PlanContext<'_>,
+        _spare: Option<()>,
+    ) -> (TxnPlan, ()) {
         (TxnPlan::single(ctx.random_local_partition), ())
     }
 
@@ -158,42 +130,69 @@ impl LiveAdvisor for AssumeSinglePartition {
 /// it touches, whether it aborts, and when it is finished with each
 /// partition. Zero estimation cost is charged, making this the upper bound
 /// the paper's Fig. 3 calls "Proper Selection".
+///
+/// Ground truth needs the database, which only the simulator can lend
+/// ([`LiveAdvisor::plan_with_database`]); asked to plan without one, the
+/// oracle knows nothing and conservatively locks every partition.
 #[derive(Debug, Default)]
 pub struct Oracle {
-    /// Per-query remaining-access plan for the in-flight transaction: entry
-    /// `i` is the set of partitions never accessed strictly after query `i`.
+    enable_early_prepare: bool,
+}
+
+/// The oracle's per-transaction finish plan.
+#[derive(Debug, Default)]
+pub struct OracleTxn {
+    /// Entry `i` is the set of partitions never accessed strictly after
+    /// query `i`.
     finish_plan: Vec<PartitionSet>,
     cursor: usize,
     base: PartitionId,
-    enable_early_prepare: bool,
 }
 
 impl Oracle {
     /// New instance.
     pub fn new() -> Self {
-        Oracle { enable_early_prepare: true, ..Default::default() }
+        Oracle { enable_early_prepare: true }
     }
 
     /// Disables OP4 finish predictions (for ablations).
     pub fn without_early_prepare() -> Self {
-        Oracle { enable_early_prepare: false, ..Default::default() }
+        Oracle { enable_early_prepare: false }
     }
 }
 
-impl TxnAdvisor for Oracle {
+impl LiveAdvisor for Oracle {
+    type Session = OracleTxn;
+
     fn name(&self) -> &str {
         "oracle"
     }
 
-    fn plan(&mut self, req: &Request, env: &mut PlanEnv<'_>) -> TxnPlan {
-        let outcome = run_offline(env.db, env.registry, env.catalog, req.proc, &req.args, false)
+    fn plan_live_reusing(
+        &self,
+        _req: &Request,
+        ctx: &PlanContext<'_>,
+        _spare: Option<OracleTxn>,
+    ) -> (TxnPlan, OracleTxn) {
+        let plan = TxnPlan::lock_all(ctx.random_local_partition, ctx.num_partitions);
+        (plan, OracleTxn::default())
+    }
+
+    fn plan_with_database(
+        &self,
+        req: &Request,
+        ctx: &PlanContext<'_>,
+        db: &mut Database,
+        registry: &ProcedureRegistry,
+    ) -> (TxnPlan, OracleTxn) {
+        let outcome = run_offline(db, registry, ctx.catalog, req.proc, &req.args, false)
             .expect("oracle dry-run");
         // Count accesses per partition to pick the best base (OP1).
         let mut counts: FxHashMap<PartitionId, u32> = FxHashMap::default();
         let mut per_query: Vec<PartitionSet> = Vec::with_capacity(outcome.record.queries.len());
         for q in &outcome.record.queries {
-            let def = env.catalog.proc(req.proc).query(q.query);
-            let parts = def.estimate_partitions(env.db, &q.params);
+            let def = ctx.catalog.proc(req.proc).query(q.query);
+            let parts = def.estimate_partitions(db, &q.params);
             for p in parts.iter() {
                 *counts.entry(p).or_insert(0) += 1;
             }
@@ -203,19 +202,16 @@ impl TxnAdvisor for Oracle {
             .iter()
             .max_by_key(|(p, c)| (**c, u32::MAX - **p)) // deterministic tiebreak: lowest id
             .map(|(p, _)| *p)
-            .unwrap_or(env.random_local_partition);
+            .unwrap_or(ctx.random_local_partition);
         // finish_plan[i]: partitions whose last access is query i.
         let mut later = PartitionSet::EMPTY;
-        let mut finish = vec![PartitionSet::EMPTY; per_query.len()];
+        let mut finish_plan = vec![PartitionSet::EMPTY; per_query.len()];
         for i in (0..per_query.len()).rev() {
-            finish[i] = per_query[i].difference(later);
+            finish_plan[i] = per_query[i].difference(later);
             later = later.union(per_query[i]);
         }
-        self.finish_plan = finish;
-        self.cursor = 0;
-        self.base = base;
         let single = outcome.touched.is_single();
-        TxnPlan {
+        let plan = TxnPlan {
             base_partition: base,
             lock_set: if outcome.touched.is_empty() {
                 PartitionSet::single(base)
@@ -226,33 +222,34 @@ impl TxnAdvisor for Oracle {
             disable_undo: outcome.committed && single,
             early_prepare: self.enable_early_prepare,
             estimate_cost_us: 0.0,
-        }
+        };
+        (plan, OracleTxn { finish_plan, cursor: 0, base })
     }
 
-    fn on_query(&mut self, _q: &ExecutedQuery) -> Updates {
+    fn on_query_live(&self, txn: &mut OracleTxn, _q: &ExecutedQuery) -> Updates {
         let mut upd = Updates::default();
         if self.enable_early_prepare {
-            if let Some(&fin) = self.finish_plan.get(self.cursor) {
+            if let Some(&fin) = txn.finish_plan.get(txn.cursor) {
                 let mut fin = fin;
-                fin.remove(self.base);
+                fin.remove(txn.base);
                 upd.finished = fin;
             }
         }
-        self.cursor += 1;
+        txn.cursor += 1;
         upd
     }
 
-    fn replan(
-        &mut self,
+    fn replan_live(
+        &self,
         req: &Request,
         _observed: PartitionSet,
         _attempt: u32,
-        env: &mut PlanEnv<'_>,
-    ) -> TxnPlan {
+        ctx: &PlanContext<'_>,
+    ) -> (TxnPlan, OracleTxn) {
         // The oracle only mispredicts if the database changed between the
         // dry-run and execution, which the sequential simulator precludes;
-        // re-plan from scratch regardless.
-        self.plan(req, env)
+        // lock-all terminates regardless.
+        self.plan_live_reusing(req, ctx, None)
     }
 }
 
@@ -269,23 +266,22 @@ mod tests {
         (db, reg, cat)
     }
 
-    #[test]
-    fn oracle_plans_exact_lock_set() {
+    /// The oracle's ground-truth plan for a MultiGet over `ids` at 4
+    /// partitions.
+    fn oracle_plan(ids: &[i64]) -> (TxnPlan, OracleTxn) {
         let (mut db, reg, cat) = env_fixture(4);
-        let mut env = PlanEnv {
-            db: &mut db,
-            registry: &reg,
-            catalog: &cat,
-            num_partitions: 4,
-            random_local_partition: 0,
-        };
+        let ctx = PlanContext { catalog: &cat, num_partitions: 4, random_local_partition: 0 };
         let req = Request {
             proc: 0,
-            args: vec![Value::Array(vec![Value::Int(1), Value::Int(2)])],
+            args: vec![Value::Array(ids.iter().map(|&i| Value::Int(i)).collect())],
             origin_node: 0,
         };
-        let mut oracle = Oracle::new();
-        let plan = oracle.plan(&req, &mut env);
+        Oracle::new().plan_with_database(&req, &ctx, &mut db, &reg)
+    }
+
+    #[test]
+    fn oracle_plans_exact_lock_set() {
+        let (plan, _) = oracle_plan(&[1, 2]);
         assert_eq!(plan.lock_set, PartitionSet::from_iter([1u32, 2]));
         assert!(!plan.disable_undo, "multi-partition keeps undo");
         assert!(plan.lock_set.contains(plan.base_partition));
@@ -293,109 +289,60 @@ mod tests {
 
     #[test]
     fn oracle_disables_undo_for_single_partition() {
-        let (mut db, reg, cat) = env_fixture(4);
-        let mut env = PlanEnv {
-            db: &mut db,
-            registry: &reg,
-            catalog: &cat,
-            num_partitions: 4,
-            random_local_partition: 0,
-        };
-        let req = Request {
-            proc: 0,
-            args: vec![Value::Array(vec![Value::Int(1), Value::Int(5)])], // both -> partition 1
-            origin_node: 0,
-        };
-        let plan = Oracle::new().plan(&req, &mut env);
+        let (plan, _) = oracle_plan(&[1, 5]); // both -> partition 1
         assert!(plan.lock_set.is_single());
         assert!(plan.disable_undo);
     }
 
     #[test]
     fn oracle_keeps_undo_for_aborting_txn() {
-        let (mut db, reg, cat) = env_fixture(4);
-        let mut env = PlanEnv {
-            db: &mut db,
-            registry: &reg,
-            catalog: &cat,
-            num_partitions: 4,
-            random_local_partition: 0,
-        };
         // id 9999 missing -> control code aborts.
-        let req =
-            Request { proc: 0, args: vec![Value::Array(vec![Value::Int(9999)])], origin_node: 0 };
-        let plan = Oracle::new().plan(&req, &mut env);
+        let (plan, _) = oracle_plan(&[9999]);
         assert!(!plan.disable_undo);
     }
 
     #[test]
     fn oracle_finish_plan_marks_last_access() {
-        let (mut db, reg, cat) = env_fixture(4);
-        let mut env = PlanEnv {
-            db: &mut db,
-            registry: &reg,
-            catalog: &cat,
-            num_partitions: 4,
-            random_local_partition: 0,
-        };
         // ids 1,2: queries are Get(1),Get(2),Bump(1),Bump(2); partition 1's
         // last access is query 2, partition 2's is query 3.
-        let req = Request {
-            proc: 0,
-            args: vec![Value::Array(vec![Value::Int(1), Value::Int(2)])],
-            origin_node: 0,
-        };
-        let mut oracle = Oracle::new();
-        oracle.plan(&req, &mut env);
-        assert_eq!(oracle.finish_plan.len(), 4);
-        assert!(oracle.finish_plan[0].is_empty());
-        assert!(oracle.finish_plan[1].is_empty());
-        let union = oracle.finish_plan[2].union(oracle.finish_plan[3]);
+        let (_, txn) = oracle_plan(&[1, 2]);
+        assert_eq!(txn.finish_plan.len(), 4);
+        assert!(txn.finish_plan[0].is_empty());
+        assert!(txn.finish_plan[1].is_empty());
+        let union = txn.finish_plan[2].union(txn.finish_plan[3]);
         assert_eq!(union, PartitionSet::from_iter([1u32, 2]));
     }
 
     #[test]
     fn assume_sp_redirects_then_escalates() {
-        let (mut db, reg, cat) = env_fixture(4);
-        let mut env = PlanEnv {
-            db: &mut db,
-            registry: &reg,
-            catalog: &cat,
-            num_partitions: 4,
-            random_local_partition: 3,
-        };
+        let (_db, _reg, cat) = env_fixture(4);
+        let ctx = PlanContext { catalog: &cat, num_partitions: 4, random_local_partition: 3 };
         let req = Request { proc: 0, args: vec![], origin_node: 0 };
-        let mut a = AssumeSinglePartition::new();
-        let p0 = a.plan(&req, &mut env);
+        let a = AssumeSinglePartition::new();
+        let (p0, ()) = a.plan_live_reusing(&req, &ctx, None);
         assert_eq!(p0.base_partition, 3);
         assert!(p0.lock_set.is_single());
         // Single wrong partition -> redirect.
-        let p1 = a.replan(&req, PartitionSet::single(1), 1, &mut env);
+        let (p1, ()) = a.replan_live(&req, PartitionSet::single(1), 1, &ctx);
         assert_eq!(p1.base_partition, 1);
         assert!(p1.lock_set.is_single());
         // Multiple -> lock observed.
-        let p2 = a.replan(&req, PartitionSet::from_iter([1u32, 2]), 1, &mut env);
+        let (p2, ()) = a.replan_live(&req, PartitionSet::from_iter([1u32, 2]), 1, &ctx);
         assert_eq!(p2.lock_set.len(), 2);
         // Further deviations keep re-learning the observed set...
-        let p3 = a.replan(&req, PartitionSet::from_iter([1u32, 2, 3]), 2, &mut env);
+        let (p3, ()) = a.replan_live(&req, PartitionSet::from_iter([1u32, 2, 3]), 2, &ctx);
         assert_eq!(p3.lock_set.len(), 3);
         // ...until the escalation cap forces lock-all.
-        let p4 = a.replan(&req, PartitionSet::from_iter([1u32, 2, 3]), 4, &mut env);
+        let (p4, ()) = a.replan_live(&req, PartitionSet::from_iter([1u32, 2, 3]), 4, &ctx);
         assert_eq!(p4.lock_set.len(), 4);
     }
 
     #[test]
     fn assume_distributed_locks_all() {
-        let (mut db, reg, cat) = env_fixture(8);
-        let mut env = PlanEnv {
-            db: &mut db,
-            registry: &reg,
-            catalog: &cat,
-            num_partitions: 8,
-            random_local_partition: 2,
-        };
+        let (_db, _reg, cat) = env_fixture(8);
+        let ctx = PlanContext { catalog: &cat, num_partitions: 8, random_local_partition: 2 };
         let req = Request { proc: 0, args: vec![], origin_node: 0 };
-        let plan = AssumeDistributed::new().plan(&req, &mut env);
+        let (plan, ()) = AssumeDistributed::new().plan_live_reusing(&req, &ctx, None);
         assert_eq!(plan.lock_set.len(), 8);
         assert_eq!(plan.base_partition, 2);
     }

@@ -20,12 +20,13 @@
 //! client lanes, a sharded lock manager, real 2PC — with optional command
 //! logging, snapshots, and crash recovery ([`durability`]; DESIGN.md §4, §7).
 //!
-//! The pluggable [`advisor::TxnAdvisor`] (simulator) and
-//! [`advisor::LiveAdvisor`] (live runtime) decide, per transaction, the base
-//! partition (OP1), the lock set (OP2), whether to run without undo logging
-//! (OP3), and when partitions are finished (OP4). The baseline advisors from
-//! the paper's evaluation live in [`baselines`]; the Houdini advisor lives in
-//! the `houdini` crate.
+//! The pluggable [`advisor::LiveAdvisor`] — one contract, driven by the
+//! simulator and the live runtime alike — decides, per transaction, the
+//! base partition (OP1), the lock set (OP2), whether to run without undo
+//! logging (OP3), and when partitions are finished (OP4), and learns from
+//! every session teardown through one on-line maintenance regime (§4.5).
+//! The baseline advisors from the paper's evaluation live in [`baselines`];
+//! the Houdini advisor lives in the `houdini` crate.
 
 pub mod advisor;
 pub mod baselines;
@@ -40,8 +41,7 @@ pub mod runtime;
 pub mod sim;
 
 pub use advisor::{
-    LiveAdvisor, LiveMaintainer, PlanContext, PlanEnv, Request, TxnAdvisor, TxnFeedback,
-    TxnOutcome, TxnPlan, Updates,
+    LiveAdvisor, LiveMaintainer, PlanContext, Request, TxnFeedback, TxnOutcome, TxnPlan, Updates,
 };
 pub use catalog::{Catalog, CatalogResolver, ColumnOp, PartitionHint, ProcDef, QueryDef, QueryOp};
 pub use cost::CostModel;

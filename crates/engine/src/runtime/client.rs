@@ -348,10 +348,10 @@ impl<A: LiveAdvisor + 'static> Client<A> {
                         // indefinitely. Lock-all runs distributed — never
                         // speculative — so it terminates. (Not counted as a
                         // restart: the plan never mispredicted.)
-                        let (_, ns) = env.advisor.plan_live(r, &ctx);
+                        let (_, ns) = env.advisor.plan_live_reusing(r, &ctx, None);
                         (TxnPlan::lock_all(plan.base_partition, env.num_partitions), ns)
                     } else if attempt == 0 {
-                        env.advisor.plan_live(r, &ctx)
+                        env.advisor.plan_live_reusing(r, &ctx, None)
                     } else {
                         env.advisor.replan_live(r, last_observed, attempt, &ctx)
                     };

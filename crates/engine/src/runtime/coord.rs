@@ -543,7 +543,12 @@ mod tests {
             "wrong-lock-set"
         }
 
-        fn plan_live(&self, _req: &Request, _ctx: &PlanContext<'_>) -> (TxnPlan, ()) {
+        fn plan_live_reusing(
+            &self,
+            _req: &Request,
+            _ctx: &PlanContext<'_>,
+            _spare: Option<()>,
+        ) -> (TxnPlan, ()) {
             (
                 TxnPlan {
                     base_partition: 0,
@@ -563,7 +568,7 @@ mod tests {
             _attempt: u32,
             ctx: &PlanContext<'_>,
         ) -> (TxnPlan, ()) {
-            self.plan_live(req, ctx)
+            self.plan_live_reusing(req, ctx, None)
         }
     }
 

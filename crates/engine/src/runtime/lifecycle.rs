@@ -815,7 +815,12 @@ mod tests {
             "slow-maintained"
         }
 
-        fn plan_live(&self, _req: &Request, ctx: &PlanContext<'_>) -> (TxnPlan, ()) {
+        fn plan_live_reusing(
+            &self,
+            _req: &Request,
+            ctx: &PlanContext<'_>,
+            _spare: Option<()>,
+        ) -> (TxnPlan, ()) {
             (TxnPlan::single(ctx.random_local_partition), ())
         }
 
@@ -829,8 +834,12 @@ mod tests {
             (TxnPlan::lock_all(ctx.random_local_partition, ctx.num_partitions), ())
         }
 
-        fn on_end_live(&self, _session: (), _outcome: TxnOutcome) -> Option<TxnFeedback> {
-            Some(TxnFeedback {
+        fn end_live_reclaim(
+            &self,
+            _session: (),
+            _outcome: TxnOutcome,
+        ) -> (Option<TxnFeedback>, Option<()>) {
+            let feedback = TxnFeedback {
                 proc: 0,
                 model: 0,
                 epoch: 0,
@@ -838,7 +847,8 @@ mod tests {
                 terminal: Some(true),
                 deviated: false,
                 predicted: PartitionSet::single(0),
-            })
+            };
+            (Some(feedback), None)
         }
 
         fn maintainer(&self) -> Option<Box<dyn LiveMaintainer + '_>> {

@@ -12,8 +12,13 @@
 //! partitions the advisor declared *finished* (OP4), which are released
 //! early and opened for speculative execution until the distributed
 //! transaction's two-phase commit completes.
+//!
+//! Prediction is *not* simulated: the simulator drives the same
+//! [`LiveAdvisor`] calls, in the same order per transaction, as the live
+//! runtime's `Client::call`, and feeds the advisor's [`LiveMaintainer`]
+//! every teardown's feedback synchronously (§4.5).
 
-use crate::advisor::{PlanEnv, Request, TxnAdvisor, TxnOutcome, TxnPlan};
+use crate::advisor::{LiveAdvisor, LiveMaintainer, PlanContext, Request, TxnOutcome, TxnPlan};
 use crate::catalog::Catalog;
 use crate::cost::CostModel;
 use crate::exec::{execute_query, ExecutedQuery};
@@ -142,11 +147,13 @@ struct TxnSummary {
 
 /// The simulation driver. Borrows the database, advisor, and generator; owns
 /// clocks, metrics, and the profiler.
-pub struct Simulation<'a> {
+pub struct Simulation<'a, A: LiveAdvisor> {
     db: &'a mut Database,
     registry: &'a ProcedureRegistry,
     catalog: Catalog,
-    advisor: &'a mut dyn TxnAdvisor,
+    advisor: &'a A,
+    /// The advisor's §4.5 driver, fed at every session teardown.
+    maintainer: Option<Box<dyn LiveMaintainer + 'a>>,
     gen: &'a mut dyn RequestGenerator,
     costs: CostModel,
     cfg: SimConfig,
@@ -167,12 +174,12 @@ impl Ord for Tf {
     }
 }
 
-impl<'a> Simulation<'a> {
+impl<'a, A: LiveAdvisor> Simulation<'a, A> {
     /// Builds a simulation over `db` using `advisor` and `gen`.
     pub fn new(
         db: &'a mut Database,
         registry: &'a ProcedureRegistry,
-        advisor: &'a mut dyn TxnAdvisor,
+        advisor: &'a A,
         gen: &'a mut dyn RequestGenerator,
         costs: CostModel,
         cfg: SimConfig,
@@ -185,6 +192,7 @@ impl<'a> Simulation<'a> {
             registry,
             catalog,
             advisor,
+            maintainer: advisor.maintainer(),
             gen,
             costs,
             cfg,
@@ -228,60 +236,79 @@ impl<'a> Simulation<'a> {
             heap.push(Reverse((Tf(summary.client_done + self.costs.client_think_us), client)));
         }
         self.metrics.window_us = self.cfg.measure_us;
+        if let Some(m) = &self.maintainer {
+            self.metrics.absorb_maintenance(&m.report());
+        }
         Ok((self.metrics, self.profiler))
     }
 
+    /// One request, start to finish — the same attempt loop as the live
+    /// `Client::call`: plan, execute, and on a mispredict tear the
+    /// superseded session down (its executed prefix is maintenance signal,
+    /// §4.5) before replanning.
     fn process_txn(
         &mut self,
         req: &Request,
         t_arrive: f64,
         random_local_partition: PartitionId,
     ) -> Result<TxnSummary> {
-        let mut plan = {
-            let mut env = PlanEnv {
-                db: self.db,
-                registry: self.registry,
-                catalog: &self.catalog,
-                num_partitions: self.cfg.num_partitions,
-                random_local_partition,
-            };
-            self.advisor.plan(req, &mut env)
+        let num_partitions = self.cfg.num_partitions;
+        let (mut plan, mut session) = {
+            let ctx =
+                PlanContext { catalog: &self.catalog, num_partitions, random_local_partition };
+            self.advisor.plan_with_database(req, &ctx, self.db, self.registry)
         };
         let mut t = t_arrive;
         let mut attempt = 0u32;
         loop {
             plan.lock_set.insert(plan.base_partition);
-            match self.try_execute(req, &plan, t, attempt)? {
+            match self.try_execute(req, &plan, &mut session, t)? {
                 Attempt::Done(summary) => {
                     self.finish_txn(req, &plan, &summary, t_arrive);
-                    self.advisor.on_end(if summary.committed {
-                        TxnOutcome::Committed
-                    } else {
-                        TxnOutcome::UserAborted
-                    });
+                    self.end_session(
+                        session,
+                        if summary.committed {
+                            TxnOutcome::Committed
+                        } else {
+                            TxnOutcome::UserAborted
+                        },
+                    );
                     return Ok(summary);
                 }
                 Attempt::Mispredict { observed, t_fail } => {
                     attempt += 1;
                     self.metrics.restarts += 1;
                     t = t_fail + self.costs.restart_penalty_us;
+                    self.end_session(session, TxnOutcome::Mispredicted);
+                    let ctx = PlanContext {
+                        catalog: &self.catalog,
+                        num_partitions,
+                        random_local_partition,
+                    };
+                    let (replanned, fresh) = self.advisor.replan_live(req, observed, attempt, &ctx);
+                    session = fresh;
+                    // Past the restart limit the *plan* is lock-all whatever
+                    // the advisor answered, guaranteeing termination; the
+                    // replanned session still rides along.
                     plan = if attempt > self.cfg.max_restarts {
                         TxnPlan::lock_all(
                             observed.first().unwrap_or(plan.base_partition),
-                            self.cfg.num_partitions,
+                            num_partitions,
                         )
                     } else {
-                        let mut env = PlanEnv {
-                            db: self.db,
-                            registry: self.registry,
-                            catalog: &self.catalog,
-                            num_partitions: self.cfg.num_partitions,
-                            random_local_partition,
-                        };
-                        self.advisor.replan(req, observed, attempt, &mut env)
+                        replanned
                     };
                 }
             }
+        }
+    }
+
+    /// Session teardown: whatever feedback the advisor emits goes straight
+    /// to its maintainer, in issue order.
+    fn end_session(&mut self, session: A::Session, outcome: TxnOutcome) {
+        let (feedback, _spare) = self.advisor.end_live_reclaim(session, outcome);
+        if let (Some(fb), Some(m)) = (feedback, self.maintainer.as_mut()) {
+            m.absorb(fb);
         }
     }
 
@@ -328,8 +355,8 @@ impl<'a> Simulation<'a> {
         &mut self,
         req: &Request,
         plan: &TxnPlan,
+        session: &mut A::Session,
         t0: f64,
-        _attempt: u32,
     ) -> Result<Attempt> {
         let proc = req.proc;
         let base = plan.base_partition;
@@ -478,12 +505,15 @@ impl<'a> Simulation<'a> {
                                 *remote_work.entry(p).or_insert(0.0) += qcost;
                             }
                         }
-                        let upd = self.advisor.on_query(&ExecutedQuery {
-                            query: inv.query,
-                            params: inv.params,
-                            partitions: parts,
-                            is_write,
-                        });
+                        let upd = self.advisor.on_query_live(
+                            session,
+                            &ExecutedQuery {
+                                query: inv.query,
+                                params: inv.params,
+                                partitions: parts,
+                                is_write,
+                            },
+                        );
                         if upd.cost_us > 0.0 {
                             self.profiler.add(proc, Bucket::Estimation, upd.cost_us);
                             t += upd.cost_us;
@@ -677,9 +707,6 @@ impl<'a> Simulation<'a> {
         released: &FxHashMap<PartitionId, f64>,
     ) -> Result<Attempt> {
         if !undo.can_rollback() {
-            eprintln!(
-                "DEBUG mispredict-unrecoverable: proc={proc} lock={lock_set} observed={observed} released={released:?}"
-            );
             return Err(Error::UnrecoverableAbort { txn: u64::from(proc) + 1000 });
         }
         let rb = undo.len() as f64 * self.costs.rollback_record_us;
@@ -705,7 +732,7 @@ mod tests {
     use crate::procedure::testing::{kv_database, kv_registry, KvGen};
     use common::Value;
 
-    fn run_with<A: TxnAdvisor>(mut advisor: A, spread: u32, parts: u32) -> RunMetrics {
+    fn run_with<A: LiveAdvisor>(advisor: A, spread: u32, parts: u32) -> RunMetrics {
         let mut db = kv_database(parts, 8);
         let reg = kv_registry();
         let mut gen = KvGen { spread, parts, counter: 0 };
@@ -715,7 +742,7 @@ mod tests {
             measure_us: 300_000.0,
             ..Default::default()
         };
-        let sim = Simulation::new(&mut db, &reg, &mut advisor, &mut gen, CostModel::default(), cfg);
+        let sim = Simulation::new(&mut db, &reg, &advisor, &mut gen, CostModel::default(), cfg);
         let (metrics, _) = sim.run().expect("no halts");
         metrics
     }
@@ -790,7 +817,7 @@ mod tests {
         // the same row count as loaded.
         let mut db = kv_database(4, 8);
         let reg = kv_registry();
-        let mut advisor = Oracle::new();
+        let advisor = Oracle::new();
         let mut gen = KvGen { spread: 2, parts: 4, counter: 0 };
         let cfg = SimConfig {
             num_partitions: 4,
@@ -798,7 +825,7 @@ mod tests {
             measure_us: 100_000.0,
             ..Default::default()
         };
-        let sim = Simulation::new(&mut db, &reg, &mut advisor, &mut gen, CostModel::default(), cfg);
+        let sim = Simulation::new(&mut db, &reg, &advisor, &mut gen, CostModel::default(), cfg);
         sim.run().unwrap();
         assert_eq!(db.total_rows(0), 32);
     }
@@ -849,7 +876,7 @@ mod tests {
     fn request_cap_bounds_each_client_stream() {
         let mut db = kv_database(4, 8);
         let reg = kv_registry();
-        let mut advisor = Oracle::new();
+        let advisor = Oracle::new();
         let mut gen = KvGen { spread: 1, parts: 4, counter: 0 };
         let cfg = SimConfig {
             num_partitions: 4,
@@ -859,7 +886,7 @@ mod tests {
             ..Default::default()
         };
         let clients = u64::from(cfg.num_partitions * cfg.clients_per_partition);
-        let sim = Simulation::new(&mut db, &reg, &mut advisor, &mut gen, CostModel::default(), cfg);
+        let sim = Simulation::new(&mut db, &reg, &advisor, &mut gen, CostModel::default(), cfg);
         let (m, _) = sim.run().unwrap();
         assert_eq!(m.committed + m.user_aborts, clients * 25);
     }
@@ -973,7 +1000,7 @@ mod tests {
         // computed `1 << 70` — a shift overflow (debug panic, release
         // wrap). The run must complete and commit writes on table 70.
         let (reg, mut db) = wide::registry_and_db(4);
-        let mut advisor = Oracle::new();
+        let advisor = Oracle::new();
         let mut gen = WideGen { parts: 4, counter: 0 };
         let cfg = SimConfig {
             num_partitions: 4,
@@ -981,7 +1008,7 @@ mod tests {
             measure_us: 50_000.0,
             ..Default::default()
         };
-        let sim = Simulation::new(&mut db, &reg, &mut advisor, &mut gen, CostModel::default(), cfg);
+        let sim = Simulation::new(&mut db, &reg, &advisor, &mut gen, CostModel::default(), cfg);
         let (m, _) = sim.run().expect("wide catalog must not halt");
         assert!(m.committed > 0);
     }

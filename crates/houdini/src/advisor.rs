@@ -1,15 +1,21 @@
-//! The on-line advisor: Houdini as the engine's [`TxnAdvisor`] (paper §4).
+//! The on-line advisor: Houdini as the engine's [`LiveAdvisor`] (paper §4).
+//!
+//! One plan → track → update → maintain loop serves both engines. The
+//! trained predictors live in a single epoch cell: every transaction pins
+//! the snapshot it planned against and walks it read-only, teardown hands
+//! the executed path back as [`TxnFeedback`], and the one §4.5 regime
+//! (the [`LiveMaintainer`] behind [`LiveAdvisor::maintainer`]) replays that
+//! feedback, rebuilds drifted models and publishes them as the next epoch
+//! — on the live runtime's background thread, or inline in the simulator.
 
 use crate::modelset::{lock_set_for, CatalogRule};
 use crate::train::ProcPredictor;
-use common::{EpochCell, FxHashMap, PartitionSet, ProcId, QueryId, Value};
+use common::{EpochCell, PartitionSet, ProcId, QueryId, Value};
 use engine::{
     Catalog, CatalogResolver, ExecutedQuery, LiveAdvisor, LiveMaintainer, MaintenanceReport,
-    PlanContext, PlanEnv, Request, TxnAdvisor, TxnFeedback, TxnOutcome, TxnPlan, Updates,
+    PlanContext, Request, TxnFeedback, TxnOutcome, TxnPlan, Updates,
 };
-use markov::{
-    estimate_path, EstimateConfig, ModelMonitor, PathTracker, QueryKind, VertexId, VertexKey,
-};
+use markov::{estimate_path, EstimateConfig, ModelMonitor, QueryKind, VertexCursor, VertexId};
 use std::sync::Arc;
 
 /// Minimum training observations before a state's finish table is trusted
@@ -56,15 +62,15 @@ pub struct HoudiniConfig {
     /// identically but `TxnPlan::early_prepare` stays false, so the engine
     /// never releases a partition before 2PC.
     pub early_prepare: bool,
-    /// Learn from live traffic (§4.5): emit per-transaction path feedback
-    /// at session teardown and drive the runtime's maintenance thread,
-    /// which rebuilds drifted models and epoch-swaps them in without
-    /// stopping traffic. Off is the frozen-model ablation of the
-    /// `live-drift` experiment.
+    /// Learn from traffic (§4.5), in the simulator and the live runtime
+    /// alike: emit per-transaction path feedback at session teardown and
+    /// drive the engine's maintainer, which rebuilds drifted models and
+    /// epoch-swaps them in without stopping traffic. Off is the
+    /// frozen-model ablation of the `live-drift` experiment.
     pub maintenance: bool,
-    /// Accuracy floor of the live maintenance monitors (the paper's 75%).
+    /// Accuracy floor of the maintenance monitors (the paper's 75%).
     pub maintenance_threshold: f64,
-    /// Observations per model before live accuracy is judged.
+    /// Observations per model before accuracy is judged.
     pub maintenance_min_window: u64,
     /// Path-estimation knobs.
     pub estimate: EstimateConfig,
@@ -85,9 +91,9 @@ impl Default for HoudiniConfig {
     }
 }
 
-/// Per-transaction decision state shared verbatim by the simulated-time
-/// advisor (inside [`CurrentTxn`]) and the live advisor (inside
-/// [`LiveTxn`]): one definition, so the two paths cannot drift.
+/// Per-transaction decision state (inside [`LiveTxn`]), kept apart from
+/// the session's pinned predictor snapshot so `updates_at_state` can read
+/// the one while mutating the other.
 struct TxnCore {
     lock_set: PartitionSet,
     declared: PartitionSet,
@@ -126,23 +132,14 @@ struct TxnCore {
     /// no tracking, no updates.
     passive: bool,
     /// The transaction had a followed estimate and left it (§4.4
-    /// deviation) — reported in live feedback as a drift signal.
+    /// deviation) — reported in feedback as a drift signal.
     deviated: bool,
 }
 
-/// Per-transaction scratch state between `plan` and `on_end`.
-struct CurrentTxn {
-    proc: ProcId,
-    model_idx: usize,
-    tracker: PathTracker,
-    core: TxnCore,
-}
-
 /// OP3/OP4 runtime updates (§4.4) at the state `to` reached by executing
-/// `q` — the single implementation behind both `TxnAdvisor::on_query` and
-/// `LiveAdvisor::on_query_live`. `to` is `None` when the transaction
-/// reached a state absent from the trained model (only possible on the
-/// live path, whose walk is read-only).
+/// `q`. `to` is `None` when the transaction reached a state absent from
+/// the pinned epoch's model (the walk is read-only, so such states stay
+/// dark until maintenance interns them into a later epoch).
 fn updates_at_state(
     cfg: &HoudiniConfig,
     num_partitions: u32,
@@ -248,39 +245,17 @@ fn updates_at_state(
 
 /// The Houdini advisor: trained predictors plus on-line tracking.
 ///
-/// Two views of the trained predictors coexist:
-///
-/// * `procs` — the simulator's `&mut` view, maintained in place by
-///   [`TxnAdvisor`]'s tracker/monitor machinery.
-/// * `epochs` — the live runtime's epoch-swapped view: every live
-///   transaction pins the snapshot it planned against, and the runtime's
-///   maintenance thread publishes rebuilt predictors as new epochs
-///   (clone-on-write: only drifted models are deep-copied).
-///
-/// Both start as clones of the same training output (sharing every model
-/// `Arc`), then diverge under their own maintenance regimes.
+/// The predictors live in one epoch-swapped cell: every transaction pins
+/// the snapshot it planned against, and the maintainer publishes rebuilt
+/// predictors as new epochs (clone-on-write: only drifted models are
+/// deep-copied).
 pub struct Houdini {
-    procs: Vec<ProcPredictor>,
-    /// Live-runtime predictor epochs (§4.5; see DESIGN.md §5).
+    /// Predictor epochs (§4.5; see DESIGN.md §5).
     epochs: EpochCell<Vec<ProcPredictor>>,
     catalog: Catalog,
     num_partitions: u32,
     /// Knobs.
     pub cfg: HoudiniConfig,
-    cur: Option<CurrentTxn>,
-    /// Model-maintenance recomputations triggered so far (all models).
-    pub recomputations: u64,
-    /// Plans produced from a complete path estimate.
-    pub plans_estimated: u64,
-    /// Conservative lock-all fallbacks (disabled procedure or dead-ended
-    /// estimate).
-    pub plans_fallback: u64,
-    /// Replans after a mispredict restart.
-    pub plans_replanned: u64,
-    /// Replans per procedure (diagnostics).
-    pub replans_by_proc: common::FxHashMap<ProcId, u64>,
-    /// Fallbacks per procedure (diagnostics).
-    pub fallbacks_by_proc: common::FxHashMap<ProcId, u64>,
 }
 
 impl Houdini {
@@ -291,56 +266,39 @@ impl Houdini {
         num_partitions: u32,
         cfg: HoudiniConfig,
     ) -> Self {
-        let epochs = EpochCell::new(procs.clone());
-        Houdini {
-            procs,
-            epochs,
-            catalog,
-            num_partitions,
-            cfg,
-            cur: None,
-            recomputations: 0,
-            plans_estimated: 0,
-            plans_fallback: 0,
-            plans_replanned: 0,
-            replans_by_proc: common::FxHashMap::default(),
-            fallbacks_by_proc: common::FxHashMap::default(),
-        }
+        Houdini { epochs: EpochCell::new(procs), catalog, num_partitions, cfg }
     }
 
-    /// The predictor for `proc` (the simulator's in-place view).
-    pub fn predictor(&self, proc: ProcId) -> &ProcPredictor {
-        &self.procs[proc as usize]
-    }
-
-    /// The live runtime's current predictor epoch number (0 until the
-    /// maintenance thread publishes a rebuild).
+    /// The current predictor epoch number (0 until the maintainer
+    /// publishes a rebuild).
     pub fn live_epoch(&self) -> u64 {
         self.epochs.epoch()
     }
 
-    /// Snapshot of the live runtime's current predictors — what a fresh
-    /// `plan_live` would plan against right now.
+    /// Snapshot of the current predictors — what a fresh plan would plan
+    /// against right now.
     pub fn live_predictors(&self) -> Arc<Vec<ProcPredictor>> {
         self.epochs.load()
     }
 
-    /// Conservative fallback decisions: lock every partition, keep undo
-    /// logging, but still track the model (unless the procedure is disabled
-    /// outright) so OP4 can release partitions the tables say are finished
-    /// — a lock-all transaction that never lets go would serialize the
-    /// cluster. Shared by the simulated-time and live paths.
-    fn passive_decision(
+    /// Conservative fallback: lock every partition, keep undo logging, but
+    /// still track the model (unless the procedure is disabled outright)
+    /// so OP4 can release partitions the tables say are finished — a
+    /// lock-all transaction that never lets go would serialize the cluster.
+    fn passive_live(
         &self,
-        pred: &ProcPredictor,
+        epoch: u64,
+        procs: &Arc<Vec<ProcPredictor>>,
+        proc: ProcId,
         args: &[Value],
         base: u32,
-    ) -> (TxnPlan, usize, TxnCore) {
+    ) -> (TxnPlan, LiveTxn) {
+        let pred = &procs[proc as usize];
         let model_idx = if pred.disabled { 0 } else { pred.models.select(args) };
         let track = !pred.disabled;
-        let model_loop_free = model_is_loop_free(pred.models.model(model_idx));
+        let lock_set = PartitionSet::all(self.num_partitions);
         let core = TxnCore {
-            lock_set: PartitionSet::all(self.num_partitions),
+            lock_set,
             declared: PartitionSet::EMPTY,
             undo_disabled: false,
             trust_abort: false,
@@ -349,31 +307,22 @@ impl Houdini {
             step_partitions: Vec::new(),
             finish_plan: Vec::new(),
             est_pos: None,
-            model_loop_free,
+            model_loop_free: model_is_loop_free(pred.models.model(model_idx)),
             passive: !track,
             deviated: false,
         };
         let plan = TxnPlan {
             base_partition: base,
-            lock_set: PartitionSet::all(self.num_partitions),
+            lock_set,
             disable_undo: false,
             early_prepare: track && self.cfg.early_prepare,
             estimate_cost_us: 0.0,
         };
-        (plan, model_idx, core)
-    }
-
-    /// Installs the fallback as the simulated-time in-flight transaction.
-    fn passive_plan(&mut self, proc: ProcId, args: &[Value], base: u32) -> TxnPlan {
-        let (plan, model_idx, core) = self.passive_decision(&self.procs[proc as usize], args, base);
-        let tracker = PathTracker::new(self.procs[proc as usize].models.model(model_idx));
-        self.cur = Some(CurrentTxn { proc, model_idx, tracker, core });
-        plan
+        (plan, LiveTxn::begin(proc, model_idx, epoch, procs, core))
     }
 
     /// Derives the OP1–OP4 plan and decision state from a completed path
-    /// estimate — the single implementation behind `TxnAdvisor::plan` and
-    /// `LiveAdvisor::plan_live` (the caller charges `estimate_cost_us`).
+    /// estimate (the caller charges `estimate_cost_us`).
     fn plan_from_estimate(
         &self,
         pred: &ProcPredictor,
@@ -448,192 +397,10 @@ impl Houdini {
         };
         (plan, core)
     }
-}
 
-impl TxnAdvisor for Houdini {
-    fn name(&self) -> &str {
-        "houdini"
-    }
-
-    fn plan(&mut self, req: &Request, env: &mut PlanEnv<'_>) -> TxnPlan {
-        let proc = req.proc;
-        if self.procs[proc as usize].disabled {
-            self.plans_fallback += 1;
-            return self.passive_plan(proc, &req.args, env.random_local_partition);
-        }
-        let pred = &self.procs[proc as usize];
-        let model_idx = pred.models.select(&req.args);
-        let model = pred.models.model(model_idx);
-        let rule = CatalogRule::new(&self.catalog, proc, self.num_partitions);
-        let est = estimate_path(model, &rule, &pred.mapping, &req.args, &self.cfg.estimate);
-        let cost = f64::from(est.states_examined) * self.cfg.est_cost_per_state_us;
-        if !est.reached_commit && !est.reached_abort {
-            // The walk dead-ended (a state never seen in training, §4.4):
-            // the lock set cannot be trusted. Fall back to lock-all with
-            // tracking rather than gamble on a mispredict restart.
-            self.plans_fallback += 1;
-            *self.fallbacks_by_proc.entry(proc).or_insert(0) += 1;
-            let mut plan = self.passive_plan(proc, &req.args, env.random_local_partition);
-            plan.estimate_cost_us = cost;
-            return plan;
-        }
-        self.plans_estimated += 1;
-        let (mut plan, core) =
-            self.plan_from_estimate(pred, model_idx, est, env.random_local_partition);
-        plan.estimate_cost_us = cost;
-        let tracker = PathTracker::new(model);
-        self.cur = Some(CurrentTxn { proc, model_idx, tracker, core });
-        plan
-    }
-
-    fn on_query(&mut self, q: &ExecutedQuery) -> Updates {
-        let Some(cur) = self.cur.as_mut() else {
-            return Updates::default();
-        };
-        if cur.core.passive {
-            return Updates::default();
-        }
-        // Maintenance walk (§4.5), simulator flavour: advance the tracker
-        // (interning a live placeholder for unseen states) and let the
-        // monitor recompute in place — the live path does the equivalent
-        // off to the side, via teardown feedback and epoch swaps.
-        {
-            let pred = &mut self.procs[cur.proc as usize];
-            let (model, monitor) = pred.models.model_mut(cur.model_idx);
-            let resolver = CatalogResolver::new(&self.catalog, self.num_partitions);
-            let from = cur.tracker.current();
-            let to = cur.tracker.advance(model, q.query, q.partitions, &resolver);
-            if monitor.observe(model, from, to) {
-                self.recomputations += 1;
-            }
-        }
-        let pred = &self.procs[cur.proc as usize];
-        let model = pred.models.model(cur.model_idx);
-        let to = cur.tracker.current();
-        updates_at_state(&self.cfg, self.num_partitions, pred, model, &mut cur.core, Some(to), q)
-    }
-
-    fn replan(
-        &mut self,
-        req: &Request,
-        observed: PartitionSet,
-        _attempt: u32,
-        env: &mut PlanEnv<'_>,
-    ) -> TxnPlan {
-        // A transaction that touched an unpredicted partition restarts as a
-        // multi-partition transaction locking all partitions (§6.4).
-        self.plans_replanned += 1;
-        *self.replans_by_proc.entry(req.proc).or_insert(0) += 1;
-        let base = observed.first().unwrap_or(env.random_local_partition);
-        self.passive_plan(req.proc, &req.args, base)
-    }
-
-    fn on_end(&mut self, outcome: TxnOutcome) {
-        if let Some(mut cur) = self.cur.take() {
-            if cur.core.passive {
-                return;
-            }
-            let pred = &mut self.procs[cur.proc as usize];
-            let (model, monitor) = pred.models.model_mut(cur.model_idx);
-            let from = cur.tracker.current();
-            cur.tracker.finish(model, matches!(outcome, TxnOutcome::Committed));
-            let to = cur.tracker.current();
-            if monitor.observe(model, from, to) {
-                self.recomputations += 1;
-            }
-        }
-    }
-}
-
-/// Per-transaction scratch state for the live runtime: the shared
-/// `TxnCore` decision state plus a *read-only* model walk against the
-/// predictor epoch the transaction planned with. The session pins that
-/// epoch's snapshot, so a maintenance swap mid-transaction never moves the
-/// model under an in-flight walk; states the snapshot has never seen turn
-/// the walk dark, and the executed path is handed back as [`TxnFeedback`]
-/// at teardown so the maintenance thread can intern them into the *next*
-/// epoch (§4.5).
-pub struct LiveTxn {
-    proc: ProcId,
-    model_idx: usize,
-    /// Predictor epoch this transaction planned against.
-    epoch: u64,
-    /// The pinned predictor snapshot (epoch `epoch`).
-    procs: Arc<Vec<ProcPredictor>>,
-    /// Current vertex, `None` once the transaction reached a state never
-    /// seen in training.
-    cur: Option<VertexId>,
-    /// Partitions accessed before the current state.
-    prev: PartitionSet,
-    /// Per-query invocation counters (vertex identity, §3.1).
-    counters: FxHashMap<QueryId, u16>,
-    /// Executed `(query, partitions)` path, for teardown feedback.
-    steps: Vec<(QueryId, PartitionSet)>,
-    core: TxnCore,
-}
-
-impl Houdini {
-    /// Teardown feedback (§4.5), shared by `on_end_live` and
-    /// `end_live_reclaim`: takes the executed path out of the session (the
-    /// maintenance thread owns it from here) and leaves the rest intact so
-    /// the reclaim path can recycle the session's buffers.
-    fn feedback_from(&self, session: &mut LiveTxn, outcome: TxnOutcome) -> Option<TxnFeedback> {
-        if !self.cfg.maintenance || session.core.passive {
-            return None;
-        }
-        let terminal = match outcome {
-            TxnOutcome::Committed => Some(true),
-            TxnOutcome::UserAborted | TxnOutcome::Failed => Some(false),
-            // A mispredict-aborted attempt: the executed prefix is real
-            // signal, but no commit/abort edge was taken.
-            TxnOutcome::Mispredicted => None,
-        };
-        Some(TxnFeedback {
-            proc: session.proc,
-            model: session.model_idx as u32,
-            epoch: session.epoch,
-            path: std::mem::take(&mut session.steps),
-            terminal,
-            deviated: session.core.deviated,
-            predicted: session.core.lock_set,
-        })
-    }
-
-    /// Live twin of `passive_plan`: conservative lock-all with tracking
-    /// unless the procedure is disabled outright.
-    fn passive_live(
-        &self,
-        epoch: u64,
-        procs: &Arc<Vec<ProcPredictor>>,
-        proc: ProcId,
-        args: &[Value],
-        base: u32,
-    ) -> (TxnPlan, LiveTxn) {
-        let pred = &procs[proc as usize];
-        let (plan, model_idx, core) = self.passive_decision(pred, args, base);
-        let session = LiveTxn {
-            proc,
-            model_idx,
-            epoch,
-            procs: procs.clone(),
-            cur: Some(pred.models.model(model_idx).begin()),
-            prev: PartitionSet::EMPTY,
-            counters: FxHashMap::default(),
-            steps: Vec::new(),
-            core,
-        };
-        (plan, session)
-    }
-}
-
-impl LiveAdvisor for Houdini {
-    type Session = LiveTxn;
-
-    fn name(&self) -> &str {
-        "houdini"
-    }
-
-    fn plan_live(&self, req: &Request, ctx: &PlanContext<'_>) -> (TxnPlan, LiveTxn) {
+    /// The planning body (§4.3): pin the current epoch, estimate the path,
+    /// derive the OP1–OP4 decisions.
+    fn plan(&self, req: &Request, ctx: &PlanContext<'_>) -> (TxnPlan, LiveTxn) {
         let proc = req.proc;
         // Pin the current predictor epoch for this whole transaction.
         let (epoch, procs) = self.epochs.load_with_epoch();
@@ -647,30 +414,89 @@ impl LiveAdvisor for Houdini {
         let est = estimate_path(model, &rule, &pred.mapping, &req.args, &self.cfg.estimate);
         let cost = f64::from(est.states_examined) * self.cfg.est_cost_per_state_us;
         if !est.reached_commit && !est.reached_abort {
-            // Dead-ended walk (§4.4): same conservative fallback as the
-            // simulated-time path.
+            // The walk dead-ended (a state never seen in training, §4.4):
+            // the lock set cannot be trusted. Fall back to lock-all with
+            // tracking rather than gamble on a mispredict restart.
             let (mut plan, session) =
                 self.passive_live(epoch, &procs, proc, &req.args, ctx.random_local_partition);
             plan.estimate_cost_us = cost;
             return (plan, session);
         }
-        // OP1-OP4 decisions: the same `plan_from_estimate` the simulated-
-        // time advisor uses.
         let (mut plan, core) =
             self.plan_from_estimate(pred, model_idx, est, ctx.random_local_partition);
         plan.estimate_cost_us = cost;
-        let begin = model.begin();
-        let session = LiveTxn {
+        (plan, LiveTxn::begin(proc, model_idx, epoch, &procs, core))
+    }
+}
+
+/// Per-transaction scratch state: the `TxnCore` decision state plus a
+/// *read-only* model walk against the predictor epoch the transaction
+/// planned with. The session pins that epoch's snapshot, so a maintenance
+/// swap mid-transaction never moves the model under an in-flight walk;
+/// states the snapshot has never seen turn the walk dark, and the executed
+/// path is handed back as [`TxnFeedback`] at teardown so the maintainer
+/// can intern them into the *next* epoch (§4.5).
+pub struct LiveTxn {
+    proc: ProcId,
+    model_idx: usize,
+    /// Predictor epoch this transaction planned against.
+    epoch: u64,
+    /// The pinned predictor snapshot (epoch `epoch`).
+    procs: Arc<Vec<ProcPredictor>>,
+    /// Where the walk stands (vertex identity, §3.1).
+    cursor: VertexCursor,
+    /// Executed `(query, partitions)` path, for teardown feedback.
+    steps: Vec<(QueryId, PartitionSet)>,
+    core: TxnCore,
+}
+
+impl LiveTxn {
+    /// A fresh session at the begin state of `procs[proc]`'s model.
+    fn begin(
+        proc: ProcId,
+        model_idx: usize,
+        epoch: u64,
+        procs: &Arc<Vec<ProcPredictor>>,
+        core: TxnCore,
+    ) -> Self {
+        LiveTxn {
             proc,
             model_idx,
             epoch,
             procs: procs.clone(),
-            cur: Some(begin),
-            prev: PartitionSet::EMPTY,
-            counters: FxHashMap::default(),
+            cursor: VertexCursor::default(),
             steps: Vec::new(),
             core,
-        };
+        }
+    }
+}
+
+impl LiveAdvisor for Houdini {
+    type Session = LiveTxn;
+
+    fn name(&self) -> &str {
+        "houdini"
+    }
+
+    fn plan_live_reusing(
+        &self,
+        req: &Request,
+        ctx: &PlanContext<'_>,
+        spare: Option<LiveTxn>,
+    ) -> (TxnPlan, LiveTxn) {
+        let (plan, mut session) = self.plan(req, ctx);
+        if let Some(mut old) = spare {
+            // Graft only raw capacity into the fresh session: the walk
+            // cursor and step vector are cleared, and every prediction
+            // field (epoch snapshot, core decisions) was already rebuilt by
+            // `plan` against the current epoch, so no stale state can
+            // survive. This is what makes the repeat-proc fast path
+            // allocation-free in steady state.
+            old.cursor.reset();
+            session.cursor = std::mem::take(&mut old.cursor);
+            old.steps.clear();
+            session.steps = std::mem::take(&mut old.steps);
+        }
         (plan, session)
     }
 
@@ -682,23 +508,9 @@ impl LiveAdvisor for Houdini {
         let model = pred.models.model(cur.model_idx);
         // Read-only walk against the pinned epoch: follow the trained
         // vertex if it exists; a state never seen in training turns the
-        // walk dark here, and teardown feedback lets the maintenance
-        // thread intern it into the next epoch (§4.4/§4.5).
-        let counter = {
-            let c = cur.counters.entry(q.query).or_insert(0);
-            let seen = *c;
-            *c += 1;
-            seen
-        };
-        let key = VertexKey {
-            kind: QueryKind::Query(q.query),
-            counter,
-            partitions: q.partitions,
-            previous: cur.prev,
-        };
-        let to = model.find(&key);
-        cur.prev = cur.prev.union(q.partitions);
-        cur.cur = to;
+        // walk dark here, and teardown feedback lets the maintainer intern
+        // it into the next epoch (§4.4/§4.5).
+        let to = model.find(&cur.cursor.next_key(q.query, q.partitions));
         cur.steps.push((q.query, q.partitions));
         updates_at_state(&self.cfg, self.num_partitions, pred, model, &mut cur.core, to, q)
     }
@@ -710,40 +522,12 @@ impl LiveAdvisor for Houdini {
         _attempt: u32,
         ctx: &PlanContext<'_>,
     ) -> (TxnPlan, LiveTxn) {
-        // Same §6.4 policy as the simulated-time path: restart locking all
-        // partitions (re-pinning whatever epoch is current now).
+        // A transaction that touched an unpredicted partition restarts as a
+        // multi-partition transaction locking all partitions (§6.4),
+        // re-pinning whatever epoch is current now.
         let base = observed.first().unwrap_or(ctx.random_local_partition);
         let (epoch, procs) = self.epochs.load_with_epoch();
         self.passive_live(epoch, &procs, req.proc, &req.args, base)
-    }
-
-    fn on_end_live(&self, mut session: LiveTxn, outcome: TxnOutcome) -> Option<TxnFeedback> {
-        // Model maintenance (§4.5) runs on the runtime's background
-        // thread: hand back the executed path so it can update accuracy
-        // windows and rebuild drifted models into the next epoch.
-        self.feedback_from(&mut session, outcome)
-    }
-
-    fn plan_live_reusing(
-        &self,
-        req: &Request,
-        ctx: &PlanContext<'_>,
-        spare: Option<LiveTxn>,
-    ) -> (TxnPlan, LiveTxn) {
-        let (plan, mut session) = self.plan_live(req, ctx);
-        if let Some(mut old) = spare {
-            // Graft only raw capacity into the fresh session: the counter
-            // map and step vector are cleared, and every prediction field
-            // (epoch snapshot, vertex walk, core decisions) was already
-            // rebuilt by `plan_live` against the current epoch, so no
-            // stale state can survive. This is what makes the repeat-proc
-            // fast path allocation-free in steady state.
-            old.counters.clear();
-            session.counters = std::mem::take(&mut old.counters);
-            old.steps.clear();
-            session.steps = std::mem::take(&mut old.steps);
-        }
-        (plan, session)
     }
 
     fn end_live_reclaim(
@@ -751,13 +535,29 @@ impl LiveAdvisor for Houdini {
         mut session: LiveTxn,
         outcome: TxnOutcome,
     ) -> (Option<TxnFeedback>, Option<LiveTxn>) {
-        let fb = self.feedback_from(&mut session, outcome);
-        // The session goes back to the client's per-procedure cache. When
-        // feedback was emitted, `steps` left with it (the maintenance
-        // thread owns the path), so only the counter map's capacity is
-        // recycled on that path; with maintenance off, both buffers
-        // survive.
-        (fb, Some(session))
+        // Model maintenance (§4.5) runs beside the transaction path: hand
+        // back the executed path so the maintainer can update accuracy
+        // windows and rebuild drifted models into the next epoch.
+        let feedback = (self.cfg.maintenance && !session.core.passive).then(|| TxnFeedback {
+            proc: session.proc,
+            model: session.model_idx as u32,
+            epoch: session.epoch,
+            path: std::mem::take(&mut session.steps),
+            terminal: match outcome {
+                TxnOutcome::Committed => Some(true),
+                TxnOutcome::UserAborted | TxnOutcome::Failed => Some(false),
+                // A mispredict-aborted attempt: the executed prefix is real
+                // signal, but no commit/abort edge was taken.
+                TxnOutcome::Mispredicted => None,
+            },
+            deviated: session.core.deviated,
+            predicted: session.core.lock_set,
+        });
+        // The session goes back to the caller's per-procedure cache. When
+        // feedback was emitted, `steps` left with it (the maintainer owns
+        // the path), so only the cursor's capacity is recycled on that
+        // path; with maintenance off, both buffers survive.
+        (feedback, Some(session))
     }
 
     fn maintainer(&self) -> Option<Box<dyn LiveMaintainer + '_>> {
@@ -765,7 +565,8 @@ impl LiveAdvisor for Houdini {
             return None;
         }
         let monitors = self
-            .procs
+            .epochs
+            .load()
             .iter()
             .map(|pred| {
                 vec![
@@ -785,8 +586,9 @@ impl LiveAdvisor for Houdini {
     }
 }
 
-/// Houdini's §4.5 maintenance driver, owned by the live runtime's
-/// background thread. It consumes the feedback stream record by record:
+/// Houdini's §4.5 maintenance driver, owned by whichever engine runs the
+/// advisor (the live runtime's background thread, or the simulator's event
+/// loop). It consumes the feedback stream record by record:
 /// each executed path is replayed against the *current* predictor epoch
 /// (read-only) through that model's [`ModelMonitor`]; when a monitor's
 /// accuracy window fills below the floor, the maintainer clones the
@@ -797,7 +599,7 @@ impl LiveAdvisor for Houdini {
 /// keep their pinned snapshot, fresh plans pick up the rebuilt models.
 struct HoudiniMaintainer<'a> {
     houdini: &'a Houdini,
-    /// Live accuracy monitors/accumulators, per procedure per model.
+    /// Accuracy monitors/accumulators, per procedure per model.
     monitors: Vec<Vec<ModelMonitor>>,
     report: MaintenanceReport,
 }
@@ -885,20 +687,16 @@ mod tests {
         }
     }
 
+    /// 2-partition planning context over `catalog`.
+    fn ctx(catalog: &Catalog) -> PlanContext<'_> {
+        PlanContext { catalog, num_partitions: 2, random_local_partition: 0 }
+    }
+
     #[test]
     fn plans_local_new_order_single_partition() {
-        let (mut h, catalog) = trained(2, 600, false);
-        let mut db = Bench::Tpcc.database(2);
-        let reg = Bench::Tpcc.registry();
-        let mut env = PlanEnv {
-            db: &mut db,
-            registry: &reg,
-            catalog: &catalog,
-            num_partitions: 2,
-            random_local_partition: 0,
-        };
+        let (h, catalog) = trained(2, 600, false);
         let req = new_order_req(1, 90_000, &[1, 1, 1]);
-        let plan = h.plan(&req, &mut env);
+        let (plan, _) = h.plan_live_reusing(&req, &ctx(&catalog), None);
         assert_eq!(plan.base_partition, 1);
         assert_eq!(plan.lock_set, PartitionSet::single(1));
         assert!(plan.estimate_cost_us > 0.0);
@@ -906,18 +704,9 @@ mod tests {
 
     #[test]
     fn plans_remote_new_order_distributed() {
-        let (mut h, catalog) = trained(2, 600, false);
-        let mut db = Bench::Tpcc.database(2);
-        let reg = Bench::Tpcc.registry();
-        let mut env = PlanEnv {
-            db: &mut db,
-            registry: &reg,
-            catalog: &catalog,
-            num_partitions: 2,
-            random_local_partition: 0,
-        };
+        let (h, catalog) = trained(2, 600, false);
         let req = new_order_req(0, 90_001, &[0, 0, 1]);
-        let plan = h.plan(&req, &mut env);
+        let (plan, _) = h.plan_live_reusing(&req, &ctx(&catalog), None);
         assert_eq!(plan.lock_set, PartitionSet::all(2));
         assert_eq!(plan.base_partition, 0, "home warehouse accessed most");
     }
@@ -926,45 +715,29 @@ mod tests {
     fn never_disables_undo_for_abortable_path() {
         // NewOrder can abort (invalid item, ~1%): its estimated abort
         // probability is nonzero, so OP3 must stay off initially.
-        let (mut h, catalog) = trained(2, 600, false);
-        let mut db = Bench::Tpcc.database(2);
-        let reg = Bench::Tpcc.registry();
-        let mut env = PlanEnv {
-            db: &mut db,
-            registry: &reg,
-            catalog: &catalog,
-            num_partitions: 2,
-            random_local_partition: 0,
-        };
+        let (h, catalog) = trained(2, 600, false);
         let req = new_order_req(0, 90_002, &[0, 0, 0]);
-        let plan = h.plan(&req, &mut env);
+        let (plan, _) = h.plan_live_reusing(&req, &ctx(&catalog), None);
         assert!(!plan.disable_undo);
     }
 
     #[test]
     fn replan_locks_all_and_goes_passive() {
-        let (mut h, catalog) = trained(2, 400, false);
-        let mut db = Bench::Tpcc.database(2);
-        let reg = Bench::Tpcc.registry();
-        let mut env = PlanEnv {
-            db: &mut db,
-            registry: &reg,
-            catalog: &catalog,
-            num_partitions: 2,
-            random_local_partition: 0,
-        };
+        let (h, catalog) = trained(2, 400, false);
         let req = new_order_req(0, 90_003, &[0, 0, 0]);
-        h.plan(&req, &mut env);
-        let plan = h.replan(&req, PartitionSet::single(1), 1, &mut env);
+        let (plan, mut session) = h.replan_live(&req, PartitionSet::single(1), 1, &ctx(&catalog));
         assert_eq!(plan.lock_set, PartitionSet::all(2));
         assert!(!plan.disable_undo);
         // The retry keeps undo logging on no matter what it observes.
-        let upd = h.on_query(&ExecutedQuery {
-            query: 0,
-            params: vec![Value::Int(0)],
-            partitions: PartitionSet::single(0),
-            is_write: false,
-        });
+        let upd = h.on_query_live(
+            &mut session,
+            &ExecutedQuery {
+                query: 0,
+                params: vec![Value::Int(0)],
+                partitions: PartitionSet::single(0),
+                is_write: false,
+            },
+        );
         assert!(!upd.disable_undo);
     }
 
@@ -972,17 +745,8 @@ mod tests {
     fn threshold_zero_locks_everything() {
         let (mut h, catalog) = trained(2, 400, false);
         h.cfg.threshold = 0.0;
-        let mut db = Bench::Tpcc.database(2);
-        let reg = Bench::Tpcc.registry();
-        let mut env = PlanEnv {
-            db: &mut db,
-            registry: &reg,
-            catalog: &catalog,
-            num_partitions: 2,
-            random_local_partition: 0,
-        };
         let req = new_order_req(1, 90_004, &[1, 1, 1]);
-        let plan = h.plan(&req, &mut env);
+        let (plan, _) = h.plan_live_reusing(&req, &ctx(&catalog), None);
         assert_eq!(
             plan.lock_set,
             PartitionSet::all(2),
@@ -994,24 +758,14 @@ mod tests {
     #[test]
     fn early_prepare_knob_gates_op4_plans() {
         let (mut h, catalog) = trained(2, 600, false);
-        h.cfg.early_prepare = false;
-        let mut db = Bench::Tpcc.database(2);
-        let reg = Bench::Tpcc.registry();
-        let mut env = PlanEnv {
-            db: &mut db,
-            registry: &reg,
-            catalog: &catalog,
-            num_partitions: 2,
-            random_local_partition: 0,
-        };
         let req = new_order_req(0, 90_005, &[0, 0, 1]);
-        let plan = h.plan(&req, &mut env);
-        assert!(!plan.early_prepare, "OP4 ablation must not early-prepare");
-        let ctx = PlanContext { catalog: &catalog, num_partitions: 2, random_local_partition: 0 };
-        let (live_plan, _s) = h.plan_live(&req, &ctx);
-        assert!(!live_plan.early_prepare);
+        let (on, _) = h.plan_live_reusing(&req, &ctx(&catalog), None);
+        assert!(on.early_prepare);
+        h.cfg.early_prepare = false;
+        let (off, _) = h.plan_live_reusing(&req, &ctx(&catalog), None);
+        assert!(!off.early_prepare, "OP4 ablation must not early-prepare");
         // The rest of the plan is unchanged by the ablation.
-        assert_eq!(live_plan.lock_set, plan.lock_set);
+        assert_eq!(off.lock_set, on.lock_set);
     }
 
     #[test]
@@ -1023,94 +777,8 @@ mod tests {
     }
 
     #[test]
-    fn live_plans_match_simulated_plans() {
-        let (mut h, catalog) = trained(2, 600, false);
-        let mut db = Bench::Tpcc.database(2);
-        let reg = Bench::Tpcc.registry();
-        for (w, o, items) in [
-            (1i64, 91_000i64, vec![1i64, 1, 1]),
-            (0, 91_001, vec![0, 0, 1]),
-            (0, 91_002, vec![0, 0, 0]),
-        ] {
-            let req = new_order_req(w, o, &items);
-            let sim_plan = {
-                let mut env = PlanEnv {
-                    db: &mut db,
-                    registry: &reg,
-                    catalog: &catalog,
-                    num_partitions: 2,
-                    random_local_partition: 0,
-                };
-                TxnAdvisor::plan(&mut h, &req, &mut env)
-            };
-            let ctx =
-                PlanContext { catalog: &catalog, num_partitions: 2, random_local_partition: 0 };
-            let (live_plan, _session) = h.plan_live(&req, &ctx);
-            assert_eq!(live_plan.base_partition, sim_plan.base_partition, "w={w}");
-            assert_eq!(live_plan.lock_set, sim_plan.lock_set, "w={w}");
-            assert_eq!(live_plan.disable_undo, sim_plan.disable_undo, "w={w}");
-        }
-    }
-
-    #[test]
-    fn live_runtime_updates_declare_finished_partitions() {
-        let (mut h_sim, catalog) = trained(2, 800, false);
-        let (h_live, _) = trained(2, 800, false);
-        let mut db = Bench::Tpcc.database(2);
-        let reg = Bench::Tpcc.registry();
-        // Remote payment: customer at partition 1, warehouse at 0 — the
-        // same case the simulated-time test covers.
-        let req = Request {
-            proc: 3,
-            args: vec![
-                Value::Int(0),
-                Value::Int(1),
-                Value::Int(5),
-                Value::Int(100),
-                Value::Int(77_000),
-            ],
-            origin_node: 0,
-        };
-        let sim_plan = {
-            let mut env = PlanEnv {
-                db: &mut db,
-                registry: &reg,
-                catalog: &catalog,
-                num_partitions: 2,
-                random_local_partition: 0,
-            };
-            TxnAdvisor::plan(&mut h_sim, &req, &mut env)
-        };
-        let ctx = PlanContext { catalog: &catalog, num_partitions: 2, random_local_partition: 0 };
-        let (live_plan, mut session) = h_live.plan_live(&req, &ctx);
-        assert_eq!(live_plan.lock_set, sim_plan.lock_set);
-        // Feed both advisors the executed path; the live session must
-        // declare the same finished partitions as the simulated-time one.
-        let out = run_offline(&mut db, &reg, &catalog, 3, &req.args, true).unwrap();
-        let resolver = CatalogResolver::new(&catalog, 2);
-        let mut declared_sim = PartitionSet::EMPTY;
-        let mut declared_live = PartitionSet::EMPTY;
-        for q in &out.record.queries {
-            use trace::PartitionResolver as _;
-            let parts = resolver.partitions(3, q.query, &q.params);
-            let exec = ExecutedQuery {
-                query: q.query,
-                params: q.params.clone(),
-                partitions: parts,
-                is_write: catalog.proc(3).query(q.query).is_write(),
-            };
-            declared_sim = declared_sim.union(h_sim.on_query(&exec).finished);
-            declared_live = declared_live.union(h_live.on_query_live(&mut session, &exec).finished);
-        }
-        h_sim.on_end(TxnOutcome::Committed);
-        let _ = h_live.on_end_live(session, TxnOutcome::Committed);
-        assert_eq!(declared_live, declared_sim);
-        assert!(declared_live.contains(1), "customer partition finished (OP4)");
-    }
-
-    #[test]
     fn runtime_updates_declare_finished_partitions() {
-        let (mut h, catalog) = trained(2, 800, false);
+        let (h, catalog) = trained(2, 800, false);
         let mut db = Bench::Tpcc.database(2);
         let reg = Bench::Tpcc.registry();
         // Remote payment: customer at partition 1, warehouse at 0.
@@ -1125,14 +793,7 @@ mod tests {
             ],
             origin_node: 0,
         };
-        let mut env = PlanEnv {
-            db: &mut db,
-            registry: &reg,
-            catalog: &catalog,
-            num_partitions: 2,
-            random_local_partition: 0,
-        };
-        let plan = h.plan(&req, &mut env);
+        let (plan, mut session) = h.plan_live_reusing(&req, &ctx(&catalog), None);
         assert_eq!(plan.lock_set.len(), 2, "payment locks buyer+warehouse");
         // Execute the real queries and feed them back; by the final history
         // insert, the customer partition should be declared finished.
@@ -1142,15 +803,18 @@ mod tests {
         for q in &out.record.queries {
             use trace::PartitionResolver as _;
             let parts = resolver.partitions(3, q.query, &q.params);
-            let upd = h.on_query(&ExecutedQuery {
-                query: q.query,
-                params: q.params.clone(),
-                partitions: parts,
-                is_write: catalog.proc(3).query(q.query).is_write(),
-            });
+            let upd = h.on_query_live(
+                &mut session,
+                &ExecutedQuery {
+                    query: q.query,
+                    params: q.params.clone(),
+                    partitions: parts,
+                    is_write: catalog.proc(3).query(q.query).is_write(),
+                },
+            );
             declared = declared.union(upd.finished);
         }
-        h.on_end(TxnOutcome::Committed);
+        let _ = h.end_live_reclaim(session, TxnOutcome::Committed);
         assert!(
             declared.contains(1),
             "customer partition declared finished (OP4), declared = {declared}"

@@ -3,7 +3,7 @@
 
 use common::{PartitionId, PartitionSet, ProcId, QueryId, Value};
 use engine::{Catalog, PartitionHint};
-use markov::{MarkovModel, ModelMonitor, QueryPartitionRule};
+use markov::{MarkovModel, QueryPartitionRule};
 use ml::{DecisionTree, Feature};
 use std::sync::Arc;
 
@@ -45,8 +45,8 @@ impl QueryPartitionRule for CatalogRule<'_> {
 /// with a run-time decision tree (§5.3).
 ///
 /// Models are held behind `Arc` so a whole [`ModelSet`] (and therefore a
-/// whole predictor vector) clones in O(models) pointer bumps: the live
-/// maintenance thread snapshots the current epoch, deep-copies *only* the
+/// whole predictor vector) clones in O(models) pointer bumps: the
+/// maintainer snapshots the current epoch, deep-copies *only* the
 /// drifted model via [`ModelSet::model_arc_mut`] + `Arc::make_mut`, and
 /// publishes the result as the next epoch (clone-on-write, §4.5).
 #[derive(Clone, serde::Serialize, serde::Deserialize)]
@@ -55,8 +55,6 @@ pub enum ModelSet {
     Global {
         /// The model.
         model: Arc<MarkovModel>,
-        /// Its maintenance monitor.
-        monitor: ModelMonitor,
     },
     /// Per-cluster models selected by feature vector.
     Partitioned {
@@ -68,8 +66,6 @@ pub enum ModelSet {
         tree: DecisionTree,
         /// One model per cluster.
         models: Vec<Arc<MarkovModel>>,
-        /// One monitor per cluster model.
-        monitors: Vec<ModelMonitor>,
         /// Cluster size the features were hashed against.
         num_partitions: u32,
     },
@@ -94,7 +90,7 @@ impl ModelSet {
     /// nothing).
     pub fn rebuild_indexes(&mut self) {
         match self {
-            ModelSet::Global { model, .. } => Arc::make_mut(model).rebuild_index(),
+            ModelSet::Global { model } => Arc::make_mut(model).rebuild_index(),
             ModelSet::Partitioned { models, .. } => {
                 for m in models {
                     Arc::make_mut(m).rebuild_index();
@@ -106,7 +102,7 @@ impl ModelSet {
     /// Total vertices across the set (scalability diagnostics, §4.6).
     pub fn total_states(&self) -> usize {
         match self {
-            ModelSet::Global { model, .. } => model.len(),
+            ModelSet::Global { model } => model.len(),
             ModelSet::Partitioned { models, .. } => models.iter().map(|m| m.len()).sum(),
         }
     }
@@ -127,31 +123,19 @@ impl ModelSet {
     /// The selected model, immutably.
     pub fn model(&self, idx: usize) -> &MarkovModel {
         match self {
-            ModelSet::Global { model, .. } => model,
+            ModelSet::Global { model } => model,
             ModelSet::Partitioned { models, .. } => &models[idx],
         }
     }
 
-    /// The selected model's `Arc` handle, mutably — the maintenance
-    /// thread's clone-on-write entry point: `Arc::make_mut` on a snapshot
+    /// The selected model's `Arc` handle, mutably — the maintainer's
+    /// clone-on-write entry point: `Arc::make_mut` on a snapshot
     /// clone deep-copies exactly this one model and leaves every other
     /// model shared with the previous epoch.
     pub fn model_arc_mut(&mut self, idx: usize) -> &mut Arc<MarkovModel> {
         match self {
-            ModelSet::Global { model, .. } => model,
+            ModelSet::Global { model } => model,
             ModelSet::Partitioned { models, .. } => &mut models[idx],
-        }
-    }
-
-    /// The selected model plus its monitor, mutably (the simulator's
-    /// in-place tracking and maintenance; copies only if the model is
-    /// still shared with a published live epoch).
-    pub fn model_mut(&mut self, idx: usize) -> (&mut MarkovModel, &mut ModelMonitor) {
-        match self {
-            ModelSet::Global { model, monitor } => (Arc::make_mut(model), monitor),
-            ModelSet::Partitioned { models, monitors, .. } => {
-                (Arc::make_mut(&mut models[idx]), &mut monitors[idx])
-            }
         }
     }
 }
@@ -232,10 +216,7 @@ mod tests {
 
     #[test]
     fn global_set_selects_zero() {
-        let set = ModelSet::Global {
-            model: Arc::new(MarkovModel::new(0, 4)),
-            monitor: ModelMonitor::new(),
-        };
+        let set = ModelSet::Global { model: Arc::new(MarkovModel::new(0, 4)) };
         assert_eq!(set.select(&[Value::Int(9)]), 0);
         assert_eq!(set.len(), 1);
         assert_eq!(set.total_states(), 3);

@@ -5,7 +5,7 @@ use crate::modelset::{CatalogRule, ModelSet};
 use common::{FxHashMap, FxHashSet, PartitionSet, ProcId, QueryId};
 use engine::{Catalog, CatalogResolver};
 use mapping::{build_mapping, MappingConfig, ProcMapping};
-use markov::{build_model, estimate_path, EstimateConfig, MarkovModel, ModelMonitor};
+use markov::{build_model, estimate_path, EstimateConfig, MarkovModel};
 use ml::{
     extract_features, feature_schema, feed_forward_select, fit_em, train_tree, EmConfig,
     SelectionConfig,
@@ -148,7 +148,6 @@ pub fn train_proc(
         return ProcPredictor {
             models: ModelSet::Global {
                 model: std::sync::Arc::new(MarkovModel::new(proc, num_partitions)),
-                monitor: ModelMonitor::new(),
             },
             mapping: ProcMapping::empty(),
             disabled: true,
@@ -166,7 +165,6 @@ pub fn train_proc(
         return ProcPredictor {
             models: ModelSet::Global {
                 model: std::sync::Arc::new(build_model(proc, records, &resolver)),
-                monitor: ModelMonitor::new(),
             },
             mapping,
             disabled: false,
@@ -209,7 +207,6 @@ pub fn train_proc(
         return ProcPredictor {
             models: ModelSet::Global {
                 model: std::sync::Arc::new(build_model(proc, records, &resolver)),
-                monitor: ModelMonitor::new(),
             },
             mapping,
             disabled: false,
@@ -233,7 +230,6 @@ pub fn train_proc(
     let labels: Vec<usize> = dense.iter().map(|x| em.assign(x)).collect();
     let tree = train_tree(&dense, &labels, 12);
     let mut models = Vec::with_capacity(em.k);
-    let mut monitors = Vec::with_capacity(em.k);
     let mut saw_abort = Vec::with_capacity(em.k);
     for c in 0..em.k {
         let cluster_records: Vec<&TraceRecord> =
@@ -246,10 +242,9 @@ pub fn train_proc(
             build_model(proc, &cluster_records, &resolver)
         };
         models.push(std::sync::Arc::new(model));
-        monitors.push(ModelMonitor::new());
     }
     ProcPredictor {
-        models: ModelSet::Partitioned { schema, selected, tree, models, monitors, num_partitions },
+        models: ModelSet::Partitioned { schema, selected, tree, models, num_partitions },
         mapping,
         disabled: false,
         abort_rate,

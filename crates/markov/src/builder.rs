@@ -1,8 +1,8 @@
 //! Model generation from a workload trace (paper §3.2, construction phase).
 
-use crate::model::{MarkovModel, QueryKind, VertexKey};
+use crate::model::{MarkovModel, VertexCursor};
 use crate::ptable::compute_tables;
-use common::{FxHashMap, PartitionSet, ProcId, QueryId};
+use common::ProcId;
 use trace::{PartitionResolver, TraceRecord};
 
 /// Builds one stored procedure's Markov model from its trace records.
@@ -30,24 +30,15 @@ pub fn build_model(
 /// Exposed for incremental/maintenance use.
 pub fn add_record(model: &mut MarkovModel, rec: &TraceRecord, resolver: &dyn PartitionResolver) {
     debug_assert_eq!(rec.proc, model.proc);
-    let mut prev = PartitionSet::EMPTY;
-    let mut counters: FxHashMap<QueryId, u16> = FxHashMap::default();
+    let mut cursor = VertexCursor::default();
     let mut cur = model.begin();
     for q in &rec.queries {
-        let counter = {
-            let c = counters.entry(q.query).or_insert(0);
-            let cur_c = *c;
-            *c += 1;
-            cur_c
-        };
         let partitions = resolver.partitions(rec.proc, q.query, &q.params);
-        let key =
-            VertexKey { kind: QueryKind::Query(q.query), counter, partitions, previous: prev };
+        let key = cursor.next_key(q.query, partitions);
         let name = resolver.query_name(rec.proc, q.query);
         let is_write = resolver.is_write(rec.proc, q.query);
         let next = model.intern(key, name, is_write);
         model.add_transition(cur, next, 1);
-        prev = prev.union(partitions);
         cur = next;
     }
     let terminal = if rec.aborted { model.abort() } else { model.commit() };
@@ -57,7 +48,7 @@ pub fn add_record(model: &mut MarkovModel, rec: &TraceRecord, resolver: &dyn Par
 #[cfg(test)]
 mod tests {
     use super::*;
-    use common::Value;
+    use common::{PartitionSet, QueryId, Value};
     use trace::QueryRecord;
 
     /// A resolver for a toy procedure: query 0 routes on param 0 (modulo),

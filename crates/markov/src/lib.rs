@@ -23,5 +23,5 @@ pub use dot::to_dot;
 pub use estimate::{estimate_path, EstimateConfig, PathEstimate, QueryPartitionRule};
 pub use io::{load_model, save_model};
 pub use maintenance::{ModelMonitor, PathTracker, PendingState};
-pub use model::{Edge, MarkovModel, QueryKind, Vertex, VertexId, VertexKey};
+pub use model::{Edge, MarkovModel, QueryKind, Vertex, VertexCursor, VertexId, VertexKey};
 pub use ptable::ProbTable;

@@ -8,10 +8,9 @@
 //! recomputed from the live counters — a cheap (≤ 5 ms in the paper)
 //! operation that adapts the model to workload drift without regeneration.
 
-use crate::model::{MarkovModel, QueryKind, VertexId, VertexKey};
+use crate::model::{MarkovModel, QueryKind, VertexCursor, VertexId, VertexKey};
 use crate::ptable::compute_tables;
 use common::{FxHashMap, PartitionSet, QueryId, Value};
-use serde::{Deserialize, Serialize};
 use trace::PartitionResolver;
 
 /// A state observed live but absent from the trained model: interned as a
@@ -27,21 +26,17 @@ pub struct PendingState {
 
 /// Tracks one model's on-line accuracy and triggers recomputation.
 ///
-/// Two consumption modes share the accuracy window:
-///
-/// * The simulator's `&mut` mode ([`ModelMonitor::observe`]): transitions
-///   are folded into the model in place and a drop through the accuracy
-///   floor recomputes it immediately.
-/// * The live runtime's snapshot mode ([`ModelMonitor::observe_walk`]):
-///   the maintenance thread replays each transaction's feedback path
-///   against the current *read-only* epoch, accumulating transition deltas
-///   and pending placeholder states on the side. When
-///   [`ModelMonitor::is_stale`] fires, the maintenance thread clones the
-///   drifted model and calls [`ModelMonitor::recompute`] on the clone,
-///   which interns the placeholders, folds the deltas, recomputes every
-///   probability and table, and leaves the clone ready to publish as the
-///   next epoch.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+/// There is one §4.5 regime, shared by the simulator and the live runtime:
+/// the maintainer replays each transaction's feedback path against the
+/// current *read-only* predictor epoch ([`ModelMonitor::observe_walk`]),
+/// accumulating transition deltas and pending placeholder states on the
+/// side. When [`ModelMonitor::is_stale`] fires, the maintainer clones the
+/// drifted model and calls [`ModelMonitor::recompute`] on the clone, which
+/// interns the placeholders, folds the deltas, recomputes every
+/// probability and table, and leaves the clone ready to publish as the
+/// next epoch. The live runtime drives this from its maintenance thread;
+/// the simulator drives the same maintainer synchronously at teardown.
+#[derive(Debug, Clone)]
 pub struct ModelMonitor {
     /// Observed transitions since the last recomputation.
     observed: u64,
@@ -55,13 +50,10 @@ pub struct ModelMonitor {
     pub recomputations: u64,
     /// Live-feedback transition deltas since the last recomputation, keyed
     /// by vertex-key pair so they can be replayed into *any* future clone
-    /// of the model (vertex ids are epoch-local, keys are not). Maintenance
-    /// thread only; never serialized.
-    #[serde(skip)]
+    /// of the model (vertex ids are epoch-local, keys are not).
     live_transitions: FxHashMap<(VertexKey, VertexKey), u64>,
     /// States observed live that the trained model lacks, waiting to be
-    /// interned into the next epoch. Maintenance thread only.
-    #[serde(skip)]
+    /// interned into the next epoch.
     pending: FxHashMap<VertexKey, PendingState>,
 }
 
@@ -84,8 +76,7 @@ impl Default for ModelMonitor {
 #[derive(Debug)]
 pub struct PathTracker {
     cur: VertexId,
-    prev: PartitionSet,
-    counters: FxHashMap<QueryId, u16>,
+    cursor: VertexCursor,
     path: Vec<VertexId>,
 }
 
@@ -94,8 +85,7 @@ impl PathTracker {
     pub fn new(model: &MarkovModel) -> Self {
         PathTracker {
             cur: model.begin(),
-            prev: PartitionSet::EMPTY,
-            counters: FxHashMap::default(),
+            cursor: VertexCursor::default(),
             path: vec![model.begin()],
         }
     }
@@ -120,19 +110,11 @@ impl PathTracker {
         partitions: PartitionSet,
         resolver: &dyn PartitionResolver,
     ) -> VertexId {
-        let counter = {
-            let c = self.counters.entry(query).or_insert(0);
-            let cur = *c;
-            *c += 1;
-            cur
-        };
-        let key =
-            VertexKey { kind: QueryKind::Query(query), counter, partitions, previous: self.prev };
+        let key = self.cursor.next_key(query, partitions);
         let name = resolver.query_name(model.proc, query);
         let is_write = resolver.is_write(model.proc, query);
         let next = model.intern(key, name, is_write);
         model.observe_transition(self.cur, next);
-        self.prev = self.prev.union(partitions);
         self.path.push(next);
         self.cur = next;
         next
@@ -171,26 +153,6 @@ impl ModelMonitor {
         ModelMonitor { threshold, min_window, ..ModelMonitor::default() }
     }
 
-    /// Records whether an observed transition matched the model's argmax
-    /// expectation, and recomputes the model if accuracy fell through the
-    /// floor. Returns true if a recomputation happened.
-    pub fn observe(&mut self, model: &mut MarkovModel, from: VertexId, to: VertexId) -> bool {
-        self.observed += 1;
-        let expected = model.vertex(from).argmax_edge().map(|e| e.to);
-        if expected == Some(to) {
-            self.matched += 1;
-        }
-        if self.observed >= self.min_window && self.accuracy() < self.threshold {
-            model.recompute_probabilities();
-            compute_tables(model);
-            self.observed = 0;
-            self.matched = 0;
-            self.recomputations += 1;
-            return true;
-        }
-        false
-    }
-
     /// Fraction of observed transitions matching the model's expectation.
     pub fn accuracy(&self) -> f64 {
         if self.observed == 0 {
@@ -201,15 +163,15 @@ impl ModelMonitor {
     }
 
     /// Replays one transaction's executed path against a *read-only* model
-    /// snapshot (the live runtime's §4.5 mode): accuracy counters advance,
+    /// snapshot: accuracy counters advance,
     /// transition deltas accumulate by vertex key, and states the model has
     /// never seen become pending placeholders for the next epoch.
     ///
     /// A transition counts as *matched* when the model **covers** it: both
     /// states exist and the edge between them carries trained (or
-    /// previously folded-in) counts. This is deliberately looser than the
-    /// simulator monitor's argmax test: workloads with genuine
-    /// data-dependent branching (TATP's per-partition first queries) sit
+    /// previously folded-in) counts. This is deliberately looser than an
+    /// argmax test ("did the transaction take the most probable edge?"):
+    /// workloads with genuine data-dependent branching (TATP's per-partition first queries) sit
     /// near 1/partitions argmax accuracy forever, which would read as
     /// permanent drift and thrash the rebuild path; coverage stays ~100%
     /// while the workload matches training and collapses toward 0 exactly
@@ -219,8 +181,7 @@ impl ModelMonitor {
     /// `path` is the executed `(query, partitions)` sequence; `terminal` is
     /// `Some(committed)` for a finished transaction and `None` for a
     /// mispredict-aborted attempt (whose executed prefix is still real
-    /// maintenance signal, exactly as the simulator's tracker records it,
-    /// but which took no commit/abort edge). Returns the `(observed,
+    /// maintenance signal, but which took no commit/abort edge). Returns the `(observed,
     /// matched)` accuracy delta this walk contributed.
     pub fn observe_walk(
         &mut self,
@@ -229,8 +190,7 @@ impl ModelMonitor {
         terminal: Option<bool>,
         resolver: &dyn PartitionResolver,
     ) -> (u64, u64) {
-        let mut counters: FxHashMap<QueryId, u16> = FxHashMap::default();
-        let mut prev = PartitionSet::EMPTY;
+        let mut cursor = VertexCursor::default();
         let mut cur = Some(model.begin());
         let mut cur_key = model.vertex(model.begin()).key;
         let (mut observed, mut matched) = (0u64, 0u64);
@@ -250,14 +210,7 @@ impl ModelMonitor {
             to
         };
         for &(query, partitions) in path {
-            let counter = {
-                let c = counters.entry(query).or_insert(0);
-                let seen = *c;
-                *c += 1;
-                seen
-            };
-            let key =
-                VertexKey { kind: QueryKind::Query(query), counter, partitions, previous: prev };
+            let key = cursor.next_key(query, partitions);
             let to = step(cur, cur_key, key, &mut self.live_transitions);
             if to.is_none() {
                 self.pending.entry(key).or_insert_with(|| PendingState {
@@ -265,7 +218,6 @@ impl ModelMonitor {
                     is_write: resolver.is_write(model.proc, query),
                 });
             }
-            prev = prev.union(partitions);
             cur = to;
             cur_key = key;
         }
@@ -397,20 +349,16 @@ mod tests {
         let mut model = model_one_path();
         let r = ModResolver { parts: 2 };
         let mut mon = ModelMonitor { min_window: 50, ..ModelMonitor::default() };
-        // Drift: every transaction now goes to partition 1's state.
-        let mut recomputed = false;
+        // Drift: every transaction now goes to partition 1's state. The
+        // maintainer's loop: replay, and rebuild whenever the window fills
+        // below the floor.
         for _ in 0..100 {
-            let mut t = PathTracker::new(&model);
-            let from = t.current();
-            let to = t.advance_with_params(&mut model, 0, &[Value::Int(1)], &r);
-            recomputed |= mon.observe(&mut model, from, to);
-            let cur = t.current();
-            t.finish(&mut model, true);
-            let commit = model.commit();
-            recomputed |= mon.observe(&mut model, cur, commit);
+            mon.observe_walk(&model, &[(0, PartitionSet::single(1))], Some(true), &r);
+            if mon.is_stale() {
+                mon.recompute(&mut model);
+            }
         }
-        assert!(recomputed, "drifted workload must trigger recomputation");
-        assert!(mon.recomputations >= 1);
+        assert_eq!(mon.recomputations, 1, "one rebuild heals the drift; no thrash after it");
         // After recomputation the argmax from begin points at the new state.
         let begin = model.begin();
         let best = model.vertex(begin).argmax_edge().unwrap().to;
@@ -498,18 +446,13 @@ mod tests {
 
     #[test]
     fn monitor_quiet_when_accurate() {
-        let mut model = model_one_path();
+        let model = model_one_path();
         let r = ModResolver { parts: 2 };
         let mut mon = ModelMonitor { min_window: 20, ..ModelMonitor::default() };
         for _ in 0..100 {
-            let mut t = PathTracker::new(&model);
-            let from = t.current();
-            let to = t.advance_with_params(&mut model, 0, &[Value::Int(0)], &r);
-            assert!(!mon.observe(&mut model, from, to));
-            let cur = t.current();
-            t.finish(&mut model, true);
-            let commit = model.commit();
-            assert!(!mon.observe(&mut model, cur, commit));
+            let walk = mon.observe_walk(&model, &[(0, PartitionSet::single(0))], Some(true), &r);
+            assert_eq!(walk, (2, 2), "the trained path is fully covered");
+            assert!(!mon.is_stale());
         }
         assert_eq!(mon.recomputations, 0);
         assert!(mon.accuracy() > 0.99);

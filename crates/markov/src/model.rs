@@ -47,6 +47,42 @@ impl VertexKey {
     }
 }
 
+/// The vertex-identity rule of §3.1 as a walk cursor: per-query invocation
+/// counters plus the partitions seen so far turn each executed
+/// `(query, partitions)` into the [`VertexKey`] of the state it reaches.
+/// Model construction, the advisor's per-transaction walk, and the
+/// maintenance replay all derive keys through this one type, so the three
+/// cannot disagree about which state a transaction is in.
+#[derive(Debug, Clone, Default)]
+pub struct VertexCursor {
+    counters: FxHashMap<QueryId, u16>,
+    previous: PartitionSet,
+}
+
+impl VertexCursor {
+    /// Key of the state reached by executing `query` at `partitions` next;
+    /// advances the cursor past it.
+    #[inline]
+    pub fn next_key(&mut self, query: QueryId, partitions: PartitionSet) -> VertexKey {
+        let c = self.counters.entry(query).or_insert(0);
+        let key = VertexKey {
+            kind: QueryKind::Query(query),
+            counter: *c,
+            partitions,
+            previous: self.previous,
+        };
+        *c += 1;
+        self.previous = self.previous.union(partitions);
+        key
+    }
+
+    /// Rewinds to the begin state, keeping the counter map's capacity.
+    pub fn reset(&mut self) {
+        self.counters.clear();
+        self.previous = PartitionSet::EMPTY;
+    }
+}
+
 /// Vertex id within one model.
 pub type VertexId = u32;
 

@@ -49,7 +49,7 @@ fn main() {
     //    partition (OP1), lock sets (OP2), undo logging (OP3), and early
     //    prepares (OP4).
     println!("== simulating 1 simulated second of TPC-C under Houdini ==");
-    let mut houdini = Houdini::new(predictors, catalog, parts, HoudiniConfig::default());
+    let houdini = Houdini::new(predictors, catalog, parts, HoudiniConfig::default());
     let mut db = bench.database(parts);
     let mut gen = bench.generator(parts, 43);
     let cfg = engine::SimConfig {
@@ -61,7 +61,7 @@ fn main() {
     let sim = engine::Simulation::new(
         &mut db,
         &registry,
-        &mut houdini,
+        &houdini,
         &mut gen,
         engine::CostModel::default(),
         cfg,

@@ -5,12 +5,13 @@
 //! Run with: `cargo run --release --example tpcc_houdini [partitions]`
 
 use engine::baselines::{AssumeDistributed, AssumeSinglePartition, Oracle};
-use engine::{CostModel, RequestGenerator, SimConfig, Simulation, TxnAdvisor};
+use engine::{CostModel, LiveAdvisor, RequestGenerator, SimConfig, Simulation};
 use houdini::{train, Houdini, HoudiniConfig, TrainingConfig};
 use trace::Workload;
 use workloads::Bench;
 
-fn run(bench: Bench, parts: u32, advisor: &mut dyn TxnAdvisor) -> engine::RunMetrics {
+/// Simulates `bench` under `advisor` and prints its report row.
+fn run<A: LiveAdvisor>(bench: Bench, parts: u32, name: &str, advisor: &A) -> engine::RunMetrics {
     let mut db = bench.database(parts);
     let registry = bench.registry();
     let mut gen = bench.generator(parts, 99);
@@ -21,7 +22,16 @@ fn run(bench: Bench, parts: u32, advisor: &mut dyn TxnAdvisor) -> engine::RunMet
         ..Default::default()
     };
     let sim = Simulation::new(&mut db, &registry, advisor, &mut gen, CostModel::default(), cfg);
-    sim.run().expect("simulation").0
+    let m = sim.run().expect("simulation").0;
+    let lat = m.mean_latency_ms().map_or_else(|| "-".to_string(), |ms| format!("{ms:.2}"));
+    println!(
+        "{name:<26} {:>9.0} {lat:>9} {:>9} {:>9} {:>9}",
+        m.throughput_tps(),
+        m.restarts,
+        m.no_undo,
+        m.speculative
+    );
+    m
 }
 
 fn main() {
@@ -42,34 +52,18 @@ fn main() {
         records.push(out.record);
     }
     let preds = train(&catalog, parts, &Workload { records }, &TrainingConfig::default());
-    let mut houdini = Houdini::new(preds, catalog.clone(), parts, HoudiniConfig::default());
+    let houdini = Houdini::new(preds, catalog.clone(), parts, HoudiniConfig::default());
 
-    let mut oracle = Oracle::new();
-    let mut asp = AssumeSinglePartition::new();
-    let mut adist = AssumeDistributed::new();
-    let runs: Vec<(&str, &mut dyn TxnAdvisor)> = vec![
-        ("houdini", &mut houdini),
-        ("proper-selection (oracle)", &mut oracle),
-        ("assume-single-partition", &mut asp),
-        ("assume-distributed", &mut adist),
-    ];
     println!(
         "{:<26} {:>9} {:>9} {:>9} {:>9} {:>9}",
         "strategy", "txn/s", "lat(ms)", "restarts", "no-undo", "spec"
     );
-    for (name, advisor) in runs {
-        let m = run(bench, parts, advisor);
-        let lat = m.mean_latency_ms().map_or_else(|| "-".to_string(), |ms| format!("{ms:.2}"));
-        println!(
-            "{name:<26} {:>9.0} {lat:>9} {:>9} {:>9} {:>9}",
-            m.throughput_tps(),
-            m.restarts,
-            m.no_undo,
-            m.speculative
-        );
-    }
+    let m = run(bench, parts, "houdini", &houdini);
+    run(bench, parts, "proper-selection (oracle)", &Oracle::new());
+    run(bench, parts, "assume-single-partition", &AssumeSinglePartition::new());
+    run(bench, parts, "assume-distributed", &AssumeDistributed::new());
     println!(
-        "\nHoudini plan mix: {} estimated, {} fallback, {} replanned",
-        houdini.plans_estimated, houdini.plans_fallback, houdini.plans_replanned
+        "\nHoudini maintenance (§4.5): {} feedback records, {} model swaps, {} replans",
+        m.feedback_records, m.model_swaps, m.restarts
     );
 }

@@ -27,7 +27,9 @@ pub use workloads;
 /// The types most programs need.
 pub mod prelude {
     pub use common::{PartitionSet, Value};
-    pub use engine::{run_offline, CostModel, RequestGenerator, SimConfig, Simulation, TxnAdvisor};
+    pub use engine::{
+        run_offline, CostModel, LiveAdvisor, RequestGenerator, SimConfig, Simulation,
+    };
     pub use houdini::{train, Houdini, HoudiniConfig, TrainingConfig};
     pub use markov::{build_model, estimate_path, EstimateConfig, MarkovModel};
     pub use trace::Workload;

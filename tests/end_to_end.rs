@@ -20,10 +20,10 @@ fn collect(bench: Bench, parts: u32, n: usize, seed: u64) -> (engine::Catalog, W
     (catalog, Workload { records })
 }
 
-fn simulate(
+fn simulate<A: LiveAdvisor>(
     bench: Bench,
     parts: u32,
-    advisor: &mut dyn TxnAdvisor,
+    advisor: &A,
     seed: u64,
 ) -> engine::RunMetrics {
     let mut db = bench.database(parts);
@@ -45,8 +45,8 @@ fn houdini_runs_every_benchmark() {
         let parts = 4;
         let (catalog, wl) = collect(bench, parts, 1000, 11);
         let preds = train(&catalog, parts, &wl, &TrainingConfig::default());
-        let mut houdini = Houdini::new(preds, catalog, parts, HoudiniConfig::default());
-        let m = simulate(bench, parts, &mut houdini, 13);
+        let houdini = Houdini::new(preds, catalog, parts, HoudiniConfig::default());
+        let m = simulate(bench, parts, &houdini, 13);
         assert!(m.committed > 200, "{}: committed = {}", bench.name(), m.committed);
         assert!(m.throughput_tps() > 500.0, "{}: tps = {}", bench.name(), m.throughput_tps());
     }
@@ -57,10 +57,10 @@ fn houdini_beats_assume_single_partition_on_tatp() {
     let parts = 8;
     let (catalog, wl) = collect(Bench::Tatp, parts, 1500, 21);
     let preds = train(&catalog, parts, &wl, &TrainingConfig::default());
-    let mut houdini = Houdini::new(preds, catalog, parts, HoudiniConfig::default());
-    let mh = simulate(Bench::Tatp, parts, &mut houdini, 23);
-    let mut asp = AssumeSinglePartition::new();
-    let ma = simulate(Bench::Tatp, parts, &mut asp, 23);
+    let houdini = Houdini::new(preds, catalog, parts, HoudiniConfig::default());
+    let mh = simulate(Bench::Tatp, parts, &houdini, 23);
+    let asp = AssumeSinglePartition::new();
+    let ma = simulate(Bench::Tatp, parts, &asp, 23);
     // The paper reports a 26%+ TATP improvement (§6.4); require a clear win.
     assert!(
         mh.throughput_tps() > 1.2 * ma.throughput_tps(),
@@ -73,10 +73,10 @@ fn houdini_beats_assume_single_partition_on_tatp() {
 #[test]
 fn everyone_beats_assume_distributed() {
     let parts = 8;
-    let mut adist = AssumeDistributed::new();
-    let md = simulate(Bench::Tpcc, parts, &mut adist, 31);
-    let mut oracle = Oracle::new();
-    let mo = simulate(Bench::Tpcc, parts, &mut oracle, 31);
+    let adist = AssumeDistributed::new();
+    let md = simulate(Bench::Tpcc, parts, &adist, 31);
+    let oracle = Oracle::new();
+    let mo = simulate(Bench::Tpcc, parts, &oracle, 31);
     assert!(
         mo.throughput_tps() > 2.0 * md.throughput_tps(),
         "oracle {} vs lock-all {}",
@@ -88,8 +88,8 @@ fn everyone_beats_assume_distributed() {
 #[test]
 fn oracle_never_restarts_and_never_halts() {
     for bench in Bench::ALL {
-        let mut oracle = Oracle::new();
-        let m = simulate(bench, 4, &mut oracle, 41);
+        let oracle = Oracle::new();
+        let m = simulate(bench, 4, &oracle, 41);
         assert_eq!(m.restarts, 0, "{}: oracle mispredicted", bench.name());
     }
 }
@@ -101,8 +101,8 @@ fn simulation_is_deterministic() {
     let cfg = TrainingConfig::default();
     let run = || {
         let preds = train(&catalog, parts, &wl, &cfg);
-        let mut houdini = Houdini::new(preds, catalog.clone(), parts, HoudiniConfig::default());
-        simulate(Bench::Tpcc, parts, &mut houdini, 53)
+        let houdini = Houdini::new(preds, catalog.clone(), parts, HoudiniConfig::default());
+        simulate(Bench::Tpcc, parts, &houdini, 53)
     };
     let a = run();
     let b = run();
@@ -128,14 +128,14 @@ fn database_invariants_hold_after_tpcc_run() {
     let stock_before = db.total_rows(workloads::tpcc::tables::STOCK);
 
     let mut gen = bench.generator(parts, 61);
-    let mut oracle = Oracle::new();
+    let oracle = Oracle::new();
     let cfg = SimConfig {
         num_partitions: parts,
         warmup_us: 0.0,
         measure_us: 200_000.0,
         ..Default::default()
     };
-    let sim = Simulation::new(&mut db, &registry, &mut oracle, &mut gen, CostModel::default(), cfg);
+    let sim = Simulation::new(&mut db, &registry, &oracle, &mut gen, CostModel::default(), cfg);
     sim.run().expect("run");
     let _ = catalog;
     assert_eq!(db.total_rows(workloads::tpcc::tables::WAREHOUSE), warehouses_before);

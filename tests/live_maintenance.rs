@@ -76,7 +76,7 @@ fn monitor_threshold_fires_end_to_end_with_pinned_counts() {
             args: vec![common::Value::Int(s_id)],
             origin_node: 0,
         };
-        let (plan, mut session) = h.plan_live(&req, &ctx);
+        let (plan, mut session) = h.plan_live_reusing(&req, &ctx, None);
         if swapped_at.is_none() {
             assert_eq!(
                 plan.lock_set,
@@ -107,7 +107,8 @@ fn monitor_threshold_fires_end_to_end_with_pinned_counts() {
             );
         }
         let fb = h
-            .on_end_live(session, TxnOutcome::Committed)
+            .end_live_reclaim(session, TxnOutcome::Committed)
+            .0
             .expect("maintenance feedback at teardown");
         assert_eq!(fb.proc, GET_SUBSCRIBER);
         assert_eq!(fb.path.len(), 1, "one executed query per request");

@@ -55,7 +55,7 @@ fn trained_predictors() -> (Houdini, Houdini) {
     (a, b)
 }
 
-fn run_simulated(advisor: &mut Houdini) -> (RunMetrics, storage::Database) {
+fn run_simulated(advisor: &Houdini) -> (RunMetrics, storage::Database) {
     let mut db = Bench::Tatp.database(PARTS);
     let reg = Bench::Tatp.registry();
     let clients = u64::from(PARTS * CLIENTS_PER_PARTITION);
@@ -92,8 +92,8 @@ fn run_live_runtime(advisor: Houdini) -> (RunMetrics, storage::Database) {
 
 #[test]
 fn live_runtime_matches_simulation_on_seeded_tatp() {
-    let (mut sim_houdini, live_houdini) = trained_predictors();
-    let (sim_m, sim_db) = run_simulated(&mut sim_houdini);
+    let (sim_houdini, live_houdini) = trained_predictors();
+    let (sim_m, sim_db) = run_simulated(&sim_houdini);
     let (live_m, live_db) = run_live_runtime(live_houdini);
 
     let issued = u64::from(PARTS * CLIENTS_PER_PARTITION) * REQUESTS_PER_CLIENT;
@@ -130,6 +130,25 @@ fn live_runtime_matches_simulation_on_seeded_tatp() {
     // Sanity: the workload exercised the interesting paths.
     assert!(live_m.committed > 0);
     assert!(live_m.distributed > 0, "broadcast procedures ran distributed");
+}
+
+/// One advisor contract, one §4.5 regime: both engines emit one feedback
+/// record per session teardown, so the same requests produce the same
+/// feedback volume. The stream matches training, so no model swaps and the
+/// plans — hence the teardowns — are interleaving-independent; the live
+/// clients' records are either consumed or, under backpressure, dropped.
+/// (At the parent commit the simulator had no feedback path at all.)
+#[test]
+fn simulator_and_live_runtime_emit_the_same_feedback() {
+    let (sim_houdini, live_houdini) = trained_predictors();
+    let (sim_m, _) = run_simulated(&sim_houdini);
+    let (live_m, _) = run_live_runtime(live_houdini);
+    assert_eq!(sim_m.model_swaps, 0);
+    assert_eq!(live_m.model_swaps, 0);
+    // Every TATP procedure is trained (none disabled), so every teardown
+    // emits.
+    assert_eq!(sim_m.feedback_records, sim_m.committed + sim_m.user_aborts + sim_m.restarts);
+    assert_eq!(sim_m.feedback_records, live_m.feedback_records + live_m.feedback_dropped);
 }
 
 /// OP4 must be invisible in outcome space: the same trained Houdini with

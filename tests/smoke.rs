@@ -32,7 +32,7 @@ fn tatp_collect_train_simulate_smoke() {
     assert!(preds.iter().any(|p| !p.disabled), "training must enable some procedure");
 
     // Simulate (short measured window).
-    let mut houdini = Houdini::new(preds, catalog, parts, HoudiniConfig::default());
+    let houdini = Houdini::new(preds, catalog, parts, HoudiniConfig::default());
     let mut db = Bench::Tatp.database(parts);
     let mut gen = Bench::Tatp.generator(parts, 6);
     let cfg = SimConfig {
@@ -41,8 +41,7 @@ fn tatp_collect_train_simulate_smoke() {
         measure_us: 25_000.0,
         ..Default::default()
     };
-    let sim =
-        Simulation::new(&mut db, &registry, &mut houdini, &mut gen, CostModel::default(), cfg);
+    let sim = Simulation::new(&mut db, &registry, &houdini, &mut gen, CostModel::default(), cfg);
     let (metrics, _) = sim.run().expect("simulation must not halt");
     assert!(metrics.committed > 0, "smoke simulation must commit transactions");
 }
