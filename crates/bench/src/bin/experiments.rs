@@ -2,25 +2,22 @@
 //!
 //! Usage: `experiments [--full] <id>...` where ids are `fig3 fig4 fig5 fig7
 //! fig8 fig9 fig10 table3 fig11 table4 fig12 fig13 live live-latency
-//! live-drift live-profile live-durability check-live-profile
-//! check-dist-profile check-durability` or `all` (the list is
+//! live-drift check` or `all` (the list is
 //! `bench::experiments::EXPERIMENTS`; an unknown id prints the usage and
 //! exits 2 before anything runs). `--full` uses the larger trace sizes
 //! and longer simulated windows recorded in EXPERIMENTS.md; the default
 //! quick scale finishes in seconds per experiment. `live` measures real
 //! wall-clock throughput on the multi-threaded partition runtime instead of
-//! simulated time (closed-loop sweeps plus the open-loop
-//! latency-vs-offered-load sweep); `live-latency` runs just the open-loop
+//! simulated time (closed-loop advisor sweeps at every worker count the
+//! host has cores for, the open-loop latency-vs-offered-load sweep and the
+//! live Fig. 11 attribution); `live-latency` runs just the open-loop
 //! sweep; `live-drift` measures on-line model maintenance (§4.5) under a
-//! mid-run TATP skew flip; `live-profile` measures the live Fig. 11
-//! per-stage wall-clock breakdown (estimation / execution / coordination /
-//! queueing); `live-durability` measures the command log's overhead
-//! (DESIGN.md §7). The `check-*` ids are the CI smoke gates, which fail
-//! (exit nonzero) on a regression: `check-live-profile` if the 1-worker
-//! TATP coordination share regresses to the pre-SPSC-lane level,
-//! `check-dist-profile` if 2-worker TATP throughput drops under its floor
-//! or the commit/abort counts drift, `check-durability` if command logging
-//! costs more than 10% of the no-logging rate.
+//! mid-run TATP skew flip. Every live table is print-only and starts with
+//! a `# host:` line (commit, cores, UTC date). `check` is the CI smoke
+//! gate: it evaluates every row of `bench::live::GATES` (1-worker TATP
+//! coordination share, 2-worker TATP throughput floor with pinned
+//! commit/abort counts, command-logging overhead), prints one PASS/FAIL
+//! line per row and exits 1 if any failed.
 
 use bench::experiments::{run_experiment, EXPERIMENTS};
 use bench::Scale;

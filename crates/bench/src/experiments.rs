@@ -1,17 +1,16 @@
-//! One function per paper artifact (tables and figures). Each returns the
-//! formatted rows it prints, so the `experiments` binary and EXPERIMENTS.md
-//! stay in sync.
+//! One function per simulator paper artifact (tables and figures), plus the
+//! id table the `experiments` binary dispatches on. Each function returns
+//! the formatted rows it prints, so the binary and EXPERIMENTS.md stay in
+//! sync. The wall-clock experiments and the `check` gates live in
+//! [`crate::live`].
 
-use crate::open_loop::{open_loop_measure, OpenLoopConfig};
+use crate::live::{check, live, live_drift, live_latency};
 use crate::setup::{
-    collect_trace, new_order_generator, run_live_bench, run_sim, sim_config, trained_houdini, Scale,
+    collect_trace, new_order_generator, run_sim, sim_config, trained_houdini, Scale,
 };
-use common::{derive_seed, Value};
+use common::Value;
 use engine::baselines::{AssumeDistributed, AssumeSinglePartition, Oracle};
-use engine::{
-    Bucket, CoordSub, CostModel, DurabilityConfig, LiveAdvisor, LiveConfig, LiveRuntime,
-    RequestGenerator, RunMetrics, Simulation,
-};
+use engine::{Bucket, CostModel, LiveAdvisor, Simulation};
 use houdini::{
     evaluate_accuracy, train, AccuracyReport, CatalogRule, Houdini, HoudiniConfig, ModelSet,
     TrainingConfig,
@@ -19,9 +18,8 @@ use houdini::{
 use mapping::ParamSource;
 use markov::{estimate_path, to_dot, EstimateConfig, QueryKind};
 use std::fmt::Write as _;
-use std::sync::Arc;
 use trace::TraceRecord;
-use workloads::{tatp, Bench};
+use workloads::Bench;
 
 /// Cluster sizes of Figs. 3 and 12.
 pub const CLUSTER_SIZES: [u32; 5] = [4, 8, 16, 32, 64];
@@ -325,7 +323,7 @@ pub fn fig11(scale: Scale) -> String {
             let letter = proc_letter(bench, proc as usize);
             // Queueing is always zero here (the simulator has no worker
             // queues); the column keeps the legend aligned with the live
-            // breakdown of `live-profile`.
+            // Fig. 11 table `live` prints.
             let _ = writeln!(
                 out,
                 "{letter} {:<22}  {:5.1}  {:5.1}  {:5.1}  {:5.1}  {:5.1}  {:5.1}",
@@ -446,1295 +444,6 @@ pub fn fig13(scale: Scale) -> String {
     out
 }
 
-/// Worker counts of the live wall-clock scaling experiment.
-pub const LIVE_WORKER_COUNTS: [u32; 4] = [1, 2, 4, 8];
-
-/// One measured live-runtime configuration: a row of the `live` tables and
-/// of `BENCH_live.json`.
-pub struct LiveRow {
-    /// Benchmark name (`TATP`, `TPC-C`).
-    pub bench: &'static str,
-    /// Advisor label (`houdini`, `houdini-no-op4`, `asp`, `lock-all`).
-    pub advisor: &'static str,
-    /// Worker threads (= partitions).
-    pub workers: u32,
-    /// The measured run.
-    pub metrics: engine::RunMetrics,
-}
-
-fn live_config(scale: Scale, seed: u64, requests_quick: u64, msg_delay_us: u64) -> LiveConfig {
-    LiveConfig {
-        clients_per_partition: 4,
-        requests_per_client: match scale {
-            Scale::Quick => requests_quick,
-            Scale::Full => 2_000,
-        },
-        max_restarts: 2,
-        seed,
-        commit_flush_us: 200,
-        msg_delay_us,
-        ..Default::default()
-    }
-}
-
-fn measure_live<A: engine::LiveAdvisor + Clone + 'static>(
-    bench: Bench,
-    label: &'static str,
-    parts: u32,
-    advisor: &A,
-    cfg: &LiveConfig,
-    seed: u64,
-) -> LiveRow {
-    let m = measure_once(bench, label, parts, advisor, cfg, seed);
-    LiveRow { bench: bench.name(), advisor: label, workers: parts, metrics: m }
-}
-
-/// Runs the measurement once, asserting the conservation invariant shared
-/// with the deterministic simulator: every issued request either commits
-/// or user-aborts — speculative cascades are retried transparently and
-/// must not lose or duplicate requests.
-fn measure_once<A: engine::LiveAdvisor + Clone + 'static>(
-    bench: Bench,
-    label: &str,
-    parts: u32,
-    advisor: &A,
-    cfg: &LiveConfig,
-    seed: u64,
-) -> engine::RunMetrics {
-    let issued = u64::from(parts) * u64::from(cfg.clients_per_partition) * cfg.requests_per_client;
-    let m = run_live_bench(bench, parts, advisor, cfg, seed);
-    assert_eq!(
-        m.committed + m.user_aborts,
-        issued,
-        "lost transactions ({} {label} @ {parts}w)",
-        bench.name()
-    );
-    m
-}
-
-/// The run with median throughput (whole-metrics, so counters stay
-/// internally consistent).
-fn median_run(mut runs: Vec<engine::RunMetrics>) -> engine::RunMetrics {
-    runs.sort_by(|a, b| a.throughput_tps().total_cmp(&b.throughput_tps()));
-    let mid = runs.len() / 2;
-    runs.swap_remove(mid)
-}
-
-/// Measures an A/B pair of advisors with *interleaved* rounds (A, B, A, B,
-/// …) and per-arm medians. Wall-clock noise on small shared hosts is
-/// ±2-3% per run and drifts slowly — larger than the effects the OP4
-/// ablation measures — so back-to-back interleaving turns the drift into
-/// paired noise the medians cancel.
-#[allow(clippy::too_many_arguments)]
-fn measure_live_pair<A, B>(
-    bench: Bench,
-    label_a: &'static str,
-    label_b: &'static str,
-    parts: u32,
-    advisor_a: &A,
-    advisor_b: &B,
-    cfg: &LiveConfig,
-    seed: u64,
-    rounds: u32,
-) -> (LiveRow, LiveRow)
-where
-    A: engine::LiveAdvisor + Clone + 'static,
-    B: engine::LiveAdvisor + Clone + 'static,
-{
-    let mut runs_a = Vec::new();
-    let mut runs_b = Vec::new();
-    for _ in 0..rounds.max(1) {
-        runs_a.push(measure_once(bench, label_a, parts, advisor_a, cfg, seed));
-        runs_b.push(measure_once(bench, label_b, parts, advisor_b, cfg, seed));
-    }
-    (
-        LiveRow {
-            bench: bench.name(),
-            advisor: label_a,
-            workers: parts,
-            metrics: median_run(runs_a),
-        },
-        LiveRow {
-            bench: bench.name(),
-            advisor: label_b,
-            workers: parts,
-            metrics: median_run(runs_b),
-        },
-    )
-}
-
-/// Runs every live-runtime measurement: the TATP scaling sweep (Houdini vs
-/// the two baselines) and the TPC-C OP4 ablation sweep (Houdini with early
-/// prepare + speculation on vs off, plus lock-all).
-pub fn live_rows(scale: Scale) -> Vec<LiveRow> {
-    let mut rows = Vec::new();
-    // TATP: the worker-count scaling sweep, directly comparable with the
-    // PR 2 run log (no modeled message latency; scaling comes from
-    // overlapping commit flushes). Like the OP4 ablation below, arms are
-    // interleaved round-robin and each arm records its median-of-3 run:
-    // single runs on a shared 1-core host swing ±8% — more than the
-    // advisor effects the sweep compares.
-    for parts in LIVE_WORKER_COUNTS {
-        let cfg = live_config(scale, 71, 250, 0);
-        let houdini =
-            Arc::new(trained_houdini(Bench::Tatp, parts, scale.trace_len(), true, 0.5, 71));
-        let asp = Arc::new(AssumeSinglePartition::new());
-        let adist = Arc::new(AssumeDistributed::new());
-        let (mut h_runs, mut a_runs, mut d_runs) = (Vec::new(), Vec::new(), Vec::new());
-        for _ in 0..3 {
-            h_runs.push(measure_once(Bench::Tatp, "houdini", parts, &houdini, &cfg, 73));
-            a_runs.push(measure_once(Bench::Tatp, "asp", parts, &asp, &cfg, 73));
-            d_runs.push(measure_once(Bench::Tatp, "lock-all", parts, &adist, &cfg, 73));
-        }
-        let row = |advisor, runs| LiveRow {
-            bench: Bench::Tatp.name(),
-            advisor,
-            workers: parts,
-            metrics: median_run(runs),
-        };
-        rows.push(row("houdini", h_runs));
-        rows.push(row("asp", a_runs));
-        rows.push(row("lock-all", d_runs));
-    }
-    // TPC-C is the distributed-heavy workload that actually exercises OP4:
-    // remote NewOrder/Payment hold multi-partition lock sets across the
-    // 2PC vote/commit rounds and commit flushes. Message latency is
-    // modeled at the simulator's `remote_msg_us` (60 µs one-way) so the
-    // lock-hold time OP4 reclaims exists in wall-clock terms, and the
-    // ablation pair runs long (1000 requests/client at quick scale) to
-    // keep the comparison above scheduler noise on small hosts.
-    for parts in LIVE_WORKER_COUNTS {
-        let cfg = live_config(scale, 79, 1_000, 60);
-        // One trace + training pass serves both ablation arms: the config
-        // knob is read only at plan time, never during training.
-        let (catalog, workload) = collect_trace(Bench::Tpcc, parts, scale.trace_len(), 79);
-        let preds = train(&catalog, parts, &workload, &TrainingConfig::default());
-        let op4 =
-            Arc::new(Houdini::new(preds.clone(), catalog.clone(), parts, HoudiniConfig::default()));
-        let no_op4 = Arc::new(Houdini::new(
-            preds,
-            catalog,
-            parts,
-            HoudiniConfig { early_prepare: false, ..Default::default() },
-        ));
-        let (row_on, row_off) = measure_live_pair(
-            Bench::Tpcc,
-            "houdini",
-            "houdini-no-op4",
-            parts,
-            &op4,
-            &no_op4,
-            &cfg,
-            83,
-            3,
-        );
-        rows.push(row_on);
-        rows.push(row_off);
-        // The lock-all baseline is an order of magnitude slower under 2PC
-        // rounds + message latency; a shorter stream keeps its wall-clock
-        // bounded without touching the ablation pair.
-        let adist = Arc::new(AssumeDistributed::new());
-        let cfg_lockall = live_config(scale, 79, 250, 60);
-        rows.push(measure_live(Bench::Tpcc, "lock-all", parts, &adist, &cfg_lockall, 83));
-    }
-    rows
-}
-
-/// Offered-load fractions of the measured closed-loop capacity swept by
-/// the open-loop latency experiment.
-pub const OPEN_LOOP_LOAD_FRACTIONS: [f64; 4] = [0.25, 0.5, 0.75, 1.0];
-
-/// One measured open-loop configuration: a row of the `latency` section
-/// of `BENCH_live.json` (latency quantiles vs offered load).
-pub struct LatencyRow {
-    /// Benchmark name (`TATP`).
-    pub bench: &'static str,
-    /// Advisor label (`houdini`).
-    pub advisor: &'static str,
-    /// Worker threads (= partitions).
-    pub workers: u32,
-    /// Offered load (scheduled arrivals/second).
-    pub offered_tps: f64,
-    /// Achieved committed throughput (wall-clock).
-    pub achieved_tps: f64,
-    /// Open-loop latency quantiles (ms), measured from *scheduled*
-    /// arrival to completion (coordinated-omission-corrected).
-    pub p50_ms: Option<f64>,
-    /// 95th percentile (ms).
-    pub p95_ms: Option<f64>,
-    /// 99th percentile (ms).
-    pub p99_ms: Option<f64>,
-    /// Committed transactions in the window.
-    pub committed: u64,
-    /// User aborts in the window.
-    pub user_aborts: u64,
-}
-
-/// The open-loop offered-load sweep (`latency` section of
-/// `BENCH_live.json`): Poisson-ish arrivals against a TATP
-/// `LiveRuntime` at fractions of the measured closed-loop capacity.
-/// Closed loops hide queueing delay (a saturated server just slows the
-/// arrival stream down); this sweep is where latency-under-load becomes
-/// visible, and it only exists because the handle API lets submitter
-/// threads own their arrival schedules.
-pub fn latency_rows(scale: Scale) -> Vec<LatencyRow> {
-    let houdini =
-        Arc::new(trained_houdini(Bench::Tatp, LATENCY_PARTS, scale.trace_len(), true, 0.5, 71));
-    // Closed-loop capacity anchors the sweep: offered load is expressed
-    // as a fraction of what saturated closed-loop clients achieve on this
-    // host, so the sweep lands on the interesting part of the latency
-    // curve whatever the hardware. (`live` reuses its own scaling-row
-    // measurement instead of running this extra benchmark.)
-    let cfg = live_config(scale, 107, 250, 0);
-    let capacity =
-        measure_once(Bench::Tatp, "houdini", LATENCY_PARTS, &houdini, &cfg, 109).throughput_tps();
-    latency_rows_at(scale, &houdini, capacity)
-}
-
-/// Worker count (= partitions) of the open-loop latency sweep.
-const LATENCY_PARTS: u32 = 4;
-
-/// The sweep core behind [`latency_rows`]: takes the trained advisor and
-/// the closed-loop capacity anchor from the caller, so `live` — which has
-/// both in hand from its scaling rows — does not retrain or re-measure.
-fn latency_rows_at(scale: Scale, houdini: &Arc<Houdini>, capacity: f64) -> Vec<LatencyRow> {
-    let parts = LATENCY_PARTS;
-    let cfg = live_config(scale, 107, 250, 0);
-    let window_s = match scale {
-        Scale::Quick => 0.6,
-        Scale::Full => 2.0,
-    };
-    let submitters = parts * 4;
-    OPEN_LOOP_LOAD_FRACTIONS
-        .iter()
-        .map(|&frac| {
-            let offered = (capacity * frac).max(200.0);
-            let requests = (offered * window_s) as u64;
-            let ol = OpenLoopConfig { offered_tps: offered, submitters, requests, seed: 113 };
-            let m = open_loop_measure(Bench::Tatp, parts, houdini, &cfg, &ol);
-            LatencyRow {
-                bench: "TATP",
-                advisor: "houdini",
-                workers: parts,
-                offered_tps: m.offered_tps,
-                achieved_tps: m.achieved_tps,
-                p50_ms: m.latency.p50_ms(),
-                p95_ms: m.latency.p95_ms(),
-                p99_ms: m.latency.p99_ms(),
-                committed: m.metrics.committed,
-                user_aborts: m.metrics.user_aborts,
-            }
-        })
-        .collect()
-}
-
-/// One measured configuration of the `live-drift` experiment: an arm
-/// (maintenance on/off) in one measurement window (pre- or post-shift).
-pub struct DriftRow {
-    /// Arm label (`houdini-maint`, `houdini-frozen`).
-    pub advisor: &'static str,
-    /// Window label (`pre-shift`, `post-shift`).
-    pub phase: &'static str,
-    /// Worker threads (= partitions).
-    pub workers: u32,
-    /// The measured window.
-    pub metrics: RunMetrics,
-}
-
-/// One measured arm pair of the `live-durability` experiment: the same
-/// quick-scale TATP configuration run with real per-partition command
-/// logging (`FileDevice` fsync at the default group-commit cadence) and
-/// without any durability, plus the cost of recovering from the logged
-/// run's on-disk state. A row of the `durability` section of
-/// `BENCH_live.json`.
-pub struct DurabilityRow {
-    /// Benchmark name (`TATP`).
-    pub bench: &'static str,
-    /// Advisor label (`houdini`).
-    pub advisor: &'static str,
-    /// Scratch device backing the command log: `"ram"` (a tmpfs mount —
-    /// fsync completes in memory, isolating the subsystem's own cost) or
-    /// `"disk"` (the OS temp dir — adds the real device's fsync latency).
-    pub device: &'static str,
-    /// Worker threads (= partitions).
-    pub workers: u32,
-    /// Committed throughput without durability (txn/s).
-    pub baseline_tps: f64,
-    /// Committed throughput with command logging enabled (txn/s).
-    pub logging_tps: f64,
-    /// Relative throughput cost of logging, in percent
-    /// (`100 * (1 - logging/baseline)`; negative when logging measured
-    /// faster, i.e. the difference is inside run-to-run noise).
-    pub overhead_pct: f64,
-    /// Log records appended during the logging run.
-    pub log_records: u64,
-    /// Log bytes written during the logging run.
-    pub log_bytes: u64,
-    /// Consistent snapshots taken during the logging run.
-    pub snapshots: u64,
-    /// Wall-clock cost of `LiveRuntime::recover` over the logging run's
-    /// final on-disk state (snapshot restore + log replay), in ms.
-    pub recovery_ms: f64,
-    /// Committed transactions replayed from the log during recovery.
-    pub replayed: u64,
-}
-
-fn fmt_opt(v: Option<f64>) -> String {
-    v.map_or_else(|| "null".to_string(), |x| format!("{x:.3}"))
-}
-
-/// Renders the `"rows"` section of `BENCH_live.json` (without trailing
-/// newline; see [`write_bench_live`] for the file layout).
-fn render_rows_section(rows: &[LiveRow]) -> String {
-    let mut s = String::from("  \"rows\": [\n");
-    for (i, r) in rows.iter().enumerate() {
-        let m = &r.metrics;
-        let sum = m.summary();
-        let _ = write!(
-            s,
-            "    {{\"bench\": \"{}\", \"advisor\": \"{}\", \"workers\": {}, \
-             \"throughput_tps\": {:.1}, \"p50_ms\": {}, \"p95_ms\": {}, \"p99_ms\": {}, \
-             \"committed\": {}, \"user_aborts\": {}, \"restarts\": {}, \"distributed\": {}, \
-             \"speculative\": {}, \"cascaded_aborts\": {}, \"lock_hold_mean_ms\": {}, \
-             \"lock_hold_p95_ms\": {}, \"model_swaps\": {}, \"feedback_dropped\": {}, \
-             \"flushes_total\": {}, \"flushes_coalesced\": {}}}",
-            r.bench,
-            r.advisor,
-            r.workers,
-            sum.throughput_tps,
-            fmt_opt(sum.p50_ms),
-            fmt_opt(sum.p95_ms),
-            fmt_opt(sum.p99_ms),
-            sum.committed,
-            sum.user_aborts,
-            sum.restarts,
-            m.distributed,
-            m.speculative,
-            m.cascaded_aborts,
-            fmt_opt(m.lock_hold.mean_us().map(|us| us / 1000.0)),
-            fmt_opt(m.lock_hold.p95_ms()),
-            m.model_swaps,
-            m.feedback_dropped,
-            sum.flushes_total,
-            sum.flushes_coalesced,
-        );
-        s.push_str(if i + 1 == rows.len() { "\n" } else { ",\n" });
-    }
-    s.push_str("  ]");
-    s
-}
-
-/// Renders the `"latency"` section of `BENCH_live.json`.
-fn render_latency_section(rows: &[LatencyRow]) -> String {
-    let mut s = String::from("  \"latency\": [\n");
-    for (i, r) in rows.iter().enumerate() {
-        let _ = write!(
-            s,
-            "    {{\"bench\": \"{}\", \"advisor\": \"{}\", \"workers\": {}, \
-             \"offered_tps\": {:.1}, \"achieved_tps\": {:.1}, \"p50_ms\": {}, \
-             \"p95_ms\": {}, \"p99_ms\": {}, \"committed\": {}, \"user_aborts\": {}}}",
-            r.bench,
-            r.advisor,
-            r.workers,
-            r.offered_tps,
-            r.achieved_tps,
-            fmt_opt(r.p50_ms),
-            fmt_opt(r.p95_ms),
-            fmt_opt(r.p99_ms),
-            r.committed,
-            r.user_aborts,
-        );
-        s.push_str(if i + 1 == rows.len() { "\n" } else { ",\n" });
-    }
-    s.push_str("  ]");
-    s
-}
-
-/// Renders the `"drift"` section of `BENCH_live.json`.
-fn render_drift_section(rows: &[DriftRow]) -> String {
-    let mut s = String::from("  \"drift\": [\n");
-    for (i, r) in rows.iter().enumerate() {
-        let m = &r.metrics;
-        let epochs: Vec<String> = m
-            .epoch_accuracy
-            .iter()
-            .map(|e| {
-                format!(
-                    "{{\"epoch\": {}, \"observed\": {}, \"matched\": {}}}",
-                    e.epoch, e.observed, e.matched
-                )
-            })
-            .collect();
-        let _ = write!(
-            s,
-            "    {{\"advisor\": \"{}\", \"phase\": \"{}\", \"workers\": {}, \
-             \"throughput_tps\": {:.1}, \"committed\": {}, \"user_aborts\": {}, \
-             \"restarts\": {}, \"single_partition\": {}, \"distributed\": {}, \
-             \"op2_pct\": {}, \"model_swaps\": {}, \"feedback_records\": {}, \
-             \"feedback_dropped\": {}, \"epoch_accuracy\": [{}]}}",
-            r.advisor,
-            r.phase,
-            r.workers,
-            m.throughput_tps(),
-            m.committed,
-            m.user_aborts,
-            m.restarts,
-            m.single_partition,
-            m.distributed,
-            fmt_opt(m.overall_op2_pct()),
-            m.model_swaps,
-            m.feedback_records,
-            m.feedback_dropped,
-            epochs.join(", "),
-        );
-        s.push_str(if i + 1 == rows.len() { "\n" } else { ",\n" });
-    }
-    s.push_str("  ]");
-    s
-}
-
-/// Renders the `"durability"` section of `BENCH_live.json`.
-fn render_durability_section(rows: &[DurabilityRow]) -> String {
-    let mut s = String::from("  \"durability\": [\n");
-    for (i, r) in rows.iter().enumerate() {
-        let _ = write!(
-            s,
-            "    {{\"bench\": \"{}\", \"advisor\": \"{}\", \"device\": \"{}\", \
-             \"workers\": {}, \
-             \"baseline_tps\": {:.1}, \"logging_tps\": {:.1}, \"overhead_pct\": {:.2}, \
-             \"log_records\": {}, \"log_bytes\": {}, \"snapshots\": {}, \
-             \"recovery_ms\": {:.2}, \"replayed\": {}}}",
-            r.bench,
-            r.advisor,
-            r.device,
-            r.workers,
-            r.baseline_tps,
-            r.logging_tps,
-            r.overhead_pct,
-            r.log_records,
-            r.log_bytes,
-            r.snapshots,
-            r.recovery_ms,
-            r.replayed,
-        );
-        s.push_str(if i + 1 == rows.len() { "\n" } else { ",\n" });
-    }
-    s.push_str("  ]");
-    s
-}
-
-/// Renders the `"profile"` section of `BENCH_live.json` (schema 6): the
-/// live runtime's Fig. 11 breakdown — per-stage shares of the attributed
-/// call wall time, the `Coordination` sub-bucket split (lock wait / 2PC /
-/// sequenced commit flush, same denominator, so the three sum to at most
-/// `coord_pct`), plus the mean attributed microseconds per resolved call,
-/// per measured configuration.
-fn render_profile_section(rows: &[LiveRow]) -> String {
-    let mut s = String::from("  \"profile\": [\n");
-    for (i, r) in rows.iter().enumerate() {
-        let p = &r.metrics.profile;
-        let txns = p.total_txns();
-        let mean_call_us = if txns > 0 { p.grand_total_us() / txns as f64 } else { 0.0 };
-        let pct = |b: Bucket| 100.0 * p.overall_share(b);
-        let sub = |c: CoordSub| 100.0 * p.overall_coord_share(c);
-        let _ = write!(
-            s,
-            "    {{\"bench\": \"{}\", \"advisor\": \"{}\", \"workers\": {}, \"txns\": {}, \
-             \"est_pct\": {:.2}, \"exec_pct\": {:.2}, \"coord_pct\": {:.2}, \
-             \"lock_pct\": {:.2}, \"twopc_pct\": {:.2}, \"flush_pct\": {:.2}, \
-             \"queue_pct\": {:.2}, \"other_pct\": {:.2}, \"mean_call_us\": {:.1}}}",
-            r.bench,
-            r.advisor,
-            r.workers,
-            txns,
-            pct(Bucket::Estimation),
-            pct(Bucket::Execution),
-            pct(Bucket::Coordination),
-            sub(CoordSub::LockWait),
-            sub(CoordSub::TwoPc),
-            sub(CoordSub::Flush),
-            pct(Bucket::Queueing),
-            pct(Bucket::Other),
-            mean_call_us,
-        );
-        s.push_str(if i + 1 == rows.len() { "\n" } else { ",\n" });
-    }
-    s.push_str("  ]");
-    s
-}
-
-/// Renders the human-readable live Fig. 11 table (per-stage shares of the
-/// attributed call wall time) shared by `live` and `live-profile`.
-fn render_profile_table<'a>(rows: impl IntoIterator<Item = &'a LiveRow>) -> String {
-    let mut out = String::from(
-        "# Live Fig. 11: % of attributed call time per stage (wall clock)\n\
-         # lock/2pc/flush split the coord% total (distributed path only)\n\
-         bench   advisor          workers   est%  exec%  coord%  lock%  2pc%  flush%  queue%  other%  mean-call-us    txns\n",
-    );
-    for r in rows {
-        let p = &r.metrics.profile;
-        let txns = p.total_txns();
-        let mean_call_us = if txns > 0 { p.grand_total_us() / txns as f64 } else { 0.0 };
-        let _ = writeln!(
-            out,
-            "{:<7} {:<16} {:7}  {:5.1}  {:5.1}  {:6.1}  {:5.1}  {:4.1}  {:6.1}  {:6.1}  {:6.1}  {:12.1}  {:6}",
-            r.bench,
-            r.advisor,
-            r.workers,
-            100.0 * p.overall_share(Bucket::Estimation),
-            100.0 * p.overall_share(Bucket::Execution),
-            100.0 * p.overall_share(Bucket::Coordination),
-            100.0 * p.overall_coord_share(CoordSub::LockWait),
-            100.0 * p.overall_coord_share(CoordSub::TwoPc),
-            100.0 * p.overall_coord_share(CoordSub::Flush),
-            100.0 * p.overall_share(Bucket::Queueing),
-            100.0 * p.overall_share(Bucket::Other),
-            mean_call_us,
-            txns,
-        );
-    }
-    out
-}
-
-/// Extracts a top-level section (`"rows"` or `"drift"`) from a previously
-/// written `BENCH_live.json`, so the experiment that measures one section
-/// carries the other forward instead of clobbering it. Relies on the fixed
-/// machine-written layout: the section opens with `  "<key>": [` and is
-/// the first construct closed by a two-space-indented `]` (entries are
-/// one-per-line at four spaces).
-fn extract_section(existing: &str, key: &str) -> Option<String> {
-    let start = existing.find(&format!("  \"{key}\": ["))?;
-    let rest = &existing[start..];
-    // An empty section closes on the opening line; otherwise the close is
-    // the first two-space-indented bracket line.
-    if rest.starts_with(&format!("  \"{key}\": []")) {
-        return Some(format!("  \"{key}\": []"));
-    }
-    let end = rest.find("\n  ]")?;
-    Some(rest[..end + 4].to_string())
-}
-
-/// Renders the `"host"` section: the revision and machine that produced
-/// the numbers. Regenerated on every write — never carried forward — so
-/// the file always names the commit its measurements belong to, which is
-/// what makes cross-PR comparisons of the perf trajectory trustworthy.
-fn host_section() -> String {
-    let from_cmd = |cmd: &str, args: &[&str]| {
-        std::process::Command::new(cmd)
-            .args(args)
-            .output()
-            .ok()
-            .filter(|o| o.status.success())
-            .and_then(|o| String::from_utf8(o.stdout).ok())
-            .map(|s| s.trim().to_string())
-            .filter(|s| !s.is_empty())
-            .unwrap_or_else(|| "unknown".into())
-    };
-    let commit = from_cmd("git", &["rev-parse", "--short=12", "HEAD"]);
-    let date = from_cmd("date", &["-u", "+%F"]);
-    let cores = std::thread::available_parallelism().map_or(0, std::num::NonZeroUsize::get);
-    format!("  \"host\": {{ \"commit\": \"{commit}\", \"cores\": {cores}, \"date\": \"{date}\" }}")
-}
-
-/// Machine-readable form of the live measurements, for tracking the perf
-/// trajectory across PRs (flat JSON, no serde dependency needed for a
-/// fixed schema). Schema 7 (adds the `durability` logging-overhead /
-/// recovery section; schema 6 added per-row coalesced-flush counters to
-/// `rows` and the Coordination sub-bucket split to `profile`): `host`
-/// (the commit, core count, and date the
-/// numbers were measured at — regenerated on every write), `rows`
-/// (scaling/ablation sweeps, written by `live`), `latency` (the open-loop
-/// offered-load sweep, written by `live` and `live-latency`), `drift`
-/// (the `live-drift` maintenance experiment), `profile` (the live
-/// Fig. 11 per-stage breakdown, written by `live` and `live-profile`),
-/// and `durability` (the command-logging overhead + recovery cost pair,
-/// written by `live-durability`); each experiment rewrites its own
-/// section(s) and carries the others forward from `existing` (the
-/// previous file contents, if any).
-pub fn bench_live_json(
-    rows: Option<&[LiveRow]>,
-    latency: Option<&[LatencyRow]>,
-    drift: Option<&[DriftRow]>,
-    profile: Option<&[LiveRow]>,
-    durability: Option<&[DurabilityRow]>,
-    scale: Scale,
-    existing: Option<&str>,
-) -> String {
-    let rows_section = match rows {
-        Some(r) => render_rows_section(r),
-        None => existing
-            .and_then(|e| extract_section(e, "rows"))
-            .unwrap_or_else(|| String::from("  \"rows\": []")),
-    };
-    let latency_section = match latency {
-        Some(l) => render_latency_section(l),
-        None => existing
-            .and_then(|e| extract_section(e, "latency"))
-            .unwrap_or_else(|| String::from("  \"latency\": []")),
-    };
-    let drift_section = match drift {
-        Some(d) => render_drift_section(d),
-        None => existing
-            .and_then(|e| extract_section(e, "drift"))
-            .unwrap_or_else(|| String::from("  \"drift\": []")),
-    };
-    let profile_section = match profile {
-        Some(p) => render_profile_section(p),
-        None => existing
-            .and_then(|e| extract_section(e, "profile"))
-            .unwrap_or_else(|| String::from("  \"profile\": []")),
-    };
-    let durability_section = match durability {
-        Some(d) => render_durability_section(d),
-        None => existing
-            .and_then(|e| extract_section(e, "durability"))
-            .unwrap_or_else(|| String::from("  \"durability\": []")),
-    };
-    let mut s = String::from("{\n  \"schema\": 7,\n");
-    let _ =
-        writeln!(s, "  \"scale\": \"{}\",", if scale == Scale::Full { "full" } else { "quick" });
-    s.push_str(&host_section());
-    s.push_str(",\n");
-    s.push_str(&rows_section);
-    s.push_str(",\n");
-    s.push_str(&latency_section);
-    s.push_str(",\n");
-    s.push_str(&drift_section);
-    s.push_str(",\n");
-    s.push_str(&profile_section);
-    s.push_str(",\n");
-    s.push_str(&durability_section);
-    s.push_str("\n}\n");
-    s
-}
-
-/// Rewrites `BENCH_live.json` with the given section(s), preserving the
-/// others from the existing file. Returns a status line.
-fn write_bench_live(
-    rows: Option<&[LiveRow]>,
-    latency: Option<&[LatencyRow]>,
-    drift: Option<&[DriftRow]>,
-    profile: Option<&[LiveRow]>,
-    durability: Option<&[DurabilityRow]>,
-    scale: Scale,
-) -> String {
-    let existing = std::fs::read_to_string("BENCH_live.json").ok();
-    let mut written = Vec::new();
-    if rows.is_some() {
-        written.push("rows");
-    }
-    if latency.is_some() {
-        written.push("latency");
-    }
-    if drift.is_some() {
-        written.push("drift");
-    }
-    if profile.is_some() {
-        written.push("profile");
-    }
-    if durability.is_some() {
-        written.push("durability");
-    }
-    let json =
-        bench_live_json(rows, latency, drift, profile, durability, scale, existing.as_deref());
-    match std::fs::write("BENCH_live.json", json) {
-        Ok(()) => format!("({} section(s) written to BENCH_live.json)", written.join("+")),
-        Err(e) => format!("(could not write BENCH_live.json: {e})"),
-    }
-}
-
-/// `live` — *measured* wall-clock throughput on the multi-threaded
-/// partition runtime: one OS worker thread per partition. TATP sweeps
-/// Houdini against the assume-single-partition and lock-all baselines;
-/// TPC-C ablates OP4 (early prepare + speculative execution) on vs off.
-/// Also writes the rows to `BENCH_live.json` in the working directory.
-///
-/// Each commit pays a real 200 µs synchronous log-flush sleep at its
-/// participating partition(s); flushes on different partitions overlap in
-/// wall-clock time, so scaling reflects genuine partition concurrency even
-/// on machines with fewer cores than workers (DESIGN.md §"Live runtime").
-pub fn live(scale: Scale) -> String {
-    let rows = live_rows(scale);
-    // The open-loop sweep anchors on closed-loop capacity; the scaling
-    // rows just measured exactly that configuration (TATP / houdini /
-    // LATENCY_PARTS workers), so reuse it instead of re-benchmarking.
-    // The advisor is retrained with the same inputs as the rows' one
-    // (training is deterministic), so the sweep plans identically.
-    let houdini =
-        Arc::new(trained_houdini(Bench::Tatp, LATENCY_PARTS, scale.trace_len(), true, 0.5, 71));
-    let capacity = rows
-        .iter()
-        .find(|r| r.bench == "TATP" && r.advisor == "houdini" && r.workers == LATENCY_PARTS)
-        .expect("scaling sweep measured the latency anchor configuration")
-        .metrics
-        .throughput_tps();
-    let latency = latency_rows_at(scale, &houdini, capacity);
-    let get = |bench: &str, advisor: &str, workers: u32| -> &engine::RunMetrics {
-        &rows
-            .iter()
-            .find(|r| r.bench == bench && r.advisor == advisor && r.workers == workers)
-            .expect("row measured")
-            .metrics
-    };
-    let q = |v: Option<f64>| v.map_or_else(|| "      -".into(), |x| format!("{x:7.2}"));
-    let mut out = String::from(
-        "# Live runtime: wall-clock TATP throughput (txn/s), one worker thread per partition\n\
-         # h-lockms is `-` when no transaction held a multi-partition lock set\n\
-         workers  houdini  asp      lock-all  h-p50ms  h-p95ms  h-p99ms  h-commit  h-abort  h-restart  h-spec  h-lockms  h-flush(coal)\n",
-    );
-    for parts in LIVE_WORKER_COUNTS {
-        let hm = get("TATP", "houdini", parts);
-        let hs = hm.summary();
-        let am = get("TATP", "asp", parts);
-        let dm = get("TATP", "lock-all", parts);
-        let _ = writeln!(
-            out,
-            "{parts:7}  {:7.0}  {:7.0}  {:8.0}  {}  {}  {}  {:8}  {:7}  {:9}  {:6}  {:>8}  {:6} ({})",
-            hs.throughput_tps,
-            am.throughput_tps(),
-            dm.throughput_tps(),
-            q(hs.p50_ms),
-            q(hs.p95_ms),
-            q(hs.p99_ms),
-            hs.committed,
-            hs.user_aborts,
-            hs.restarts,
-            hm.speculative,
-            q(hm.lock_hold.mean_us().map(|us| us / 1000.0)),
-            hs.flushes_total,
-            hs.flushes_coalesced,
-        );
-    }
-    let _ = writeln!(
-        out,
-        "\n# Live runtime: wall-clock TPC-C throughput (txn/s) — OP4 early-prepare + speculation ablation\n\
-         workers  op4-on   op4-off  lock-all  on-spec  on-cascade  on-lockms  off-lockms"
-    );
-    for parts in LIVE_WORKER_COUNTS {
-        let on = get("TPC-C", "houdini", parts);
-        let off = get("TPC-C", "houdini-no-op4", parts);
-        let dm = get("TPC-C", "lock-all", parts);
-        let _ = writeln!(
-            out,
-            "{parts:7}  {:7.0}  {:7.0}  {:8.0}  {:7}  {:10}  {:>9}  {:>10}",
-            on.throughput_tps(),
-            off.throughput_tps(),
-            dm.throughput_tps(),
-            on.speculative,
-            on.cascaded_aborts,
-            q(on.lock_hold.mean_us().map(|us| us / 1000.0)),
-            q(off.lock_hold.mean_us().map(|us| us / 1000.0)),
-        );
-    }
-    out.push('\n');
-    out.push_str(&render_latency_table(&latency));
-    out.push('\n');
-    out.push_str(&render_profile_table(rows.iter().filter(|r| r.advisor == "houdini")));
-    let _ = writeln!(
-        out,
-        "\n{}",
-        write_bench_live(Some(&rows), Some(&latency), None, Some(&rows), None, scale)
-    );
-    out
-}
-
-/// Renders the human-readable open-loop sweep table shared by `live` and
-/// `live-latency`.
-fn render_latency_table(latency: &[LatencyRow]) -> String {
-    let q = |v: Option<f64>| v.map_or_else(|| "      -".into(), |x| format!("{x:7.2}"));
-    let mut out = String::from(
-        "# Open loop: TATP latency vs offered load (Poisson arrivals, 4 workers, houdini)\n\
-         # latency measured from scheduled arrival (coordinated-omission corrected)\n\
-         offered-tps  achieved-tps  p50ms    p95ms    p99ms    committed  aborts\n",
-    );
-    for r in latency {
-        let _ = writeln!(
-            out,
-            "{:11.0}  {:12.0}  {}  {}  {}  {:9}  {:6}",
-            r.offered_tps,
-            r.achieved_tps,
-            q(r.p50_ms),
-            q(r.p95_ms),
-            q(r.p99_ms),
-            r.committed,
-            r.user_aborts,
-        );
-    }
-    out
-}
-
-/// `live-latency` — just the open-loop offered-load sweep (the `latency`
-/// section of `BENCH_live.json`), runnable standalone at smoke scale for
-/// CI; `live` runs it too, alongside the closed-loop sweeps.
-pub fn live_latency(scale: Scale) -> String {
-    let latency = latency_rows(scale);
-    let mut out = render_latency_table(&latency);
-    let _ = writeln!(out, "\n{}", write_bench_live(None, Some(&latency), None, None, None, scale));
-    out
-}
-
-/// `live-drift` — the paper's §4.5 workload-shift scenario (Fig. 11),
-/// measured on the live runtime: Houdini is trained on a TATP population
-/// skewed to partitions `[0, 2)`, serves one window of matching traffic,
-/// then the skew flips to partitions `[2, 4)` — whose per-partition model
-/// states the trained models have never seen. With maintenance on,
-/// session feedback drives the background thread to rebuild drifted
-/// models (interning the previously-dark states with their live counts)
-/// and epoch-swap them in, so throughput and prediction accuracy recover
-/// mid-window; the frozen arm (`maintenance: false`, the old "suspended
-/// while live" behaviour) stays degraded — every shifted request
-/// dead-ends its estimate and falls back to lock-all.
-pub fn live_drift(scale: Scale) -> String {
-    let parts: u32 = 4;
-    let half = parts / 2;
-    let (w1_requests, w2_requests) = match scale {
-        Scale::Quick => (200u64, 500u64),
-        Scale::Full => (1_000, 2_500),
-    };
-    let cfg = |requests: u64| LiveConfig {
-        clients_per_partition: 4,
-        requests_per_client: requests,
-        max_restarts: 2,
-        seed: 89,
-        commit_flush_us: 200,
-        msg_delay_us: 0,
-        ..Default::default()
-    };
-    // Train on the low partitions only: the high partitions' model states
-    // are dark.
-    let (catalog, workload) = {
-        let mut db = Bench::Tatp.database(parts);
-        let reg = Bench::Tatp.registry();
-        let catalog = reg.catalog();
-        let mut gen = tatp::Generator::new(parts, 97).with_hot_partitions(0, half);
-        let n = scale.trace_len();
-        let mut records = Vec::with_capacity(n);
-        for i in 0..n {
-            let (proc, args) = gen.next_request(i as u64 % 8);
-            let out = engine::run_offline(&mut db, &reg, &catalog, proc, &args, true)
-                .expect("offline drift trace");
-            records.push(out.record);
-        }
-        (catalog, trace::Workload { records })
-    };
-    let preds = train(&catalog, parts, &workload, &TrainingConfig::default());
-
-    let run_window = |h: &Arc<Houdini>, requests: u64, lo: u32, hi: u32| -> RunMetrics {
-        let db = Bench::Tatp.database(parts);
-        let reg = Bench::Tatp.registry();
-        let gen_seed = derive_seed(101, 0x6E6);
-        let make_gen = move |client: u64| {
-            Box::new(
-                tatp::Generator::for_client(parts, gen_seed, client).with_hot_partitions(lo, hi),
-            ) as Box<dyn RequestGenerator + Send>
-        };
-        let cfg = cfg(requests);
-        let (m, _) = engine::run_live(db, reg, h.clone(), &make_gen, &cfg)
-            .expect("live drift window must not halt");
-        let issued = u64::from(parts * cfg.clients_per_partition) * requests;
-        assert_eq!(m.committed + m.user_aborts, issued, "lost transactions in drift window");
-        m
-    };
-
-    let mut drift_rows: Vec<DriftRow> = Vec::new();
-    for (label, maintenance) in [("houdini-maint", true), ("houdini-frozen", false)] {
-        // Arc-shared so the same advisor instance (and its learned epochs)
-        // serves both measurement windows back to back.
-        let h = Arc::new(Houdini::new(
-            preds.clone(),
-            catalog.clone(),
-            parts,
-            HoudiniConfig { maintenance, ..Default::default() },
-        ));
-        // Window 1: traffic matches the training skew (low partitions).
-        let m1 = run_window(&h, w1_requests, 0, half);
-        // Window 2: the skew flips to the high partitions — the same
-        // advisor instance keeps serving, so epochs learned during the
-        // window carry over from request to request.
-        let m2 = run_window(&h, w2_requests, half, parts);
-        drift_rows.push(DriftRow {
-            advisor: label,
-            phase: "pre-shift",
-            workers: parts,
-            metrics: m1,
-        });
-        drift_rows.push(DriftRow {
-            advisor: label,
-            phase: "post-shift",
-            workers: parts,
-            metrics: m2,
-        });
-    }
-
-    let q = |v: Option<f64>| v.map_or_else(|| "    -".into(), |x| format!("{x:5.1}"));
-    let mut out = String::from(
-        "# Live drift: TATP partition-skew flip (trained on partitions 0-1, shifted to 2-3), 4 workers\n\
-         arm             phase       tps     op2%   single-part  distrib  restarts  swaps  feedback  dropped\n",
-    );
-    for r in &drift_rows {
-        let m = &r.metrics;
-        let _ = writeln!(
-            out,
-            "{:<15} {:<10} {:6.0}  {}  {:11}  {:7}  {:8}  {:5}  {:8}  {:7}",
-            r.advisor,
-            r.phase,
-            m.throughput_tps(),
-            q(m.overall_op2_pct()),
-            m.single_partition,
-            m.distributed,
-            m.restarts,
-            m.model_swaps,
-            m.feedback_records,
-            m.feedback_dropped,
-        );
-    }
-    // Per-epoch accuracy of the maintenance arm's post-shift window: the
-    // recovery trajectory (epoch 0 = trained models degraded by the flip,
-    // later epochs = rebuilt models).
-    if let Some(maint_post) =
-        drift_rows.iter().find(|r| r.advisor == "houdini-maint" && r.phase == "post-shift")
-    {
-        let _ = writeln!(out, "\nhoudini-maint post-shift per-epoch accuracy:");
-        for e in &maint_post.metrics.epoch_accuracy {
-            let _ = writeln!(
-                out,
-                "  epoch {:>3}: {:6} transitions observed, accuracy {}",
-                e.epoch,
-                e.observed,
-                q(e.accuracy().map(|a| a * 100.0)),
-            );
-        }
-    }
-    let _ =
-        writeln!(out, "\n{}", write_bench_live(None, None, Some(&drift_rows), None, None, scale));
-    out
-}
-
-/// `live-profile` — the live-runtime counterpart of Fig. 11: per-stage
-/// wall-clock attribution (estimation / execution / coordination /
-/// queueing / other) for houdini on TATP (single-partition heavy, 1 and
-/// 4 workers) and TPC-C (distributed-txn heavy, 4 workers). Runnable
-/// standalone at smoke scale for CI; `live` persists the same section
-/// from its full scaling sweep.
-pub fn live_profile(scale: Scale) -> String {
-    let mut rows = Vec::new();
-    for workers in [1u32, 4] {
-        let cfg = live_config(scale, 71, 150, 0);
-        let houdini =
-            Arc::new(trained_houdini(Bench::Tatp, workers, scale.trace_len(), true, 0.5, 71));
-        rows.push(measure_live(Bench::Tatp, "houdini", workers, &houdini, &cfg, 73));
-    }
-    let workers = 4u32;
-    let cfg = live_config(scale, 79, 150, 60);
-    let houdini = Arc::new(trained_houdini(Bench::Tpcc, workers, scale.trace_len(), true, 0.5, 79));
-    rows.push(measure_live(Bench::Tpcc, "houdini", workers, &houdini, &cfg, 83));
-    let mut out = render_profile_table(&rows);
-    let _ = writeln!(out, "\n{}", write_bench_live(None, None, None, Some(&rows), None, scale));
-    out
-}
-
-/// `check-live-profile` — the CI smoke gate for the fast-path work: runs
-/// the 1-worker TATP live profile and fails the process if the
-/// coordination share has regressed to the pre-SPSC-lane runtime's level
-/// (59.6% at the seed commit, same 1-core host; the ring-lane dispatch
-/// holds it near 40%). Median of three runs shrugs off scheduler noise.
-/// A gate, not a measurement: it never writes `BENCH_live.json`.
-pub fn check_live_profile(scale: Scale) -> String {
-    const SEED_COORD_PCT: f64 = 59.6;
-    let houdini = Arc::new(trained_houdini(Bench::Tatp, 1, scale.trace_len(), true, 0.5, 71));
-    let cfg = live_config(scale, 71, 150, 0);
-    let mut shares: Vec<f64> = (0..3)
-        .map(|i| {
-            let m = measure_once(Bench::Tatp, "houdini", 1, &houdini, &cfg, 73 + i);
-            100.0 * m.profile.overall_share(Bucket::Coordination)
-        })
-        .collect();
-    shares.sort_by(f64::total_cmp);
-    let median = shares[1];
-    assert!(
-        median < SEED_COORD_PCT,
-        "live fast path regressed: 1-worker TATP coordination share {median:.1}% >= \
-         {SEED_COORD_PCT}% (the seed's shared-MPSC level; runs: {shares:?})"
-    );
-    format!(
-        "# check-live-profile: 1-worker TATP coordination share {median:.1}% \
-         (gate: < {SEED_COORD_PCT}%; runs {shares:?})\n"
-    )
-}
-
-/// `check-dist-profile` — the CI smoke gate for the distributed-path
-/// work: runs the 2-worker TATP live sweep configuration (the regime that
-/// collapsed to ~15.3k tps under per-transaction fragment channels and
-/// participant-side flush sleeps) and fails the process if the median
-/// throughput of three runs drops back under the committed floor, or if
-/// the commit/abort counts drift — outcomes are deterministic per seed,
-/// batching and coalescing may only change *timing*. Quick scale also
-/// pins the exact counts the committed `BENCH_live.json` rows carry. A
-/// gate, not a measurement: it never writes `BENCH_live.json`.
-pub fn check_dist_profile(scale: Scale) -> String {
-    /// Committed floor (tps): the pre-fragment-lane runtime measured
-    /// 15.3k on this configuration; the lane + coalesced-flush runtime
-    /// (with the durability wait off the lock-hold path) clears ~50k on
-    /// the same host, so the floor splits the two regimes with wide
-    /// margin for scheduler noise.
-    const DIST_FLOOR_TPS: f64 = 30_000.0;
-    /// The quick-scale run's deterministic outcome counts (2 workers × 4
-    /// clients × 250 requests, measure seed 73): byte-identical to the
-    /// unbatched per-query path and to the committed BENCH rows.
-    const QUICK_COMMITTED: u64 = 1_955;
-    const QUICK_USER_ABORTS: u64 = 45;
-    let houdini = Arc::new(trained_houdini(Bench::Tatp, 2, scale.trace_len(), true, 0.5, 71));
-    let cfg = live_config(scale, 71, 250, 0);
-    let runs: Vec<RunMetrics> =
-        (0..3).map(|_| measure_once(Bench::Tatp, "houdini", 2, &houdini, &cfg, 73)).collect();
-    for m in &runs {
-        assert_eq!(
-            (m.committed, m.user_aborts),
-            (runs[0].committed, runs[0].user_aborts),
-            "distributed outcomes must be deterministic per seed"
-        );
-        if scale == Scale::Quick {
-            assert_eq!(
-                (m.committed, m.user_aborts),
-                (QUICK_COMMITTED, QUICK_USER_ABORTS),
-                "2-worker TATP quick counts drifted from the committed baseline"
-            );
-        }
-    }
-    let mut tps: Vec<f64> = runs.iter().map(RunMetrics::throughput_tps).collect();
-    tps.sort_by(f64::total_cmp);
-    let median = tps[1];
-    assert!(
-        median > DIST_FLOOR_TPS,
-        "live distributed path regressed: 2-worker TATP {median:.0} tps <= \
-         {DIST_FLOOR_TPS:.0} floor (runs: {tps:?})"
-    );
-    let coalesced: u64 = runs.iter().map(|m| m.flushes_coalesced).sum();
-    let p = &runs[0].profile;
-    format!(
-        "# check-dist-profile: 2-worker TATP {median:.0} tps \
-         (gate: > {DIST_FLOOR_TPS:.0}; runs {:?}; committed {} / aborts {} per run; \
-         {coalesced} coalesced flushes over 3 runs)\n\
-         # run 0 attribution: est {:.1}% exec {:.1}% coord {:.1}% \
-         (lock {:.1}% / 2pc {:.1}% / flush {:.1}%) queue {:.1}% other {:.1}%, \
-         mean call {:.1} us\n",
-        tps.iter().map(|t| t.round()).collect::<Vec<_>>(),
-        runs[0].committed,
-        runs[0].user_aborts,
-        100.0 * p.overall_share(Bucket::Estimation),
-        100.0 * p.overall_share(Bucket::Execution),
-        100.0 * p.overall_share(Bucket::Coordination),
-        100.0 * p.overall_coord_share(CoordSub::LockWait),
-        100.0 * p.overall_coord_share(CoordSub::TwoPc),
-        100.0 * p.overall_coord_share(CoordSub::Flush),
-        100.0 * p.overall_share(Bucket::Queueing),
-        100.0 * p.overall_share(Bucket::Other),
-        if p.total_txns() > 0 { p.grand_total_us() / p.total_txns() as f64 } else { 0.0 },
-    )
-}
-
-/// Worker count (= partitions) of the durability overhead pair — the same
-/// configuration as the distributed smoke gate, so the two gates price the
-/// same regime.
-const DURABILITY_PARTS: u32 = 2;
-
-/// Interleaved (log, base) rounds per durability arm pair. Seven rounds
-/// give each arm enough draws that its best round — the estimator's
-/// input — is a low-contamination sample even on a noisy host.
-const DURABILITY_ROUNDS: usize = 7;
-
-/// Scratch root for one durability arm pair. `"ram"` prefers a tmpfs
-/// mount (`/dev/shm`) when the host has one: `fsync` completes in memory
-/// there, so the measured overhead is the logging *subsystem* —
-/// serialization, group accounting, flusher scheduling, acks held for the
-/// covering flush — with the device latency controlled out. `"disk"` is
-/// the OS temp dir (a real block device on the reference container): the
-/// same machinery plus the true fsync latency entering every writer's
-/// closed-loop ack.
-fn durability_log_root(device: &str) -> std::path::PathBuf {
-    let base = if device == "ram" && std::path::Path::new("/dev/shm").is_dir() {
-        std::path::PathBuf::from("/dev/shm")
-    } else {
-        std::env::temp_dir()
-    };
-    base.join(format!("bench-durability-{device}-{}", std::process::id()))
-}
-
-/// Measures one durability arm pair: quick-scale TATP with real command
-/// logging (`wal::FileDevice` on the given scratch device, default
-/// group-commit cadence — one fsync per flusher window) against the
-/// identical configuration with durability off. Both arms run with the
-/// *modeled* commit-flush sleep at zero, so the baseline pays no stand-in
-/// flush cost and the overhead is the real logging cost and nothing else.
-/// Afterwards the last logging round's on-disk state is recovered with
-/// [`LiveRuntime::recover`] to price recovery.
-///
-/// The overhead estimate is the ratio of the two arms' *best* rounds.
-/// Host noise on a small shared box is one-sided — interference only
-/// ever slows a run down — so each arm's best of the five interleaved
-/// rounds is its least-contaminated throughput estimate, and the ratio
-/// of bests prices logging under matched host conditions. The reported
-/// tps columns are per-arm medians (the typical rate, noise included),
-/// so `overhead_pct` can differ slightly from the ratio of the printed
-/// columns — it is the more robust of the two estimates.
-fn durability_row(scale: Scale, device: &'static str, houdini: &Arc<Houdini>) -> DurabilityRow {
-    let parts = DURABILITY_PARTS;
-    let mut cfg = live_config(scale, 71, 250, 0);
-    cfg.commit_flush_us = 0;
-    // Group commit is a throughput mechanism, not a latency one: an ack
-    // waits for the fsync covering its group, so a shallow closed loop
-    // (the scaling sweep's 4 clients/partition) serializes on the device
-    // and measures fsync *latency*, not logging *cost*. Deepen the loop
-    // so the flusher always has the next group forming while it syncs the
-    // current one — the regime the <10% acceptance bar is defined over.
-    cfg.clients_per_partition = 16;
-    cfg.requests_per_client *= 4;
-    let root = durability_log_root(device);
-    let (mut log_runs, mut base_runs) = (Vec::new(), Vec::new());
-    for round in 0..DURABILITY_ROUNDS {
-        let dir = root.join(format!("round-{round}"));
-        let _ = std::fs::remove_dir_all(&dir);
-        let mut log_cfg = cfg.clone();
-        log_cfg.durability = Some(DurabilityConfig::new(&dir));
-        log_runs.push(measure_once(Bench::Tatp, "houdini+log", parts, houdini, &log_cfg, 73));
-        base_runs.push(measure_once(Bench::Tatp, "houdini", parts, houdini, &cfg, 73));
-    }
-    // Outcomes are deterministic per seed; logging must not change them.
-    for (l, b) in log_runs.iter().zip(&base_runs) {
-        assert_eq!(
-            (l.committed, l.user_aborts),
-            (b.committed, b.user_aborts),
-            "command logging changed transaction outcomes"
-        );
-    }
-    // Recover the last round's state: the log is the only source (no
-    // snapshot was taken), so `replayed` counts its committed writers.
-    let rec_cfg = LiveConfig {
-        durability: Some(DurabilityConfig::new(
-            root.join(format!("round-{}", DURABILITY_ROUNDS - 1)),
-        )),
-        ..cfg.clone()
-    };
-    let (rt, report) = LiveRuntime::recover(
-        Bench::Tatp.database(parts),
-        Bench::Tatp.registry(),
-        Arc::clone(houdini),
-        rec_cfg,
-    );
-    drop(rt.shutdown());
-    let _ = std::fs::remove_dir_all(&root);
-    let best =
-        |runs: &[RunMetrics]| runs.iter().map(RunMetrics::throughput_tps).fold(0.0, f64::max);
-    let ratio = best(&log_runs) / best(&base_runs);
-    let log_m = median_run(log_runs);
-    let base_m = median_run(base_runs);
-    DurabilityRow {
-        bench: Bench::Tatp.name(),
-        advisor: "houdini",
-        device,
-        workers: parts,
-        baseline_tps: base_m.throughput_tps(),
-        logging_tps: log_m.throughput_tps(),
-        overhead_pct: 100.0 * (1.0 - ratio),
-        log_records: log_m.log_records,
-        log_bytes: log_m.log_bytes_written,
-        snapshots: log_m.snapshots_taken,
-        recovery_ms: report.recovery_ms,
-        replayed: report.replayed,
-    }
-}
-
-/// Measures the `durability` section: the command-logging arm pair on
-/// both scratch devices — `"ram"` (subsystem overhead with device latency
-/// controlled out) and `"disk"` (the same plus real fsync latency; on the
-/// reference 1-core container this is dominated by the fsync wait
-/// entering every writer's closed-loop ack, not by logging machinery).
-pub fn durability_rows(scale: Scale) -> Vec<DurabilityRow> {
-    let parts = DURABILITY_PARTS;
-    let houdini = Arc::new(trained_houdini(Bench::Tatp, parts, scale.trace_len(), true, 0.5, 71));
-    vec![durability_row(scale, "ram", &houdini), durability_row(scale, "disk", &houdini)]
-}
-
-/// Renders the human-readable durability table shared by `live-durability`
-/// and `check-durability`.
-fn render_durability_table(rows: &[DurabilityRow]) -> String {
-    let mut out = String::from(
-        "# Durability: command-logging overhead (best of 7 interleaved rounds per arm) and recovery cost\n\
-         bench   device  workers  base-tps  log-tps  overhead%  log-recs  log-bytes  snapshots  recovery-ms  replayed\n",
-    );
-    for r in rows {
-        let _ = writeln!(
-            out,
-            "{:<7} {:<6} {:7}  {:8.0}  {:7.0}  {:9.2}  {:8}  {:9}  {:9}  {:11.2}  {:8}",
-            r.bench,
-            r.device,
-            r.workers,
-            r.baseline_tps,
-            r.logging_tps,
-            r.overhead_pct,
-            r.log_records,
-            r.log_bytes,
-            r.snapshots,
-            r.recovery_ms,
-            r.replayed,
-        );
-    }
-    out
-}
-
-/// `live-durability` — measures the command-logging throughput overhead
-/// and the crash-recovery cost, and writes the `durability` section of
-/// `BENCH_live.json` (EXPERIMENTS.md §Durability).
-pub fn live_durability(scale: Scale) -> String {
-    let rows = durability_rows(scale);
-    let mut out = render_durability_table(&rows);
-    let _ = writeln!(out, "\n{}", write_bench_live(None, None, None, None, Some(&rows), scale));
-    out
-}
-
-/// `check-durability` — the CI smoke gate for the durability subsystem's
-/// performance promise: quick-scale TATP with real `FileDevice` command
-/// logging must stay within 10% of the no-logging rate (ISSUE 10's
-/// acceptance bar; group commit riding the flusher's accumulation window
-/// is what makes this hold — a per-commit fsync would fail by an order of
-/// magnitude). The gate runs the `"ram"` arm pair only: it prices the
-/// logging subsystem itself — serialization, group accounting, flusher
-/// scheduling, acks held for the covering flush — with the scratch
-/// device's fsync latency controlled out, so it regresses on *code*, not
-/// on the CI host's disk. The `"disk"` pair is recorded (not gated) by
-/// `live-durability`. Also asserts the logging run actually logged and
-/// that recovery replayed its committed writers. A gate, not a
-/// measurement: it never writes `BENCH_live.json`.
-pub fn check_durability(scale: Scale) -> String {
-    const MAX_OVERHEAD_PCT: f64 = 10.0;
-    let parts = DURABILITY_PARTS;
-    let houdini = Arc::new(trained_houdini(Bench::Tatp, parts, scale.trace_len(), true, 0.5, 71));
-    let r = durability_row(scale, "ram", &houdini);
-    assert!(
-        r.overhead_pct < MAX_OVERHEAD_PCT,
-        "command logging regressed: {:.2}% throughput overhead >= {MAX_OVERHEAD_PCT}% \
-         ({:.0} tps logging vs {:.0} tps baseline)",
-        r.overhead_pct,
-        r.logging_tps,
-        r.baseline_tps,
-    );
-    assert!(r.log_records > 0, "logging arm wrote no log records");
-    assert!(r.replayed > 0, "recovery replayed nothing from the logging arm's state");
-    format!(
-        "# check-durability: 2-worker TATP logging overhead {:.2}% on {} \
-         (gate: < {MAX_OVERHEAD_PCT}%; {:.0} tps logging vs {:.0} tps baseline; \
-         {} records / {} bytes logged; recovery replayed {} in {:.2} ms)\n",
-        r.overhead_pct,
-        r.device,
-        r.logging_tps,
-        r.baseline_tps,
-        r.log_records,
-        r.log_bytes,
-        r.replayed,
-        r.recovery_ms,
-    )
-}
-
 /// Renders one experiment at the given scale.
 pub type Runner = fn(Scale) -> String;
 
@@ -1756,22 +465,18 @@ pub const EXPERIMENTS: &[(&str, Runner)] = &[
     ("live", live),
     ("live-latency", live_latency),
     ("live-drift", live_drift),
-    ("live-profile", live_profile),
-    ("live-durability", live_durability),
-    ("check-live-profile", check_live_profile),
-    ("check-dist-profile", check_dist_profile),
-    ("check-durability", check_durability),
+    ("check", check),
     ("all", all),
 ];
 
-/// Every paper artifact plus the live measurements (`live-latency` is part
-/// of `live`; the `check-*` gates are CI-only).
+/// Whether `all` runs `id`: every paper artifact plus the live comparisons
+/// (`live-latency` is part of `live`; `check` is the CI gate, not a result).
+fn in_all(id: &str) -> bool {
+    !matches!(id, "all" | "live-latency" | "check")
+}
+
 fn all(scale: Scale) -> String {
-    EXPERIMENTS
-        .iter()
-        .filter(|(id, _)| !matches!(*id, "all" | "live-latency") && !id.starts_with("check-"))
-        .map(|(_, run)| run(scale) + "\n")
-        .collect()
+    EXPERIMENTS.iter().filter(|(id, _)| in_all(id)).map(|(_, run)| run(scale) + "\n").collect()
 }
 
 /// Dispatches an experiment by id (`fig3`, `table4`, `live`, ...).
@@ -1787,152 +492,23 @@ mod tests {
     use super::*;
 
     #[test]
-    fn bench_live_sections_carry_forward() {
-        let row = LiveRow {
-            bench: "TATP",
-            advisor: "houdini",
-            workers: 2,
-            metrics: RunMetrics::default(),
-        };
-        let first = bench_live_json(
-            Some(std::slice::from_ref(&row)),
-            None,
-            None,
-            None,
-            None,
-            Scale::Quick,
-            None,
-        );
-        assert!(first.contains("\"schema\": 7"));
-        assert!(first.contains("\"host\": {"), "host metadata missing: {first}");
-        assert!(first.contains("\"cores\": "));
-        assert!(first.contains("\"rows\": [\n"));
-        assert!(
-            first.contains("\"flushes_total\": 0, \"flushes_coalesced\": 0"),
-            "rows must carry the coalesced-flush counters: {first}"
-        );
-        assert!(first.contains("\"latency\": []"));
-        assert!(first.contains("\"drift\": []"));
-        assert!(first.contains("\"profile\": []"));
-        assert!(first.contains("\"durability\": []"));
-        // Writing the drift section preserves the measured rows verbatim.
-        let drift = DriftRow {
-            advisor: "houdini-maint",
-            phase: "post-shift",
-            workers: 2,
-            metrics: RunMetrics::default(),
-        };
-        // Writing the durability section preserves the rows.
-        let durability = DurabilityRow {
-            bench: "TATP",
-            advisor: "houdini",
-            device: "ram",
-            workers: 2,
-            baseline_tps: 50_000.0,
-            logging_tps: 48_500.0,
-            overhead_pct: 3.0,
-            log_records: 1_200,
-            log_bytes: 40_000,
-            snapshots: 0,
-            recovery_ms: 12.5,
-            replayed: 1_200,
-        };
-        let with_durability = bench_live_json(
-            None,
-            None,
-            None,
-            None,
-            Some(std::slice::from_ref(&durability)),
-            Scale::Quick,
-            Some(&first),
-        );
-        assert!(
-            with_durability.contains("\"overhead_pct\": 3.00")
-                && with_durability.contains("\"recovery_ms\": 12.50"),
-            "durability section missing: {with_durability}"
-        );
-        assert!(
-            with_durability.contains("\"advisor\": \"houdini\""),
-            "rows lost: {with_durability}"
-        );
-        let second = bench_live_json(
-            None,
-            None,
-            Some(std::slice::from_ref(&drift)),
-            None,
-            None,
-            Scale::Quick,
-            Some(&with_durability),
-        );
-        assert!(second.contains("\"advisor\": \"houdini\""), "rows lost: {second}");
-        assert!(second.contains("\"advisor\": \"houdini-maint\""));
-        assert!(second.contains("\"overhead_pct\": 3.00"), "durability lost: {second}");
-        // The open-loop latency section preserves both of the others.
-        let lat = LatencyRow {
-            bench: "TATP",
-            advisor: "houdini",
-            workers: 4,
-            offered_tps: 1000.0,
-            achieved_tps: 990.0,
-            p50_ms: Some(0.5),
-            p95_ms: Some(2.0),
-            p99_ms: None,
-            committed: 500,
-            user_aborts: 1,
-        };
-        let third = bench_live_json(
-            None,
-            Some(std::slice::from_ref(&lat)),
-            None,
-            None,
-            None,
-            Scale::Quick,
-            Some(&second),
-        );
-        assert!(third.contains("\"offered_tps\": 1000.0"), "latency missing: {third}");
-        assert!(third.contains("\"advisor\": \"houdini\""), "rows lost: {third}");
-        assert!(third.contains("\"houdini-maint\""), "drift lost: {third}");
-        // The profile section renders per-stage shares and carries the
-        // other three sections forward.
-        let mut prof_metrics = RunMetrics::default();
-        prof_metrics.profile.add(0, Bucket::Execution, 75.0);
-        prof_metrics.profile.add(0, Bucket::Coordination, 25.0);
-        prof_metrics.profile.add_coord(0, CoordSub::LockWait, 5.0);
-        prof_metrics.profile.add_coord(0, CoordSub::TwoPc, 15.0);
-        prof_metrics.profile.add_coord(0, CoordSub::Flush, 5.0);
-        prof_metrics.profile.finish_txn(0);
-        let prof = LiveRow { bench: "TATP", advisor: "houdini", workers: 4, metrics: prof_metrics };
-        let fourth = bench_live_json(
-            None,
-            None,
-            None,
-            Some(std::slice::from_ref(&prof)),
-            None,
-            Scale::Quick,
-            Some(&third),
-        );
-        assert!(fourth.contains("\"exec_pct\": 75.00"), "profile missing: {fourth}");
-        assert!(
-            fourth.contains("\"lock_pct\": 5.00")
-                && fourth.contains("\"twopc_pct\": 15.00")
-                && fourth.contains("\"flush_pct\": 5.00"),
-            "profile must carry the Coordination sub-bucket split: {fourth}"
-        );
-        assert!(fourth.contains("\"offered_tps\": 1000.0"), "latency lost: {fourth}");
-        assert!(fourth.contains("\"houdini-maint\""), "drift lost: {fourth}");
-        // And re-writing rows preserves latency + drift + profile.
-        let fifth = bench_live_json(
-            Some(std::slice::from_ref(&row)),
-            None,
-            None,
-            None,
-            None,
-            Scale::Quick,
-            Some(&fourth),
-        );
-        assert!(fifth.contains("\"offered_tps\": 1000.0"), "latency lost: {fifth}");
-        assert!(fifth.contains("\"houdini-maint\""), "drift lost: {fifth}");
-        assert!(fifth.contains("\"exec_pct\": 75.00"), "profile lost: {fifth}");
-        assert!(fifth.contains("\"overhead_pct\": 3.00"), "durability lost: {fifth}");
+    fn experiment_ids_are_unique_and_retired_ids_are_unknown() {
+        let ids: Vec<&str> = EXPERIMENTS.iter().map(|(id, _)| *id).collect();
+        let mut unique = ids.clone();
+        unique.sort_unstable();
+        unique.dedup();
+        assert_eq!(unique.len(), ids.len(), "duplicate experiment id in {ids:?}");
+        assert!(ids.contains(&"check"));
+        for retired in [
+            "live-profile",
+            "live-durability",
+            "check-live-profile",
+            "check-dist-profile",
+            "check-durability",
+        ] {
+            assert!(!ids.contains(&retired), "{retired} is retired and must be an unknown id");
+        }
+        assert!(!in_all("check"), "`all` must not run the CI gate");
+        assert!(in_all("live") && in_all("fig12"));
     }
 }

@@ -1,11 +1,16 @@
 //! Experiment harness: regenerates every table and figure of the paper's
-//! evaluation (see DESIGN.md §3 for the experiment index).
+//! evaluation on the simulator ([`experiments`]) and prints the wall-clock
+//! comparisons and CI floors on the live runtime ([`live`]); see DESIGN.md
+//! §3 for the experiment index. Nothing here writes a results file — live
+//! numbers are recorded by the acceptance benchmark under `benchmark/`.
 //!
 //! `cargo run -p bench --release --bin experiments -- <id>` prints the rows
-//! for one experiment (`all` runs everything); the criterion benches under
-//! `benches/` exercise the same kernels at reduced scale.
+//! for one experiment (`all` runs everything but the `check` gate); the
+//! criterion benches under `benches/` exercise the same kernels at reduced
+//! scale.
 
 pub mod experiments;
+pub mod live;
 pub mod open_loop;
 pub mod setup;
 

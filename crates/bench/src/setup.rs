@@ -2,8 +2,8 @@
 
 use common::{derive_seed, ProcId, Value};
 use engine::{
-    run_live, run_offline, Catalog, CostModel, LiveAdvisor, LiveConfig, Profiler, RequestGenerator,
-    RunMetrics, SimConfig, Simulation,
+    run_offline, Catalog, CostModel, LiveAdvisor, Profiler, RequestGenerator, RunMetrics,
+    SimConfig, Simulation,
 };
 use houdini::{train, Houdini, HoudiniConfig, TrainingConfig};
 use trace::Workload;
@@ -120,27 +120,6 @@ pub fn run_sim<A: LiveAdvisor>(
     let cfg = sim_config(parts, scale, seed);
     let sim = Simulation::new(&mut db, &reg, advisor, &mut gen, CostModel::default(), cfg);
     sim.run().expect("simulation must not halt")
-}
-
-/// Runs one wall-clock measurement of `bench` under a live advisor: real
-/// worker threads (one per partition), real closed-loop client threads,
-/// per-client split request generators. The runtime takes its advisor by
-/// value, so measurement helpers take a cheap handle (`Arc<A>` — the
-/// blanket `LiveAdvisor for Arc<A>` impl delegates) and clone it per run.
-pub fn run_live_bench<A: LiveAdvisor + Clone + 'static>(
-    bench: Bench,
-    parts: u32,
-    advisor: &A,
-    cfg: &LiveConfig,
-    seed: u64,
-) -> RunMetrics {
-    let db = bench.database(parts);
-    let reg = bench.registry();
-    let gen_seed = derive_seed(seed, 0x6E6);
-    let make_gen = move |client: u64| bench.client_generator(parts, gen_seed, client);
-    let (metrics, _db) =
-        run_live(db, reg, advisor.clone(), &make_gen, cfg).expect("live runtime must not halt");
-    metrics
 }
 
 /// A TPC-C generator that issues only NewOrder requests — the motivating

@@ -21,18 +21,12 @@ use std::time::{Duration, Instant};
 use storage::{Database, Shard};
 use wal::{LogRecord, LogSet};
 
-/// Live-runtime parameters. The first two fields drive only the
-/// closed-loop [`run_live`] wrapper (an embedding application mints its
-/// own [`Client`] handles and decides its own request volume); the rest
-/// configure the [`LiveRuntime`] itself.
+/// Live-runtime parameters: every field configures the [`LiveRuntime`]
+/// itself (an embedding application mints its own [`Client`] handles and
+/// decides its own request volume; the closed-loop [`run_live`] wrapper
+/// takes its load shape as arguments).
 #[derive(Debug, Clone)]
 pub struct LiveConfig {
-    /// Closed-loop client threads per partition in [`run_live`] (the paper
-    /// uses 4). Ignored by [`LiveRuntime::start`].
-    pub clients_per_partition: u32,
-    /// Requests each [`run_live`] client issues before its stream runs
-    /// dry. Ignored by [`LiveRuntime::start`].
-    pub requests_per_client: u64,
     /// Mispredict restarts before falling back to lock-all.
     pub max_restarts: u32,
     /// Seed for the clients' random-partition draws.
@@ -47,14 +41,18 @@ pub struct LiveConfig {
     /// distributed write commit pays this cap once, as the coordinator's
     /// wait on the shared [`common::flush::FlushSequencer`], where
     /// concurrent coordinators and worker group closes coalesce into one
-    /// device operation instead of sleeping per participant.
+    /// device operation instead of sleeping per participant. Stays a
+    /// field because the `experiments -- check` gates and the live sweeps
+    /// set it (200 µs) while embedders and `benchmark/` leave it off.
     pub commit_flush_us: u64,
     /// One-way coordinator→participant message latency (µs of real sleep at
     /// the participant before it processes a fragment *message*, 0 = off;
     /// a whole `FragCmd::ExecBatch` counts once) — the live twin of
     /// `CostModel::remote_msg_us`. In-process lanes are otherwise
     /// near-instant, which would hide exactly the cost OP4 eliminates:
-    /// the 2PC rounds a reserved partition sits through.
+    /// the 2PC rounds a reserved partition sits through. Stays a field
+    /// because the TPC-C OP4 ablation of `experiments -- live` sets it
+    /// (60 µs) and every other caller leaves it off.
     pub msg_delay_us: u64,
     /// Bound of the session-teardown → maintenance-thread feedback channel
     /// (§4.5). Clients never block on maintenance: a full channel drops the
@@ -73,8 +71,6 @@ pub struct LiveConfig {
 impl Default for LiveConfig {
     fn default() -> Self {
         LiveConfig {
-            clients_per_partition: 4,
-            requests_per_client: 500,
             max_restarts: 2,
             seed: 7,
             commit_flush_us: 0,
@@ -633,11 +629,11 @@ impl<A: LiveAdvisor + 'static> Drop for LiveRuntime<A> {
 
 /// Runs the live runtime as a closed-loop benchmark: starts a
 /// [`LiveRuntime`], spawns `clients_per_partition × num_partitions`
-/// closed-loop client threads, drives every generator stream dry
-/// (`requests_per_client` each), then shuts down and returns the final
-/// metrics plus the reassembled database. A thin wrapper over the handle
-/// API, preserved for the exact sim↔live agreement tests and the closed-
-/// loop experiments.
+/// closed-loop client threads (the paper uses 4 per partition), drives
+/// every generator stream dry (`requests_per_client` each), then shuts
+/// down and returns the final metrics plus the reassembled database. A
+/// thin wrapper over the handle API, preserved for the exact sim↔live
+/// agreement tests and the closed-loop experiments.
 ///
 /// `make_gen` builds the independent request generator for one client
 /// stream (see `workloads::Bench::client_generator`). To keep using the
@@ -652,10 +648,11 @@ pub fn run_live<A: LiveAdvisor + 'static>(
     registry: ProcedureRegistry,
     advisor: A,
     make_gen: &(dyn Fn(u64) -> Box<dyn RequestGenerator + Send> + Sync),
+    clients_per_partition: u32,
+    requests_per_client: u64,
     cfg: &LiveConfig,
 ) -> Result<(RunMetrics, Database)> {
-    let clients = u64::from(db.num_partitions() * cfg.clients_per_partition);
-    let requests = cfg.requests_per_client;
+    let clients = u64::from(db.num_partitions() * clients_per_partition);
     let runtime = LiveRuntime::start(db, registry, advisor, cfg.clone());
     let mut failure: Option<Error> = None;
     let mut panic: Option<Box<dyn std::any::Any + Send>> = None;
@@ -667,7 +664,7 @@ pub fn run_live<A: LiveAdvisor + 'static>(
                 let mut client = runtime.client();
                 s.spawn(move || -> Result<()> {
                     let mut gen = make_gen(c);
-                    for _ in 0..requests {
+                    for _ in 0..requests_per_client {
                         let (proc, args) = gen.next_request(client.id());
                         client.call(proc, args)?;
                     }
@@ -709,6 +706,8 @@ mod tests {
         advisor: A,
         spread: u32,
         parts: u32,
+        clients_per_partition: u32,
+        requests_per_client: u64,
         cfg: &LiveConfig,
     ) -> (RunMetrics, Database) {
         let db = kv_database(parts, 8);
@@ -719,6 +718,8 @@ mod tests {
             advisor,
             // `run_live` hands each stream its own client id per request.
             &move |_| Box::new(KvGen { spread, parts, counter: 0 }) as Box<_>,
+            clients_per_partition,
+            requests_per_client,
             cfg,
         )
         .expect("no halts")
@@ -732,10 +733,9 @@ mod tests {
 
     #[test]
     fn lock_all_commits_everything_without_restarts() {
-        let cfg = LiveConfig { requests_per_client: 40, ..Default::default() };
         let advisor = AssumeDistributed::new();
-        let (m, db) = live_run(advisor, 2, 4, &cfg);
-        let total = u64::from(cfg.clients_per_partition) * 4 * cfg.requests_per_client;
+        let (m, db) = live_run(advisor, 2, 4, 4, 40, &LiveConfig::default());
+        let total = 4 * 4 * 40;
         assert_eq!(m.committed + m.user_aborts, total);
         assert_eq!(m.restarts, 0);
         assert_eq!(m.user_aborts, 0, "all ids exist");
@@ -747,10 +747,9 @@ mod tests {
 
     #[test]
     fn assume_single_partition_restarts_and_stays_consistent() {
-        let cfg = LiveConfig { requests_per_client: 40, ..Default::default() };
         let advisor = AssumeSinglePartition::new();
-        let (m, db) = live_run(advisor, 2, 4, &cfg);
-        let total = u64::from(cfg.clients_per_partition) * 4 * cfg.requests_per_client;
+        let (m, db) = live_run(advisor, 2, 4, 4, 40, &LiveConfig::default());
+        let total = 4 * 4 * 40;
         assert_eq!(m.committed + m.user_aborts, total);
         assert!(m.restarts > 0, "spread-2 work must trigger mispredicts");
         assert_eq!(sum_vals(&db, 4), m.committed as i64 * 2);
@@ -760,18 +759,16 @@ mod tests {
     fn single_partition_fast_path_has_no_lock_contention() {
         // spread 1 + redirect-on-miss: after the first mispredict the plan
         // is exact, so most work runs on the lock-free fast path.
-        let cfg = LiveConfig { requests_per_client: 50, ..Default::default() };
         let advisor = AssumeSinglePartition::new();
-        let (m, db) = live_run(advisor, 1, 4, &cfg);
+        let (m, db) = live_run(advisor, 1, 4, 4, 50, &LiveConfig::default());
         assert!(m.single_partition > 0);
         assert_eq!(sum_vals(&db, 4), m.committed as i64);
     }
 
     #[test]
     fn latency_histogram_is_populated() {
-        let cfg = LiveConfig { requests_per_client: 20, ..Default::default() };
         let advisor = AssumeDistributed::new();
-        let (m, _) = live_run(advisor, 1, 2, &cfg);
+        let (m, _) = live_run(advisor, 1, 2, 4, 20, &LiveConfig::default());
         assert_eq!(m.latency.count(), m.committed);
         assert!(m.mean_latency_ms().is_some());
         assert!(m.latency.p50_ms().unwrap() <= m.latency.p99_ms().unwrap());
@@ -783,17 +780,12 @@ mod tests {
         // With a real flush delay, doubling the workers roughly doubles
         // throughput for single-partition work even on one core — the
         // flushes overlap. Keep the margin loose: CI machines are noisy.
-        let cfg = LiveConfig {
-            requests_per_client: 60,
-            commit_flush_us: 200,
-            clients_per_partition: 2,
-            ..Default::default()
-        };
+        let cfg = LiveConfig { commit_flush_us: 200, ..Default::default() };
         // Lock-all cannot overlap flushes (every commit holds all
         // partitions), so this measures the serialized baseline...
-        let serialized = live_run(AssumeDistributed::new(), 1, 2, &cfg).0.throughput_tps();
+        let serialized = live_run(AssumeDistributed::new(), 1, 2, 2, 60, &cfg).0.throughput_tps();
         // ...while the single-partition fast path overlaps them.
-        let fast = live_run(AssumeSinglePartition::new(), 1, 2, &cfg).0.throughput_tps();
+        let fast = live_run(AssumeSinglePartition::new(), 1, 2, 2, 60, &cfg).0.throughput_tps();
         assert!(fast > serialized, "fast path {fast} <= lock-all {serialized}");
     }
 
@@ -936,8 +928,7 @@ mod tests {
 
     #[test]
     fn live_profile_attributes_every_resolved_call() {
-        let cfg = LiveConfig { requests_per_client: 40, ..Default::default() };
-        let (m, _) = live_run(AssumeSinglePartition::new(), 2, 4, &cfg);
+        let (m, _) = live_run(AssumeSinglePartition::new(), 2, 4, 4, 40, &LiveConfig::default());
         let total = m.committed + m.user_aborts;
         assert_eq!(m.profile.total_txns(), total, "one profile record per resolved call");
         assert!(m.profile.grand_total_us() > 0.0);
@@ -983,12 +974,9 @@ mod tests {
     #[test]
     fn durable_log_replay_reproduces_fast_path_state() {
         let dir = durability_dir("fast");
-        let cfg = LiveConfig {
-            requests_per_client: 30,
-            durability: Some(DurabilityConfig::new(&dir)),
-            ..Default::default()
-        };
-        let (m, db) = live_run(AssumeSinglePartition::new(), 1, 4, &cfg);
+        let cfg =
+            LiveConfig { durability: Some(DurabilityConfig::new(&dir)), ..Default::default() };
+        let (m, db) = live_run(AssumeSinglePartition::new(), 1, 4, 4, 30, &cfg);
         assert!(m.log_records > 0, "committed writers must be command-logged");
         assert!(m.log_bytes_written > 0);
         assert_eq!(m.snapshots_taken, 0);
@@ -1043,12 +1031,9 @@ mod tests {
     #[test]
     fn durable_log_replay_reproduces_distributed_state() {
         let dir = durability_dir("dist");
-        let cfg = LiveConfig {
-            requests_per_client: 30,
-            durability: Some(DurabilityConfig::new(&dir)),
-            ..Default::default()
-        };
-        let (m, db) = live_run(AssumeDistributed::new(), 2, 4, &cfg);
+        let cfg =
+            LiveConfig { durability: Some(DurabilityConfig::new(&dir)), ..Default::default() };
+        let (m, db) = live_run(AssumeDistributed::new(), 2, 4, 4, 30, &cfg);
         assert!(m.distributed > 0, "lock-all traffic is distributed");
         let (report, _, tables2) = recover_kv(AssumeDistributed::new(), 4, cfg);
         assert_eq!(report.replayed, m.committed, "each 2PC commit replays exactly once");

@@ -171,8 +171,6 @@ fn drift_run(maintenance: bool) -> RunMetrics {
     let db = Bench::Tatp.database(PARTS);
     let reg = Bench::Tatp.registry();
     let cfg = LiveConfig {
-        clients_per_partition: CLIENTS_PER_PARTITION,
-        requests_per_client: REQUESTS,
         max_restarts: 2,
         seed: 23,
         commit_flush_us: 0,
@@ -186,7 +184,8 @@ fn drift_run(maintenance: bool) -> RunMetrics {
                 .with_partition_flip(1, 2, FLIP_AFTER),
         ) as Box<dyn RequestGenerator + Send>
     };
-    let (m, _) = run_live(db, reg, h, &make_gen, &cfg).expect("drift run must not halt");
+    let (m, _) = run_live(db, reg, h, &make_gen, CLIENTS_PER_PARTITION, REQUESTS, &cfg)
+        .expect("drift run must not halt");
     let issued = u64::from(PARTS * CLIENTS_PER_PARTITION) * REQUESTS;
     assert_eq!(m.committed + m.user_aborts, issued, "lost transactions");
     m

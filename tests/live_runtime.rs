@@ -78,8 +78,6 @@ fn run_live_runtime(advisor: Houdini) -> (RunMetrics, storage::Database) {
     let db = Bench::Tatp.database(PARTS);
     let reg = Bench::Tatp.registry();
     let cfg = LiveConfig {
-        clients_per_partition: CLIENTS_PER_PARTITION,
-        requests_per_client: REQUESTS_PER_CLIENT,
         max_restarts: 2,
         seed: SEED,
         commit_flush_us: 0,
@@ -87,7 +85,8 @@ fn run_live_runtime(advisor: Houdini) -> (RunMetrics, storage::Database) {
         ..Default::default()
     };
     let make_gen = |client: u64| Bench::Tatp.client_generator(PARTS, SEED, client);
-    run_live(db, reg, advisor, &make_gen, &cfg).expect("live runtime must not halt")
+    run_live(db, reg, advisor, &make_gen, CLIENTS_PER_PARTITION, REQUESTS_PER_CLIENT, &cfg)
+        .expect("live runtime must not halt")
 }
 
 #[test]
@@ -213,8 +212,6 @@ fn tpcc_speculation_conserves_requests_and_rows() {
     let orders_before = db.total_rows(orders_table);
     let reg = Bench::Tpcc.registry();
     let cfg = LiveConfig {
-        clients_per_partition: CLIENTS,
-        requests_per_client: REQUESTS,
         max_restarts: 2,
         seed: 37,
         commit_flush_us: 50,
@@ -222,7 +219,8 @@ fn tpcc_speculation_conserves_requests_and_rows() {
         ..Default::default()
     };
     let make_gen = |client: u64| Bench::Tpcc.client_generator(PARTS, 37, client);
-    let (m, db) = run_live(db, reg, houdini, &make_gen, &cfg).expect("live runtime must not halt");
+    let (m, db) = run_live(db, reg, houdini, &make_gen, CLIENTS, REQUESTS, &cfg)
+        .expect("live runtime must not halt");
     let issued = u64::from(PARTS * CLIENTS) * REQUESTS;
     assert_eq!(m.committed + m.user_aborts, issued, "lost or duplicated transactions");
     // NewOrder is registry index 1 (procedure letter I).
@@ -245,8 +243,6 @@ fn workers_shut_down_cleanly_when_generators_run_dry() {
         let db = Bench::Tatp.database(PARTS);
         let reg = Bench::Tatp.registry();
         let cfg = LiveConfig {
-            clients_per_partition: 2,
-            requests_per_client: 60,
             max_restarts: 2,
             seed: 11,
             commit_flush_us: 0,
@@ -254,7 +250,7 @@ fn workers_shut_down_cleanly_when_generators_run_dry() {
             ..Default::default()
         };
         let make_gen = |client: u64| Bench::Tatp.client_generator(PARTS, 11, client);
-        let (m, db) = run_live(db, reg, advisor, &make_gen, &cfg).expect("no halts");
+        let (m, db) = run_live(db, reg, advisor, &make_gen, 2, 60, &cfg).expect("no halts");
         done_tx.send((m.committed + m.user_aborts, db.num_partitions())).unwrap();
     });
     let (finished, parts) = done_rx
