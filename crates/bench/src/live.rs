@@ -132,12 +132,11 @@ fn live_worker_counts() -> Vec<u32> {
     [1, 2, 4, 8].into_iter().filter(|&w| w <= cores().max(2)).collect()
 }
 
-/// The runtime configuration of the live sweeps: every commit pays a
-/// modeled 200 µs group-commit flush at its participating partition(s);
-/// flushes on different partitions overlap in wall-clock time, so scaling
-/// reflects genuine partition concurrency (DESIGN.md §"Live runtime").
+/// The runtime configuration of the live sweeps: durability off, so every
+/// reply goes out the moment its transaction finishes (DESIGN.md §"Live
+/// runtime").
 fn live_config(seed: u64, msg_delay_us: u64) -> LiveConfig {
-    LiveConfig { max_restarts: 2, seed, commit_flush_us: 200, msg_delay_us, ..Default::default() }
+    LiveConfig { max_restarts: 2, seed, msg_delay_us, ..Default::default() }
 }
 
 /// Requests per closed-loop client: `quick` at smoke scale, 2 000 at
@@ -212,11 +211,10 @@ pub fn live(scale: Scale) -> String {
         "{}\n\
          # Live runtime: wall-clock TATP throughput (txn/s), one worker thread per partition\n\
          # h-lockms is `-` when no transaction held a multi-partition lock set\n\
-         workers  houdini  asp      lock-all  h-p50ms  h-p95ms  h-p99ms  h-commit  h-abort  h-restart  h-spec  h-lockms  h-flush(coal)\n",
+         workers  houdini  asp      lock-all  h-p50ms  h-p95ms  h-p99ms  h-commit  h-abort  h-restart  h-spec  h-lockms\n",
         host_header()
     );
-    // TATP: no modeled message latency; scaling comes from overlapping
-    // commit flushes.
+    // TATP: no modeled message latency.
     for parts in live_worker_counts() {
         let point =
             ClosedLoop::new(Bench::Tatp, parts, requests(scale, 250), live_config(71, 0), 73);
@@ -230,7 +228,7 @@ pub fn live(scale: Scale) -> String {
         let hs = hm.summary();
         let _ = writeln!(
             out,
-            "{parts:7}  {:7.0}  {:7.0}  {:8.0}  {}  {}  {}  {:8}  {:7}  {:9}  {:6}  {:>8}  {:6} ({})",
+            "{parts:7}  {:7.0}  {:7.0}  {:8.0}  {}  {}  {}  {:8}  {:7}  {:9}  {:6}  {:>8}",
             hs.throughput_tps,
             am.throughput_tps(),
             dm.throughput_tps(),
@@ -242,8 +240,6 @@ pub fn live(scale: Scale) -> String {
             hs.restarts,
             hm.speculative,
             lock_hold_ms(&hm),
-            hs.flushes_total,
-            hs.flushes_coalesced,
         );
         profiled.push(ProfiledRun { bench: "TATP", workers: parts, metrics: hm });
     }
@@ -256,7 +252,7 @@ pub fn live(scale: Scale) -> String {
     );
     // TPC-C is the distributed-heavy workload that actually exercises OP4:
     // remote NewOrder/Payment hold multi-partition lock sets across the
-    // 2PC vote/commit rounds and commit flushes. Message latency is
+    // 2PC vote/commit rounds. Message latency is
     // modeled at the simulator's `remote_msg_us` (60 µs one-way) so the
     // lock-hold time OP4 reclaims exists in wall-clock terms, and the
     // ablation pair runs long (1000 requests/client at quick scale) to
@@ -566,7 +562,9 @@ pub const GATES: &[Gate] = &[
     // three quick profile runs climbs back to the seed level. The
     // alloc-budget test (bench/tests/alloc_budget.rs, part of plain `cargo
     // test`) pins the companion invariant: a constant allocation count per
-    // steady-state call.
+    // steady-state call. The 59.6 was calibrated under the modeled 200 µs
+    // device removed in PR 20; a regression floor until the row is
+    // re-expressed over `benchmark/` output, ROADMAP 1.
     Gate {
         id: "coord-share",
         what: "1-worker TATP coordination share of attributed call time (%)",
@@ -578,7 +576,10 @@ pub const GATES: &[Gate] = &[
     // lane runtime with the durability wait off the lock-hold path clears
     // ~50k, so the floor splits the two regimes with wide margin for
     // scheduler noise. Commit/abort counts must be identical across runs —
-    // batching and coalescing may only change timing, never outcomes.
+    // batching and coalescing may only change timing, never outcomes. The
+    // 30 000 was calibrated under the modeled 200 µs device removed in PR
+    // 20; a regression floor until the row is re-expressed over
+    // `benchmark/` output, ROADMAP 1.
     Gate {
         id: "dist-tps",
         what: "2-worker TATP throughput (txn/s)",
@@ -592,6 +593,10 @@ pub const GATES: &[Gate] = &[
     // would fail by an order of magnitude. The log sits on a RAM-backed
     // mount when the host has one, so the gate prices the logging
     // subsystem itself and regresses on code, not on the CI host's disk.
+    // The 10 was calibrated against a baseline arm that still ran the
+    // modeled device's ack-group hold (at 0 µs), removed in PR 20; a
+    // regression floor until the row is re-expressed over `benchmark/`
+    // output, ROADMAP 1.
     Gate {
         id: "log-overhead",
         what: "2-worker TATP command-logging throughput overhead (%)",
@@ -617,7 +622,7 @@ fn measure_coord_share(scale: Scale) -> Result<Reading, String> {
 
 /// Median throughput of three same-seed runs of the 2-worker TATP `live`
 /// configuration — the regime that collapsed under per-transaction
-/// fragment channels and participant-side flush sleeps.
+/// fragment channels.
 fn measure_dist_tps(scale: Scale) -> Result<Reading, String> {
     /// The quick-scale run's deterministic outcome counts (2 workers × 4
     /// clients × 250 requests, measure seed 73): byte-identical to the
@@ -638,22 +643,18 @@ fn measure_dist_tps(scale: Scale) -> Result<Reading, String> {
     }
     let mut tps: Vec<f64> = runs.iter().map(RunMetrics::throughput_tps).collect();
     let value = median(&mut tps);
-    let coalesced: u64 = runs.iter().map(|m| m.flushes_coalesced).sum();
     Ok(Reading {
         value,
         detail: format!(
-            "median of runs {tps:.0?}; committed {} / aborts {} per run; \
-             {coalesced} coalesced flushes over 3 runs",
+            "median of runs {tps:.0?}; committed {} / aborts {} per run",
             outcomes[0].0, outcomes[0].1
         ),
     })
 }
 
 /// Median, over seven interleaved (logging, baseline) round pairs, of the
-/// per-round throughput cost of command logging. Both arms run with the
-/// *modeled* commit-flush sleep at zero, so the baseline pays no stand-in
-/// flush cost and the overhead is the real logging cost and nothing else;
-/// the pairs are back to back, so each ratio compares matched host
+/// per-round throughput cost of command logging against the identical
+/// durability-off configuration. The pairs are back to back, so each ratio compares matched host
 /// conditions and the median discards outlier rounds on either side.
 fn measure_log_overhead(scale: Scale) -> Result<Reading, String> {
     const ROUNDS: usize = 7;
@@ -665,10 +666,9 @@ fn measure_log_overhead(scale: Scale) -> Result<Reading, String> {
     // and measures fsync *latency*, not logging *cost*. Deepen the loop
     // so the flusher always has the next group forming while it syncs the
     // current one — the regime the <10% bar is defined over.
-    let no_flush = LiveConfig { commit_flush_us: 0, ..live_config(71, 0) };
     let base = ClosedLoop {
         clients_per_partition: 4 * CLIENTS_PER_PARTITION,
-        ..ClosedLoop::new(Bench::Tatp, parts, 4 * requests(scale, 250), no_flush, 73)
+        ..ClosedLoop::new(Bench::Tatp, parts, 4 * requests(scale, 250), live_config(71, 0), 73)
     };
     // A tmpfs mount when the host has one: `fsync` completes in memory
     // there, controlling the device's latency out of the measurement.

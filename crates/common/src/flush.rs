@@ -1,76 +1,60 @@
 //! Cross-worker commit-flush coalescing: a shared per-log-device flush
 //! sequencer.
 //!
-//! The live runtime models one log device per box. A durable commit needs
-//! *a* device flush that starts after its log writes — not a flush of its
-//! own. [`FlushSequencer`] turns that observation into shared state:
+//! The durable live runtime has one log device per box. A durable commit
+//! needs *a* device flush that starts after its log writes — not a flush
+//! of its own. [`FlushSequencer`] turns that observation into shared
+//! state:
 //!
-//! * A writer whose log writes are (logically) in the device buffer grabs
-//!   a **ticket** with [`enqueue`](FlushSequencer::enqueue). The ticket
-//!   names the next flush *epoch*: any device flush that starts after the
-//!   ticket was issued covers it.
-//! * Anyone needing durability calls
-//!   [`wait_durable`](FlushSequencer::wait_durable). The first waiter to
-//!   find no flush in flight becomes the **leader** for a fresh epoch: it
-//!   claims `next_epoch`, performs the device operation (a
-//!   `commit_flush_us`-class sleep in the live runtime) *outside* the
-//!   lock, then publishes `durable = epoch` and wakes every waiter. A
-//!   ticket issued before the claim is `<= epoch`, so one device flush
-//!   retires every waiter that enqueued before it started. That is the
-//!   coalescing: concurrent 2PC coordinators share one sleep instead of
-//!   paying one each, and worker group commits ride the same flush
-//!   stream without ever sleeping ([`commit_group`](FlushSequencer::commit_group)).
+//! * A writer whose log writes are in the device buffer grabs a **ticket**
+//!   with [`enqueue`](FlushSequencer::enqueue). The ticket names the next
+//!   flush *epoch*: any device flush that starts after the ticket was
+//!   issued covers it.
+//! * Anyone needing durability waits on the ticket
+//!   ([`wait_durable_dev`](FlushSequencer::wait_durable_dev) eagerly,
+//!   [`wait_covered`](FlushSequencer::wait_covered) with patience). A
+//!   waiter that finds no flush in flight (and whose patience, if any, is
+//!   spent) becomes the **leader** for a fresh epoch: it claims
+//!   `next_epoch`, performs the device operation (the `write+fsync` of
+//!   `wal::FileDevice` in the live runtime) *outside* the lock, then
+//!   publishes `durable = epoch` and wakes every waiter. A ticket issued
+//!   before the claim is `<= epoch`, so one device flush retires every
+//!   waiter that enqueued before it started. That is the coalescing: the
+//!   flusher thread's commit groups and concurrent 2PC coordinators share
+//!   one fsync instead of paying one each.
 //! * Waiters whose ticket is already durable — or becomes durable while
 //!   they wait on another leader's flush — never touch the device at
 //!   all; they are counted in `flushes_coalesced`.
 //!
-//! Deadlock-freedom: a waiter that finds `flushing == false` always
-//! becomes the leader itself, so the only blocked state is "a leader is
-//! inside the device operation", which ends with `notify_all`. Every
-//! wake re-checks `durable >= ticket` under the lock (condvar waits are
-//! spurious-wakeup safe by construction).
+//! Deadlock-freedom: a waiter that finds `flushing == false` becomes the
+//! leader itself once its patience is spent, so the only indefinitely
+//! blocked state is "a leader is inside the device operation", which ends
+//! with `notify_all` — also when the device operation *panics*: the
+//! unwinding leader clears `flushing` and wakes everyone without
+//! publishing the epoch, and a woken waiter leads its own flush (fail-stop
+//! per caller, never a hang). Every wake re-checks `durable >= ticket`
+//! under the lock (condvar waits are spurious-wakeup safe by
+//! construction).
 //!
-//! The protocol is model-checked — including two seeded-bug twins — in
+//! Every entry point runs the same private wait loop and leader body. The
+//! protocol is model-checked — including two seeded-bug twins — in
 //! `crates/common/tests/flush_model.rs`; the `check` build drives this
 //! exact code through [`wait_durable_with`](FlushSequencer::wait_durable_with)
-//! with a recording closure in place of the sleep.
+//! and [`wait_covered`](FlushSequencer::wait_covered) with a recording
+//! device in place of the fsync.
 
 use crate::sync::atomic::{AtomicU64, Ordering};
-use crate::sync::{Condvar, Mutex};
-use std::time::Duration;
+use crate::sync::{Condvar, Mutex, PoisonError};
+use std::time::{Duration, Instant};
 
 /// The pluggable device operation behind a flush epoch: whatever makes the
 /// log writes issued before the flush started durable. The sequencer calls
 /// [`FlushDevice::flush`] exactly once per led epoch, outside its lock, so
-/// implementations may block (an `fwrite+fsync` pass, a modeled sleep).
+/// implementations may block (an `fwrite+fsync` pass).
 pub trait FlushDevice: Send + Sync {
     /// Performs one device flush for `epoch`. On return, every log write
     /// made before this flush started must be durable.
     fn flush(&self, epoch: u64);
-
-    /// True when durability is free (flushing is a no-op): waits against
-    /// this device return immediately without touching the sequencer or
-    /// its counters — the historical `Duration::ZERO` fast path.
-    fn is_free(&self) -> bool {
-        false
-    }
-}
-
-/// The seed behavior as a device: durability modeled as a fixed-latency
-/// sleep per device flush. A zero duration means "durability is free" —
-/// [`FlushSequencer::wait_durable_dev`] returns immediately, uncounted,
-/// exactly as [`FlushSequencer::wait_durable`] always has.
-#[derive(Debug, Clone, Copy)]
-pub struct SimulatedDevice(pub Duration);
-
-impl FlushDevice for SimulatedDevice {
-    fn flush(&self, _epoch: u64) {
-        std::thread::sleep(self.0);
-    }
-
-    fn is_free(&self) -> bool {
-        self.0.is_zero()
-    }
 }
 
 /// Shared flush state, all under one mutex (held only for bookkeeping —
@@ -85,10 +69,10 @@ struct State {
     durable: u64,
     /// A leader is currently inside the device operation.
     flushing: bool,
-    /// Flush demands served (coordinator waits + worker group commits).
+    /// Flush demands served (flusher-thread groups + coordinator waits).
     total: u64,
     /// Demands satisfied without a dedicated device operation of their
-    /// own (rode another leader's flush, or found one in flight).
+    /// own (rode another leader's flush, or found the ticket durable).
     coalesced: u64,
 }
 
@@ -97,9 +81,6 @@ struct State {
 pub struct FlushSequencer {
     state: Mutex<State>,
     cv: Condvar,
-    /// Lock-free mirror of `State::flushing` so workers can consult the
-    /// group-close policy without taking the mutex.
-    busy: AtomicU64,
     /// Lock-free monotonic mirror of `State::durable` so workers can ask
     /// "is this ticket durable yet?" without taking the mutex (see
     /// [`FlushSequencer::durable_epoch`]).
@@ -109,6 +90,36 @@ pub struct FlushSequencer {
 impl Default for FlushSequencer {
     fn default() -> Self {
         Self::new()
+    }
+}
+
+/// A leader inside its device operation. Dropping it ends the epoch —
+/// clear `flushing`, publish the epoch iff the device operation `landed`,
+/// wake every waiter — so an unwinding device operation releases the
+/// sequencer exactly like a returning one, minus the publication.
+struct Leading<'a> {
+    seq: &'a FlushSequencer,
+    epoch: u64,
+    landed: bool,
+}
+
+impl Drop for Leading<'_> {
+    fn drop(&mut self) {
+        // Never poisoned in practice (nothing panics under this lock), and
+        // a panic here could land on top of the device's own unwind.
+        let mut s = self.seq.state.lock().unwrap_or_else(PoisonError::into_inner);
+        s.flushing = false;
+        if self.landed && s.durable < self.epoch {
+            s.durable = self.epoch;
+            // ordering: Relaxed — monotonic mirror of `durable` for the
+            // lock-free `durable_epoch` peek. A reader that sees a stale
+            // (lower) value merely treats a durable ticket as still
+            // pending and takes the conservative path; it can never see
+            // a value ahead of a completed device flush, because this
+            // store only happens after `device(epoch)` returned.
+            self.seq.durable_lo.store(self.epoch, Ordering::Relaxed);
+        }
+        self.seq.cv.notify_all();
     }
 }
 
@@ -123,96 +134,32 @@ impl FlushSequencer {
                 coalesced: 0,
             }),
             cv: Condvar::new(),
-            busy: AtomicU64::new(0),
             durable_lo: AtomicU64::new(0),
         }
     }
 
     /// Grab a ticket covering every log write made before this call. The
     /// ticket is durable once a device flush that started after it
-    /// completes; pass it to [`wait_durable`](Self::wait_durable).
+    /// completes; pass it to [`wait_durable_dev`](Self::wait_durable_dev)
+    /// or [`wait_covered`](Self::wait_covered).
     pub fn enqueue(&self) -> u64 {
         self.state.lock().unwrap().next_epoch
     }
 
-    /// Block until `ticket` is durable, performing the device operation
-    /// (a real `sleep(device)`) as flush leader if none is in flight. A
-    /// zero `device` models "durability is free" and returns immediately
-    /// without touching the counters.
-    pub fn wait_durable(&self, ticket: u64, device: Duration) {
-        self.wait_durable_dev(ticket, &SimulatedDevice(device));
-    }
-
-    /// Ticket + wait in one step: the coordinator-side "flush my commit"
-    /// call.
-    pub fn flush(&self, device: Duration) {
-        if device.is_zero() {
-            return;
-        }
-        let ticket = self.enqueue();
-        self.wait_durable_with(ticket, |_epoch| std::thread::sleep(device));
-    }
-
-    /// [`wait_durable`](Self::wait_durable) against a pluggable
-    /// [`FlushDevice`]: blocks until `ticket` is durable, leading one real
-    /// device flush if none is in flight. A free device (see
-    /// [`FlushDevice::is_free`]) returns immediately without touching the
-    /// counters. Returns `true` iff this caller led the device flush.
+    /// Blocks until `ticket` is durable, leading one real device flush if
+    /// none is in flight. Returns `true` iff this caller led the device
+    /// flush.
     pub fn wait_durable_dev(&self, ticket: u64, device: &dyn FlushDevice) -> bool {
-        if device.is_free() {
-            return false;
-        }
-        self.wait_durable_with(ticket, |epoch| device.flush(epoch))
+        self.wait(ticket, Duration::ZERO, |epoch| device.flush(epoch))
     }
 
-    /// The injectable-device core of [`wait_durable`](Self::wait_durable):
-    /// the model tests drive the production protocol through this with a
-    /// recording closure in place of the sleep. The closure receives the
-    /// epoch being flushed. Returns `true` iff this caller ran the device
-    /// operation itself (it led a flush).
-    pub fn wait_durable_with(&self, ticket: u64, mut device: impl FnMut(u64)) -> bool {
-        let mut s = self.state.lock().unwrap();
-        s.total += 1;
-        loop {
-            if s.durable >= ticket {
-                s.coalesced += 1;
-                return false;
-            }
-            if s.flushing {
-                // A leader is inside the device op; it will notify_all.
-                s = self.cv.wait(s).unwrap();
-                continue;
-            }
-            // Become the leader for a fresh epoch. Tickets only ever hold
-            // past values of next_epoch, so epoch >= ticket and one pass
-            // suffices.
-            let epoch = s.next_epoch;
-            s.next_epoch += 1;
-            s.flushing = true;
-            // ordering: Relaxed — advisory mirror of `flushing` for the
-            // lock-free `flush_in_progress` policy peek; readers act on a
-            // possibly-stale hint, never on the value for correctness.
-            self.busy.store(1, Ordering::Relaxed);
-            drop(s);
-            device(epoch);
-            s = self.state.lock().unwrap();
-            // ordering: Relaxed — same advisory mirror; cleared under the
-            // state lock, correctness rides on the mutex alone.
-            self.busy.store(0, Ordering::Relaxed);
-            s.flushing = false;
-            if s.durable < epoch {
-                s.durable = epoch;
-                // ordering: Relaxed — monotonic mirror of `durable` for the
-                // lock-free `durable_epoch` peek. A reader that sees a stale
-                // (lower) value merely treats a durable ticket as still
-                // pending and takes the conservative path; it can never see
-                // a value ahead of a completed device flush, because this
-                // store only happens after `device(epoch)` returned.
-                self.durable_lo.store(epoch, Ordering::Relaxed);
-            }
-            self.cv.notify_all();
-            return true;
-        }
+    /// [`wait_durable_dev`](Self::wait_durable_dev) with the device
+    /// operation as a closure (it receives the epoch being flushed): the
+    /// model tests and probes drive the production protocol through this
+    /// with a recording closure in place of the fsync. Returns `true` iff
+    /// this caller ran the device operation itself (it led a flush).
+    pub fn wait_durable_with(&self, ticket: u64, device: impl FnMut(u64)) -> bool {
+        self.wait(ticket, Duration::ZERO, device)
     }
 
     /// Block until `ticket` is durable, *preferring to ride a device flush
@@ -228,10 +175,14 @@ impl FlushSequencer {
     /// leader, so no external flush is ever *required*. Returns `true`
     /// iff this caller led the device flush.
     pub fn wait_covered(&self, ticket: u64, device: &dyn FlushDevice, patience: Duration) -> bool {
-        if device.is_free() {
-            return false;
-        }
-        let deadline = std::time::Instant::now() + patience;
+        self.wait(ticket, patience, |epoch| device.flush(epoch))
+    }
+
+    /// The one wait loop behind every entry point: ride a flush in flight,
+    /// wait out `patience` for someone else to start one, then lead.
+    fn wait(&self, ticket: u64, patience: Duration, device: impl FnOnce(u64)) -> bool {
+        // `None` once the patience is spent (or when there never was any).
+        let mut deadline = (!patience.is_zero()).then(|| Instant::now() + patience);
         let mut s = self.state.lock().unwrap();
         s.total += 1;
         loop {
@@ -240,65 +191,32 @@ impl FlushSequencer {
                 return false;
             }
             if s.flushing {
-                // A leader is inside the device op; ride it (it will
-                // notify_all), then re-check coverage.
+                // A leader is inside the device op; it will notify_all.
                 s = self.cv.wait(s).unwrap();
                 continue;
             }
-            let now = std::time::Instant::now();
-            if now >= deadline {
-                // Patience exhausted with no flush in flight: lead one,
-                // exactly as `wait_durable_with` would.
-                let epoch = s.next_epoch;
-                s.next_epoch += 1;
-                s.flushing = true;
-                // ordering: Relaxed — advisory mirror of `flushing`; see
-                // `wait_durable_with`.
-                self.busy.store(1, Ordering::Relaxed);
-                drop(s);
-                device.flush(epoch);
-                s = self.state.lock().unwrap();
-                // ordering: Relaxed — advisory mirror; see `wait_durable_with`.
-                self.busy.store(0, Ordering::Relaxed);
-                s.flushing = false;
-                if s.durable < epoch {
-                    s.durable = epoch;
-                    // ordering: Relaxed — monotonic mirror of `durable`;
-                    // see `wait_durable_with`.
-                    self.durable_lo.store(epoch, Ordering::Relaxed);
+            if let Some(left) = deadline.map(|d| d.saturating_duration_since(Instant::now())) {
+                if !left.is_zero() {
+                    let (guard, timeout) = self.cv.wait_timeout(s, left).unwrap();
+                    s = guard;
+                    if timeout.timed_out() {
+                        deadline = None;
+                    }
+                    continue;
                 }
-                self.cv.notify_all();
-                return true;
             }
-            let (guard, _) = self.cv.wait_timeout(s, deadline - now).unwrap();
-            s = guard;
+            // Become the leader for a fresh epoch. Tickets only ever hold
+            // past values of next_epoch, so epoch >= ticket and one pass
+            // suffices.
+            let epoch = s.next_epoch;
+            s.next_epoch += 1;
+            s.flushing = true;
+            drop(s);
+            let mut leading = Leading { seq: self, epoch, landed: false };
+            device(epoch);
+            leading.landed = true;
+            return true;
         }
-    }
-
-    /// Publish a worker group commit's flush demand without waiting (the
-    /// fast path never sleeps — the adaptive window elapsing *is* its
-    /// flush). Counted in `flushes_total`; counted coalesced, and `true`
-    /// returned, iff a device flush was in flight at close time, i.e. the
-    /// group's demand merged into the cross-worker flush stream.
-    pub fn commit_group(&self) -> bool {
-        let mut s = self.state.lock().unwrap();
-        s.total += 1;
-        if s.flushing {
-            s.coalesced += 1;
-            true
-        } else {
-            false
-        }
-    }
-
-    /// Lock-free peek: is a device flush in flight right now? Workers use
-    /// this to close an open commit group early so its commits ride the
-    /// in-flight flush stream instead of waiting out their own window.
-    pub fn flush_in_progress(&self) -> bool {
-        // ordering: Relaxed — advisory policy hint only; a stale read
-        // merely delays or hastens a group close, both of which the
-        // adaptive-window policy already tolerates.
-        self.busy.load(Ordering::Relaxed) == 1
     }
 
     /// Lock-free peek at the highest epoch whose device flush has
@@ -324,22 +242,6 @@ mod tests {
     use super::*;
     use std::sync::atomic::{AtomicU64 as StdAtomicU64, Ordering as StdOrdering};
     use std::sync::Arc;
-
-    #[test]
-    fn zero_duration_is_free_and_uncounted() {
-        let seq = FlushSequencer::new();
-        seq.flush(Duration::ZERO);
-        seq.wait_durable(7, Duration::ZERO);
-        assert_eq!(seq.counters(), (0, 0));
-        assert!(!seq.flush_in_progress());
-    }
-
-    #[test]
-    fn free_device_is_uncounted_like_a_zero_duration() {
-        let seq = FlushSequencer::new();
-        assert!(!seq.wait_durable_dev(7, &SimulatedDevice(Duration::ZERO)));
-        assert_eq!(seq.counters(), (0, 0));
-    }
 
     /// A recording device: proves `wait_durable_dev` drives the exact
     /// protocol `wait_durable_with` does (same epochs, same counters).
@@ -422,27 +324,40 @@ mod tests {
     }
 
     #[test]
-    fn commit_group_counts_demand_and_detects_inflight_flushes() {
-        let seq = FlushSequencer::new();
-        assert!(!seq.commit_group(), "no flush in flight: not coalesced");
-        let seq = Arc::new(seq);
+    fn panicking_device_op_releases_later_waiters() {
+        let seq = Arc::new(FlushSequencer::new());
+        let ticket = seq.enqueue();
+        let s1 = seq.clone();
+        let leader = std::thread::spawn(move || {
+            s1.wait_durable_with(ticket, |_| {
+                // Hold the device until the second waiter has registered
+                // its demand: `total` is bumped under the state lock, which
+                // that waiter only gives up by sleeping on the condvar — so
+                // reading 2 here means it is parked behind this flush.
+                while s1.counters().0 < 2 {
+                    std::thread::yield_now();
+                }
+                panic!("injected device failure");
+            })
+        });
         let s2 = seq.clone();
-        let rode = std::thread::spawn(move || {
-            let t = s2.enqueue();
-            let mut rode = false;
-            s2.wait_durable_with(t, |_| {
-                // While the leader holds the device, a group close must
-                // observe the in-flight flush and coalesce.
-                rode = s2.commit_group();
-                assert!(s2.flush_in_progress());
+        let (done_tx, done_rx) = std::sync::mpsc::channel();
+        let waiter = std::thread::spawn(move || {
+            while s2.counters().0 < 1 {
+                std::thread::yield_now();
+            }
+            let led = s2.wait_durable_with(ticket, |_| {
+                assert_eq!(s2.durable_epoch(), 0, "the panicked epoch must stay unpublished");
             });
-            rode
-        })
-        .join()
-        .unwrap();
-        assert!(rode, "group closing mid-flush rides it");
-        let (total, coalesced) = seq.counters();
-        assert_eq!((total, coalesced), (3, 1));
-        assert!(!seq.flush_in_progress());
+            let _ = done_tx.send(led);
+        });
+        let led = done_rx
+            .recv_timeout(Duration::from_secs(10))
+            .expect("a waiter parked behind a panicked leader must be woken");
+        assert!(led, "the woken waiter leads its own device op");
+        waiter.join().expect("second waiter");
+        assert!(leader.join().is_err(), "the device panic propagates to its caller");
+        assert_eq!(seq.durable_epoch(), 2, "only the second epoch landed");
+        assert_eq!(seq.counters(), (2, 0));
     }
 }

@@ -6,16 +6,16 @@
 //! * **Compact reimplementation** (always compiled): the sequencer with
 //!   the *device* as a model atomic so the checker can observe a flush
 //!   that was claimed durable before the device write landed — the real
-//!   sequencer's device op is a sleep the model cannot see — plus seeded
+//!   sequencer's device op is an fsync the model cannot see — plus seeded
 //!   twins: publishing `durable` before the device operation (lost
 //!   flush, caught as a panic) and a leader that skips `notify_all`
 //!   (stranded waiter, caught as a deadlock).
 //! * **The real `common::flush`** (under `--features check`): the facade
 //!   resolves to `checkers::sync`, so the models drive the production
-//!   `FlushSequencer` itself through `wait_durable_with`, with a
-//!   recording closure in place of the sleep — no lost flush, no
-//!   overlapping (double) device operations, and group closes coalescing
-//!   only with genuinely in-flight flushes.
+//!   `FlushSequencer` itself through `wait_durable_with` and a
+//!   `wait_covered` rider (patience zero, and patience longer than the
+//!   run), with a recording device in place of the fsync — no lost flush
+//!   and no overlapping (double) device operations.
 //!
 //! Properties checked:
 //! * **No lost flush** — a waiter returns only after a device operation
@@ -178,56 +178,63 @@ mod real_seq {
     use checkers::explore;
     use checkers::sync::atomic::{AtomicU64, Ordering};
     use checkers::sync::Arc;
-    use common::flush::FlushSequencer;
+    use common::flush::{FlushDevice, FlushSequencer};
+    use std::time::Duration;
 
-    #[test]
-    fn real_sequencer_never_loses_or_doubles_a_flush() {
-        let r = explore(opts(), |model| {
+    /// The device as the checker sees it: the highest epoch written, and
+    /// how many threads are inside the operation (must never exceed 1).
+    struct Recording {
+        device: AtomicU64,
+        in_device: AtomicU64,
+    }
+
+    impl FlushDevice for Recording {
+        fn flush(&self, epoch: u64) {
+            let was = self.in_device.fetch_add(1, Ordering::AcqRel);
+            assert_eq!(was, 0, "double flush: overlapping device ops");
+            self.device.store(epoch, Ordering::Relaxed);
+            self.in_device.store(0, Ordering::Release);
+        }
+    }
+
+    impl Recording {
+        /// No lost flush, and (watermark) FIFO ack order.
+        fn assert_covers(&self, ticket: u64) {
+            let dev = self.device.load(Ordering::Relaxed);
+            assert!(dev >= ticket, "lost flush: device {dev} < ticket {ticket}");
+        }
+    }
+
+    /// Two eager waiters plus one `wait_covered` rider. The rider's ticket
+    /// is taken before any thread runs, so the eager waiters' flushes cover
+    /// it: a rider whose patience outlasts the run is always woken by one
+    /// of them, and one without patience may lead the flush they ride.
+    fn scenario(patience: Duration) -> impl Fn(&mut checkers::Model) {
+        move |model| {
             let seq = Arc::new(FlushSequencer::new());
-            let device = Arc::new(AtomicU64::new(0));
-            let in_device = Arc::new(AtomicU64::new(0));
+            let dev =
+                Arc::new(Recording { device: AtomicU64::new(0), in_device: AtomicU64::new(0) });
             for _ in 0..2 {
-                let (s, d, g) = (seq.clone(), device.clone(), in_device.clone());
+                let (s, d) = (seq.clone(), dev.clone());
                 model.thread(move || {
                     let ticket = s.enqueue();
-                    s.wait_durable_with(ticket, |epoch| {
-                        let was = g.fetch_add(1, Ordering::AcqRel);
-                        assert_eq!(was, 0, "double flush: overlapping device ops");
-                        d.store(epoch, Ordering::Relaxed);
-                        g.store(0, Ordering::Release);
-                    });
-                    // No lost flush, and (watermark) FIFO ack order.
-                    let dev = d.load(Ordering::Relaxed);
-                    assert!(dev >= ticket, "lost flush: device {dev} < ticket {ticket}");
+                    s.wait_durable_with(ticket, |epoch| d.flush(epoch));
+                    d.assert_covers(ticket);
                 });
             }
-        });
-        assert_pass(&r, "real_seq_no_lost_flush");
+            let ticket = seq.enqueue();
+            model.thread(move || {
+                seq.wait_covered(ticket, &*dev, patience);
+                dev.assert_covers(ticket);
+            });
+        }
     }
 
     #[test]
-    fn real_group_close_coalesces_only_with_an_inflight_flush() {
-        let r = explore(opts(), |model| {
-            let seq = Arc::new(FlushSequencer::new());
-            let s1 = seq.clone();
-            model.thread(move || {
-                let ticket = s1.enqueue();
-                let led = s1.wait_durable_with(ticket, |_epoch| {});
-                assert!(led, "sole durability waiter must lead its flush");
-            });
-            let s2 = seq.clone();
-            model.thread(move || {
-                // A worker group close never blocks; if it reports riding
-                // a flush, one must actually be in flight at that moment
-                // (flush_in_progress is advisory, the mutexed answer is
-                // the authoritative one commit_group returns).
-                let rode = s2.commit_group();
-                let (total, coalesced) = s2.counters();
-                assert!(total >= 1);
-                assert!(coalesced <= total, "coalesced demands exceed demands");
-                let _ = rode;
-            });
-        });
-        assert_pass(&r, "real_group_close");
+    fn real_sequencer_never_loses_or_doubles_a_flush() {
+        let r = explore(opts(), scenario(Duration::ZERO));
+        assert_pass(&r, "real_seq_no_lost_flush");
+        let r = explore(opts(), scenario(Duration::from_secs(3600)));
+        assert_pass(&r, "real_seq_patient_rider");
     }
 }

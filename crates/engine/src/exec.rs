@@ -3,7 +3,7 @@
 
 use crate::catalog::{Catalog, ColumnOp, QueryDef, QueryOp};
 use crate::procedure::{ProcedureRegistry, Step};
-use common::{PartitionId, PartitionSet, ProcId, Result, Value};
+use common::{PartitionSet, ProcId, Result, Value};
 use storage::{Database, Row, Shard, UndoLog};
 use trace::{QueryRecord, TraceRecord};
 
@@ -21,86 +21,9 @@ pub struct ExecutedQuery {
     pub is_write: bool,
 }
 
-/// One partition's slice of the row-operation surface, so the per-query
-/// execution logic is written once and runs either against the whole
-/// [`Database`] (simulator, offline executor) or against a single [`Shard`]
-/// owned by a live worker thread.
-trait PartitionStore {
-    fn ps_get(&self, table: usize, key: &[Value]) -> Option<&Row>;
-    fn ps_insert(&mut self, table: usize, row: Row, undo: &mut UndoLog) -> Result<()>;
-    /// Applies `sets` with `params` to the row at `key` (the `apply_sets`
-    /// mutation is invoked inside the impl so no closure crosses the trait
-    /// boundary — updates are the hot write path).
-    fn ps_update(
-        &mut self,
-        table: usize,
-        key: &[Value],
-        sets: &[ColumnOp],
-        params: &[Value],
-        undo: &mut UndoLog,
-    ) -> Result<()>;
-    fn ps_delete(&mut self, table: usize, key: &[Value], undo: &mut UndoLog) -> Result<Row>;
-    fn ps_lookup_by(&self, table: usize, column: usize, value: &Value) -> Vec<Row>;
-}
-
-struct DbPartition<'a> {
-    db: &'a mut Database,
-    p: PartitionId,
-}
-
-impl PartitionStore for DbPartition<'_> {
-    fn ps_get(&self, table: usize, key: &[Value]) -> Option<&Row> {
-        self.db.get(self.p, table, key)
-    }
-    fn ps_insert(&mut self, table: usize, row: Row, undo: &mut UndoLog) -> Result<()> {
-        self.db.insert(self.p, table, row, undo)
-    }
-    fn ps_update(
-        &mut self,
-        table: usize,
-        key: &[Value],
-        sets: &[ColumnOp],
-        params: &[Value],
-        undo: &mut UndoLog,
-    ) -> Result<()> {
-        self.db.update(self.p, table, key, |row| apply_sets(row, sets, params), undo)
-    }
-    fn ps_delete(&mut self, table: usize, key: &[Value], undo: &mut UndoLog) -> Result<Row> {
-        self.db.delete(self.p, table, key, undo)
-    }
-    fn ps_lookup_by(&self, table: usize, column: usize, value: &Value) -> Vec<Row> {
-        self.db.lookup_by(self.p, table, column, value)
-    }
-}
-
-impl PartitionStore for &mut Shard {
-    fn ps_get(&self, table: usize, key: &[Value]) -> Option<&Row> {
-        Shard::get(self, table, key)
-    }
-    fn ps_insert(&mut self, table: usize, row: Row, undo: &mut UndoLog) -> Result<()> {
-        Shard::insert(self, table, row, undo)
-    }
-    fn ps_update(
-        &mut self,
-        table: usize,
-        key: &[Value],
-        sets: &[ColumnOp],
-        params: &[Value],
-        undo: &mut UndoLog,
-    ) -> Result<()> {
-        Shard::update(self, table, key, |row| apply_sets(row, sets, params), undo)
-    }
-    fn ps_delete(&mut self, table: usize, key: &[Value], undo: &mut UndoLog) -> Result<Row> {
-        Shard::delete(self, table, key, undo)
-    }
-    fn ps_lookup_by(&self, table: usize, column: usize, value: &Value) -> Vec<Row> {
-        Shard::lookup_by(self, table, column, value)
-    }
-}
-
-/// Runs `def` against one partition's store, appending result rows.
-fn run_on_partition<S: PartitionStore>(
-    store: &mut S,
+/// Runs `def` against one partition's shard, appending result rows.
+fn run_on_partition(
+    shard: &mut Shard,
     def: &QueryDef,
     params: &[Value],
     undo: &mut UndoLog,
@@ -109,28 +32,28 @@ fn run_on_partition<S: PartitionStore>(
     match &def.op {
         QueryOp::GetByKey { key_params } => {
             let key: Vec<Value> = key_params.iter().map(|&i| params[i].clone()).collect();
-            if let Some(r) = store.ps_get(def.table, &key) {
+            if let Some(r) = shard.get(def.table, &key) {
                 rows.push(r.clone());
             }
         }
         QueryOp::LookupBy { column, param } => {
-            rows.extend(store.ps_lookup_by(def.table, *column, &params[*param]));
+            rows.extend(shard.lookup_by(def.table, *column, &params[*param]));
         }
         QueryOp::InsertRow => {
-            store.ps_insert(def.table, params.to_vec(), undo)?;
+            shard.insert(def.table, params.to_vec(), undo)?;
             rows.push(params.to_vec());
         }
         QueryOp::UpdateByKey { key_params, sets } => {
             let key: Vec<Value> = key_params.iter().map(|&i| params[i].clone()).collect();
-            if store.ps_get(def.table, &key).is_some() {
-                store.ps_update(def.table, &key, sets, params, undo)?;
-                rows.push(store.ps_get(def.table, &key).expect("just updated").clone());
+            if shard.get(def.table, &key).is_some() {
+                shard.update(def.table, &key, |row| apply_sets(row, sets, params), undo)?;
+                rows.push(shard.get(def.table, &key).expect("just updated").clone());
             }
         }
         QueryOp::DeleteByKey { key_params } => {
             let key: Vec<Value> = key_params.iter().map(|&i| params[i].clone()).collect();
-            if store.ps_get(def.table, &key).is_some() {
-                let before = store.ps_delete(def.table, &key, undo)?;
+            if shard.get(def.table, &key).is_some() {
+                let before = shard.delete(def.table, &key, undo)?;
                 rows.push(before);
             }
         }
@@ -153,8 +76,7 @@ pub fn execute_query(
     let targets = def.estimate_partitions(db, params);
     let mut rows = Vec::new();
     for p in targets.iter() {
-        let mut store = DbPartition { db, p };
-        run_on_partition(&mut store, def, params, undo, &mut rows)?;
+        run_on_partition(db.shard_mut(p), def, params, undo, &mut rows)?;
     }
     Ok((rows, targets))
 }
@@ -172,8 +94,7 @@ pub fn execute_fragment(
     undo: &mut UndoLog,
 ) -> Result<Vec<Row>> {
     let mut rows = Vec::new();
-    let mut store = shard;
-    run_on_partition(&mut store, def, params, undo, &mut rows)?;
+    run_on_partition(shard, def, params, undo, &mut rows)?;
     Ok(rows)
 }
 

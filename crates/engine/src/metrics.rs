@@ -318,12 +318,12 @@ pub struct RunMetrics {
     /// simulated µs in the simulator, wall-clock µs in the live runtime.
     pub profile: Profiler,
     /// Commit-flush demands registered with the shared flush sequencer
-    /// (worker group closes + coordinator 2PC durability waits); live
-    /// runtime only, filled from the sequencer at snapshot/teardown.
+    /// (flusher-thread groups + coordinator 2PC durability waits); durable
+    /// live runtime only (0 otherwise), filled from the sequencer at
+    /// snapshot/teardown.
     pub flushes_total: u64,
     /// The subset of `flushes_total` satisfied by a device operation some
-    /// other worker or coordinator led — cross-thread commit-flush
-    /// coalescing at work (0 with `commit_flush_us = 0`).
+    /// other thread led — cross-thread commit-flush coalescing at work.
     pub flushes_coalesced: u64,
     /// Command-log records appended (durable mode only; 0 otherwise).
     pub log_records: u64,

@@ -14,7 +14,6 @@ use common::sync::Arc;
 use common::{Error, FxHashMap, PartitionId, PartitionSet, QueryId, Result, Value};
 use std::time::Instant;
 use storage::Row;
-use wal::FileDevice;
 
 /// How one execution attempt ended, from the client's point of view.
 pub(super) enum Attempt<S> {
@@ -50,9 +49,9 @@ pub(super) struct StageAcc {
     /// `coord_us`), splitting the distributed path's coordination cost the
     /// way Fig. 11's analysis needs it: time blocked acquiring the lock
     /// set, time in the 2PC finish round (outcome sends + acks), and time
-    /// waiting on the shared commit-flush sequencer. The fast path's
-    /// residual coordination (group flush waits, channel hops) lands in
-    /// none of them.
+    /// waiting on the shared commit-flush sequencer (durable mode). The
+    /// fast path's residual coordination (durable-ack waits, channel hops)
+    /// lands in none of them.
     pub(super) lock_us: f64,
     pub(super) twopc_us: f64,
     pub(super) flush_us: f64,
@@ -61,7 +60,7 @@ pub(super) struct StageAcc {
 impl StageAcc {
     /// Folds one fast-path round trip: the stages the worker measured,
     /// plus the round trip's unexplained remainder (channel hops, waiting
-    /// for the group flush and groupmates) as coordination.
+    /// for the covering device flush) as coordination.
     pub(super) fn fold_reply(&mut self, times: StageTimes, round_trip_us: f64) {
         self.queue_us += times.queued_us;
         self.est_us += times.est_us;
@@ -133,7 +132,8 @@ pub(super) fn push_frag<S>(
 
 /// Coordinates one distributed transaction from the client thread: atomic
 /// lock acquisition, batched fragment shipping over the reusable lanes,
-/// early prepares (OP4), 2PC outcome, and the one sequenced commit flush.
+/// early prepares (OP4), 2PC outcome, and (durable mode) the one sequenced
+/// commit flush.
 #[allow(clippy::too_many_lines)]
 pub(super) fn run_distributed<A: LiveAdvisor>(
     env: &Shared<A>,
@@ -453,50 +453,27 @@ pub(super) fn run_distributed<A: LiveAdvisor>(
             }
             Step::Commit => {
                 let fin = finish_all(ports, acc, released, windowed, true);
-                // One durability wait per distributed write commit,
-                // through the shared sequencer — and *after* the lock
-                // guard drops. The ticket is taken first, while every
-                // participant's ack is in hand (their log writes
-                // happen-before it), so one device operation covers all
-                // of them; the wait itself is group commit: effects are
-                // visible the moment the locks release, only this
-                // client's acknowledgement stalls on the device. Holding
-                // the lock set through the sleep instead serializes every
-                // other coordinator behind a 200 µs hold (measured: lock
-                // wait was 82% of 2-worker TATP call time) — and any
-                // later transaction that needs this commit durable
-                // enqueues a ticket at least as large, so releasing early
-                // never reorders durability. This replaces one full-cap
-                // sleep per writing participant *on the participant's own
-                // thread*, which stalled that partition's entire fast
-                // path for the duration.
-                let ticket = (fin.is_ok()
-                    && !wrote_parts.is_empty()
-                    && (env.durable.is_some() || !env.commit_flush.is_zero()))
-                .then(|| env.seq.enqueue());
+                // Durable mode: one durability wait per distributed write
+                // commit, through the shared sequencer — and *after* the
+                // lock guard drops. The ticket is taken first, while every
+                // participant's ack is in hand (their begin and decision
+                // appends happen-before it), so one `write+fsync` covers
+                // all of them; effects are visible the moment the locks
+                // release, only this client's acknowledgement stalls on
+                // the device (DESIGN.md §7 has the ordering argument).
+                let ticket = match &env.durable {
+                    Some(d) if fin.is_ok() && !wrote_parts.is_empty() => Some((d, d.seq.enqueue())),
+                    _ => None,
+                };
                 record_remaining_hold(lock_holds, lock_set, released, t_locked);
                 drop(locks_held);
-                if let Some(t) = ticket {
+                if let Some((d, t)) = ticket {
+                    // Ride the flusher's windowed group commit rather than
+                    // leading eagerly — leading here would pin the fsync
+                    // rate to the distributed-commit rate and collapse
+                    // throughput to the device.
                     let t_flush = Instant::now();
-                    match &env.durable {
-                        // Real device: every participant's begin and
-                        // decision records are on their logs (the Finished
-                        // acks above happen-after the appends), so one
-                        // sequenced `write+fsync` makes the whole
-                        // transaction durable. Ride the flusher's windowed
-                        // group commit rather than leading eagerly —
-                        // leading here would pin the fsync rate to the
-                        // distributed-commit rate and collapse throughput
-                        // to the device.
-                        Some(d) => {
-                            env.seq.wait_covered(
-                                t,
-                                &FileDevice(Arc::clone(&d.logs)),
-                                d.group_window,
-                            );
-                        }
-                        None => env.seq.wait_durable(t, env.commit_flush),
-                    }
+                    d.seq.wait_covered(t, &d.device, d.group_window);
                     let fw = us_since(t_flush);
                     acc.coord_us += fw;
                     acc.flush_us += fw;
@@ -526,10 +503,15 @@ pub(super) fn run_distributed<A: LiveAdvisor>(
 
 #[cfg(test)]
 mod tests {
+    use super::super::lifecycle::tests::durability_dir;
     use super::super::{LiveConfig, LiveRuntime};
     use super::*;
     use crate::advisor::{PlanContext, TxnOutcome};
+    use crate::baselines::AssumeDistributed;
+    use crate::durability::DurabilityConfig;
     use crate::procedure::testing::{kv_database, kv_registry};
+    use crate::profiler::CoordSub;
+    use std::time::Duration;
 
     /// Plans `{0, 1}` for every request regardless of its true target, so
     /// work on partition 2 mispredicts on every attempt until the forced
@@ -594,6 +576,45 @@ mod tests {
             m.lock_hold.count(),
             3 * 2 + 4,
             "every release path must record one sample per held partition"
+        );
+    }
+
+    #[test]
+    fn durable_commit_waits_for_the_device_after_releasing_its_locks() {
+        // One client, lock-all plans, nothing on the fast path: no flusher
+        // group ever forms, so every write commit waits out its whole
+        // patience (the group-commit window) before leading its own flush.
+        // `run_distributed` takes the ticket, releases the lock set, *then*
+        // waits — so the window shows up in the Flush sub-bucket while even
+        // the longest lock hold stays far below it.
+        const WINDOW: Duration = Duration::from_millis(20);
+        const WRITES: u32 = 5;
+        let dir = durability_dir("hold");
+        let cfg = LiveConfig {
+            durability: Some(DurabilityConfig::new(&dir).group_commit_window(WINDOW)),
+            ..Default::default()
+        };
+        let rt =
+            LiveRuntime::start(kv_database(2, 8), kv_registry(), AssumeDistributed::new(), cfg);
+        let mut client = rt.client();
+        for id in 0..i64::from(WRITES) {
+            let outcome = client.call(0, vec![Value::Array(vec![Value::Int(id)])]).unwrap();
+            assert!(matches!(outcome, TxnOutcome::Committed));
+        }
+        drop(client);
+        let (m, _) = rt.shutdown();
+        let _ = std::fs::remove_dir_all(&dir);
+        let window_us = WINDOW.as_secs_f64() * 1e6;
+        let flush_us = m.profile.coord_us(0, CoordSub::Flush) / f64::from(WRITES);
+        assert!(
+            flush_us >= 0.9 * window_us,
+            "durable wait per committed write {flush_us:.0} µs, expected about {window_us:.0}"
+        );
+        assert_eq!(m.lock_hold.count(), u64::from(WRITES) * 2, "two partitions held per write");
+        let top_hold_us = m.lock_hold.quantile_us(1.0).expect("lock holds within histogram range");
+        assert!(
+            top_hold_us < 0.5 * window_us,
+            "longest lock hold {top_hold_us:.0} µs: the locks were held into the durable wait"
         );
     }
 }

@@ -19,7 +19,7 @@ use common::{Error, PartitionId, PartitionSet, Result};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 use storage::{Database, Shard};
-use wal::{LogRecord, LogSet};
+use wal::{FileDevice, LogRecord, LogSet};
 
 /// Live-runtime parameters: every field configures the [`LiveRuntime`]
 /// itself (an embedding application mints its own [`Client`] handles and
@@ -31,20 +31,6 @@ pub struct LiveConfig {
     pub max_restarts: u32,
     /// Seed for the clients' random-partition draws.
     pub seed: u64,
-    /// *Maximum* group-commit coalescing window per partition (µs, 0 =
-    /// off). Models the durable group-commit H-Store overlaps. On the
-    /// fast path this caps the *adaptive* window a commit group may stay
-    /// open, scaled by the backlog observed as the group runs — zero when
-    /// no one is waiting (the group cannot grow, so flush immediately),
-    /// the full cap under deep backlog (see `adaptive_window`) — and
-    /// the window elapses under useful work, never as a sleep. A
-    /// distributed write commit pays this cap once, as the coordinator's
-    /// wait on the shared [`common::flush::FlushSequencer`], where
-    /// concurrent coordinators and worker group closes coalesce into one
-    /// device operation instead of sleeping per participant. Stays a
-    /// field because the `experiments -- check` gates and the live sweeps
-    /// set it (200 µs) while embedders and `benchmark/` leave it off.
-    pub commit_flush_us: u64,
     /// One-way coordinator→participant message latency (µs of real sleep at
     /// the participant before it processes a fragment *message*, 0 = off;
     /// a whole `FragCmd::ExecBatch` counts once) — the live twin of
@@ -59,12 +45,13 @@ pub struct LiveConfig {
     /// record (counted in `RunMetrics::feedback_dropped`) and the
     /// transaction's acknowledgement proceeds untouched.
     pub feedback_capacity: usize,
-    /// Real durability (DESIGN.md §7): when set, every committed writer is
+    /// Durability (DESIGN.md §7): when set, every committed writer is
     /// command-logged under the configured directory and its
     /// acknowledgement is withheld until a real `write+fsync` covers it
     /// (group commit via the shared [`FlushSequencer`], the fsync itself
-    /// off-worker on a dedicated flusher thread). `None` keeps the seed
-    /// behavior: `commit_flush_us` *models* the device as a sleep.
+    /// off-worker on a dedicated flusher thread). `None` turns durability
+    /// off: every reply goes out the moment its transaction finishes and
+    /// a distributed commit waits on nothing.
     pub durability: Option<DurabilityConfig>,
 }
 
@@ -73,7 +60,6 @@ impl Default for LiveConfig {
         LiveConfig {
             max_restarts: 2,
             seed: 7,
-            commit_flush_us: 0,
             msg_delay_us: 0,
             feedback_capacity: 4096,
             durability: None,
@@ -101,20 +87,12 @@ pub(super) struct Shared<A: LiveAdvisor> {
     pub(super) advisor: A,
     pub(super) cfg: LiveConfig,
     pub(super) num_partitions: u32,
-    pub(super) commit_flush: Duration,
     pub(super) msg_delay: Duration,
     /// One control-channel + doorbell gate per partition worker. Fast-path
     /// traffic bypasses the gate's channel entirely: it rides the issuing
     /// client's SPSC lane and only rings the gate's bell.
     pub(super) workers: Vec<WorkerGate<A::Session>>,
     pub(super) locks: LockManager,
-    /// Cross-worker commit-flush sequencer for the shared log device:
-    /// worker group commits and coordinator 2PC durability waits all go
-    /// through it, so concurrent flush demands — from *different* workers
-    /// and coordinators — coalesce into one device operation (epoch-
-    /// ticketed; see [`common::flush`]). A no-op when `commit_flush` is
-    /// zero.
-    pub(super) seq: FlushSequencer,
     /// Run-wide counters: [`Client::call`] folds each transaction's
     /// tallies in here *once, at the end of the call* — per-call scratch
     /// lives in cheap locals on the client, so the fast path touches this
@@ -130,8 +108,8 @@ pub(super) struct Shared<A: LiveAdvisor> {
     pub(super) started: Instant,
     /// Real-durability state ([`LiveConfig::durability`]): the open
     /// command-log segments, the txn-id allocator, snapshot bookkeeping,
-    /// and the flusher-thread intake. `None` keeps the seed's simulated
-    /// device.
+    /// the flush sequencer, and the flusher-thread intake. `None` when
+    /// durability is off.
     pub(super) durable: Option<Durable<A::Session>>,
 }
 
@@ -146,8 +124,8 @@ impl<A: LiveAdvisor> Shared<A> {
         // never half-updated in a way a reader could misread.
         let mut m = self.metrics.lock().unwrap_or_else(PoisonError::into_inner).clone();
         m.window_us = window_us;
-        (m.flushes_total, m.flushes_coalesced) = self.seq.counters();
         if let Some(d) = &self.durable {
+            (m.flushes_total, m.flushes_coalesced) = d.seq.counters();
             (m.log_records, m.log_bytes_written) = d.logs.counters();
             // ordering: Relaxed — metrics-only counter.
             m.snapshots_taken = d.snapshots_taken.load(Ordering::Relaxed);
@@ -161,6 +139,16 @@ impl<A: LiveAdvisor> Shared<A> {
 /// the flusher thread, and the snapshotter.
 pub(super) struct Durable<S> {
     pub(super) logs: Arc<LogSet>,
+    /// The one [`FlushDevice`](common::flush::FlushDevice) over `logs`:
+    /// every sequencer wait — flusher, coordinators, the teardown-race
+    /// fallback — leads its `write+fsync` through this.
+    pub(super) device: FileDevice,
+    /// Flush sequencer for the log device: flusher-thread groups and
+    /// coordinator 2PC durability waits all go through it, so concurrent
+    /// flush demands — from *different* workers and coordinators —
+    /// coalesce into one device operation (epoch-ticketed; see
+    /// [`common::flush`]).
+    pub(super) seq: FlushSequencer,
     /// Next command-log transaction id. Ids only need global uniqueness —
     /// replay order comes from per-partition file order, never from ids.
     pub(super) next_txn_id: AtomicU64,
@@ -360,10 +348,13 @@ impl<A: LiveAdvisor + 'static> LiveRuntime<A> {
         let durable = cfg.durability.as_ref().map(|dc| {
             let logs = LogSet::open(&dc.dir, num_partitions, seed.gen)
                 .expect("open command-log directory");
+            let logs = Arc::new(logs);
             let (tx, rx) = channel();
             flusher_rx = Some(rx);
             Durable {
-                logs: Arc::new(logs),
+                device: FileDevice(Arc::clone(&logs)),
+                seq: FlushSequencer::new(),
+                logs,
                 next_txn_id: AtomicU64::new(seed.next_txn_id),
                 snapshots_taken: AtomicU64::new(0),
                 active_gen: AtomicU64::new(seed.gen),
@@ -390,7 +381,6 @@ impl<A: LiveAdvisor + 'static> LiveRuntime<A> {
             worker_rx.push(rx);
         }
         let shared = Arc::new(Shared {
-            commit_flush: Duration::from_micros(cfg.commit_flush_us),
             msg_delay: Duration::from_micros(cfg.msg_delay_us),
             registry,
             catalog,
@@ -399,7 +389,6 @@ impl<A: LiveAdvisor + 'static> LiveRuntime<A> {
             num_partitions,
             workers: gates,
             locks: LockManager::new(num_partitions),
-            seq: FlushSequencer::new(),
             metrics: Mutex::new(RunMetrics::default()),
             fb_tx,
             next_client: AtomicU64::new(0),
@@ -565,9 +554,9 @@ impl<A: LiveAdvisor + 'static> LiveRuntime<A> {
                 Err(p) => thread_panic = Some(p),
             }
         }
-        // Flusher after the workers: their shutdown-path group closes are
-        // already queued ahead of the Stop, so every held ack drains and
-        // flushes before the join; the final flush_all makes any buffered
+        // Flusher after the workers: every ack they routed is already
+        // queued ahead of the Stop, so every held ack drains and flushes
+        // before the join; the final flush_all makes any buffered
         // shutdown stragglers durable too.
         if let Some(h) = running.flusher {
             if let Some(d) = &self.shared.durable {
@@ -693,7 +682,7 @@ pub fn run_live<A: LiveAdvisor + 'static>(
 }
 
 #[cfg(test)]
-mod tests {
+pub(super) mod tests {
     use super::super::worker::tests::{sorted_rows, TableRows};
     use super::*;
     use crate::advisor::{PlanContext, TxnOutcome, TxnPlan};
@@ -773,20 +762,6 @@ mod tests {
         assert!(m.mean_latency_ms().is_some());
         assert!(m.latency.p50_ms().unwrap() <= m.latency.p99_ms().unwrap());
         assert!(m.throughput_tps() > 0.0);
-    }
-
-    #[test]
-    fn commit_flush_serializes_partitions_not_the_cluster() {
-        // With a real flush delay, doubling the workers roughly doubles
-        // throughput for single-partition work even on one core — the
-        // flushes overlap. Keep the margin loose: CI machines are noisy.
-        let cfg = LiveConfig { commit_flush_us: 200, ..Default::default() };
-        // Lock-all cannot overlap flushes (every commit holds all
-        // partitions), so this measures the serialized baseline...
-        let serialized = live_run(AssumeDistributed::new(), 1, 2, 2, 60, &cfg).0.throughput_tps();
-        // ...while the single-partition fast path overlaps them.
-        let fast = live_run(AssumeSinglePartition::new(), 1, 2, 2, 60, &cfg).0.throughput_tps();
-        assert!(fast > serialized, "fast path {fast} <= lock-all {serialized}");
     }
 
     /// Single-partition advisor whose maintainer sleeps per record,
@@ -944,7 +919,7 @@ mod tests {
 
     /// Fresh (deleted) per-test durability directory under the system
     /// temp dir.
-    fn durability_dir(tag: &str) -> std::path::PathBuf {
+    pub(in crate::runtime) fn durability_dir(tag: &str) -> std::path::PathBuf {
         let d = std::env::temp_dir().join(format!("engine-dur-{tag}-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&d);
         d

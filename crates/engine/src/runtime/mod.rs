@@ -15,7 +15,8 @@
 //!   `FragReply`, `SingleMsg`, `SingleReply`, `CtrlMsg`, `ReplySlot`,
 //!   `WorkerGate`, `FragConn` / `FragPort`).
 //! * `worker` — the partition server: `Intake`, `worker_loop`, the
-//!   `run_single` fast path, group commit, and the `flusher_loop` thread.
+//!   `run_single` fast path, the durable-ack hand-off, and the
+//!   `flusher_loop` thread.
 //! * `spec` — the participant side of a distributed transaction
 //!   (`serve_reservation`) and OP4 speculation (`speculate`).
 //! * `coord` — the coordinator side (`run_distributed`, `push_frag`).
@@ -46,16 +47,13 @@
 //!   [`common::ring::Doorbell`] wakes a worker that parked with everything
 //!   empty. A worker collects work *in runs*: it drains the control
 //!   channel, then sweeps its lanes fairly (round-robin, one message per
-//!   lane per pass) until a pass comes up empty. The swept
-//!   single-partition transactions execute as one group — their durable
-//!   effects share a single commit flush and their acknowledgements go out
-//!   together in completion order (group commit + group ack) — and the
-//!   flush window itself is *adaptive*: sized by the backlog the lanes show when the group
-//!   closes, from zero (nobody waiting — flush immediately) up to the
-//!   `commit_flush_us` cap (deep backlog — widen the window so the next
-//!   group coalesces more). A reservation from a distributed transaction
-//!   is admitted after the current group (everything swept before it is
-//!   flushed and acknowledged first; per-client FIFO order is the lane
+//!   lane per pass) until a pass comes up empty. Each swept
+//!   single-partition transaction is acknowledged the moment it finishes
+//!   — unless durability is on and it committed a write, in which case it
+//!   is command-logged at its service position and its ack rides the
+//!   flusher thread's next `write+fsync` (DESIGN.md §7). A reservation
+//!   from a distributed transaction is admitted between runs (everything
+//!   swept before it has executed; per-client FIFO order is the lane
 //!   itself).
 //! * **Clients** (the paper's §6.4 load generators, or any embedding
 //!   application thread) plan each request via the shared advisor, then
@@ -93,13 +91,14 @@
 //! one `VoteFinish` message carrying the flush-and-vote *and* the decision
 //! together and awaits one acknowledgement — halving the per-participant
 //! round trips and the modeled network hops of the split `Vote` + `Finish`
-//! rounds while keeping identical outcomes. Commit durability is paid
-//! once per distributed write transaction, *by the coordinator*: after
-//! every participant acked it waits on the shared cross-worker
+//! rounds while keeping identical outcomes. With durability on, commit
+//! durability is paid once per distributed write transaction, *by the
+//! coordinator*: after every participant acked it waits on the shared
 //! [`common::flush::FlushSequencer`], whose epoch tickets let concurrent
-//! coordinators (and worker group commits) coalesce into one device
-//! operation — participants never sleep a flush on their own thread, so a
-//! distributed commit no longer stalls its partitions' fast paths.
+//! coordinators and the flusher thread's commit groups coalesce into one
+//! `write+fsync` — participants never flush on their own thread, so a
+//! distributed commit does not stall its partitions' fast paths. With
+//! durability off it waits on nothing.
 //! `LiveConfig::msg_delay_us` optionally sleeps at the participant before
 //! each fragment *message* (a whole `ExecBatch` counts once) — the live
 //! twin of `CostModel::remote_msg_us` — so 2PC costs wall-clock lock-hold
@@ -167,8 +166,8 @@
 //! acquisition, 2PC, and the sequenced commit flush → `Coordination`,
 //! further split into `CoordSub::{LockWait, TwoPc, Flush}` sub-buckets on
 //! the distributed path; time a fast-path message sat on the worker queue
-//! → `Queueing`; the unattributed remainder (channel hops, group-commit
-//! waits measured at the worker, cascade retries) → `Other`. `Planning`
+//! → `Queueing`; the unattributed remainder (channel hops, durable-ack
+//! waits, cascade retries) → `Other`. `Planning`
 //! stays a sim-only bucket — the live runtime ships pre-compiled
 //! fragments.
 
@@ -209,10 +208,6 @@ const REPLY_WATCHDOG: Duration = Duration::from_millis(25);
 /// most one call in flight, so any power of two ≥ 2 works; 8 leaves slack
 /// for embedders that pipeline a few calls per thread before blocking.
 const LANE_CAPACITY: usize = 8;
-
-/// Backlog depth at which the adaptive group-commit window reaches the
-/// full `commit_flush_us` cap (see `adaptive_window`).
-const FLUSH_KNEE: usize = 8;
 
 /// Bounded yield-spin a client performs on its reply slot before falling
 /// back to the condvar (`ReplySlot::take_or_abandon`). Each iteration is

@@ -158,10 +158,9 @@ pub(super) fn serve_reservation<A: LiveAdvisor>(
 /// force-enabled) and new reservations stay buffered in their fragment
 /// lanes until the early-prepared transaction's 2PC outcome arrives. Work
 /// is collected in runs exactly like `worker_loop` — control channel
-/// first, then a fair lane sweep ([`Intake::poll_window`]) — and one
-/// adaptive group flush covers a run's speculative commits (they must be
-/// durable before any acknowledgement, immediate or deferred, goes out),
-/// with non-conflicting acknowledgements leaving as a group. The control
+/// first, then a fair lane sweep ([`Intake::poll_window`]) — and a run's
+/// non-conflicting acknowledgements leave as one [`release_group`] (in
+/// durable mode they ride one flusher ticket). The control
 /// channel is gathered *before* each sweep, so an outcome already buffered
 /// ends the window before any further singles are admitted — they execute
 /// non-speculatively after it, a schedule the racing clients cannot
@@ -215,8 +214,8 @@ pub(super) fn speculate<A: LiveAdvisor>(
             }
             bell.cancel_park();
         }
-        // Serve the swept run, same group structure as the non-speculating
-        // loop; an outcome gathered above ends the window after this run.
+        // Serve the swept run; an outcome gathered above ends the window
+        // after it.
         let mut acks: Vec<DeferredAck<A::Session>> = Vec::new();
         let mut group_wrote = false;
         let mut t_cursor = Instant::now();
@@ -280,13 +279,9 @@ pub(super) fn speculate<A: LiveAdvisor>(
             }
         }
         // Non-conflicting acks leave now: their effects are disjoint from
-        // the window's, and their group-commit window is the run that just
-        // served them — the in-flight 2PC round trip this window spans is
-        // the widest coalescing period the adaptive policy can produce.
-        // Deferred acks wait for the outcome, which arrives strictly later.
-        // The group's flush demand is registered with the shared sequencer
-        // (accounting on the simulated device, a real flusher hand-off in
-        // durable mode) when any of them wrote.
+        // the window's. Deferred acks wait for the outcome, which arrives
+        // strictly later. In durable mode the group is handed to the
+        // flusher, on a fresh ticket when any of them wrote.
         if !acks.is_empty() {
             release_group(env, acks, group_wrote, last_ticket);
         }
@@ -372,7 +367,7 @@ mod tests {
         spec_args: Vec<Value>,
         expect_deferred: bool,
     ) -> (SingleReply<()>, TableRows, TableRows) {
-        let (env, ctrl_rx) = test_env(2, Duration::ZERO);
+        let (env, ctrl_rx) = test_env(2);
         let shard = shard_zero_of_two();
         let before = table_snapshot(&shard, 0);
         let (shard, reply) = drive_worker(ctrl_rx, shard, Driver::new(&env), |d| {
@@ -472,7 +467,7 @@ mod tests {
 
     #[test]
     fn dead_coordinator_aborts_the_window_and_a_stray_outcome_is_dropped() {
-        let (env, ctrl_rx) = test_env(2, Duration::ZERO);
+        let (env, ctrl_rx) = test_env(2);
         let shard = shard_zero_of_two();
         let before = table_snapshot(&shard, 0);
         let (shard, ()) = drive_worker(ctrl_rx, shard, Driver::new(&env), |d| {
@@ -522,7 +517,7 @@ mod tests {
     /// schedule. Returns (per-query result rows in script order, final
     /// table snapshot) — batching must be indistinguishable.
     fn drive_fragment_script(batched: bool) -> (Vec<Vec<Row>>, TableRows) {
-        let (env, ctrl_rx) = test_env(1, Duration::ZERO);
+        let (env, ctrl_rx) = test_env(1);
         let shard = kv_database(1, 8).into_shards().pop().unwrap();
         let script: Vec<(QueryId, Vec<Value>)> = vec![
             (1, vec![Value::Int(0), Value::Int(7)]),

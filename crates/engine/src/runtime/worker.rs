@@ -1,9 +1,9 @@
-//! The partition worker: intake, serving loop, fast path, group commit.
+//! The partition worker: intake, serving loop, fast path, durable-ack hand-off.
 
 use super::lifecycle::Shared;
 use super::spec::{serve_reservation, speculate};
 use super::wire::{us_since, CtrlMsg, FragConn, SingleMsg, SingleReply, SingleSlot, StageTimes};
-use super::{FLUSH_KNEE, IDLE_SPIN};
+use super::IDLE_SPIN;
 use crate::advisor::{LiveAdvisor, Request, TxnPlan};
 use crate::exec::{execute_fragment, ExecutedQuery};
 use crate::procedure::Step;
@@ -13,7 +13,6 @@ use common::sync::Arc;
 use common::{Error, FxHashMap, PartitionId, PartitionSet};
 use std::time::{Duration, Instant};
 use storage::{Row, Shard, UndoLog};
-use wal::FileDevice;
 
 /// One worker's inbound state: the control receiver and doorbell (its half
 /// of the `WorkerGate`), the registered fast-path and fragment lanes, and
@@ -141,18 +140,15 @@ impl<S> Intake<'_, S> {
 /// [`common::ring::Doorbell`] protocol (announce intent, mandatory second
 /// poll, then sleep).
 ///
-/// Committed writes form one open *group* whose acknowledgements are
-/// held in `pending` until the group's single commit flush — and the
-/// group stays open *across* drained runs while backlog remains, up to
-/// the adaptive coalescing deadline ([`adaptive_window`]): the window
-/// elapses under useful work, so coalescing costs the backlog nothing.
-/// The moment the backlog empties (or the deadline passes, or a
-/// reservation / shutdown closes the group) the flush covers the whole
-/// group and the held acks go out in completion order (group ack). A
-/// reservation from a distributed transaction is admitted only after the
-/// open group is flushed and acknowledged, so the distributed transaction
-/// observes exactly the state a one-message-at-a-time loop would have
-/// produced.
+/// Acknowledgement rule, per served message: with durability off every
+/// reply is `put` the moment its transaction finishes. With it on, a
+/// committed writer is command-logged at its service position and its ack
+/// handed to the flusher thread with a sequencer ticket
+/// ([`release_group`]); a read under the strict `read_fence` that lands
+/// behind a not-yet-durable `last_ticket` rides that ticket; everything
+/// else is acknowledged at once. A reservation from a distributed
+/// transaction is admitted between runs, so it observes exactly the state
+/// a one-message-at-a-time loop would have produced.
 ///
 /// Reservations that arrive during a speculation window stay buffered in
 /// their fragment lanes and are admitted once the window resolves (they
@@ -175,24 +171,18 @@ pub(super) fn worker_loop<A: LiveAdvisor>(
         shutdown: false,
     };
     let mut run: Vec<SingleMsg<A::Session>> = Vec::new();
-    // Held acknowledgements of the open commit group, plus when its
-    // oldest unflushed commit completed (the coalescing deadline's
-    // anchor).
-    let mut pending: Vec<DeferredAck<A::Session>> = Vec::new();
-    // The ticket of the last commit group this worker routed to the
-    // flusher (durable mode's read-ordering high-water mark; see
+    // The ticket of the last ack this worker routed to the flusher
+    // (durable mode's read-ordering high-water mark; see
     // [`release_group`]).
     let mut last_ticket = 0u64;
-    let mut opened = Instant::now();
     while !intake.shutdown {
         while let Some((gen, done)) = intake.snaps.pop() {
             // The snapshot fence holds every partition lock, so this shard
-            // is at a transaction boundary: close the group, rotate the
-            // command log to the new generation (the rotation makes the
-            // old segment durable first), and serialize the shard. The
-            // `expect`s fire *before* the completion send — the
-            // snapshotter abandons the generation if this worker dies.
-            close_group(env, &mut pending, &mut last_ticket);
+            // is at a transaction boundary: rotate the command log to the
+            // new generation (the rotation makes the old segment durable
+            // first), and serialize the shard. The `expect`s fire *before*
+            // the completion send — the snapshotter abandons the
+            // generation if this worker dies.
             let d = env.durable.as_ref().expect("snapshot request requires durability state");
             d.logs.rotate(shard.partition(), gen).expect("rotate command log");
             wal::write_snapshot(d.logs.dir(), shard.partition(), gen, &shard.snapshot_rows())
@@ -205,9 +195,6 @@ pub(super) fn worker_loop<A: LiveAdvisor>(
         // exclusive); a closed lane's leftovers come from a coordinator
         // that died mid-transaction and are rolled back inside serve.
         if let Some(lane) = intake.next_reservation() {
-            // The reservation closes the open group: flush and ack before
-            // the distributed transaction reads anything.
-            close_group(env, &mut pending, &mut last_ticket);
             if let Some(spec) = serve_reservation(&mut shard, env, &mut intake, lane) {
                 speculate(&mut shard, env, &mut intake, &mut last_ticket, spec);
             }
@@ -219,10 +206,6 @@ pub(super) fn worker_loop<A: LiveAdvisor>(
             break;
         }
         if !busy {
-            // No work means no backlog: close the group (normally already
-            // closed by the post-run check below — this is the backstop
-            // for a group left open by a race with an emptying lane).
-            close_group(env, &mut pending, &mut last_ticket);
             // Closed-loop clients resubmit within microseconds of their
             // acks, so a bounded yield-spin re-poll usually catches the
             // next batch without a futex park/wake cycle (whose scheduler
@@ -259,70 +242,31 @@ pub(super) fn worker_loop<A: LiveAdvisor>(
             let t_done = Instant::now();
             stamp_times(&mut out, queued_us, (t_done - t_cursor).as_secs_f64() * 1e6);
             t_cursor = t_done;
-            if !pending.is_empty() || out.needs_flush() {
-                // From the first unflushed durable write onward every
-                // reply waits for the group flush: later transactions may
-                // have observed the unflushed writes.
-                if out.needs_flush() {
-                    if let Some(d) = &env.durable {
-                        // Command-log the committed writer at its service
-                        // position, before its ack can be grouped.
-                        let req =
-                            out.req.as_ref().expect("committed fast path retains its request");
-                        d.append_local(shard.partition(), req);
-                    }
-                }
-                if pending.is_empty() {
-                    opened = t_done;
-                }
-                pending.push((reply, out.reply));
-                if env.durable.is_some() {
-                    // Durable mode: close at the writer itself. The
+            match &env.durable {
+                Some(d) if out.needs_flush() => {
+                    // Command-log the committed writer at its service
+                    // position, then hand its ack to the flusher: the
                     // flusher's accumulation window does the cross-writer
-                    // coalescing, so holding the group open through the
-                    // rest of the drain would only add batch time to the
-                    // writer's ack latency — and drag every read served
-                    // behind it into the fence.
-                    close_group(env, &mut pending, &mut last_ticket);
+                    // coalescing, and nothing served behind this writer
+                    // waits on it (unless the read fence says so).
+                    let req = out.req.as_ref().expect("committed fast path retains its request");
+                    d.append_local(shard.partition(), req);
+                    release_group(env, vec![(reply, out.reply)], true, &mut last_ticket);
                 }
-            } else if env.durable.as_ref().is_some_and(|d| d.read_fence)
-                && last_ticket > env.seq.durable_epoch()
-            {
-                // Strict read fence: an earlier group this worker closed
-                // may still be in the flusher's hands — and this reply may
-                // depend on its writes. Ride the prior ticket through the
-                // flusher (FIFO makes the release a no-wait, no new
-                // device operation) instead of acking un-durable state.
-                release_group(env, vec![(reply, out.reply)], false, &mut last_ticket);
-            } else {
-                // Nothing unflushed precedes this one in the group, so its
-                // result depends on durable state only — ack now, at the
-                // latency the one-at-a-time loop gave read-only traffic.
-                reply.put(out.reply);
-            }
-        }
-        if !pending.is_empty() {
-            // The backlog is measured *after* the group executed: exactly
-            // the traffic that piled up while we worked. An empty backlog
-            // closes the group at once; otherwise the group stays open —
-            // serving the backlog *is* the coalescing window — until the
-            // adaptive deadline passes. A flush another worker or
-            // coordinator has in flight also closes the group early: the
-            // shared device is being written *right now*, so riding that
-            // operation beats waiting for a window that would demand a
-            // fresh one (the adaptive window, made cross-worker).
-            let depth: usize = intake.lanes.iter().map(ring::Consumer::len).sum();
-            if depth == 0
-                || opened.elapsed() >= adaptive_window(env.commit_flush, depth)
-                || env.seq.flush_in_progress()
-            {
-                close_group(env, &mut pending, &mut last_ticket);
+                Some(d) if d.read_fence && last_ticket > d.seq.durable_epoch() => {
+                    // Strict read fence: an earlier write this worker
+                    // routed may still be in the flusher's hands — and this
+                    // reply may depend on it. Ride the prior ticket through
+                    // the flusher (FIFO makes the release a no-wait, no new
+                    // device operation) instead of acking un-durable state.
+                    release_group(env, vec![(reply, out.reply)], false, &mut last_ticket);
+                }
+                // Durability off, or a reply that depends on durable state
+                // only: ack now.
+                _ => reply.put(out.reply),
             }
         }
     }
-    // Shutdown closes the open group before failing the stragglers: the
-    // held acks are *completed* transactions and must reach their clients.
-    close_group(env, &mut pending, &mut last_ticket);
     intake.fail_lanes(&mut run);
     shard
 }
@@ -357,10 +301,9 @@ impl<S> SingleOutcome<S> {
         }
     }
 
-    /// Whether this transaction's group needs a commit flush: it committed
-    /// and wrote something durable. The flush itself is the *caller's* job
-    /// — one flush covers every such transaction in a drained run (group
-    /// commit).
+    /// Whether this transaction needs a commit flush before its ack under
+    /// durability: it committed and wrote something. The flush itself is
+    /// the *caller's* job ([`release_group`]).
     pub(super) fn needs_flush(&self) -> bool {
         matches!(self.reply, SingleReply::Done { committed: true, .. }) && self.wrote_tables != 0
     }
@@ -494,10 +437,9 @@ pub(super) fn run_single<A: LiveAdvisor>(
             }
             Step::Commit => {
                 // Durable effects are *not* flushed here: the caller
-                // applies one group-commit flush per drained run, covering
-                // every committed write in it (see [`worker_loop`]) —
-                // `SingleOutcome::needs_flush` tells it whether this
-                // transaction participates.
+                // routes the ack through the flusher when
+                // `SingleOutcome::needs_flush` says this transaction wrote
+                // (see [`worker_loop`]).
                 let reply = SingleReply::Done {
                     committed: true,
                     session,
@@ -548,73 +490,29 @@ pub(super) fn run_single<A: LiveAdvisor>(
     SingleOutcome { reply, req, spec_undo, touched_tables, wrote_tables, est_us }
 }
 
-/// A fast-path reply held back until its group's commit flush completes
-/// (group commit: one flush covers every write in the group).
+/// A fast-path reply held back until the device flush covering it
+/// completes.
 pub(super) type DeferredAck<S> = (Arc<SingleSlot<S>>, SingleReply<S>);
 
-/// Adaptive group-commit coalescing window: how long commit
-/// acknowledgements may stay deferred past the oldest unflushed commit,
-/// as a function of the *observed backlog*. With nobody waiting the group
-/// is as large as it will get — zero window, flush immediately; as the
-/// backlog grows the window widens linearly, reaching the full
-/// `commit_flush_us` cap at [`FLUSH_KNEE`], coalescing more commits into
-/// one flush exactly when queue depth says load is high (the H-Store
-/// group-commit timeout, made adaptive). The worker keeps *serving* while
-/// a window is open — the deadline elapses under useful work, never under
-/// a sleep, so the cap bounds ack latency without adding any.
-pub(super) fn adaptive_window(cap: Duration, depth: usize) -> Duration {
-    if depth == 0 || cap.is_zero() {
-        return Duration::ZERO;
-    }
-    #[allow(clippy::cast_possible_truncation)]
-    let k = depth.min(FLUSH_KNEE) as u32;
-    cap * k / FLUSH_KNEE as u32
-}
-
-/// Releases the held acknowledgements of a closing commit group in
-/// completion order (group ack). The group's one flush is the adaptive
-/// window that just elapsed — spent serving, not sleeping (see
-/// [`adaptive_window`]). 2PC durability is not paid here either: the
-/// *coordinator* waits once per distributed commit through the shared
-/// `FlushSequencer`, covering every participant's writes.
-fn release_acks<S>(pending: &mut Vec<DeferredAck<S>>) {
-    for (slot, reply) in pending.drain(..) {
+/// Releases held acknowledgements in completion order.
+fn release_acks<S>(acks: &mut Vec<DeferredAck<S>>) {
+    for (slot, reply) in acks.drain(..) {
         slot.put(reply);
     }
 }
 
-/// Closes the open commit group: registers its flush demand with the
-/// shared sequencer (a non-empty group always contains a durable write —
-/// acks are only deferred from the first unflushed commit on), then
-/// releases the held acks. On the simulated device the sequencer call is
-/// pure accounting — the group's flush already elapsed as the adaptive
-/// window — but it lets `RunMetrics` report how many group closes
-/// coalesced with a flush another worker or coordinator had in flight.
-/// In durable mode the group instead rides the flusher thread
-/// ([`release_group`]), which advances the worker's `last_ticket`
-/// high-water mark.
-fn close_group<A: LiveAdvisor>(
-    env: &Shared<A>,
-    pending: &mut Vec<DeferredAck<A::Session>>,
-    last_ticket: &mut u64,
-) {
-    if !pending.is_empty() {
-        release_group(env, std::mem::take(pending), true, last_ticket);
-    }
-}
-
-/// Releases one closed commit group under the configured durability
-/// regime. Simulated device: the adaptive window already "was" the flush,
-/// so register the demand and ack inline (the seed's behavior,
-/// byte-for-byte). Durable mode: the group's acks may only go out after a
-/// real `write+fsync` covers its log records, so the group is handed to
-/// the flusher thread with a sequencer ticket — `wrote` groups get a
-/// fresh ticket; read-only groups (a read that observed a closed-but-
-/// unflushed group's writes) ride `last_ticket`, the ticket of the last
-/// group this worker routed, which the flusher's FIFO guarantees is
-/// already durable by the time the job is seen, so no extra device
-/// operation results. `last_ticket` is advanced to the ticket the group
-/// rides, if any.
+/// Releases a group of acknowledgements under the configured durability
+/// regime. Durability off: ack inline. Durable mode: the acks may only go
+/// out after a real `write+fsync` covers their log records, so the group
+/// is handed to the flusher thread with a sequencer ticket — `wrote`
+/// groups get a fresh ticket; read-only groups (a read that may have
+/// observed a routed-but-unflushed write) ride `last_ticket`, the ticket
+/// of the last group this worker routed, which the flusher's FIFO
+/// guarantees is already durable by the time the job is seen, so no extra
+/// device operation results. `last_ticket` is advanced to the ticket the
+/// group rides, if any. 2PC durability is not paid here: the
+/// *coordinator* waits once per distributed commit on the same sequencer,
+/// covering every participant's writes.
 pub(super) fn release_group<A: LiveAdvisor>(
     env: &Shared<A>,
     mut acks: Vec<DeferredAck<A::Session>>,
@@ -622,15 +520,12 @@ pub(super) fn release_group<A: LiveAdvisor>(
     last_ticket: &mut u64,
 ) {
     let Some(d) = &env.durable else {
-        if wrote && !env.commit_flush.is_zero() {
-            env.seq.commit_group();
-        }
         release_acks(&mut acks);
         return;
     };
     let ticket = if wrote {
-        env.seq.enqueue()
-    } else if *last_ticket > env.seq.durable_epoch() {
+        d.seq.enqueue()
+    } else if *last_ticket > d.seq.durable_epoch() {
         *last_ticket
     } else {
         // Everything this worker ever routed is already durable: the
@@ -643,7 +538,7 @@ pub(super) fn release_group<A: LiveAdvisor>(
         // Flusher already stopped (teardown race): flush synchronously
         // and release here — held acks must never be dropped.
         let FlushJob::Group { ticket, mut acks } = err.0 else { return };
-        env.seq.wait_durable_dev(ticket, &FileDevice(Arc::clone(&d.logs)));
+        d.seq.wait_durable_dev(ticket, &d.device);
         release_acks(&mut acks);
     }
 }
@@ -665,7 +560,6 @@ pub(super) enum FlushJob<S> {
 /// streams coalesce into the same device operations.
 pub(super) fn flusher_loop<A: LiveAdvisor>(env: &Shared<A>, rx: &Receiver<FlushJob<A::Session>>) {
     let durable = env.durable.as_ref().expect("flusher thread requires durability state");
-    let device = FileDevice(Arc::clone(&durable.logs));
     let mut last_flush: Option<Instant> = None;
     while let Ok(job) = rx.recv() {
         let FlushJob::Group { mut ticket, mut acks } = job else { return };
@@ -699,7 +593,7 @@ pub(super) fn flusher_loop<A: LiveAdvisor>(env: &Shared<A>, rx: &Receiver<FlushJ
             }
         }
         last_flush = Some(Instant::now());
-        env.seq.wait_durable_dev(ticket, &device);
+        durable.seq.wait_durable_dev(ticket, &durable.device);
         release_acks(&mut acks);
         if stop {
             return;
@@ -727,7 +621,6 @@ pub(super) mod tests {
     use crate::baselines::AssumeSinglePartition;
     use crate::metrics::RunMetrics;
     use crate::procedure::testing::{kv_database, kv_registry};
-    use common::flush::FlushSequencer;
     use common::sync::atomic::AtomicU64;
     use common::sync::mpsc::channel;
     use common::sync::Mutex;
@@ -755,10 +648,7 @@ pub(super) mod tests {
     /// A single-gate [`Shared`] for hand-driving worker 0, plus that
     /// worker's control receiver; the lock manager and feedback plumbing
     /// stay unused.
-    pub(in crate::runtime) fn test_env(
-        parts: u32,
-        commit_flush: Duration,
-    ) -> (TestEnv, Receiver<CtrlMsg<()>>) {
+    pub(in crate::runtime) fn test_env(parts: u32) -> (TestEnv, Receiver<CtrlMsg<()>>) {
         let reg = kv_registry();
         let (ctrl_tx, ctrl_rx) = channel();
         let env = Shared {
@@ -767,11 +657,9 @@ pub(super) mod tests {
             advisor: AssumeSinglePartition::new(),
             cfg: LiveConfig::default(),
             num_partitions: parts,
-            commit_flush,
             msg_delay: Duration::ZERO,
             workers: vec![WorkerGate { ctrl: ctrl_tx, bell: Doorbell::new() }],
             locks: LockManager::new(parts),
-            seq: FlushSequencer::new(),
             metrics: Mutex::new(RunMetrics::default()),
             fb_tx: None,
             next_client: AtomicU64::new(0),
@@ -918,12 +806,12 @@ pub(super) mod tests {
     /// value the fragment observed, final table snapshot). With `batched`
     /// both lanes, the three singles, and the reservation's opening
     /// `ExecBatch` are buffered before the worker thread starts, so the
-    /// sequence is served out of backlog drains: one group flush and group
-    /// ack ahead of the reservation. Without it each call waits for its
+    /// sequence is served out of backlog drains: one run of three singles
+    /// ahead of the reservation. Without it each call waits for its
     /// reply before the next is sent — the one-message-at-a-time schedule
     /// batching must be indistinguishable from.
     fn drive_batched_drain(batched: bool) -> (Vec<(bool, bool)>, i64, TableRows) {
-        let (env, ctrl_rx) = test_env(1, Duration::from_micros(100));
+        let (env, ctrl_rx) = test_env(1);
         let shard = kv_database(1, 8).into_shards().pop().unwrap();
         let read_id0 = || vec![(0, vec![Value::Int(0)])];
         let take = |slot: Arc<SingleSlot<()>>| match slot.take_within(WAIT).expect("single ack") {
@@ -934,9 +822,9 @@ pub(super) mod tests {
         let mut early = Vec::new();
         if batched {
             // The worker's first control drain registers both lanes and
-            // its lane sweep picks the three singles up as one group —
-            // executed, flushed, and acknowledged ahead of the reservation
-            // the buffered fragment command opens.
+            // its lane sweep picks the three singles up as one run —
+            // executed and acknowledged ahead of the reservation the
+            // buffered fragment command opens.
             early.extend((0..3).map(|_| driver.single(bump_id0(), false)));
             driver.frag(FragCmd::ExecBatch { proc: 0, queries: read_id0() });
         }
@@ -951,7 +839,7 @@ pub(super) mod tests {
             d.vote_finish(true);
             replies.extend(early.into_iter().map(take));
             // The trailing pair goes out only once the reservation has
-            // resolved: an earlier push could race into the first group.
+            // resolved: an earlier push could race into the first run.
             replies.extend((0..2).map(|_| take(d.single(bump_id0(), false))));
             (replies, rows[0][0][2].expect_int())
         });
@@ -963,12 +851,12 @@ pub(super) mod tests {
         let (batched, b_obs, b_state) = drive_batched_drain(true);
         let (serial, s_obs, s_state) = drive_batched_drain(false);
         assert_eq!(batched, serial, "per-client replies must match in order and content");
-        // The reservation closed the group: all three prior bumps were
-        // committed, flushed, and acknowledged before the fragment ran.
+        // The reservation waited for the run: all three prior bumps were
+        // committed and acknowledged before the fragment ran.
         assert_eq!(b_obs, 3, "reservation must observe every earlier queued commit");
         assert_eq!(s_obs, 3);
         assert_eq!(b_state, s_state, "final shard state must be byte-identical");
         let id0 = b_state.iter().find(|(k, _)| k[0] == Value::Int(0)).unwrap();
-        assert_eq!(id0.1[2], Value::Int(5), "all five bumps are durable");
+        assert_eq!(id0.1[2], Value::Int(5), "all five bumps are applied");
     }
 }

@@ -5,8 +5,10 @@
 //! `engine::runtime` mechanism over `checkers::sync`, small enough for the
 //! checker to exhaust its interleavings at the stated bounds, faithful
 //! enough that the line-level logic matches the production code
-//! (`LockManager::acquire`/`release`, the `worker_loop` group-commit drain,
-//! `Client::call`'s reply-sender handoff). Every model has a seeded-bug
+//! (`LockManager::acquire`/`release`). §2 models the shutdown race over a
+//! reply-`Sender` handoff, which production has not used since PR 8
+//! (`Client::call` waits on a `ReplySlot` via `take_or_abandon`); its
+//! replacement model is ROADMAP item 3's. Every model has a seeded-bug
 //! twin proving the checker actually catches the failure mode the real
 //! code's design prevents.
 
@@ -221,143 +223,9 @@ fn seeded_notify_one_strands_the_front_waiter() {
 }
 
 // ===========================================================================
-// 2. Worker group-commit drain (mirrors worker_loop's backlog drain: reads
-//    acked immediately only until the group has drained a write; from then
-//    on every ack waits for the group flush)
-// ===========================================================================
-
-enum DrainMsg {
-    /// A durable write; `seq` is its 1-based position among writes.
-    Write {
-        seq: u64,
-        ack: Sender<Ack>,
-    },
-    /// A read-only request.
-    Read {
-        ack: Sender<Ack>,
-    },
-    Shutdown,
-}
-
-struct Ack {
-    /// Writes flushed when the ack was sent (read off the shared counter by
-    /// the worker itself, under the ack channel's ordering).
-    flushed_at_ack: u64,
-    /// Writes drained before this request in its own group.
-    writes_before: u64,
-}
-
-/// The worker side of `worker_loop`'s drain: one blocking recv opens a
-/// group, try_recv extends it, the group flushes once at the end.
-/// `seeded_no_group_guard` acks *every* read immediately — dropping the
-/// `group_wrote` condition the real loop applies.
-fn drain_worker(rx: &Receiver<DrainMsg>, flushed: &AtomicU64, seeded_no_group_guard: bool) {
-    'outer: loop {
-        let Ok(first) = rx.recv() else { break };
-        let mut group = vec![first];
-        while let Ok(m) = rx.try_recv() {
-            group.push(m);
-        }
-        let mut group_wrote = false;
-        let mut deferred: Vec<(u64, Sender<Ack>)> = Vec::new();
-        let mut writes_in_group: Vec<u64> = Vec::new();
-        let mut shutdown = false;
-        for msg in group {
-            match msg {
-                DrainMsg::Write { seq, ack } => {
-                    group_wrote = true;
-                    writes_in_group.push(seq);
-                    deferred.push((writes_in_group.len() as u64 - 1, ack));
-                }
-                DrainMsg::Read { ack } => {
-                    let writes_before = writes_in_group.len() as u64;
-                    if !group_wrote || seeded_no_group_guard {
-                        // Read-only prefix (or the seeded bug): ack now,
-                        // before any flush of this group.
-                        let _ = ack.send(Ack {
-                            flushed_at_ack: flushed.load(Ordering::Relaxed),
-                            writes_before,
-                        });
-                    } else {
-                        deferred.push((writes_before, ack));
-                    }
-                }
-                DrainMsg::Shutdown => {
-                    shutdown = true;
-                }
-            }
-        }
-        // Group commit: one flush covers every write drained in this run,
-        // then the deferred acks go out.
-        if !writes_in_group.is_empty() {
-            flushed.fetch_add(writes_in_group.len() as u64, Ordering::Relaxed);
-        }
-        for (writes_before, ack) in deferred {
-            let _ =
-                ack.send(Ack { flushed_at_ack: flushed.load(Ordering::Relaxed), writes_before });
-        }
-        if shutdown {
-            break 'outer;
-        }
-    }
-}
-
-fn group_commit_scenario(seeded: bool) -> impl Fn(&mut checkers::Model) {
-    move |model| {
-        let (tx, rx) = channel::<DrainMsg>();
-        let flushed = Arc::new(AtomicU64::new(0));
-        let fw = flushed.clone();
-        model.thread(move || drain_worker(&rx, &fw, seeded));
-        model.thread(move || {
-            // One client, W then R then W: depending on how the drain
-            // groups them, R is either a read-only prefix of its group
-            // (ackable pre-flush) or rides behind W1's flush.
-            let (a1, r1) = channel::<Ack>();
-            let (a2, r2) = channel::<Ack>();
-            let (a3, r3) = channel::<Ack>();
-            tx.send(DrainMsg::Write { seq: 1, ack: a1 }).unwrap();
-            tx.send(DrainMsg::Read { ack: a2 }).unwrap();
-            tx.send(DrainMsg::Write { seq: 2, ack: a3 }).unwrap();
-            tx.send(DrainMsg::Shutdown).unwrap();
-            // Every write ack must follow its group's flush.
-            let w1 = r1.recv().unwrap();
-            assert!(w1.flushed_at_ack >= 1, "write 1 acked before its flush");
-            // The invariant under test: an ack never precedes a flush the
-            // request's position in its group requires. A read drained
-            // after a write in the same group must see that write flushed.
-            let rd = r2.recv().unwrap();
-            assert!(
-                rd.flushed_at_ack >= rd.writes_before,
-                "read acked with {} writes drained before it in-group but only {} flushed",
-                rd.writes_before,
-                rd.flushed_at_ack
-            );
-            let w2 = r3.recv().unwrap();
-            assert!(w2.flushed_at_ack >= 2, "write 2 acked before its flush");
-        });
-    }
-}
-
-#[test]
-fn group_commit_read_prefix_acks_never_precede_required_flush() {
-    let r = explore(opts(), group_commit_scenario(false));
-    assert_pass(&r, "group_commit_drain");
-}
-
-#[test]
-fn seeded_unconditional_read_ack_is_caught() {
-    let r = explore(opts(), group_commit_scenario(true));
-    let f =
-        r.failure().expect("acking reads past a drained write must violate the flush invariant");
-    assert_eq!(f.kind, FailureKind::Panic);
-    assert!(f.message.contains("read acked with"), "message: {}", f.message);
-    eprintln!("[model::seeded_read_ack] {r}");
-}
-
-// ===========================================================================
-// 3. Shutdown vs. fast-path call race (mirrors Client::call sending its
-//    reply Sender inside the worker message, and Shutdown dropping the
-//    backlog)
+// 2. Shutdown vs. fast-path call race (a call sending its reply Sender
+//    inside the worker message, and Shutdown dropping the backlog — the
+//    pre-PR 8 handoff, see the header)
 // ===========================================================================
 
 enum CallMsg {

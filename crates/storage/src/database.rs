@@ -254,6 +254,13 @@ impl Database {
         &self.shards[partition as usize]
     }
 
+    /// Mutable borrow of one shard: the per-partition query executor runs
+    /// against a [`Shard`], whether a worker owns it or the whole
+    /// `Database` does.
+    pub fn shard_mut(&mut self, partition: PartitionId) -> &mut Shard {
+        &mut self.shards[partition as usize]
+    }
+
     /// Number of partitions.
     pub fn num_partitions(&self) -> u32 {
         self.meta.num_partitions

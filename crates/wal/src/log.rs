@@ -127,8 +127,8 @@ impl LogSet {
 }
 
 /// [`FlushDevice`] over a [`LogSet`]: one device flush = write+fsync of
-/// every partition's buffered log bytes. This is what replaces the seed's
-/// simulated sleep when real durability is on.
+/// every partition's buffered log bytes — the only device the live runtime
+/// flushes through.
 #[derive(Debug, Clone)]
 pub struct FileDevice(pub Arc<LogSet>);
 

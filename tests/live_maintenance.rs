@@ -170,13 +170,7 @@ fn drift_run(maintenance: bool) -> RunMetrics {
     );
     let db = Bench::Tatp.database(PARTS);
     let reg = Bench::Tatp.registry();
-    let cfg = LiveConfig {
-        max_restarts: 2,
-        seed: 23,
-        commit_flush_us: 0,
-        msg_delay_us: 0,
-        ..Default::default()
-    };
+    let cfg = LiveConfig { max_restarts: 2, seed: 23, msg_delay_us: 0, ..Default::default() };
     let make_gen = |client: u64| {
         Box::new(
             tatp::Generator::for_client(PARTS, 23, client)
