@@ -35,19 +35,10 @@ pub fn proc_letter(bench: Bench, proc: usize) -> char {
 }
 
 fn new_order_trace(parts: u32, n: usize, seed: u64) -> (engine::Catalog, trace::Workload) {
-    let mut db = Bench::Tpcc.database(parts);
     let reg = Bench::Tpcc.registry();
-    let catalog = reg.catalog();
     let mut gen = new_order_generator(parts, seed);
-    use engine::RequestGenerator;
-    let mut records = Vec::with_capacity(n);
-    for i in 0..n {
-        let (proc, args) = gen.next_request(i as u64 % 8);
-        let out = engine::run_offline(&mut db, &reg, &catalog, proc, &args, true)
-            .expect("offline NewOrder");
-        records.push(out.record);
-    }
-    (catalog, trace::Workload { records })
+    let wl = engine::collect_trace(&mut Bench::Tpcc.database(parts), &reg, &mut gen, n, 8);
+    (reg.catalog(), wl)
 }
 
 /// Fig. 3 — NewOrder throughput vs partitions under the three §2.1

@@ -5,9 +5,8 @@
 //! numbers are recorded by the acceptance benchmark under `benchmark/`.
 //!
 //! `cargo run -p bench --release --bin experiments -- <id>` prints the rows
-//! for one experiment (`all` runs everything but the `check` gate); the
-//! criterion benches under `benches/` exercise the same kernels at reduced
-//! scale.
+//! for one experiment (`all` runs everything but the `check` gate). Nothing
+//! here times a kernel: the per-layer rungs live under `benchmark/` too.
 
 pub mod experiments;
 pub mod live;
@@ -15,7 +14,4 @@ pub mod open_loop;
 pub mod setup;
 
 pub use open_loop::{open_loop_measure, OpenLoopConfig, OpenLoopMeasurement};
-pub use setup::{
-    collect_trace, new_order_generator, run_sim, sim_config, trained_houdini, trained_houdini_cfg,
-    Scale,
-};
+pub use setup::{collect_trace, new_order_generator, run_sim, sim_config, trained_houdini, Scale};

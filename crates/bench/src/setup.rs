@@ -2,14 +2,14 @@
 
 use common::{derive_seed, ProcId, Value};
 use engine::{
-    run_offline, Catalog, CostModel, LiveAdvisor, Profiler, RequestGenerator, RunMetrics,
-    SimConfig, Simulation,
+    Catalog, CostModel, LiveAdvisor, Profiler, RequestGenerator, RunMetrics, SimConfig, Simulation,
 };
 use houdini::{train, Houdini, HoudiniConfig, TrainingConfig};
 use trace::Workload;
 use workloads::{tpcc, Bench};
 
-/// Experiment scale: `Quick` for benches/CI, `Full` for EXPERIMENTS.md.
+/// Experiment scale: `Quick` for CI and the tests, `Full` (`--full`) for
+/// paper-like sizes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Scale {
     /// Small traces and short simulations.
@@ -48,19 +48,11 @@ impl Scale {
 /// benchmark's generated requests offline against a freshly loaded database
 /// (paper §3.1: traces record procedure inputs and executed queries).
 pub fn collect_trace(bench: Bench, parts: u32, n: usize, seed: u64) -> (Catalog, Workload) {
-    let mut db = bench.database(parts);
     let reg = bench.registry();
-    let catalog = reg.catalog();
     let mut gen = bench.generator(parts, seed);
     let clients = u64::from(parts) * 4;
-    let mut records = Vec::with_capacity(n);
-    for i in 0..n {
-        let (proc, args) = gen.next_request(i as u64 % clients);
-        let out = run_offline(&mut db, &reg, &catalog, proc, &args, true)
-            .expect("offline trace execution");
-        records.push(out.record);
-    }
-    (catalog, Workload { records })
+    let wl = engine::collect_trace(&mut bench.database(parts), &reg, &mut gen, n, clients);
+    (reg.catalog(), wl)
 }
 
 /// Trains a Houdini advisor for `bench` at `parts` partitions.
@@ -72,24 +64,10 @@ pub fn trained_houdini(
     threshold: f64,
     seed: u64,
 ) -> Houdini {
-    let hcfg = HoudiniConfig { threshold, ..Default::default() };
-    trained_houdini_cfg(bench, parts, trace_len, partitioned, seed, hcfg)
-}
-
-/// [`trained_houdini`] with full control over the on-line knobs — used by
-/// the OP4 ablation (`early_prepare: false`) in the live experiments.
-pub fn trained_houdini_cfg(
-    bench: Bench,
-    parts: u32,
-    trace_len: usize,
-    partitioned: bool,
-    seed: u64,
-    hcfg: HoudiniConfig,
-) -> Houdini {
     let (catalog, workload) = collect_trace(bench, parts, trace_len, seed);
     let cfg = TrainingConfig { partitioned, ..Default::default() };
     let preds = train(&catalog, parts, &workload, &cfg);
-    Houdini::new(preds, catalog, parts, hcfg)
+    Houdini::new(preds, catalog, parts, HoudiniConfig { threshold, ..Default::default() })
 }
 
 /// Standard simulation config for a cluster size.

@@ -4,7 +4,6 @@
 //! hottest hash tables in the system; SipHash (std's default) is measurably
 //! slower for the short integer-ish keys we use. The approved dependency list
 //! does not include `rustc-hash`, so we carry the ~30-line algorithm here.
-//! The `ablation_hasher` bench quantifies the win.
 
 use std::hash::{BuildHasherDefault, Hasher};
 

@@ -3,9 +3,10 @@
 
 use crate::catalog::{Catalog, ColumnOp, QueryDef, QueryOp};
 use crate::procedure::{ProcedureRegistry, Step};
+use crate::sim::RequestGenerator;
 use common::{PartitionSet, ProcId, Result, Value};
 use storage::{Database, Row, Shard, UndoLog};
-use trace::{QueryRecord, TraceRecord};
+use trace::{QueryRecord, TraceRecord, Workload};
 
 /// A query the transaction actually executed: parameters plus the partitions
 /// it touched. The advisor's runtime-update hook receives these.
@@ -182,6 +183,29 @@ pub fn run_offline(
     })
 }
 
+/// Collects a workload trace (paper §3.1: procedure inputs plus executed
+/// queries) by running `gen`'s next `n` requests offline against `db`,
+/// keeping their effects. Request `i` is drawn for client `i % clients`.
+/// Aborted transactions are recorded (`aborted: true`) and rolled back.
+pub fn collect_trace(
+    db: &mut Database,
+    registry: &ProcedureRegistry,
+    gen: &mut impl RequestGenerator,
+    n: usize,
+    clients: u64,
+) -> Workload {
+    let catalog = registry.catalog();
+    let records = (0..n as u64)
+        .map(|i| {
+            let (proc, args) = gen.next_request(i % clients);
+            run_offline(db, registry, &catalog, proc, &args, true)
+                .expect("offline trace execution")
+                .record
+        })
+        .collect();
+    Workload { records }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -251,5 +275,40 @@ mod tests {
             execute_query(&mut db, def, &[Value::Int(777), Value::Int(1)], &mut undo).unwrap();
         assert!(rows.is_empty());
         assert!(undo.is_empty());
+    }
+
+    /// Requests the id equal to the client it is asked for, plus the
+    /// missing id 999 (→ control-code abort) on every third call.
+    struct ClientEcho {
+        calls: Vec<u64>,
+    }
+
+    impl RequestGenerator for ClientEcho {
+        fn next_request(&mut self, client: u64) -> (ProcId, Vec<Value>) {
+            self.calls.push(client);
+            let mut ids = vec![Value::Int(client as i64)];
+            if self.calls.len().is_multiple_of(3) {
+                ids.push(Value::Int(999));
+            }
+            (0, vec![Value::Array(ids)])
+        }
+    }
+
+    #[test]
+    fn collect_trace_cycles_clients_and_records_aborts() {
+        let mut db = kv_database(4, 4);
+        let mut gen = ClientEcho { calls: Vec::new() };
+        let wl = collect_trace(&mut db, &kv_registry(), &mut gen, 12, 4);
+        assert_eq!(wl.len(), 12);
+        assert_eq!(gen.calls, [0, 1, 2, 3, 0, 1, 2, 3, 0, 1, 2, 3]);
+        for (i, r) in wl.records.iter().enumerate() {
+            assert_eq!(r.aborted, i % 3 == 2, "record {i}");
+            assert_eq!(r.params[0].as_array().unwrap()[0], Value::Int(i as i64 % 4));
+        }
+        // Each id 0..4 was requested three times and aborted once: only the
+        // two committed bumps are in the table.
+        for id in 0..4 {
+            assert_eq!(db.get(id as u32, 0, &[Value::Int(id)]).unwrap()[2], Value::Int(2));
+        }
     }
 }

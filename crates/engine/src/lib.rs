@@ -46,7 +46,7 @@ pub use advisor::{
 pub use catalog::{Catalog, CatalogResolver, ColumnOp, PartitionHint, ProcDef, QueryDef, QueryOp};
 pub use cost::CostModel;
 pub use durability::{DurabilityConfig, RecoveryReport};
-pub use exec::{run_offline, ExecutedQuery, OfflineOutcome};
+pub use exec::{collect_trace, run_offline, ExecutedQuery, OfflineOutcome};
 pub use metrics::{
     EpochAccuracy, LatencyHistogram, MaintenanceReport, MetricsSummary, OpCounters, RunMetrics,
 };

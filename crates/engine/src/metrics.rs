@@ -296,8 +296,6 @@ pub struct RunMetrics {
     /// via OP4, or at 2PC completion). Early prepare shows up here directly
     /// as a lower distribution.
     pub lock_hold: LatencyHistogram,
-    /// Per-procedure summed latency (µs) over committed in-window txns.
-    pub latency_by_proc: FxHashMap<ProcId, f64>,
     /// Length of the measurement window (µs) — simulated for `Simulation`,
     /// wall-clock for the live runtime.
     pub window_us: f64,
@@ -451,12 +449,10 @@ impl RunMetrics {
         self.ops.entry(proc).or_default()
     }
 
-    /// Records a committed transaction's latency sample (µs) against the
-    /// aggregate and per-procedure accumulators.
-    pub fn record_latency(&mut self, proc: ProcId, latency_us: f64) {
+    /// Records a committed transaction's latency sample (µs).
+    pub fn record_latency(&mut self, _proc: ProcId, latency_us: f64) {
         self.total_latency_us += latency_us;
         self.latency.record_us(latency_us);
-        *self.latency_by_proc.entry(proc).or_insert(0.0) += latency_us;
     }
 
     /// Merges one per-epoch accuracy sample.
@@ -515,9 +511,6 @@ impl RunMetrics {
         self.profile.merge(&other.profile);
         for (&proc, &n) in &other.committed_by_proc {
             *self.committed_by_proc.entry(proc).or_insert(0) += n;
-        }
-        for (&proc, &us) in &other.latency_by_proc {
-            *self.latency_by_proc.entry(proc).or_insert(0.0) += us;
         }
         for (&proc, ops) in &other.ops {
             let mine = self.ops_mut(proc);

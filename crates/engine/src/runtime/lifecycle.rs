@@ -40,11 +40,6 @@ pub struct LiveConfig {
     /// because the TPC-C OP4 ablation of `experiments -- live` sets it
     /// (60 µs) and every other caller leaves it off.
     pub msg_delay_us: u64,
-    /// Bound of the session-teardown → maintenance-thread feedback channel
-    /// (§4.5). Clients never block on maintenance: a full channel drops the
-    /// record (counted in `RunMetrics::feedback_dropped`) and the
-    /// transaction's acknowledgement proceeds untouched.
-    pub feedback_capacity: usize,
     /// Durability (DESIGN.md §7): when set, every committed writer is
     /// command-logged under the configured directory and its
     /// acknowledgement is withheld until a real `write+fsync` covers it
@@ -57,13 +52,7 @@ pub struct LiveConfig {
 
 impl Default for LiveConfig {
     fn default() -> Self {
-        LiveConfig {
-            max_restarts: 2,
-            seed: 7,
-            msg_delay_us: 0,
-            feedback_capacity: 4096,
-            durability: None,
-        }
+        LiveConfig { max_restarts: 2, seed: 7, msg_delay_us: 0, durability: None }
     }
 }
 
@@ -368,7 +357,7 @@ impl<A: LiveAdvisor + 'static> LiveRuntime<A> {
         // learn: a bounded channel from session teardown to one background
         // maintenance thread that owns the advisor's `LiveMaintainer`.
         let (fb_tx, fb_rx) = if advisor.maintainer().is_some() {
-            let (tx, rx) = sync_channel::<FeedbackMsg>(cfg.feedback_capacity.max(1));
+            let (tx, rx) = sync_channel::<FeedbackMsg>(super::FEEDBACK_CAPACITY);
             (Some(tx), Some(rx))
         } else {
             (None, None)

@@ -227,6 +227,12 @@ const REPLY_SPIN: u32 = 256;
 /// a park/unpark futex cycle per batch.
 const IDLE_SPIN: u32 = 256;
 
+/// Bound of the session-teardown → maintenance-thread feedback channel
+/// (§4.5). Clients never block on maintenance: a full channel drops the
+/// record (counted in `RunMetrics::feedback_dropped`) and the
+/// transaction's acknowledgement proceeds untouched.
+const FEEDBACK_CAPACITY: usize = 4096;
+
 /// Transparent cascade redos of one request before the client falls back to
 /// a lock-all plan. Cascades are rare by construction (they need an
 /// early-prepared transaction to abort *and* a conflicting speculative

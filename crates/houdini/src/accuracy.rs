@@ -168,22 +168,14 @@ fn finish_predictions_safe(
 mod tests {
     use super::*;
     use crate::train::{train, TrainingConfig};
-    use engine::{run_offline, RequestGenerator};
     use trace::Workload;
     use workloads::{tatp, Bench};
 
     fn tatp_records(parts: u32, n: usize) -> (Catalog, Vec<TraceRecord>) {
-        let mut db = Bench::Tatp.database(parts);
         let reg = Bench::Tatp.registry();
-        let catalog = reg.catalog();
         let mut gen = tatp::Generator::new(parts, 21);
-        let mut records = Vec::new();
-        for i in 0..n {
-            let (proc, args) = gen.next_request(i as u64 % 8);
-            let out = run_offline(&mut db, &reg, &catalog, proc, &args, true).unwrap();
-            records.push(out.record);
-        }
-        (catalog, records)
+        let wl = engine::collect_trace(&mut Bench::Tatp.database(parts), &reg, &mut gen, n, 8);
+        (reg.catalog(), wl.records)
     }
 
     #[test]

@@ -46,17 +46,19 @@ fn model_is_loop_free(model: &markov::MarkovModel) -> bool {
     !model.vertices().iter().any(|v| v.key.counter > 0)
 }
 
+/// Simulated µs charged per candidate state examined during the initial
+/// path estimate.
+const EST_COST_PER_STATE_US: f64 = 1.2;
+
+/// Simulated µs charged per runtime update (§4.4).
+const UPDATE_COST_US: f64 = 4.0;
+
 /// On-line knobs.
 #[derive(Debug, Clone)]
 pub struct HoudiniConfig {
     /// The confidence-coefficient threshold of §4.3 / Fig. 13. Estimations
     /// whose confidence falls below it are pruned (conservative fallback).
     pub threshold: f64,
-    /// Simulated µs charged per candidate state examined during the initial
-    /// path estimate.
-    pub est_cost_per_state_us: f64,
-    /// Simulated µs charged per runtime update (§4.4).
-    pub update_cost_us: f64,
     /// Emit OP4 finished-partition declarations (early prepare +
     /// speculative execution). Off is the OP4 ablation: plans are produced
     /// identically but `TxnPlan::early_prepare` stays false, so the engine
@@ -68,9 +70,8 @@ pub struct HoudiniConfig {
     /// epoch-swaps them in without stopping traffic. Off is the
     /// frozen-model ablation of the `live-drift` experiment.
     pub maintenance: bool,
-    /// Accuracy floor of the maintenance monitors (the paper's 75%).
-    pub maintenance_threshold: f64,
-    /// Observations per model before accuracy is judged.
+    /// Observations per model before its accuracy is judged against the
+    /// monitors' floor (the paper's 75%).
     pub maintenance_min_window: u64,
     /// Path-estimation knobs.
     pub estimate: EstimateConfig,
@@ -80,11 +81,8 @@ impl Default for HoudiniConfig {
     fn default() -> Self {
         HoudiniConfig {
             threshold: 0.5,
-            est_cost_per_state_us: 1.2,
-            update_cost_us: 4.0,
             early_prepare: true,
             maintenance: true,
-            maintenance_threshold: 0.75,
             maintenance_min_window: 200,
             estimate: EstimateConfig::default(),
         }
@@ -149,7 +147,7 @@ fn updates_at_state(
     to: Option<VertexId>,
     q: &ExecutedQuery,
 ) -> Updates {
-    let mut upd = Updates { cost_us: cfg.update_cost_us, ..Default::default() };
+    let mut upd = Updates { cost_us: UPDATE_COST_US, ..Default::default() };
     // OP3 runtime update: no path from here to the abort state. Only models
     // that have actually witnessed this procedure's aborts may assert that
     // no such path exists, the state must be a trained one (not a live
@@ -412,7 +410,7 @@ impl Houdini {
         let model = pred.models.model(model_idx);
         let rule = CatalogRule::new(&self.catalog, proc, self.num_partitions);
         let est = estimate_path(model, &rule, &pred.mapping, &req.args, &self.cfg.estimate);
-        let cost = f64::from(est.states_examined) * self.cfg.est_cost_per_state_us;
+        let cost = f64::from(est.states_examined) * EST_COST_PER_STATE_US;
         if !est.reached_commit && !est.reached_abort {
             // The walk dead-ended (a state never seen in training, §4.4):
             // the lock set cannot be trusted. Fall back to lock-all with
@@ -570,10 +568,7 @@ impl LiveAdvisor for Houdini {
             .iter()
             .map(|pred| {
                 vec![
-                    ModelMonitor::with_thresholds(
-                        self.cfg.maintenance_threshold,
-                        self.cfg.maintenance_min_window,
-                    );
+                    ModelMonitor::with_min_window(self.cfg.maintenance_min_window);
                     pred.models.len()
                 ]
             })
@@ -652,23 +647,16 @@ mod tests {
     use super::*;
     use crate::train::{train, TrainingConfig};
     use common::Value;
-    use engine::{run_offline, RequestGenerator};
-    use trace::Workload;
+    use engine::run_offline;
     use workloads::{tpcc, Bench};
 
     fn trained(parts: u32, n: usize, partitioned: bool) -> (Houdini, Catalog) {
-        let mut db = Bench::Tpcc.database(parts);
         let reg = Bench::Tpcc.registry();
         let catalog = reg.catalog();
         let mut gen = tpcc::Generator::new(parts, 7);
-        let mut records = Vec::new();
-        for i in 0..n {
-            let (proc, args) = gen.next_request(i as u64 % 8);
-            let out = run_offline(&mut db, &reg, &catalog, proc, &args, true).unwrap();
-            records.push(out.record);
-        }
+        let wl = engine::collect_trace(&mut Bench::Tpcc.database(parts), &reg, &mut gen, n, 8);
         let cfg = TrainingConfig { partitioned, ..Default::default() };
-        let preds = train(&catalog, parts, &Workload { records }, &cfg);
+        let preds = train(&catalog, parts, &wl, &cfg);
         (Houdini::new(preds, catalog.clone(), parts, HoudiniConfig::default()), catalog)
     }
 

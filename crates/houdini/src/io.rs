@@ -58,22 +58,14 @@ mod tests {
     use super::*;
     use crate::train::{train, TrainingConfig};
     use crate::{evaluate_accuracy, AccuracyReport};
-    use engine::{run_offline, RequestGenerator};
     use trace::{TraceRecord, Workload};
     use workloads::Bench;
 
     fn fixture(parts: u32, n: usize) -> (engine::Catalog, Vec<TraceRecord>) {
-        let mut db = Bench::Tpcc.database(parts);
         let reg = Bench::Tpcc.registry();
-        let catalog = reg.catalog();
         let mut gen = Bench::Tpcc.generator(parts, 17);
-        let mut records = Vec::new();
-        for i in 0..n {
-            let (proc, args) = gen.next_request(i as u64 % 8);
-            let out = run_offline(&mut db, &reg, &catalog, proc, &args, true).unwrap();
-            records.push(out.record);
-        }
-        (catalog, records)
+        let wl = engine::collect_trace(&mut Bench::Tpcc.database(parts), &reg, &mut gen, n, 8);
+        (reg.catalog(), wl.records)
     }
 
     #[test]

@@ -6,11 +6,11 @@ use common::{FxHashMap, FxHashSet, PartitionSet, ProcId, QueryId};
 use engine::{Catalog, CatalogResolver};
 use mapping::{build_mapping, MappingConfig, ProcMapping};
 use markov::{build_model, estimate_path, EstimateConfig, MarkovModel};
-use ml::{
-    extract_features, feature_schema, feed_forward_select, fit_em, train_tree, EmConfig,
-    SelectionConfig,
-};
+use ml::{extract_features, feature_schema, feed_forward_select, fit_em, train_tree};
 use trace::{split_worksets, PartitionResolver, TraceRecord, Workload};
+
+/// Cap on records used inside the feature-selection evaluator.
+const EVAL_SAMPLE: usize = 600;
 
 /// Training knobs.
 #[derive(Debug, Clone)]
@@ -19,16 +19,10 @@ pub struct TrainingConfig {
     pub partitioned: bool,
     /// Parameter-mapping threshold (§4.1).
     pub mapping: MappingConfig,
-    /// EM clustering knobs.
-    pub em: EmConfig,
-    /// Feed-forward selection knobs.
-    pub selection: SelectionConfig,
     /// Procedures whose transactions exceed this many queries are disabled
     /// — Houdini takes too long to traverse such models (§4.6, the paper
     /// uses 175–200 and turns CheckWinningBids off).
     pub max_queries_per_txn: usize,
-    /// Cap on records used inside the feature-selection evaluator.
-    pub eval_sample: usize,
     /// Path-estimation knobs.
     pub estimate: EstimateConfig,
 }
@@ -38,10 +32,7 @@ impl Default for TrainingConfig {
         TrainingConfig {
             partitioned: true,
             mapping: MappingConfig::default(),
-            em: EmConfig::default(),
-            selection: SelectionConfig::default(),
             max_queries_per_txn: 175,
-            eval_sample: 600,
             estimate: EstimateConfig::default(),
         }
     }
@@ -180,9 +171,9 @@ pub fn train_proc(
     let num_params = records.iter().map(|r| r.params.len()).max().unwrap_or(0);
     let schema = feature_schema(num_params);
     let all_features: Vec<usize> = (0..schema.len()).collect();
-    let sample: Vec<&TraceRecord> = records.iter().copied().take(cfg.eval_sample).collect();
+    let sample: Vec<&TraceRecord> = records.iter().copied().take(EVAL_SAMPLE).collect();
 
-    let selected = feed_forward_select(&all_features, &cfg.selection, |feats| {
+    let selected = feed_forward_select(&all_features, |feats| {
         evaluate_feature_set(catalog, num_partitions, proc, &sample, &schema, feats, &mapping, cfg)
     });
     // Compare against the global model's cost on the same worksets; keep
@@ -226,7 +217,7 @@ pub fn train_proc(
             ml::feature::densify(&fv, &selected)
         })
         .collect();
-    let em = fit_em(&dense, &cfg.em);
+    let em = fit_em(&dense);
     let labels: Vec<usize> = dense.iter().map(|x| em.assign(x)).collect();
     let tree = train_tree(&dense, &labels, 12);
     let mut models = Vec::with_capacity(em.k);
@@ -323,7 +314,7 @@ pub fn evaluate_feature_set(
         None
     } else {
         let data: Vec<Vec<f64>> = train_ws.iter().map(|r| densify(r)).collect();
-        Some(fit_em(&data, &cfg.em))
+        Some(fit_em(&data))
     };
     let k = em.as_ref().map(|m| m.k).unwrap_or(1);
     let assign =
@@ -372,18 +363,10 @@ mod tests {
     use workloads::{tpcc, Bench};
 
     fn tpcc_workload(parts: u32, n: usize) -> (Catalog, Workload) {
-        let mut db = Bench::Tpcc.database(parts);
         let reg = Bench::Tpcc.registry();
-        let catalog = reg.catalog();
         let mut gen = tpcc::Generator::new(parts, 42);
-        let mut records = Vec::with_capacity(n);
-        use engine::RequestGenerator;
-        for i in 0..n {
-            let (proc, args) = gen.next_request(i as u64 % 8);
-            let out = run_offline(&mut db, &reg, &catalog, proc, &args, true).unwrap();
-            records.push(out.record);
-        }
-        (catalog, Workload { records })
+        let wl = engine::collect_trace(&mut Bench::Tpcc.database(parts), &reg, &mut gen, n, 8);
+        (reg.catalog(), wl)
     }
 
     #[test]

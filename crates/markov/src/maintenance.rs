@@ -148,9 +148,10 @@ impl ModelMonitor {
         ModelMonitor::default()
     }
 
-    /// Creates a monitor with explicit accuracy floor and window.
-    pub fn with_thresholds(threshold: f64, min_window: u64) -> Self {
-        ModelMonitor { threshold, min_window, ..ModelMonitor::default() }
+    /// Creates a monitor with the paper's 75% threshold and an explicit
+    /// window.
+    pub fn with_min_window(min_window: u64) -> Self {
+        ModelMonitor { min_window, ..ModelMonitor::default() }
     }
 
     /// Fraction of observed transitions matching the model's expectation.

@@ -5,8 +5,7 @@
 //! tables are pre-computed bottom-up (children before parents, in ascending
 //! longest-path-to-terminal order) so that on-line estimation never has to
 //! traverse the graph — the paper measures this optional step as saving an
-//! average of 24% of on-line computation time (the `ablation_ptables` bench
-//! reproduces that comparison).
+//! average of 24% of on-line computation time.
 
 use crate::model::{MarkovModel, QueryKind, VertexId};
 use serde::{Deserialize, Serialize};

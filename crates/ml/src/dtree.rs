@@ -3,7 +3,7 @@
 //! Trained on (feature vector → cluster label) pairs after clustering, the
 //! tree lets Houdini route each incoming request to the Markov model of its
 //! cluster with a handful of comparisons. Splits are chosen by gain ratio
-//! over binary numeric thresholds, C4.5's criterion.
+//! over binary numeric thresholds, as C4.5 does.
 
 use common::FxHashMap;
 use serde::{Deserialize, Serialize};

@@ -1,29 +1,21 @@
 //! Expectation-maximization clustering (paper §5.1).
 //!
 //! Diagonal Gaussian mixtures fitted by EM, with the number of clusters
-//! chosen by BIC over `1..=max_k` — standing in for WEKA's EM, which the
+//! chosen by BIC over `1..=MAX_K` — standing in for WEKA's EM, which the
 //! paper chose because it "does not require one to specify the number of
 //! clusters beforehand".
 
 use common::seeded_rng;
 use rand::Rng;
 
-/// EM knobs.
-#[derive(Debug, Clone)]
-pub struct EmConfig {
-    /// Largest cluster count considered.
-    pub max_k: usize,
-    /// EM iterations per candidate k.
-    pub iters: u32,
-    /// RNG seed for initialization.
-    pub seed: u64,
-}
+/// Largest cluster count considered.
+const MAX_K: usize = 6;
 
-impl Default for EmConfig {
-    fn default() -> Self {
-        EmConfig { max_k: 6, iters: 25, seed: 1 }
-    }
-}
+/// EM iterations per candidate k.
+const ITERS: u32 = 25;
+
+/// RNG seed for initialization.
+const SEED: u64 = 1;
 
 /// A fitted mixture model.
 #[derive(Debug, Clone)]
@@ -66,9 +58,9 @@ impl EmModel {
     }
 }
 
-/// Fits a mixture for each k in `1..=max_k` and returns the BIC-best model.
+/// Fits a mixture for each k in `1..=MAX_K` and returns the BIC-best model.
 /// Empty data yields a trivial single-cluster model.
-pub fn fit_em(data: &[Vec<f64>], cfg: &EmConfig) -> EmModel {
+pub fn fit_em(data: &[Vec<f64>]) -> EmModel {
     let dims = data.first().map(Vec::len).unwrap_or(0);
     if data.is_empty() || dims == 0 {
         return EmModel {
@@ -80,8 +72,8 @@ pub fn fit_em(data: &[Vec<f64>], cfg: &EmConfig) -> EmModel {
         };
     }
     let mut best: Option<EmModel> = None;
-    for k in 1..=cfg.max_k.max(1) {
-        let model = fit_k(data, k, cfg);
+    for k in 1..=MAX_K {
+        let model = fit_k(data, k);
         if best.as_ref().map(|b| model.bic < b.bic).unwrap_or(true) {
             best = Some(model);
         }
@@ -89,10 +81,10 @@ pub fn fit_em(data: &[Vec<f64>], cfg: &EmConfig) -> EmModel {
     best.expect("at least one fit")
 }
 
-fn fit_k(data: &[Vec<f64>], k: usize, cfg: &EmConfig) -> EmModel {
+fn fit_k(data: &[Vec<f64>], k: usize) -> EmModel {
     let n = data.len();
     let dims = data[0].len();
-    let mut rng = seeded_rng(cfg.seed ^ (k as u64).wrapping_mul(0x9e37));
+    let mut rng = seeded_rng(SEED ^ (k as u64).wrapping_mul(0x9e37));
     // Init means from random distinct-ish points; variances from the data.
     let mut global_var = vec![0.0f64; dims];
     let mut global_mean = vec![0.0f64; dims];
@@ -123,7 +115,7 @@ fn fit_k(data: &[Vec<f64>], k: usize, cfg: &EmConfig) -> EmModel {
 
     let mut resp = vec![vec![0.0f64; k]; n];
     let mut log_likelihood = 0.0f64;
-    for _ in 0..cfg.iters {
+    for _ in 0..ITERS {
         // E step.
         log_likelihood = 0.0;
         for (i, x) in data.iter().enumerate() {
@@ -189,7 +181,7 @@ mod tests {
     #[test]
     fn finds_two_well_separated_clusters() {
         let data = blobs(&[0.0, 10.0], 60);
-        let m = fit_em(&data, &EmConfig::default());
+        let m = fit_em(&data);
         assert!(m.k >= 2, "k = {}", m.k);
         let a = m.assign(&[0.1]);
         let b = m.assign(&[9.9]);
@@ -202,13 +194,13 @@ mod tests {
     #[test]
     fn single_blob_prefers_one_cluster() {
         let data = blobs(&[5.0], 100);
-        let m = fit_em(&data, &EmConfig::default());
+        let m = fit_em(&data);
         assert_eq!(m.k, 1, "BIC should not over-segment");
     }
 
     #[test]
     fn empty_data_is_trivial() {
-        let m = fit_em(&[], &EmConfig::default());
+        let m = fit_em(&[]);
         assert_eq!(m.k, 1);
         assert_eq!(m.assign(&[]), 0);
     }
@@ -216,8 +208,8 @@ mod tests {
     #[test]
     fn deterministic() {
         let data = blobs(&[0.0, 8.0], 40);
-        let m1 = fit_em(&data, &EmConfig::default());
-        let m2 = fit_em(&data, &EmConfig::default());
+        let m1 = fit_em(&data);
+        let m2 = fit_em(&data);
         assert_eq!(m1.k, m2.k);
         assert_eq!(m1.means, m2.means);
     }
@@ -230,7 +222,7 @@ mod tests {
             data.push(vec![1.0]);
             data.push(vec![5.0]);
         }
-        let m = fit_em(&data, &EmConfig::default());
+        let m = fit_em(&data);
         assert!(m.k >= 2);
         assert_ne!(m.assign(&[1.0]), m.assign(&[5.0]));
     }

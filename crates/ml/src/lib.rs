@@ -12,6 +12,6 @@ pub mod feature;
 pub mod selection;
 
 pub use dtree::{train_tree, DecisionTree};
-pub use em::{fit_em, EmConfig, EmModel};
+pub use em::{fit_em, EmModel};
 pub use feature::{extract_features, feature_schema, Feature, FeatureCategory};
-pub use selection::{feed_forward_select, SelectionConfig};
+pub use selection::feed_forward_select;

@@ -19,26 +19,17 @@ fn nan_as_highest(c: f64) -> f64 {
     }
 }
 
-/// Selection knobs.
-#[derive(Debug, Clone)]
-pub struct SelectionConfig {
-    /// Fraction of each round's best sets whose features survive (paper:
-    /// top 10%).
-    pub survivor_frac: f64,
-    /// Cap on the feature-set size (rounds).
-    pub max_rounds: usize,
-}
+/// Fraction of each round's best sets whose features survive (paper: top
+/// 10%).
+const SURVIVOR_FRAC: f64 = 0.10;
 
-impl Default for SelectionConfig {
-    fn default() -> Self {
-        SelectionConfig { survivor_frac: 0.10, max_rounds: 4 }
-    }
-}
+/// Cap on the feature-set size (rounds).
+const MAX_ROUNDS: usize = 4;
 
 /// Runs the feed-forward search over `features`, evaluating candidate sets
 /// with `eval` (lower cost = better). Returns the best feature set found
 /// (possibly empty if `features` is empty).
-pub fn feed_forward_select<F>(features: &[usize], cfg: &SelectionConfig, mut eval: F) -> Vec<usize>
+pub fn feed_forward_select<F>(features: &[usize], mut eval: F) -> Vec<usize>
 where
     F: FnMut(&[usize]) -> f64,
 {
@@ -49,7 +40,7 @@ where
     let mut best_cost = f64::INFINITY;
     let mut pool: Vec<usize> = features.to_vec();
 
-    for r in 1..=cfg.max_rounds {
+    for r in 1..=MAX_ROUNDS {
         let candidates = sets_of_size(&pool, r);
         if candidates.is_empty() {
             break;
@@ -69,8 +60,7 @@ where
         }
         // Features appearing in the top 10% of this round's sets survive
         // (always at least two sets, so the pool can keep growing).
-        let keep =
-            ((scored.len() as f64 * cfg.survivor_frac).ceil() as usize).max(2).min(scored.len());
+        let keep = ((scored.len() as f64 * SURVIVOR_FRAC).ceil() as usize).max(2).min(scored.len());
         let mut survivors: Vec<usize> =
             scored[..keep].iter().flat_map(|(_, s)| s.iter().copied()).collect();
         survivors.sort_unstable();
@@ -131,7 +121,7 @@ mod tests {
             }
             c + s.len() as f64 * 0.1
         };
-        let best = feed_forward_select(&features, &SelectionConfig::default(), cost);
+        let best = feed_forward_select(&features, cost);
         assert_eq!(best, vec![2, 5]);
     }
 
@@ -140,7 +130,7 @@ mod tests {
         // Adding features only hurts: best set is a single feature.
         let features: Vec<usize> = (0..5).collect();
         let mut evals = 0usize;
-        let best = feed_forward_select(&features, &SelectionConfig::default(), |s| {
+        let best = feed_forward_select(&features, |s| {
             evals += 1;
             s.len() as f64 + if s.contains(&3) { -0.5 } else { 0.0 }
         });
@@ -152,7 +142,7 @@ mod tests {
 
     #[test]
     fn empty_features() {
-        let best = feed_forward_select(&[], &SelectionConfig::default(), |_| 0.0);
+        let best = feed_forward_select(&[], |_| 0.0);
         assert!(best.is_empty());
     }
 
@@ -162,7 +152,7 @@ mod tests {
         // panicked on NaN costs. A NaN evaluation must neither abort the
         // search nor be chosen over a finite cost.
         let features: Vec<usize> = (0..6).collect();
-        let best = feed_forward_select(&features, &SelectionConfig::default(), |s| {
+        let best = feed_forward_select(&features, |s| {
             if s.contains(&1) {
                 f64::NAN // pathological cluster
             } else if s.contains(&4) {
@@ -174,7 +164,7 @@ mod tests {
         assert_eq!(best, vec![4], "finite best wins despite NaN candidates");
         // Every evaluation NaN: no panic, empty selection (nothing ever
         // beat the initial infinity).
-        let none = feed_forward_select(&features, &SelectionConfig::default(), |_| f64::NAN);
+        let none = feed_forward_select(&features, |_| f64::NAN);
         assert!(none.is_empty());
     }
 }

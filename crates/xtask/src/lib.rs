@@ -174,9 +174,9 @@ pub fn check_file(
     used_entries: &mut BTreeSet<String>,
 ) -> Vec<Violation> {
     let lines: Vec<&str> = content.lines().collect();
-    // Integration tests and benches run on real threads and may use std
-    // primitives and unwraps freely.
-    let all_test = rel.contains("/tests/") || rel.contains("/benches/");
+    // Integration tests run on real threads and may use std primitives and
+    // unwraps freely.
+    let all_test = rel.contains("/tests/");
     let mask = if all_test { vec![true; lines.len()] } else { test_mask(&lines) };
 
     let mut out = Vec::new();

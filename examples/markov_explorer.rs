@@ -5,7 +5,7 @@
 //! Run with: `cargo run --release --example markov_explorer > neworder.dot`
 
 use common::PartitionSet;
-use engine::{run_offline, CatalogResolver, RequestGenerator};
+use engine::CatalogResolver;
 use markov::{build_model, to_dot};
 use workloads::{tpcc, Bench};
 
@@ -18,14 +18,8 @@ fn main() {
 
     // Collect a NewOrder-heavy trace.
     let mut gen = tpcc::Generator::new(parts, 7);
-    let mut records = Vec::new();
-    for i in 0..4000u64 {
-        let (proc, args) = gen.next_request(i % 8);
-        let out = run_offline(&mut db, &registry, &catalog, proc, &args, true).expect("trace txn");
-        if proc == no {
-            records.push(out.record);
-        }
-    }
+    let mut records = engine::collect_trace(&mut db, &registry, &mut gen, 4000, 8).records;
+    records.retain(|r| r.proc == no);
     eprintln!("collected {} NewOrder records", records.len());
 
     let resolver = CatalogResolver::new(&catalog, parts);

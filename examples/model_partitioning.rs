@@ -6,10 +6,8 @@
 //! Run with: `cargo run --release --example model_partitioning`
 
 use common::Value;
-use engine::{run_offline, RequestGenerator};
 use houdini::{train, ModelSet, TrainingConfig};
 use ml::{extract_features, feature_schema};
-use trace::Workload;
 use workloads::{auctionmark, Bench};
 
 fn main() {
@@ -35,13 +33,8 @@ fn main() {
 
     // Train with clustering enabled and inspect the chosen partitioning.
     let mut gen = auctionmark::Generator::new(parts, 3);
-    let mut records = Vec::new();
-    for i in 0..6000u64 {
-        let (proc, a) = gen.next_request(i % 16);
-        let out = run_offline(&mut db, &registry, &catalog, proc, &a, true).expect("trace");
-        records.push(out.record);
-    }
-    let preds = train(&catalog, parts, &Workload { records }, &TrainingConfig::default());
+    let workload = engine::collect_trace(&mut db, &registry, &mut gen, 6000, 16);
+    let preds = train(&catalog, parts, &workload, &TrainingConfig::default());
 
     println!("\nper-procedure model sets:");
     for (proc, pred) in preds.iter().enumerate() {

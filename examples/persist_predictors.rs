@@ -4,9 +4,8 @@
 //!
 //! Run with: `cargo run --release --example persist_predictors`
 
-use engine::run_offline;
 use houdini::{load_predictors, save_predictors, train, TrainingConfig};
-use trace::{read_trace, write_trace, Workload};
+use trace::{read_trace, write_trace};
 use workloads::Bench;
 
 fn main() {
@@ -18,14 +17,7 @@ fn main() {
     let registry = Bench::Tatp.registry();
     let catalog = registry.catalog();
     let mut gen = Bench::Tatp.generator(parts, 17);
-    let mut records = Vec::with_capacity(n);
-    for i in 0..n {
-        let (proc, args) = gen.next_request(i as u64 % 8);
-        let out = run_offline(&mut db, &registry, &catalog, proc, &args, true)
-            .expect("offline trace txn");
-        records.push(out.record);
-    }
-    let wl = Workload { records };
+    let wl = engine::collect_trace(&mut db, &registry, &mut gen, n, 8);
 
     // Round-trip the trace through its JSONL wire format.
     let mut buf = Vec::new();

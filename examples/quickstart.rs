@@ -4,9 +4,7 @@
 //!
 //! Run with: `cargo run --release --example quickstart`
 
-use engine::{run_offline, RequestGenerator};
 use houdini::{train, Houdini, HoudiniConfig, TrainingConfig};
-use trace::Workload;
 use workloads::Bench;
 
 fn main() {
@@ -20,14 +18,7 @@ fn main() {
     let registry = bench.registry();
     let catalog = registry.catalog();
     let mut gen = bench.generator(parts, 42);
-    let mut records = Vec::new();
-    for i in 0..2_000u64 {
-        let (proc, args) = gen.next_request(i % 16);
-        let out = run_offline(&mut db, &registry, &catalog, proc, &args, true)
-            .expect("offline execution");
-        records.push(out.record);
-    }
-    let workload = Workload { records };
+    let workload = engine::collect_trace(&mut db, &registry, &mut gen, 2_000, 16);
 
     // 2. Train Houdini: parameter mappings (§4.1) + Markov models (§3.2),
     //    partitioned by input-parameter features (§5).

@@ -7,10 +7,8 @@
 //! Run with: `cargo run --release --example tatp_broadcast`
 
 use common::Value;
-use engine::{run_offline, RequestGenerator};
 use houdini::{train, CatalogRule, TrainingConfig};
 use markov::{estimate_path, EstimateConfig};
-use trace::Workload;
 use workloads::{tatp, Bench};
 
 fn main() {
@@ -22,13 +20,8 @@ fn main() {
 
     // Trace + training.
     let mut gen = tatp::Generator::new(parts, 5);
-    let mut records = Vec::new();
-    for i in 0..4000u64 {
-        let (proc, args) = gen.next_request(i % 16);
-        let out = run_offline(&mut db, &registry, &catalog, proc, &args, true).expect("trace");
-        records.push(out.record);
-    }
-    let preds = train(&catalog, parts, &Workload { records }, &TrainingConfig::default());
+    let workload = engine::collect_trace(&mut db, &registry, &mut gen, 4000, 16);
+    let preds = train(&catalog, parts, &workload, &TrainingConfig::default());
 
     let ul = catalog.proc_id("UpdateLocation").expect("proc") as usize;
     let pred = &preds[ul];

@@ -5,9 +5,8 @@
 //! Run with: `cargo run --release --example tpcc_houdini [partitions]`
 
 use engine::baselines::{AssumeDistributed, AssumeSinglePartition, Oracle};
-use engine::{CostModel, LiveAdvisor, RequestGenerator, SimConfig, Simulation};
+use engine::{CostModel, LiveAdvisor, SimConfig, Simulation};
 use houdini::{train, Houdini, HoudiniConfig, TrainingConfig};
-use trace::Workload;
 use workloads::Bench;
 
 /// Simulates `bench` under `advisor` and prints its report row.
@@ -44,14 +43,8 @@ fn main() {
     let registry = bench.registry();
     let catalog = registry.catalog();
     let mut gen = bench.generator(parts, 42);
-    let mut records = Vec::new();
-    for i in 0..4000u64 {
-        let (proc, args) = gen.next_request(i % 16);
-        let out =
-            engine::run_offline(&mut db, &registry, &catalog, proc, &args, true).expect("trace");
-        records.push(out.record);
-    }
-    let preds = train(&catalog, parts, &Workload { records }, &TrainingConfig::default());
+    let workload = engine::collect_trace(&mut db, &registry, &mut gen, 4000, 16);
+    let preds = train(&catalog, parts, &workload, &TrainingConfig::default());
     let houdini = Houdini::new(preds, catalog.clone(), parts, HoudiniConfig::default());
 
     println!(

@@ -30,3 +30,18 @@ fn every_benchmark_trace_is_deterministic() {
         assert_eq!(a.records, b.records, "{} trace must be reproducible", bench.name());
     }
 }
+
+/// Pins trace *content*, not just self-consistency: the acceptance
+/// benchmark trains from `bench::collect_trace`, so a refactor that shifts
+/// one record shifts every recorded number. FNV-1a of the records' `Debug`
+/// rendering; the constants were computed at the commit before
+/// `engine::collect_trace` replaced the hand-copied loops.
+#[test]
+fn trace_content_is_pinned() {
+    let got = Bench::ALL.map(|bench| {
+        let (_, wl) = collect_trace(bench, 2, 200, 7);
+        wal::codec::fnv1a(format!("{:?}", wl.records).as_bytes())
+    });
+    let want = [0x3fc8_3114_78cb_1773, 0x55ab_dc5a_44f5_5a2e, 0xab91_4a5f_e97b_2719];
+    assert_eq!(got, want, "TATP / TPC-C / AuctionMark trace content changed: {got:#018x?}");
+}

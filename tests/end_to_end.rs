@@ -2,22 +2,13 @@
 //! simulation for every benchmark, plus cross-advisor sanity properties.
 
 use engine::baselines::{AssumeDistributed, AssumeSinglePartition, Oracle};
-use engine::run_offline;
 use predictive_oltp::prelude::*;
 
 fn collect(bench: Bench, parts: u32, n: usize, seed: u64) -> (engine::Catalog, Workload) {
-    let mut db = bench.database(parts);
     let registry = bench.registry();
-    let catalog = registry.catalog();
     let mut gen = bench.generator(parts, seed);
-    let mut records = Vec::with_capacity(n);
-    for i in 0..n {
-        let (proc, args) = gen.next_request(i as u64 % 16);
-        let out = run_offline(&mut db, &registry, &catalog, proc, &args, true)
-            .expect("offline trace txn");
-        records.push(out.record);
-    }
-    (catalog, Workload { records })
+    let wl = engine::collect_trace(&mut bench.database(parts), &registry, &mut gen, n, 16);
+    (registry.catalog(), wl)
 }
 
 fn simulate<A: LiveAdvisor>(

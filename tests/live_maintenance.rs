@@ -14,7 +14,6 @@ use engine::{
     RequestGenerator, RunMetrics, TxnOutcome,
 };
 use houdini::{train, Houdini, HoudiniConfig, TrainingConfig};
-use trace::Workload;
 use workloads::{tatp, Bench};
 
 /// Trains TATP predictors from a trace skewed to partitions `[0, hot_hi)`.
@@ -24,18 +23,12 @@ fn skewed_predictors(
     n: usize,
     partitioned: bool,
 ) -> (engine::Catalog, Vec<houdini::ProcPredictor>) {
-    let mut db = Bench::Tatp.database(parts);
     let reg = Bench::Tatp.registry();
     let catalog = reg.catalog();
     let mut gen = tatp::Generator::new(parts, 13).with_hot_partitions(0, hot_hi);
-    let mut records = Vec::with_capacity(n);
-    for i in 0..n {
-        let (proc, args) = gen.next_request(i as u64 % 4);
-        let out = run_offline(&mut db, &reg, &catalog, proc, &args, true).expect("trace txn");
-        records.push(out.record);
-    }
+    let wl = engine::collect_trace(&mut Bench::Tatp.database(parts), &reg, &mut gen, n, 4);
     let cfg = TrainingConfig { partitioned, ..Default::default() };
-    let preds = train(&catalog, parts, &Workload { records }, &cfg);
+    let preds = train(&catalog, parts, &wl, &cfg);
     (catalog, preds)
 }
 

@@ -3,25 +3,18 @@
 //! maintenance recomputes probabilities from the live counters instead of
 //! requiring regeneration.
 
-use engine::{run_offline, CostModel, RequestGenerator, SimConfig, Simulation};
+use engine::{CostModel, SimConfig, Simulation};
 use houdini::{train, Houdini, HoudiniConfig, TrainingConfig};
 use trace::Workload;
 use workloads::{tpcc, Bench};
 
 fn tpcc_trace(parts: u32, n: usize, remote_prob: f64, seed: u64) -> (engine::Catalog, Workload) {
-    let mut db = Bench::Tpcc.database(parts);
     let registry = Bench::Tpcc.registry();
-    let catalog = registry.catalog();
     let mut gen = tpcc::Generator::new(parts, seed);
     gen.remote_item_prob = remote_prob;
     gen.remote_payment_prob = remote_prob;
-    let mut records = Vec::with_capacity(n);
-    for i in 0..n {
-        let (proc, args) = gen.next_request(i as u64 % 8);
-        let out = run_offline(&mut db, &registry, &catalog, proc, &args, true).expect("trace txn");
-        records.push(out.record);
-    }
-    (catalog, Workload { records })
+    let wl = engine::collect_trace(&mut Bench::Tpcc.database(parts), &registry, &mut gen, n, 8);
+    (registry.catalog(), wl)
 }
 
 #[test]

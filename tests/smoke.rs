@@ -3,7 +3,6 @@
 //! this test exists so `cargo test smoke` gives a fast signal that the
 //! whole stack is wired together.
 
-use engine::run_offline;
 use predictive_oltp::prelude::*;
 
 #[test]
@@ -16,14 +15,7 @@ fn tatp_collect_train_simulate_smoke() {
     let registry = Bench::Tatp.registry();
     let catalog = registry.catalog();
     let mut gen = Bench::Tatp.generator(parts, 5);
-    let mut records = Vec::with_capacity(n);
-    for i in 0..n {
-        let (proc, args) = gen.next_request(i as u64 % 4);
-        let out = run_offline(&mut db, &registry, &catalog, proc, &args, true)
-            .expect("offline trace txn");
-        records.push(out.record);
-    }
-    let wl = Workload { records };
+    let wl = engine::collect_trace(&mut db, &registry, &mut gen, n, 4);
     assert_eq!(wl.records.len(), n);
 
     // Train.
