@@ -123,7 +123,7 @@ pub fn fig5() -> String {
 pub fn fig7() -> String {
     let (catalog, wl) = new_order_trace(2, 2_000, 4);
     let records = wl.for_proc(1);
-    let mapping = mapping::build_mapping(&records, &mapping::MappingConfig::default());
+    let mapping = mapping::build_mapping(&records);
     let mut out = String::from("# Fig. 7: NewOrder parameter mapping\n");
     let proc = catalog.proc(1);
     for ((q, j), m) in mapping.entries() {
@@ -147,7 +147,7 @@ pub fn fig8() -> String {
     let resolver = engine::CatalogResolver::new(&catalog, 2);
     let records = wl.for_proc(1);
     let model = markov::build_model(1, &records, &resolver);
-    let mapping = mapping::build_mapping(&records, &mapping::MappingConfig::default());
+    let mapping = mapping::build_mapping(&records);
     // The paper's Fig. 8 example: w_id=0, i_ids=[1001,1002], i_w_ids=[0,1].
     let args = vec![
         Value::Int(0),

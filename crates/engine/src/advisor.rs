@@ -100,8 +100,6 @@ pub enum TxnOutcome {
     Committed,
     /// Control code aborted (user abort); not restarted.
     UserAborted,
-    /// Gave up after exceeding the restart limit (counted as failed).
-    Failed,
     /// This *attempt* aborted on a lock-set mispredict and its session is
     /// being torn down before the replan; the executed prefix is still
     /// maintenance signal (§4.5) but no commit/abort was reached.

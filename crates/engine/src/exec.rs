@@ -4,6 +4,7 @@
 use crate::catalog::{Catalog, ColumnOp, QueryDef, QueryOp};
 use crate::procedure::{ProcedureRegistry, Step};
 use crate::sim::RequestGenerator;
+use crate::txn::Cursor;
 use common::{PartitionSet, ProcId, Result, Value};
 use storage::{Database, Row, Shard, UndoLog};
 use trace::{QueryRecord, TraceRecord, Workload};
@@ -134,26 +135,21 @@ pub fn run_offline(
     args: &[Value],
     keep_effects: bool,
 ) -> Result<OfflineOutcome> {
-    let mut inst = registry.get(proc).instantiate(args);
+    let mut cursor = Cursor::new(registry, proc, args);
     let mut undo = UndoLog::new();
     let mut queries = Vec::new();
     let mut touched = PartitionSet::EMPTY;
-    let mut results: Option<Vec<Vec<Row>>> = None;
-    let committed;
-    'outer: loop {
-        let step = inst.next(results.as_deref());
-        match step {
+    let committed = loop {
+        match cursor.next() {
             Step::Queries(batch) => {
                 let mut batch_results = Vec::with_capacity(batch.len());
                 for inv in batch {
                     let def = catalog.proc(proc).query(inv.query);
-                    // Constraint violations abort the transaction like any
-                    // SQL error, mirroring the timed simulator.
                     let (rows, parts) = match execute_query(db, def, &inv.params, &mut undo) {
                         Ok(v) => v,
-                        Err(common::Error::Constraint(_)) => {
-                            committed = false;
-                            break 'outer;
+                        Err(common::Error::Constraint(msg)) => {
+                            cursor.constraint(msg);
+                            break;
                         }
                         Err(e) => return Err(e),
                     };
@@ -161,18 +157,12 @@ pub fn run_offline(
                     queries.push(QueryRecord { query: inv.query, params: inv.params });
                     batch_results.push(rows);
                 }
-                results = Some(batch_results);
+                cursor.resume(batch_results);
             }
-            Step::Commit => {
-                committed = true;
-                break;
-            }
-            Step::Abort(_) => {
-                committed = false;
-                break;
-            }
+            Step::Commit => break true,
+            Step::Abort(_) => break false,
         }
-    }
+    };
     if !committed || !keep_effects {
         db.rollback(&mut undo)?;
     }

@@ -39,6 +39,7 @@ pub mod procedure;
 pub mod profiler;
 pub mod runtime;
 pub mod sim;
+mod txn;
 
 pub use advisor::{
     LiveAdvisor, LiveMaintainer, PlanContext, Request, TxnFeedback, TxnOutcome, TxnPlan, Updates,

@@ -3,8 +3,10 @@
 //! deterministic [`crate::Simulation`] (simulated microseconds) and the live
 //! runtime (wall-clock microseconds).
 
+use crate::advisor::TxnPlan;
 use crate::profiler::Profiler;
-use common::{FxHashMap, PartitionId, PartitionSet, ProcId};
+use crate::txn::Footprint;
+use common::{FxHashMap, ProcId};
 
 /// Per-procedure counters of how often each optimization was applied
 /// *successfully at run time* (Table 4's semantics, §6.4):
@@ -449,12 +451,6 @@ impl RunMetrics {
         self.ops.entry(proc).or_default()
     }
 
-    /// Records a committed transaction's latency sample (µs).
-    pub fn record_latency(&mut self, _proc: ProcId, latency_us: f64) {
-        self.total_latency_us += latency_us;
-        self.latency.record_us(latency_us);
-    }
-
     /// Merges one per-epoch accuracy sample.
     pub fn record_epoch_accuracy(&mut self, epoch: u64, observed: u64, matched: u64) {
         EpochAccuracy::merge_into(&mut self.epoch_accuracy, epoch, observed, matched);
@@ -524,48 +520,75 @@ impl RunMetrics {
         }
     }
 
-    /// Updates the Table 4 optimization counters for one committed
-    /// transaction — identical semantics in the simulator and the live
-    /// runtime (§6.4).
-    #[allow(clippy::too_many_arguments)]
-    pub fn tally_ops(
+    /// Records one finished transaction — the outcome record of both
+    /// engines: the final attempt's `plan` and footprint `fp`. A user abort
+    /// counts in `user_aborts` only. A commit counts as distributed or
+    /// single-partition, speculative, no-undo and in Table 4's counters;
+    /// with its client-visible `latency_us` it also counts in `committed`
+    /// and the latency histogram — the simulator passes `None` for a commit
+    /// outside its measurement window.
+    pub(crate) fn record_txn(
         &mut self,
         proc: ProcId,
-        base_partition: PartitionId,
-        lock_set: PartitionSet,
-        accessed: PartitionSet,
-        access_counts: &FxHashMap<PartitionId, u32>,
+        plan: &TxnPlan,
+        committed: bool,
+        fp: &Footprint,
         num_partitions: u32,
-        undo_disabled_ever: bool,
-        speculative: bool,
-        early_released: bool,
+        latency_us: Option<f64>,
     ) {
+        if !committed {
+            self.user_aborts += 1;
+            return;
+        }
+        if let Some(us) = latency_us {
+            self.committed += 1;
+            *self.committed_by_proc.entry(proc).or_insert(0) += 1;
+            self.total_latency_us += us;
+            self.latency.record_us(us);
+        }
+        if plan.lock_set.is_single() {
+            self.single_partition += 1;
+        } else {
+            self.distributed += 1;
+        }
+        if fp.speculative {
+            self.speculative += 1;
+        }
+        if fp.undo_disabled_ever {
+            self.no_undo += 1;
+        }
+        self.tally_ops(proc, plan, fp, num_partitions);
+    }
+
+    /// Updates the Table 4 optimization counters for one committed
+    /// transaction (§6.4).
+    fn tally_ops(&mut self, proc: ProcId, plan: &TxnPlan, fp: &Footprint, num_partitions: u32) {
         let ops = self.ops_mut(proc);
         ops.txns += 1;
         // OP1: base partition is among the most-accessed partitions, and the
         // choice was meaningful (access counts are not uniform over all
         // partitions — e.g. broadcast-only transactions have no "best" base).
-        let max_count = access_counts.values().copied().max().unwrap_or(0);
-        let min_count = if accessed.len() == num_partitions {
-            access_counts.values().copied().min().unwrap_or(0)
+        let max_count = fp.access_counts.values().copied().max().unwrap_or(0);
+        let min_count = if fp.accessed.len() == num_partitions {
+            fp.access_counts.values().copied().min().unwrap_or(0)
         } else {
             0
         };
         if max_count > min_count {
             ops.op1_applicable += 1;
-            if access_counts.get(&base_partition).copied().unwrap_or(0) == max_count {
+            if fp.access_counts.get(&plan.base_partition).copied().unwrap_or(0) == max_count {
                 ops.op1 += 1;
             }
         }
         // OP2: lock set exactly matched what was accessed.
         ops.op2_applicable += 1;
-        if lock_set == accessed {
+        if plan.lock_set == fp.accessed {
             ops.op2 += 1;
         }
-        if undo_disabled_ever {
+        if fp.undo_disabled_ever {
             ops.op3 += 1;
         }
-        if speculative || early_released {
+        if fp.speculative || !fp.early_released.is_empty() {
             ops.op4 += 1;
         }
     }
@@ -574,6 +597,7 @@ impl RunMetrics {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use common::PartitionSet;
 
     #[test]
     fn throughput_math() {
@@ -598,8 +622,8 @@ mod tests {
             window_us: 2_000_000.0,
             ..Default::default()
         };
-        m.record_latency(0, 1000.0);
-        m.record_latency(0, 2000.0);
+        m.latency.record_us(1000.0);
+        m.latency.record_us(2000.0);
         let s = m.summary();
         assert!((s.throughput_tps - 5.0).abs() < 1e-9);
         assert_eq!((s.committed, s.user_aborts, s.restarts), (10, 2, 3));
@@ -708,11 +732,16 @@ mod tests {
     #[test]
     fn tally_ops_matches_table4_semantics() {
         let mut m = RunMetrics::default();
-        let mut counts = FxHashMap::default();
-        counts.insert(1u32, 3u32);
-        counts.insert(2u32, 1u32);
         let accessed = PartitionSet::from_iter([1u32, 2]);
-        m.tally_ops(0, 1, accessed, accessed, &counts, 4, true, false, true);
+        let fp = Footprint {
+            accessed,
+            access_counts: FxHashMap::from_iter([(1, 3), (2, 1)]),
+            undo_disabled_ever: true,
+            early_released: PartitionSet::single(2),
+            ..Footprint::default()
+        };
+        let plan = TxnPlan { lock_set: accessed, ..TxnPlan::single(1) };
+        m.tally_ops(0, &plan, &fp, 4);
         let ops = &m.ops[&0];
         assert_eq!(ops.txns, 1);
         assert_eq!(ops.op1, 1, "base 1 is most accessed");
@@ -722,12 +751,12 @@ mod tests {
 
         // A broadcast with uniform counts: OP1 not applicable.
         let mut m2 = RunMetrics::default();
-        let mut uni = FxHashMap::default();
-        for p in 0..4u32 {
-            uni.insert(p, 2u32);
-        }
-        let all = PartitionSet::all(4);
-        m2.tally_ops(0, 0, all, all, &uni, 4, false, false, false);
+        let uni = Footprint {
+            accessed: PartitionSet::all(4),
+            access_counts: (0..4).map(|p| (p, 2)).collect(),
+            ..Footprint::default()
+        };
+        m2.tally_ops(0, &TxnPlan::lock_all(0, 4), &uni, 4);
         assert_eq!(m2.ops[&0].op1_applicable, 0);
     }
 }

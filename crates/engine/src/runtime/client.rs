@@ -8,34 +8,16 @@ use super::wire::{
 #[cfg(doc)]
 use super::LiveRuntime;
 use super::{LANE_CAPACITY, MAX_CASCADE_RETRIES};
-use crate::advisor::{LiveAdvisor, PlanContext, Request, TxnFeedback, TxnOutcome, TxnPlan};
+use crate::advisor::{LiveAdvisor, PlanContext, Request, TxnOutcome, TxnPlan};
 use crate::profiler::{Bucket, CoordSub};
+use crate::txn::replan;
 use common::ring::{self, PushError};
 use common::sync::atomic::Ordering;
-use common::sync::mpsc::SyncSender;
 use common::sync::{Arc, PoisonError};
-use common::{
-    derive_seed, seeded_rng, Error, FxHashMap, PartitionId, PartitionSet, ProcId, Result, Value,
-};
+use common::{derive_seed, seeded_rng, Error, FxHashMap, PartitionSet, ProcId, Result, Value};
 use rand::rngs::SmallRng;
 use rand::Rng;
 use std::time::Instant;
-
-/// Ships one session-teardown feedback record toward the maintenance
-/// thread, if maintenance is on and the advisor produced one. `try_send`
-/// keeps the client's acknowledgement latency independent of maintenance:
-/// a full channel sheds the record and bumps the drop counter.
-fn emit_feedback(
-    dropped: &mut u64,
-    fb_tx: Option<&SyncSender<FeedbackMsg>>,
-    record: Option<TxnFeedback>,
-) {
-    if let (Some(tx), Some(rec)) = (fb_tx, record) {
-        if tx.try_send(FeedbackMsg::Record(rec)).is_err() {
-            *dropped += 1;
-        }
-    }
-}
 
 /// A `Send` handle for submitting transactions to a [`LiveRuntime`].
 ///
@@ -70,19 +52,6 @@ pub struct Client<A: LiveAdvisor + 'static> {
     /// Reused buffer of lock-hold samples from distributed attempts,
     /// folded under the metrics lock once per call.
     lock_holds: Vec<f64>,
-}
-
-/// Commit-time details [`Client::call`] stashes at the `Done` arm for the
-/// single end-of-call metrics fold.
-struct DoneStats {
-    latency_us: f64,
-    base_partition: PartitionId,
-    lock_set: PartitionSet,
-    accessed: PartitionSet,
-    access_counts: FxHashMap<PartitionId, u32>,
-    undo_disabled_ever: bool,
-    speculative: bool,
-    early_released: bool,
 }
 
 /// Pushes one fast-path message onto this client's lane to worker `base`,
@@ -134,6 +103,28 @@ impl<A: LiveAdvisor + 'static> Client<A> {
         }
     }
 
+    /// Session teardown: the advisor's feedback record heads for the
+    /// maintenance thread — `try_send` keeps the acknowledgement latency
+    /// independent of maintenance, a full channel sheds the record into
+    /// `fb_dropped` — and the spent session becomes `proc`'s spare.
+    fn end_session(
+        &mut self,
+        proc: ProcId,
+        session: A::Session,
+        outcome: TxnOutcome,
+        fb_dropped: &mut u64,
+    ) {
+        let (record, reclaimed) = self.shared.advisor.end_live_reclaim(session, outcome);
+        if let (Some(tx), Some(rec)) = (self.shared.fb_tx.as_ref(), record) {
+            if tx.try_send(FeedbackMsg::Record(rec)).is_err() {
+                *fb_dropped += 1;
+            }
+        }
+        if let Some(r) = reclaimed {
+            self.spare.insert(proc, r);
+        }
+    }
+
     /// This handle's id, unique within its runtime (assigned in mint
     /// order, starting at 0). Useful as a per-stream seed, e.g. for
     /// `workloads::Bench::client_generator`.
@@ -161,7 +152,6 @@ impl<A: LiveAdvisor + 'static> Client<A> {
     pub fn call(&mut self, proc: ProcId, args: Vec<Value>) -> Result<TxnOutcome> {
         let env = Arc::clone(&self.shared);
         let env = &*env;
-        let fb_tx = env.fb_tx.as_ref();
         // Per-call tallies live in cheap locals (plus this handle's reused
         // sample buffer) and fold into the shared RunMetrics once, under a
         // single lock section at the end — the fast path allocates no
@@ -189,7 +179,7 @@ impl<A: LiveAdvisor + 'static> Client<A> {
         let mut attempt = 0u32;
         let mut cascades = 0u32;
         let mut last_observed = PartitionSet::EMPTY;
-        let mut done: Option<DoneStats> = None;
+        // Ends with the final attempt's outcome, footprint and latency.
         let result = loop {
             plan.lock_set.insert(plan.base_partition);
             let outcome = if plan.lock_set.is_single() {
@@ -216,25 +206,9 @@ impl<A: LiveAdvisor + 'static> Client<A> {
                     self.reply.take_or_abandon(|| lane.is_closed())
                 };
                 match got {
-                    Some(SingleReply::Done {
-                        committed,
-                        session,
-                        accessed,
-                        access_counts,
-                        undo_disabled_ever,
-                        speculative,
-                        times,
-                    }) => {
+                    Some(SingleReply::Done { committed, session, fp, times }) => {
                         acc.fold_reply(times, us_since(t_send));
-                        Attempt::Done {
-                            committed,
-                            accessed,
-                            access_counts,
-                            undo_disabled_ever,
-                            speculative,
-                            early_released: false,
-                            session,
-                        }
+                        Attempt::Done { committed, fp, session }
                     }
                     Some(SingleReply::Mispredict { req: r, observed, session, times }) => {
                         acc.fold_reply(times, us_since(t_send));
@@ -262,73 +236,27 @@ impl<A: LiveAdvisor + 'static> Client<A> {
                 )
             };
             match outcome {
-                Attempt::Done {
-                    committed,
-                    accessed,
-                    access_counts,
-                    undo_disabled_ever,
-                    speculative,
-                    early_released,
-                    session: s,
-                } => {
-                    let (record, reclaimed) = env.advisor.end_live_reclaim(
-                        s,
-                        if committed { TxnOutcome::Committed } else { TxnOutcome::UserAborted },
-                    );
-                    emit_feedback(&mut fb_dropped, fb_tx, record);
-                    if let Some(r) = reclaimed {
-                        self.spare.insert(proc, r);
-                    }
-                    if committed {
-                        done = Some(DoneStats {
-                            latency_us: us_since(t0),
-                            base_partition: plan.base_partition,
-                            lock_set: plan.lock_set,
-                            accessed,
-                            access_counts,
-                            undo_disabled_ever,
-                            speculative,
-                            early_released,
-                        });
-                        break Ok(TxnOutcome::Committed);
-                    }
-                    break Ok(TxnOutcome::UserAborted);
+                Attempt::Done { committed, fp, session: s } => {
+                    let outcome =
+                        if committed { TxnOutcome::Committed } else { TxnOutcome::UserAborted };
+                    self.end_session(proc, s, outcome, &mut fb_dropped);
+                    break Ok((outcome, fp, us_since(t0)));
                 }
                 Attempt::Mispredict { observed, session: s } => {
-                    attempt += 1;
                     restarts += 1;
                     last_observed = observed;
                     // The superseded session's executed prefix is
-                    // maintenance signal (the sim path records it the same
-                    // way, §4.5) before the replan replaces it; its plan
-                    // scratch is reclaimed for the retry's session.
-                    let (record, reclaimed) =
-                        env.advisor.end_live_reclaim(s, TxnOutcome::Mispredicted);
-                    emit_feedback(&mut fb_dropped, fb_tx, record);
-                    if let Some(r) = reclaimed {
-                        self.spare.insert(proc, r);
-                    }
+                    // maintenance signal (§4.5) before the replan replaces
+                    // it; its plan scratch is reclaimed for the retry's
+                    // session. (Riding it into the retry would concatenate
+                    // two walks into one feedback path and intern phantom
+                    // states.)
+                    self.end_session(proc, s, TxnOutcome::Mispredicted, &mut fb_dropped);
                     let r = req.as_ref().expect("request survives a mispredict");
                     let t_est = Instant::now();
-                    let (p, ns) = env.advisor.replan_live(r, observed, attempt, &ctx);
+                    let max = env.cfg.max_restarts;
+                    session = replan(&env.advisor, r, &ctx, observed, &mut attempt, max, &mut plan);
                     acc.est_us += us_since(t_est);
-                    session = ns;
-                    plan = if attempt > env.cfg.max_restarts {
-                        // Forced fallback: the *plan* is lock-all whatever
-                        // the advisor answered — exactly like the
-                        // simulator past `max_restarts`, guaranteeing
-                        // termination for any advisor. (The aborted
-                        // attempt's session was torn down above like any
-                        // other; riding it into the retry would
-                        // concatenate two walks into one feedback path and
-                        // intern phantom states.)
-                        TxnPlan::lock_all(
-                            observed.first().unwrap_or(plan.base_partition),
-                            env.num_partitions,
-                        )
-                    } else {
-                        p
-                    };
                 }
                 Attempt::Cascaded => {
                     // The speculative execution was discarded by a cascade;
@@ -378,37 +306,9 @@ impl<A: LiveAdvisor + 'static> Client<A> {
         for &us in &self.lock_holds {
             m.lock_hold.record_us(us);
         }
-        match &result {
-            Ok(TxnOutcome::Committed) => {
-                let d = done.take().expect("commit recorded its stats");
-                m.committed += 1;
-                *m.committed_by_proc.entry(proc).or_insert(0) += 1;
-                m.record_latency(proc, d.latency_us);
-                if d.lock_set.is_single() {
-                    m.single_partition += 1;
-                } else {
-                    m.distributed += 1;
-                }
-                if d.undo_disabled_ever {
-                    m.no_undo += 1;
-                }
-                if d.speculative {
-                    m.speculative += 1;
-                }
-                m.tally_ops(
-                    proc,
-                    d.base_partition,
-                    d.lock_set,
-                    d.accessed,
-                    &d.access_counts,
-                    env.num_partitions,
-                    d.undo_disabled_ever,
-                    d.speculative,
-                    d.early_released,
-                );
-            }
-            Ok(_) => m.user_aborts += 1,
-            Err(_) => {}
+        if let Ok((outcome, fp, latency_us)) = &result {
+            let committed = *outcome == TxnOutcome::Committed;
+            m.record_txn(proc, &plan, committed, fp, env.num_partitions, Some(*latency_us));
         }
         let p = &mut m.profile;
         p.add(proc, Bucket::Estimation, acc.est_us);
@@ -422,7 +322,7 @@ impl<A: LiveAdvisor + 'static> Client<A> {
         p.add(proc, Bucket::Other, (total_us - known).max(0.0));
         p.finish_txn(proc);
         drop(m);
-        result
+        result.map(|(outcome, ..)| outcome)
     }
 }
 

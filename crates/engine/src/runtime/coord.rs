@@ -7,23 +7,18 @@ use super::wire::{
 };
 use super::LANE_CAPACITY;
 use crate::advisor::{LiveAdvisor, Request, TxnPlan};
-use crate::exec::ExecutedQuery;
 use crate::procedure::Step;
+use crate::txn::{Cursor, Footprint};
 use common::ring;
 use common::sync::Arc;
-use common::{Error, FxHashMap, PartitionId, PartitionSet, QueryId, Result, Value};
+use common::{Error, PartitionSet, QueryId, Result, Value};
 use std::time::Instant;
-use storage::Row;
 
 /// How one execution attempt ended, from the client's point of view.
 pub(super) enum Attempt<S> {
     Done {
         committed: bool,
-        accessed: PartitionSet,
-        access_counts: FxHashMap<PartitionId, u32>,
-        undo_disabled_ever: bool,
-        speculative: bool,
-        early_released: bool,
+        fp: Footprint,
         session: S,
     },
     Mispredict {
@@ -156,11 +151,12 @@ pub(super) fn run_distributed<A: LiveAdvisor>(
     acc.coord_us += lock_wait;
     acc.lock_us += lock_wait;
     let t_locked = Instant::now();
-    // Early-released partitions: `released` is the union the mispredict
-    // rule and metrics see; `windowed` is the subset whose fragment wrote
-    // (speculation window open, 2PC outcome still owed), the rest were
-    // read-only participants and are completely done with this txn.
-    let mut released = PartitionSet::EMPTY;
+    // Early-released partitions: `fp.early_released` is the union the
+    // mispredict rule and metrics see; `windowed` is the subset whose
+    // fragment wrote (speculation window open, 2PC outcome still owed), the
+    // rest were read-only participants and are completely done with this
+    // txn.
+    let mut fp = Footprint::default();
     let mut windowed = PartitionSet::EMPTY;
     // Partitions any write query touched so far (the coordinator's view of
     // which fragments are contingent — same catalog knowledge the workers
@@ -231,47 +227,29 @@ pub(super) fn run_distributed<A: LiveAdvisor>(
         failure.map_or(Ok(()), Err)
     };
 
-    let mut inst = env.registry.get(req.proc).instantiate(&req.args);
-    let mut results: Option<Vec<Vec<Row>>> = None;
-    let mut accessed = PartitionSet::EMPTY;
-    let mut access_counts: FxHashMap<PartitionId, u32> = FxHashMap::default();
-    let mut pending_abort: Option<String> = None;
+    let mut cursor = Cursor::new(&env.registry, req.proc, &req.args);
+    let proc_def = env.catalog.proc(req.proc);
+    // Each batch query's targets, reused across batch steps.
+    let mut q_targets: Vec<PartitionSet> = Vec::new();
     // Per-participant reply cursors for the current batch, reused across
     // batch steps (entries are taken by the merge and cleared after it).
     let mut per_part: Vec<Option<std::vec::IntoIter<BatchItem>>> = (0..n).map(|_| None).collect();
     let (fin, committed) = loop {
         // Control code runs here on the coordinator: Execution time.
         let t_step = Instant::now();
-        let step = match pending_abort.take() {
-            Some(msg) => Step::Abort(msg),
-            None => inst.next(results.as_deref()),
-        };
+        let step = cursor.next();
         acc.exec_us += us_since(t_step);
         match step {
             Step::Queries(batch) => {
                 let t_batch = Instant::now();
                 let mut batch_est_us = 0.0f64;
-                let mut seen = PartitionSet::EMPTY;
-                let mut violation = false;
-                let mut q_targets: Vec<PartitionSet> = Vec::with_capacity(batch.len());
-                for inv in &batch {
-                    let def = env.catalog.proc(req.proc).query(inv.query);
-                    let targets = def.estimate_partitions_n(env.num_partitions, &inv.params);
-                    seen = seen.union(targets);
-                    // Re-touching an early-released partition is a
-                    // mispredict like leaving the lock set (same rule as
-                    // the simulator).
-                    if !targets.is_subset(lock_set) || !targets.intersect(released).is_empty() {
-                        violation = true;
-                        break;
-                    }
-                    q_targets.push(targets);
-                }
-                if violation {
-                    let fin = finish_all(ports, acc, released, windowed, false);
-                    record_remaining_hold(lock_holds, lock_set, released, t_locked);
+                let checked =
+                    fp.check_batch(proc_def, env.num_partitions, &batch, lock_set, &mut q_targets);
+                if let Err(observed) = checked {
+                    let fin = finish_all(ports, acc, fp.early_released, windowed, false);
+                    record_remaining_hold(lock_holds, lock_set, fp.early_released, t_locked);
                     return match fin {
-                        Ok(()) => Attempt::Mispredict { observed: accessed.union(seen), session },
+                        Ok(()) => Attempt::Mispredict { observed, session },
                         Err(e) => Attempt::Fatal(e),
                     };
                 }
@@ -342,8 +320,8 @@ pub(super) fn run_distributed<A: LiveAdvisor>(
                     }
                 }
                 if let Some(e) = fatal {
-                    let _ = finish_all(ports, acc, released, windowed, false);
-                    record_remaining_hold(lock_holds, lock_set, released, t_locked);
+                    let _ = finish_all(ports, acc, fp.early_released, windowed, false);
+                    record_remaining_hold(lock_holds, lock_set, fp.early_released, t_locked);
                     return Attempt::Fatal(e);
                 }
                 // Merge per query in ascending partition order — identical
@@ -356,9 +334,8 @@ pub(super) fn run_distributed<A: LiveAdvisor>(
                 // rollback erases whatever a participant over-executed.
                 let mut pending_release = PartitionSet::EMPTY;
                 let mut batch_results = Vec::with_capacity(batch.len());
-                for (inv, targets) in batch.into_iter().zip(q_targets) {
-                    let def = env.catalog.proc(req.proc).query(inv.query);
-                    let is_write = def.is_write();
+                for (inv, &targets) in batch.into_iter().zip(&q_targets) {
+                    let def = proc_def.query(inv.query);
                     let mut rows = Vec::new();
                     let mut constraint: Option<String> = None;
                     for p in targets.iter() {
@@ -373,34 +350,21 @@ pub(super) fn run_distributed<A: LiveAdvisor>(
                             }
                         }
                     }
-                    accessed = accessed.union(targets);
-                    if is_write {
+                    if def.is_write() {
                         wrote_parts = wrote_parts.union(targets);
                     }
-                    for p in targets.iter() {
-                        *access_counts.entry(p).or_insert(0) += 1;
-                    }
                     if let Some(msg) = constraint {
-                        pending_abort = Some(msg);
+                        cursor.constraint(msg);
                         break;
                     }
                     // Runtime updates: OP3 is ignored on the distributed
-                    // path (undo stays on), but OP4 finish declarations
-                    // accumulate for the end-of-batch early prepare.
+                    // path (undo stays on at every participant), but OP4
+                    // finish declarations accumulate for the end-of-batch
+                    // early prepare.
                     let t_est = Instant::now();
-                    let upd = env.advisor.on_query_live(
-                        &mut session,
-                        &ExecutedQuery {
-                            query: inv.query,
-                            params: inv.params,
-                            partitions: targets,
-                            is_write,
-                        },
-                    );
+                    let upd = fp.observe(&env.advisor, &mut session, plan, None, def, inv, targets);
                     batch_est_us += us_since(t_est);
-                    if plan.early_prepare {
-                        pending_release = pending_release.union(upd.finished);
-                    }
+                    pending_release = pending_release.union(upd.finished);
                     batch_results.push(rows);
                 }
                 for leftover in &mut per_part {
@@ -415,7 +379,7 @@ pub(super) fn run_distributed<A: LiveAdvisor>(
                 // so the base is just another fragment executor (the
                 // simulator's base runs the control code and stays busy to
                 // commit).
-                let to_release = pending_release.difference(released).intersect(lock_set);
+                let to_release = pending_release.difference(fp.early_released).intersect(lock_set);
                 for p in to_release.iter() {
                     // Unacknowledged by design (the paper's unsolicited
                     // vote): the worker serves this lane's commands in
@@ -432,18 +396,18 @@ pub(super) fn run_distributed<A: LiveAdvisor>(
                         // The guard drop releases everything still held —
                         // record the hold time for those partitions like
                         // every other release path (this partition is still
-                        // held too: `released` not yet updated).
-                        record_remaining_hold(lock_holds, lock_set, released, t_locked);
+                        // held too: `early_released` not yet updated).
+                        record_remaining_hold(lock_holds, lock_set, fp.early_released, t_locked);
                         return Attempt::Fatal(e);
                     }
-                    released.insert(p);
+                    fp.early_released.insert(p);
                     if speculate {
                         windowed.insert(p);
                     }
                     lock_holds.push(t_locked.elapsed().as_secs_f64() * 1e6);
                     locks_held.release_early(p);
                 }
-                results = Some(batch_results);
+                cursor.resume(batch_results);
                 // Everything in this arm except the advisor calls —
                 // fragment shipping, participant execution, reply
                 // collection, early-prepare sends — counts as Execution;
@@ -452,7 +416,7 @@ pub(super) fn run_distributed<A: LiveAdvisor>(
                 acc.exec_us += (us_since(t_batch) - batch_est_us).max(0.0);
             }
             Step::Commit => {
-                let fin = finish_all(ports, acc, released, windowed, true);
+                let fin = finish_all(ports, acc, fp.early_released, windowed, true);
                 // Durable mode: one durability wait per distributed write
                 // commit, through the shared sequencer — and *after* the
                 // lock guard drops. The ticket is taken first, while every
@@ -465,7 +429,7 @@ pub(super) fn run_distributed<A: LiveAdvisor>(
                     Some(d) if fin.is_ok() && !wrote_parts.is_empty() => Some((d, d.seq.enqueue())),
                     _ => None,
                 };
-                record_remaining_hold(lock_holds, lock_set, released, t_locked);
+                record_remaining_hold(lock_holds, lock_set, fp.early_released, t_locked);
                 drop(locks_held);
                 if let Some((d, t)) = ticket {
                     // Ride the flusher's windowed group commit rather than
@@ -481,22 +445,14 @@ pub(super) fn run_distributed<A: LiveAdvisor>(
                 break (fin, true);
             }
             Step::Abort(_) => {
-                let fin = finish_all(ports, acc, released, windowed, false);
-                record_remaining_hold(lock_holds, lock_set, released, t_locked);
+                let fin = finish_all(ports, acc, fp.early_released, windowed, false);
+                record_remaining_hold(lock_holds, lock_set, fp.early_released, t_locked);
                 break (fin, false);
             }
         }
     };
     match fin {
-        Ok(()) => Attempt::Done {
-            committed,
-            accessed,
-            access_counts,
-            undo_disabled_ever: false,
-            speculative: false,
-            early_released: !released.is_empty(),
-            session,
-        },
+        Ok(()) => Attempt::Done { committed, fp, session },
         Err(e) => Attempt::Fatal(e),
     }
 }

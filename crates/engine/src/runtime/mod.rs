@@ -24,6 +24,13 @@
 //! * `lifecycle` — [`LiveConfig`], `Shared`, `Durable`, [`LiveRuntime`]
 //!   start / recover / teardown, cluster snapshots, [`run_live`].
 //!
+//! The per-transaction protocol itself — the control-code cursor, the
+//! batch check, the footprint fold and advisor update, the mispredict
+//! fallback, the outcome record — is not here: it is the crate's
+//! transaction-step kernel (`crate::txn`), which `worker` (the fast path)
+//! and `coord` / `client` (the coordinator) drive exactly as
+//! [`crate::Simulation`] does.
+//!
 //! ## Thread and ownership model
 //!
 //! The runtime is a *server*, embeddable as a library: [`LiveRuntime::
@@ -79,11 +86,11 @@
 //!   therefore progressing) transactions, so the runtime as a whole stays
 //!   deadlock-free by construction.
 //!
-//! Mispredicts are handled exactly like [`crate::Simulation`]: a query
-//! batch that targets a partition outside the lock set rolls the
-//! transaction back, the advisor replans (`attempt` counting up), and after
-//! `max_restarts` the transaction falls back to a lock-all plan that cannot
-//! mispredict.
+//! Mispredicts go through the kernel the simulator uses: a query batch that
+//! targets a partition outside the lock set (or an early-released one)
+//! rolls the transaction back, the advisor replans (`attempt` counting
+//! up), and after `max_restarts` the transaction falls back to a lock-all
+//! plan that cannot mispredict.
 //!
 //! Commit runs real two-phase commit, coalesced per (coordinator,
 //! participant) pair: participants in this engine always vote yes (every
@@ -107,8 +114,9 @@
 //! ## Early prepare + speculative execution (OP4, §2/§4.4)
 //!
 //! When the advisor declares locked partitions *finished* mid-transaction
-//! (`Updates::finished`, gated by `TxnPlan::early_prepare`), the
-//! coordinator sends those workers an early-prepare at the end of the
+//! (`Updates::finished`, which the kernel empties unless
+//! `TxnPlan::early_prepare` holds), the coordinator sends those workers
+//! an early-prepare at the end of the
 //! batch and releases their slots in the lock manager at once — the
 //! prepare *is* the unsolicited 2PC vote, nothing is awaited, and the
 //! worker (serving this lane's commands in order) is guaranteed to
@@ -126,7 +134,8 @@
 //! transaction that touched no table written inside the window (by the
 //! fragment or by a deferred speculative commit) is acknowledged
 //! immediately and its effects are final — §2 OP4's non-conflicting case,
-//! the same table-mask rule the simulator charges; every *conflicting*
+//! a test on the kernel's `table_bit` masks that the simulator charges
+//! too; every *conflicting*
 //! completion — commit, user abort, or mispredict — is deferred, and a
 //! conflicting speculative commit pushes its undo log onto the stack. On
 //! commit the stack is discarded and the deferred acknowledgements go out
@@ -136,8 +145,8 @@
 //! fresh advisor session and retries (not counted as a mispredict
 //! restart). Reservations from *other* distributed transactions that
 //! arrive during a speculation window are admitted only once the window
-//! resolves; touching an early-released partition again is a mispredict,
-//! exactly as in the simulator.
+//! resolves; touching an early-released partition again is a mispredict
+//! (the kernel's batch check, shared with the simulator).
 //!
 //! Deadlock-freedom still holds: a speculating worker waits only for the
 //! coordinator that early-prepared it, and "C' reserves a worker

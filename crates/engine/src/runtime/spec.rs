@@ -6,6 +6,7 @@ use super::worker::{flush, release_group, run_single, stamp_times, DeferredAck, 
 use super::SPEC_WATCHDOG;
 use crate::advisor::{LiveAdvisor, Request};
 use crate::exec::execute_fragment;
+use crate::txn::table_bit;
 use common::sync::Arc;
 use common::Error;
 use std::time::Instant;
@@ -21,7 +22,7 @@ pub(super) struct SpecSession {
     /// a window is open).
     lane: usize,
     stack: SpeculationStack,
-    /// [`crate::sim::table_bit`] mask of tables written inside the window
+    /// `table_bit` mask of tables written inside the window
     /// so far: the early-prepared fragment's writes plus every deferred
     /// speculative commit's. A speculative transaction whose touched set is
     /// disjoint from this cannot depend on contingent state (§2 OP4).
@@ -72,7 +73,7 @@ pub(super) fn serve_reservation<A: LiveAdvisor>(
                     match execute_fragment(shard, def, &params, &mut undo) {
                         Ok(rows) => {
                             if def.is_write() {
-                                wrote_tables |= crate::sim::table_bit(def.table);
+                                wrote_tables |= table_bit(def.table);
                             }
                             items.push(BatchItem::Rows(rows));
                         }
@@ -221,12 +222,9 @@ pub(super) fn speculate<A: LiveAdvisor>(
         let mut t_cursor = Instant::now();
         for msg in run.drain(..) {
             let SingleMsg { req, plan, session, reply, enqueued } = msg;
-            let queued_us = t_cursor.duration_since(enqueued).as_secs_f64() * 1e6;
-            let mut out = run_single(shard, env, req, &plan, session, true);
+            let mut out = run_single(shard, env, req, &plan, session, true, &mut intake.targets);
+            stamp_times(&mut out, enqueued, &mut t_cursor);
             let durable = out.needs_flush();
-            let t_done = Instant::now();
-            stamp_times(&mut out, queued_us, (t_done - t_cursor).as_secs_f64() * 1e6);
-            t_cursor = t_done;
             // Same conflict rule as the simulator (§2 OP4): contingent
             // means having touched a table written inside the window — by
             // the early-prepared fragment or by a deferred speculative
@@ -406,10 +404,10 @@ mod tests {
         let (reply, after, before) =
             drive_speculation(true, vec![Value::Array(vec![Value::Int(0)])], true);
         match reply {
-            SingleReply::Done { committed, speculative, undo_disabled_ever, .. } => {
+            SingleReply::Done { committed, fp, .. } => {
                 assert!(committed);
-                assert!(speculative, "executed inside the window");
-                assert!(!undo_disabled_ever, "OP3 must be ignored while speculating (§4.3)");
+                assert!(fp.speculative, "executed inside the window");
+                assert!(!fp.undo_disabled_ever, "OP3 must be ignored while speculating (§4.3)");
             }
             _ => panic!("expected a deferred Done"),
         }
@@ -456,9 +454,9 @@ mod tests {
         // non-conflicting case), surviving even an eventual cascade.
         let (reply, after, before) = drive_speculation(false, vec![Value::Array(vec![])], false);
         match reply {
-            SingleReply::Done { committed, speculative, .. } => {
+            SingleReply::Done { committed, fp, .. } => {
                 assert!(committed);
-                assert!(speculative);
+                assert!(fp.speculative);
             }
             _ => panic!("expected an immediate Done"),
         }
@@ -494,9 +492,9 @@ mod tests {
             // The worker keeps serving, non-speculatively, on the restored
             // state.
             match d.single(bump_id0(), false).take_within(WAIT).expect("post-window ack") {
-                SingleReply::Done { committed, speculative, .. } => {
+                SingleReply::Done { committed, fp, .. } => {
                     assert!(committed);
-                    assert!(!speculative, "the window is closed");
+                    assert!(!fp.speculative, "the window is closed");
                 }
                 _ => panic!("expected Done"),
             }

@@ -2,11 +2,12 @@
 
 use super::{REPLY_SPIN, REPLY_WATCHDOG};
 use crate::advisor::{Request, TxnPlan};
+use crate::txn::Footprint;
 use common::ring::{self, Doorbell};
 use common::sync::atomic::{AtomicU64, Ordering};
 use common::sync::mpsc::Sender;
 use common::sync::{Arc, Condvar, Mutex, PoisonError};
-use common::{Error, FxHashMap, PartitionId, PartitionSet, ProcId, QueryId, Value};
+use common::{Error, PartitionSet, ProcId, QueryId, Value};
 use std::time::Instant;
 use storage::Row;
 
@@ -152,11 +153,8 @@ pub(super) enum SingleReply<S> {
     Done {
         committed: bool,
         session: S,
-        accessed: PartitionSet,
-        access_counts: FxHashMap<PartitionId, u32>,
-        undo_disabled_ever: bool,
-        /// Executed inside a speculation window (deferred acknowledgement).
-        speculative: bool,
+        /// `fp.speculative`: executed inside a speculation window.
+        fp: Footprint,
         times: StageTimes,
     },
     Mispredict {

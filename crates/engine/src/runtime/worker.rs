@@ -5,14 +5,15 @@ use super::spec::{serve_reservation, speculate};
 use super::wire::{us_since, CtrlMsg, FragConn, SingleMsg, SingleReply, SingleSlot, StageTimes};
 use super::IDLE_SPIN;
 use crate::advisor::{LiveAdvisor, Request, TxnPlan};
-use crate::exec::{execute_fragment, ExecutedQuery};
+use crate::exec::execute_fragment;
 use crate::procedure::Step;
+use crate::txn::{table_bit, Cursor, Footprint};
 use common::ring::{self, Doorbell};
 use common::sync::mpsc::{Receiver, Sender};
 use common::sync::Arc;
-use common::{Error, FxHashMap, PartitionId, PartitionSet};
+use common::{Error, PartitionSet};
 use std::time::{Duration, Instant};
-use storage::{Row, Shard, UndoLog};
+use storage::{Shard, UndoLog};
 
 /// One worker's inbound state: the control receiver and doorbell (its half
 /// of the `WorkerGate`), the registered fast-path and fragment lanes, and
@@ -29,6 +30,9 @@ pub(super) struct Intake<'a, S> {
     /// top — never inside a speculation window).
     snaps: Vec<(u64, Sender<()>)>,
     shutdown: bool,
+    /// [`run_single`]'s batch-check scratch, reused by every call this
+    /// worker serves (the fast path allocates no per-call target list).
+    pub(super) targets: Vec<PartitionSet>,
 }
 
 impl<S> Intake<'_, S> {
@@ -169,6 +173,7 @@ pub(super) fn worker_loop<A: LiveAdvisor>(
         frag_lanes: Vec::new(),
         snaps: Vec::new(),
         shutdown: false,
+        targets: Vec::new(),
     };
     let mut run: Vec<SingleMsg<A::Session>> = Vec::new();
     // The ticket of the last ack this worker routed to the flusher
@@ -229,19 +234,13 @@ pub(super) fn worker_loop<A: LiveAdvisor>(
             }
             continue;
         }
-        // One timestamp per completion bounds two intervals at once: the
-        // previous transaction's execution span and this one's queue wait
-        // (execution starts when the predecessor finishes) — halving the
-        // clock reads of a stamp-before-and-after scheme.
         let mut t_cursor = Instant::now();
         for msg in run.drain(..) {
             let SingleMsg { req, plan, session, reply, enqueued } = msg;
-            let queued_us = t_cursor.duration_since(enqueued).as_secs_f64() * 1e6;
-            let mut out = run_single(&mut shard, env, req, &plan, session, false);
+            let mut out =
+                run_single(&mut shard, env, req, &plan, session, false, &mut intake.targets);
+            stamp_times(&mut out, enqueued, &mut t_cursor);
             debug_assert!(out.spec_undo.is_none(), "non-speculative commit retained undo");
-            let t_done = Instant::now();
-            stamp_times(&mut out, queued_us, (t_done - t_cursor).as_secs_f64() * 1e6);
-            t_cursor = t_done;
             match &env.durable {
                 Some(d) if out.needs_flush() => {
                     // Command-log the committed writer at its service
@@ -281,7 +280,8 @@ pub(super) struct SingleOutcome<S> {
     /// The commit's undo log, retained only when executed speculatively
     /// (for the shard's `SpeculationStack`).
     pub(super) spec_undo: Option<UndoLog>,
-    /// [`crate::sim::table_bit`] mask of tables read or written.
+    /// `table_bit` mask of tables read or written (the footprint's, kept
+    /// here because a `Mispredict` reply carries none).
     pub(super) touched_tables: u64,
     /// Mask of tables written.
     pub(super) wrote_tables: u64,
@@ -310,27 +310,34 @@ impl<S> SingleOutcome<S> {
 }
 
 /// Stamps the worker-side stage timings (queue wait, advisor share,
-/// execution) onto a fast-path reply; `span_us` is the transaction's
-/// whole execution span as the caller's clock batching measured it.
-pub(super) fn stamp_times<S>(out: &mut SingleOutcome<S>, queued_us: f64, span_us: f64) {
-    let times =
-        StageTimes { queued_us, est_us: out.est_us, exec_us: (span_us - out.est_us).max(0.0) };
-    match &mut out.reply {
-        SingleReply::Done { times: t, .. } | SingleReply::Mispredict { times: t, .. } => *t = times,
-        SingleReply::Cascaded { .. } | SingleReply::Fatal(_) => {}
+/// execution) onto a just-finished fast-path reply. `t_cursor` is the
+/// previous completion, which is when this execution started, and advances
+/// to this one's: one timestamp per completion bounds two intervals at
+/// once, halving the clock reads of a stamp-before-and-after scheme.
+pub(super) fn stamp_times<S>(
+    out: &mut SingleOutcome<S>,
+    enqueued: Instant,
+    t_cursor: &mut Instant,
+) {
+    let t_done = Instant::now();
+    let queued_us = t_cursor.duration_since(enqueued).as_secs_f64() * 1e6;
+    let exec_us = ((t_done - *t_cursor).as_secs_f64() * 1e6 - out.est_us).max(0.0);
+    *t_cursor = t_done;
+    if let SingleReply::Done { times, .. } | SingleReply::Mispredict { times, .. } = &mut out.reply
+    {
+        *times = StageTimes { queued_us, est_us: out.est_us, exec_us };
     }
 }
 
 /// Executes one whole single-partition transaction on the owning worker —
-/// the lock-free fast path. Mirrors `Simulation::try_execute` minus timing
-/// and remote work.
+/// the lock-free fast path, one shard's driver of the `crate::txn` kernel.
+/// `targets` is the worker's batch-check scratch.
 ///
 /// With `speculating` set the transaction runs inside an open speculation
 /// window: undo logging is force-enabled whatever OP3 decided (initial
-/// `disable_undo` *and* runtime updates are ignored, §4.3 — the same
-/// invariant the simulator applies), and a commit returns its undo log for
-/// the caller to push onto the shard's `SpeculationStack` instead of
-/// clearing it.
+/// `disable_undo` *and* runtime updates are ignored, §4.3 — the kernel's
+/// speculation guard), and a commit returns its undo log for the caller to
+/// push onto the shard's `SpeculationStack` instead of clearing it.
 pub(super) fn run_single<A: LiveAdvisor>(
     shard: &mut Shard,
     env: &Shared<A>,
@@ -338,154 +345,80 @@ pub(super) fn run_single<A: LiveAdvisor>(
     plan: &TxnPlan,
     mut session: A::Session,
     speculating: bool,
+    targets: &mut Vec<PartitionSet>,
 ) -> SingleOutcome<A::Session> {
     let me = shard.partition();
     debug_assert_eq!(plan.lock_set, PartitionSet::single(me), "fast path misrouted");
-    let lock_set = plan.lock_set;
-    let mut inst = env.registry.get(req.proc).instantiate(&req.args);
-    let start_without_undo = plan.disable_undo && !speculating;
-    let mut undo = if start_without_undo { UndoLog::disabled() } else { UndoLog::new() };
-    let mut undo_disabled_ever = start_without_undo;
-    let mut results: Option<Vec<Vec<Row>>> = None;
-    let mut accessed = PartitionSet::EMPTY;
-    let mut access_counts: FxHashMap<PartitionId, u32> = FxHashMap::default();
-    let mut touched_tables = 0u64;
+    let proc_def = env.catalog.proc(req.proc);
+    let mut cursor = Cursor::new(&env.registry, req.proc, &req.args);
+    let (mut fp, mut undo) = Footprint::begin(plan, speculating);
     let mut wrote_tables = 0u64;
     let mut est_us = 0.0f64;
-    let mut pending_abort: Option<String> = None;
-    // How the transaction ended: the reply, the request (unless the reply
-    // carries it), and the undo log a speculative commit retains.
-    let (reply, req, spec_undo) = loop {
-        let step = match pending_abort.take() {
-            Some(msg) => Step::Abort(msg),
-            None => inst.next(results.as_deref()),
-        };
-        match step {
+    // How the control code ended: `Ok(committed)`, or a mispredict's
+    // `Err(observed)`.
+    let end = loop {
+        match cursor.next() {
             Step::Queries(batch) => {
-                // Validate targets before touching storage, exactly like the
-                // simulator: the transaction learns the partitions of the
-                // queries up to and including the first offending one.
-                let mut seen = PartitionSet::EMPTY;
-                let mut violation = false;
-                for inv in &batch {
-                    let def = env.catalog.proc(req.proc).query(inv.query);
-                    let targets = def.estimate_partitions_n(env.num_partitions, &inv.params);
-                    seen = seen.union(targets);
-                    if !targets.is_subset(lock_set) {
-                        violation = true;
-                        break;
-                    }
-                }
-                if violation {
-                    if !undo.can_rollback() {
-                        return SingleOutcome::plain(
-                            SingleReply::Fatal(Error::UnrecoverableAbort {
-                                txn: u64::from(req.proc) + 1000,
-                            }),
-                            Some(req),
-                        );
-                    }
-                    if let Err(e) = shard.rollback(&mut undo) {
-                        return SingleOutcome::plain(SingleReply::Fatal(e), Some(req));
-                    }
-                    let reply = SingleReply::Mispredict {
-                        req,
-                        observed: accessed.union(seen),
-                        session,
-                        times: StageTimes::default(),
-                    };
-                    break (reply, None, None);
+                let n = env.num_partitions;
+                if let Err(observed) = fp.check_batch(proc_def, n, &batch, plan.lock_set, targets) {
+                    break Err(observed);
                 }
                 let mut batch_results = Vec::with_capacity(batch.len());
                 for inv in batch {
-                    let def = env.catalog.proc(req.proc).query(inv.query);
-                    let is_write = def.is_write();
+                    let def = proc_def.query(inv.query);
                     let rows = match execute_fragment(shard, def, &inv.params, &mut undo) {
                         Ok(rows) => rows,
                         Err(Error::Constraint(msg)) => {
-                            pending_abort = Some(msg);
+                            cursor.constraint(msg);
                             break;
                         }
                         Err(e) => return SingleOutcome::plain(SingleReply::Fatal(e), Some(req)),
                     };
-                    accessed.insert(me);
-                    *access_counts.entry(me).or_insert(0) += 1;
-                    touched_tables |= crate::sim::table_bit(def.table);
-                    if is_write {
-                        wrote_tables |= crate::sim::table_bit(def.table);
+                    if def.is_write() {
+                        wrote_tables |= table_bit(def.table);
                     }
                     let t_est = Instant::now();
-                    let upd = env.advisor.on_query_live(
-                        &mut session,
-                        &ExecutedQuery {
-                            query: inv.query,
-                            params: inv.params,
-                            partitions: PartitionSet::single(me),
-                            is_write,
-                        },
-                    );
+                    let single = PartitionSet::single(me);
+                    fp.observe(&env.advisor, &mut session, plan, Some(&mut undo), def, inv, single);
                     est_us += us_since(t_est);
-                    // Runtime OP3 is ignored while speculating: a
-                    // speculative transaction must stay able to cascade.
-                    if upd.disable_undo && !speculating && undo.is_enabled() {
-                        undo.disable();
-                        undo_disabled_ever = true;
-                    }
                     batch_results.push(rows);
                 }
-                results = Some(batch_results);
+                cursor.resume(batch_results);
             }
-            Step::Commit => {
-                // Durable effects are *not* flushed here: the caller
-                // routes the ack through the flusher when
-                // `SingleOutcome::needs_flush` says this transaction wrote
-                // (see [`worker_loop`]).
-                let reply = SingleReply::Done {
-                    committed: true,
-                    session,
-                    accessed,
-                    access_counts,
-                    undo_disabled_ever,
-                    speculative: speculating,
-                    times: StageTimes::default(),
-                };
-                if speculating {
-                    // The commit is contingent on the early-prepared
-                    // transaction: hand the undo log back for the
-                    // speculation stack (§4.3 — undo is always kept here).
-                    assert!(
-                        undo.can_rollback(),
-                        "speculative transaction ran without undo (OP3 leak)"
-                    );
-                    break (reply, Some(req), Some(undo));
-                }
-                undo.clear();
-                break (reply, Some(req), None);
-            }
-            Step::Abort(_) => {
-                if !undo.can_rollback() {
-                    return SingleOutcome::plain(
-                        SingleReply::Fatal(Error::UnrecoverableAbort { txn: u64::from(req.proc) }),
-                        Some(req),
-                    );
-                }
-                if let Err(e) = shard.rollback(&mut undo) {
-                    return SingleOutcome::plain(SingleReply::Fatal(e), Some(req));
-                }
-                let reply = SingleReply::Done {
-                    committed: false,
-                    session,
-                    accessed,
-                    access_counts,
-                    undo_disabled_ever,
-                    speculative: speculating,
-                    times: StageTimes::default(),
-                };
-                // Aborted effects are already rolled back; nothing for
-                // the stack, but the masks still classify conflicts.
-                break (reply, Some(req), None);
-            }
+            Step::Commit => break Ok(true),
+            Step::Abort(_) => break Ok(false),
         }
+    };
+    // Durable effects are *not* flushed here: the caller routes a commit's
+    // ack through the flusher when `SingleOutcome::needs_flush` says it
+    // wrote (see [`worker_loop`]). A speculative commit is contingent on
+    // the early-prepared transaction, so it hands its undo log back for
+    // the speculation stack (§4.3 — undo is always kept there); an abort or
+    // mispredict rolls back, its masks still classifying conflicts.
+    let spec_undo = match end {
+        Ok(true) if speculating => {
+            assert!(undo.can_rollback(), "speculative transaction ran without undo (OP3 leak)");
+            Some(undo)
+        }
+        Ok(true) => {
+            undo.clear();
+            None
+        }
+        _ if !undo.can_rollback() => {
+            let txn = u64::from(req.proc) + if end.is_err() { 1000 } else { 0 };
+            let fatal = SingleReply::Fatal(Error::UnrecoverableAbort { txn });
+            return SingleOutcome::plain(fatal, Some(req));
+        }
+        _ => match shard.rollback(&mut undo) {
+            Ok(()) => None,
+            Err(e) => return SingleOutcome::plain(SingleReply::Fatal(e), Some(req)),
+        },
+    };
+    let touched_tables = fp.touched_tables;
+    let times = StageTimes::default();
+    let (reply, req) = match end {
+        Ok(committed) => (SingleReply::Done { committed, session, fp, times }, Some(req)),
+        Err(observed) => (SingleReply::Mispredict { req, observed, session, times }, None),
     };
     SingleOutcome { reply, req, spec_undo, touched_tables, wrote_tables, est_us }
 }
@@ -625,6 +558,7 @@ pub(super) mod tests {
     use common::sync::mpsc::channel;
     use common::sync::Mutex;
     use common::{QueryId, Value};
+    use storage::Row;
 
     /// Sorted `(key, row)` snapshot of one table slice, for byte-identical
     /// state comparisons across a speculation window.
@@ -815,7 +749,7 @@ pub(super) mod tests {
         let shard = kv_database(1, 8).into_shards().pop().unwrap();
         let read_id0 = || vec![(0, vec![Value::Int(0)])];
         let take = |slot: Arc<SingleSlot<()>>| match slot.take_within(WAIT).expect("single ack") {
-            SingleReply::Done { committed, speculative, .. } => (committed, speculative),
+            SingleReply::Done { committed, fp, .. } => (committed, fp.speculative),
             _ => panic!("expected Done"),
         };
         let mut driver = Driver::new(&env);

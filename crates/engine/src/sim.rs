@@ -13,25 +13,30 @@
 //! early and opened for speculative execution until the distributed
 //! transaction's two-phase commit completes.
 //!
-//! Prediction is *not* simulated: the simulator drives the same
-//! [`LiveAdvisor`] calls, in the same order per transaction, as the live
-//! runtime's `Client::call`, and feeds the advisor's [`LiveMaintainer`]
-//! every teardown's feedback synchronously (§4.5).
+//! Prediction is *not* simulated: every attempt runs the live runtime's
+//! transaction-step kernel (`crate::txn`: the control-code cursor, the
+//! batch check, the footprint fold and advisor update, the mispredict
+//! fallback and the outcome record), so the simulator drives the same
+//! [`LiveAdvisor`] calls, in the same order per transaction, as
+//! `Client::call`, and feeds the advisor's [`LiveMaintainer`] every
+//! teardown's feedback synchronously (§4.5). What the simulator owns is
+//! time, whole-database batch execution, and its partition occupancy model.
 
 use crate::advisor::{LiveAdvisor, LiveMaintainer, PlanContext, Request, TxnOutcome, TxnPlan};
 use crate::catalog::Catalog;
 use crate::cost::CostModel;
-use crate::exec::{execute_query, ExecutedQuery};
+use crate::exec::execute_query;
 use crate::metrics::RunMetrics;
 use crate::procedure::{ProcedureRegistry, Step};
 use crate::profiler::{Bucket, Profiler};
+use crate::txn::{replan, table_bit, Cursor, Footprint};
 use common::{
     derive_seed, seeded_rng, Error, FxHashMap, PartitionId, PartitionSet, ProcId, Result, Value,
 };
 use rand::Rng;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
-use storage::{Database, Row, UndoLog};
+use storage::{Database, UndoLog};
 
 /// Supplies the next request for a given client stream. Implemented by the
 /// benchmark workload generators.
@@ -97,19 +102,6 @@ impl SimConfig {
     }
 }
 
-/// Bit for `table` in a 64-bit speculative-conflict mask.
-///
-/// Catalogs may define more than 64 tables; every id past the top bit shares
-/// bit 63, which only makes OP4 conflict detection conservative (a
-/// speculative transaction may defer its acknowledgement unnecessarily) —
-/// never a shift overflow (debug panic / silent wrap in release, which
-/// corrupted the mask for `table % 64` collisions).
-pub(crate) fn table_bit(table: usize) -> u64 {
-    let bit = table.min(u64::BITS as usize - 1);
-    debug_assert!(bit < u64::BITS as usize);
-    1u64 << bit
-}
-
 /// Speculation window on a partition: open between an early release and the
 /// releasing transaction's commit point.
 #[derive(Debug, Clone, Copy)]
@@ -122,27 +114,26 @@ struct SpecWindow {
     written_tables: u64,
 }
 
-/// Outcome of one execution attempt.
-enum Attempt {
-    Done(TxnSummary),
-    /// The transaction touched (or was about to touch) a partition outside
-    /// its lock set, or re-touched an early-released partition.
-    Mispredict {
-        observed: PartitionSet,
-        t_fail: f64,
-    },
+impl SpecWindow {
+    /// Folds `window` into this union of the windows an attempt entered, if
+    /// it is still open at `at`: the attempt turns speculative, and its ack
+    /// may have to wait for the window's commit point.
+    fn join(&mut self, window: Option<SpecWindow>, at: f64, speculative: &mut bool) {
+        if let Some(w) = window.filter(|w| at < w.until) {
+            *speculative = true;
+            self.until = self.until.max(w.until);
+            self.written_tables |= w.written_tables;
+        }
+    }
 }
 
-/// Everything the simulator needs to know about a finished transaction.
-struct TxnSummary {
-    committed: bool,
-    client_done: f64,
-    accessed: PartitionSet,
-    access_counts: FxHashMap<PartitionId, u32>,
-    speculative: bool,
-    undo_disabled_ever: bool,
-    early_released: bool,
-    distributed: bool,
+/// Outcome of one execution attempt.
+enum Attempt {
+    /// Committed or user-aborted; the client has its answer at `client_done`.
+    Done { committed: bool, client_done: f64, fp: Footprint },
+    /// The transaction touched (or was about to touch) a partition outside
+    /// its lock set, or re-touched an early-released partition.
+    Mispredict { observed: PartitionSet, t_fail: f64 },
 }
 
 /// The simulation driver. Borrows the database, advisor, and generator; owns
@@ -232,8 +223,8 @@ impl<'a, A: LiveAdvisor> Simulation<'a, A> {
                 + rng.gen_range(0..self.cfg.partitions_per_node);
             let local_part = local_part.min(self.cfg.num_partitions - 1);
             let req = Request { proc, args, origin_node };
-            let summary = self.process_txn(&req, t, local_part)?;
-            heap.push(Reverse((Tf(summary.client_done + self.costs.client_think_us), client)));
+            let client_done = self.process_txn(&req, t, local_part)?;
+            heap.push(Reverse((Tf(client_done + self.costs.client_think_us), client)));
         }
         self.metrics.window_us = self.cfg.measure_us;
         if let Some(m) = &self.maintainer {
@@ -245,13 +236,13 @@ impl<'a, A: LiveAdvisor> Simulation<'a, A> {
     /// One request, start to finish — the same attempt loop as the live
     /// `Client::call`: plan, execute, and on a mispredict tear the
     /// superseded session down (its executed prefix is maintenance signal,
-    /// §4.5) before replanning.
+    /// §4.5) before replanning. Returns when the client has its answer.
     fn process_txn(
         &mut self,
         req: &Request,
         t_arrive: f64,
         random_local_partition: PartitionId,
-    ) -> Result<TxnSummary> {
+    ) -> Result<f64> {
         let num_partitions = self.cfg.num_partitions;
         let (mut plan, mut session) = {
             let ctx =
@@ -263,20 +254,24 @@ impl<'a, A: LiveAdvisor> Simulation<'a, A> {
         loop {
             plan.lock_set.insert(plan.base_partition);
             match self.try_execute(req, &plan, &mut session, t)? {
-                Attempt::Done(summary) => {
-                    self.finish_txn(req, &plan, &summary, t_arrive);
-                    self.end_session(
-                        session,
-                        if summary.committed {
-                            TxnOutcome::Committed
-                        } else {
-                            TxnOutcome::UserAborted
-                        },
+                Attempt::Done { committed, client_done, fp } => {
+                    let window = self.cfg.warmup_us..self.cfg.warmup_us + self.cfg.measure_us;
+                    let latency = window.contains(&client_done).then_some(client_done - t_arrive);
+                    self.profiler.finish_txn(req.proc);
+                    self.metrics.record_txn(
+                        req.proc,
+                        &plan,
+                        committed,
+                        &fp,
+                        num_partitions,
+                        latency,
                     );
-                    return Ok(summary);
+                    let outcome =
+                        if committed { TxnOutcome::Committed } else { TxnOutcome::UserAborted };
+                    self.end_session(session, outcome);
+                    return Ok(client_done);
                 }
                 Attempt::Mispredict { observed, t_fail } => {
-                    attempt += 1;
                     self.metrics.restarts += 1;
                     t = t_fail + self.costs.restart_penalty_us;
                     self.end_session(session, TxnOutcome::Mispredicted);
@@ -285,19 +280,9 @@ impl<'a, A: LiveAdvisor> Simulation<'a, A> {
                         num_partitions,
                         random_local_partition,
                     };
-                    let (replanned, fresh) = self.advisor.replan_live(req, observed, attempt, &ctx);
-                    session = fresh;
-                    // Past the restart limit the *plan* is lock-all whatever
-                    // the advisor answered, guaranteeing termination; the
-                    // replanned session still rides along.
-                    plan = if attempt > self.cfg.max_restarts {
-                        TxnPlan::lock_all(
-                            observed.first().unwrap_or(plan.base_partition),
-                            num_partitions,
-                        )
-                    } else {
-                        replanned
-                    };
+                    let max = self.cfg.max_restarts;
+                    session =
+                        replan(self.advisor, req, &ctx, observed, &mut attempt, max, &mut plan);
                 }
             }
         }
@@ -310,44 +295,6 @@ impl<'a, A: LiveAdvisor> Simulation<'a, A> {
         if let (Some(fb), Some(m)) = (feedback, self.maintainer.as_mut()) {
             m.absorb(fb);
         }
-    }
-
-    /// Updates run metrics and Table 4 counters for a finished transaction.
-    fn finish_txn(&mut self, req: &Request, plan: &TxnPlan, s: &TxnSummary, t_arrive: f64) {
-        let in_window = s.client_done >= self.cfg.warmup_us
-            && s.client_done < self.cfg.warmup_us + self.cfg.measure_us;
-        self.profiler.finish_txn(req.proc);
-        if !s.committed {
-            self.metrics.user_aborts += 1;
-            return;
-        }
-        if in_window {
-            self.metrics.committed += 1;
-            *self.metrics.committed_by_proc.entry(req.proc).or_insert(0) += 1;
-            self.metrics.record_latency(req.proc, s.client_done - t_arrive);
-        }
-        if s.distributed {
-            self.metrics.distributed += 1;
-        } else {
-            self.metrics.single_partition += 1;
-        }
-        if s.speculative {
-            self.metrics.speculative += 1;
-        }
-        if s.undo_disabled_ever {
-            self.metrics.no_undo += 1;
-        }
-        self.metrics.tally_ops(
-            req.proc,
-            plan.base_partition,
-            plan.lock_set,
-            s.accessed,
-            &s.access_counts,
-            self.cfg.num_partitions,
-            s.undo_disabled_ever,
-            s.speculative,
-            s.early_released,
-        );
     }
 
     #[allow(clippy::too_many_lines)]
@@ -386,86 +333,34 @@ impl<'a, A: LiveAdvisor> Simulation<'a, A> {
         let mut held: FxHashMap<PartitionId, f64> = FxHashMap::default();
         held.insert(base, t);
 
-        // Are we starting inside someone's speculation window?
+        // Are we starting inside someone's speculation window? A partition
+        // reached inside one makes the transaction speculative from then on.
         let mut speculative = false;
-        let mut spec_wait_until = 0.0f64;
-        let mut spec_conflict_tables = 0u64;
-        let note_spec = |spec: &[Option<SpecWindow>],
-                         p: PartitionId,
-                         at: f64,
-                         speculative: &mut bool,
-                         wait: &mut f64,
-                         tables: &mut u64| {
-            if let Some(w) = spec[p as usize] {
-                if at < w.until {
-                    *speculative = true;
-                    *wait = wait.max(w.until);
-                    *tables |= w.written_tables;
-                }
-            }
-        };
-        note_spec(
-            &self.spec,
-            base,
-            t,
-            &mut speculative,
-            &mut spec_wait_until,
-            &mut spec_conflict_tables,
-        );
+        let mut joined = SpecWindow { until: 0.0, written_tables: 0 };
+        joined.join(self.spec[base as usize], t, &mut speculative);
 
-        // Undo decision: speculative transactions always keep undo logging
-        // (paper §4.3 OP3).
-        let start_without_undo = plan.disable_undo && !speculative;
-        let mut undo = if start_without_undo { UndoLog::disabled() } else { UndoLog::new() };
-        let mut undo_disabled_ever = start_without_undo;
-
-        let mut inst = self.registry.get(proc).instantiate(&req.args);
-        let mut results: Option<Vec<Vec<Row>>> = None;
-        let mut accessed = PartitionSet::EMPTY;
-        let mut access_counts: FxHashMap<PartitionId, u32> = FxHashMap::default();
-        let mut touched_tables = 0u64;
+        let (mut fp, mut undo) = Footprint::begin(plan, speculative);
+        let mut cursor = Cursor::new(self.registry, proc, &req.args);
+        let mut targets = Vec::new();
         let mut wrote_by_partition: FxHashMap<PartitionId, u64> = FxHashMap::default();
+        // When each early-released partition (`fp.early_released`) freed.
         let mut released: FxHashMap<PartitionId, f64> = FxHashMap::default();
-        let mut pending_abort: Option<String> = None;
 
         loop {
-            let step = match pending_abort.take() {
-                Some(msg) => Step::Abort(msg),
-                None => inst.next(results.as_deref()),
-            };
-            match step {
+            match cursor.next() {
                 Step::Queries(batch) => {
                     self.profiler.add(proc, Bucket::Execution, self.costs.control_code_us);
                     t += self.costs.control_code_us;
 
                     // Validate targets before touching storage so a
-                    // mispredicted batch can abort cleanly. The transaction
-                    // only learns the partitions of the queries up to and
-                    // including the first offending one — it aborts there,
-                    // like a real engine that discovers the violation when
-                    // the query is dispatched.
-                    let mut seen_targets = PartitionSet::EMPTY;
-                    let mut violation = false;
-                    for inv in &batch {
-                        let def = self.catalog.proc(proc).query(inv.query);
-                        let targets = def.estimate_partitions(self.db, &inv.params);
-                        seen_targets = seen_targets.union(targets);
-                        if !targets.is_subset(lock_set)
-                            || targets.iter().any(|p| released.contains_key(&p))
-                        {
-                            violation = true;
-                            break;
-                        }
-                    }
-                    if violation {
-                        return self.mispredict_abort(
-                            proc,
-                            t,
-                            &mut undo,
-                            lock_set,
-                            accessed.union(seen_targets),
-                            &released,
-                        );
+                    // mispredicted batch can abort cleanly.
+                    let n = self.cfg.num_partitions;
+                    let def = self.catalog.proc(proc);
+                    if let Err(observed) = fp.check_batch(def, n, &batch, lock_set, &mut targets) {
+                        let txn = u64::from(proc) + 1000;
+                        let t_fail =
+                            self.roll_back(proc, t, &mut undo, lock_set, &released, txn)?;
+                        return Ok(Attempt::Mispredict { observed, t_fail });
                     }
 
                     // Execute: local queries run at the base engine; remote
@@ -477,19 +372,15 @@ impl<'a, A: LiveAdvisor> Simulation<'a, A> {
                     for inv in batch {
                         let def = self.catalog.proc(proc).query(inv.query);
                         let is_write = def.is_write();
-                        // A constraint violation (duplicate key, bad arity)
-                        // aborts the transaction like any SQL error.
                         let (rows, parts) =
                             match execute_query(self.db, def, &inv.params, &mut undo) {
                                 Ok(v) => v,
                                 Err(Error::Constraint(msg)) => {
-                                    pending_abort = Some(msg);
+                                    cursor.constraint(msg);
                                     break;
                                 }
                                 Err(e) => return Err(e),
                             };
-                        accessed = accessed.union(parts);
-                        touched_tables |= table_bit(def.table);
                         if is_write {
                             for p in parts.iter() {
                                 *wrote_by_partition.entry(p).or_insert(0) |= table_bit(def.table);
@@ -497,7 +388,6 @@ impl<'a, A: LiveAdvisor> Simulation<'a, A> {
                         }
                         let qcost = self.costs.query_cost_us(is_write, undo.is_enabled());
                         for p in parts.iter() {
-                            *access_counts.entry(p).or_insert(0) += 1;
                             if p == base {
                                 self.profiler.add(proc, Bucket::Execution, qcost);
                                 t += qcost;
@@ -505,26 +395,20 @@ impl<'a, A: LiveAdvisor> Simulation<'a, A> {
                                 *remote_work.entry(p).or_insert(0.0) += qcost;
                             }
                         }
-                        let upd = self.advisor.on_query_live(
+                        let upd = fp.observe(
+                            self.advisor,
                             session,
-                            &ExecutedQuery {
-                                query: inv.query,
-                                params: inv.params,
-                                partitions: parts,
-                                is_write,
-                            },
+                            plan,
+                            Some(&mut undo),
+                            def,
+                            inv,
+                            parts,
                         );
                         if upd.cost_us > 0.0 {
                             self.profiler.add(proc, Bucket::Estimation, upd.cost_us);
                             t += upd.cost_us;
                         }
-                        if upd.disable_undo && !speculative && undo.is_enabled() {
-                            undo.disable();
-                            undo_disabled_ever = true;
-                        }
-                        if plan.early_prepare {
-                            pending_release = pending_release.union(upd.finished);
-                        }
+                        pending_release = pending_release.union(upd.finished);
                         batch_results.push(rows);
                     }
 
@@ -541,14 +425,7 @@ impl<'a, A: LiveAdvisor> Simulation<'a, A> {
                                 Some(&last) => last.max(arrive),
                                 None => arrive.max(self.avail[p as usize]),
                             };
-                            note_spec(
-                                &self.spec,
-                                p,
-                                start,
-                                &mut speculative,
-                                &mut spec_wait_until,
-                                &mut spec_conflict_tables,
-                            );
+                            joined.join(self.spec[p as usize], start, &mut fp.speculative);
                             let done = start + work;
                             held.insert(p, done);
                             batch_done = batch_done.max(done + oneway);
@@ -564,19 +441,21 @@ impl<'a, A: LiveAdvisor> Simulation<'a, A> {
                     // message can be combined", §2 OP4), so a released
                     // partition becomes available as soon as its own last
                     // fragment completes — not when the whole batch returns
-                    // to the base partition.
+                    // to the base partition. The base runs the control code
+                    // and stays busy until commit: never released here.
                     for p in pending_release.iter() {
-                        if p != base && lock_set.contains(p) && !released.contains_key(&p) {
+                        if p != base && lock_set.contains(p) && !fp.early_released.contains(p) {
                             let oneway = self.costs.msg_us(base_node, self.cfg.node_of(p));
                             let done_at = match held.get(&p) {
                                 Some(&last) => last,
                                 None => t_batch_start + oneway,
                             };
+                            fp.early_released.insert(p);
                             released.insert(p, done_at);
                             self.avail[p as usize] = self.avail[p as usize].max(done_at);
                         }
                     }
-                    results = Some(batch_results);
+                    cursor.resume(batch_results);
                 }
                 Step::Commit => {
                     undo.clear();
@@ -594,8 +473,8 @@ impl<'a, A: LiveAdvisor> Simulation<'a, A> {
                         // locks cost real time (§2 OP2).
                         let mut prepare_rtt = 0.0f64;
                         let mut msgs = 0.0f64;
-                        for p in lock_set.iter() {
-                            if p != base && !released.contains_key(&p) {
+                        for p in lock_set.difference(fp.early_released).iter() {
+                            if p != base {
                                 let oneway = self.costs.msg_us(base_node, self.cfg.node_of(p));
                                 prepare_rtt = prepare_rtt.max(2.0 * oneway);
                                 msgs += 2.0 * oneway;
@@ -607,10 +486,10 @@ impl<'a, A: LiveAdvisor> Simulation<'a, A> {
                         // remaining partitions — including ones the
                         // transaction locked but never touched, which were
                         // reserved for its whole lifetime.
-                        for p in lock_set.iter() {
+                        for p in lock_set.difference(fp.early_released).iter() {
                             if p == base {
                                 self.avail[p as usize] = self.avail[p as usize].max(t_commit);
-                            } else if !released.contains_key(&p) {
+                            } else {
                                 let oneway = self.costs.msg_us(base_node, self.cfg.node_of(p));
                                 msgs += oneway;
                                 let release = t_commit + oneway;
@@ -642,72 +521,41 @@ impl<'a, A: LiveAdvisor> Simulation<'a, A> {
                     // the profile — profiling stops when the result is sent
                     // (§6.3).
                     let back = self.costs.msg_us(base_node, req.origin_node);
-                    let mut ack = t_commit + back;
-                    if speculative && touched_tables & spec_conflict_tables != 0 {
+                    let mut client_done = t_commit + back;
+                    if fp.speculative && fp.touched_tables & joined.written_tables != 0 {
                         // We touched tables the distributed transaction
                         // modified at a partition we used: our result is
                         // contingent on its commit (§2 OP4).
-                        ack = ack.max(spec_wait_until + back);
+                        client_done = client_done.max(joined.until + back);
                     }
-                    return Ok(Attempt::Done(TxnSummary {
-                        committed: true,
-                        client_done: ack,
-                        accessed,
-                        access_counts,
-                        speculative,
-                        undo_disabled_ever,
-                        early_released: !released.is_empty(),
-                        distributed,
-                    }));
+                    return Ok(Attempt::Done { committed: true, client_done, fp });
                 }
                 Step::Abort(_) => {
-                    // User abort: roll back and release.
-                    if !undo.can_rollback() {
-                        return Err(Error::UnrecoverableAbort { txn: u64::from(proc) });
-                    }
-                    let rb = undo.len() as f64 * self.costs.rollback_record_us;
-                    self.profiler.add(proc, Bucket::Execution, rb);
-                    t += rb;
-                    self.db.rollback(&mut undo)?;
-                    for p in lock_set.iter() {
-                        if let Some(&rt) = released.get(&p) {
-                            // Speculative work done after the early release
-                            // is wasted and redone (paper §2 OP4).
-                            self.avail[p as usize] = t + (t - rt).max(0.0);
-                            self.spec[p as usize] = None;
-                        } else {
-                            let end = held.get(&p).copied().unwrap_or(t).max(t);
-                            self.avail[p as usize] = self.avail[p as usize].max(end);
-                        }
-                    }
-                    let back = self.costs.msg_us(base_node, req.origin_node);
-                    return Ok(Attempt::Done(TxnSummary {
-                        committed: false,
-                        client_done: t + back,
-                        accessed,
-                        access_counts,
-                        speculative,
-                        undo_disabled_ever,
-                        early_released: !released.is_empty(),
-                        distributed,
-                    }));
+                    let txn = u64::from(proc);
+                    let t = self.roll_back(proc, t, &mut undo, lock_set, &released, txn)?;
+                    let client_done = t + self.costs.msg_us(base_node, req.origin_node);
+                    return Ok(Attempt::Done { committed: false, client_done, fp });
                 }
             }
         }
     }
 
-    /// Rolls back a mispredicted transaction and frees its locks.
-    fn mispredict_abort(
+    /// Rolls an attempt back (user abort or mispredict) and frees its locks
+    /// when the rollback ends, which it returns. Every fragment finished by
+    /// then, so no held partition outlives it. Speculative work done after
+    /// an early release is wasted and redone (paper §2 OP4). Without undo
+    /// the node must halt (§2 OP3): `Error::UnrecoverableAbort { txn }`.
+    fn roll_back(
         &mut self,
         proc: ProcId,
         t: f64,
         undo: &mut UndoLog,
         lock_set: PartitionSet,
-        observed: PartitionSet,
         released: &FxHashMap<PartitionId, f64>,
-    ) -> Result<Attempt> {
+        txn: u64,
+    ) -> Result<f64> {
         if !undo.can_rollback() {
-            return Err(Error::UnrecoverableAbort { txn: u64::from(proc) + 1000 });
+            return Err(Error::UnrecoverableAbort { txn });
         }
         let rb = undo.len() as f64 * self.costs.rollback_record_us;
         self.profiler.add(proc, Bucket::Execution, rb);
@@ -721,7 +569,7 @@ impl<'a, A: LiveAdvisor> Simulation<'a, A> {
                 self.avail[p as usize] = self.avail[p as usize].max(t);
             }
         }
-        Ok(Attempt::Mispredict { observed, t_fail: t })
+        Ok(t)
     }
 }
 
@@ -889,18 +737,6 @@ mod tests {
         let sim = Simulation::new(&mut db, &reg, &advisor, &mut gen, CostModel::default(), cfg);
         let (m, _) = sim.run().unwrap();
         assert_eq!(m.committed + m.user_aborts, clients * 25);
-    }
-
-    #[test]
-    fn table_bit_saturates_instead_of_overflowing() {
-        assert_eq!(table_bit(0), 1);
-        assert_eq!(table_bit(63), 1u64 << 63);
-        // Regression: `1u64 << 70` was a debug panic / release wrap that
-        // aliased table 70 onto table 6. Saturation aliases all wide ids
-        // onto bit 63 — conservative, never a different low table.
-        assert_eq!(table_bit(64), 1u64 << 63);
-        assert_eq!(table_bit(1000), 1u64 << 63);
-        assert_eq!(table_bit(70) & table_bit(6), 0);
     }
 
     /// A catalog whose hot table sits past bit 63 of the conflict mask.

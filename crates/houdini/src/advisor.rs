@@ -73,8 +73,6 @@ pub struct HoudiniConfig {
     /// Observations per model before its accuracy is judged against the
     /// monitors' floor (the paper's 75%).
     pub maintenance_min_window: u64,
-    /// Path-estimation knobs.
-    pub estimate: EstimateConfig,
 }
 
 impl Default for HoudiniConfig {
@@ -84,7 +82,6 @@ impl Default for HoudiniConfig {
             early_prepare: true,
             maintenance: true,
             maintenance_min_window: 200,
-            estimate: EstimateConfig::default(),
         }
     }
 }
@@ -409,7 +406,7 @@ impl Houdini {
         let model_idx = pred.models.select(&req.args);
         let model = pred.models.model(model_idx);
         let rule = CatalogRule::new(&self.catalog, proc, self.num_partitions);
-        let est = estimate_path(model, &rule, &pred.mapping, &req.args, &self.cfg.estimate);
+        let est = estimate_path(model, &rule, &pred.mapping, &req.args, &EstimateConfig::default());
         let cost = f64::from(est.states_examined) * EST_COST_PER_STATE_US;
         if !est.reached_commit && !est.reached_abort {
             // The walk dead-ended (a state never seen in training, §4.4):
@@ -543,7 +540,7 @@ impl LiveAdvisor for Houdini {
             path: std::mem::take(&mut session.steps),
             terminal: match outcome {
                 TxnOutcome::Committed => Some(true),
-                TxnOutcome::UserAborted | TxnOutcome::Failed => Some(false),
+                TxnOutcome::UserAborted => Some(false),
                 // A mispredict-aborted attempt: the executed prefix is real
                 // signal, but no commit/abort edge was taken.
                 TxnOutcome::Mispredicted => None,

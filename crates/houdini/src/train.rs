@@ -4,7 +4,7 @@
 use crate::modelset::{CatalogRule, ModelSet};
 use common::{FxHashMap, FxHashSet, PartitionSet, ProcId, QueryId};
 use engine::{Catalog, CatalogResolver};
-use mapping::{build_mapping, MappingConfig, ProcMapping};
+use mapping::{build_mapping, ProcMapping};
 use markov::{build_model, estimate_path, EstimateConfig, MarkovModel};
 use ml::{extract_features, feature_schema, feed_forward_select, fit_em, train_tree};
 use trace::{split_worksets, PartitionResolver, TraceRecord, Workload};
@@ -17,24 +17,15 @@ const EVAL_SAMPLE: usize = 600;
 pub struct TrainingConfig {
     /// Build partitioned model sets (§5) rather than one global model.
     pub partitioned: bool,
-    /// Parameter-mapping threshold (§4.1).
-    pub mapping: MappingConfig,
     /// Procedures whose transactions exceed this many queries are disabled
     /// — Houdini takes too long to traverse such models (§4.6, the paper
     /// uses 175–200 and turns CheckWinningBids off).
     pub max_queries_per_txn: usize,
-    /// Path-estimation knobs.
-    pub estimate: EstimateConfig,
 }
 
 impl Default for TrainingConfig {
     fn default() -> Self {
-        TrainingConfig {
-            partitioned: true,
-            mapping: MappingConfig::default(),
-            max_queries_per_txn: 175,
-            estimate: EstimateConfig::default(),
-        }
+        TrainingConfig { partitioned: true, max_queries_per_txn: 175 }
     }
 }
 
@@ -77,20 +68,6 @@ impl ProcPredictor {
     /// only procedures whose control code cannot abort qualify (§4.3).
     pub fn abort_safe_initial(&self) -> bool {
         !self.can_abort
-    }
-
-    /// True if, having just executed the invocation with signature `sig`,
-    /// the control code can no longer reach an abort (§4.4 OP3). Requires
-    /// training evidence: an abortable procedure whose trace shows no
-    /// aborts is never trusted.
-    pub fn abort_safe_after(&self, sig: (QueryId, u16)) -> bool {
-        if !self.can_abort {
-            return true;
-        }
-        if self.abort_rate == 0.0 {
-            return false;
-        }
-        !self.unsafe_signatures.contains(&sig)
     }
 }
 
@@ -151,7 +128,7 @@ pub fn train_proc(
     let abort_rate = records.iter().filter(|r| r.aborted).count() as f64 / records.len() as f64;
     let can_abort = catalog.proc(proc).can_abort;
     let unsafe_signatures = unsafe_signatures_of(records);
-    let mapping = build_mapping(records, &cfg.mapping);
+    let mapping = build_mapping(records);
     if !cfg.partitioned {
         return ProcPredictor {
             models: ModelSet::Global {
@@ -174,25 +151,16 @@ pub fn train_proc(
     let sample: Vec<&TraceRecord> = records.iter().copied().take(EVAL_SAMPLE).collect();
 
     let selected = feed_forward_select(&all_features, |feats| {
-        evaluate_feature_set(catalog, num_partitions, proc, &sample, &schema, feats, &mapping, cfg)
+        evaluate_feature_set(catalog, num_partitions, proc, &sample, &schema, feats, &mapping)
     });
     // Compare against the global model's cost on the same worksets; keep
     // the clustering only if it actually predicts better (§5.2's premise).
     let global_cost =
-        evaluate_feature_set(catalog, num_partitions, proc, &sample, &schema, &[], &mapping, cfg);
+        evaluate_feature_set(catalog, num_partitions, proc, &sample, &schema, &[], &mapping);
     let clustered_cost = if selected.is_empty() {
         f64::INFINITY
     } else {
-        evaluate_feature_set(
-            catalog,
-            num_partitions,
-            proc,
-            &sample,
-            &schema,
-            &selected,
-            &mapping,
-            cfg,
-        )
+        evaluate_feature_set(catalog, num_partitions, proc, &sample, &schema, &selected, &mapping)
     };
     if selected.is_empty() || clustered_cost >= global_cost {
         return ProcPredictor {
@@ -288,7 +256,6 @@ pub fn base_is_best(base: Option<u32>, actual: &ActualTxn) -> bool {
 /// workset. An empty feature set scores the single global model. Penalties:
 /// 1 per wrong base partition (OP1), 1 per wrong partition set (OP2), and
 /// effectively infinite for a fatal undo-logging mispredict (OP3).
-#[allow(clippy::too_many_arguments)]
 #[doc(hidden)]
 pub fn evaluate_feature_set(
     catalog: &Catalog,
@@ -298,7 +265,6 @@ pub fn evaluate_feature_set(
     schema: &[ml::Feature],
     feats: &[usize],
     mapping: &ProcMapping,
-    cfg: &TrainingConfig,
 ) -> f64 {
     let resolver = CatalogResolver::new(catalog, num_partitions);
     let (train_ws, val_ws, test_ws) = split_worksets(sample, 0.3, 0.3);
@@ -339,7 +305,7 @@ pub fn evaluate_feature_set(
     let mut cost = 0.0;
     for r in &test_ws {
         let model = &models[assign(r)];
-        let est = estimate_path(model, &rule, mapping, &r.params, &cfg.estimate);
+        let est = estimate_path(model, &rule, mapping, &r.params, &EstimateConfig::default());
         let actual = actual_of(r, &resolver);
         if !base_is_best(est.best_base(), &actual) {
             cost += 1.0;

@@ -4,20 +4,10 @@ use crate::{ParamSource, ProcMapping, QueryParamMapping};
 use common::{FxHashMap, QueryId, Value};
 use trace::TraceRecord;
 
-/// Builder knobs.
-#[derive(Debug, Clone)]
-pub struct MappingConfig {
-    /// Minimum mapping coefficient to keep an entry. The paper found values
-    /// above 0.9 all behave the same (§4.1); this is the false-positive
-    /// filter for coincidentally equal values.
-    pub threshold: f64,
-}
-
-impl Default for MappingConfig {
-    fn default() -> Self {
-        MappingConfig { threshold: 0.9 }
-    }
-}
+/// Minimum mapping coefficient to keep an entry. The paper found values
+/// above 0.9 all behave the same (§4.1); this is the false-positive filter
+/// for coincidentally equal values.
+pub const MAPPING_THRESHOLD: f64 = 0.9;
 
 /// Per-(pair, invocation-counter) agreement statistics.
 #[derive(Default)]
@@ -59,8 +49,8 @@ impl PairStats {
 /// the invocation-aligned element of every array procedure parameter. The
 /// per-pair agreement ratios are aggregated (geometric mean over invocation
 /// counters) into mapping coefficients, and the best source above
-/// `config.threshold` wins for each query parameter.
-pub fn build_mapping(records: &[&TraceRecord], config: &MappingConfig) -> ProcMapping {
+/// [`MAPPING_THRESHOLD`] wins for each query parameter.
+pub fn build_mapping(records: &[&TraceRecord]) -> ProcMapping {
     // (query, qparam, source) -> stats
     let mut stats: FxHashMap<(QueryId, usize, SourceKey), PairStats> = FxHashMap::default();
 
@@ -109,7 +99,7 @@ pub fn build_mapping(records: &[&TraceRecord], config: &MappingConfig) -> ProcMa
     for key in keys {
         let (q, j, src) = key.clone();
         let coeff = stats[&key].coefficient();
-        if coeff < config.threshold {
+        if coeff < MAPPING_THRESHOLD {
             continue;
         }
         let candidate = QueryParamMapping {
@@ -183,7 +173,7 @@ mod tests {
     fn maps_scalar_and_array_params() {
         let owned = records(50);
         let refs: Vec<&TraceRecord> = owned.iter().collect();
-        let m = build_mapping(&refs, &MappingConfig::default());
+        let m = build_mapping(&refs);
         // GetWarehouse param 0 <- proc param 0 (w_id), coefficient 1.
         let gw = m.get(0, 0).expect("GetWarehouse mapped");
         assert_eq!(gw.source, ParamSource::Scalar(0));
@@ -197,7 +187,7 @@ mod tests {
     fn resolves_through_mapping() {
         let owned = records(50);
         let refs: Vec<&TraceRecord> = owned.iter().collect();
-        let m = build_mapping(&refs, &MappingConfig::default());
+        let m = build_mapping(&refs);
         let args = vec![
             Value::Int(3),
             Value::Array(vec![Value::Int(11), Value::Int(12)]),
@@ -220,7 +210,7 @@ mod tests {
             })
             .collect();
         let refs: Vec<&TraceRecord> = owned.iter().collect();
-        let m = build_mapping(&refs, &MappingConfig::default());
+        let m = build_mapping(&refs);
         assert!(m.get(0, 0).is_none());
     }
 
@@ -237,13 +227,13 @@ mod tests {
             })
             .collect();
         let refs: Vec<&TraceRecord> = owned.iter().collect();
-        let m = build_mapping(&refs, &MappingConfig::default());
+        let m = build_mapping(&refs);
         assert!(m.get(0, 0).is_none(), "derived params stay unmapped");
     }
 
     #[test]
     fn empty_trace_empty_mapping() {
-        let m = build_mapping(&[], &MappingConfig::default());
+        let m = build_mapping(&[]);
         assert!(m.is_empty());
     }
 }

@@ -17,7 +17,7 @@
 
 pub mod builder;
 
-pub use builder::{build_mapping, MappingConfig};
+pub use builder::{build_mapping, MAPPING_THRESHOLD};
 
 use common::{FxHashMap, QueryId, Value};
 use serde::{Deserialize, Serialize};

@@ -361,7 +361,7 @@ mod tests {
     use super::*;
     use crate::builder::build_model;
     use common::ProcId;
-    use mapping::{build_mapping, MappingConfig};
+    use mapping::build_mapping;
     use trace::{PartitionResolver, QueryRecord, TraceRecord};
 
     /// Toy NewOrder: q0 = GetW(w), q1 = Check(i, w_i) repeated, q2 = Ins(w).
@@ -447,7 +447,7 @@ mod tests {
         }
         let refs: Vec<&TraceRecord> = records.iter().collect();
         let model = build_model(0, &refs, &ToyResolver { parts });
-        let mapping = build_mapping(&refs, &MappingConfig::default());
+        let mapping = build_mapping(&refs);
         (model, mapping)
     }
 

@@ -10,7 +10,7 @@
 
 use crate::model::{MarkovModel, QueryKind, VertexCursor, VertexId, VertexKey};
 use crate::ptable::compute_tables;
-use common::{FxHashMap, PartitionSet, QueryId, Value};
+use common::{FxHashMap, PartitionSet, QueryId};
 use trace::PartitionResolver;
 
 /// A state observed live but absent from the trained model: interned as a
@@ -126,19 +126,6 @@ impl PathTracker {
         model.observe_transition(self.cur, terminal);
         self.path.push(terminal);
         self.cur = terminal;
-    }
-
-    /// Convenience: resolve a value-bearing query through the resolver and
-    /// advance.
-    pub fn advance_with_params(
-        &mut self,
-        model: &mut MarkovModel,
-        query: QueryId,
-        params: &[Value],
-        resolver: &dyn PartitionResolver,
-    ) -> VertexId {
-        let partitions = resolver.partitions(model.proc, query, params);
-        self.advance(model, query, partitions, resolver)
     }
 }
 
@@ -287,7 +274,7 @@ impl ModelMonitor {
 mod tests {
     use super::*;
     use crate::builder::build_model;
-    use common::ProcId;
+    use common::{ProcId, Value};
     use trace::{QueryRecord, TraceRecord};
 
     struct ModResolver {
@@ -327,7 +314,7 @@ mod tests {
         let r = ModResolver { parts: 2 };
         let before = model.len();
         let mut t = PathTracker::new(&model);
-        t.advance_with_params(&mut model, 0, &[Value::Int(0)], &r);
+        t.advance(&mut model, 0, PartitionSet::single(0), &r);
         t.finish(&mut model, true);
         assert_eq!(model.len(), before, "no new states for a known path");
         assert_eq!(t.path().len(), 3);
@@ -340,7 +327,7 @@ mod tests {
         let before = model.len();
         let mut t = PathTracker::new(&model);
         // Partition 1 was never seen in training.
-        t.advance_with_params(&mut model, 0, &[Value::Int(1)], &r);
+        t.advance(&mut model, 0, PartitionSet::single(1), &r);
         t.finish(&mut model, true);
         assert_eq!(model.len(), before + 1);
     }

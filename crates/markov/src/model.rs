@@ -283,31 +283,6 @@ impl MarkovModel {
             self.vertices.iter().enumerate().map(|(i, v)| (v.key, i as VertexId)).collect();
     }
 
-    /// The most-observed trained vertex with the given query, counter, and
-    /// *seen-partition set* — a structurally analogous proxy whose
-    /// probability table approximates an untrained placeholder state at the
-    /// same control-flow position (used for OP4 finish decisions when a
-    /// transaction wanders into a state the trace never produced — most
-    /// usefully after a broadcast query, where `seen` is every partition
-    /// and only the vertex's own-partition slot differs). Requiring the
-    /// identical seen set keeps the analogy honest: a proxy that has seen
-    /// different partitions would wrongly declare the others finished.
-    pub fn shape_proxy(
-        &self,
-        kind: QueryKind,
-        counter: u16,
-        seen: PartitionSet,
-    ) -> Option<VertexId> {
-        self.vertices
-            .iter()
-            .enumerate()
-            .filter(|(_, v)| {
-                v.key.kind == kind && v.key.counter == counter && v.key.seen() == seen && v.hits > 0
-            })
-            .max_by_key(|(_, v)| v.hits)
-            .map(|(i, _)| i as VertexId)
-    }
-
     /// The most-observed trained vertex with the given query and counter,
     /// regardless of partitions — used by path estimation to enumerate
     /// successor *shapes* when the exact vertex's own edges are incomplete

@@ -4,7 +4,9 @@
 //! keep this contract — the paper's experiments are only comparable because
 //! reruns see the same workload.
 
-use bench::collect_trace;
+use bench::{collect_trace, trained_houdini};
+use engine::baselines::{AssumeDistributed, AssumeSinglePartition, Oracle};
+use engine::{Bucket, CostModel, LiveAdvisor, SimConfig, Simulation};
 use workloads::Bench;
 
 #[test]
@@ -44,4 +46,81 @@ fn trace_content_is_pinned() {
     });
     let want = [0x3fc8_3114_78cb_1773, 0x55ab_dc5a_44f5_5a2e, 0xab91_4a5f_e97b_2719];
     assert_eq!(got, want, "TATP / TPC-C / AuctionMark trace content changed: {got:#018x?}");
+}
+
+/// FNV-1a of one short 4-partition simulation's outcome counters, Table 4
+/// counters, latency quantiles and Fig. 11 bucket totals.
+fn simulation_digest<A: LiveAdvisor>(bench: Bench, advisor: &A) -> u64 {
+    let mut db = bench.database(4);
+    let reg = bench.registry();
+    let mut gen = bench.generator(4, 11);
+    let cfg = SimConfig {
+        num_partitions: 4,
+        warmup_us: 10_000.0,
+        measure_us: 60_000.0,
+        ..Default::default()
+    };
+    let sim = Simulation::new(&mut db, &reg, advisor, &mut gen, CostModel::default(), cfg);
+    let (m, profile) = sim.run().expect("simulation must not halt");
+    let mut by_proc: Vec<_> = m.committed_by_proc.into_iter().collect();
+    by_proc.sort_unstable();
+    let mut ops: Vec<_> = m.ops.into_iter().map(|(p, o)| (p, format!("{o:?}"))).collect();
+    ops.sort_unstable();
+    let buckets =
+        Bucket::ALL.map(|b| (profile.overall_share(b) * profile.grand_total_us()).to_bits());
+    let rendered = format!(
+        "{:?}",
+        (
+            (m.committed, m.user_aborts, m.restarts, m.distributed, m.single_partition),
+            (m.speculative, m.no_undo, m.reserved_idle_us.to_bits()),
+            by_proc,
+            ops,
+            (m.latency.count(), m.latency.p50_ms(), m.latency.p99_ms()),
+            (profile.total_txns(), buckets),
+        )
+    );
+    wal::codec::fnv1a(rendered.as_bytes())
+}
+
+/// Pins what the simulator *computes*, not just that it is repeatable:
+/// every paper figure is a `Simulation` run, so a refactor of the shared
+/// transaction protocol must leave these digests untouched. Grid: every
+/// benchmark × {Oracle, assume-single-partition, assume-distributed,
+/// globally trained Houdini}; the constants were computed at the commit
+/// before `engine::txn` replaced the simulator's own attempt loop.
+#[test]
+fn simulation_outcomes_are_pinned() {
+    let got = Bench::ALL.map(|bench| {
+        let houdini = trained_houdini(bench, 4, 400, false, 0.5, 7);
+        [
+            simulation_digest(bench, &Oracle::new()),
+            simulation_digest(bench, &AssumeSinglePartition::new()),
+            simulation_digest(bench, &AssumeDistributed::new()),
+            simulation_digest(bench, &houdini),
+        ]
+    });
+    let want = [
+        [
+            0x2125_0c28_ba96_f119,
+            0x77b0_7c61_f002_8e55,
+            0xafa9_288f_348e_a0df,
+            0xeeb1_c83e_4c50_74af,
+        ],
+        [
+            0xadee_6c97_5232_040d,
+            0xaeb2_0389_0c44_0974,
+            0xee75_951e_a58e_f418,
+            0xcfe3_31e6_3d26_95fa,
+        ],
+        [
+            0x427b_e8ef_ebde_3b2c,
+            0xd229_739d_2677_6b26,
+            0x36b5_19ab_298d_a2fb,
+            0xdfbc_d5fd_46a3_cf5a,
+        ],
+    ];
+    assert_eq!(
+        got, want,
+        "simulated outcomes changed (rows TATP / TPC-C / AuctionMark): {got:#018x?}"
+    );
 }

@@ -2,7 +2,7 @@
 
 use common::{PartitionSet, Value};
 use engine::{CatalogResolver, PartitionHint, ProcDef, QueryDef, QueryOp};
-use mapping::{build_mapping, MappingConfig};
+use mapping::build_mapping;
 use markov::build_model;
 use proptest::prelude::*;
 use std::collections::BTreeSet;
@@ -342,7 +342,7 @@ proptest! {
             })
             .collect();
         let refs: Vec<&TraceRecord> = records.iter().collect();
-        let m = build_mapping(&refs, &MappingConfig::default());
+        let m = build_mapping(&refs);
         // Resolution reproduces the linked values on fresh arguments.
         let args = vec![
             Value::Int(42),
@@ -442,7 +442,7 @@ proptest! {
             .collect();
         let refs: Vec<&TraceRecord> = records.iter().collect();
         let model = build_model(0, &refs, &resolver);
-        let mapping = build_mapping(&refs, &MappingConfig::default());
+        let mapping = build_mapping(&refs);
         let rule = CatalogRule::new(&catalog, 0, 4);
         let est = estimate_path(
             &model,
