@@ -578,17 +578,15 @@ pub const GATES: &[Gate] = &[
         bound: Bound::Above(0.35),
         measure: measure_dist_tps,
     },
-    // Failing as of PR 10 (the durability subsystem): TATP with real
-    // `FileDevice` command logging must stay within 10% of the identical
-    // no-logging configuration — group commit riding the flusher's
-    // accumulation window is what makes this hold; a per-commit fsync
-    // would fail by an order of magnitude. The log sits on a RAM-backed
-    // mount when the host has one, so the gate prices the logging
-    // subsystem itself and regresses on code, not on the CI host's disk.
-    // The 10 was calibrated against a baseline arm that still ran the
-    // modeled device's ack-group hold (at 0 µs), removed in PR 20; a
-    // regression floor until the row is re-expressed over `benchmark/`
-    // output, ROADMAP 1.
+    // TATP with real `FileDevice` command logging must stay within 10% of
+    // the identical no-logging configuration. Self-clocking group commit
+    // is what makes this hold: writers that commit while one fsync is in
+    // the device share the next, so the fsync rate stays at or below one
+    // per device-flush time; a per-commit fsync would fail by an order of
+    // magnitude. The log sits on a RAM-backed mount when the host has one,
+    // so the gate prices the logging subsystem itself and regresses on
+    // code, not on the CI host's disk. The 10 is a regression floor until
+    // the row is re-expressed over `benchmark/` output (ROADMAP 1).
     Gate {
         id: "log-overhead",
         what: "2-worker TATP command-logging throughput overhead (%)",

@@ -11,41 +11,43 @@
 //!   flush *epoch*: any device flush that starts after the ticket was
 //!   issued covers it.
 //! * Anyone needing durability waits on the ticket
-//!   ([`wait_durable_dev`](FlushSequencer::wait_durable_dev) eagerly,
-//!   [`wait_covered`](FlushSequencer::wait_covered) with patience). A
-//!   waiter that finds no flush in flight (and whose patience, if any, is
-//!   spent) becomes the **leader** for a fresh epoch: it claims
-//!   `next_epoch`, performs the device operation (the `write+fsync` of
-//!   `wal::FileDevice` in the live runtime) *outside* the lock, then
-//!   publishes `durable = epoch` and wakes every waiter. A ticket issued
-//!   before the claim is `<= epoch`, so one device flush retires every
-//!   waiter that enqueued before it started. That is the coalescing: the
-//!   flusher thread's commit groups and concurrent 2PC coordinators share
-//!   one fsync instead of paying one each.
-//! * Waiters whose ticket is already durable — or becomes durable while
-//!   they wait on another leader's flush — never touch the device at
-//!   all; they are counted in `flushes_coalesced`.
+//!   ([`wait_durable_dev`](FlushSequencer::wait_durable_dev)). A waiter
+//!   that finds no flush in flight becomes the **leader** for a fresh
+//!   epoch at once: it claims `next_epoch`, performs the device operation
+//!   (the `write+fsync` of `wal::FileDevice` in the live runtime) *outside*
+//!   the lock, then publishes `durable = epoch` and wakes every waiter. A
+//!   ticket issued before the claim is `<= epoch`, so one device flush
+//!   retires every waiter that enqueued before it started.
+//! * A waiter that arrives while a flush is in flight rides it. If that
+//!   flush started before the waiter's ticket was issued, it does not
+//!   cover the ticket, and the waiter leads the *next* flush, which covers
+//!   every ticket issued while the previous one ran.
+//!
+//! That is self-clocking group commit: there is no accumulation window to
+//! tune. A lone writer pays one device flush and nothing more; under load,
+//! the commits that arrive during one flush share the next, so the group
+//! is one device flush long and the flush rate never exceeds one per
+//! device-flush time. Waiters whose ticket is already durable — or becomes
+//! durable while they wait on another leader's flush — never touch the
+//! device at all; they are counted in `flushes_coalesced`.
 //!
 //! Deadlock-freedom: a waiter that finds `flushing == false` becomes the
-//! leader itself once its patience is spent, so the only indefinitely
-//! blocked state is "a leader is inside the device operation", which ends
-//! with `notify_all` — also when the device operation *panics*: the
-//! unwinding leader clears `flushing` and wakes everyone without
-//! publishing the epoch, and a woken waiter leads its own flush (fail-stop
-//! per caller, never a hang). Every wake re-checks `durable >= ticket`
-//! under the lock (condvar waits are spurious-wakeup safe by
-//! construction).
+//! leader itself, so the only blocked state is "a leader is inside the
+//! device operation", which ends with `notify_all` — also when the device
+//! operation *panics*: the unwinding leader clears `flushing` and wakes
+//! everyone without publishing the epoch, and a woken waiter leads its own
+//! flush (fail-stop per caller, never a hang). Every wake re-checks
+//! `durable >= ticket` under the lock (condvar waits are spurious-wakeup
+//! safe by construction).
 //!
-//! Every entry point runs the same private wait loop and leader body. The
+//! Both entry points run the same private wait loop and leader body. The
 //! protocol is model-checked — including two seeded-bug twins — in
 //! `crates/common/tests/flush_model.rs`; the `check` build drives this
 //! exact code through [`wait_durable_with`](FlushSequencer::wait_durable_with)
-//! and [`wait_covered`](FlushSequencer::wait_covered) with a recording
-//! device in place of the fsync.
+//! with a recording device in place of the fsync.
 
 use crate::sync::atomic::{AtomicU64, Ordering};
 use crate::sync::{Condvar, Mutex, PoisonError};
-use std::time::{Duration, Instant};
 
 /// The pluggable device operation behind a flush epoch: whatever makes the
 /// log writes issued before the flush started durable. The sequencer calls
@@ -140,17 +142,16 @@ impl FlushSequencer {
 
     /// Grab a ticket covering every log write made before this call. The
     /// ticket is durable once a device flush that started after it
-    /// completes; pass it to [`wait_durable_dev`](Self::wait_durable_dev)
-    /// or [`wait_covered`](Self::wait_covered).
+    /// completes; pass it to [`wait_durable_dev`](Self::wait_durable_dev).
     pub fn enqueue(&self) -> u64 {
         self.state.lock().unwrap().next_epoch
     }
 
     /// Blocks until `ticket` is durable, leading one real device flush if
-    /// none is in flight. Returns `true` iff this caller led the device
-    /// flush.
+    /// none is in flight (or if the one in flight started before the
+    /// ticket). Returns `true` iff this caller led the device flush.
     pub fn wait_durable_dev(&self, ticket: u64, device: &dyn FlushDevice) -> bool {
-        self.wait(ticket, Duration::ZERO, |epoch| device.flush(epoch))
+        self.wait(ticket, |epoch| device.flush(epoch))
     }
 
     /// [`wait_durable_dev`](Self::wait_durable_dev) with the device
@@ -159,30 +160,12 @@ impl FlushSequencer {
     /// with a recording closure in place of the fsync. Returns `true` iff
     /// this caller ran the device operation itself (it led a flush).
     pub fn wait_durable_with(&self, ticket: u64, device: impl FnMut(u64)) -> bool {
-        self.wait(ticket, Duration::ZERO, device)
+        self.wait(ticket, device)
     }
 
-    /// Block until `ticket` is durable, *preferring to ride a device flush
-    /// someone else performs* — the dedicated flusher thread's windowed
-    /// group commit, or a concurrent waiter's — and leading one itself
-    /// only after `patience` passes with no flush in flight. Durable-mode
-    /// 2PC coordinators use this instead of
-    /// [`wait_durable_dev`](Self::wait_durable_dev): an eager leader per
-    /// commit drives the fsync rate up to the commit rate, while patient
-    /// waiters fold into the flusher's accumulation window so one fsync
-    /// covers every commit that lands inside it. Deadlock-free by
-    /// construction: patience expiring always makes this caller the
-    /// leader, so no external flush is ever *required*. Returns `true`
-    /// iff this caller led the device flush.
-    pub fn wait_covered(&self, ticket: u64, device: &dyn FlushDevice, patience: Duration) -> bool {
-        self.wait(ticket, patience, |epoch| device.flush(epoch))
-    }
-
-    /// The one wait loop behind every entry point: ride a flush in flight,
-    /// wait out `patience` for someone else to start one, then lead.
-    fn wait(&self, ticket: u64, patience: Duration, device: impl FnOnce(u64)) -> bool {
-        // `None` once the patience is spent (or when there never was any).
-        let mut deadline = (!patience.is_zero()).then(|| Instant::now() + patience);
+    /// The one wait loop behind both entry points: ride a flush in flight,
+    /// lead as soon as none is.
+    fn wait(&self, ticket: u64, device: impl FnOnce(u64)) -> bool {
         let mut s = self.state.lock().unwrap();
         s.total += 1;
         loop {
@@ -194,16 +177,6 @@ impl FlushSequencer {
                 // A leader is inside the device op; it will notify_all.
                 s = self.cv.wait(s).unwrap();
                 continue;
-            }
-            if let Some(left) = deadline.map(|d| d.saturating_duration_since(Instant::now())) {
-                if !left.is_zero() {
-                    let (guard, timeout) = self.cv.wait_timeout(s, left).unwrap();
-                    s = guard;
-                    if timeout.timed_out() {
-                        deadline = None;
-                    }
-                    continue;
-                }
             }
             // Become the leader for a fresh epoch. Tickets only ever hold
             // past values of next_epoch, so epoch >= ticket and one pass
@@ -226,7 +199,7 @@ impl FlushSequencer {
     /// fall back to a real [`wait_durable_dev`](Self::wait_durable_dev).
     pub fn durable_epoch(&self) -> u64 {
         // ordering: Relaxed — monotonic, write-once-per-epoch mirror; see
-        // the store in `wait_durable_with` for the staleness argument.
+        // the store in `Leading::drop` for the staleness argument.
         self.durable_lo.load(Ordering::Relaxed)
     }
 
@@ -242,6 +215,7 @@ mod tests {
     use super::*;
     use std::sync::atomic::{AtomicU64 as StdAtomicU64, Ordering as StdOrdering};
     use std::sync::Arc;
+    use std::time::Duration;
 
     /// A recording device: proves `wait_durable_dev` drives the exact
     /// protocol `wait_durable_with` does (same epochs, same counters).

@@ -12,10 +12,11 @@
 //!   (stranded waiter, caught as a deadlock).
 //! * **The real `common::flush`** (under `--features check`): the facade
 //!   resolves to `checkers::sync`, so the models drive the production
-//!   `FlushSequencer` itself through `wait_durable_with` and a
-//!   `wait_covered` rider (patience zero, and patience longer than the
-//!   run), with a recording device in place of the fsync — no lost flush
-//!   and no overlapping (double) device operations.
+//!   `FlushSequencer` itself through `wait_durable_with`: two eager
+//!   waiters plus a third that takes its ticket while the first flush is
+//!   inside the device — it must ride that flush and then lead (or ride)
+//!   the next one — with a recording device in place of the fsync. No
+//!   lost flush and no overlapping (double) device operations.
 //!
 //! Properties checked:
 //! * **No lost flush** — a waiter returns only after a device operation
@@ -177,21 +178,40 @@ mod real_seq {
     use super::{assert_pass, opts};
     use checkers::explore;
     use checkers::sync::atomic::{AtomicU64, Ordering};
-    use checkers::sync::Arc;
+    use checkers::sync::{Arc, Condvar, Mutex};
     use common::flush::{FlushDevice, FlushSequencer};
-    use std::time::Duration;
+
+    /// Where the late waiter is: 0 = no flush has started yet, 1 = the
+    /// first flush is inside the device, 2 = the late waiter holds its
+    /// ticket (so the first flush may finish).
+    struct Handshake {
+        stage: Mutex<u8>,
+        cv: Condvar,
+    }
 
     /// The device as the checker sees it: the highest epoch written, and
     /// how many threads are inside the operation (must never exceed 1).
+    /// The first flush holds the device until the late waiter has taken
+    /// its ticket, so that ticket is always issued mid-flush.
     struct Recording {
         device: AtomicU64,
         in_device: AtomicU64,
+        late: Handshake,
     }
 
     impl FlushDevice for Recording {
         fn flush(&self, epoch: u64) {
             let was = self.in_device.fetch_add(1, Ordering::AcqRel);
             assert_eq!(was, 0, "double flush: overlapping device ops");
+            let mut stage = self.late.stage.lock().unwrap();
+            if *stage == 0 {
+                *stage = 1;
+                self.late.cv.notify_all();
+                while *stage != 2 {
+                    stage = self.late.cv.wait(stage).unwrap();
+                }
+            }
+            drop(stage);
             self.device.store(epoch, Ordering::Relaxed);
             self.in_device.store(0, Ordering::Release);
         }
@@ -205,15 +225,19 @@ mod real_seq {
         }
     }
 
-    /// Two eager waiters plus one `wait_covered` rider. The rider's ticket
-    /// is taken before any thread runs, so the eager waiters' flushes cover
-    /// it: a rider whose patience outlasts the run is always woken by one
-    /// of them, and one without patience may lead the flush they ride.
-    fn scenario(patience: Duration) -> impl Fn(&mut checkers::Model) {
+    /// Two eager waiters, plus a third that arrives while the first flush
+    /// is in flight. Its ticket names the epoch after the one being
+    /// flushed, so that flush cannot cover it: the late waiter rides it,
+    /// then leads the next flush (or rides it, if another waiter led it
+    /// first) — the self-clocking group commit, with no window anywhere.
+    fn scenario() -> impl Fn(&mut checkers::Model) {
         move |model| {
             let seq = Arc::new(FlushSequencer::new());
-            let dev =
-                Arc::new(Recording { device: AtomicU64::new(0), in_device: AtomicU64::new(0) });
+            let dev = Arc::new(Recording {
+                device: AtomicU64::new(0),
+                in_device: AtomicU64::new(0),
+                late: Handshake { stage: Mutex::new(0), cv: Condvar::new() },
+            });
             for _ in 0..2 {
                 let (s, d) = (seq.clone(), dev.clone());
                 model.thread(move || {
@@ -222,9 +246,17 @@ mod real_seq {
                     d.assert_covers(ticket);
                 });
             }
-            let ticket = seq.enqueue();
             model.thread(move || {
-                seq.wait_covered(ticket, &*dev, patience);
+                let mut stage = dev.late.stage.lock().unwrap();
+                while *stage != 1 {
+                    stage = dev.late.cv.wait(stage).unwrap();
+                }
+                let ticket = seq.enqueue();
+                assert!(ticket > seq.durable_epoch(), "a mid-flush ticket is not durable yet");
+                *stage = 2;
+                dev.late.cv.notify_all();
+                drop(stage);
+                seq.wait_durable_with(ticket, |epoch| dev.flush(epoch));
                 dev.assert_covers(ticket);
             });
         }
@@ -232,9 +264,7 @@ mod real_seq {
 
     #[test]
     fn real_sequencer_never_loses_or_doubles_a_flush() {
-        let r = explore(opts(), scenario(Duration::ZERO));
-        assert_pass(&r, "real_seq_no_lost_flush");
-        let r = explore(opts(), scenario(Duration::from_secs(3600)));
-        assert_pass(&r, "real_seq_patient_rider");
+        let r = explore(opts(), scenario());
+        assert_pass(&r, "real_seq_late_waiter");
     }
 }

@@ -432,12 +432,13 @@ pub(super) fn run_distributed<A: LiveAdvisor>(
                 record_remaining_hold(lock_holds, lock_set, fp.early_released, t_locked);
                 drop(locks_held);
                 if let Some((d, t)) = ticket {
-                    // Ride the flusher's windowed group commit rather than
-                    // leading eagerly — leading here would pin the fsync
-                    // rate to the distributed-commit rate and collapse
-                    // throughput to the device.
+                    // Lead a flush at once if the device is idle; ride the
+                    // one in flight otherwise, and lead the next if that
+                    // one started before this ticket. Commits arriving
+                    // during one fsync share the next, so the fsync rate
+                    // stays at or below one per device-flush time.
                     let t_flush = Instant::now();
-                    d.seq.wait_covered(t, &d.device, d.group_window);
+                    d.seq.wait_durable_dev(t, &d.device);
                     let fw = us_since(t_flush);
                     acc.coord_us += fw;
                     acc.flush_us += fw;
@@ -537,39 +538,62 @@ mod tests {
 
     #[test]
     fn durable_commit_waits_for_the_device_after_releasing_its_locks() {
-        // One client, lock-all plans, nothing on the fast path: no flusher
-        // group ever forms, so every write commit waits out its whole
-        // patience (the group-commit window) before leading its own flush.
-        // `run_distributed` takes the ticket, releases the lock set, *then*
-        // waits — so the window shows up in the Flush sub-bucket while even
-        // the longest lock hold stays far below it.
-        const WINDOW: Duration = Duration::from_millis(20);
-        const WRITES: u32 = 5;
+        // The test holds a device flush open on the runtime's sequencer,
+        // then lets one lock-all write commit. Its ticket names a later
+        // epoch than the open flush, so its durable wait must park behind
+        // it. `run_distributed` takes the ticket, releases the lock set,
+        // *then* waits: so while the writer is parked, the test must be
+        // able to take the whole lock set itself. Holding the device a
+        // further HOLD then shows up in the writer's Flush sub-bucket,
+        // while even the longest lock hold stays below it.
+        const HOLD: Duration = Duration::from_millis(20);
         let dir = durability_dir("hold");
-        let cfg = LiveConfig {
-            durability: Some(DurabilityConfig::new(&dir).group_commit_window(WINDOW)),
-            ..Default::default()
-        };
+        let cfg =
+            LiveConfig { durability: Some(DurabilityConfig::new(&dir)), ..Default::default() };
         let rt =
             LiveRuntime::start(kv_database(2, 8), kv_registry(), AssumeDistributed::new(), cfg);
+        let shared = rt.shared();
+        let seq = &shared.durable.as_ref().expect("durable runtime").seq;
         let mut client = rt.client();
-        for id in 0..i64::from(WRITES) {
-            let outcome = client.call(0, vec![Value::Array(vec![Value::Int(id)])]).unwrap();
-            assert!(matches!(outcome, TxnOutcome::Committed));
-        }
-        drop(client);
+        let locks_free = std::thread::scope(|s| {
+            let (in_device, in_device_rx) = std::sync::mpsc::channel();
+            let (release, release_rx) = std::sync::mpsc::channel::<()>();
+            s.spawn(move || {
+                seq.wait_durable_with(seq.enqueue(), |_| {
+                    in_device.send(()).unwrap();
+                    let _ = release_rx.recv();
+                })
+            });
+            in_device_rx.recv().unwrap();
+            let writer = s.spawn(move || {
+                client.call(0, vec![Value::Array(vec![Value::Int(0), Value::Int(1)])]).unwrap()
+            });
+            // The open flush is one sequencer wait; the writer's commit is
+            // the second.
+            while seq.counters().0 < 2 {
+                std::thread::sleep(Duration::from_millis(1));
+            }
+            let (got, got_rx) = std::sync::mpsc::channel();
+            s.spawn(move || {
+                let _all = shared.locks.guard(PartitionSet::all(2));
+                let _ = got.send(());
+            });
+            let locks_free = got_rx.recv_timeout(Duration::from_secs(10)).is_ok();
+            std::thread::sleep(HOLD);
+            release.send(()).unwrap();
+            assert!(matches!(writer.join().unwrap(), TxnOutcome::Committed));
+            locks_free
+        });
+        assert!(locks_free, "the writer held its lock set into the durable wait");
         let (m, _) = rt.shutdown();
         let _ = std::fs::remove_dir_all(&dir);
-        let window_us = WINDOW.as_secs_f64() * 1e6;
-        let flush_us = m.profile.coord_us(0, CoordSub::Flush) / f64::from(WRITES);
-        assert!(
-            flush_us >= 0.9 * window_us,
-            "durable wait per committed write {flush_us:.0} µs, expected about {window_us:.0}"
-        );
-        assert_eq!(m.lock_hold.count(), u64::from(WRITES) * 2, "two partitions held per write");
+        let hold_us = HOLD.as_secs_f64() * 1e6;
+        let flush_us = m.profile.coord_us(0, CoordSub::Flush);
+        assert!(flush_us >= hold_us, "durable wait {flush_us:.0} µs, device held {hold_us:.0} µs");
+        assert_eq!(m.lock_hold.count(), 2, "two partitions held by the one write");
         let top_hold_us = m.lock_hold.quantile_us(1.0).expect("lock holds within histogram range");
         assert!(
-            top_hold_us < 0.5 * window_us,
+            top_hold_us < hold_us,
             "longest lock hold {top_hold_us:.0} µs: the locks were held into the durable wait"
         );
     }

@@ -152,11 +152,6 @@ pub(super) struct Durable<S> {
     /// durable commit groups ride here with their sequencer ticket, so the
     /// real fsync happens off every worker's serving path.
     pub(super) flusher: Sender<FlushJob<S>>,
-    /// Group-commit accumulation window
-    /// ([`DurabilityConfig::group_commit_window`]): how long the flusher
-    /// lets further groups pile in behind the first before one device
-    /// flush covers them all.
-    pub(super) group_window: Duration,
     /// Strict read fence ([`DurabilityConfig::read_fence`]): hold
     /// read-only fast-path acks behind the covering flush when their
     /// partition has not-yet-durable writes.
@@ -268,6 +263,15 @@ pub struct LiveRuntime<A: LiveAdvisor + 'static> {
     running: Option<Running>,
 }
 
+#[cfg(test)]
+impl<A: LiveAdvisor + 'static> LiveRuntime<A> {
+    /// The state every runtime thread shares, for tests that drive the
+    /// lock manager or the flush sequencer directly.
+    pub(super) fn shared(&self) -> &Shared<A> {
+        &self.shared
+    }
+}
+
 impl<A: LiveAdvisor + 'static> LiveRuntime<A> {
     /// Boots the runtime: splits `db` into per-partition shards, spawns
     /// one owned worker thread per shard, and — when `advisor.maintainer()`
@@ -302,7 +306,9 @@ impl<A: LiveAdvisor + 'static> LiveRuntime<A> {
             db = Database::from_shards(shards);
         }
         let catalog = registry.catalog();
-        let (replayed, skipped) = crate::durability::replay(&mut db, &registry, &catalog, &state);
+        let (replayed, skipped) =
+            crate::durability::replay(&mut db, &registry, &catalog, &mut state)
+                .expect("read command-log segments");
         let recovery_ms = t0.elapsed().as_secs_f64() * 1e3;
         let report = RecoveryReport {
             recovery_ms,
@@ -311,11 +317,11 @@ impl<A: LiveAdvisor + 'static> LiveRuntime<A> {
             skipped,
             log_records_scanned: state.log_records_scanned,
         };
-        let seed = RecoverySeed {
-            gen: state.max_gen + 1,
-            next_txn_id: crate::durability::max_txn_id(&state) + 1,
-            recovery_ms,
-        };
+        let seed =
+            RecoverySeed { gen: state.max_gen + 1, next_txn_id: state.max_txn_id + 1, recovery_ms };
+        // The 2PC outcome table is spent: free it before the runtime
+        // allocates its own state.
+        drop(state);
         (Self::start_inner(db, registry, advisor, cfg, Some(seed)), report)
     }
 
@@ -349,7 +355,6 @@ impl<A: LiveAdvisor + 'static> LiveRuntime<A> {
                 active_gen: AtomicU64::new(seed.gen),
                 recovery_ms: seed.recovery_ms,
                 flusher: tx,
-                group_window: dc.group_commit_window,
                 read_fence: dc.read_fence,
             }
         });

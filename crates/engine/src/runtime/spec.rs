@@ -2,7 +2,7 @@
 
 use super::lifecycle::Shared;
 use super::wire::{BatchItem, FragCmd, FragReply, SingleMsg, SingleReply, SingleSlot};
-use super::worker::{flush, release_group, run_single, stamp_times, DeferredAck, Intake};
+use super::worker::{release_group, run_single, stamp_times, DeferredAck, Intake};
 use super::SPEC_WATCHDOG;
 use crate::advisor::{LiveAdvisor, Request};
 use crate::exec::execute_fragment;
@@ -65,7 +65,7 @@ pub(super) fn serve_reservation<A: LiveAdvisor>(
             Some(FragCmd::ExecBatch { proc, queries }) => {
                 // One modeled network hop covers the whole sub-batch —
                 // exactly the per-query message cost batching removes.
-                flush(env.msg_delay);
+                std::thread::sleep(env.msg_delay);
                 let mut items = Vec::with_capacity(queries.len());
                 let mut fatal = None;
                 for (query, params) in queries {
@@ -102,7 +102,7 @@ pub(super) fn serve_reservation<A: LiveAdvisor>(
                 }
             }
             Some(FragCmd::Prepare { speculate }) => {
-                flush(env.msg_delay);
+                std::thread::sleep(env.msg_delay);
                 if !speculate {
                     // Read-only participant: no effects to keep or undo, no
                     // outcome to wait for — the reservation simply ends and
@@ -127,7 +127,7 @@ pub(super) fn serve_reservation<A: LiveAdvisor>(
                 // Outcome-identical to Vote + Finish because the vote is
                 // always yes. Commit durability is the coordinator's one
                 // sequenced flush (see the Prepare arm above).
-                flush(env.msg_delay);
+                std::thread::sleep(env.msg_delay);
                 if let (Some(d), Some(id)) = (&env.durable, dist_id) {
                     // Appended before the Finished reply: the coordinator's
                     // one real flush (after all Finished acks) covers it.

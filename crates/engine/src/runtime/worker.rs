@@ -12,7 +12,7 @@ use common::ring::{self, Doorbell};
 use common::sync::mpsc::{Receiver, Sender};
 use common::sync::Arc;
 use common::{Error, PartitionSet};
-use std::time::{Duration, Instant};
+use std::time::Instant;
 use storage::{Shard, UndoLog};
 
 /// One worker's inbound state: the control receiver and doorbell (its half
@@ -244,9 +244,9 @@ pub(super) fn worker_loop<A: LiveAdvisor>(
             match &env.durable {
                 Some(d) if out.needs_flush() => {
                     // Command-log the committed writer at its service
-                    // position, then hand its ack to the flusher: the
-                    // flusher's accumulation window does the cross-writer
-                    // coalescing, and nothing served behind this writer
+                    // position, then hand its ack to the flusher: writers
+                    // closing while a flush is in the device share the
+                    // next one, and nothing served behind this writer
                     // waits on it (unless the read fence says so).
                     let req = out.req.as_ref().expect("committed fast path retains its request");
                     d.append_local(shard.partition(), req);
@@ -443,9 +443,11 @@ fn release_acks<S>(acks: &mut Vec<DeferredAck<S>>) {
 /// of the last group this worker routed, which the flusher's FIFO
 /// guarantees is already durable by the time the job is seen, so no extra
 /// device operation results. `last_ticket` is advanced to the ticket the
-/// group rides, if any. 2PC durability is not paid here: the
-/// *coordinator* waits once per distributed commit on the same sequencer,
-/// covering every participant's writes.
+/// group rides, if any. Nothing here waits for company: a group handed
+/// over while the device is idle is flushed at once, and groups closing
+/// during a flush share the next one. 2PC durability is not paid here:
+/// the *coordinator* waits once per distributed commit on the same
+/// sequencer, covering every participant's writes.
 pub(super) fn release_group<A: LiveAdvisor>(
     env: &Shared<A>,
     mut acks: Vec<DeferredAck<A::Session>>,
@@ -488,29 +490,17 @@ pub(super) enum FlushJob<S> {
 /// queued (one device wait at the max ticket covers every earlier one —
 /// the sequencer's epoch argument), performs the real `write+fsync`
 /// through the shared `FlushSequencer`, and releases the held acks.
-/// Workers never fsync on their serving path; distributed coordinators
-/// wait on the same sequencer from their client threads, so both demand
-/// streams coalesce into the same device operations.
+/// There is no accumulation window: while one flush is in the device, the
+/// groups that close behind it queue here (and coordinators queue on the
+/// sequencer), so the next drain covers all of them with one flush. The
+/// group is as long as the device is slow, and zero when a writer is
+/// alone. Workers never fsync on their serving path; distributed
+/// coordinators wait on the same sequencer from their client threads, so
+/// both demand streams coalesce into the same device operations.
 pub(super) fn flusher_loop<A: LiveAdvisor>(env: &Shared<A>, rx: &Receiver<FlushJob<A::Session>>) {
     let durable = env.durable.as_ref().expect("flusher thread requires durability state");
-    let mut last_flush: Option<Instant> = None;
     while let Ok(job) = rx.recv() {
         let FlushJob::Group { mut ticket, mut acks } = job else { return };
-        // Group-commit pacing: bound the fsync rate by 1/window without
-        // taxing an idle device. A group arriving on the heels of the
-        // previous flush sleeps only the *remainder* of the window,
-        // letting concurrently closing groups land behind it so the drain
-        // below folds them into the same device flush — on a loaded (or
-        // single-core) host the sub-window groups arrive one at a time,
-        // and flushing eagerly would pay one fsync each. A group arriving
-        // after a quiet spell flushes immediately: its coalescing already
-        // happened, nothing else is coming.
-        if let Some(t0) = last_flush {
-            let elapsed = t0.elapsed();
-            if elapsed < durable.group_window {
-                flush(durable.group_window - elapsed);
-            }
-        }
         let mut stop = false;
         loop {
             match rx.try_recv() {
@@ -525,18 +515,11 @@ pub(super) fn flusher_loop<A: LiveAdvisor>(env: &Shared<A>, rx: &Receiver<FlushJ
                 Err(_) => break,
             }
         }
-        last_flush = Some(Instant::now());
         durable.seq.wait_durable_dev(ticket, &durable.device);
         release_acks(&mut acks);
         if stop {
             return;
         }
-    }
-}
-
-pub(super) fn flush(d: Duration) {
-    if !d.is_zero() {
-        std::thread::sleep(d);
     }
 }
 
@@ -558,6 +541,7 @@ pub(super) mod tests {
     use common::sync::mpsc::channel;
     use common::sync::Mutex;
     use common::{QueryId, Value};
+    use std::time::Duration;
     use storage::Row;
 
     /// Sorted `(key, row)` snapshot of one table slice, for byte-identical

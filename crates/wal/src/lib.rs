@@ -40,8 +40,8 @@ pub mod snapshot;
 
 pub use codec::{CodecError, Reader, Writer};
 pub use log::{FileDevice, LogSet};
-pub use record::LogRecord;
-pub use recover::{scan, RecoveredState};
+pub use record::{FrameReader, LogRecord};
+pub use recover::{scan, DistOutcome, LogStream, Outcomes, RecoveredState, ValidSegment};
 pub use snapshot::{marker_path, read_snapshot, snapshot_path, write_marker, write_snapshot};
 
 use std::path::{Path, PathBuf};

@@ -23,10 +23,11 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
 
-/// One partition's open segment: the append buffer plus the file handle.
+/// One partition's open segment: the append buffer plus the file handle
+/// (shared, so a device flush can sync it without holding the lock).
 #[derive(Debug)]
 struct PartitionLog {
-    file: File,
+    file: Arc<File>,
     buf: Vec<u8>,
     gen: u64,
 }
@@ -53,6 +54,7 @@ impl LogSet {
         for p in 0..num_partitions {
             let file =
                 OpenOptions::new().create(true).append(true).open(segment_path(dir, p, gen))?;
+            let file = Arc::new(file);
             parts.push(Mutex::new(PartitionLog { file, buf: Vec::with_capacity(4096), gen }));
         }
         Ok(LogSet {
@@ -88,20 +90,28 @@ impl LogSet {
 
     /// Writes and fsyncs every partition's buffered bytes: the real device
     /// flush behind one group-commit epoch. On return, every record
-    /// appended before this call is durable.
+    /// appended before this call is durable. Each partition's bytes are
+    /// written under its lock, so no append interleaves with them, and
+    /// synced after it is released: the worker appending the next
+    /// commit's records never waits out an fsync.
     pub fn flush_all(&self) {
         for part in &self.parts {
-            let mut log = part.lock().unwrap_or_else(PoisonError::into_inner);
-            Self::flush_one(&mut log);
+            let file = {
+                let mut log = part.lock().unwrap_or_else(PoisonError::into_inner);
+                if log.buf.is_empty() {
+                    continue;
+                }
+                Self::write_out(&mut log);
+                Arc::clone(&log.file)
+            };
+            file.sync_data().expect("command-log fsync");
         }
     }
 
-    fn flush_one(log: &mut PartitionLog) {
-        if !log.buf.is_empty() {
-            log.file.write_all(&log.buf).expect("command-log write");
-            log.buf.clear();
-            log.file.sync_data().expect("command-log fsync");
-        }
+    /// Moves the buffered bytes into the segment file (no sync).
+    fn write_out(log: &mut PartitionLog) {
+        (&*log.file).write_all(&log.buf).expect("command-log write");
+        log.buf.clear();
     }
 
     /// Closes partition `p`'s current segment (flushing and fsyncing its
@@ -110,11 +120,11 @@ impl LogSet {
     /// that owns `p`, at its snapshot service point.
     pub fn rotate(&self, p: u32, gen: u64) -> std::io::Result<()> {
         let mut log = self.parts[p as usize].lock().unwrap_or_else(PoisonError::into_inner);
-        Self::flush_one(&mut log);
+        Self::write_out(&mut log);
         log.file.sync_data()?;
         let file =
             OpenOptions::new().create(true).append(true).open(segment_path(&self.dir, p, gen))?;
-        log.file = file;
+        log.file = Arc::new(file);
         log.gen = gen;
         Ok(())
     }

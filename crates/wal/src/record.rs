@@ -7,14 +7,21 @@
 //! ```
 //!
 //! and the payload is a tag byte plus the variant's fields. Decoding a
-//! stream stops — cleanly, never panicking — at the first frame whose
-//! length runs past the buffer, whose checksum mismatches, or whose
-//! payload fails to parse: exactly the torn/corrupt-tail cases a crash
-//! mid-write can leave behind. Everything before that prefix is valid
-//! (appends are strictly sequential per partition).
+//! stream ([`FrameReader`]) stops — cleanly, never panicking — at the
+//! first frame whose length runs past the input, whose checksum
+//! mismatches, or whose payload fails to parse: exactly the torn/corrupt-
+//! tail cases a crash mid-write can leave behind. Everything before that
+//! prefix is valid (appends are strictly sequential per partition).
 
 use crate::codec::{fnv1a, CodecError, Reader, Writer};
 use common::{ProcId, Value};
+use std::io::{self, Read};
+
+/// Frame header: payload length (`u32`) plus checksum (`u64`).
+const HEADER: usize = 12;
+
+/// Largest payload a frame may declare: a record is a command, not a heap.
+const MAX_PAYLOAD: u32 = 1 << 24;
 
 /// One durable command. `Local` is a committed single-partition writer;
 /// distributed transactions appear as a [`LogRecord::DistBegin`] on every
@@ -108,30 +115,82 @@ impl LogRecord {
     /// after that — a torn length, a checksum mismatch, an unparsable
     /// payload — is a tail the caller discards. Never panics.
     pub fn decode_stream(bytes: &[u8]) -> (Vec<LogRecord>, usize) {
-        let mut records = Vec::new();
-        let mut pos = 0usize;
-        while bytes.len() - pos >= 12 {
-            let len = u32::from_le_bytes(bytes[pos..pos + 4].try_into().expect("4 bytes")) as usize;
-            // Frame sanity: a record payload is a command, not a heap.
-            if len > (1 << 24) || bytes.len() - pos - 12 < len {
-                break;
-            }
-            let want = u64::from_le_bytes(bytes[pos + 4..pos + 12].try_into().expect("8 bytes"));
-            let payload = &bytes[pos + 12..pos + 12 + len];
-            if fnv1a(payload) != want {
-                break;
-            }
-            let mut pr = Reader::new(payload);
-            let Ok(rec) = LogRecord::decode_payload(&mut pr) else { break };
+        let mut frames = FrameReader::new(bytes);
+        // Reading a slice cannot fail, so `map_while` only ends at the tail.
+        let records = frames.by_ref().map_while(Result::ok).collect();
+        (records, frames.valid_len() as usize)
+    }
+}
+
+/// Decodes log frames one at a time from any byte source, holding one
+/// payload at a time: the recovery scan validates segment files through
+/// it, and replay re-reads their valid prefixes with it. Yields
+/// `Ok(record)` per valid frame and ends — for good — at the first frame
+/// that is short, fails its checksum, or does not parse. An I/O error
+/// other than a short read is yielded once, then the reader ends too.
+#[derive(Debug)]
+pub struct FrameReader<R> {
+    src: R,
+    payload: Vec<u8>,
+    /// Bytes of the valid frames yielded so far.
+    valid: u64,
+    done: bool,
+}
+
+impl<R: Read> FrameReader<R> {
+    pub fn new(src: R) -> Self {
+        FrameReader { src, payload: Vec::new(), valid: 0, done: false }
+    }
+
+    /// Bytes consumed by the valid frames read so far; once the reader
+    /// has ended at a tail, the length of the valid prefix.
+    pub fn valid_len(&self) -> u64 {
+        self.valid
+    }
+
+    /// The next valid frame's record, `Ok(None)` at the tail.
+    fn frame(&mut self) -> io::Result<Option<LogRecord>> {
+        let mut head = [0u8; HEADER];
+        match self.src.read_exact(&mut head) {
+            Ok(()) => {}
+            Err(e) if e.kind() == io::ErrorKind::UnexpectedEof => return Ok(None),
+            Err(e) => return Err(e),
+        }
+        let len = u32::from_le_bytes(head[..4].try_into().expect("4 bytes"));
+        if len > MAX_PAYLOAD {
+            return Ok(None);
+        }
+        let want = u64::from_le_bytes(head[4..].try_into().expect("8 bytes"));
+        self.payload.clear();
+        // `take` grows the buffer only with bytes that are really there,
+        // so a torn length prefix cannot allocate what the input lacks.
+        (&mut self.src).take(u64::from(len)).read_to_end(&mut self.payload)?;
+        if self.payload.len() != len as usize || fnv1a(&self.payload) != want {
+            return Ok(None);
+        }
+        let mut r = Reader::new(&self.payload);
+        match LogRecord::decode_payload(&mut r) {
             // Trailing garbage inside a checksummed frame would mean the
             // writer and reader disagree on the format; treat as corrupt.
-            if pr.remaining() != 0 {
-                break;
+            Ok(rec) if r.remaining() == 0 => {
+                self.valid += (HEADER + self.payload.len()) as u64;
+                Ok(Some(rec))
             }
-            records.push(rec);
-            pos += 12 + len;
+            _ => Ok(None),
         }
-        (records, pos)
+    }
+}
+
+impl<R: Read> Iterator for FrameReader<R> {
+    type Item = io::Result<LogRecord>;
+
+    fn next(&mut self) -> Option<Self::Item> {
+        if self.done {
+            return None;
+        }
+        let next = self.frame().transpose();
+        self.done = !matches!(next, Some(Ok(_)));
+        next
     }
 }
 

@@ -1,12 +1,15 @@
-//! The recovery scan: what survives in a durability directory, decoded.
+//! The recovery scan: what survives in a durability directory, validated.
 //!
 //! [`scan`] finds the newest *complete* snapshot generation (marker
 //! present and every partition's snapshot file validates), loads its rows,
-//! and decodes every log segment at or above that generation into
-//! per-partition record streams — concatenated in ascending generation
-//! order, torn tails dropped per segment. The engine replays those streams
-//! on top of the snapshot (or the freshly loaded base population when no
-//! snapshot exists).
+//! and makes one validating pass over every log segment at or above that
+//! generation, frame by frame. It keeps no records: only each segment's
+//! valid byte length (torn tails dropped per segment), the 2PC outcome
+//! table and the highest transaction id. The engine then replays each
+//! partition's [`LogStream`] — the valid prefixes of its segments, in
+//! ascending generation order — on top of the snapshot
+//! (or the freshly loaded base population when no snapshot exists),
+//! holding one decoded record per partition at a time.
 //!
 //! A marker whose snapshot files fail to validate is skipped in favor of
 //! an older one; in practice that cannot happen from a crash alone (the
@@ -15,10 +18,86 @@
 //! reached its marker are simply replayed around: the segments they
 //! rotated still concatenate into the same per-partition record order.
 
-use crate::record::LogRecord;
-use crate::snapshot::{marker_path, read_snapshot, SnapRow};
+use crate::record::{FrameReader, LogRecord};
+use crate::snapshot::{read_snapshot, SnapRow};
 use crate::{parse_part_gen, segment_path};
-use std::path::Path;
+use common::fxhash::FxHashMap;
+use std::fs::File;
+use std::io::{self, BufReader, Read, Take};
+use std::path::{Path, PathBuf};
+
+/// The valid prefix of one log segment: replay reads `len` bytes of `path`.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct ValidSegment {
+    pub path: PathBuf,
+    pub len: u64,
+}
+
+/// What the scan learned about one distributed transaction.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct DistOutcome {
+    /// A durable `Decision { commit: true }` exists. Participants never
+    /// disagree: every decision for one transaction is written from the
+    /// same coordinator outcome.
+    pub commit: bool,
+    /// How many partition streams hold the transaction's `DistBegin`.
+    pub participants: u32,
+}
+
+/// Transaction ids per block of the [`Outcomes`] table.
+const BLOCK: u64 = 64;
+/// The commit bit of an outcome byte; the low bits count participants.
+const COMMIT: u8 = 0x80;
+
+/// The 2PC outcome table: one byte per transaction id, holding the commit
+/// bit and the participant count of a [`DistOutcome`]. A partition parked
+/// at a begin holds that begin, so counting the partitions parked at it is
+/// enough to tell when all participants are. Ids come from one counter per
+/// run, so the ids of a log are dense; keeping the bytes in 64-id blocks
+/// makes the table cost little more than a byte per logged transaction,
+/// whatever the ids.
+#[derive(Debug, Default)]
+pub struct Outcomes {
+    blocks: FxHashMap<u64, [u8; BLOCK as usize]>,
+}
+
+impl Outcomes {
+    fn byte(&mut self, txn_id: u64) -> &mut u8 {
+        let block = self.blocks.entry(txn_id / BLOCK).or_insert([0; BLOCK as usize]);
+        &mut block[(txn_id % BLOCK) as usize]
+    }
+
+    /// One more partition stream holds `txn_id`'s begin. A stream holds at
+    /// most one begin per transaction and there are at most 64 partitions,
+    /// so the count fits below the commit bit.
+    pub fn add_participant(&mut self, txn_id: u64) {
+        let b = self.byte(txn_id);
+        debug_assert!(*b & !COMMIT < !COMMIT, "participant count overflow");
+        *b += 1;
+    }
+
+    /// Records a decision for `txn_id`; the last one recorded wins.
+    pub fn decide(&mut self, txn_id: u64, commit: bool) {
+        let b = self.byte(txn_id);
+        *b = if commit { *b | COMMIT } else { *b & !COMMIT };
+    }
+
+    /// `txn_id`'s outcome; the default (no commit, no participants) for an
+    /// id the table never saw or has retired.
+    pub fn get(&self, txn_id: u64) -> DistOutcome {
+        let b =
+            self.blocks.get(&(txn_id / BLOCK)).map_or(0, |block| block[(txn_id % BLOCK) as usize]);
+        DistOutcome { commit: b & COMMIT != 0, participants: u32::from(b & !COMMIT) }
+    }
+
+    /// Marks `txn_id` resolved: replay has executed or skipped it, and any
+    /// further begin of it reads as the default outcome.
+    pub fn retire(&mut self, txn_id: u64) {
+        if let Some(block) = self.blocks.get_mut(&(txn_id / BLOCK)) {
+            block[(txn_id % BLOCK) as usize] = 0;
+        }
+    }
+}
 
 /// Everything [`scan`] recovered from a durability directory.
 #[derive(Debug)]
@@ -28,8 +107,15 @@ pub struct RecoveredState {
     /// Per-partition snapshot rows (`[partition][table][row]`), present
     /// iff `snapshot_gen` is.
     pub snapshot: Option<Vec<Vec<Vec<SnapRow>>>>,
-    /// Per-partition command-log streams to replay, in file order.
-    pub streams: Vec<Vec<LogRecord>>,
+    /// Per partition, the segments to replay, in ascending generation
+    /// order.
+    pub segments: Vec<Vec<ValidSegment>>,
+    /// The 2PC outcome table over every `DistBegin` and `Decision` record
+    /// in the streams.
+    pub outcomes: Outcomes,
+    /// Highest transaction id in the streams (0 when none): the recovered
+    /// runtime allocates ids strictly above this.
+    pub max_txn_id: u64,
     /// Highest generation seen on any surviving file (0 when none): the
     /// recovered runtime opens fresh segments *above* this.
     pub max_gen: u64,
@@ -37,13 +123,45 @@ pub struct RecoveredState {
     pub log_records_scanned: u64,
 }
 
+/// One partition's replay stream: its segments' valid prefixes, chained
+/// in generation order and decoded one record at a time.
+#[derive(Debug)]
+pub struct LogStream<'a> {
+    rest: std::slice::Iter<'a, ValidSegment>,
+    cur: Option<FrameReader<BufReader<Take<File>>>>,
+}
+
+impl<'a> LogStream<'a> {
+    /// The stream over `segments`, read in order.
+    pub fn new(segments: &'a [ValidSegment]) -> Self {
+        LogStream { rest: segments.iter(), cur: None }
+    }
+}
+
+impl Iterator for LogStream<'_> {
+    type Item = io::Result<LogRecord>;
+
+    fn next(&mut self) -> Option<Self::Item> {
+        loop {
+            if let Some(rec) = self.cur.as_mut().and_then(Iterator::next) {
+                return Some(rec);
+            }
+            let seg = self.rest.next()?;
+            match File::open(&seg.path) {
+                Ok(f) => self.cur = Some(FrameReader::new(BufReader::new(f.take(seg.len)))),
+                Err(e) => return Some(Err(e)),
+            }
+        }
+    }
+}
+
 /// Scans `dir` for the newest usable snapshot plus the log segments to
 /// replay on top of it. A missing or empty directory is a valid fresh
 /// state, not an error.
-pub fn scan(dir: &Path, num_partitions: u32) -> std::io::Result<RecoveredState> {
+pub fn scan(dir: &Path, num_partitions: u32) -> io::Result<RecoveredState> {
     let parts = num_partitions as usize;
     let mut markers: Vec<u64> = Vec::new();
-    let mut segments: Vec<Vec<u64>> = vec![Vec::new(); parts];
+    let mut gens: Vec<Vec<u64>> = vec![Vec::new(); parts];
     let mut max_gen = 0u64;
     match std::fs::read_dir(dir) {
         Ok(entries) => {
@@ -53,7 +171,7 @@ pub fn scan(dir: &Path, num_partitions: u32) -> std::io::Result<RecoveredState> 
                 let Some(name) = name.to_str() else { continue };
                 if let Some((p, g)) = parse_part_gen(name, "log-", ".wal") {
                     if (p as usize) < parts {
-                        segments[p as usize].push(g);
+                        gens[p as usize].push(g);
                     }
                     max_gen = max_gen.max(g);
                 } else if let Some((_, g)) = parse_part_gen(name, "snap-", ".snap") {
@@ -68,10 +186,11 @@ pub fn scan(dir: &Path, num_partitions: u32) -> std::io::Result<RecoveredState> 
                 }
             }
         }
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => {}
+        Err(e) if e.kind() == io::ErrorKind::NotFound => {}
         Err(e) => return Err(e),
     }
-    // Newest marked generation whose snapshot files all validate wins.
+    // Newest marked generation whose snapshot files all validate wins; a
+    // marker without valid snapshot files is disk corruption, so fall back.
     markers.sort_unstable();
     let mut snapshot_gen = None;
     let mut snapshot = None;
@@ -83,24 +202,40 @@ pub fn scan(dir: &Path, num_partitions: u32) -> std::io::Result<RecoveredState> 
             snapshot = Some(tables);
             break;
         }
-        // Marker without valid snapshot files: disk corruption; fall back.
-        let _ = marker_path(dir, g); // (path kept for diagnostics)
     }
     let floor = snapshot_gen.unwrap_or(0);
-    let mut streams = Vec::with_capacity(parts);
-    let mut scanned = 0u64;
-    for (p, gens) in segments.iter_mut().enumerate() {
+    let mut segments = Vec::with_capacity(parts);
+    let mut outcomes = Outcomes::default();
+    let (mut max_txn_id, mut scanned) = (0u64, 0u64);
+    for (p, gens) in gens.iter_mut().enumerate() {
         gens.sort_unstable();
-        let mut stream = Vec::new();
+        let mut valid = Vec::new();
         for &g in gens.iter().filter(|&&g| g >= floor) {
-            let bytes = std::fs::read(segment_path(dir, p as u32, g))?;
-            let (records, _valid) = LogRecord::decode_stream(&bytes);
-            scanned += records.len() as u64;
-            stream.extend(records);
+            let path = segment_path(dir, p as u32, g);
+            let mut frames = FrameReader::new(BufReader::new(File::open(&path)?));
+            for rec in frames.by_ref() {
+                let rec = rec?;
+                scanned += 1;
+                max_txn_id = max_txn_id.max(rec.txn_id());
+                match rec {
+                    LogRecord::DistBegin { txn_id, .. } => outcomes.add_participant(txn_id),
+                    LogRecord::Decision { txn_id, commit } => outcomes.decide(txn_id, commit),
+                    LogRecord::Local { .. } => {}
+                }
+            }
+            valid.push(ValidSegment { path, len: frames.valid_len() });
         }
-        streams.push(stream);
+        segments.push(valid);
     }
-    Ok(RecoveredState { snapshot_gen, snapshot, streams, max_gen, log_records_scanned: scanned })
+    Ok(RecoveredState {
+        snapshot_gen,
+        snapshot,
+        segments,
+        outcomes,
+        max_txn_id,
+        max_gen,
+        log_records_scanned: scanned,
+    })
 }
 
 #[cfg(test)]
@@ -110,6 +245,11 @@ mod tests {
     use crate::snapshot::{write_marker, write_snapshot};
     use common::Value;
     use std::path::PathBuf;
+
+    /// Partition `p`'s replay stream, decoded.
+    fn records(s: &RecoveredState, p: usize) -> Vec<LogRecord> {
+        LogStream::new(&s.segments[p]).collect::<io::Result<_>>().unwrap()
+    }
 
     fn tmpdir(tag: &str) -> PathBuf {
         let d = std::env::temp_dir().join(format!("wal-recover-{tag}-{}", std::process::id()));
@@ -121,8 +261,8 @@ mod tests {
     fn fresh_directory_is_empty_state() {
         let s = scan(&tmpdir("fresh"), 3).unwrap();
         assert_eq!(s.snapshot_gen, None);
-        assert_eq!(s.streams.len(), 3);
-        assert!(s.streams.iter().all(Vec::is_empty));
+        assert_eq!(s.segments.len(), 3);
+        assert!((0..3).all(|p| records(&s, p).is_empty()));
         assert_eq!(s.max_gen, 0);
     }
 
@@ -144,19 +284,19 @@ mod tests {
         logs.flush_all();
         let s = scan(&dir, 2).unwrap();
         assert_eq!(s.snapshot_gen, Some(1));
-        let snap = s.snapshot.unwrap();
+        let snap = s.snapshot.as_ref().unwrap();
         assert_eq!(snap[1][0][0][0], Value::Int(1));
         // Only the post-snapshot record replays; the pre-snapshot one is
         // below the marker's floor.
-        assert_eq!(s.streams[0], vec![new]);
-        assert!(s.streams[1].is_empty());
+        assert_eq!(records(&s, 0), vec![new]);
+        assert!(records(&s, 1).is_empty());
         assert_eq!(s.max_gen, 1);
         assert_eq!(s.log_records_scanned, 1);
         // Truncation removes the dead generation-0 segments.
         let removed = crate::truncate_below(&dir, 1).unwrap();
         assert_eq!(removed, 2);
         let again = scan(&dir, 2).unwrap();
-        assert_eq!(again.streams[0], s.streams[0]);
+        assert_eq!(records(&again, 0), records(&s, 0));
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -175,7 +315,7 @@ mod tests {
         let s = scan(&dir, 1).unwrap();
         assert_eq!(s.snapshot_gen, None, "no marker, no snapshot");
         // Both records survive, in order, across the rotation boundary.
-        assert_eq!(s.streams[0], vec![a, b]);
+        assert_eq!(records(&s, 0), vec![a, b]);
         assert_eq!(s.max_gen, 1);
         let _ = std::fs::remove_dir_all(&dir);
     }
