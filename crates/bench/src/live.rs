@@ -59,7 +59,7 @@ impl ClosedLoop {
     ///
     /// Asserts the conservation invariant shared with the deterministic
     /// simulator: every issued request either commits or user-aborts —
-    /// speculative cascades are retried transparently and must not lose or
+    /// mispredict restarts are retried transparently and must not lose or
     /// duplicate requests.
     fn run_with<A: LiveAdvisor + Clone + 'static>(
         &self,
@@ -201,7 +201,7 @@ struct ProfiledRun {
 /// partition runtime, one OS worker thread per partition, at every worker
 /// count the host has cores for (1, 2, 4, 8 up to max(2, cores)). TATP sweeps
 /// Houdini against the assume-single-partition and lock-all baselines;
-/// TPC-C ablates OP4 (early prepare + speculative execution) on vs off.
+/// TPC-C ablates OP4 (early prepare) on vs off.
 /// Arms are interleaved and each reports its median-of-3 run. Followed by
 /// the open-loop sweep of `live-latency` and the live Fig. 11 attribution
 /// of the houdini rows.
@@ -211,7 +211,7 @@ pub fn live(scale: Scale) -> String {
         "{}\n\
          # Live runtime: wall-clock TATP throughput (txn/s), one worker thread per partition\n\
          # h-lockms is `-` when no transaction held a multi-partition lock set\n\
-         workers  houdini  asp      lock-all  h-p50ms  h-p95ms  h-p99ms  h-commit  h-abort  h-restart  h-spec  h-lockms\n",
+         workers  houdini  asp      lock-all  h-p50ms  h-p95ms  h-p99ms  h-commit  h-abort  h-restart  h-lockms\n",
         host_header()
     );
     // TATP: no modeled message latency.
@@ -228,7 +228,7 @@ pub fn live(scale: Scale) -> String {
         let hs = hm.summary();
         let _ = writeln!(
             out,
-            "{parts:7}  {:7.0}  {:7.0}  {:8.0}  {}  {}  {}  {:8}  {:7}  {:9}  {:6}  {:>8}",
+            "{parts:7}  {:7.0}  {:7.0}  {:8.0}  {}  {}  {}  {:8}  {:7}  {:9}  {:>8}",
             hs.throughput_tps,
             am.throughput_tps(),
             dm.throughput_tps(),
@@ -238,7 +238,6 @@ pub fn live(scale: Scale) -> String {
             hs.committed,
             hs.user_aborts,
             hs.restarts,
-            hm.speculative,
             lock_hold_ms(&hm),
         );
         profiled.push(ProfiledRun { bench: "TATP", workers: parts, metrics: hm });
@@ -246,8 +245,8 @@ pub fn live(scale: Scale) -> String {
     let _ = writeln!(
         out,
         "\n{}\n\
-         # Live runtime: wall-clock TPC-C throughput (txn/s) — OP4 early-prepare + speculation ablation\n\
-         workers  op4-on   op4-off  lock-all  on-spec  on-cascade  on-lockms  off-lockms",
+         # Live runtime: wall-clock TPC-C throughput (txn/s) — OP4 early-prepare ablation\n\
+         workers  op4-on   op4-off  lock-all  on-lockms  off-lockms",
         host_header()
     );
     // TPC-C is the distributed-heavy workload that actually exercises OP4:
@@ -280,12 +279,10 @@ pub fn live(scale: Scale) -> String {
         let dm = short.run(&Arc::new(AssumeDistributed::new()));
         let _ = writeln!(
             out,
-            "{parts:7}  {:7.0}  {:7.0}  {:8.0}  {:7}  {:10}  {:>9}  {:>10}",
+            "{parts:7}  {:7.0}  {:7.0}  {:8.0}  {:>9}  {:>10}",
             on.throughput_tps(),
             off.throughput_tps(),
             dm.throughput_tps(),
-            on.speculative,
-            on.cascaded_aborts,
             lock_hold_ms(&on),
             lock_hold_ms(&off),
         );

@@ -5,64 +5,18 @@
 //! participant per batch step) removed the two fresh channels and the
 //! per-query message traffic every coordinated call used to allocate.
 //! This test holds that line the same way `alloc_budget.rs` does for the
-//! fast path: a counting global allocator measures two equal batches of
-//! identical forced-distributed calls after a warm-up long enough to
-//! saturate every amortized structure (fragment-lane registry, spare
-//! sessions, metrics sample buffers), and the batches must allocate
-//! *exactly* the same amount, under a per-call cap.
-//!
-//! Lives in its own integration-test binary because a
-//! `#[global_allocator]` is process-wide: one test per file keeps the
-//! counts attributable.
+//! fast path, with the shared harness (`alloc_pin`): after a warm-up long
+//! enough to saturate every amortized structure (fragment-lane registry,
+//! spare sessions, metrics sample buffers), two equal batches of
+//! identical forced-distributed calls must allocate *exactly* the same
+//! amount, under a per-call cap.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+mod alloc_pin;
 
-use common::Value;
+use alloc_pin::{pin_allocations, BATCH, WARMUP};
 use engine::baselines::AssumeDistributed;
 use engine::{LiveConfig, LiveRuntime};
 use workloads::Bench;
-
-/// Counts every allocation event (alloc, alloc_zeroed, realloc) so buffer
-/// *growth* — the classic amortized leak back onto a hot path — is
-/// caught, not just fresh allocations.
-struct CountingAlloc;
-
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
-
-// ordering: Relaxed — the counter is a statistic; batch reads happen on the
-// test thread after the runtime quiesces (joined by the reply handshake),
-// so no cross-thread edge is needed beyond the call's own synchronization.
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-        System.alloc(layout)
-    }
-
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-        System.alloc_zeroed(layout)
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-        System.realloc(ptr, layout, new_size)
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout)
-    }
-}
-
-#[global_allocator]
-static GLOBAL: CountingAlloc = CountingAlloc;
-
-/// Calls long enough to push every doubling buffer (latency samples grow
-/// to a 1024 capacity) past the measured window: warm-up plus both
-/// batches stays under the next doubling, so growth events cannot differ
-/// between batches.
-const WARMUP: usize = 512;
-const BATCH: usize = 100;
 
 /// Per-call allocation ceiling, with headroom over the measured count
 /// (17/call: request args, the procedure instance and its query
@@ -71,19 +25,6 @@ const BATCH: usize = 100;
 /// per-transaction channel pair, mailbox, or per-query message sneaks
 /// back onto the coordinated path.
 const PER_CALL_CAP: u64 = 32;
-
-fn run_batch(client: &mut engine::Client<AssumeDistributed>, proc: common::ProcId) -> u64 {
-    let start = ALLOCS.load(Ordering::Relaxed);
-    for _ in 0..BATCH {
-        let out = client.call(proc, vec![Value::Int(5)]).expect("runtime alive");
-        assert_eq!(
-            out,
-            engine::advisor::TxnOutcome::Committed,
-            "GetSubscriber on a loaded row must commit"
-        );
-    }
-    ALLOCS.load(Ordering::Relaxed) - start
-}
 
 #[test]
 fn distributed_path_allocations_are_pinned() {
@@ -99,26 +40,7 @@ fn distributed_path_allocations_are_pinned() {
     let rt = LiveRuntime::start(db, registry, AssumeDistributed::new(), cfg);
     let mut client = rt.client();
 
-    for _ in 0..WARMUP {
-        client.call(proc, vec![Value::Int(5)]).expect("warm-up call");
-    }
-
-    let first = run_batch(&mut client, proc);
-    let second = run_batch(&mut client, proc);
-
-    eprintln!(
-        "[alloc_budget_dist] {first} allocations / {BATCH} calls ({} per call)",
-        first / BATCH as u64
-    );
-    assert_eq!(
-        first, second,
-        "steady-state batches must allocate identically: {first} vs {second} over {BATCH} calls"
-    );
-    assert!(
-        first <= PER_CALL_CAP * BATCH as u64,
-        "distributed path allocates {first} times over {BATCH} calls ({} per call); cap is {PER_CALL_CAP}",
-        first / BATCH as u64
-    );
+    pin_allocations("alloc_budget_dist", &mut client, proc, PER_CALL_CAP);
 
     drop(client);
     let (metrics, _db) = rt.shutdown();

@@ -9,8 +9,8 @@
 //! reports every executed query back through
 //! [`LiveAdvisor::on_query_live`], and the advisor may respond with
 //! runtime updates (§4.4): disable undo logging now (OP3) or declare
-//! partitions finished so the engine can send early-prepares and begin
-//! speculative execution there (OP4). Tearing the session down yields the
+//! partitions finished so the engine can early-prepare them and release
+//! their locks (OP4). Tearing the session down yields the
 //! [`TxnFeedback`] that on-line maintenance (§4.5) learns from.
 //!
 //! The paper's baselines implement the trait in [`crate::baselines`];
@@ -47,8 +47,9 @@ pub struct TxnPlan {
     /// Partitions to lock before starting (OP2). Must contain
     /// `base_partition`.
     pub lock_set: PartitionSet,
-    /// Start with undo logging off (OP3). The engine re-enables it for
-    /// speculative transactions, as the paper requires (§4.3 OP3).
+    /// Start with undo logging off (OP3). The simulator re-enables it for
+    /// speculative transactions, as the paper requires (§4.3 OP3); the live
+    /// runtime never speculates.
     pub disable_undo: bool,
     /// Whether the advisor will emit finished-partition updates (OP4).
     pub early_prepare: bool,
@@ -85,7 +86,7 @@ impl TxnPlan {
 #[derive(Debug, Clone, Default)]
 pub struct Updates {
     /// Partitions the transaction is now predicted to be finished with; the
-    /// engine sends early-prepare there and opens speculation (OP4).
+    /// engine early-prepares them and releases their locks (OP4).
     pub finished: PartitionSet,
     /// Disable undo logging from this point on (OP3).
     pub disable_undo: bool,

@@ -36,9 +36,10 @@
 //! mid-transaction can only tear records of transactions that were never
 //! acked — each participant skips those on its own. Cross-partition
 //! parking cannot deadlock: live coordinators claim locks in ascending
-//! partition order and speculation windows park fragments the same way, so
-//! the begin records of concurrent distributed transactions never
-//! interleave in conflicting orders on different partitions.
+//! partition order, and an early-released partition (OP4) passes only to a
+//! transaction granted later, whose begin lands behind this one's — so the
+//! begin records of concurrent distributed transactions never interleave
+//! in conflicting orders on different partitions.
 
 use crate::catalog::Catalog;
 use crate::exec::run_offline;

@@ -10,8 +10,9 @@
 //! Everything behavioural is real in both — queries read and write rows in
 //! [`storage::Database`], partition locks are acquired and released, undo
 //! logs roll back aborts, two-phase commit coordinates distributed
-//! transactions, and the early-prepare/speculative-execution optimizations
-//! (OP4) change when partitions become available. The simulator replaces
+//! transactions, and early prepare (OP4) changes when partitions become
+//! available (the simulator also models speculative execution behind it).
+//! The simulator replaces
 //! only *time*: a calibrated cost model ([`cost::CostModel`]) charges CPU
 //! and network microseconds, which makes every throughput experiment in the
 //! paper reproducible deterministically on one machine (see DESIGN.md §1

@@ -17,8 +17,8 @@ use common::{FxHashMap, ProcId};
 ///   exactly: no mispredict restart, no unused locked partition.
 /// * **OP3** — the transaction executed some or all of its work without
 ///   undo logging.
-/// * **OP4** — the transaction's early-prepares let other transactions run
-///   speculatively, or the transaction itself executed speculatively.
+/// * **OP4** — the transaction early-prepared a partition, or (simulator
+///   only) executed speculatively.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct OpCounters {
     /// Committed transactions observed.
@@ -33,8 +33,8 @@ pub struct OpCounters {
     pub op2_applicable: u64,
     /// OP3 successes (ran at least partly without undo logging).
     pub op3: u64,
-    /// OP4 successes (speculative execution happened because of this txn's
-    /// early prepare, or this txn ran speculatively).
+    /// OP4 successes (this txn early-prepared a partition, or ran
+    /// speculatively in the simulator).
     pub op4: u64,
 }
 
@@ -272,12 +272,12 @@ pub struct RunMetrics {
     pub user_aborts: u64,
     /// Mispredict restarts (lock-set or base-partition misses).
     pub restarts: u64,
-    /// Transactions that executed speculatively.
+    /// Transactions that executed speculatively (simulator only; the live
+    /// runtime never speculates, so it leaves this at 0).
     pub speculative: u64,
-    /// Speculative executions discarded by a cascading rollback after the
-    /// early-prepared transaction aborted (live runtime OP4; each cascaded
-    /// transaction is transparently re-executed, so it still ends up in
-    /// exactly one of `committed`/`user_aborts`).
+    /// Always 0: nothing cascades any more (the live runtime never
+    /// speculates, and the simulator charges no cascades). Kept only because
+    /// `benchmark/src/trace.rs` reads it.
     pub cascaded_aborts: u64,
     /// Transactions that ran (partly) without undo logging.
     pub no_undo: u64,

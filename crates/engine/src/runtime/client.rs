@@ -7,14 +7,14 @@ use super::wire::{
 };
 #[cfg(doc)]
 use super::LiveRuntime;
-use super::{LANE_CAPACITY, MAX_CASCADE_RETRIES};
-use crate::advisor::{LiveAdvisor, PlanContext, Request, TxnOutcome, TxnPlan};
+use super::LANE_CAPACITY;
+use crate::advisor::{LiveAdvisor, PlanContext, Request, TxnOutcome};
 use crate::profiler::{Bucket, CoordSub};
 use crate::txn::replan;
 use common::ring::{self, PushError};
 use common::sync::atomic::Ordering;
 use common::sync::{Arc, PoisonError};
-use common::{derive_seed, seeded_rng, Error, FxHashMap, PartitionSet, ProcId, Result, Value};
+use common::{derive_seed, seeded_rng, Error, FxHashMap, ProcId, Result, Value};
 use rand::rngs::SmallRng;
 use rand::Rng;
 use std::time::Instant;
@@ -136,8 +136,8 @@ impl<A: LiveAdvisor + 'static> Client<A> {
     /// transaction finishes: plans via the runtime's advisor, dispatches
     /// to the lock-free single-partition fast path or coordinates the
     /// distributed path (2PC, OP4 early prepare), restarts transparently
-    /// on mispredicts and speculation cascades, and falls back to a
-    /// lock-all plan after `LiveConfig::max_restarts`.
+    /// on mispredicts, and falls back to a lock-all plan after
+    /// `LiveConfig::max_restarts`.
     ///
     /// Returns [`TxnOutcome::Committed`] or [`TxnOutcome::UserAborted`];
     /// `Err` means the transaction could not be completed — an
@@ -158,10 +158,9 @@ impl<A: LiveAdvisor + 'static> Client<A> {
         // per-call metrics scratch.
         let mut fb_dropped = 0u64;
         let mut restarts = 0u64;
-        let mut cascaded_aborts = 0u64;
         self.lock_holds.clear();
         // The request is `None` only while a fast-path message is in
-        // flight — `Mispredict`/`Cascaded` replies hand it back.
+        // flight — a `Mispredict` reply hands it back.
         let mut req = Some(Request { proc, args, origin_node: 0 });
         let ctx = PlanContext {
             catalog: &env.catalog,
@@ -177,8 +176,6 @@ impl<A: LiveAdvisor + 'static> Client<A> {
         );
         acc.est_us += us_since(t0);
         let mut attempt = 0u32;
-        let mut cascades = 0u32;
-        let mut last_observed = PartitionSet::EMPTY;
         // Ends with the final attempt's outcome, footprint and latency.
         let result = loop {
             plan.lock_set.insert(plan.base_partition);
@@ -215,12 +212,6 @@ impl<A: LiveAdvisor + 'static> Client<A> {
                         req = Some(r);
                         Attempt::Mispredict { observed, session }
                     }
-                    // A cascaded attempt's worker time was discarded with
-                    // its effects; it lands in the call's Other residual.
-                    Some(SingleReply::Cascaded { req: r }) => {
-                        req = Some(r);
-                        Attempt::Cascaded
-                    }
                     Some(SingleReply::Fatal(e)) => Attempt::Fatal(e),
                     None => Attempt::Fatal(Error::Other(format!("worker {base} hung up"))),
                 }
@@ -244,7 +235,6 @@ impl<A: LiveAdvisor + 'static> Client<A> {
                 }
                 Attempt::Mispredict { observed, session: s } => {
                     restarts += 1;
-                    last_observed = observed;
                     // The superseded session's executed prefix is
                     // maintenance signal (§4.5) before the replan replaces
                     // it; its plan scratch is reclaimed for the retry's
@@ -258,50 +248,20 @@ impl<A: LiveAdvisor + 'static> Client<A> {
                     session = replan(&env.advisor, r, &ctx, observed, &mut attempt, max, &mut plan);
                     acc.est_us += us_since(t_est);
                 }
-                Attempt::Cascaded => {
-                    // The speculative execution was discarded by a cascade;
-                    // retry transparently at the same attempt with a fresh
-                    // plan and session (the speculative one died mid-walk).
-                    // Re-asking normally reproduces the plan this attempt
-                    // ran with; if a maintenance epoch swapped in between,
-                    // the retry simply runs under the newer (equally valid)
-                    // plan — target validation catches any mispredict.
-                    cascaded_aborts += 1;
-                    cascades += 1;
-                    let r = req.as_ref().expect("request survives a cascade");
-                    let t_est = Instant::now();
-                    let (p, ns) = if cascades > MAX_CASCADE_RETRIES {
-                        // Liveness backstop: a hot partition whose windows
-                        // keep aborting could cascade the same transaction
-                        // indefinitely. Lock-all runs distributed — never
-                        // speculative — so it terminates. (Not counted as a
-                        // restart: the plan never mispredicted.)
-                        let (_, ns) = env.advisor.plan_live_reusing(r, &ctx, None);
-                        (TxnPlan::lock_all(plan.base_partition, env.num_partitions), ns)
-                    } else if attempt == 0 {
-                        env.advisor.plan_live_reusing(r, &ctx, None)
-                    } else {
-                        env.advisor.replan_live(r, last_observed, attempt, &ctx)
-                    };
-                    acc.est_us += us_since(t_est);
-                    plan = p;
-                    session = ns;
-                }
                 Attempt::Fatal(e) => break Err(e),
             }
         };
         // Fold this transaction's tallies into the run-wide counters even
-        // on an error path: restarts and cascades that happened are real.
-        // Per-stage attribution (Fig. 11): whatever the staged accumulators
-        // didn't claim of the call's wall time — cascaded attempts, channel
-        // hops outside a timed region, fatal-path teardown — is `Other`.
+        // on an error path: restarts that happened are real. Per-stage
+        // attribution (Fig. 11): whatever the staged accumulators didn't
+        // claim of the call's wall time — channel hops outside a timed
+        // region, fatal-path teardown — is `Other`.
         // One lock section; a worker that panicked mid-call poisons this
         // mutex, but the counters stay consistent (all updates additive)
         // and calls racing a teardown must not turn one panic into many.
         let total_us = us_since(t0);
         let mut m = env.metrics.lock().unwrap_or_else(PoisonError::into_inner);
         m.restarts += restarts;
-        m.cascaded_aborts += cascaded_aborts;
         m.feedback_dropped += fb_dropped;
         for &us in &self.lock_holds {
             m.lock_hold.record_us(us);

@@ -16,18 +16,8 @@ use std::time::Instant;
 
 /// How one execution attempt ended, from the client's point of view.
 pub(super) enum Attempt<S> {
-    Done {
-        committed: bool,
-        fp: Footprint,
-        session: S,
-    },
-    Mispredict {
-        observed: PartitionSet,
-        session: S,
-    },
-    /// Rolled back by a speculation cascade; retry with the same plan and a
-    /// fresh session (no restart counted).
-    Cascaded,
+    Done { committed: bool, fp: Footprint, session: S },
+    Mispredict { observed: PartitionSet, session: S },
     Fatal(Error),
 }
 
@@ -80,10 +70,11 @@ fn record_remaining_hold(
 }
 
 /// Bounded yield-retry on a full fragment lane before declaring the
-/// worker wedged. Fragment shipping is ping-pong per worker (at most an
-/// unacknowledged `Prepare` plus the next transaction's opening command
-/// sit in a lane), so the retry only guards a protocol bug, never a real
-/// backlog.
+/// worker wedged. Fragment shipping is ping-pong per worker: at most an
+/// unacknowledged read-only `Prepare` plus the next transaction's
+/// `LogBegin` and opening `ExecBatch` sit in a lane. A written participant
+/// gets no message at its early release, so it adds nothing; the retry
+/// only guards a protocol bug, never a real backlog.
 const FRAG_PUSH_RETRY: u32 = 1 << 16;
 
 /// Ensures this client's fragment lane to worker `p` exists (registering
@@ -151,16 +142,15 @@ pub(super) fn run_distributed<A: LiveAdvisor>(
     acc.coord_us += lock_wait;
     acc.lock_us += lock_wait;
     let t_locked = Instant::now();
-    // Early-released partitions: `fp.early_released` is the union the
-    // mispredict rule and metrics see; `windowed` is the subset whose
-    // fragment wrote (speculation window open, 2PC outcome still owed), the
+    // Early-released partitions: `fp.early_released` is the set the
+    // mispredict rule and metrics see. Those that `wrote_parts` also holds
+    // are still reserved at their workers and owe the 2PC outcome; the
     // rest were read-only participants and are completely done with this
     // txn.
     let mut fp = Footprint::default();
-    let mut windowed = PartitionSet::EMPTY;
-    // Partitions any write query touched so far (the coordinator's view of
-    // which fragments are contingent — same catalog knowledge the workers
-    // have, so the two sides always agree on whether a window opens).
+    // Partitions any write query was shipped to so far — a participant
+    // may over-execute a write past the batch's constraint abort point, and
+    // its undo must still be resolved by the outcome.
     let mut wrote_parts = PartitionSet::EMPTY;
     // Durable mode: this transaction's command-log id, and the participants
     // whose logs already hold its `DistBegin` (shipped once per partition,
@@ -182,33 +172,27 @@ pub(super) fn run_distributed<A: LiveAdvisor>(
     // `VoteFinish` carrying the flush-and-vote *and* the decision — the
     // split Vote round bought no information (participants always vote
     // yes; fragment errors surfaced at execution), only an extra message
-    // round of lock-hold time per participant. Early prepares already
-    // voted, unsolicited, off the critical path; windowed participants
-    // take the outcome on their worker's control channel (the speculating
-    // worker parks on its doorbell); read-only released participants hear
+    // round of lock-hold time per participant. Still reserved means not
+    // early-released, or early-released after a write (that worker is
+    // still serving this lane); read-only released participants hear
     // nothing (they are already out). All sends go out before any
     // acknowledgement is awaited, so participant-side work and modeled
     // delays overlap in wall-clock time.
     let finish_all = |ports: &mut [Option<FragPort>],
                       acc: &mut StageAcc,
                       released: PartitionSet,
-                      windowed: PartitionSet,
+                      wrote: PartitionSet,
                       commit: bool|
      -> Result<()> {
         let t_fin = Instant::now();
         let mut failure = None;
-        for p in lock_set.iter() {
-            if windowed.contains(p) {
-                workers[p as usize].send_ctrl(CtrlMsg::SpecFinish { commit });
-            } else if !released.contains(p) {
-                if let Err(e) =
-                    push_frag(ports, workers, p as usize, FragCmd::VoteFinish { commit })
-                {
-                    failure = Some(e);
-                }
+        let reserved = lock_set.difference(released.difference(wrote));
+        for p in reserved.iter() {
+            if let Err(e) = push_frag(ports, workers, p as usize, FragCmd::VoteFinish { commit }) {
+                failure = Some(e);
             }
         }
-        for p in lock_set.difference(released).union(windowed).iter() {
+        for p in reserved.iter() {
             let Some(port) = ports[p as usize].as_ref() else {
                 // The lane registration itself failed above: worker gone.
                 failure = Some(Error::Other(format!("worker {p} is gone")));
@@ -246,7 +230,7 @@ pub(super) fn run_distributed<A: LiveAdvisor>(
                 let checked =
                     fp.check_batch(proc_def, env.num_partitions, &batch, lock_set, &mut q_targets);
                 if let Err(observed) = checked {
-                    let fin = finish_all(ports, acc, fp.early_released, windowed, false);
+                    let fin = finish_all(ports, acc, fp.early_released, wrote_parts, false);
                     record_remaining_hold(lock_holds, lock_set, fp.early_released, t_locked);
                     return match fin {
                         Ok(()) => Attempt::Mispredict { observed, session },
@@ -261,9 +245,12 @@ pub(super) fn run_distributed<A: LiveAdvisor>(
                 // its own first constraint violation; all pushes go out
                 // before any reply is awaited.
                 let mut to_ship: Vec<Vec<(QueryId, Vec<Value>)>> = vec![Vec::new(); n];
-                for (inv, targets) in batch.iter().zip(&q_targets) {
+                for (inv, &targets) in batch.iter().zip(&q_targets) {
                     for p in targets.iter() {
                         to_ship[p as usize].push((inv.query, inv.params.clone()));
+                    }
+                    if proc_def.query(inv.query).is_write() {
+                        wrote_parts = wrote_parts.union(targets);
                     }
                 }
                 let mut fatal: Option<Error> = None;
@@ -320,7 +307,7 @@ pub(super) fn run_distributed<A: LiveAdvisor>(
                     }
                 }
                 if let Some(e) = fatal {
-                    let _ = finish_all(ports, acc, fp.early_released, windowed, false);
+                    let _ = finish_all(ports, acc, fp.early_released, wrote_parts, false);
                     record_remaining_hold(lock_holds, lock_set, fp.early_released, t_locked);
                     return Attempt::Fatal(e);
                 }
@@ -350,9 +337,6 @@ pub(super) fn run_distributed<A: LiveAdvisor>(
                             }
                         }
                     }
-                    if def.is_write() {
-                        wrote_parts = wrote_parts.union(targets);
-                    }
                     if let Some(msg) = constraint {
                         cursor.constraint(msg);
                         break;
@@ -381,18 +365,24 @@ pub(super) fn run_distributed<A: LiveAdvisor>(
                 // commit).
                 let to_release = pending_release.difference(fp.early_released).intersect(lock_set);
                 for p in to_release.iter() {
-                    // Unacknowledged by design (the paper's unsolicited
-                    // vote): the worker serves this lane's commands in
-                    // order, so it observes the prepare before anything a
-                    // later lock holder pushes — releasing the lock
-                    // immediately after the push is safe, and not blocking
-                    // here keeps the coordinator off the scheduler's
-                    // critical path (one ack round trip per released
-                    // partition is measurable on small hosts).
-                    let speculate = wrote_parts.contains(p);
-                    if let Err(e) =
-                        push_frag(ports, workers, p as usize, FragCmd::Prepare { speculate })
-                    {
+                    // A read-only participant gets the prepare, unacknowledged
+                    // by design (the paper's unsolicited vote): the worker
+                    // serves this lane's commands in order, so it observes
+                    // the prepare before anything a later lock holder
+                    // pushes — releasing the lock immediately after the
+                    // push is safe, and not blocking here keeps the
+                    // coordinator off the scheduler's critical path (one
+                    // ack round trip per released partition is measurable
+                    // on small hosts). A participant whose fragment wrote
+                    // gets nothing: its worker stays on this lane until
+                    // `finish_all`'s `VoteFinish`, so the later lock holder
+                    // waits for the outcome.
+                    let prepared = if wrote_parts.contains(p) {
+                        Ok(())
+                    } else {
+                        push_frag(ports, workers, p as usize, FragCmd::Prepare)
+                    };
+                    if let Err(e) = prepared {
                         // The guard drop releases everything still held —
                         // record the hold time for those partitions like
                         // every other release path (this partition is still
@@ -401,9 +391,6 @@ pub(super) fn run_distributed<A: LiveAdvisor>(
                         return Attempt::Fatal(e);
                     }
                     fp.early_released.insert(p);
-                    if speculate {
-                        windowed.insert(p);
-                    }
                     lock_holds.push(t_locked.elapsed().as_secs_f64() * 1e6);
                     locks_held.release_early(p);
                 }
@@ -416,7 +403,7 @@ pub(super) fn run_distributed<A: LiveAdvisor>(
                 acc.exec_us += (us_since(t_batch) - batch_est_us).max(0.0);
             }
             Step::Commit => {
-                let fin = finish_all(ports, acc, fp.early_released, windowed, true);
+                let fin = finish_all(ports, acc, fp.early_released, wrote_parts, true);
                 // Durable mode: one durability wait per distributed write
                 // commit, through the shared sequencer — and *after* the
                 // lock guard drops. The ticket is taken first, while every
@@ -446,7 +433,7 @@ pub(super) fn run_distributed<A: LiveAdvisor>(
                 break (fin, true);
             }
             Step::Abort(_) => {
-                let fin = finish_all(ports, acc, fp.early_released, windowed, false);
+                let fin = finish_all(ports, acc, fp.early_released, wrote_parts, false);
                 record_remaining_hold(lock_holds, lock_set, fp.early_released, t_locked);
                 break (fin, false);
             }
@@ -463,12 +450,17 @@ mod tests {
     use super::super::lifecycle::tests::durability_dir;
     use super::super::{LiveConfig, LiveRuntime};
     use super::*;
-    use crate::advisor::{PlanContext, TxnOutcome};
+    use crate::advisor::{PlanContext, TxnOutcome, Updates};
     use crate::baselines::AssumeDistributed;
+    use crate::catalog::{PartitionHint, QueryDef, QueryOp};
     use crate::durability::DurabilityConfig;
-    use crate::procedure::testing::{kv_database, kv_registry};
+    use crate::exec::ExecutedQuery;
+    use crate::procedure::testing::{kv_database, kv_registry, MultiGetProc};
+    use crate::procedure::{ProcInstance, Procedure, ProcedureRegistry, QueryInvocation};
     use crate::profiler::CoordSub;
+    use crate::ProcDef;
     use std::time::Duration;
+    use storage::Row;
 
     /// Plans `{0, 1}` for every request regardless of its true target, so
     /// work on partition 2 mispredicts on every attempt until the forced
@@ -596,5 +588,105 @@ mod tests {
             top_hold_us < hold_us,
             "longest lock hold {top_hold_us:.0} µs: the locks were held into the durable wait"
         );
+    }
+
+    /// One batch on the two-partition KV: read id 1, insert a row whose
+    /// key duplicates id 0 (a constraint violation at partition 0), bump
+    /// id 1. The transaction aborts after partition 1 already executed its
+    /// whole share of the batch, bump included.
+    struct ReadInsertBump(ProcDef);
+
+    impl Procedure for ReadInsertBump {
+        fn def(&self) -> &ProcDef {
+            &self.0
+        }
+
+        fn instantiate(&self, _args: &[Value]) -> Box<dyn ProcInstance> {
+            Box::new(ReadInsertBumpRun)
+        }
+    }
+
+    struct ReadInsertBumpRun;
+
+    impl ProcInstance for ReadInsertBumpRun {
+        fn next(&mut self, _results: Option<&[Vec<Row>]>) -> Step {
+            Step::Queries(vec![
+                QueryInvocation::new(0, vec![Value::Int(1)]),
+                QueryInvocation::new(1, vec![Value::Int(0), Value::Int(0), Value::Int(0)]),
+                QueryInvocation::new(2, vec![Value::Int(1), Value::Int(1)]),
+            ])
+        }
+    }
+
+    fn read_insert_bump_registry() -> ProcedureRegistry {
+        let mut def = MultiGetProc::new().def().clone();
+        def.name = "ReadInsertBump".into();
+        let put = QueryDef {
+            name: "PutKV".into(),
+            table: 0,
+            op: QueryOp::InsertRow,
+            hint: PartitionHint::Param(0),
+        };
+        def.queries.insert(1, put);
+        ProcedureRegistry::new(vec![Box::new(ReadInsertBump(def))])
+    }
+
+    /// Locks `{0, 1}` with early prepare on, and declares a partition
+    /// finished as soon as a read touched it.
+    struct ReleaseAfterRead;
+
+    impl LiveAdvisor for ReleaseAfterRead {
+        type Session = ();
+
+        fn name(&self) -> &str {
+            "release-after-read"
+        }
+
+        fn plan_live_reusing(
+            &self,
+            _req: &Request,
+            ctx: &PlanContext<'_>,
+            _spare: Option<()>,
+        ) -> (TxnPlan, ()) {
+            let lock_all = TxnPlan::lock_all(0, ctx.num_partitions);
+            (TxnPlan { early_prepare: true, ..lock_all }, ())
+        }
+
+        fn on_query_live(&self, _session: &mut (), q: &ExecutedQuery) -> Updates {
+            let finished = if q.is_write { PartitionSet::EMPTY } else { q.partitions };
+            Updates { finished, ..Updates::default() }
+        }
+
+        fn replan_live(
+            &self,
+            req: &Request,
+            _observed: PartitionSet,
+            _attempt: u32,
+            ctx: &PlanContext<'_>,
+        ) -> (TxnPlan, ()) {
+            self.plan_live_reusing(req, ctx, None)
+        }
+    }
+
+    #[test]
+    fn a_write_shipped_past_the_abort_point_is_undone_at_a_released_partition() {
+        // Partition 1 is released after the read merges, in the batch whose
+        // constraint aborts the transaction. Its bump was shipped, and ran,
+        // past that abort point: partition 1 must count as written, stay
+        // reserved, and roll the bump back on the abort outcome.
+        let cfg = LiveConfig::default();
+        let rt = LiveRuntime::start(
+            kv_database(2, 4),
+            read_insert_bump_registry(),
+            ReleaseAfterRead,
+            cfg,
+        );
+        let mut client = rt.client();
+        let outcome = client.call(0, Vec::new()).unwrap();
+        assert!(matches!(outcome, TxnOutcome::UserAborted));
+        drop(client);
+        let (_, db) = rt.shutdown();
+        let id1 = db.get(1, 0, &[Value::Int(1)]).expect("id 1 lives at partition 1");
+        assert_eq!(id1[2], Value::Int(0), "the aborted transaction's bump leaked");
     }
 }

@@ -532,8 +532,8 @@ impl<A: LiveAdvisor + 'static> LiveRuntime<A> {
             handle.thread().unpark();
             let _ = handle.join();
         }
-        // Workers next: each finishes its current run (and resolves any
-        // open speculation window) before observing the sentinel, so
+        // Workers next: each finishes its current run (and any reservation
+        // it is serving) before observing the sentinel, so
         // in-flight transactions complete and their feedback records get
         // a chance to precede the Stop below. Calls still buffered in a
         // lane when its worker exits fail cleanly (see `Intake::fail_lanes`).

@@ -18,7 +18,7 @@
 //!   `run_single` fast path, the durable-ack hand-off, and the
 //!   `flusher_loop` thread.
 //! * `spec` — the participant side of a distributed transaction
-//!   (`serve_reservation`) and OP4 speculation (`speculate`).
+//!   (`serve_reservation`).
 //! * `coord` — the coordinator side (`run_distributed`, `push_frag`).
 //! * `client` — [`Client`] and its fast-path `send_on_lane`.
 //! * `lifecycle` — [`LiveConfig`], `Shared`, `Durable`, [`LiveRuntime`]
@@ -49,10 +49,9 @@
 //!   ring lanes* ([`common::ring`]) — each [`Client`] registers a
 //!   dedicated bounded lock-free lane with each worker it talks to, so
 //!   the hot path crosses no shared mutex and no MPSC channel; rare
-//!   control traffic (lane registration, speculation-window 2PC outcomes,
-//!   snapshot fences, shutdown) rides a plain shared channel, and a
-//!   [`common::ring::Doorbell`] wakes a worker that parked with everything
-//!   empty. A worker collects work *in runs*: it drains the control
+//!   control traffic (lane registration, snapshot fences, shutdown) rides
+//!   a plain shared channel, and a [`common::ring::Doorbell`] wakes a
+//!   worker that parked with everything empty. A worker collects work *in runs*: it drains the control
 //!   channel, then sweeps its lanes fairly (round-robin, one message per
 //!   lane per pass) until a pass comes up empty. Each swept
 //!   single-partition transaction is acknowledged the moment it finishes
@@ -111,49 +110,44 @@
 //! twin of `CostModel::remote_msg_us` — so 2PC costs wall-clock lock-hold
 //! time as it would over a network.
 //!
-//! ## Early prepare + speculative execution (OP4, §2/§4.4)
+//! ## Early prepare (OP4, §2/§4.4)
 //!
 //! When the advisor declares locked partitions *finished* mid-transaction
 //! (`Updates::finished`, which the kernel empties unless
-//! `TxnPlan::early_prepare` holds), the coordinator sends those workers
-//! an early-prepare at the end of the
-//! batch and releases their slots in the lock manager at once — the
-//! prepare *is* the unsolicited 2PC vote, nothing is awaited, and the
-//! worker (serving this lane's commands in order) is guaranteed to
-//! observe it before anything a later lock holder pushes. Unlike the
-//! simulator's engine the base partition is releasable too: live control
-//! code runs on the coordinating client, so the base is just another
-//! fragment executor. A *read-only* participant simply drops the
+//! `TxnPlan::early_prepare` holds), the coordinator releases their slots in
+//! the lock manager at the end of the batch and adds them to
+//! `fp.early_released`; touching one again is a mispredict (the kernel's
+//! batch check, shared with the simulator). Unlike the simulator's engine
+//! the base partition is releasable too: live control code runs on the
+//! coordinating client, so the base is just another fragment executor. A
+//! *read-only* participant is sent an early prepare and simply drops the
 //! reservation — nothing to flush, undo, or decide (the classic 2PC
-//! read-only optimization). A participant whose fragment *wrote* keeps
-//! the fragment's undo log as the base of a [`storage::SpeculationStack`], and
-//! opens a speculation window: until the 2PC outcome arrives — pushed on
-//! the worker's control channel as `CtrlMsg::SpecFinish` — queued
-//! single-partition transactions execute *speculatively*, with undo
-//! logging force-enabled regardless of OP3 (§4.3). A speculative
-//! transaction that touched no table written inside the window (by the
-//! fragment or by a deferred speculative commit) is acknowledged
-//! immediately and its effects are final — §2 OP4's non-conflicting case,
-//! a test on the kernel's `table_bit` masks that the simulator charges
-//! too; every *conflicting*
-//! completion — commit, user abort, or mispredict — is deferred, and a
-//! conflicting speculative commit pushes its undo log onto the stack. On
-//! commit the stack is discarded and the deferred acknowledgements go out
-//! in completion order; on abort the stack unwinds LIFO (cascading
-//! rollback) restoring the shard byte-for-byte, and each deferred client
-//! receives `Cascaded` — it transparently re-derives the same plan with a
-//! fresh advisor session and retries (not counted as a mispredict
-//! restart). Reservations from *other* distributed transactions that
-//! arrive during a speculation window are admitted only once the window
-//! resolves; touching an early-released partition again is a mispredict
-//! (the kernel's batch check, shared with the simulator).
+//! read-only optimization); nothing is awaited, and the worker (serving
+//! this lane's commands in order) observes it before anything a later lock
+//! holder pushes. A participant whose fragment *wrote* is sent nothing: its
+//! worker stays in `serve_reservation` on this coordinator's fragment lane,
+//! keeps the fragment's undo log, and ends the reservation on the ordinary
+//! `VoteFinish` (commit keeps the effects, abort rolls them back). If the
+//! coordinator dies first, its lane closes and the worker rolls back. A
+//! later lock holder of that partition, and fast-path singles routed to
+//! it, wait for the outcome.
 //!
-//! Deadlock-freedom still holds: a speculating worker waits only for the
-//! coordinator that early-prepared it, and "C' reserves a worker
-//! speculating for C" implies C' acquired its (atomic, all-or-nothing)
-//! lock set *after* C released that slot — so every wait edge points from
-//! a later-granted transaction to an earlier-granted one and no cycle can
-//! form; blocked single-partition clients hold no locks at all.
+//! Running other transactions *speculatively* behind that open 2PC window
+//! (the H-Store mechanism early prepare makes possible) is modeled by the
+//! simulator only. Live, it never paid its way: every recorded 2-worker
+//! TPC-C ablation at `msg_delay_us` 60 showed 0–2 speculative executions
+//! and 0 cascades, `runtime.speculative_ratio` read 0.006 on `tpcc-2w`
+//! and 0 on TATP, and OP4 on vs off differed by 0.8–2.5 %, which early
+//! lock release alone explains (EXPERIMENTS.md, the live OP4 ablation rows
+//! of 2026-10-03 and 2026-10-15). The live runtime therefore never
+//! speculates.
+//!
+//! Deadlock-freedom still holds: a parked participant waits only for the
+//! coordinator that released it, and "C' reserves a worker parked for C"
+//! implies C' acquired its (atomic, all-or-nothing) lock set *after* C
+//! released that slot — so every wait edge points from a later-granted
+//! transaction to an earlier-granted one and no cycle can form; blocked
+//! single-partition clients hold no locks at all.
 //!
 //! ## On-line model maintenance (§4.5)
 //!
@@ -176,7 +170,7 @@
 //! further split into `CoordSub::{LockWait, TwoPc, Flush}` sub-buckets on
 //! the distributed path; time a fast-path message sat on the worker queue
 //! → `Queueing`; the unattributed remainder (channel hops, durable-ack
-//! waits, cascade retries) → `Other`. `Planning`
+//! waits) → `Other`. `Planning`
 //! stays a sim-only bucket — the live runtime ships pre-compiled
 //! fragments.
 
@@ -196,16 +190,6 @@ use crate::{LiveAdvisor, LiveMaintainer, TxnFeedback};
 use std::time::Duration;
 #[cfg(doc)]
 use storage::Database;
-
-/// Watchdog interval of a speculating worker. The 2PC outcome normally
-/// arrives *pushed* on the worker's control channel
-/// (`CtrlMsg::SpecFinish`), whose sender rings the doorbell, so the
-/// worker parks like any idle worker; this timeout only bounds how long a
-/// window can dangle if its coordinator died without sending an outcome
-/// (detected as its fragment lane closing). Rare by construction, so it
-/// can be long — a speculating worker costs ~40 wake-ups per second, which
-/// matters on single-core hosts.
-const SPEC_WATCHDOG: Duration = Duration::from_millis(25);
 
 /// Watchdog interval of a client parked on its reply slot. A reply
 /// normally arrives as a condvar signal; the tick only bounds how long a
@@ -241,11 +225,3 @@ const IDLE_SPIN: u32 = 256;
 /// record (counted in `RunMetrics::feedback_dropped`) and the
 /// transaction's acknowledgement proceeds untouched.
 const FEEDBACK_CAPACITY: usize = 4096;
-
-/// Transparent cascade redos of one request before the client falls back to
-/// a lock-all plan. Cascades are rare by construction (they need an
-/// early-prepared transaction to abort *and* a conflicting speculative
-/// execution in its window), so the bound exists purely as a liveness
-/// backstop against a pathological stream of aborting windows on one
-/// partition.
-const MAX_CASCADE_RETRIES: u32 = 8;

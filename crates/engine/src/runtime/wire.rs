@@ -22,15 +22,13 @@ pub(super) enum FragCmd {
     /// and the transaction rollback makes any item executed past it
     /// invisible, so outcomes are byte-identical to the unbatched path.
     ExecBatch { proc: ProcId, queries: Vec<(QueryId, Vec<Value>)> },
-    /// Early prepare (OP4): the transaction is finished with this partition.
-    /// With `speculate` (the fragment wrote here) the worker flushes — the
-    /// unsolicited commit vote — keeps the fragment undo as a speculation
-    /// base, and executes queued transactions speculatively until the 2PC
-    /// outcome arrives. Without it (read-only fragment) the classic
-    /// read-only participant optimization applies: nothing to flush, undo,
-    /// or decide — the worker drops the reservation outright and never
-    /// hears from this transaction again.
-    Prepare { speculate: bool },
+    /// Early prepare (OP4) of a read-only participant: the transaction is
+    /// finished with this partition, and the classic read-only participant
+    /// optimization applies — nothing to flush, undo, or decide, so the
+    /// worker drops the reservation outright and never hears from this
+    /// transaction again. A participant whose fragment wrote gets no
+    /// message at its early release: it stays reserved until `VoteFinish`.
+    Prepare,
     /// Durable-mode preamble (DESIGN.md §7): the coordinator's first
     /// command to each participant, positioning the transaction's
     /// [`wal::LogRecord::DistBegin`] in that partition's command log
@@ -153,7 +151,6 @@ pub(super) enum SingleReply<S> {
     Done {
         committed: bool,
         session: S,
-        /// `fp.speculative`: executed inside a speculation window.
         fp: Footprint,
         times: StageTimes,
     },
@@ -164,13 +161,6 @@ pub(super) enum SingleReply<S> {
         observed: PartitionSet,
         session: S,
         times: StageTimes,
-    },
-    /// The transaction executed speculatively and was rolled back by the
-    /// cascade after the early-prepared transaction aborted; the client
-    /// retries transparently with a fresh session (no restart counted).
-    /// Carries the request back for the redo.
-    Cascaded {
-        req: Request,
     },
     Fatal(Error),
 }
@@ -200,13 +190,6 @@ pub(super) enum CtrlMsg<S> {
     /// commands arrive on the lane afterwards — only the partition-lock
     /// holder pushes, so the lock itself serializes transactions on it.
     FragLane(FragConn),
-    /// 2PC outcome for the speculation window this worker has open — sent
-    /// on the control channel (not the fragment lane, whose next command
-    /// may already belong to a later transaction) so a speculating worker
-    /// parks on its doorbell and never pops the lane mid-window.
-    SpecFinish {
-        commit: bool,
-    },
     /// Snapshot fence (durability): rotate this partition's command log to
     /// segment `gen` and serialize the shard's rows — at this worker's own
     /// main-loop service point, i.e. at a partition-transaction boundary —

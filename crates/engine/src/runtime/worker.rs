@@ -1,61 +1,49 @@
 //! The partition worker: intake, serving loop, fast path, durable-ack hand-off.
 
 use super::lifecycle::Shared;
-use super::spec::{serve_reservation, speculate};
+use super::spec::serve_reservation;
 use super::wire::{us_since, CtrlMsg, FragConn, SingleMsg, SingleReply, SingleSlot, StageTimes};
 use super::IDLE_SPIN;
 use crate::advisor::{LiveAdvisor, Request, TxnPlan};
 use crate::exec::execute_fragment;
 use crate::procedure::Step;
-use crate::txn::{table_bit, Cursor, Footprint};
-use common::ring::{self, Doorbell};
+use crate::txn::{Cursor, Footprint};
+use common::ring;
 use common::sync::mpsc::{Receiver, Sender};
 use common::sync::Arc;
 use common::{Error, PartitionSet};
 use std::time::Instant;
-use storage::{Shard, UndoLog};
+use storage::Shard;
 
-/// One worker's inbound state: the control receiver and doorbell (its half
-/// of the `WorkerGate`), the registered fast-path and fragment lanes, and
+/// One worker's inbound state: the control receiver (its half of the
+/// `WorkerGate`), the registered fast-path and fragment lanes, and
 /// what the control channel delivered but the main loop has not yet served.
-/// Every "collect work" step of [`worker_loop`] and [`speculate`] is one
-/// [`Intake::poll`] / [`Intake::poll_window`], so the doorbell protocol's
-/// mandatory second look is the same code as the first.
-pub(super) struct Intake<'a, S> {
+/// Every "collect work" step of [`worker_loop`] is one [`Intake::poll`],
+/// so the doorbell protocol's mandatory second look is the same code as
+/// the first.
+struct Intake<'a, S> {
     ctrl: &'a Receiver<CtrlMsg<S>>,
-    pub(super) bell: &'a Doorbell,
     lanes: Vec<ring::Consumer<SingleMsg<S>>>,
-    pub(super) frag_lanes: Vec<FragConn>,
+    frag_lanes: Vec<FragConn>,
     /// Pending cluster-snapshot requests (served only at the main loop's
-    /// top — never inside a speculation window).
+    /// top — never inside a reservation).
     snaps: Vec<(u64, Sender<()>)>,
     shutdown: bool,
     /// [`run_single`]'s batch-check scratch, reused by every call this
     /// worker serves (the fast path allocates no per-call target list).
-    pub(super) targets: Vec<PartitionSet>,
+    targets: Vec<PartitionSet>,
 }
 
 impl<S> Intake<'_, S> {
     /// Drains the control channel: registers new lanes, queues snapshot
-    /// fences, records shutdown. With `window_finish` set (a speculation
-    /// window is open) the first 2PC outcome is stored there and the drain
-    /// stops — the outcome ends the window, and everything behind it stays
-    /// queued for after; without it a stray outcome (its window already
-    /// resolved via the disconnect watchdog) is dropped. Never blocks: the
-    /// doorbell is the only park/wake mechanism, and every control sender
-    /// rings it.
-    pub(super) fn gather_ctrl(&mut self, mut window_finish: Option<&mut Option<bool>>) {
+    /// fences, records shutdown. Never blocks: the doorbell is the only
+    /// park/wake mechanism, and every control sender rings it.
+    fn gather_ctrl(&mut self) {
         while let Ok(m) = self.ctrl.try_recv() {
             match m {
                 CtrlMsg::Lane(l) => self.lanes.push(l),
                 CtrlMsg::FragLane(c) => self.frag_lanes.push(c),
                 CtrlMsg::Snapshot { gen, done } => self.snaps.push((gen, done)),
-                CtrlMsg::SpecFinish { commit } => {
-                    if let Some(slot) = window_finish.as_deref_mut() {
-                        *slot = Some(commit);
-                        return;
-                    }
-                }
                 CtrlMsg::Shutdown => self.shutdown = true,
             }
         }
@@ -89,34 +77,16 @@ impl<S> Intake<'_, S> {
         self.frag_lanes.iter().position(|c| !c.frags.is_empty())
     }
 
-    /// One collection step outside a speculation window: control drain,
-    /// lane sweep, then whether the main loop has anything to do — swept
-    /// singles, a waiting reservation, a snapshot fence, or shutdown.
+    /// One collection step: control drain, lane sweep, then whether the
+    /// main loop has anything to do — swept singles, a waiting
+    /// reservation, a snapshot fence, or shutdown.
     fn poll(&mut self, run: &mut Vec<SingleMsg<S>>) -> bool {
-        self.gather_ctrl(None);
+        self.gather_ctrl();
         self.sweep_lanes(run);
         !run.is_empty()
             || self.next_reservation().is_some()
             || !self.snaps.is_empty()
             || self.shutdown
-    }
-
-    /// One collection step inside a speculation window: the control drain
-    /// comes *before* the sweep, so an outcome already buffered ends the
-    /// window before any further singles are admitted (they execute
-    /// non-speculatively after it). Only swept singles and the outcome
-    /// count as work here — reservations, fences, and shutdown wait for
-    /// the window to resolve.
-    pub(super) fn poll_window(
-        &mut self,
-        run: &mut Vec<SingleMsg<S>>,
-        finish: &mut Option<bool>,
-    ) -> bool {
-        self.gather_ctrl(Some(finish));
-        if finish.is_none() {
-            self.sweep_lanes(run);
-        }
-        !run.is_empty() || finish.is_some()
     }
 
     /// Shutdown teardown: calls swept but not yet executed, plus
@@ -154,11 +124,12 @@ impl<S> Intake<'_, S> {
 /// transaction is admitted between runs, so it observes exactly the state
 /// a one-message-at-a-time loop would have produced.
 ///
-/// Reservations that arrive during a speculation window stay buffered in
-/// their fragment lanes and are admitted once the window resolves (they
-/// may open windows of their own). At shutdown, calls still buffered in
-/// the lanes are failed cleanly ([`Intake::fail_lanes`]) rather than
-/// executed — a client racing shutdown gets an error, never silence.
+/// A reservation holds the worker on its fragment lane until it ends
+/// ([`serve_reservation`]), through an early release of a partition its
+/// fragment wrote too: singles and other reservations queued meanwhile wait
+/// for the outcome. At shutdown, calls still buffered in the lanes are
+/// failed cleanly ([`Intake::fail_lanes`]) rather than executed — a client
+/// racing shutdown gets an error, never silence.
 pub(super) fn worker_loop<A: LiveAdvisor>(
     mut shard: Shard,
     ctrl: &Receiver<CtrlMsg<A::Session>>,
@@ -168,7 +139,6 @@ pub(super) fn worker_loop<A: LiveAdvisor>(
     let bell = &env.workers[me].bell;
     let mut intake = Intake {
         ctrl,
-        bell,
         lanes: Vec::new(),
         frag_lanes: Vec::new(),
         snaps: Vec::new(),
@@ -196,13 +166,13 @@ pub(super) fn worker_loop<A: LiveAdvisor>(
         }
         // A non-empty fragment lane is a reservation: its client holds
         // this partition's lock and pushed the transaction's first
-        // command. At most one lane holds a live transaction (the lock is
-        // exclusive); a closed lane's leftovers come from a coordinator
-        // that died mid-transaction and are rolled back inside serve.
+        // command. The lock is exclusive, so a second lane fills only after
+        // an early release, and then waits here until the released
+        // transaction's reservation ends; a closed lane's leftovers come
+        // from a coordinator that died mid-transaction and are rolled back
+        // inside serve.
         if let Some(lane) = intake.next_reservation() {
-            if let Some(spec) = serve_reservation(&mut shard, env, &mut intake, lane) {
-                speculate(&mut shard, env, &mut intake, &mut last_ticket, spec);
-            }
+            serve_reservation(&mut shard, env, bell, &mut intake.frag_lanes[lane]);
             continue;
         }
         intake.frag_lanes.retain(|c| !c.frags.is_closed());
@@ -237,10 +207,8 @@ pub(super) fn worker_loop<A: LiveAdvisor>(
         let mut t_cursor = Instant::now();
         for msg in run.drain(..) {
             let SingleMsg { req, plan, session, reply, enqueued } = msg;
-            let mut out =
-                run_single(&mut shard, env, req, &plan, session, false, &mut intake.targets);
+            let mut out = run_single(&mut shard, env, req, &plan, session, &mut intake.targets);
             stamp_times(&mut out, enqueued, &mut t_cursor);
-            debug_assert!(out.spec_undo.is_none(), "non-speculative commit retained undo");
             match &env.durable {
                 Some(d) if out.needs_flush() => {
                     // Command-log the committed writer at its service
@@ -271,41 +239,28 @@ pub(super) fn worker_loop<A: LiveAdvisor>(
 }
 
 /// What one fast-path execution produced: the client reply plus what the
-/// speculation machinery needs to classify it (see [`speculate`]).
-pub(super) struct SingleOutcome<S> {
-    pub(super) reply: SingleReply<S>,
-    /// The request, returned to the worker for cascade routing — `None`
-    /// when the reply itself carries it (`Mispredict`/`Cascaded`).
-    pub(super) req: Option<Request>,
-    /// The commit's undo log, retained only when executed speculatively
-    /// (for the shard's `SpeculationStack`).
-    pub(super) spec_undo: Option<UndoLog>,
-    /// `table_bit` mask of tables read or written (the footprint's, kept
-    /// here because a `Mispredict` reply carries none).
-    pub(super) touched_tables: u64,
-    /// Mask of tables written.
-    pub(super) wrote_tables: u64,
+/// durable-ack hand-off needs (see [`worker_loop`]).
+struct SingleOutcome<S> {
+    reply: SingleReply<S>,
+    /// The request, returned to the worker for the command-log append —
+    /// `None` when the `Mispredict` reply itself carries it.
+    req: Option<Request>,
+    /// Whether any executed query wrote.
+    wrote: bool,
     /// Advisor time (`on_query_live`) inside this execution, for Fig. 11.
     est_us: f64,
 }
 
 impl<S> SingleOutcome<S> {
     fn plain(reply: SingleReply<S>, req: Option<Request>) -> Self {
-        SingleOutcome {
-            reply,
-            req,
-            spec_undo: None,
-            touched_tables: 0,
-            wrote_tables: 0,
-            est_us: 0.0,
-        }
+        SingleOutcome { reply, req, wrote: false, est_us: 0.0 }
     }
 
     /// Whether this transaction needs a commit flush before its ack under
     /// durability: it committed and wrote something. The flush itself is
     /// the *caller's* job ([`release_group`]).
-    pub(super) fn needs_flush(&self) -> bool {
-        matches!(self.reply, SingleReply::Done { committed: true, .. }) && self.wrote_tables != 0
+    fn needs_flush(&self) -> bool {
+        matches!(self.reply, SingleReply::Done { committed: true, .. }) && self.wrote
     }
 }
 
@@ -314,11 +269,7 @@ impl<S> SingleOutcome<S> {
 /// previous completion, which is when this execution started, and advances
 /// to this one's: one timestamp per completion bounds two intervals at
 /// once, halving the clock reads of a stamp-before-and-after scheme.
-pub(super) fn stamp_times<S>(
-    out: &mut SingleOutcome<S>,
-    enqueued: Instant,
-    t_cursor: &mut Instant,
-) {
+fn stamp_times<S>(out: &mut SingleOutcome<S>, enqueued: Instant, t_cursor: &mut Instant) {
     let t_done = Instant::now();
     let queued_us = t_cursor.duration_since(enqueued).as_secs_f64() * 1e6;
     let exec_us = ((t_done - *t_cursor).as_secs_f64() * 1e6 - out.est_us).max(0.0);
@@ -332,27 +283,20 @@ pub(super) fn stamp_times<S>(
 /// Executes one whole single-partition transaction on the owning worker —
 /// the lock-free fast path, one shard's driver of the `crate::txn` kernel.
 /// `targets` is the worker's batch-check scratch.
-///
-/// With `speculating` set the transaction runs inside an open speculation
-/// window: undo logging is force-enabled whatever OP3 decided (initial
-/// `disable_undo` *and* runtime updates are ignored, §4.3 — the kernel's
-/// speculation guard), and a commit returns its undo log for the caller to
-/// push onto the shard's `SpeculationStack` instead of clearing it.
-pub(super) fn run_single<A: LiveAdvisor>(
+fn run_single<A: LiveAdvisor>(
     shard: &mut Shard,
     env: &Shared<A>,
     req: Request,
     plan: &TxnPlan,
     mut session: A::Session,
-    speculating: bool,
     targets: &mut Vec<PartitionSet>,
 ) -> SingleOutcome<A::Session> {
     let me = shard.partition();
     debug_assert_eq!(plan.lock_set, PartitionSet::single(me), "fast path misrouted");
     let proc_def = env.catalog.proc(req.proc);
     let mut cursor = Cursor::new(&env.registry, req.proc, &req.args);
-    let (mut fp, mut undo) = Footprint::begin(plan, speculating);
-    let mut wrote_tables = 0u64;
+    let (mut fp, mut undo) = Footprint::begin(plan, false);
+    let mut wrote = false;
     let mut est_us = 0.0f64;
     // How the control code ended: `Ok(committed)`, or a mispredict's
     // `Err(observed)`.
@@ -374,9 +318,7 @@ pub(super) fn run_single<A: LiveAdvisor>(
                         }
                         Err(e) => return SingleOutcome::plain(SingleReply::Fatal(e), Some(req)),
                     };
-                    if def.is_write() {
-                        wrote_tables |= table_bit(def.table);
-                    }
+                    wrote |= def.is_write();
                     let t_est = Instant::now();
                     let single = PartitionSet::single(me);
                     fp.observe(&env.advisor, &mut session, plan, Some(&mut undo), def, inv, single);
@@ -391,41 +333,31 @@ pub(super) fn run_single<A: LiveAdvisor>(
     };
     // Durable effects are *not* flushed here: the caller routes a commit's
     // ack through the flusher when `SingleOutcome::needs_flush` says it
-    // wrote (see [`worker_loop`]). A speculative commit is contingent on
-    // the early-prepared transaction, so it hands its undo log back for
-    // the speculation stack (§4.3 — undo is always kept there); an abort or
-    // mispredict rolls back, its masks still classifying conflicts.
-    let spec_undo = match end {
-        Ok(true) if speculating => {
-            assert!(undo.can_rollback(), "speculative transaction ran without undo (OP3 leak)");
-            Some(undo)
-        }
-        Ok(true) => {
-            undo.clear();
-            None
-        }
+    // wrote (see [`worker_loop`]). An abort or mispredict rolls back.
+    match end {
+        Ok(true) => undo.clear(),
         _ if !undo.can_rollback() => {
             let txn = u64::from(req.proc) + if end.is_err() { 1000 } else { 0 };
             let fatal = SingleReply::Fatal(Error::UnrecoverableAbort { txn });
             return SingleOutcome::plain(fatal, Some(req));
         }
-        _ => match shard.rollback(&mut undo) {
-            Ok(()) => None,
-            Err(e) => return SingleOutcome::plain(SingleReply::Fatal(e), Some(req)),
-        },
-    };
-    let touched_tables = fp.touched_tables;
+        _ => {
+            if let Err(e) = shard.rollback(&mut undo) {
+                return SingleOutcome::plain(SingleReply::Fatal(e), Some(req));
+            }
+        }
+    }
     let times = StageTimes::default();
     let (reply, req) = match end {
         Ok(committed) => (SingleReply::Done { committed, session, fp, times }, Some(req)),
         Err(observed) => (SingleReply::Mispredict { req, observed, session, times }, None),
     };
-    SingleOutcome { reply, req, spec_undo, touched_tables, wrote_tables, est_us }
+    SingleOutcome { reply, req, wrote, est_us }
 }
 
 /// A fast-path reply held back until the device flush covering it
 /// completes.
-pub(super) type DeferredAck<S> = (Arc<SingleSlot<S>>, SingleReply<S>);
+type DeferredAck<S> = (Arc<SingleSlot<S>>, SingleReply<S>);
 
 /// Releases held acknowledgements in completion order.
 fn release_acks<S>(acks: &mut Vec<DeferredAck<S>>) {
@@ -448,7 +380,7 @@ fn release_acks<S>(acks: &mut Vec<DeferredAck<S>>) {
 /// during a flush share the next one. 2PC durability is not paid here:
 /// the *coordinator* waits once per distributed commit on the same
 /// sequencer, covering every participant's writes.
-pub(super) fn release_group<A: LiveAdvisor>(
+fn release_group<A: LiveAdvisor>(
     env: &Shared<A>,
     mut acks: Vec<DeferredAck<A::Session>>,
     wrote: bool,
@@ -537,6 +469,7 @@ pub(super) mod tests {
     use crate::baselines::AssumeSinglePartition;
     use crate::metrics::RunMetrics;
     use crate::procedure::testing::{kv_database, kv_registry};
+    use common::ring::Doorbell;
     use common::sync::atomic::AtomicU64;
     use common::sync::mpsc::channel;
     use common::sync::Mutex;
@@ -545,7 +478,7 @@ pub(super) mod tests {
     use storage::Row;
 
     /// Sorted `(key, row)` snapshot of one table slice, for byte-identical
-    /// state comparisons across a speculation window.
+    /// state comparisons across a reservation.
     pub(in crate::runtime) type TableRows = Vec<(Vec<Value>, Row)>;
 
     pub(in crate::runtime) fn sorted_rows(table: &storage::Table) -> TableRows {
@@ -641,12 +574,6 @@ pub(super) mod tests {
         pub(in crate::runtime) fn vote_finish(&mut self, commit: bool) {
             self.frag(FragCmd::VoteFinish { commit });
             assert!(matches!(self.frag_reply(), FragReply::Finished));
-        }
-
-        /// The 2PC outcome of an open speculation window, on the control
-        /// channel as coordinators send it (commit and abort alike).
-        pub(in crate::runtime) fn spec_finish(&self, commit: bool) {
-            assert!(self.env.workers[0].send_ctrl(CtrlMsg::SpecFinish { commit }));
         }
 
         /// Submits one `MultiGet(args)` single planned for partition 0 and

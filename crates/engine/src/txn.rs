@@ -17,7 +17,8 @@
 //! What stays with each driver: how a batch executes (the whole database,
 //! one shard, or `ExecBatch` shipping), time (virtual `CostModel` charges or
 //! the wall clock), write bookkeeping, which finished partitions may
-//! release, cascades, durability and reply routing.
+//! release, the simulator's speculation windows, durability and reply
+//! routing.
 
 use crate::advisor::{LiveAdvisor, PlanContext, Request, TxnPlan, Updates};
 use crate::catalog::{ProcDef, QueryDef};

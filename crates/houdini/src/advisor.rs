@@ -28,9 +28,8 @@ const MIN_FINISH_HITS: u64 = 4;
 /// threshold plays no part here: any finish probability clearing this bar
 /// clears every threshold in (0, 1)). The cost asymmetry demands it: releasing a
 /// partition early saves micro-seconds of lock hold, while re-touching a
-/// released partition aborts and restarts the whole transaction — and in
-/// the live runtime additionally cascades every transaction that ran
-/// speculatively in the window. A finish probability like 0.7 (common at
+/// released partition aborts and restarts the whole transaction. A finish
+/// probability like 0.7 (common at
 /// loop states such as NewOrder's per-item stock updates, where the state
 /// cannot see the total item count) is therefore a terrible bet; only
 /// states whose training history *always* finished the partition qualify.
@@ -59,10 +58,10 @@ pub struct HoudiniConfig {
     /// The confidence-coefficient threshold of §4.3 / Fig. 13. Estimations
     /// whose confidence falls below it are pruned (conservative fallback).
     pub threshold: f64,
-    /// Emit OP4 finished-partition declarations (early prepare +
-    /// speculative execution). Off is the OP4 ablation: plans are produced
-    /// identically but `TxnPlan::early_prepare` stays false, so the engine
-    /// never releases a partition before 2PC.
+    /// Emit OP4 finished-partition declarations (early prepare, plus
+    /// speculative execution in the simulator). Off is the OP4 ablation:
+    /// plans are produced identically but `TxnPlan::early_prepare` stays
+    /// false, so the engine never releases a partition before 2PC.
     pub early_prepare: bool,
     /// Learn from traffic (§4.5), in the simulator and the live runtime
     /// alike: emit per-transaction path feedback at session teardown and
@@ -181,15 +180,14 @@ fn updates_at_state(
     // qualify: a shape proxy (same query, counter, seen set but different
     // partition binding) carries per-partition finish entries for *its*
     // binding, which systematically mispredicts release decisions — and a
-    // wrong release is an abort-restart plus a live cascade, far costlier
-    // than a kept lock.
+    // wrong release is an abort-restart, far costlier than a kept lock.
     let mut finished = PartitionSet::EMPTY;
     // Loop gate: a procedure with query loops (any state at invocation
     // counter > 0) executes data-dependent trip counts the closure behind
     // `finish` cannot see — a model (or cluster, under partitioned models)
     // whose trained loops are shorter or more local than this request's
     // yields finish = 1.0 *with certainty* and still lies, and every such
-    // release is an abort-restart plus a live cascade. Loop-free
+    // release is an abort-restart. Loop-free
     // procedures (all of TATP, TPC-C's Payment) have closures that
     // genuinely enumerate their continuations, so only they may release
     // through tables. (Computed once per transaction at plan time.)
@@ -365,7 +363,7 @@ impl Houdini {
         // a *shorter* trained iteration path than this request will
         // actually take — the plan's "last access" steps then release
         // partitions the remaining iterations still need, and every such
-        // release is an abort-restart (plus a live cascade). Loop-free
+        // release is an abort-restart. Loop-free
         // models cannot under-run, so only they may drive early prepares.
         let model_loop_free = model_is_loop_free(model);
         let follow_plan = est_complete && model_loop_free && est.confidence >= self.cfg.threshold;

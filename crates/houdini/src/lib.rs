@@ -7,8 +7,8 @@
 //! execution-path estimate, and tells the DBMS which optimizations to
 //! enable: the base partition (OP1), the partitions to lock (OP2), whether
 //! undo logging can be skipped (OP3), and — as the transaction executes —
-//! when it is finished with partitions so they can early-prepare and run
-//! other transactions speculatively (OP4). It also monitors model accuracy
+//! when it is finished with partitions so they can early-prepare (OP4). It
+//! also monitors model accuracy
 //! and recomputes probabilities when the workload drifts (§4.5).
 
 pub mod accuracy;

@@ -156,22 +156,6 @@ impl Shard {
             self.tables[id].restore(&self.meta.schemas[id], rows);
         }
     }
-
-    /// Cascading rollback of a whole speculation window (live OP4): unwinds
-    /// the stack LIFO — every speculatively-committed transaction newest-
-    /// first, then the early-prepared transaction's own fragment undo —
-    /// restoring the shard byte-for-byte to its state before the distributed
-    /// transaction's first fragment ran here. Returns the number of
-    /// speculative commits that were cascaded away.
-    pub fn rollback_speculation(&mut self, stack: crate::SpeculationStack) -> Result<u64> {
-        let (mut base, mut committed) = stack.into_parts();
-        let cascaded = committed.len() as u64;
-        while let Some(mut undo) = committed.pop() {
-            self.rollback(&mut undo)?;
-        }
-        self.rollback(&mut base)?;
-        Ok(cascaded)
-    }
 }
 
 fn apply_undo(tables: &mut [Table], shard_partition: PartitionId, rec: UndoRecord) {
@@ -495,45 +479,5 @@ mod tests {
     fn shards_are_send() {
         fn assert_send<T: Send>() {}
         assert_send::<Shard>();
-    }
-
-    #[test]
-    fn speculation_cascade_restores_pre_window_state() {
-        let mut d = db();
-        let t = d.table_id("A").unwrap();
-        let mut setup = UndoLog::new();
-        for i in 0..4i64 {
-            d.insert(0, t, vec![Value::Int(i * 4), Value::Int(i)], &mut setup).unwrap();
-        }
-        let mut shards = d.into_shards();
-        let shard = &mut shards[0];
-        let before: Vec<(Vec<Value>, Row)> =
-            shard.table(t).iter().map(|(k, r)| (k.clone(), r.clone())).collect();
-
-        // The distributed transaction's fragment: update + insert.
-        let mut frag = UndoLog::new();
-        shard.update(t, &[Value::Int(0)], |r| r[1] = Value::Int(99), &mut frag).unwrap();
-        shard.insert(t, vec![Value::Int(100), Value::Int(7)], &mut frag).unwrap();
-        let mut stack = crate::SpeculationStack::new(frag);
-
-        // Two speculative transactions commit on top of it, the second
-        // overwriting rows the first (and the base) touched.
-        for v in [5i64, 6] {
-            let mut undo = UndoLog::new();
-            shard.update(t, &[Value::Int(0)], |r| r[1] = Value::Int(v), &mut undo).unwrap();
-            shard.update(t, &[Value::Int(100)], |r| r[1] = Value::Int(v), &mut undo).unwrap();
-            shard.delete(t, &[Value::Int(4 * v - 12)], &mut undo).ok();
-            stack.push_commit(undo);
-        }
-        assert_eq!(stack.depth(), 2);
-
-        let cascaded = shard.rollback_speculation(stack).unwrap();
-        assert_eq!(cascaded, 2);
-        let after: Vec<(Vec<Value>, Row)> =
-            shard.table(t).iter().map(|(k, r)| (k.clone(), r.clone())).collect();
-        let (mut b, mut a) = (before, after);
-        b.sort();
-        a.sort();
-        assert_eq!(a, b, "cascade must restore the shard byte-for-byte");
     }
 }

@@ -17,4 +17,4 @@ pub use database::{Database, DbMeta, Shard};
 pub use index::SecondaryIndex;
 pub use schema::{Column, Schema};
 pub use table::{Key, Row, Table};
-pub use undo::{SpeculationStack, UndoLog, UndoRecord};
+pub use undo::{UndoLog, UndoRecord};

@@ -103,62 +103,6 @@ impl UndoLog {
     }
 }
 
-/// The undo state of one speculation window on a shard (paper §2/§4.3 OP4,
-/// live runtime).
-///
-/// When a distributed transaction early-prepares a partition, its fragment
-/// undo log at that shard becomes the stack's *base*; every transaction the
-/// shard then executes speculatively pushes its commit-time undo log on top.
-/// If the distributed transaction later commits, the whole stack is
-/// discarded ([`SpeculationStack::commit`]); if it aborts, the stack unwinds
-/// LIFO — each speculative commit is rolled back newest-first, then the
-/// base — restoring the shard byte-for-byte to its pre-transaction state
-/// (`Shard::rollback_speculation`).
-///
-/// Invariant: speculative transactions always keep undo logging, whatever
-/// OP3 decided for them (§4.3), so every pushed log must be rollback-clean.
-/// [`SpeculationStack::push_commit`] asserts this rather than trusting the
-/// engine.
-#[derive(Debug)]
-pub struct SpeculationStack {
-    base: UndoLog,
-    committed: Vec<UndoLog>,
-}
-
-impl SpeculationStack {
-    /// Opens a speculation window over the early-prepared transaction's
-    /// fragment undo at this shard.
-    pub fn new(base: UndoLog) -> Self {
-        assert!(base.can_rollback(), "early-prepared fragment must keep undo");
-        SpeculationStack { base, committed: Vec::new() }
-    }
-
-    /// Pushes the undo log of a speculatively-committed transaction.
-    pub fn push_commit(&mut self, undo: UndoLog) {
-        assert!(
-            undo.can_rollback(),
-            "speculative transaction executed writes without undo (OP3 must \
-             be ignored while speculating, §4.3)"
-        );
-        self.committed.push(undo);
-    }
-
-    /// Number of speculative commits currently on the stack.
-    pub fn depth(&self) -> usize {
-        self.committed.len()
-    }
-
-    /// The distributed transaction committed: all speculative work becomes
-    /// final and every retained undo record is discarded.
-    pub fn commit(self) {}
-
-    /// Unwinds into `(base, committed)` for LIFO rollback; used by
-    /// `Shard::rollback_speculation`.
-    pub(crate) fn into_parts(self) -> (UndoLog, Vec<UndoLog>) {
-        (self.base, self.committed)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -204,31 +148,5 @@ mod tests {
         log.record(rec(1));
         log.clear();
         assert!(log.can_rollback());
-    }
-
-    #[test]
-    fn speculation_stack_tracks_depth_and_order() {
-        let mut base = UndoLog::new();
-        base.record(rec(0));
-        let mut stack = SpeculationStack::new(base);
-        for i in 1..=3 {
-            let mut u = UndoLog::new();
-            u.record(rec(i));
-            stack.push_commit(u);
-        }
-        assert_eq!(stack.depth(), 3);
-        let (base, committed) = stack.into_parts();
-        assert_eq!(base.len(), 1);
-        assert_eq!(committed.len(), 3);
-        assert_eq!(committed[2].len(), 1, "newest last (LIFO pop order)");
-    }
-
-    #[test]
-    #[should_panic(expected = "OP3 must")]
-    fn speculation_stack_rejects_unlogged_commits() {
-        let mut stack = SpeculationStack::new(UndoLog::new());
-        let mut dirty = UndoLog::disabled();
-        dirty.record(rec(1));
-        stack.push_commit(dirty);
     }
 }

@@ -145,14 +145,14 @@ fn simulator_and_live_runtime_emit_the_same_feedback() {
 }
 
 /// OP4 must be invisible in outcome space: the same trained Houdini with
-/// early prepare + speculation enabled vs disabled (the only difference
-/// being `TxnPlan::early_prepare`) must produce identical commit / abort /
+/// early prepare enabled vs disabled (the only difference being
+/// `TxnPlan::early_prepare`) must produce identical commit / abort /
 /// restart / per-procedure counts and identical final table row counts on
-/// the seeded TATP population. This pins the whole live speculation
-/// protocol — early release, deferred acknowledgements, cascading rollback
-/// and transparent redo — as outcome-preserving.
+/// the seeded TATP population. This pins live early prepare — lock release
+/// at batch end, read-only participants leaving at once, written ones held
+/// until the 2PC outcome — as outcome-preserving. Neither arm speculates.
 #[test]
-fn op4_speculation_does_not_change_outcomes() {
+fn op4_early_prepare_does_not_change_outcomes() {
     let (catalog, wl) = collect_trace(Bench::Tatp, PARTS, 2_000, 29);
     let cfg = TrainingConfig::default();
     let preds = train(&catalog, PARTS, &wl, &cfg);
@@ -177,8 +177,10 @@ fn op4_speculation_does_not_change_outcomes() {
         m_on.committed_by_proc, m_off.committed_by_proc,
         "OP4 changed per-procedure outcomes"
     );
-    assert_eq!(m_off.speculative, 0, "ablation must not speculate");
-    assert_eq!(m_off.cascaded_aborts, 0);
+    for m in [&m_on, &m_off] {
+        assert_eq!(m.speculative, 0, "the live runtime never speculates");
+        assert_eq!(m.cascaded_aborts, 0);
+    }
     for table in 0..4 {
         assert_eq!(
             db_on.total_rows(table),
@@ -189,13 +191,19 @@ fn op4_speculation_does_not_change_outcomes() {
 }
 
 /// Distributed-heavy TPC-C under real concurrency, OP4 on: conservation
-/// (no transaction lost or duplicated through deferred acknowledgements
-/// and cascade redos) plus a storage-level invariant that survives any
-/// interleaving — every committed NewOrder inserts exactly one ORDERS row,
-/// so cascaded speculative commits that were rolled back and redone must
-/// neither lose nor double-apply their inserts.
+/// (no transaction lost or duplicated while written participants sit
+/// released-but-reserved) plus a storage-level invariant that survives any
+/// interleaving — every committed NewOrder inserts exactly one ORDERS row.
+/// Run twice: without a message delay, and at the live ablation's 60 µs,
+/// where early releases overlap other clients' traffic.
 #[test]
-fn tpcc_speculation_conserves_requests_and_rows() {
+fn tpcc_early_prepare_conserves_requests_and_rows() {
+    for msg_delay_us in [0, 60] {
+        tpcc_conserves_requests_and_rows(msg_delay_us);
+    }
+}
+
+fn tpcc_conserves_requests_and_rows(msg_delay_us: u64) {
     const CLIENTS: u32 = 2;
     const REQUESTS: u64 = 150;
     let (catalog, wl) = collect_trace(Bench::Tpcc, PARTS, 2_000, 31);
@@ -205,7 +213,7 @@ fn tpcc_speculation_conserves_requests_and_rows() {
     let orders_table = db.table_id("ORDERS").expect("ORDERS exists");
     let orders_before = db.total_rows(orders_table);
     let reg = Bench::Tpcc.registry();
-    let cfg = LiveConfig { max_restarts: 2, seed: 37, msg_delay_us: 0, ..Default::default() };
+    let cfg = LiveConfig { max_restarts: 2, seed: 37, msg_delay_us, ..Default::default() };
     let make_gen = |client: u64| Bench::Tpcc.client_generator(PARTS, 37, client);
     let (m, db) = run_live(db, reg, houdini, &make_gen, CLIENTS, REQUESTS, &cfg)
         .expect("live runtime must not halt");
@@ -216,8 +224,12 @@ fn tpcc_speculation_conserves_requests_and_rows() {
     assert_eq!(
         db.total_rows(orders_table) - orders_before,
         committed_new_orders as usize,
-        "ORDERS rows must match committed NewOrders exactly (cascade safety)"
+        "ORDERS rows must match committed NewOrders exactly (msg_delay_us {msg_delay_us})"
     );
+    let op4: u64 = m.ops.values().map(|o| o.op4).sum();
+    assert!(op4 > 0, "no transaction early-prepared (msg_delay_us {msg_delay_us})");
+    assert_eq!(m.speculative, 0, "the live runtime never speculates");
+    assert_eq!(m.cascaded_aborts, 0);
 }
 
 #[test]

@@ -126,75 +126,6 @@ proptest! {
 }
 
 // ---------------------------------------------------------------------------
-// OP4 cascading rollback: an early-prepared fragment plus any sequence of
-// speculatively-committed transactions unwinds LIFO to byte-identical shard
-// state (the live runtime's coordinator-abort path).
-// ---------------------------------------------------------------------------
-
-fn shard_snapshot(shard: &storage::Shard) -> Vec<(Vec<Value>, Vec<Value>)> {
-    let mut rows: Vec<(Vec<Value>, Vec<Value>)> =
-        shard.table(0).iter().map(|(k, r)| (k.clone(), r.clone())).collect();
-    rows.sort();
-    rows
-}
-
-fn apply_op(shard: &mut storage::Shard, op: &Op, undo: &mut UndoLog) {
-    match op {
-        Op::Insert(k, v) => {
-            let _ = shard.insert(0, vec![Value::Int(*k), Value::Int(*v)], undo);
-        }
-        Op::Update(k, v) => {
-            let _ = shard.update(0, &[Value::Int(*k)], |r| r[1] = Value::Int(*v), undo);
-        }
-        Op::Delete(k) => {
-            let _ = shard.delete(0, &[Value::Int(*k)], undo);
-        }
-    }
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
-    #[test]
-    fn speculation_cascade_restores_prestate(
-        seed_rows in proptest::collection::vec((0i64..40, 0i64..1000), 0..15),
-        fragment in proptest::collection::vec(op_strategy(), 0..15),
-        spec_txns in proptest::collection::vec(
-            proptest::collection::vec(op_strategy(), 1..10), 0..8),
-    ) {
-        // Single-partition database so every key lands on the one shard.
-        let schemas = vec![Schema::new("T", &["ID", "V"], &[0], Some(0))];
-        let mut db = Database::new(schemas, 1, &[]);
-        let mut setup = UndoLog::new();
-        for (k, v) in &seed_rows {
-            let _ = db.insert(0, 0, vec![Value::Int(*k), Value::Int(*v)], &mut setup);
-        }
-        let mut shard = db.into_shards().pop().expect("one shard");
-        let before = shard_snapshot(&shard);
-
-        // The distributed transaction's fragment opens the window...
-        let mut frag_undo = UndoLog::new();
-        for op in &fragment {
-            apply_op(&mut shard, op, &mut frag_undo);
-        }
-        let mut stack = storage::SpeculationStack::new(frag_undo);
-        // ...then speculative transactions commit on top of it.
-        for txn in &spec_txns {
-            let mut undo = UndoLog::new();
-            for op in txn {
-                apply_op(&mut shard, op, &mut undo);
-            }
-            stack.push_commit(undo);
-        }
-        prop_assert_eq!(stack.depth(), spec_txns.len());
-
-        // Coordinator abort: the cascade must restore the shard exactly.
-        let cascaded = shard.rollback_speculation(stack).expect("cascade");
-        prop_assert_eq!(cascaded, spec_txns.len() as u64);
-        prop_assert_eq!(shard_snapshot(&shard), before);
-    }
-}
-
-// ---------------------------------------------------------------------------
 // Markov model construction invariants.
 // ---------------------------------------------------------------------------
 
