@@ -182,43 +182,29 @@ pub fn fig8() -> String {
     out
 }
 
-/// Fig. 9 — partitioned NewOrder models and their decision tree.
+/// Fig. 9 — partitioned NewOrder models: the feature training split on,
+/// one model per value it saw, and the global model that serves any other
+/// value (or, when no split pays, the global model alone).
 pub fn fig9() -> String {
     let (catalog, wl) = new_order_trace(2, 3_000, 4);
-    let cfg = TrainingConfig::default();
-    let preds = train(&catalog, 2, &wl, &cfg);
-    let pred = &preds[1];
+    let preds = train(&catalog, 2, &wl, &TrainingConfig::default());
     let mut out = String::from("# Fig. 9: partitioned NewOrder models\n");
-    match &pred.models {
-        ModelSet::Global { model, .. } => {
+    match &preds[1].models {
+        ModelSet::Global { model } => {
             let _ = writeln!(
                 out,
-                "clustering did not beat the global model on this trace: {} states",
+                "no single-feature split beat the global model on this trace: {} states",
                 model.len()
             );
         }
-        ModelSet::Partitioned { selected, schema, models, tree, .. } => {
-            let feats: Vec<String> = selected
-                .iter()
-                .map(|&i| format!("{}(param {})", schema[i].category.label(), schema[i].param))
-                .collect();
-            let _ = writeln!(out, "selected features: {feats:?}");
-            let _ = writeln!(out, "decision tree: {} splits, depth {}", tree.splits, tree.depth());
-            for (c, m) in models.iter().enumerate() {
-                let _ = writeln!(out, "cluster {c}: {} states", m.len());
+        ModelSet::Partitioned { feature, routes, models, .. } => {
+            let _ = writeln!(out, "split on {feature}");
+            for (v, m) in routes.iter().zip(models) {
+                let v = v.map_or_else(|| "null".to_string(), |x| x.to_string());
+                let _ = writeln!(out, "  {feature} = {v}: {} states", m.len());
             }
-            let total: usize = models.iter().map(|m| m.len()).sum();
-            let (catalog2, wl2) = new_order_trace(2, 3_000, 4);
-            let resolver = engine::CatalogResolver::new(&catalog2, 2);
-            let global = markov::build_model(1, &wl2.for_proc(1), &resolver);
-            let _ = writeln!(
-                out,
-                "global model {} states vs {} clustered states across {} models \
-                 (each cluster model is simpler than the global one)",
-                global.len(),
-                total,
-                models.len()
-            );
+            let global = models.last().expect("a split keeps its global fallback");
+            let _ = writeln!(out, "  any other value: global model, {} states", global.len());
         }
     }
     out
@@ -375,11 +361,13 @@ pub fn table4(scale: Scale) -> String {
 }
 
 /// Fig. 12 — throughput vs partitions: Houdini-partitioned, Houdini-global,
-/// assume-single-partition, for all three benchmarks.
+/// assume-single-partition and the Oracle, for all three benchmarks, with
+/// both Houdini columns as a fraction of the Oracle (the paper's claim).
 pub fn fig12(scale: Scale) -> String {
     let mut out = String::from(
         "# Fig. 12: throughput (txn/s) vs partitions\n\
-         bench        parts  houdini-part  houdini-global  assume-single-part\n",
+         bench        parts  houdini-part  houdini-global  assume-single-part  \
+         oracle  part/oracle  global/oracle\n",
     );
     for bench in Bench::ALL {
         for parts in CLUSTER_SIZES {
@@ -395,10 +383,14 @@ pub fn fig12(scale: Scale) -> String {
                 let a = AssumeSinglePartition::new();
                 run_sim(bench, parts, &a, scale, 53).0.throughput_tps()
             };
+            let tps_oracle = run_sim(bench, parts, &Oracle::new(), scale, 53).0.throughput_tps();
             let _ = writeln!(
                 out,
-                "{:<12} {parts:5}  {tps_part:12.0}  {tps_glob:14.0}  {tps_asp:19.0}",
-                bench.name()
+                "{:<12} {parts:5}  {tps_part:12.0}  {tps_glob:14.0}  {tps_asp:19.0}  \
+                 {tps_oracle:6.0}  {:11.2}  {:13.2}",
+                bench.name(),
+                tps_part / tps_oracle,
+                tps_glob / tps_oracle,
             );
         }
     }

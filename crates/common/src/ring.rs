@@ -30,7 +30,6 @@
 
 use std::cell::UnsafeCell;
 use std::mem::MaybeUninit;
-use std::time::Duration;
 
 use crate::sync::atomic::{AtomicU64, Ordering};
 use crate::sync::{Arc, Condvar, Mutex, PoisonError};
@@ -299,26 +298,6 @@ impl Doorbell {
         drop(g);
         self.cancel_park();
     }
-
-    /// Like [`Doorbell::park`] but gives up after `dur`. Returns true when
-    /// the wait ended by timeout rather than a ring.
-    pub fn park_timeout(&self, token: u64, dur: Duration) -> bool {
-        let mut g = self.m.lock().unwrap_or_else(PoisonError::into_inner);
-        let mut timed_out = false;
-        // ordering: Acquire — same pairing as park(): see the rationale
-        // there.
-        while self.word.load(Ordering::Acquire) == token {
-            let (ng, res) = self.cv.wait_timeout(g, dur).unwrap_or_else(PoisonError::into_inner);
-            g = ng;
-            if res.timed_out() {
-                timed_out = true;
-                break;
-            }
-        }
-        drop(g);
-        self.cancel_park();
-        timed_out
-    }
 }
 
 #[cfg(test)]
@@ -424,17 +403,5 @@ mod tests {
         }
         let got = consumer.join().unwrap();
         assert_eq!(got, (0..100).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn park_timeout_expires_without_a_ring() {
-        let bell = Doorbell::new();
-        let token = bell.prepare_park();
-        assert!(bell.park_timeout(token, Duration::from_millis(5)));
-        // A ring after prepare_park moves the word past the token, so the
-        // park returns immediately without timing out.
-        let token = bell.prepare_park();
-        bell.ring();
-        assert!(!bell.park_timeout(token, Duration::from_secs(30)));
     }
 }

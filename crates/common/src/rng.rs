@@ -1,7 +1,7 @@
 //! Deterministic RNG plumbing.
 //!
-//! Every randomized component (workload generators, clients, clustering
-//! initialization) takes a `u64` seed and derives independent streams with
+//! Every randomized component (workload generators, clients, the live
+//! runtime) takes a `u64` seed and derives independent streams with
 //! [`derive_seed`], so that every experiment in the repo is bit-reproducible.
 
 use crate::value::splitmix64;

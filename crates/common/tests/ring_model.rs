@@ -12,9 +12,8 @@
 //! * **The real `common::ring`** (under `--features check`): the facade
 //!   resolves to `checkers::sync`, so these models drive the production
 //!   `spsc`/`Doorbell` code itself — in-order delivery under the park
-//!   protocol, the `park_timeout` branch, and the producer-drop handshake
-//!   (`is_closed` must not report closed-and-empty while a final element
-//!   is in flight).
+//!   protocol and the producer-drop handshake (`is_closed` must not report
+//!   closed-and-empty while a final element is in flight).
 
 use checkers::sync::atomic::{AtomicU64, Ordering};
 use checkers::sync::{Arc, Condvar, Mutex};
@@ -211,7 +210,6 @@ mod real_ring {
     use checkers::explore;
     use checkers::sync::Arc;
     use common::ring::{spsc, Doorbell};
-    use std::time::Duration;
 
     #[test]
     fn real_ring_delivers_in_order_under_the_park_protocol() {
@@ -247,49 +245,6 @@ mod real_ring {
             });
         });
         assert_pass(&r, "real_ring_in_order");
-    }
-
-    #[test]
-    fn real_park_timeout_always_rechecks_before_sleeping_again() {
-        let r = explore(opts(), |model| {
-            let (mut tx, mut rx) = spsc::<u64>(2);
-            let bell = Arc::new(Doorbell::new());
-            let b_p = bell.clone();
-            model.thread(move || {
-                tx.push(7).expect("capacity covers the push");
-                b_p.ring();
-            });
-            model.thread(move || {
-                let mut got = None;
-                // The timeout branch is enumerated nondeterministically;
-                // cap it at one firing per schedule (then fall back to a
-                // blocking park) so the schedule count stays bounded — an
-                // always-times-out schedule would spin forever.
-                let mut timeout_budget = 1;
-                while got.is_none() {
-                    got = rx.pop();
-                    if got.is_some() {
-                        break;
-                    }
-                    let token = bell.prepare_park();
-                    if !rx.is_empty() {
-                        bell.cancel_park();
-                        continue;
-                    }
-                    if timeout_budget > 0 {
-                        // A spurious timeout must loop back to a sweep,
-                        // never exit with the element unread.
-                        if bell.park_timeout(token, Duration::from_millis(1)) {
-                            timeout_budget -= 1;
-                        }
-                    } else {
-                        bell.park(token);
-                    }
-                }
-                assert_eq!(got, Some(7));
-            });
-        });
-        assert_pass(&r, "real_park_timeout");
     }
 
     #[test]

@@ -4,6 +4,8 @@
 //! A transaction's *feature vector* holds one value per input parameter per
 //! category. Inapplicable combinations (e.g. `ARRAYLENGTH` of a scalar) are
 //! null, encoded as `None`, exactly like the nulls in the paper's Table 2.
+//! Model partitioning routes a request on one feature's value
+//! ([`crate::ModelSet::Partitioned`]).
 
 use common::Value;
 use serde::{Deserialize, Serialize};
@@ -14,7 +16,7 @@ pub enum FeatureCategory {
     /// The normalized (numeric) value of the parameter.
     NormalizedValue,
     /// The hash value of the parameter — its home partition under the
-    /// current configuration, which is what makes clusters partition-aware
+    /// current configuration, which is what makes a split partition-aware
     /// (Fig. 9 splits NewOrder models on `HashValue(w_id)`).
     HashValue,
     /// Whether the parameter is null.
@@ -36,7 +38,7 @@ impl FeatureCategory {
     ];
 
     /// Display name matching the paper (e.g. `HASHVALUE`).
-    pub fn label(self) -> &'static str {
+    fn label(self) -> &'static str {
         match self {
             FeatureCategory::NormalizedValue => "NORMALIZEDVALUE",
             FeatureCategory::HashValue => "HASHVALUE",
@@ -54,6 +56,13 @@ pub struct Feature {
     pub category: FeatureCategory,
     /// The procedure input-parameter index it applies to.
     pub param: usize,
+}
+
+impl std::fmt::Display for Feature {
+    /// Paper style, e.g. `NORMALIZEDVALUE(1)`.
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "{}({})", self.category.label(), self.param)
+    }
 }
 
 /// The full feature schema for a procedure with `num_params` parameters:
@@ -106,22 +115,6 @@ pub fn extract_feature(f: &Feature, args: &[Value], num_partitions: u32) -> Opti
             }
         }),
     }
-}
-
-/// Extracts the full feature vector for `args` under `schema`.
-pub fn extract_features(
-    schema: &[Feature],
-    args: &[Value],
-    num_partitions: u32,
-) -> Vec<Option<f64>> {
-    schema.iter().map(|f| extract_feature(f, args, num_partitions)).collect()
-}
-
-/// Projects selected features into a dense numeric vector for the
-/// clusterer/tree, encoding nulls as `-1.0` (all genuine feature values here
-/// are non-negative).
-pub fn densify(vector: &[Option<f64>], selected: &[usize]) -> Vec<f64> {
-    selected.iter().map(|&i| vector[i].unwrap_or(-1.0)).collect()
 }
 
 #[cfg(test)]
@@ -180,12 +173,5 @@ mod tests {
         assert_eq!(extract_feature(&f, &args, 2), Some(1.0));
         let f9 = Feature { category: FeatureCategory::IsNull, param: 9 };
         assert_eq!(extract_feature(&f9, &args, 2), None);
-    }
-
-    #[test]
-    fn densify_encodes_nulls() {
-        let vec = vec![Some(3.0), None, Some(0.0)];
-        assert_eq!(densify(&vec, &[0, 1, 2]), vec![3.0, -1.0, 0.0]);
-        assert_eq!(densify(&vec, &[2]), vec![0.0]);
     }
 }

@@ -2,10 +2,11 @@
 //!
 //! The paper's deployment (Fig. 6) generates models off-line and provides
 //! them to the Houdini instance on every node. This module serializes the
-//! complete trained state — model sets (global or partitioned, including
-//! decision trees and selected features), parameter mappings, and the
+//! complete trained state — model sets (global, or partitioned with the
+//! routing feature and its values), parameter mappings, and the
 //! abort-safety metadata — so training can run once and ship everywhere.
 
+use crate::modelset::ModelSet;
 use crate::train::ProcPredictor;
 use common::{Error, Result};
 use std::io::{BufRead, Write};
@@ -29,9 +30,11 @@ pub fn save_predictors<W: Write>(
     w.write_all(json.as_bytes()).map_err(|e| Error::Serde(e.to_string()))
 }
 
-/// Deserializes trained predictors, rebuilding every model's vertex index,
-/// and rejects bundles trained for a different cluster size (models must be
-/// regenerated when the partitioning scheme changes, §3.1).
+/// Deserializes trained predictors, rebuilding every model's vertex index.
+/// Rejects bundles trained for a different cluster size (models must be
+/// regenerated when the partitioning scheme changes, §3.1) and bundles
+/// whose model sets are malformed, which would otherwise panic on the
+/// first request they route.
 pub fn load_predictors<R: BufRead>(
     mut r: R,
     expected_partitions: u32,
@@ -47,15 +50,40 @@ pub fn load_predictors<R: BufRead>(
             bundle.num_partitions
         )));
     }
-    for pred in &mut bundle.predictors {
+    for (proc, pred) in bundle.predictors.iter_mut().enumerate() {
+        check_predictor(pred, bundle.num_partitions)
+            .map_err(|e| Error::Other(format!("predictor {proc}: {e}")))?;
         pred.models.rebuild_indexes();
     }
     Ok(bundle.predictors)
 }
 
+/// The shape every later `select`/`model` call relies on: at least one
+/// model, one model per route plus the fallback, routing hashed against
+/// the bundle's cluster size, and one abort flag per model.
+fn check_predictor(pred: &ProcPredictor, num_partitions: u32) -> std::result::Result<(), String> {
+    let models = pred.models.len();
+    if models == 0 {
+        return Err("model set has no model".into());
+    }
+    if let ModelSet::Partitioned { routes, num_partitions: n, .. } = &pred.models {
+        if models != routes.len() + 1 {
+            return Err(format!("{models} models for {} routes plus the fallback", routes.len()));
+        }
+        if *n != num_partitions {
+            return Err(format!("routes hashed for {n} partitions, bundle has {num_partitions}"));
+        }
+    }
+    if pred.saw_abort.len() != models {
+        return Err(format!("{} abort flags for {models} models", pred.saw_abort.len()));
+    }
+    Ok(())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::feature::{Feature, FeatureCategory};
     use crate::train::{train, TrainingConfig};
     use crate::{evaluate_accuracy, AccuracyReport};
     use trace::{TraceRecord, Workload};
@@ -101,5 +129,53 @@ mod tests {
         let mut buf = Vec::new();
         save_predictors(&preds, parts, &mut buf).unwrap();
         assert!(load_predictors(&buf[..], 8).is_err());
+    }
+
+    #[test]
+    fn malformed_bundles_rejected() {
+        let parts = 2;
+        let (catalog, records) = fixture(parts, 200);
+        let mut preds = train(&catalog, parts, &Workload { records }, &TrainingConfig::default());
+        // A well-formed one-route split of predictor 0, built by hand.
+        let model = preds[0].models.model(0).clone();
+        preds[0].models = ModelSet::Partitioned {
+            feature: Feature { category: FeatureCategory::HashValue, param: 0 },
+            routes: vec![Some(0.0)],
+            models: vec![model.clone().into(), model.into()],
+            num_partitions: parts,
+        };
+        preds[0].saw_abort = vec![false, false];
+        let mut buf = Vec::new();
+        save_predictors(&preds, parts, &mut buf).unwrap();
+        assert!(load_predictors(&buf[..], parts).is_ok(), "the hand-built split is well formed");
+
+        // Each edit of the saved bundle breaks one invariant.
+        let edits: [fn(&mut ProcPredictor); 4] = [
+            |p| {
+                if let ModelSet::Partitioned { models, .. } = &mut p.models {
+                    models.clear();
+                }
+            },
+            |p| {
+                if let ModelSet::Partitioned { routes, .. } = &mut p.models {
+                    routes.push(Some(1.0));
+                }
+            },
+            |p| {
+                if let ModelSet::Partitioned { num_partitions, .. } = &mut p.models {
+                    *num_partitions = 8;
+                }
+            },
+            |p| {
+                p.saw_abort.pop();
+            },
+        ];
+        let saved = std::str::from_utf8(&buf).unwrap();
+        for (i, edit) in edits.iter().enumerate() {
+            let mut bundle: PredictorBundle = serde_json::from_str(saved).unwrap();
+            edit(&mut bundle.predictors[0]);
+            let json = serde_json::to_string(&bundle).unwrap();
+            assert!(load_predictors(json.as_bytes(), parts).is_err(), "edit {i} must be refused");
+        }
     }
 }

@@ -1,10 +1,10 @@
-//! Model sets: one global Markov model per procedure, or a feature-
-//! partitioned family of models fronted by a decision tree (paper §5).
+//! Model sets: one global Markov model per procedure, or one model per
+//! value of a single input-parameter feature (paper §5).
 
+use crate::feature::{extract_feature, Feature};
 use common::{PartitionId, PartitionSet, ProcId, QueryId, Value};
 use engine::{Catalog, PartitionHint};
 use markov::{MarkovModel, QueryPartitionRule};
-use ml::{DecisionTree, Feature};
 use std::sync::Arc;
 
 /// Adapts the engine catalog into the estimator's partition-rule interface.
@@ -41,8 +41,8 @@ impl QueryPartitionRule for CatalogRule<'_> {
     }
 }
 
-/// A procedure's models: global, or partitioned by input-parameter features
-/// with a run-time decision tree (§5.3).
+/// A procedure's models: global, or one model per value of a single
+/// input-parameter feature (§5), routed by a lookup of that value.
 ///
 /// Models are held behind `Arc` so a whole [`ModelSet`] (and therefore a
 /// whole predictor vector) clones in O(models) pointer bumps: the
@@ -56,17 +56,18 @@ pub enum ModelSet {
         /// The model.
         model: Arc<MarkovModel>,
     },
-    /// Per-cluster models selected by feature vector.
+    /// Per-value models routed on one feature.
     Partitioned {
-        /// Feature schema (all candidate features, Table 1 × params).
-        schema: Vec<Feature>,
-        /// Indices into `schema` the clusterer/tree actually use.
-        selected: Vec<usize>,
-        /// The run-time router.
-        tree: DecisionTree,
-        /// One model per cluster.
+        /// The feature the router reads.
+        feature: Feature,
+        /// The feature values seen in the training workset, ascending;
+        /// `models[i]`, built from every training record with that value,
+        /// serves `routes[i]`.
+        routes: Vec<Option<f64>>,
+        /// One model per route, then the global model, which serves every
+        /// value training never saw.
         models: Vec<Arc<MarkovModel>>,
-        /// Cluster size the features were hashed against.
+        /// Cluster size the feature is hashed against.
         num_partitions: u32,
     },
 }
@@ -80,9 +81,9 @@ impl ModelSet {
         }
     }
 
-    /// Always at least one model.
+    /// True for a set with no model, which only a malformed bundle holds.
     pub fn is_empty(&self) -> bool {
-        false
+        self.len() == 0
     }
 
     /// Rebuilds every model's vertex index (after deserialization, where
@@ -107,15 +108,15 @@ impl ModelSet {
         }
     }
 
-    /// Selects the model index for a request's arguments — a decision-tree
-    /// traversal for partitioned sets (§5.3), constant for global sets.
+    /// Selects the model index for a request's arguments (§5.3): the
+    /// route of the feature's value, the global fallback for a value
+    /// training never saw, constant for global sets.
     pub fn select(&self, args: &[Value]) -> usize {
         match self {
             ModelSet::Global { .. } => 0,
-            ModelSet::Partitioned { schema, selected, tree, models, num_partitions, .. } => {
-                let fv = ml::extract_features(schema, args, *num_partitions);
-                let dense = ml::feature::densify(&fv, selected);
-                tree.predict(&dense).min(models.len().saturating_sub(1))
+            ModelSet::Partitioned { feature, routes, num_partitions, .. } => {
+                let v = extract_feature(feature, args, *num_partitions);
+                routes.iter().position(|r| *r == v).unwrap_or(routes.len())
             }
         }
     }

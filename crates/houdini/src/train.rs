@@ -1,16 +1,24 @@
-//! Off-line training: mappings, models, clustering, feature selection
-//! (paper §3.2, §4.1, §5).
+//! Off-line training: mappings, models, and model partitioning on one
+//! input-parameter feature (paper §3.2, §4.1, §5).
 
+use crate::feature::{extract_feature, feature_schema, Feature};
 use crate::modelset::{CatalogRule, ModelSet};
 use common::{FxHashMap, FxHashSet, PartitionSet, ProcId, QueryId};
 use engine::{Catalog, CatalogResolver};
 use mapping::{build_mapping, ProcMapping};
 use markov::{build_model, estimate_path, EstimateConfig, MarkovModel};
-use ml::{extract_features, feature_schema, feed_forward_select, fit_em, train_tree};
+use std::sync::Arc;
 use trace::{split_worksets, PartitionResolver, TraceRecord, Workload};
 
-/// Cap on records used inside the feature-selection evaluator.
+/// Cap on records used inside the split evaluator.
 const EVAL_SAMPLE: usize = 600;
+
+/// Most distinct values a feature may take in the training workset and
+/// still be split on: one model per value.
+const MAX_ROUTES: usize = 6;
+
+/// Smallest per-transaction penalty saving that justifies a split.
+const MIN_SAVING: f64 = 0.01;
 
 /// Training knobs.
 #[derive(Debug, Clone)]
@@ -114,9 +122,7 @@ pub fn train_proc(
         records.is_empty() || records.iter().any(|r| r.queries.len() > cfg.max_queries_per_txn);
     if disabled {
         return ProcPredictor {
-            models: ModelSet::Global {
-                model: std::sync::Arc::new(MarkovModel::new(proc, num_partitions)),
-            },
+            models: ModelSet::Global { model: Arc::new(MarkovModel::new(proc, num_partitions)) },
             mapping: ProcMapping::empty(),
             disabled: true,
             abort_rate: 0.0,
@@ -129,81 +135,20 @@ pub fn train_proc(
     let can_abort = catalog.proc(proc).can_abort;
     let unsafe_signatures = unsafe_signatures_of(records);
     let mapping = build_mapping(records);
-    if !cfg.partitioned {
-        return ProcPredictor {
-            models: ModelSet::Global {
-                model: std::sync::Arc::new(build_model(proc, records, &resolver)),
-            },
-            mapping,
-            disabled: false,
-            abort_rate,
-            saw_abort: vec![abort_rate > 0.0],
-            can_abort,
-            unsafe_signatures,
-        };
-    }
-
-    // §5: cluster on features of the input parameters, with feed-forward
-    // selection of the feature set that predicts best.
-    let num_params = records.iter().map(|r| r.params.len()).max().unwrap_or(0);
-    let schema = feature_schema(num_params);
-    let all_features: Vec<usize> = (0..schema.len()).collect();
-    let sample: Vec<&TraceRecord> = records.iter().copied().take(EVAL_SAMPLE).collect();
-
-    let selected = feed_forward_select(&all_features, |feats| {
-        evaluate_feature_set(catalog, num_partitions, proc, &sample, &schema, feats, &mapping)
-    });
-    // Compare against the global model's cost on the same worksets; keep
-    // the clustering only if it actually predicts better (§5.2's premise).
-    let global_cost =
-        evaluate_feature_set(catalog, num_partitions, proc, &sample, &schema, &[], &mapping);
-    let clustered_cost = if selected.is_empty() {
-        f64::INFINITY
+    let global = Arc::new(build_model(proc, records, &resolver));
+    let split = if cfg.partitioned {
+        choose_split(catalog, num_partitions, proc, records, &mapping)
     } else {
-        evaluate_feature_set(catalog, num_partitions, proc, &sample, &schema, &selected, &mapping)
+        None
     };
-    if selected.is_empty() || clustered_cost >= global_cost {
-        return ProcPredictor {
-            models: ModelSet::Global {
-                model: std::sync::Arc::new(build_model(proc, records, &resolver)),
-            },
-            mapping,
-            disabled: false,
-            abort_rate,
-            saw_abort: vec![abort_rate > 0.0],
-            can_abort,
-            unsafe_signatures,
-        };
-    }
-
-    // Final fit over the full trace: cluster, label, per-cluster models,
-    // and the C4.5 routing tree (§5.3).
-    let dense: Vec<Vec<f64>> = records
-        .iter()
-        .map(|r| {
-            let fv = extract_features(&schema, &r.params, num_partitions);
-            ml::feature::densify(&fv, &selected)
-        })
-        .collect();
-    let em = fit_em(&dense);
-    let labels: Vec<usize> = dense.iter().map(|x| em.assign(x)).collect();
-    let tree = train_tree(&dense, &labels, 12);
-    let mut models = Vec::with_capacity(em.k);
-    let mut saw_abort = Vec::with_capacity(em.k);
-    for c in 0..em.k {
-        let cluster_records: Vec<&TraceRecord> =
-            records.iter().zip(&labels).filter(|(_, &l)| l == c).map(|(r, _)| *r).collect();
-        let model = if cluster_records.is_empty() {
-            saw_abort.push(abort_rate > 0.0);
-            build_model(proc, records, &resolver) // empty cluster: fall back
-        } else {
-            saw_abort.push(cluster_records.iter().any(|r| r.aborted));
-            build_model(proc, &cluster_records, &resolver)
-        };
-        models.push(std::sync::Arc::new(model));
-    }
+    let (models, saw_abort) = match split {
+        None => (ModelSet::Global { model: global }, vec![abort_rate > 0.0]),
+        Some((feature, routes)) => {
+            split_models(proc, records, feature, routes, num_partitions, global, &resolver)
+        }
+    };
     ProcPredictor {
-        models: ModelSet::Partitioned { schema, selected, tree, models, num_partitions },
+        models,
         mapping,
         disabled: false,
         abort_rate,
@@ -211,6 +156,103 @@ pub fn train_proc(
         can_abort,
         unsafe_signatures,
     }
+}
+
+/// A partitioned set over `records`: per route, the model of the records
+/// whose `feature` takes that value (`global` when none does), then
+/// `global` as the fallback; with each model's abort flag.
+fn split_models(
+    proc: ProcId,
+    records: &[&TraceRecord],
+    feature: Feature,
+    routes: Vec<Option<f64>>,
+    num_partitions: u32,
+    global: Arc<MarkovModel>,
+    resolver: &CatalogResolver<'_>,
+) -> (ModelSet, Vec<bool>) {
+    let global_aborts = records.iter().any(|r| r.aborted);
+    let mut models = Vec::with_capacity(routes.len() + 1);
+    let mut saw_abort = Vec::with_capacity(routes.len() + 1);
+    for route in &routes {
+        let recs: Vec<&TraceRecord> = records
+            .iter()
+            .copied()
+            .filter(|r| extract_feature(&feature, &r.params, num_partitions) == *route)
+            .collect();
+        if recs.is_empty() {
+            models.push(global.clone());
+            saw_abort.push(global_aborts);
+        } else {
+            models.push(Arc::new(build_model(proc, &recs, resolver)));
+            saw_abort.push(recs.iter().any(|r| r.aborted));
+        }
+    }
+    models.push(global);
+    saw_abort.push(global_aborts);
+    (ModelSet::Partitioned { feature, routes, models, num_partitions }, saw_abort)
+}
+
+/// The distinct values `feature` takes over `records`, ascending, or `None`
+/// when there are more than [`MAX_ROUTES`].
+fn routes_of(
+    feature: &Feature,
+    records: &[&TraceRecord],
+    num_partitions: u32,
+) -> Option<Vec<Option<f64>>> {
+    let mut routes = Vec::new();
+    for r in records {
+        let v = extract_feature(feature, &r.params, num_partitions);
+        if !routes.contains(&v) {
+            if routes.len() == MAX_ROUTES {
+                return None;
+            }
+            routes.push(v);
+        }
+    }
+    routes.sort_by(|a, b| match (a, b) {
+        (Some(x), Some(y)) => x.total_cmp(y),
+        _ => a.is_some().cmp(&b.is_some()),
+    });
+    Some(routes)
+}
+
+/// Model partitioning (§5.2) on one feature. The sample splits 30/30/40
+/// into training, validation and testing worksets; every Table-1 feature
+/// with 2..=[`MAX_ROUTES`] distinct values in the training workset is a
+/// candidate routed on those values, and [`evaluate_split`] scores it. The
+/// cheapest candidate is kept only if it saves more than one test
+/// transaction's penalty per transaction over the global model (and at
+/// least [`MIN_SAVING`]). Returns the feature and its routes.
+fn choose_split(
+    catalog: &Catalog,
+    num_partitions: u32,
+    proc: ProcId,
+    records: &[&TraceRecord],
+    mapping: &ProcMapping,
+) -> Option<(Feature, Vec<Option<f64>>)> {
+    let sample: Vec<&TraceRecord> = records.iter().copied().take(EVAL_SAMPLE).collect();
+    let (train_ws, val_ws, test_ws) = split_worksets(&sample, 0.3, 0.3);
+    if test_ws.is_empty() || val_ws.is_empty() {
+        return None;
+    }
+    let eval = |split: Option<(Feature, &[Option<f64>])>| {
+        evaluate_split(catalog, num_partitions, proc, &val_ws, &test_ws, split, mapping)
+    };
+    let num_params = records.iter().map(|r| r.params.len()).max().unwrap_or(0);
+    let mut best: Option<(f64, Feature, Vec<Option<f64>>)> = None;
+    for feature in feature_schema(num_params) {
+        let Some(routes) = routes_of(&feature, &train_ws, num_partitions) else { continue };
+        if routes.len() < 2 {
+            continue;
+        }
+        let cost = eval(Some((feature, &routes)));
+        if best.as_ref().is_none_or(|(c, ..)| cost < *c) {
+            best = Some((cost, feature, routes));
+        }
+    }
+    let (cost, feature, routes) = best?;
+    let margin = (1.0 / test_ws.len() as f64).max(MIN_SAVING);
+    (eval(None) - cost > margin).then_some((feature, routes))
 }
 
 /// Ground truth derived from a trace record under the current cluster
@@ -250,61 +292,33 @@ pub fn base_is_best(base: Option<u32>, actual: &ActualTxn) -> bool {
     }
 }
 
-/// The feed-forward evaluator (§5.2): split the sample 30/30/40, seed the
-/// clusterer on the training workset, build per-cluster models from the
-/// validation workset, and charge prediction penalties on the testing
-/// workset. An empty feature set scores the single global model. Penalties:
-/// 1 per wrong base partition (OP1), 1 per wrong partition set (OP2), and
-/// effectively infinite for a fatal undo-logging mispredict (OP3).
-#[doc(hidden)]
-pub fn evaluate_feature_set(
+/// The §5.2 evaluator: build the split's models from the validation
+/// workset and charge prediction penalties on the testing workset; `split`
+/// `None` scores the single global model. Penalties per test transaction:
+/// 1 for a wrong base partition (OP1), 1 for a wrong partition set (OP2),
+/// and effectively infinite for a fatal undo-logging mispredict (OP3).
+fn evaluate_split(
     catalog: &Catalog,
     num_partitions: u32,
     proc: ProcId,
-    sample: &[&TraceRecord],
-    schema: &[ml::Feature],
-    feats: &[usize],
+    val_ws: &[&TraceRecord],
+    test_ws: &[&TraceRecord],
+    split: Option<(Feature, &[Option<f64>])>,
     mapping: &ProcMapping,
 ) -> f64 {
     let resolver = CatalogResolver::new(catalog, num_partitions);
-    let (train_ws, val_ws, test_ws) = split_worksets(sample, 0.3, 0.3);
-    if test_ws.is_empty() || val_ws.is_empty() {
-        return f64::INFINITY;
-    }
-    let densify = |r: &TraceRecord| {
-        let fv = extract_features(schema, &r.params, num_partitions);
-        ml::feature::densify(&fv, feats)
+    let global = Arc::new(build_model(proc, val_ws, &resolver));
+    let set = match split {
+        None => ModelSet::Global { model: global },
+        Some((feature, routes)) => {
+            let routes = routes.to_vec();
+            split_models(proc, val_ws, feature, routes, num_partitions, global, &resolver).0
+        }
     };
-    // Cluster assignment: trivial when no features are selected.
-    let em = if feats.is_empty() {
-        None
-    } else {
-        let data: Vec<Vec<f64>> = train_ws.iter().map(|r| densify(r)).collect();
-        Some(fit_em(&data))
-    };
-    let k = em.as_ref().map(|m| m.k).unwrap_or(1);
-    let assign =
-        |r: &TraceRecord| -> usize { em.as_ref().map(|m| m.assign(&densify(r))).unwrap_or(0) };
-    // Models from the validation workset.
-    let mut buckets: Vec<Vec<&TraceRecord>> = vec![Vec::new(); k];
-    for r in &val_ws {
-        buckets[assign(r)].push(*r);
-    }
-    let models: Vec<MarkovModel> = buckets
-        .iter()
-        .map(|b| {
-            if b.is_empty() {
-                build_model(proc, &val_ws, &resolver)
-            } else {
-                build_model(proc, b, &resolver)
-            }
-        })
-        .collect();
-    // Score on the testing workset.
     let rule = CatalogRule::new(catalog, proc, num_partitions);
     let mut cost = 0.0;
-    for r in &test_ws {
-        let model = &models[assign(r)];
+    for r in test_ws {
+        let model = set.model(set.select(&r.params));
         let est = estimate_path(model, &rule, mapping, &r.params, &EstimateConfig::default());
         let actual = actual_of(r, &resolver);
         if !base_is_best(est.best_base(), &actual) {
@@ -324,9 +338,146 @@ pub fn evaluate_feature_set(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::feature::FeatureCategory;
+    use crate::{evaluate_accuracy, AccuracyReport};
     use common::Value;
-    use engine::run_offline;
+    use engine::{run_offline, PartitionHint, ProcDef, QueryDef, QueryOp};
+    use trace::QueryRecord;
     use workloads::{tpcc, Bench};
+
+    /// One procedure `P(x, f, z)` on two partitions: `A` reads `x`'s
+    /// partition and `B` reads `z = x + 1`'s, the other one.
+    fn synthetic_catalog() -> Catalog {
+        let get = |name: &str| QueryDef {
+            name: name.into(),
+            table: 0,
+            op: QueryOp::GetByKey { key_params: vec![0] },
+            hint: PartitionHint::Param(0),
+        };
+        let mut c = Catalog::new();
+        c.add_proc(ProcDef {
+            name: "P".into(),
+            queries: vec![get("A"), get("B")],
+            read_only: true,
+            can_abort: false,
+        });
+        c
+    }
+
+    /// One record per flag value `f`; `B` runs only when `runs_b(f)`.
+    fn synthetic_records(fs: &[i64], runs_b: impl Fn(i64) -> bool) -> Vec<TraceRecord> {
+        let q = |query, v| QueryRecord { query, params: vec![Value::Int(v)] };
+        fs.iter()
+            .enumerate()
+            .map(|(i, &f)| {
+                let x = (i / 8 % 2) as i64;
+                let mut queries = vec![q(0, x)];
+                if runs_b(f) {
+                    queries.push(q(1, x + 1));
+                }
+                let params = vec![Value::Int(x), Value::Int(f), Value::Int(x + 1)];
+                TraceRecord { proc: 0, params, queries, aborted: false }
+            })
+            .collect()
+    }
+
+    const FLAG: Feature = Feature { category: FeatureCategory::NormalizedValue, param: 1 };
+
+    /// `(global cost, split cost)` of splitting on [`FLAG`] with `routes`.
+    fn costs(catalog: &Catalog, recs: &[&TraceRecord], routes: &[Option<f64>]) -> (f64, f64) {
+        let mapping = build_mapping(recs);
+        let (_, val, test) = split_worksets(recs, 0.3, 0.3);
+        let eval = |split| evaluate_split(catalog, 2, 0, &val, &test, split, &mapping);
+        (eval(None), eval(Some((FLAG, routes))))
+    }
+
+    #[test]
+    fn seen_values_route_to_their_own_model_and_unseen_to_the_global_one() {
+        let catalog = synthetic_catalog();
+        let fs: Vec<i64> = (0..400).map(|i| i % 2).collect();
+        let records = synthetic_records(&fs, |f| f == 1);
+        let recs: Vec<&TraceRecord> = records.iter().collect();
+        let pred = train_proc(&catalog, 2, 0, &recs, &TrainingConfig::default());
+        let ModelSet::Partitioned { feature, routes, models, .. } = &pred.models else {
+            panic!("the flag decides whether B runs: the models must split on it");
+        };
+        assert_eq!((*feature, routes.as_slice()), (FLAG, &[Some(0.0), Some(1.0)][..]));
+        let resolver = CatalogResolver::new(&catalog, 2);
+        let json = |m: &MarkovModel| serde_json::to_string(m).unwrap();
+        for (idx, f) in [0, 1].into_iter().enumerate() {
+            let own: Vec<&TraceRecord> =
+                recs.iter().copied().filter(|r| r.params[1] == Value::Int(f)).collect();
+            assert_eq!(pred.models.select(&own[0].params), idx);
+            assert_eq!(json(&models[idx]), json(&build_model(0, &own, &resolver)));
+        }
+        let unseen = [Value::Int(0), Value::Int(7), Value::Int(1)];
+        assert_eq!(pred.models.select(&unseen), 2, "an unseen value takes the fallback");
+        assert_eq!(json(&models[2]), json(&build_model(0, &recs, &resolver)));
+    }
+
+    #[test]
+    fn a_feature_with_more_than_max_routes_values_is_never_chosen() {
+        // Only the flag's exact value (one of eight) says whether B runs;
+        // its parity, the one low-cardinality view of it, says nothing.
+        let catalog = synthetic_catalog();
+        let fs: Vec<i64> = (0..400).map(|i| i % 8).collect();
+        let records = synthetic_records(&fs, |f| f == 3);
+        let recs: Vec<&TraceRecord> = records.iter().collect();
+        let pred = train_proc(&catalog, 2, 0, &recs, &TrainingConfig::default());
+        assert!(matches!(pred.models, ModelSet::Global { .. }));
+        assert_eq!(routes_of(&FLAG, &recs, 2), None);
+        // Splitting on the flag would have paid.
+        let routes: Vec<Option<f64>> = (0..8).map(|v| Some(f64::from(v))).collect();
+        let (global, split) = costs(&catalog, &recs, &routes);
+        assert!(global - split > 0.1, "global {global}, split {split}");
+    }
+
+    #[test]
+    fn a_split_saving_no_more_than_the_margin_keeps_the_global_model() {
+        // Worksets of 12 / 12 / 16 records with the flag set once in each:
+        // the split saves one test transaction's penalty, and no more.
+        let catalog = synthetic_catalog();
+        let fs: Vec<i64> = (0..40).map(|i| i64::from([3, 15, 30].contains(&i))).collect();
+        let records = synthetic_records(&fs, |f| f == 1);
+        let recs: Vec<&TraceRecord> = records.iter().collect();
+        let (global, split) = costs(&catalog, &recs, &[Some(0.0), Some(1.0)]);
+        assert_eq!(global - split, 1.0 / 16.0);
+        let pred = train_proc(&catalog, 2, 0, &recs, &TrainingConfig::default());
+        assert!(matches!(pred.models, ModelSet::Global { .. }));
+    }
+
+    /// Table 3's shape at a small scale: partitioning raises AuctionMark's
+    /// OP2 accuracy (GetUserInfo's flag) and changes nothing on TATP or
+    /// TPC-C.
+    #[test]
+    fn partitioning_pays_on_auctionmark_only() {
+        let (parts, n) = (16, 800);
+        for bench in Bench::ALL {
+            let reg = bench.registry();
+            let catalog = reg.catalog();
+            let mut gen = bench.generator(parts, 23);
+            let clients = u64::from(parts) * 4;
+            let wl = engine::collect_trace(&mut bench.database(parts), &reg, &mut gen, n, clients);
+            let (train_recs, test_recs) = wl.records.split_at(n / 2);
+            let train_wl = Workload { records: train_recs.to_vec() };
+            let accuracy = |partitioned| {
+                let cfg = TrainingConfig { partitioned, ..Default::default() };
+                let mut agg = AccuracyReport::default();
+                for (proc, pred) in train(&catalog, parts, &train_wl, &cfg).iter().enumerate() {
+                    let test: Vec<&TraceRecord> =
+                        test_recs.iter().filter(|r| r.proc == proc as u32).collect();
+                    agg.merge(&evaluate_accuracy(pred, &catalog, parts, proc as u32, &test, 0.5));
+                }
+                [agg.op1, agg.op2, agg.op3, agg.op4, agg.total]
+            };
+            let (global, part) = (accuracy(false), accuracy(true));
+            if bench == Bench::AuctionMark {
+                assert!(part[1] > global[1], "AuctionMark OP2: {part:?} vs {global:?}");
+            } else {
+                assert_eq!(part, global, "{}", bench.name());
+            }
+        }
+    }
 
     fn tpcc_workload(parts: u32, n: usize) -> (Catalog, Workload) {
         let reg = Bench::Tpcc.registry();

@@ -1,4 +1,4 @@
-//! Workset splitting for feed-forward feature selection (paper §5.2):
+//! Workset splitting for scoring model partitionings (paper §5.2):
 //! training (30%), validation (30%), testing (40%).
 
 use crate::record::TraceRecord;

@@ -1,14 +1,20 @@
 //! Model partitioning (paper §5, Fig. 9): feature extraction from procedure
-//! input parameters, EM clustering, feed-forward feature selection, and the
-//! run-time decision tree — shown on AuctionMark's GetUserInfo, whose
-//! conditional branches are the showcase for per-cluster models.
+//! input parameters, and the per-procedure choice of one feature whose
+//! value routes each request to its own Markov model — shown on
+//! AuctionMark's GetUserInfo, whose conditional branches are the showcase
+//! for per-value models.
 //!
 //! Run with: `cargo run --release --example model_partitioning`
 
 use common::Value;
+use houdini::feature::{extract_feature, feature_schema};
 use houdini::{train, ModelSet, TrainingConfig};
-use ml::{extract_features, feature_schema};
 use workloads::{auctionmark, Bench};
+
+/// A feature value as Table 2 prints it.
+fn show(v: Option<f64>) -> String {
+    v.map_or_else(|| "null".into(), |x| x.to_string())
+}
 
 fn main() {
     let parts = 4;
@@ -19,19 +25,12 @@ fn main() {
 
     // Show Table 1/Table 2 feature extraction on one request.
     let args = vec![Value::Int(7), Value::Int(1), Value::Int(0), Value::Int(0)];
-    let schema = feature_schema(args.len());
     println!("feature vector for GetUserInfo{args:?} (Table 2 style):");
-    let fv = extract_features(&schema, &args, parts);
-    for (f, v) in schema.iter().zip(&fv) {
-        println!(
-            "  {}(param {}) = {}",
-            f.category.label(),
-            f.param,
-            v.map(|x| x.to_string()).unwrap_or_else(|| "null".into())
-        );
+    for f in feature_schema(args.len()) {
+        println!("  {f} = {}", show(extract_feature(&f, &args, parts)));
     }
 
-    // Train with clustering enabled and inspect the chosen partitioning.
+    // Train with partitioning enabled and inspect each procedure's split.
     let mut gen = auctionmark::Generator::new(parts, 3);
     let workload = engine::collect_trace(&mut db, &registry, &mut gen, 6000, 16);
     let preds = train(&catalog, parts, &workload, &TrainingConfig::default());
@@ -44,15 +43,11 @@ fn main() {
             ModelSet::Global { model, .. } => {
                 println!("  {name:<18} global model, {} states", model.len());
             }
-            ModelSet::Partitioned { selected, schema, tree, models, .. } => {
-                let feats: Vec<String> = selected
-                    .iter()
-                    .map(|&i| format!("{}({})", schema[i].category.label(), schema[i].param))
-                    .collect();
+            ModelSet::Partitioned { feature, routes, models, .. } => {
+                let values: Vec<String> = routes.iter().map(|&v| show(v)).collect();
                 println!(
-                    "  {name:<18} {} clusters on {feats:?}, tree depth {}, {} total states",
-                    models.len(),
-                    tree.depth(),
+                    "  {name:<18} split on {feature} = {{{}}} + global fallback, {} total states",
+                    values.join(", "),
                     models.iter().map(|m| m.len()).sum::<usize>()
                 );
             }

@@ -22,7 +22,7 @@ fn main() {
 
     // 2. Train Houdini: parameter mappings (§4.1) + Markov models (§3.2),
     //    partitioned by input-parameter features (§5).
-    println!("== training Houdini (mappings, models, clustering) ==");
+    println!("== training Houdini (mappings, models, partitioning) ==");
     let training = TrainingConfig::default();
     let predictors = train(&catalog, parts, &workload, &training);
     for (proc, pred) in predictors.iter().enumerate() {

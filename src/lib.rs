@@ -5,8 +5,7 @@
 //! Jones, Zdonik — VLDB 2011): transaction Markov models and the **Houdini**
 //! prediction framework, together with every substrate the paper depends on
 //! — an H-Store-style partitioned main-memory OLTP engine, the TATP / TPC-C
-//! / AuctionMark benchmarks, workload traces, parameter mappings, and the
-//! machine-learning toolkit used for model partitioning.
+//! / AuctionMark benchmarks, workload traces, and parameter mappings.
 //!
 //! This root crate re-exports the workspace members; see each crate's
 //! documentation for details, `DESIGN.md` for the system inventory and the
@@ -19,7 +18,6 @@ pub use engine;
 pub use houdini;
 pub use mapping;
 pub use markov;
-pub use ml;
 pub use storage;
 pub use trace;
 pub use workloads;

@@ -86,17 +86,21 @@ fn simulation_digest<A: LiveAdvisor>(bench: Bench, advisor: &A) -> u64 {
 /// every paper figure is a `Simulation` run, so a refactor of the shared
 /// transaction protocol must leave these digests untouched. Grid: every
 /// benchmark × {Oracle, assume-single-partition, assume-distributed,
-/// globally trained Houdini}; the constants were computed at the commit
-/// before `engine::txn` replaced the simulator's own attempt loop.
+/// globally trained Houdini, Houdini with partitioned models}; the first
+/// four constants were computed at the commit before `engine::txn`
+/// replaced the simulator's own attempt loop, the fifth at the commit that
+/// replaced EM clustering with the one-feature split.
 #[test]
 fn simulation_outcomes_are_pinned() {
     let got = Bench::ALL.map(|bench| {
-        let houdini = trained_houdini(bench, 4, 400, false, 0.5, 7);
+        let global = trained_houdini(bench, 4, 400, false, 0.5, 7);
+        let partitioned = trained_houdini(bench, 4, 400, true, 0.5, 7);
         [
             simulation_digest(bench, &Oracle::new()),
             simulation_digest(bench, &AssumeSinglePartition::new()),
             simulation_digest(bench, &AssumeDistributed::new()),
-            simulation_digest(bench, &houdini),
+            simulation_digest(bench, &global),
+            simulation_digest(bench, &partitioned),
         ]
     });
     let want = [
@@ -105,18 +109,21 @@ fn simulation_outcomes_are_pinned() {
             0x77b0_7c61_f002_8e55,
             0xafa9_288f_348e_a0df,
             0xeeb1_c83e_4c50_74af,
+            0x83bf_db44_592f_faba,
         ],
         [
             0xadee_6c97_5232_040d,
             0xaeb2_0389_0c44_0974,
             0xee75_951e_a58e_f418,
             0xcfe3_31e6_3d26_95fa,
+            0xcfe3_31e6_3d26_95fa, // no split pays on TPC-C: the global digest
         ],
         [
             0x427b_e8ef_ebde_3b2c,
             0xd229_739d_2677_6b26,
             0x36b5_19ab_298d_a2fb,
             0xdfbc_d5fd_46a3_cf5a,
+            0x9d7b_4e45_2d69_67c8,
         ],
     ];
     assert_eq!(
