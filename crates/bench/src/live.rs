@@ -225,19 +225,18 @@ pub fn live(scale: Scale) -> String {
         let [hm, am, dm] =
             interleaved(3, [&|| point.run(&houdini), &|| point.run(&asp), &|| point.run(&adist)])
                 .map(median_run);
-        let hs = hm.summary();
         let _ = writeln!(
             out,
             "{parts:7}  {:7.0}  {:7.0}  {:8.0}  {}  {}  {}  {:8}  {:7}  {:9}  {:>8}",
-            hs.throughput_tps,
+            hm.throughput_tps(),
             am.throughput_tps(),
             dm.throughput_tps(),
-            ms(hs.p50_ms),
-            ms(hs.p95_ms),
-            ms(hs.p99_ms),
-            hs.committed,
-            hs.user_aborts,
-            hs.restarts,
+            ms(hm.latency.p50_ms()),
+            ms(hm.latency.p95_ms()),
+            ms(hm.latency.p99_ms()),
+            hm.committed,
+            hm.user_aborts,
+            hm.restarts,
             lock_hold_ms(&hm),
         );
         profiled.push(ProfiledRun { bench: "TATP", workers: parts, metrics: hm });

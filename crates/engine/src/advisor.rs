@@ -47,9 +47,7 @@ pub struct TxnPlan {
     /// Partitions to lock before starting (OP2). Must contain
     /// `base_partition`.
     pub lock_set: PartitionSet,
-    /// Start with undo logging off (OP3). The simulator re-enables it for
-    /// speculative transactions, as the paper requires (§4.3 OP3); the live
-    /// runtime never speculates.
+    /// Start with undo logging off (OP3).
     pub disable_undo: bool,
     /// Whether the advisor will emit finished-partition updates (OP4).
     pub early_prepare: bool,

@@ -98,8 +98,7 @@ pub struct ProcDef {
     pub name: String,
     /// The parameterized queries the control code may invoke.
     pub queries: Vec<QueryDef>,
-    /// True if the control code never issues a write (in the simulator,
-    /// read-only txns commit speculatively without waiting, §2 OP4).
+    /// True if the control code never issues a write.
     pub read_only: bool,
     /// True if the control code contains an abort path (e.g. TPC-C NewOrder
     /// rolls back on an invalid item). Used by ground-truth evaluation.

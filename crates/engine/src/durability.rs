@@ -53,6 +53,9 @@ use wal::{LogRecord, LogStream, RecoveredState};
 /// Durability configuration for [`crate::runtime::LiveConfig`]. When set,
 /// every committed writer is command-logged to `dir` before its client sees
 /// the commit, and background snapshots (if enabled) bound replay length.
+/// As under H-Store/VoltDB command logging, reads skip the log and are
+/// acknowledged at once, so a read may observe a write a crash could
+/// still un-commit.
 ///
 /// Group commit needs no setting: a writer that finds the log device idle
 /// flushes at once, and writers that commit while a flush is in the device
@@ -66,34 +69,17 @@ pub struct DurabilityConfig {
     /// (snapshots can still be taken on demand via
     /// [`crate::runtime::LiveRuntime::snapshot_now`]).
     pub snapshot_every: Option<Duration>,
-    /// Fence read-only fast-path replies behind the log: a read served
-    /// after a not-yet-durable write on its partition holds its ack until
-    /// the covering flush completes, so no client ever observes state a
-    /// crash could un-commit. H-Store/VoltDB command logging does *not*
-    /// give this guarantee — read-only transactions skip the log and
-    /// return immediately — and neither does our own distributed path
-    /// (a read-only multi-partition transaction never waits), so the
-    /// default follows the reproduced system: `false`. The cost of `true`
-    /// is that under continuous writes most reads wait out a device flush,
-    /// which on a closed loop costs throughput, not just latency.
-    pub read_fence: bool,
 }
 
 impl DurabilityConfig {
-    /// Command logging to `dir`, no background snapshotter, no read fence.
+    /// Command logging to `dir`, no background snapshotter.
     pub fn new(dir: impl Into<PathBuf>) -> Self {
-        DurabilityConfig { dir: dir.into(), snapshot_every: None, read_fence: false }
+        DurabilityConfig { dir: dir.into(), snapshot_every: None }
     }
 
     /// Enables the background snapshotter at the given cadence.
     pub fn snapshot_every(mut self, every: Duration) -> Self {
         self.snapshot_every = Some(every);
-        self
-    }
-
-    /// Enables the strict read fence (see [`DurabilityConfig::read_fence`]).
-    pub fn read_fence(mut self) -> Self {
-        self.read_fence = true;
         self
     }
 }

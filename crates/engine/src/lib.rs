@@ -11,12 +11,11 @@
 //! [`storage::Database`], partition locks are acquired and released, undo
 //! logs roll back aborts, two-phase commit coordinates distributed
 //! transactions, and early prepare (OP4) changes when partitions become
-//! available (the simulator also models speculative execution behind it).
-//! The simulator replaces
-//! only *time*: a calibrated cost model ([`cost::CostModel`]) charges CPU
-//! and network microseconds, which makes every throughput experiment in the
-//! paper reproducible deterministically on one machine (see DESIGN.md §1
-//! for the substitution argument). The live runtime runs the same
+//! available. The simulator replaces only *time*: a calibrated cost model
+//! ([`cost::CostModel`]) charges CPU and network microseconds, which makes
+//! every throughput experiment in the paper reproducible deterministically
+//! on one machine (see DESIGN.md §1 for the substitution argument). The
+//! live runtime runs the same
 //! architecture on real threads — one worker per partition, lock-free
 //! client lanes, a sharded lock manager, real 2PC — with optional command
 //! logging, snapshots, and crash recovery ([`durability`]; DESIGN.md §4, §7).
@@ -49,9 +48,7 @@ pub use catalog::{Catalog, CatalogResolver, ColumnOp, PartitionHint, ProcDef, Qu
 pub use cost::CostModel;
 pub use durability::{DurabilityConfig, RecoveryReport};
 pub use exec::{collect_trace, run_offline, ExecutedQuery, OfflineOutcome};
-pub use metrics::{
-    EpochAccuracy, LatencyHistogram, MaintenanceReport, MetricsSummary, OpCounters, RunMetrics,
-};
+pub use metrics::{EpochAccuracy, LatencyHistogram, MaintenanceReport, OpCounters, RunMetrics};
 pub use procedure::{ProcInstance, Procedure, ProcedureRegistry, QueryInvocation, Step};
 pub use profiler::{Bucket, CoordSub, Profiler};
 pub use runtime::{run_live, Client, LiveConfig, LiveRuntime};

@@ -17,8 +17,7 @@ use common::{FxHashMap, ProcId};
 ///   exactly: no mispredict restart, no unused locked partition.
 /// * **OP3** — the transaction executed some or all of its work without
 ///   undo logging.
-/// * **OP4** — the transaction early-prepared a partition, or (simulator
-///   only) executed speculatively.
+/// * **OP4** — the transaction early-prepared a partition.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct OpCounters {
     /// Committed transactions observed.
@@ -33,8 +32,7 @@ pub struct OpCounters {
     pub op2_applicable: u64,
     /// OP3 successes (ran at least partly without undo logging).
     pub op3: u64,
-    /// OP4 successes (this txn early-prepared a partition, or ran
-    /// speculatively in the simulator).
+    /// OP4 successes (this txn early-prepared a partition).
     pub op4: u64,
 }
 
@@ -272,12 +270,11 @@ pub struct RunMetrics {
     pub user_aborts: u64,
     /// Mispredict restarts (lock-set or base-partition misses).
     pub restarts: u64,
-    /// Transactions that executed speculatively (simulator only; the live
-    /// runtime never speculates, so it leaves this at 0).
+    /// Always 0: no engine executes speculatively any more. Kept only
+    /// because `benchmark/src/trace.rs` reads it.
     pub speculative: u64,
-    /// Always 0: nothing cascades any more (the live runtime never
-    /// speculates, and the simulator charges no cascades). Kept only because
-    /// `benchmark/src/trace.rs` reads it.
+    /// Always 0: nothing cascades any more (no engine speculates). Kept only
+    /// because `benchmark/src/trace.rs` reads it.
     pub cascaded_aborts: u64,
     /// Transactions that ran (partly) without undo logging.
     pub no_undo: u64,
@@ -336,58 +333,23 @@ pub struct RunMetrics {
     pub recovery_ms: f64,
 }
 
-/// The headline numbers of one run, extracted by [`RunMetrics::summary`]:
-/// what every report ultimately prints — throughput, outcome counts, and
-/// the client-visible latency quantiles — in one place instead of each
-/// call site recomputing them from the raw counters.
-#[derive(Debug, Clone)]
-pub struct MetricsSummary {
-    /// Committed transactions per (simulated or wall-clock) second.
-    pub throughput_tps: f64,
-    /// Committed transactions.
-    pub committed: u64,
-    /// User aborts (control-code rollbacks).
-    pub user_aborts: u64,
-    /// Mispredict restarts.
-    pub restarts: u64,
-    /// Median client-visible latency (ms), `None` when nothing committed.
-    pub p50_ms: Option<f64>,
-    /// 95th-percentile client-visible latency (ms).
-    pub p95_ms: Option<f64>,
-    /// 99th-percentile client-visible latency (ms).
-    pub p99_ms: Option<f64>,
-    /// Mean client-visible latency (ms).
-    pub mean_latency_ms: Option<f64>,
-    /// Commit-flush demands registered with the shared flush sequencer.
-    pub flushes_total: u64,
-    /// Flush demands satisfied by riding another thread's device
-    /// operation (see [`RunMetrics::flushes_coalesced`]).
-    pub flushes_coalesced: u64,
-    /// Command-log records appended (durable mode only).
-    pub log_records: u64,
-    /// Command-log bytes appended (durable mode only).
-    pub log_bytes_written: u64,
-    /// Snapshot generations published during the run.
-    pub snapshots_taken: u64,
-    /// Recovery time before this run served traffic (ms); 0 fresh boot.
-    pub recovery_ms: f64,
-}
-
-impl std::fmt::Display for MetricsSummary {
-    /// One human-readable line, with `-` for empty-window latencies.
+impl std::fmt::Display for RunMetrics {
+    /// The headline numbers on one human-readable line — throughput,
+    /// outcome counts, client-visible latency quantiles, flushes — with `-`
+    /// for empty-window latencies.
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         let q = |v: Option<f64>| v.map_or_else(|| "-".into(), |x| format!("{x:.2}"));
         write!(
             f,
             "{:.0} tps, {} committed / {} aborted / {} restarts, \
              p50/p95/p99 {}/{}/{} ms, flushes {} ({} coalesced)",
-            self.throughput_tps,
+            self.throughput_tps(),
             self.committed,
             self.user_aborts,
             self.restarts,
-            q(self.p50_ms),
-            q(self.p95_ms),
-            q(self.p99_ms),
+            q(self.latency.p50_ms()),
+            q(self.latency.p95_ms()),
+            q(self.latency.p99_ms()),
             self.flushes_total,
             self.flushes_coalesced,
         )?;
@@ -412,27 +374,6 @@ impl RunMetrics {
             return 0.0;
         }
         self.committed as f64 / (self.window_us / 1_000_000.0)
-    }
-
-    /// The headline numbers in one ready-to-print bundle (throughput,
-    /// outcomes, latency quantiles) — see [`MetricsSummary`].
-    pub fn summary(&self) -> MetricsSummary {
-        MetricsSummary {
-            throughput_tps: self.throughput_tps(),
-            committed: self.committed,
-            user_aborts: self.user_aborts,
-            restarts: self.restarts,
-            p50_ms: self.latency.p50_ms(),
-            p95_ms: self.latency.p95_ms(),
-            p99_ms: self.latency.p99_ms(),
-            mean_latency_ms: self.mean_latency_ms(),
-            flushes_total: self.flushes_total,
-            flushes_coalesced: self.flushes_coalesced,
-            log_records: self.log_records,
-            log_bytes_written: self.log_bytes_written,
-            snapshots_taken: self.snapshots_taken,
-            recovery_ms: self.recovery_ms,
-        }
     }
 
     /// Mean client-visible latency in milliseconds. `None` when no
@@ -523,7 +464,7 @@ impl RunMetrics {
     /// Records one finished transaction — the outcome record of both
     /// engines: the final attempt's `plan` and footprint `fp`. A user abort
     /// counts in `user_aborts` only. A commit counts as distributed or
-    /// single-partition, speculative, no-undo and in Table 4's counters;
+    /// single-partition, no-undo and in Table 4's counters;
     /// with its client-visible `latency_us` it also counts in `committed`
     /// and the latency histogram — the simulator passes `None` for a commit
     /// outside its measurement window.
@@ -550,9 +491,6 @@ impl RunMetrics {
             self.single_partition += 1;
         } else {
             self.distributed += 1;
-        }
-        if fp.speculative {
-            self.speculative += 1;
         }
         if fp.undo_disabled_ever {
             self.no_undo += 1;
@@ -588,7 +526,7 @@ impl RunMetrics {
         if fp.undo_disabled_ever {
             ops.op3 += 1;
         }
-        if fp.speculative || !fp.early_released.is_empty() {
+        if !fp.early_released.is_empty() {
             ops.op4 += 1;
         }
     }
@@ -614,7 +552,7 @@ mod tests {
     }
 
     #[test]
-    fn summary_bundles_headline_numbers() {
+    fn display_prints_headline_numbers() {
         let mut m = RunMetrics {
             committed: 10,
             user_aborts: 2,
@@ -624,16 +562,11 @@ mod tests {
         };
         m.latency.record_us(1000.0);
         m.latency.record_us(2000.0);
-        let s = m.summary();
-        assert!((s.throughput_tps - 5.0).abs() < 1e-9);
-        assert_eq!((s.committed, s.user_aborts, s.restarts), (10, 2, 3));
-        assert!(s.p50_ms.unwrap() <= s.p99_ms.unwrap());
-        let line = s.to_string();
-        assert!(line.contains("5 tps") && line.contains("10 committed"), "line = {line}");
-
-        let empty = RunMetrics::default().summary();
-        assert_eq!(empty.p50_ms, None);
-        assert!(empty.to_string().contains("-/-/-"), "empty quantiles render as dashes");
+        let line = m.to_string();
+        assert!(line.contains("5 tps, 10 committed / 2 aborted / 3 restarts"), "line = {line}");
+        assert!(!line.contains("-/-/-"), "line = {line}");
+        let empty = RunMetrics::default().to_string();
+        assert!(empty.contains("-/-/-"), "empty quantiles render as dashes: {empty}");
     }
 
     #[test]
@@ -738,7 +671,6 @@ mod tests {
             access_counts: FxHashMap::from_iter([(1, 3), (2, 1)]),
             undo_disabled_ever: true,
             early_released: PartitionSet::single(2),
-            ..Footprint::default()
         };
         let plan = TxnPlan { lock_set: accessed, ..TxnPlan::single(1) };
         m.tally_ops(0, &plan, &fp, 4);

@@ -148,14 +148,10 @@ pub(super) struct Durable<S> {
     /// Milliseconds [`LiveRuntime::recover`] spent before this runtime
     /// started serving; zero for a fresh boot.
     pub(super) recovery_ms: f64,
-    /// Intake of the dedicated flusher thread ([`flusher_loop`]): closed
-    /// durable commit groups ride here with their sequencer ticket, so the
+    /// Intake of the dedicated flusher thread ([`flusher_loop`]): held
+    /// fast-path commit acks ride here with their sequencer ticket, so the
     /// real fsync happens off every worker's serving path.
     pub(super) flusher: Sender<FlushJob<S>>,
-    /// Strict read fence ([`DurabilityConfig::read_fence`]): hold
-    /// read-only fast-path acks behind the covering flush when their
-    /// partition has not-yet-durable writes.
-    pub(super) read_fence: bool,
 }
 
 impl<S> Durable<S> {
@@ -355,7 +351,6 @@ impl<A: LiveAdvisor + 'static> LiveRuntime<A> {
                 active_gen: AtomicU64::new(seed.gen),
                 recovery_ms: seed.recovery_ms,
                 flusher: tx,
-                read_fence: dc.read_fence,
             }
         });
         // The §4.5 feedback pipeline exists only when the advisor can
@@ -960,12 +955,10 @@ pub(super) mod tests {
     }
 
     #[test]
-    fn strict_read_fence_serves_reads_and_replays_identically() {
-        let dir = durability_dir("fence");
-        let cfg = LiveConfig {
-            durability: Some(DurabilityConfig::new(&dir).read_fence()),
-            ..Default::default()
-        };
+    fn interleaved_reads_and_writes_replay_identically() {
+        let dir = durability_dir("mixed");
+        let cfg =
+            LiveConfig { durability: Some(DurabilityConfig::new(&dir)), ..Default::default() };
         let rt = LiveRuntime::start(
             kv_database(2, 8),
             kv_registry(),
@@ -977,9 +970,8 @@ pub(super) mod tests {
         for i in 0..60i64 {
             // Alternate a committing write with a read-shaped call: a
             // missing id aborts before writing anything, so its reply
-            // takes the read path — and under the strict fence must wait
-            // out the covering flush whenever the preceding write's group
-            // is still in the flusher's hands.
+            // skips the log and is acknowledged at once, even while the
+            // preceding write's ack is still in the flusher's hands.
             let id = if i % 2 == 0 { i % 16 } else { 1_000 };
             match client.call(0, vec![Value::Array(vec![Value::Int(id)])]).unwrap() {
                 TxnOutcome::Committed => committed += 1,

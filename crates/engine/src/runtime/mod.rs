@@ -17,7 +17,7 @@
 //! * `worker` — the partition server: `Intake`, `worker_loop`, the
 //!   `run_single` fast path, the durable-ack hand-off, and the
 //!   `flusher_loop` thread.
-//! * `spec` — the participant side of a distributed transaction
+//! * `participant` — the participant side of a distributed transaction
 //!   (`serve_reservation`).
 //! * `coord` — the coordinator side (`run_distributed`, `push_frag`).
 //! * `client` — [`Client`] and its fast-path `send_on_lane`.
@@ -117,8 +117,9 @@
 //! `TxnPlan::early_prepare` holds), the coordinator releases their slots in
 //! the lock manager at the end of the batch and adds them to
 //! `fp.early_released`; touching one again is a mispredict (the kernel's
-//! batch check, shared with the simulator). Unlike the simulator's engine
-//! the base partition is releasable too: live control code runs on the
+//! batch check, shared with the simulator, which models the same two
+//! release flavours below). Unlike the simulator's engine the base
+//! partition is releasable too: live control code runs on the
 //! coordinating client, so the base is just another fragment executor. A
 //! *read-only* participant is sent an early prepare and simply drops the
 //! reservation — nothing to flush, undo, or decide (the classic 2PC
@@ -131,16 +132,6 @@
 //! coordinator dies first, its lane closes and the worker rolls back. A
 //! later lock holder of that partition, and fast-path singles routed to
 //! it, wait for the outcome.
-//!
-//! Running other transactions *speculatively* behind that open 2PC window
-//! (the H-Store mechanism early prepare makes possible) is modeled by the
-//! simulator only. Live, it never paid its way: every recorded 2-worker
-//! TPC-C ablation at `msg_delay_us` 60 showed 0–2 speculative executions
-//! and 0 cascades, `runtime.speculative_ratio` read 0.006 on `tpcc-2w`
-//! and 0 on TATP, and OP4 on vs off differed by 0.8–2.5 %, which early
-//! lock release alone explains (EXPERIMENTS.md, the live OP4 ablation rows
-//! of 2026-10-03 and 2026-10-15). The live runtime therefore never
-//! speculates.
 //!
 //! Deadlock-freedom still holds: a parked participant waits only for the
 //! coordinator that released it, and "C' reserves a worker parked for C"
@@ -178,7 +169,7 @@ mod client;
 mod coord;
 mod lifecycle;
 mod lock;
-mod spec;
+mod participant;
 mod wire;
 mod worker;
 

@@ -1,7 +1,7 @@
 //! The partition worker: intake, serving loop, fast path, durable-ack hand-off.
 
-use super::lifecycle::Shared;
-use super::spec::serve_reservation;
+use super::lifecycle::{Durable, Shared};
+use super::participant::serve_reservation;
 use super::wire::{us_since, CtrlMsg, FragConn, SingleMsg, SingleReply, SingleSlot, StageTimes};
 use super::IDLE_SPIN;
 use crate::advisor::{LiveAdvisor, Request, TxnPlan};
@@ -117,10 +117,9 @@ impl<S> Intake<'_, S> {
 /// Acknowledgement rule, per served message: with durability off every
 /// reply is `put` the moment its transaction finishes. With it on, a
 /// committed writer is command-logged at its service position and its ack
-/// handed to the flusher thread with a sequencer ticket
-/// ([`release_group`]); a read under the strict `read_fence` that lands
-/// behind a not-yet-durable `last_ticket` rides that ticket; everything
-/// else is acknowledged at once. A reservation from a distributed
+/// handed to the flusher thread with a sequencer ticket ([`defer_ack`]);
+/// everything else is acknowledged at once (reads skip the log, as under
+/// H-Store command logging). A reservation from a distributed
 /// transaction is admitted between runs, so it observes exactly the state
 /// a one-message-at-a-time loop would have produced.
 ///
@@ -146,10 +145,6 @@ pub(super) fn worker_loop<A: LiveAdvisor>(
         targets: Vec::new(),
     };
     let mut run: Vec<SingleMsg<A::Session>> = Vec::new();
-    // The ticket of the last ack this worker routed to the flusher
-    // (durable mode's read-ordering high-water mark; see
-    // [`release_group`]).
-    let mut last_ticket = 0u64;
     while !intake.shutdown {
         while let Some((gen, done)) = intake.snaps.pop() {
             // The snapshot fence holds every partition lock, so this shard
@@ -215,21 +210,12 @@ pub(super) fn worker_loop<A: LiveAdvisor>(
                     // position, then hand its ack to the flusher: writers
                     // closing while a flush is in the device share the
                     // next one, and nothing served behind this writer
-                    // waits on it (unless the read fence says so).
+                    // waits on it.
                     let req = out.req.as_ref().expect("committed fast path retains its request");
                     d.append_local(shard.partition(), req);
-                    release_group(env, vec![(reply, out.reply)], true, &mut last_ticket);
+                    defer_ack(d, (reply, out.reply));
                 }
-                Some(d) if d.read_fence && last_ticket > d.seq.durable_epoch() => {
-                    // Strict read fence: an earlier write this worker
-                    // routed may still be in the flusher's hands — and this
-                    // reply may depend on it. Ride the prior ticket through
-                    // the flusher (FIFO makes the release a no-wait, no new
-                    // device operation) instead of acking un-durable state.
-                    release_group(env, vec![(reply, out.reply)], false, &mut last_ticket);
-                }
-                // Durability off, or a reply that depends on durable state
-                // only: ack now.
+                // Durability off, or nothing to log: ack now.
                 _ => reply.put(out.reply),
             }
         }
@@ -258,7 +244,7 @@ impl<S> SingleOutcome<S> {
 
     /// Whether this transaction needs a commit flush before its ack under
     /// durability: it committed and wrote something. The flush itself is
-    /// the *caller's* job ([`release_group`]).
+    /// the *caller's* job ([`defer_ack`]).
     fn needs_flush(&self) -> bool {
         matches!(self.reply, SingleReply::Done { committed: true, .. }) && self.wrote
     }
@@ -295,7 +281,7 @@ fn run_single<A: LiveAdvisor>(
     debug_assert_eq!(plan.lock_set, PartitionSet::single(me), "fast path misrouted");
     let proc_def = env.catalog.proc(req.proc);
     let mut cursor = Cursor::new(&env.registry, req.proc, &req.args);
-    let (mut fp, mut undo) = Footprint::begin(plan, false);
+    let (mut fp, mut undo) = Footprint::begin(plan);
     let mut wrote = false;
     let mut est_us = 0.0f64;
     // How the control code ended: `Ok(committed)`, or a mispredict's
@@ -359,86 +345,56 @@ fn run_single<A: LiveAdvisor>(
 /// completes.
 type DeferredAck<S> = (Arc<SingleSlot<S>>, SingleReply<S>);
 
-/// Releases held acknowledgements in completion order.
-fn release_acks<S>(acks: &mut Vec<DeferredAck<S>>) {
-    for (slot, reply) in acks.drain(..) {
+/// Hands a committed writer's ack to the flusher thread with a fresh
+/// sequencer ticket: it may only go out after a real `write+fsync` covers
+/// its log record. Nothing here waits for company: an ack handed over
+/// while the device is idle is flushed at once, and acks arriving during a
+/// flush share the next one. 2PC durability is not paid here: the
+/// *coordinator* waits once per distributed commit on the same sequencer,
+/// covering every participant's writes.
+fn defer_ack<S>(d: &Durable<S>, ack: DeferredAck<S>) {
+    let ticket = d.seq.enqueue();
+    if let Err(err) = d.flusher.send(FlushJob::Ack { ticket, ack }) {
+        // Flusher already stopped (teardown race): flush synchronously
+        // and release here — a held ack must never be dropped.
+        let FlushJob::Ack { ticket, ack: (slot, reply) } = err.0 else { return };
+        d.seq.wait_durable_dev(ticket, &d.device);
         slot.put(reply);
     }
 }
 
-/// Releases a group of acknowledgements under the configured durability
-/// regime. Durability off: ack inline. Durable mode: the acks may only go
-/// out after a real `write+fsync` covers their log records, so the group
-/// is handed to the flusher thread with a sequencer ticket — `wrote`
-/// groups get a fresh ticket; read-only groups (a read that may have
-/// observed a routed-but-unflushed write) ride `last_ticket`, the ticket
-/// of the last group this worker routed, which the flusher's FIFO
-/// guarantees is already durable by the time the job is seen, so no extra
-/// device operation results. `last_ticket` is advanced to the ticket the
-/// group rides, if any. Nothing here waits for company: a group handed
-/// over while the device is idle is flushed at once, and groups closing
-/// during a flush share the next one. 2PC durability is not paid here:
-/// the *coordinator* waits once per distributed commit on the same
-/// sequencer, covering every participant's writes.
-fn release_group<A: LiveAdvisor>(
-    env: &Shared<A>,
-    mut acks: Vec<DeferredAck<A::Session>>,
-    wrote: bool,
-    last_ticket: &mut u64,
-) {
-    let Some(d) = &env.durable else {
-        release_acks(&mut acks);
-        return;
-    };
-    let ticket = if wrote {
-        d.seq.enqueue()
-    } else if *last_ticket > d.seq.durable_epoch() {
-        *last_ticket
-    } else {
-        // Everything this worker ever routed is already durable: the
-        // read-only replies depend on durable state only. Ack inline.
-        release_acks(&mut acks);
-        return;
-    };
-    *last_ticket = ticket;
-    if let Err(err) = d.flusher.send(FlushJob::Group { ticket, acks }) {
-        // Flusher already stopped (teardown race): flush synchronously
-        // and release here — held acks must never be dropped.
-        let FlushJob::Group { ticket, mut acks } = err.0 else { return };
-        d.seq.wait_durable_dev(ticket, &d.device);
-        release_acks(&mut acks);
-    }
-}
-
-/// One unit of flusher-thread work: a closed commit group whose held acks
-/// may only be released once the device flush covering `ticket` completed.
+/// One unit of flusher-thread work: a held ack that may only be released
+/// once the device flush covering `ticket` completed.
 pub(super) enum FlushJob<S> {
-    Group { ticket: u64, acks: Vec<DeferredAck<S>> },
+    Ack { ticket: u64, ack: DeferredAck<S> },
     Stop,
 }
 
-/// The dedicated flusher thread (durable mode only): receives closed
-/// commit groups from every worker, coalesces whatever else is already
-/// queued (one device wait at the max ticket covers every earlier one —
-/// the sequencer's epoch argument), performs the real `write+fsync`
-/// through the shared `FlushSequencer`, and releases the held acks.
+/// The dedicated flusher thread (durable mode only): receives held acks
+/// from every worker, coalesces whatever else is already queued into one
+/// commit group (one device wait at the max ticket covers every earlier
+/// one — the sequencer's epoch argument), performs the real `write+fsync`
+/// through the shared `FlushSequencer`, and releases the group's acks.
 /// There is no accumulation window: while one flush is in the device, the
-/// groups that close behind it queue here (and coordinators queue on the
+/// acks that arrive behind it queue here (and coordinators queue on the
 /// sequencer), so the next drain covers all of them with one flush. The
-/// group is as long as the device is slow, and zero when a writer is
-/// alone. Workers never fsync on their serving path; distributed
+/// group is as long as the device is slow, and one ack when a writer is
+/// alone. The group buffer is reused, so steady-state commits allocate
+/// nothing here. Workers never fsync on their serving path; distributed
 /// coordinators wait on the same sequencer from their client threads, so
 /// both demand streams coalesce into the same device operations.
 pub(super) fn flusher_loop<A: LiveAdvisor>(env: &Shared<A>, rx: &Receiver<FlushJob<A::Session>>) {
     let durable = env.durable.as_ref().expect("flusher thread requires durability state");
+    let mut acks: Vec<DeferredAck<A::Session>> = Vec::new();
     while let Ok(job) = rx.recv() {
-        let FlushJob::Group { mut ticket, mut acks } = job else { return };
+        let FlushJob::Ack { mut ticket, ack } = job else { return };
+        acks.push(ack);
         let mut stop = false;
         loop {
             match rx.try_recv() {
-                Ok(FlushJob::Group { ticket: t, acks: mut more }) => {
+                Ok(FlushJob::Ack { ticket: t, ack }) => {
                     ticket = ticket.max(t);
-                    acks.append(&mut more);
+                    acks.push(ack);
                 }
                 Ok(FlushJob::Stop) => {
                     stop = true;
@@ -448,7 +404,9 @@ pub(super) fn flusher_loop<A: LiveAdvisor>(env: &Shared<A>, rx: &Receiver<FlushJ
             }
         }
         durable.seq.wait_durable_dev(ticket, &durable.device);
-        release_acks(&mut acks);
+        for (slot, reply) in acks.drain(..) {
+            slot.put(reply);
+        }
         if stop {
             return;
         }
@@ -458,7 +416,7 @@ pub(super) fn flusher_loop<A: LiveAdvisor>(env: &Shared<A>, rx: &Receiver<FlushJ
 #[cfg(test)]
 pub(super) mod tests {
     //! Besides the worker's own tests, home of the shared hand-driving kit
-    //! ([`Driver`], [`drive_worker`]) the `spec` tests also import.
+    //! ([`Driver`], [`drive_worker`]) the `participant` tests also import.
 
     use super::super::client::send_on_lane;
     use super::super::coord::push_frag;
@@ -655,12 +613,12 @@ pub(super) mod tests {
     /// ahead of the reservation. Without it each call waits for its
     /// reply before the next is sent — the one-message-at-a-time schedule
     /// batching must be indistinguishable from.
-    fn drive_batched_drain(batched: bool) -> (Vec<(bool, bool)>, i64, TableRows) {
+    fn drive_batched_drain(batched: bool) -> (Vec<bool>, i64, TableRows) {
         let (env, ctrl_rx) = test_env(1);
         let shard = kv_database(1, 8).into_shards().pop().unwrap();
         let read_id0 = || vec![(0, vec![Value::Int(0)])];
         let take = |slot: Arc<SingleSlot<()>>| match slot.take_within(WAIT).expect("single ack") {
-            SingleReply::Done { committed, fp, .. } => (committed, fp.speculative),
+            SingleReply::Done { committed, .. } => committed,
             _ => panic!("expected Done"),
         };
         let mut driver = Driver::new(&env);

@@ -9,9 +9,10 @@
 //! Concurrency model: each partition is a single-threaded server. A
 //! transaction waits until every partition in its lock set is available,
 //! occupies them while it runs, and releases them at commit — except
-//! partitions the advisor declared *finished* (OP4), which are released
-//! early and opened for speculative execution until the distributed
-//! transaction's two-phase commit completes.
+//! partitions the advisor declared *finished* (OP4), which early-prepare
+//! exactly as in the live runtime: a participant the transaction only read
+//! frees when its last fragment completes, and one it wrote stays reserved
+//! until the commit notification reaches it.
 //!
 //! Prediction is *not* simulated: every attempt runs the live runtime's
 //! transaction-step kernel (`crate::txn`: the control-code cursor, the
@@ -29,7 +30,7 @@ use crate::exec::execute_query;
 use crate::metrics::RunMetrics;
 use crate::procedure::{ProcedureRegistry, Step};
 use crate::profiler::{Bucket, Profiler};
-use crate::txn::{replan, table_bit, Cursor, Footprint};
+use crate::txn::{replan, Cursor, Footprint};
 use common::{
     derive_seed, seeded_rng, Error, FxHashMap, PartitionId, PartitionSet, ProcId, Result, Value,
 };
@@ -102,31 +103,6 @@ impl SimConfig {
     }
 }
 
-/// Speculation window on a partition: open between an early release and the
-/// releasing transaction's commit point.
-#[derive(Debug, Clone, Copy)]
-struct SpecWindow {
-    /// When the releasing distributed transaction commits.
-    until: f64,
-    /// Bitmask of table ids the distributed transaction wrote *at this
-    /// partition*; speculative transactions touching these tables defer
-    /// their commit acknowledgement (paper §2 OP4).
-    written_tables: u64,
-}
-
-impl SpecWindow {
-    /// Folds `window` into this union of the windows an attempt entered, if
-    /// it is still open at `at`: the attempt turns speculative, and its ack
-    /// may have to wait for the window's commit point.
-    fn join(&mut self, window: Option<SpecWindow>, at: f64, speculative: &mut bool) {
-        if let Some(w) = window.filter(|w| at < w.until) {
-            *speculative = true;
-            self.until = self.until.max(w.until);
-            self.written_tables |= w.written_tables;
-        }
-    }
-}
-
 /// Outcome of one execution attempt.
 enum Attempt {
     /// Committed or user-aborted; the client has its answer at `client_done`.
@@ -149,7 +125,6 @@ pub struct Simulation<'a, A: LiveAdvisor> {
     costs: CostModel,
     cfg: SimConfig,
     avail: Vec<f64>,
-    spec: Vec<Option<SpecWindow>>,
     profiler: Profiler,
     metrics: RunMetrics,
 }
@@ -188,7 +163,6 @@ impl<'a, A: LiveAdvisor> Simulation<'a, A> {
             costs,
             cfg,
             avail: vec![0.0; n],
-            spec: vec![None; n],
             profiler: Profiler::new(),
             metrics: RunMetrics::default(),
         }
@@ -333,20 +307,15 @@ impl<'a, A: LiveAdvisor> Simulation<'a, A> {
         let mut held: FxHashMap<PartitionId, f64> = FxHashMap::default();
         held.insert(base, t);
 
-        // Are we starting inside someone's speculation window? A partition
-        // reached inside one makes the transaction speculative from then on.
-        let mut speculative = false;
-        let mut joined = SpecWindow { until: 0.0, written_tables: 0 };
-        joined.join(self.spec[base as usize], t, &mut speculative);
-
-        let (mut fp, mut undo) = Footprint::begin(plan, speculative);
+        let (mut fp, mut undo) = Footprint::begin(plan);
         let mut cursor = Cursor::new(self.registry, proc, &req.args);
         let mut targets = Vec::new();
-        let mut wrote_by_partition: FxHashMap<PartitionId, u64> = FxHashMap::default();
-        // When each early-released partition (`fp.early_released`) freed.
-        let mut released: FxHashMap<PartitionId, f64> = FxHashMap::default();
+        let mut wrote = PartitionSet::EMPTY;
 
         loop {
+            // Partitions this attempt still reserves: every locked one but
+            // those early-prepared after only being read.
+            let reserved = lock_set.difference(fp.early_released.difference(wrote));
             match cursor.next() {
                 Step::Queries(batch) => {
                     self.profiler.add(proc, Bucket::Execution, self.costs.control_code_us);
@@ -358,8 +327,7 @@ impl<'a, A: LiveAdvisor> Simulation<'a, A> {
                     let def = self.catalog.proc(proc);
                     if let Err(observed) = fp.check_batch(def, n, &batch, lock_set, &mut targets) {
                         let txn = u64::from(proc) + 1000;
-                        let t_fail =
-                            self.roll_back(proc, t, &mut undo, lock_set, &released, txn)?;
+                        let t_fail = self.roll_back(proc, t, &mut undo, reserved, txn)?;
                         return Ok(Attempt::Mispredict { observed, t_fail });
                     }
 
@@ -382,9 +350,7 @@ impl<'a, A: LiveAdvisor> Simulation<'a, A> {
                                 Err(e) => return Err(e),
                             };
                         if is_write {
-                            for p in parts.iter() {
-                                *wrote_by_partition.entry(p).or_insert(0) |= table_bit(def.table);
-                            }
+                            wrote = wrote.union(parts);
                         }
                         let qcost = self.costs.query_cost_us(is_write, undo.is_enabled());
                         for p in parts.iter() {
@@ -425,7 +391,6 @@ impl<'a, A: LiveAdvisor> Simulation<'a, A> {
                                 Some(&last) => last.max(arrive),
                                 None => arrive.max(self.avail[p as usize]),
                             };
-                            joined.join(self.spec[p as usize], start, &mut fp.speculative);
                             let done = start + work;
                             held.insert(p, done);
                             batch_done = batch_done.max(done + oneway);
@@ -436,23 +401,26 @@ impl<'a, A: LiveAdvisor> Simulation<'a, A> {
                         t = batch_done;
                     }
 
-                    // Early release (OP4): the early-prepare piggybacks on
-                    // this batch's dispatch ("the query and the prepare
-                    // message can be combined", §2 OP4), so a released
-                    // partition becomes available as soon as its own last
-                    // fragment completes — not when the whole batch returns
-                    // to the base partition. The base runs the control code
-                    // and stays busy until commit: never released here.
+                    // Early prepare (OP4): the prepare piggybacks on this
+                    // batch's dispatch ("the query and the prepare message
+                    // can be combined", §2 OP4), so the participant's vote
+                    // rides its last fragment. One that only read becomes
+                    // available as soon as that fragment completes — not
+                    // when the whole batch returns to the base partition.
+                    // One that wrote stays reserved until the commit round
+                    // notifies it. The base runs the control code and stays
+                    // busy until commit: never released here.
                     for p in pending_release.iter() {
                         if p != base && lock_set.contains(p) && !fp.early_released.contains(p) {
-                            let oneway = self.costs.msg_us(base_node, self.cfg.node_of(p));
-                            let done_at = match held.get(&p) {
-                                Some(&last) => last,
-                                None => t_batch_start + oneway,
-                            };
                             fp.early_released.insert(p);
-                            released.insert(p, done_at);
-                            self.avail[p as usize] = self.avail[p as usize].max(done_at);
+                            if !wrote.contains(p) {
+                                let oneway = self.costs.msg_us(base_node, self.cfg.node_of(p));
+                                let done_at = match held.get(&p) {
+                                    Some(&last) => last,
+                                    None => t_batch_start + oneway,
+                                };
+                                self.avail[p as usize] = self.avail[p as usize].max(done_at);
+                            }
                         }
                     }
                     cursor.resume(batch_results);
@@ -483,10 +451,11 @@ impl<'a, A: LiveAdvisor> Simulation<'a, A> {
                         t += prepare_rtt + self.costs.twopc_cpu_us;
                         t_commit = t;
                         // Commit round: one-way notifications release the
-                        // remaining partitions — including ones the
-                        // transaction locked but never touched, which were
-                        // reserved for its whole lifetime.
-                        for p in lock_set.difference(fp.early_released).iter() {
+                        // remaining partitions — the early-prepared ones
+                        // that wrote, and ones the transaction locked but
+                        // never touched, which were reserved for its whole
+                        // lifetime.
+                        for p in reserved.iter() {
                             if p == base {
                                 self.avail[p as usize] = self.avail[p as usize].max(t_commit);
                             } else {
@@ -503,36 +472,16 @@ impl<'a, A: LiveAdvisor> Simulation<'a, A> {
                             Bucket::Coordination,
                             msgs + self.costs.twopc_cpu_us,
                         );
-                        // Close speculation windows on early-released
-                        // partitions: speculative work there becomes final
-                        // once we commit.
-                        for &p in released.keys() {
-                            self.spec[p as usize] = Some(SpecWindow {
-                                until: t_commit,
-                                written_tables: wrote_by_partition.get(&p).copied().unwrap_or(0),
-                            });
-                        }
                     }
-                    // Client acknowledgement. A speculative transaction that
-                    // touched tables the distributed transaction wrote must
-                    // wait for it to commit (paper §2 OP4); read-only
-                    // non-conflicting speculative transactions ack at once.
-                    // The return hop counts towards client latency but not
-                    // the profile — profiling stops when the result is sent
-                    // (§6.3).
-                    let back = self.costs.msg_us(base_node, req.origin_node);
-                    let mut client_done = t_commit + back;
-                    if fp.speculative && fp.touched_tables & joined.written_tables != 0 {
-                        // We touched tables the distributed transaction
-                        // modified at a partition we used: our result is
-                        // contingent on its commit (§2 OP4).
-                        client_done = client_done.max(joined.until + back);
-                    }
+                    // Client acknowledgement. The return hop counts towards
+                    // client latency but not the profile — profiling stops
+                    // when the result is sent (§6.3).
+                    let client_done = t_commit + self.costs.msg_us(base_node, req.origin_node);
                     return Ok(Attempt::Done { committed: true, client_done, fp });
                 }
                 Step::Abort(_) => {
                     let txn = u64::from(proc);
-                    let t = self.roll_back(proc, t, &mut undo, lock_set, &released, txn)?;
+                    let t = self.roll_back(proc, t, &mut undo, reserved, txn)?;
                     let client_done = t + self.costs.msg_us(base_node, req.origin_node);
                     return Ok(Attempt::Done { committed: false, client_done, fp });
                 }
@@ -540,18 +489,17 @@ impl<'a, A: LiveAdvisor> Simulation<'a, A> {
         }
     }
 
-    /// Rolls an attempt back (user abort or mispredict) and frees its locks
-    /// when the rollback ends, which it returns. Every fragment finished by
-    /// then, so no held partition outlives it. Speculative work done after
-    /// an early release is wasted and redone (paper §2 OP4). Without undo
-    /// the node must halt (§2 OP3): `Error::UnrecoverableAbort { txn }`.
+    /// Rolls an attempt back (user abort or mispredict) and frees the
+    /// partitions it still `reserved` when the rollback ends, which it
+    /// returns. Every fragment finished by then, so no held partition
+    /// outlives it. Without undo the node must halt (§2 OP3):
+    /// `Error::UnrecoverableAbort { txn }`.
     fn roll_back(
         &mut self,
         proc: ProcId,
         t: f64,
         undo: &mut UndoLog,
-        lock_set: PartitionSet,
-        released: &FxHashMap<PartitionId, f64>,
+        reserved: PartitionSet,
         txn: u64,
     ) -> Result<f64> {
         if !undo.can_rollback() {
@@ -561,13 +509,8 @@ impl<'a, A: LiveAdvisor> Simulation<'a, A> {
         self.profiler.add(proc, Bucket::Execution, rb);
         let t = t + rb;
         self.db.rollback(undo)?;
-        for p in lock_set.iter() {
-            if let Some(&rt) = released.get(&p) {
-                self.avail[p as usize] = t + (t - rt).max(0.0);
-                self.spec[p as usize] = None;
-            } else {
-                self.avail[p as usize] = self.avail[p as usize].max(t);
-            }
+        for p in reserved.iter() {
+            self.avail[p as usize] = self.avail[p as usize].max(t);
         }
         Ok(t)
     }
@@ -577,8 +520,11 @@ impl<'a, A: LiveAdvisor> Simulation<'a, A> {
 mod tests {
     use super::*;
     use crate::baselines::{AssumeDistributed, AssumeSinglePartition, Oracle};
+    use crate::catalog::{ColumnOp, PartitionHint, ProcDef, QueryDef, QueryOp};
     use crate::procedure::testing::{kv_database, kv_registry, KvGen};
-    use common::Value;
+    use crate::procedure::{ProcInstance, Procedure, QueryInvocation};
+    use common::{QueryId, Value};
+    use storage::{Row, Schema};
 
     fn run_with<A: LiveAdvisor>(advisor: A, spread: u32, parts: u32) -> RunMetrics {
         let mut db = kv_database(parts, 8);
@@ -688,7 +634,6 @@ mod tests {
             with.throughput_tps(),
             without.throughput_tps()
         );
-        assert!(with.speculative >= without.speculative);
         assert!(
             with.reserved_idle_us <= without.reserved_idle_us,
             "early prepare reclaims reserved-idle time: {} vs {}",
@@ -739,113 +684,102 @@ mod tests {
         assert_eq!(m.committed + m.user_aborts, clients * 25);
     }
 
-    /// A catalog whose hot table sits past bit 63 of the conflict mask.
-    mod wide {
-        use super::*;
-        use crate::catalog::{ColumnOp, PartitionHint, ProcDef, QueryDef, QueryOp};
-        use crate::procedure::{ProcInstance, Procedure, QueryInvocation};
-        use storage::Schema;
+    /// `Script(queries, keys)`: one batch running query `queries[i]` on key
+    /// `keys[i]`, then commit. Query 0 reads `KV`, query 1 bumps `KV`, query
+    /// 2 reads `AUX`; both tables are partitioned on their key.
+    struct Script(ProcDef);
 
-        pub const WIDE_TABLE: usize = 70;
-
-        pub struct BumpWide {
-            def: ProcDef,
+    impl Procedure for Script {
+        fn def(&self) -> &ProcDef {
+            &self.0
         }
 
-        impl BumpWide {
-            pub fn new() -> Self {
-                BumpWide {
-                    def: ProcDef {
-                        name: "BumpWide".into(),
-                        queries: vec![QueryDef {
-                            name: "BumpW".into(),
-                            table: WIDE_TABLE,
-                            op: QueryOp::UpdateByKey {
-                                key_params: vec![0],
-                                sets: vec![ColumnOp::Add { column: 1, param: 1 }],
-                            },
-                            hint: PartitionHint::Param(0),
-                        }],
-                        read_only: false,
-                        can_abort: false,
-                    },
-                }
-            }
-        }
-
-        impl Procedure for BumpWide {
-            fn def(&self) -> &ProcDef {
-                &self.def
-            }
-            fn instantiate(&self, args: &[Value]) -> Box<dyn ProcInstance> {
-                Box::new(Inst { id: args[0].expect_int(), stage: 0 })
-            }
-        }
-
-        struct Inst {
-            id: i64,
-            stage: u8,
-        }
-
-        impl ProcInstance for Inst {
-            fn next(&mut self, _results: Option<&[Vec<storage::Row>]>) -> Step {
-                if self.stage == 0 {
-                    self.stage = 1;
-                    Step::Queries(vec![QueryInvocation::new(
-                        0,
-                        vec![Value::Int(self.id), Value::Int(1)],
-                    )])
-                } else {
-                    Step::Commit
-                }
-            }
-        }
-
-        pub fn registry_and_db(parts: u32) -> (ProcedureRegistry, Database) {
-            let mut schemas: Vec<Schema> = (0..WIDE_TABLE)
-                .map(|i| Schema::new(&format!("PAD{i}"), &["ID"], &[0], Some(0)))
+        fn instantiate(&self, args: &[Value]) -> Box<dyn ProcInstance> {
+            let ints = |v: &Value| -> Vec<i64> {
+                v.as_array().expect("array arg").iter().map(Value::expect_int).collect()
+            };
+            let batch = ints(&args[0])
+                .into_iter()
+                .zip(ints(&args[1]))
+                .map(|(q, key)| QueryInvocation::new(q as QueryId, vec![key.into(), Value::Int(1)]))
                 .collect();
-            schemas.push(Schema::new("WIDE", &["ID", "V"], &[0], Some(0)));
-            let mut db = Database::new(schemas, parts, &[]);
-            let mut undo = UndoLog::new();
-            for i in 0..i64::from(parts) * 4 {
-                let p = db.partition_for_value(&Value::Int(i));
-                db.insert(p, WIDE_TABLE, vec![Value::Int(i), Value::Int(0)], &mut undo).unwrap();
+            Box::new(ScriptRun(Some(batch)))
+        }
+    }
+
+    struct ScriptRun(Option<Vec<QueryInvocation>>);
+
+    impl ProcInstance for ScriptRun {
+        fn next(&mut self, _results: Option<&[Vec<Row>]>) -> Step {
+            self.0.take().map_or(Step::Commit, Step::Queries)
+        }
+    }
+
+    /// The `Script` registry over `KV(ID, V)` and `AUX(ID, V)`, one row per
+    /// partition in each.
+    fn script_registry_and_db(parts: u32) -> (ProcedureRegistry, Database) {
+        let get = |name: &str, table| QueryDef {
+            name: name.into(),
+            table,
+            op: QueryOp::GetByKey { key_params: vec![0] },
+            hint: PartitionHint::Param(0),
+        };
+        let bump = QueryDef {
+            name: "BumpKV".into(),
+            table: 0,
+            op: QueryOp::UpdateByKey {
+                key_params: vec![0],
+                sets: vec![ColumnOp::Add { column: 1, param: 1 }],
+            },
+            hint: PartitionHint::Param(0),
+        };
+        let def = ProcDef {
+            name: "Script".into(),
+            queries: vec![get("GetKV", 0), bump, get("GetAux", 1)],
+            read_only: false,
+            can_abort: false,
+        };
+        let schemas = ["KV", "AUX"].map(|t| Schema::new(t, &["ID", "V"], &[0], Some(0)));
+        let mut db = Database::new(schemas.to_vec(), parts, &[]);
+        let mut undo = UndoLog::new();
+        for table in 0..2 {
+            for id in 0..i64::from(parts) {
+                let p = db.partition_for_value(&Value::Int(id));
+                db.insert(p, table, vec![Value::Int(id), Value::Int(0)], &mut undo).unwrap();
             }
-            (ProcedureRegistry::new(vec![Box::new(BumpWide::new())]), db)
         }
-    }
-
-    /// Generator hitting the wide table with single-partition bumps.
-    struct WideGen {
-        parts: u32,
-        counter: u64,
-    }
-
-    impl RequestGenerator for WideGen {
-        fn next_request(&mut self, client: u64) -> (ProcId, Vec<Value>) {
-            self.counter += 1;
-            let id = (client * 3 + self.counter) % u64::from(self.parts * 4);
-            (0, vec![Value::Int(id as i64)])
-        }
+        (ProcedureRegistry::new(vec![Box::new(Script(def))]), db)
     }
 
     #[test]
-    fn wide_catalog_runs_without_shift_overflow() {
-        // Regression: with a table id ≥ 64 the speculative-conflict masks
-        // computed `1 << 70` — a shift overflow (debug panic, release
-        // wrap). The run must complete and commit writes on table 70.
-        let (reg, mut db) = wide::registry_and_db(4);
+    fn early_prepare_frees_a_read_participant_and_parks_a_written_one() {
+        // Two partitions per node: p0 and p1 on node 0, p2 on node 1. The
+        // distributed transaction reads KV at p0 (its base) and p1 and bumps
+        // KV at p2; the oracle early-prepares p1 and p2 after their last
+        // fragment. Then single-partition reads of AUX, a table the
+        // distributed transaction never touched, queue on p1 and p2.
+        let (reg, mut db) = script_registry_and_db(4);
         let advisor = Oracle::new();
-        let mut gen = WideGen { parts: 4, counter: 0 };
-        let cfg = SimConfig {
-            num_partitions: 4,
-            warmup_us: 0.0,
-            measure_us: 50_000.0,
-            ..Default::default()
+        let mut unused = KvGen { spread: 1, parts: 4, counter: 0 };
+        let costs = CostModel::default();
+        let cfg = SimConfig { num_partitions: 4, ..Default::default() };
+        let mut sim = Simulation::new(&mut db, &reg, &advisor, &mut unused, costs.clone(), cfg);
+        let script = |queries: &[i64], keys: &[i64]| Request {
+            proc: 0,
+            args: vec![queries.to_vec().into(), keys.to_vec().into()],
+            origin_node: 0,
         };
-        let sim = Simulation::new(&mut db, &reg, &advisor, &mut gen, CostModel::default(), cfg);
-        let (m, _) = sim.run().expect("wide catalog must not halt");
-        assert!(m.committed > 0);
+        let dist_done = sim.process_txn(&script(&[0, 0, 1], &[0, 1, 2]), 0.0, 0).unwrap();
+        // Its ack leaves base p0 for origin node 0 at the commit point; the
+        // commit notification to p2 crosses to node 1.
+        let commit = dist_done - costs.msg_us(0, 0);
+        let notified = commit + costs.msg_us(0, 1);
+        let on_read = sim.process_txn(&script(&[2], &[1]), 0.0, 1).unwrap();
+        let on_written = sim.process_txn(&script(&[2], &[2]), 0.0, 2).unwrap();
+        assert!(on_read < commit, "read participant frees early: {on_read} vs commit {commit}");
+        assert!(
+            on_written >= notified,
+            "written participant stays reserved until notified: {on_written} vs {notified}"
+        );
     }
 }

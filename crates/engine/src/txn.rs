@@ -17,8 +17,7 @@
 //! What stays with each driver: how a batch executes (the whole database,
 //! one shard, or `ExecBatch` shipping), time (virtual `CostModel` charges or
 //! the wall clock), write bookkeeping, which finished partitions may
-//! release, the simulator's speculation windows, durability and reply
-//! routing.
+//! release, durability and reply routing.
 
 use crate::advisor::{LiveAdvisor, PlanContext, Request, TxnPlan, Updates};
 use crate::catalog::{ProcDef, QueryDef};
@@ -26,19 +25,6 @@ use crate::exec::ExecutedQuery;
 use crate::procedure::{ProcInstance, ProcedureRegistry, QueryInvocation, Step};
 use common::{FxHashMap, PartitionId, PartitionSet, ProcId, Value};
 use storage::{Row, UndoLog};
-
-/// Bit for `table` in a 64-bit speculative-conflict mask.
-///
-/// Catalogs may define more than 64 tables; every id past the top bit shares
-/// bit 63, which only makes OP4 conflict detection conservative (a
-/// speculative transaction may defer its acknowledgement unnecessarily) —
-/// never a shift overflow (debug panic / silent wrap in release, which
-/// corrupted the mask for `table % 64` collisions).
-pub(crate) fn table_bit(table: usize) -> u64 {
-    let bit = table.min(u64::BITS as usize - 1);
-    debug_assert!(bit < u64::BITS as usize);
-    1u64 << bit
-}
 
 /// The control code of one attempt: the procedure instance, the last
 /// batch's results, and a pending constraint abort.
@@ -75,31 +61,25 @@ impl Cursor {
     }
 }
 
-/// What one attempt has done so far — what the mispredict rule, OP3's
-/// speculation guard and the outcome record read.
+/// What one attempt has done so far — what the mispredict rule and the
+/// outcome record read.
 #[derive(Debug, Default)]
 pub(crate) struct Footprint {
     /// Partitions the executed queries touched.
     pub(crate) accessed: PartitionSet,
     /// Executed queries per touched partition (OP1's "accessed most").
     pub(crate) access_counts: FxHashMap<PartitionId, u32>,
-    /// [`table_bit`] mask of the tables read or written (OP4 conflicts).
-    pub(crate) touched_tables: u64,
     /// Some or all of the work ran without undo logging (OP3).
     pub(crate) undo_disabled_ever: bool,
-    /// Ran inside another transaction's speculation window (OP4), so undo
-    /// logging stays on whatever OP3 says (§4.3): the work may cascade.
-    pub(crate) speculative: bool,
     /// Partitions released by OP4's early prepare.
     pub(crate) early_released: PartitionSet,
 }
 
 impl Footprint {
-    /// A fresh attempt's footprint and undo log: OP3's initial decision
-    /// holds unless the attempt starts speculatively.
-    pub(crate) fn begin(plan: &TxnPlan, speculative: bool) -> (Footprint, UndoLog) {
-        let no_undo = plan.disable_undo && !speculative;
-        let fp = Footprint { undo_disabled_ever: no_undo, speculative, ..Footprint::default() };
+    /// A fresh attempt's footprint and undo log, per OP3's initial decision.
+    pub(crate) fn begin(plan: &TxnPlan) -> (Footprint, UndoLog) {
+        let no_undo = plan.disable_undo;
+        let fp = Footprint { undo_disabled_ever: no_undo, ..Footprint::default() };
         (fp, if no_undo { UndoLog::disabled() } else { UndoLog::new() })
     }
 
@@ -134,7 +114,7 @@ impl Footprint {
 
     /// Folds one executed query into the footprint and reports it to the
     /// advisor (§4.4). OP3 turns undo logging off for the rest of the
-    /// attempt unless it is speculative; `undo` is `None` on the live
+    /// attempt; `undo` is `None` on the live
     /// coordinator, whose participants always keep theirs. OP4: the
     /// returned `finished` set is empty unless the plan early-prepares.
     #[allow(clippy::too_many_arguments)]
@@ -152,7 +132,6 @@ impl Footprint {
         for p in partitions.iter() {
             *self.access_counts.entry(p).or_insert(0) += 1;
         }
-        self.touched_tables |= table_bit(def.table);
         let q = ExecutedQuery {
             query: inv.query,
             params: inv.params,
@@ -161,7 +140,7 @@ impl Footprint {
         };
         let mut upd = advisor.on_query_live(session, &q);
         if let Some(undo) = undo {
-            if upd.disable_undo && !self.speculative && undo.is_enabled() {
+            if upd.disable_undo && undo.is_enabled() {
                 undo.disable();
                 self.undo_disabled_ever = true;
             }
@@ -239,54 +218,6 @@ mod tests {
         assert_eq!(check(&fp, &[1], &[0, 1]), Err(PartitionSet::single(1)));
     }
 
-    /// Asks to disable undo logging after every query.
-    struct AlwaysOp3;
-
-    impl LiveAdvisor for AlwaysOp3 {
-        type Session = ();
-
-        fn name(&self) -> &str {
-            "always-op3"
-        }
-
-        fn plan_live_reusing(
-            &self,
-            _: &Request,
-            _: &PlanContext<'_>,
-            _: Option<()>,
-        ) -> (TxnPlan, ()) {
-            (TxnPlan::single(0), ())
-        }
-
-        fn on_query_live(&self, _: &mut (), _: &ExecutedQuery) -> Updates {
-            Updates { disable_undo: true, ..Updates::default() }
-        }
-
-        fn replan_live(
-            &self,
-            req: &Request,
-            _: PartitionSet,
-            _: u32,
-            ctx: &PlanContext<'_>,
-        ) -> (TxnPlan, ()) {
-            self.plan_live_reusing(req, ctx, None)
-        }
-    }
-
-    #[test]
-    fn speculative_attempt_keeps_undo_despite_op3() {
-        let catalog = kv_registry().catalog();
-        let def = catalog.proc(0).query(0);
-        let plan = TxnPlan::single(0);
-        for speculative in [false, true] {
-            let (mut fp, mut undo) = Footprint::begin(&plan, speculative);
-            let (q, p0) = (reads(&[0]).remove(0), PartitionSet::single(0));
-            fp.observe(&AlwaysOp3, &mut (), &plan, Some(&mut undo), def, q, p0);
-            assert_eq!(undo.is_enabled(), speculative, "speculative = {speculative}");
-            assert_eq!(fp.undo_disabled_ever, !speculative);
-        }
-    }
-
     #[test]
     fn out_of_window_commit_counts_in_ops_but_not_in_committed() {
         let mut m = RunMetrics::default();
@@ -298,17 +229,5 @@ mod tests {
         assert!(m.committed_by_proc.is_empty());
         m.record_txn(0, &plan, true, &fp, 2, Some(250.0));
         assert_eq!((m.committed, m.latency.count(), m.distributed), (1, 1, 2));
-    }
-
-    #[test]
-    fn table_bit_saturates_instead_of_overflowing() {
-        assert_eq!(table_bit(0), 1);
-        assert_eq!(table_bit(63), 1u64 << 63);
-        // Regression: `1u64 << 70` was a debug panic / release wrap that
-        // aliased table 70 onto table 6. Saturation aliases all wide ids
-        // onto bit 63 — conservative, never a different low table.
-        assert_eq!(table_bit(64), 1u64 << 63);
-        assert_eq!(table_bit(1000), 1u64 << 63);
-        assert_eq!(table_bit(70) & table_bit(6), 0);
     }
 }

@@ -58,10 +58,10 @@ pub struct HoudiniConfig {
     /// The confidence-coefficient threshold of §4.3 / Fig. 13. Estimations
     /// whose confidence falls below it are pruned (conservative fallback).
     pub threshold: f64,
-    /// Emit OP4 finished-partition declarations (early prepare, plus
-    /// speculative execution in the simulator). Off is the OP4 ablation:
-    /// plans are produced identically but `TxnPlan::early_prepare` stays
-    /// false, so the engine never releases a partition before 2PC.
+    /// Emit OP4 finished-partition declarations (early prepare). Off is
+    /// the OP4 ablation: plans are produced identically but
+    /// `TxnPlan::early_prepare` stays false, so the engine never releases
+    /// a partition before 2PC.
     pub early_prepare: bool,
     /// Learn from traffic (§4.5), in the simulator and the live runtime
     /// alike: emit per-transaction path feedback at session teardown and

@@ -519,7 +519,12 @@ mod tests {
             "test-module use must be exempt: {v:?}"
         );
         // Every module under the runtime directory is facade-ported too.
-        let v = check_file("crates/engine/src/runtime/spec.rs", &src, &BTreeSet::new(), &mut used);
+        let v = check_file(
+            "crates/engine/src/runtime/participant.rs",
+            &src,
+            &BTreeSet::new(),
+            &mut used,
+        );
         assert!(rules_of(&v).contains(&"facade-purity"), "runtime/ is covered by prefix: {v:?}");
     }
 

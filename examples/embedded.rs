@@ -86,12 +86,12 @@ fn main() {
 
         // 4. Observe the run without stopping it.
         std::thread::sleep(std::time::Duration::from_millis(50));
-        println!("mid-run:  {}", runtime.metrics().summary());
+        println!("mid-run:  {}", runtime.metrics());
     });
 
     // 5. Drain, stop, reassemble.
     let (metrics, db) = runtime.shutdown();
-    println!("final:    {}", metrics.summary());
+    println!("final:    {metrics}");
     assert_eq!(metrics.committed + metrics.user_aborts, 1_500 + 600 + 600);
 
     // The database came back whole: all partitions, updates applied in

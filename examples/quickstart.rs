@@ -65,7 +65,6 @@ fn main() {
     }
     println!("  single-partition : {:>8}", metrics.single_partition);
     println!("  distributed      : {:>8}", metrics.distributed);
-    println!("  speculative      : {:>8}", metrics.speculative);
     println!("  no-undo txns     : {:>8}", metrics.no_undo);
     println!("  restarts         : {:>8}", metrics.restarts);
     println!(

@@ -23,13 +23,7 @@ fn run<A: LiveAdvisor>(bench: Bench, parts: u32, name: &str, advisor: &A) -> eng
     let sim = Simulation::new(&mut db, &registry, advisor, &mut gen, CostModel::default(), cfg);
     let m = sim.run().expect("simulation").0;
     let lat = m.mean_latency_ms().map_or_else(|| "-".to_string(), |ms| format!("{ms:.2}"));
-    println!(
-        "{name:<26} {:>9.0} {lat:>9} {:>9} {:>9} {:>9}",
-        m.throughput_tps(),
-        m.restarts,
-        m.no_undo,
-        m.speculative
-    );
+    println!("{name:<26} {:>9.0} {lat:>9} {:>9} {:>9}", m.throughput_tps(), m.restarts, m.no_undo);
     m
 }
 
@@ -48,8 +42,8 @@ fn main() {
     let houdini = Houdini::new(preds, catalog.clone(), parts, HoudiniConfig::default());
 
     println!(
-        "{:<26} {:>9} {:>9} {:>9} {:>9} {:>9}",
-        "strategy", "txn/s", "lat(ms)", "restarts", "no-undo", "spec"
+        "{:<26} {:>9} {:>9} {:>9} {:>9}",
+        "strategy", "txn/s", "lat(ms)", "restarts", "no-undo"
     );
     let m = run(bench, parts, "houdini", &houdini);
     run(bench, parts, "proper-selection (oracle)", &Oracle::new());

@@ -86,10 +86,11 @@ fn simulation_digest<A: LiveAdvisor>(bench: Bench, advisor: &A) -> u64 {
 /// every paper figure is a `Simulation` run, so a refactor of the shared
 /// transaction protocol must leave these digests untouched. Grid: every
 /// benchmark × {Oracle, assume-single-partition, assume-distributed,
-/// globally trained Houdini, Houdini with partitioned models}; the first
-/// four constants were computed at the commit before `engine::txn`
-/// replaced the simulator's own attempt loop, the fifth at the commit that
-/// replaced EM clustering with the one-feature split.
+/// globally trained Houdini, Houdini with partitioned models}; the two
+/// assume-* constants were computed at the commit before `engine::txn`
+/// replaced the simulator's own attempt loop, the Oracle and Houdini ones
+/// at the commit that made the simulator's OP4 the live runtime's early
+/// prepare (no speculation windows).
 #[test]
 fn simulation_outcomes_are_pinned() {
     let got = Bench::ALL.map(|bench| {
@@ -105,25 +106,25 @@ fn simulation_outcomes_are_pinned() {
     });
     let want = [
         [
-            0x2125_0c28_ba96_f119,
+            0xd7c1_98f7_ea7f_c3ba,
             0x77b0_7c61_f002_8e55,
             0xafa9_288f_348e_a0df,
-            0xeeb1_c83e_4c50_74af,
-            0x83bf_db44_592f_faba,
+            0x61b2_f9b2_bdfb_03c0,
+            0xf72a_c591_42ad_2400,
         ],
         [
-            0xadee_6c97_5232_040d,
+            0xea1a_1981_1b25_8383,
             0xaeb2_0389_0c44_0974,
             0xee75_951e_a58e_f418,
-            0xcfe3_31e6_3d26_95fa,
-            0xcfe3_31e6_3d26_95fa, // no split pays on TPC-C: the global digest
+            0x84d6_c9b9_69f1_9bcb,
+            0x84d6_c9b9_69f1_9bcb, // no split pays on TPC-C: the global digest
         ],
         [
-            0x427b_e8ef_ebde_3b2c,
+            0x3c52_6772_d276_1063,
             0xd229_739d_2677_6b26,
             0x36b5_19ab_298d_a2fb,
-            0xdfbc_d5fd_46a3_cf5a,
-            0x9d7b_4e45_2d69_67c8,
+            0xf7f1_1c3a_0863_7d31,
+            0x4a23_f48b_bc2d_3020,
         ],
     ];
     assert_eq!(
