@@ -9,18 +9,21 @@
 //!
 //! ## Replay order
 //!
-//! Each partition's log file order *is* that partition's serialization:
+//! Each partition's record stream *is* that partition's serialization:
 //! the worker thread appends records at the same single-threaded service
 //! points where it applies effects, so no cross-thread reordering can slip
-//! between a record and the effects it describes. Single-partition writers
+//! between a record and the effects it describes. All partitions share one
+//! segment file per generation, but each device flush writes a partition's
+//! buffered bytes as one chunk in append order, so a partition's chunks,
+//! concatenated, are its stream. Single-partition writers
 //! appear as [`wal::LogRecord::Local`] on their home partition.
 //! Distributed transactions appear as a [`wal::LogRecord::DistBegin`] on
 //! every participant (at the position the worker began serving it) plus a
 //! [`wal::LogRecord::Decision`] at its 2PC resolution point.
 //!
 //! `replay` (crate-internal) merges the per-partition streams
-//! topologically, reading each one record at a time from the segment
-//! files ([`wal::LogStream`]): `Local` and `Decision` records
+//! topologically, reading each one record at a time from its chunks of the
+//! segment files ([`wal::LogStream`]): `Local` and `Decision` records
 //! advance freely; a `DistBegin` is a synchronization point — the
 //! transaction re-executes exactly once, when *every* participant's cursor
 //! has parked at its own begin record, and only if a durable
@@ -116,7 +119,8 @@ pub(crate) fn replay(
     state: &mut RecoveredState,
 ) -> std::io::Result<(u64, u64)> {
     let outcomes = &mut state.outcomes;
-    let mut streams: Vec<_> = state.segments.iter().map(|s| LogStream::new(s)).collect();
+    let mut streams: Vec<_> =
+        (0..db.num_partitions()).map(|p| LogStream::new(&state.segments, p)).collect();
     // The record each partition's cursor rests on; `None` once it is spent.
     let mut heads =
         streams.iter_mut().map(|s| s.next().transpose()).collect::<Result<Vec<_>, _>>()?;
@@ -199,7 +203,6 @@ mod tests {
     use rand::rngs::SmallRng;
     use rand::Rng;
     use std::collections::{HashMap, HashSet};
-    use std::io::Write as _;
     use std::path::Path;
     use storage::Row;
     use wal::{DistOutcome, LogSet};
@@ -276,8 +279,8 @@ mod tests {
         d
     }
 
-    /// Writes one generation of segments through `LogSet`: `streams[p]`
-    /// lands in partition `p`'s segment, flushed and fsynced.
+    /// Writes generation `gen`'s segment through `LogSet` with one flush:
+    /// `streams[p]` becomes partition `p`'s chunk.
     fn write_gen(dir: &Path, gen: u64, streams: &[Vec<LogRecord>]) {
         let logs = LogSet::open(dir, streams.len() as u32, gen).unwrap();
         for (p, stream) in streams.iter().enumerate() {
@@ -288,22 +291,31 @@ mod tests {
         logs.flush_all();
     }
 
-    /// Appends the first half of a frame to partition `p`'s segment `gen`:
-    /// the torn tail a crash in the middle of a device write leaves.
-    fn tear(dir: &Path, p: u32, gen: u64) {
-        let mut frame = Vec::new();
-        local(BUMP, u64::MAX, 0).encode_into(&mut frame);
-        let mut f =
-            std::fs::OpenOptions::new().append(true).open(wal::segment_path(dir, p, gen)).unwrap();
-        f.write_all(&frame[..frame.len() / 2]).unwrap();
+    /// Cuts generation `gen`'s segment to its first `at` bytes: the torn
+    /// tail a crash in the middle of a device write leaves.
+    fn tear(dir: &Path, gen: u64, at: u64) {
+        let f = std::fs::OpenOptions::new().write(true).open(wal::segment_path(dir, gen)).unwrap();
+        f.set_len(at).unwrap();
     }
 
-    /// Scans `dir` and replays it onto a fresh `kv_database(parts, 4)`;
-    /// returns the scan as it was before replay retired its outcomes.
+    fn segment_len(dir: &Path, gen: u64) -> u64 {
+        std::fs::metadata(wal::segment_path(dir, gen)).unwrap().len()
+    }
+
+    /// Scans `dir`, restores its snapshot (if any) onto a fresh
+    /// `kv_database(parts, 4)` and replays the log on top; returns the
+    /// scan as it was before replay retired its outcomes.
     fn recover(dir: &Path, parts: u32) -> (Database, RecoveredState, (u64, u64)) {
         let mut db = kv_database(parts, 4);
         let reg = registry();
         let mut state = wal::scan(dir, parts).unwrap();
+        if let Some(rows) = state.snapshot.take() {
+            let mut shards = db.into_shards();
+            for (shard, tables) in shards.iter_mut().zip(rows) {
+                shard.restore_tables(tables);
+            }
+            db = Database::from_shards(shards);
+        }
         let counts = replay(&mut db, &reg, &reg.catalog(), &mut state).unwrap();
         (db, wal::scan(dir, parts).unwrap(), counts)
     }
@@ -376,22 +388,83 @@ mod tests {
 
     #[test]
     fn a_torn_tail_ends_its_generation_and_the_next_one_continues() {
-        // Generation 0 ends in half a frame (the crash); the recovered run
-        // wrote generation 1 behind it. Replay must take 0's valid prefix,
-        // drop the torn frame, and carry on into 1.
+        // Generation 0's last write is torn inside its frame (the crash);
+        // the recovered run wrote generation 1 behind it. Replay must take
+        // 0's valid prefix, drop the torn frame, and carry on into 1.
         let dir = tmpdir("torn");
         write_gen(&dir, 0, &[vec![local(BUMP, 1, 0)], vec![local(BUMP, 2, 1)]]);
-        tear(&dir, 0, 0);
+        let whole = segment_len(&dir, 0);
+        write_gen(&dir, 0, &[vec![], vec![local(BUMP, 9, 1)]]);
+        tear(&dir, 0, (whole + segment_len(&dir, 0)) / 2 + 4);
         write_gen(&dir, 1, &[vec![local(BUMP, 3, 0)], vec![local(BUMP, 4, 1)]]);
         let (db, state, counts) = recover(&dir, 2);
         assert_eq!(counts, (4, 0));
         assert_eq!((val(&db, 0), val(&db, 1)), (2, 2));
         assert_eq!(state.log_records_scanned, 4);
         assert_eq!(state.max_txn_id, 4, "the torn frame's id is not counted");
-        let torn = &state.segments[0][0];
-        let on_disk = std::fs::metadata(&torn.path).unwrap().len();
-        assert!(torn.len < on_disk, "valid prefix {} of {on_disk} bytes", torn.len);
+        assert_eq!(state.segments[0].len, whole, "the valid prefix ends at the torn write");
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_flush_in_the_rotation_window_lands_each_chunk_in_its_generation() {
+        // The snapshot cut of generation 1 has reached partition 0 but not
+        // yet partition 1, so one flush writes to both generations' files.
+        let dir = tmpdir("window");
+        let logs = LogSet::open(&dir, 2, 0).unwrap();
+        let pre = [vec![local(PUT, 1, 0)], vec![local(PUT, 2, 1), local(PUT, 4, 1)]];
+        let post = [vec![local(PUT, 3, 0), local(PUT, 6, 0)], vec![local(PUT, 5, 1)]];
+        logs.append(0, &pre[0][0]);
+        logs.append(1, &pre[1][0]);
+        logs.rotate(0, 1).unwrap();
+        logs.append(0, &post[0][0]);
+        logs.append(1, &pre[1][1]);
+        logs.flush_all();
+        let state = wal::scan(&dir, 2).unwrap();
+        let read = |gen: usize, p: u32| -> Vec<LogRecord> {
+            LogStream::new(&state.segments[gen..=gen], p).map(Result::unwrap).collect()
+        };
+        assert_eq!((read(0, 0), read(0, 1)), (pre[0].clone(), pre[1].clone()));
+        assert_eq!((read(1, 0), read(1, 1)), (vec![post[0][0].clone()], vec![]));
+        logs.rotate(1, 1).unwrap();
+        logs.append(0, &post[0][1]);
+        logs.append(1, &post[1][0]);
+        logs.flush_all();
+        drop(logs);
+
+        // Publish snapshot 1: the shards as the pre-cut records left them.
+        let cut_dir = tmpdir("window-cut");
+        write_gen(&cut_dir, 0, &pre);
+        let (cut_db, ..) = recover(&cut_dir, 2);
+        for shard in cut_db.into_shards() {
+            wal::write_snapshot(&dir, shard.partition(), 1, &shard.snapshot_rows()).unwrap();
+        }
+        wal::write_marker(&dir, 1).unwrap();
+
+        let (db, state, counts) = recover(&dir, 2);
+        assert_eq!(state.snapshot_gen, Some(1));
+        assert_eq!(counts, (3, 0), "only the post-cut records replay");
+        assert_eq!(state.log_records_scanned, 3);
+        // The same writes as one uncut log, recovered without a snapshot.
+        let whole_dir = tmpdir("window-whole");
+        let whole: Vec<Vec<LogRecord>> =
+            (0..2).map(|p| [&pre[p][..], &post[p][..]].concat()).collect();
+        write_gen(&whole_dir, 0, &whole);
+        let (expect, ..) = recover(&whole_dir, 2);
+        for id in 0..8 {
+            assert_eq!(val(&db, id), val(&expect, id), "key {id}");
+        }
+        // Recovering again, after the recovered run opened its segment,
+        // yields the same state.
+        drop(LogSet::open(&dir, 2, state.max_gen + 1).unwrap());
+        let (again, _, again_counts) = recover(&dir, 2);
+        assert_eq!(again_counts, counts);
+        for id in 0..8 {
+            assert_eq!(val(&again, id), val(&db, id), "key {id}");
+        }
+        for d in [&dir, &cut_dir, &whole_dir] {
+            let _ = std::fs::remove_dir_all(d);
+        }
     }
 
     #[test]
@@ -561,35 +634,81 @@ mod tests {
         streams
     }
 
+    /// Writes `streams` as generation `gen` through `LogSet`, appending the
+    /// partitions' records in a random interleaving and flushing at random
+    /// points. Returns, per partition, the segment offset at which each
+    /// record's frame ends: chunks lie in ascending partition order within
+    /// a flush, each behind an 8-byte header (partition and length).
+    fn write_flushes(
+        dir: &Path,
+        gen: u64,
+        streams: &[Vec<LogRecord>],
+        rng: &mut SmallRng,
+    ) -> Vec<Vec<u64>> {
+        let logs = LogSet::open(dir, streams.len() as u32, gen).unwrap();
+        let mut ends = vec![Vec::new(); streams.len()];
+        let mut pending: Vec<Vec<u64>> = vec![Vec::new(); streams.len()];
+        let mut next = vec![0usize; streams.len()];
+        let total: usize = streams.iter().map(Vec::len).sum();
+        for i in 0..total {
+            let open: Vec<usize> =
+                (0..streams.len()).filter(|&p| next[p] < streams[p].len()).collect();
+            let p = open[rng.gen_range(0..open.len())];
+            let rec = &streams[p][next[p]];
+            next[p] += 1;
+            logs.append(p as u32, rec);
+            let mut frame = Vec::new();
+            rec.encode_into(&mut frame);
+            pending[p].push(frame.len() as u64);
+            if i + 1 == total || rng.gen_bool(0.3) {
+                let mut at = segment_len(dir, gen);
+                logs.flush_all();
+                for (p, frames) in pending.iter_mut().enumerate().filter(|(_, f)| !f.is_empty()) {
+                    at += 8;
+                    for len in frames.drain(..) {
+                        at += len;
+                        ends[p].push(at);
+                    }
+                }
+                assert_eq!(at, segment_len(dir, gen), "the layout the offsets assume");
+            }
+        }
+        ends
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(48))]
 
-        /// Each partition's stream reaches the disk as a crash leaves it:
-        /// only a prefix survives, split across two generations, and the
-        /// first generation may end in a torn frame. Streaming replay over
-        /// those files must agree with the in-memory replay over the
-        /// surviving records, in counts, tables, and scan totals.
+        /// Each partition's stream reaches the disk split across two
+        /// generations, each written over several flushes, and a crash
+        /// may cut either generation's segment at any byte: what survives
+        /// of a partition is every record whose frame ends before its
+        /// segment's cut. Streaming replay over those files must agree
+        /// with the in-memory replay over the surviving records, in
+        /// counts, tables, and scan totals.
         #[test]
         fn streaming_replay_matches_the_in_memory_replay(seed in any::<u64>()) {
             let mut rng = common::rng::seeded_rng(seed);
             let parts = rng.gen_range(1..=3u32);
             let full = generated_streams(&mut rng, parts);
             let dir = tmpdir("prop");
-            let (mut gens, mut survived) = ([Vec::new(), Vec::new()], Vec::new());
-            let mut torn = Vec::new();
+            let mut gens = [Vec::new(), Vec::new()];
             for stream in &full {
-                let kept = if rng.gen_bool(0.5) { stream.len() } else { rng.gen_range(0..=stream.len()) };
-                let split = rng.gen_range(0..=kept);
+                let split = rng.gen_range(0..=stream.len());
                 gens[0].push(stream[..split].to_vec());
-                gens[1].push(stream[split..kept].to_vec());
-                survived.push(stream[..kept].to_vec());
-                torn.push(rng.gen_bool(0.5));
+                gens[1].push(stream[split..].to_vec());
             }
-            write_gen(&dir, 0, &gens[0]);
-            for p in (0..parts).filter(|&p| torn[p as usize]) {
-                tear(&dir, p, 0);
+            let mut survived = vec![Vec::new(); parts as usize];
+            for (gen, streams) in gens.iter().enumerate() {
+                let ends = write_flushes(&dir, gen as u64, streams, &mut rng);
+                let len = segment_len(&dir, gen as u64);
+                let cut = if rng.gen_bool(0.5) { len } else { rng.gen_range(0..=len) };
+                tear(&dir, gen as u64, cut);
+                for (p, stream) in streams.iter().enumerate() {
+                    let kept = ends[p].iter().filter(|&&end| end <= cut).count();
+                    survived[p].extend_from_slice(&stream[..kept]);
+                }
             }
-            write_gen(&dir, 1, &gens[1]);
 
             let (db, state, counts) = recover(&dir, parts);
             let _ = std::fs::remove_dir_all(&dir);

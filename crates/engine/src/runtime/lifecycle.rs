@@ -139,7 +139,8 @@ pub(super) struct Durable<S> {
     /// [`common::flush`]).
     pub(super) seq: FlushSequencer,
     /// Next command-log transaction id. Ids only need global uniqueness —
-    /// replay order comes from per-partition file order, never from ids.
+    /// replay order comes from each partition's record order in the log,
+    /// never from ids.
     pub(super) next_txn_id: AtomicU64,
     /// Snapshot generations completed (marker written).
     pub(super) snapshots_taken: AtomicU64,

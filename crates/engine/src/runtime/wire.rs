@@ -32,8 +32,8 @@ pub(super) enum FragCmd {
     /// Durable-mode preamble (DESIGN.md §7): the coordinator's first
     /// command to each participant, positioning the transaction's
     /// [`wal::LogRecord::DistBegin`] in that partition's command log
-    /// *before* any of its fragments execute there — per-partition file
-    /// order is the replay order, so the begin must precede every effect
+    /// *before* any of its fragments execute there — the partition's
+    /// record order is the replay order, so the begin must precede every effect
     /// it covers. Carries the full request so replay can re-execute the
     /// procedure. No reply, no modeled network delay (it rides the same
     /// lane push cycle as the batch that follows it). Never sent when

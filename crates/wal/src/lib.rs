@@ -1,6 +1,6 @@
-//! Durability for the live partition runtime: per-partition **command
-//! logs**, transaction-consistent **snapshots**, and the **recovery scan**
-//! that turns the surviving files back into replayable state.
+//! Durability for the live partition runtime: the **command log**,
+//! transaction-consistent **snapshots**, and the **recovery scan** that
+//! turns the surviving files back into replayable state.
 //!
 //! The design is the H-Store/VoltDB answer the paper assumes around its
 //! prediction framework: the engine's execution is deterministic given the
@@ -11,21 +11,23 @@
 //! Layout on disk, inside one durability directory:
 //!
 //! ```text
-//! log-p{p}-g{gen}.wal    partition p's command-log segment for generation g
+//! log-g{gen}.wal         the command-log segment for generation g: every
+//!                        partition's records, in per-partition chunks
 //! snap-p{p}-g{gen}.snap  partition p's serialized table rows at snapshot g
 //! snap-g{gen}.ok         marker: snapshot generation g is complete
 //! ```
 //!
 //! Generations tie the two together: a snapshot of generation `g` rotates
-//! every partition's log to segment `g` *at the same fenced instant* it
+//! each partition's log to segment `g` *at the same fenced instant* it
 //! serializes the shard, so recovery is "load the newest marked snapshot
 //! `g*`, then replay every segment with generation `>= g*` in ascending
-//! order per partition". Segments and snapshots below the newest marker
-//! are dead weight and are truncated after the marker lands.
+//! order". Segments and snapshots below the newest marker are dead weight
+//! and are truncated after the marker lands.
 //!
-//! Records within one partition's (concatenated) segments are a faithful
-//! serialization of that partition's committed writers — the worker
-//! appends them at its own service points — and distributed transactions
+//! One partition's chunks, concatenated over the segments in generation
+//! order, are a faithful serialization of that partition's committed
+//! writers — the worker appends them at its own service points — and
+//! distributed transactions
 //! appear as a `DistBegin`/`Decision` pair whose begin positions are
 //! consistent across partitions (see `engine::durability` for the replay
 //! argument). Torn or corrupt tails are detected by per-record checksums
@@ -46,9 +48,9 @@ pub use snapshot::{marker_path, read_snapshot, snapshot_path, write_marker, writ
 
 use std::path::{Path, PathBuf};
 
-/// Path of partition `p`'s log segment for generation `gen`.
-pub fn segment_path(dir: &Path, p: u32, gen: u64) -> PathBuf {
-    dir.join(format!("log-p{p}-g{gen}.wal"))
+/// Path of the log segment for generation `gen`.
+pub fn segment_path(dir: &Path, gen: u64) -> PathBuf {
+    dir.join(format!("log-g{gen}.wal"))
 }
 
 /// Deletes every segment, snapshot, and marker with generation strictly
@@ -84,7 +86,7 @@ pub(crate) fn parse_gen(name: &str) -> Option<u64> {
 }
 
 /// Parses `(partition, generation)` from a per-partition file name like
-/// `log-p3-g7.wal` / `snap-p3-g7.snap`.
+/// `snap-p3-g7.snap`.
 pub(crate) fn parse_part_gen(name: &str, prefix: &str, suffix: &str) -> Option<(u32, u64)> {
     let rest = name.strip_prefix(prefix)?.strip_suffix(suffix)?;
     let (p, g) = rest.split_once("-g")?;

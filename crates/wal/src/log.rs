@@ -1,44 +1,96 @@
-//! Per-partition command-log segments and the group-commit flush device.
+//! The command log: per-partition append buffers over one segment file per
+//! generation, and the group-commit flush device.
 //!
-//! Workers append encoded records to an in-memory buffer under their
-//! partition's mutex — a memcpy, never an I/O — and one *device flush*
-//! ([`LogSet::flush_all`]) writes and fsyncs every partition's buffered
-//! bytes in one pass. The engine drives that flush through the
+//! Workers append encoded records to their partition's in-memory buffer
+//! under that partition's mutex — a memcpy, never an I/O. One *device
+//! flush* ([`LogSet::flush_all`]) takes the writer lock, swaps every dirty
+//! buffer out, and writes them all to the generation's segment
+//! `log-g{gen}.wal` with one `write_all` and one `sync_data`, however many
+//! partitions were dirty. The engine drives that flush through the
 //! `FlushSequencer` (via [`FileDevice`]), so one real `write+fsync` covers
-//! a whole coalesced group of commits across all workers: the group-commit
-//! design the sequencer has always modeled, now against a real device.
+//! a whole coalesced group of commits across all workers.
 //!
-//! Segment rotation ([`LogSet::rotate`]) closes a partition's current
-//! segment (flushing and fsyncing its remaining bytes so the pre-rotation
-//! prefix is complete on disk) and opens `log-p{p}-g{gen}.wal`. The
-//! snapshot fence rotates every partition at its consistent cut, tying
-//! segment generations to snapshot generations.
+//! A segment is a sequence of chunks, one per dirty partition per flush:
+//!
+//! ```text
+//! [partition: u32][len: u32][len bytes: whole record frames]
+//! ```
+//!
+//! Buffers are swapped out only under the writer lock, so one partition's
+//! chunks lie in the file in its append order: concatenated, they are that
+//! partition's record stream. No chunk is empty, so a zero `len` (a
+//! zero-filled tail) ends the segment.
+//!
+//! Segment rotation ([`LogSet::rotate`]) moves one partition to a new
+//! generation at its snapshot cut. It flushes like `flush_all`, and the
+//! rotated partition's pre-cut bytes land in the old generation's file.
+//! Between the first and the last partition's rotation a flush writes two
+//! files; that window is the only time one flush syncs more than one.
 
 use crate::record::LogRecord;
 use crate::segment_path;
 use common::flush::FlushDevice;
 use std::fs::{File, OpenOptions};
-use std::io::Write as _;
+use std::io::{self, Write as _};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
 
-/// One partition's open segment: the append buffer plus the file handle
-/// (shared, so a device flush can sync it without holding the lock).
+/// Chunk header: partition (`u32`) plus payload length (`u32`).
+pub(crate) const CHUNK_HEADER: usize = 8;
+
+/// `(partition, len)` from a chunk header.
+pub(crate) fn chunk_header(head: &[u8; CHUNK_HEADER]) -> (u32, u32) {
+    let word = |i: usize| u32::from_le_bytes(head[i..i + 4].try_into().expect("4 bytes"));
+    (word(0), word(4))
+}
+
+/// One partition's append buffer and the generation its bytes belong to.
 #[derive(Debug)]
 struct PartitionLog {
-    file: Arc<File>,
     buf: Vec<u8>,
     gen: u64,
 }
 
-/// The set of per-partition command logs for one durability directory.
-/// Appends are cheap and per-partition; [`LogSet::flush_all`] is the one
-/// real I/O point (plus [`LogSet::rotate`] at snapshot fences).
+/// One open segment file and the chunks bound for it in the flush under
+/// way.
+#[derive(Debug)]
+struct Segment {
+    gen: u64,
+    file: File,
+    out: Vec<u8>,
+}
+
+/// What the writer lock guards.
+#[derive(Debug)]
+struct Writer {
+    /// Open segments: one, or two while a snapshot cut is moving the
+    /// partitions to the next generation.
+    segments: Vec<Segment>,
+    /// An empty buffer that trades places with each dirty partition's.
+    spare: Vec<u8>,
+}
+
+impl Writer {
+    /// Opens (creating or appending) the segment for `gen` unless it is
+    /// open already.
+    fn open(&mut self, dir: &Path, gen: u64) -> io::Result<()> {
+        if self.segments.iter().all(|s| s.gen != gen) {
+            let file = OpenOptions::new().create(true).append(true).open(segment_path(dir, gen))?;
+            self.segments.push(Segment { gen, file, out: Vec::with_capacity(4096) });
+        }
+        Ok(())
+    }
+}
+
+/// The command log of one durability directory. Appends are cheap and
+/// per-partition; [`LogSet::flush_all`] is the one real I/O point (plus
+/// [`LogSet::rotate`] at snapshot fences).
 #[derive(Debug)]
 pub struct LogSet {
     dir: PathBuf,
     parts: Vec<Mutex<PartitionLog>>,
+    writer: Mutex<Writer>,
     /// Total records appended (all partitions).
     records: AtomicU64,
     /// Total encoded bytes appended (all partitions).
@@ -46,20 +98,20 @@ pub struct LogSet {
 }
 
 impl LogSet {
-    /// Opens (creating or appending) one segment per partition at
-    /// generation `gen` under `dir`, creating the directory if needed.
-    pub fn open(dir: &Path, num_partitions: u32, gen: u64) -> std::io::Result<Self> {
+    /// Opens (creating or appending) the segment of generation `gen` under
+    /// `dir` for `num_partitions` partitions, creating the directory if
+    /// needed.
+    pub fn open(dir: &Path, num_partitions: u32, gen: u64) -> io::Result<Self> {
         std::fs::create_dir_all(dir)?;
-        let mut parts = Vec::with_capacity(num_partitions as usize);
-        for p in 0..num_partitions {
-            let file =
-                OpenOptions::new().create(true).append(true).open(segment_path(dir, p, gen))?;
-            let file = Arc::new(file);
-            parts.push(Mutex::new(PartitionLog { file, buf: Vec::with_capacity(4096), gen }));
-        }
+        let mut writer = Writer { segments: Vec::new(), spare: Vec::with_capacity(4096) };
+        writer.open(dir, gen)?;
+        let parts = (0..num_partitions)
+            .map(|_| Mutex::new(PartitionLog { buf: Vec::with_capacity(4096), gen }))
+            .collect();
         Ok(LogSet {
             dir: dir.to_path_buf(),
             parts,
+            writer: Mutex::new(writer),
             records: AtomicU64::new(0),
             bytes: AtomicU64::new(0),
         })
@@ -90,42 +142,64 @@ impl LogSet {
 
     /// Writes and fsyncs every partition's buffered bytes: the real device
     /// flush behind one group-commit epoch. On return, every record
-    /// appended before this call is durable. Each partition's bytes are
-    /// written under its lock, so no append interleaves with them, and
-    /// synced after it is released: the worker appending the next
-    /// commit's records never waits out an fsync.
+    /// appended before this call is durable. A partition's mutex is held
+    /// only to swap its buffer out, so the worker appending the next
+    /// commit's records never waits out the write or the fsync.
     pub fn flush_all(&self) {
-        for part in &self.parts {
-            let file = {
+        self.flush(None).expect("command-log write + fsync");
+    }
+
+    /// Moves partition `p` to generation `gen` (opening its segment) and
+    /// flushes: `p`'s bytes appended before the call land, durable, in its
+    /// old generation's file, and its later appends in `gen`'s. Called by
+    /// the worker that owns `p`, at its snapshot service point.
+    pub fn rotate(&self, p: u32, gen: u64) -> io::Result<()> {
+        self.flush(Some((p, gen)))
+    }
+
+    /// The one flush body. Holds the writer lock through the sync, so a
+    /// flush that finds nothing left to write cannot return before an
+    /// earlier flush's bytes are on disk; appends never take that lock.
+    fn flush(&self, rotate: Option<(u32, u64)>) -> io::Result<()> {
+        let mut writer = self.writer.lock().unwrap_or_else(PoisonError::into_inner);
+        let w = &mut *writer;
+        if let Some((_, gen)) = rotate {
+            w.open(&self.dir, gen)?;
+        }
+        let mut min_gen = u64::MAX;
+        for (p, part) in self.parts.iter().enumerate() {
+            let gen = {
                 let mut log = part.lock().unwrap_or_else(PoisonError::into_inner);
+                let gen = log.gen;
+                match rotate {
+                    Some((q, to)) if q as usize == p => log.gen = to,
+                    _ => {}
+                }
+                min_gen = min_gen.min(log.gen);
                 if log.buf.is_empty() {
                     continue;
                 }
-                Self::write_out(&mut log);
-                Arc::clone(&log.file)
+                std::mem::swap(&mut log.buf, &mut w.spare);
+                gen
             };
-            file.sync_data().expect("command-log fsync");
+            let seg = w
+                .segments
+                .iter_mut()
+                .find(|s| s.gen == gen)
+                .expect("every partition's generation has an open segment");
+            let len = u32::try_from(w.spare.len()).expect("a chunk holds under 4 GiB");
+            seg.out.extend_from_slice(&(p as u32).to_le_bytes());
+            seg.out.extend_from_slice(&len.to_le_bytes());
+            seg.out.extend_from_slice(&w.spare);
+            w.spare.clear();
         }
-    }
-
-    /// Moves the buffered bytes into the segment file (no sync).
-    fn write_out(log: &mut PartitionLog) {
-        (&*log.file).write_all(&log.buf).expect("command-log write");
-        log.buf.clear();
-    }
-
-    /// Closes partition `p`'s current segment (flushing and fsyncing its
-    /// remaining buffered bytes so the old segment is complete on disk)
-    /// and opens the segment for generation `gen`. Called by the worker
-    /// that owns `p`, at its snapshot service point.
-    pub fn rotate(&self, p: u32, gen: u64) -> std::io::Result<()> {
-        let mut log = self.parts[p as usize].lock().unwrap_or_else(PoisonError::into_inner);
-        Self::write_out(&mut log);
-        log.file.sync_data()?;
-        let file =
-            OpenOptions::new().create(true).append(true).open(segment_path(&self.dir, p, gen))?;
-        log.file = Arc::new(file);
-        log.gen = gen;
+        for seg in w.segments.iter_mut().filter(|s| !s.out.is_empty()) {
+            seg.file.write_all(&seg.out)?;
+            seg.out.clear();
+            seg.file.sync_data()?;
+        }
+        // A generation no partition appends to any more is complete.
+        w.segments.retain(|s| s.gen >= min_gen);
         Ok(())
     }
 
@@ -136,9 +210,9 @@ impl LogSet {
     }
 }
 
-/// [`FlushDevice`] over a [`LogSet`]: one device flush = write+fsync of
-/// every partition's buffered log bytes — the only device the live runtime
-/// flushes through.
+/// [`FlushDevice`] over a [`LogSet`]: one device flush = one write+fsync
+/// of every partition's buffered log bytes — the only device the live
+/// runtime flushes through.
 #[derive(Debug, Clone)]
 pub struct FileDevice(pub Arc<LogSet>);
 
@@ -159,11 +233,31 @@ mod tests {
         d
     }
 
+    /// The chunks of a segment's bytes as `(partition, records)`.
+    fn chunks(bytes: &[u8]) -> Vec<(u32, Vec<LogRecord>)> {
+        let mut out = Vec::new();
+        let mut rest = bytes;
+        while rest.len() >= CHUNK_HEADER {
+            let (p, len) = chunk_header(rest[..CHUNK_HEADER].try_into().unwrap());
+            let len = len as usize;
+            let (recs, used) = LogRecord::decode_stream(&rest[CHUNK_HEADER..][..len]);
+            assert_eq!(used, len, "a chunk holds whole frames");
+            out.push((p, recs));
+            rest = &rest[CHUNK_HEADER + len..];
+        }
+        assert!(rest.is_empty());
+        out
+    }
+
+    fn local(txn_id: u64) -> LogRecord {
+        LogRecord::Local { txn_id, proc: 0, args: vec![Value::Int(txn_id as i64)] }
+    }
+
     #[test]
     fn append_flush_and_reload() {
         let dir = tmpdir("basic");
         let logs = LogSet::open(&dir, 2, 0).unwrap();
-        let r0 = LogRecord::Local { txn_id: 1, proc: 0, args: vec![Value::Int(1)] };
+        let r0 = local(1);
         let r1 = LogRecord::Decision { txn_id: 2, commit: true };
         logs.append(0, &r0);
         logs.append(1, &r1);
@@ -171,10 +265,23 @@ mod tests {
         let (n, b) = logs.counters();
         assert_eq!(n, 2);
         assert!(b > 0);
-        let bytes = std::fs::read(segment_path(&dir, 0, 0)).unwrap();
-        let (recs, used) = LogRecord::decode_stream(&bytes);
-        assert_eq!(recs, vec![r0]);
-        assert_eq!(used, bytes.len());
+        let bytes = std::fs::read(segment_path(&dir, 0)).unwrap();
+        assert_eq!(chunks(&bytes), vec![(0, vec![r0]), (1, vec![r1])]);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn one_flush_of_four_dirty_partitions_writes_one_file() {
+        let dir = tmpdir("one-file");
+        let logs = LogSet::open(&dir, 4, 0).unwrap();
+        for p in 0..4 {
+            logs.append(p, &local(u64::from(p)));
+        }
+        logs.flush_all();
+        let files: Vec<_> = std::fs::read_dir(&dir).unwrap().map(|e| e.unwrap().path()).collect();
+        assert_eq!(files, vec![segment_path(&dir, 0)]);
+        let bytes = std::fs::read(&files[0]).unwrap();
+        assert_eq!(chunks(&bytes).iter().map(|c| c.0).collect::<Vec<_>>(), [0, 1, 2, 3]);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -182,18 +289,17 @@ mod tests {
     fn rotation_completes_the_old_segment_and_opens_the_new() {
         let dir = tmpdir("rotate");
         let logs = LogSet::open(&dir, 1, 0).unwrap();
-        let pre = LogRecord::Local { txn_id: 1, proc: 0, args: vec![] };
-        let post = LogRecord::Local { txn_id: 2, proc: 0, args: vec![] };
+        let (pre, post) = (local(1), local(2));
         logs.append(0, &pre);
         // Buffered but never explicitly flushed: rotation must land it in
         // the *old* segment (it predates the cut).
         logs.rotate(0, 1).unwrap();
         logs.append(0, &post);
         logs.flush_all();
-        let (old, _) = LogRecord::decode_stream(&std::fs::read(segment_path(&dir, 0, 0)).unwrap());
-        let (new, _) = LogRecord::decode_stream(&std::fs::read(segment_path(&dir, 0, 1)).unwrap());
-        assert_eq!(old, vec![pre]);
-        assert_eq!(new, vec![post]);
+        let old = chunks(&std::fs::read(segment_path(&dir, 0)).unwrap());
+        let new = chunks(&std::fs::read(segment_path(&dir, 1)).unwrap());
+        assert_eq!(old, vec![(0, vec![pre])]);
+        assert_eq!(new, vec![(0, vec![post])]);
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -2,14 +2,14 @@
 //!
 //! [`scan`] finds the newest *complete* snapshot generation (marker
 //! present and every partition's snapshot file validates), loads its rows,
-//! and makes one validating pass over every log segment at or above that
-//! generation, frame by frame. It keeps no records: only each segment's
-//! valid byte length (torn tails dropped per segment), the 2PC outcome
-//! table and the highest transaction id. The engine then replays each
-//! partition's [`LogStream`] — the valid prefixes of its segments, in
-//! ascending generation order — on top of the snapshot
-//! (or the freshly loaded base population when no snapshot exists),
-//! holding one decoded record per partition at a time.
+//! and makes one validating pass over each log segment at or above that
+//! generation, chunk by chunk and frame by frame. It keeps no records:
+//! only each segment's valid byte length (a torn or zero-filled tail
+//! dropped), the 2PC outcome table and the highest transaction id. The
+//! engine then replays each partition's [`LogStream`] — that partition's
+//! chunks in the segments' valid prefixes, in ascending generation order —
+//! on top of the snapshot (or the freshly loaded base population when no
+//! snapshot exists), holding one decoded record per partition at a time.
 //!
 //! A marker whose snapshot files fail to validate is skipped in favor of
 //! an older one; in practice that cannot happen from a crash alone (the
@@ -18,12 +18,13 @@
 //! reached its marker are simply replayed around: the segments they
 //! rotated still concatenate into the same per-partition record order.
 
+use crate::log::{chunk_header, CHUNK_HEADER};
 use crate::record::{FrameReader, LogRecord};
 use crate::snapshot::{read_snapshot, SnapRow};
 use crate::{parse_part_gen, segment_path};
 use common::fxhash::FxHashMap;
 use std::fs::File;
-use std::io::{self, BufReader, Read, Take};
+use std::io::{self, BufReader, Read};
 use std::path::{Path, PathBuf};
 
 /// The valid prefix of one log segment: replay reads `len` bytes of `path`.
@@ -107,9 +108,8 @@ pub struct RecoveredState {
     /// Per-partition snapshot rows (`[partition][table][row]`), present
     /// iff `snapshot_gen` is.
     pub snapshot: Option<Vec<Vec<Vec<SnapRow>>>>,
-    /// Per partition, the segments to replay, in ascending generation
-    /// order.
-    pub segments: Vec<Vec<ValidSegment>>,
+    /// The segments to replay, in ascending generation order.
+    pub segments: Vec<ValidSegment>,
     /// The 2PC outcome table over every `DistBegin` and `Decision` record
     /// in the streams.
     pub outcomes: Outcomes,
@@ -117,24 +117,25 @@ pub struct RecoveredState {
     /// runtime allocates ids strictly above this.
     pub max_txn_id: u64,
     /// Highest generation seen on any surviving file (0 when none): the
-    /// recovered runtime opens fresh segments *above* this.
+    /// recovered runtime opens a fresh segment *above* this.
     pub max_gen: u64,
     /// Total log records decoded across all streams.
     pub log_records_scanned: u64,
 }
 
-/// One partition's replay stream: its segments' valid prefixes, chained
-/// in generation order and decoded one record at a time.
+/// One partition's replay stream: its chunks in the segments' valid
+/// prefixes, chained in generation order and decoded one record at a time.
 #[derive(Debug)]
 pub struct LogStream<'a> {
+    part: u32,
     rest: std::slice::Iter<'a, ValidSegment>,
-    cur: Option<FrameReader<BufReader<Take<File>>>>,
+    cur: Option<FrameReader<Chunks>>,
 }
 
 impl<'a> LogStream<'a> {
-    /// The stream over `segments`, read in order.
-    pub fn new(segments: &'a [ValidSegment]) -> Self {
-        LogStream { rest: segments.iter(), cur: None }
+    /// Partition `part`'s stream over `segments`, read in order.
+    pub fn new(segments: &'a [ValidSegment], part: u32) -> Self {
+        LogStream { part, rest: segments.iter(), cur: None }
     }
 }
 
@@ -148,20 +149,95 @@ impl Iterator for LogStream<'_> {
             }
             let seg = self.rest.next()?;
             match File::open(&seg.path) {
-                Ok(f) => self.cur = Some(FrameReader::new(BufReader::new(f.take(seg.len)))),
+                Ok(f) => {
+                    let src = BufReader::new(f);
+                    let chunks = Chunks { src, part: self.part, left: seg.len, in_chunk: 0 };
+                    self.cur = Some(FrameReader::new(chunks));
+                }
                 Err(e) => return Some(Err(e)),
             }
         }
     }
 }
 
+/// One partition's chunk payloads in a segment's valid prefix, read as one
+/// byte stream; other partitions' chunks are seeked past unread.
+#[derive(Debug)]
+struct Chunks {
+    src: BufReader<File>,
+    part: u32,
+    /// Valid-prefix bytes not yet consumed.
+    left: u64,
+    /// Bytes left in the current chunk of `part`.
+    in_chunk: u64,
+}
+
+impl Read for Chunks {
+    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+        while self.in_chunk == 0 {
+            if self.left < CHUNK_HEADER as u64 {
+                return Ok(0);
+            }
+            let mut head = [0u8; CHUNK_HEADER];
+            self.src.read_exact(&mut head)?;
+            self.left -= CHUNK_HEADER as u64;
+            let (p, len) = chunk_header(&head);
+            let len = u64::from(len).min(self.left);
+            if p == self.part {
+                self.in_chunk = len;
+            } else {
+                self.src.seek_relative(len as i64)?;
+                self.left -= len;
+            }
+        }
+        let want = buf.len().min(usize::try_from(self.in_chunk).unwrap_or(usize::MAX));
+        let n = self.src.read(&mut buf[..want])?;
+        self.in_chunk -= n as u64;
+        self.left -= n as u64;
+        Ok(n)
+    }
+}
+
+/// One validating pass over the segment at `path`, handing each valid
+/// record to `visit`; returns the length of the valid prefix. The prefix
+/// ends at the first chunk header that is short, has a zero length, or
+/// names no partition below `parts`, and inside a chunk after its last
+/// valid frame when a frame fails.
+fn validate(path: &Path, parts: u32, mut visit: impl FnMut(LogRecord)) -> io::Result<u64> {
+    let mut src = BufReader::new(File::open(path)?);
+    let mut valid = 0u64;
+    loop {
+        let mut head = [0u8; CHUNK_HEADER];
+        match src.read_exact(&mut head) {
+            Ok(()) => {}
+            Err(e) if e.kind() == io::ErrorKind::UnexpectedEof => return Ok(valid),
+            Err(e) => return Err(e),
+        }
+        let (p, len) = chunk_header(&head);
+        if len == 0 || p >= parts {
+            return Ok(valid);
+        }
+        let mut frames = FrameReader::new((&mut src).take(u64::from(len)));
+        for rec in frames.by_ref() {
+            visit(rec?);
+        }
+        let got = frames.valid_len();
+        if got > 0 {
+            valid += CHUNK_HEADER as u64 + got;
+        }
+        if got != u64::from(len) {
+            return Ok(valid);
+        }
+    }
+}
+
 /// Scans `dir` for the newest usable snapshot plus the log segments to
 /// replay on top of it. A missing or empty directory is a valid fresh
-/// state, not an error.
+/// state, not an error; a segment of the per-partition layout is an
+/// `InvalidData` error naming the file.
 pub fn scan(dir: &Path, num_partitions: u32) -> io::Result<RecoveredState> {
-    let parts = num_partitions as usize;
     let mut markers: Vec<u64> = Vec::new();
-    let mut gens: Vec<Vec<u64>> = vec![Vec::new(); parts];
+    let mut gens: Vec<u64> = Vec::new();
     let mut max_gen = 0u64;
     match std::fs::read_dir(dir) {
         Ok(entries) => {
@@ -169,11 +245,24 @@ pub fn scan(dir: &Path, num_partitions: u32) -> io::Result<RecoveredState> {
                 let entry = entry?;
                 let name = entry.file_name();
                 let Some(name) = name.to_str() else { continue };
-                if let Some((p, g)) = parse_part_gen(name, "log-", ".wal") {
-                    if (p as usize) < parts {
-                        gens[p as usize].push(g);
-                    }
+                if let Some(g) = name
+                    .strip_prefix("log-g")
+                    .and_then(|s| s.strip_suffix(".wal"))
+                    .and_then(|g| g.parse::<u64>().ok())
+                {
+                    gens.push(g);
                     max_gen = max_gen.max(g);
+                } else if parse_part_gen(name, "log-", ".wal").is_some() {
+                    // A `log-p{p}-g{g}.wal` segment of the per-partition
+                    // layout: skipping it would drop acknowledged commits.
+                    return Err(io::Error::new(
+                        io::ErrorKind::InvalidData,
+                        format!(
+                            "{}: per-partition command-log segment of an older layout; \
+                             this build reads only log-g{{gen}}.wal segments",
+                            entry.path().display()
+                        ),
+                    ));
                 } else if let Some((_, g)) = parse_part_gen(name, "snap-", ".snap") {
                     max_gen = max_gen.max(g);
                 } else if let Some(g) =
@@ -204,28 +293,22 @@ pub fn scan(dir: &Path, num_partitions: u32) -> io::Result<RecoveredState> {
         }
     }
     let floor = snapshot_gen.unwrap_or(0);
-    let mut segments = Vec::with_capacity(parts);
+    gens.sort_unstable();
+    let mut segments = Vec::with_capacity(gens.len());
     let mut outcomes = Outcomes::default();
     let (mut max_txn_id, mut scanned) = (0u64, 0u64);
-    for (p, gens) in gens.iter_mut().enumerate() {
-        gens.sort_unstable();
-        let mut valid = Vec::new();
-        for &g in gens.iter().filter(|&&g| g >= floor) {
-            let path = segment_path(dir, p as u32, g);
-            let mut frames = FrameReader::new(BufReader::new(File::open(&path)?));
-            for rec in frames.by_ref() {
-                let rec = rec?;
-                scanned += 1;
-                max_txn_id = max_txn_id.max(rec.txn_id());
-                match rec {
-                    LogRecord::DistBegin { txn_id, .. } => outcomes.add_participant(txn_id),
-                    LogRecord::Decision { txn_id, commit } => outcomes.decide(txn_id, commit),
-                    LogRecord::Local { .. } => {}
-                }
+    for g in gens.into_iter().filter(|&g| g >= floor) {
+        let path = segment_path(dir, g);
+        let len = validate(&path, num_partitions, |rec| {
+            scanned += 1;
+            max_txn_id = max_txn_id.max(rec.txn_id());
+            match rec {
+                LogRecord::DistBegin { txn_id, .. } => outcomes.add_participant(txn_id),
+                LogRecord::Decision { txn_id, commit } => outcomes.decide(txn_id, commit),
+                LogRecord::Local { .. } => {}
             }
-            valid.push(ValidSegment { path, len: frames.valid_len() });
-        }
-        segments.push(valid);
+        })?;
+        segments.push(ValidSegment { path, len });
     }
     Ok(RecoveredState {
         snapshot_gen,
@@ -247,8 +330,33 @@ mod tests {
     use std::path::PathBuf;
 
     /// Partition `p`'s replay stream, decoded.
-    fn records(s: &RecoveredState, p: usize) -> Vec<LogRecord> {
-        LogStream::new(&s.segments[p]).collect::<io::Result<_>>().unwrap()
+    fn records(s: &RecoveredState, p: u32) -> Vec<LogRecord> {
+        LogStream::new(&s.segments, p).collect::<io::Result<_>>().unwrap()
+    }
+
+    fn local(txn_id: u64) -> LogRecord {
+        LogRecord::Local { txn_id, proc: 0, args: vec![Value::Int(txn_id as i64)] }
+    }
+
+    /// Appends `streams[p]` to partition `p`, one record per partition in
+    /// turn, flushing after every `every` rounds and at the end. Returns
+    /// the segment length after each flush.
+    fn write_interleaved(logs: &LogSet, streams: &[Vec<LogRecord>], every: usize) -> Vec<u64> {
+        let path = crate::segment_path(logs.dir(), 0);
+        let rounds = streams.iter().map(Vec::len).max().unwrap_or(0);
+        let mut ends = Vec::new();
+        for i in 0..rounds {
+            for (p, stream) in streams.iter().enumerate() {
+                if let Some(rec) = stream.get(i) {
+                    logs.append(p as u32, rec);
+                }
+            }
+            if (i + 1) % every == 0 || i + 1 == rounds {
+                logs.flush_all();
+                ends.push(std::fs::metadata(&path).unwrap().len());
+            }
+        }
+        ends
     }
 
     fn tmpdir(tag: &str) -> PathBuf {
@@ -261,7 +369,7 @@ mod tests {
     fn fresh_directory_is_empty_state() {
         let s = scan(&tmpdir("fresh"), 3).unwrap();
         assert_eq!(s.snapshot_gen, None);
-        assert_eq!(s.segments.len(), 3);
+        assert!(s.segments.is_empty());
         assert!((0..3).all(|p| records(&s, p).is_empty()));
         assert_eq!(s.max_gen, 0);
     }
@@ -292,9 +400,9 @@ mod tests {
         assert!(records(&s, 1).is_empty());
         assert_eq!(s.max_gen, 1);
         assert_eq!(s.log_records_scanned, 1);
-        // Truncation removes the dead generation-0 segments.
+        // Truncation removes the dead generation-0 segment.
         let removed = crate::truncate_below(&dir, 1).unwrap();
-        assert_eq!(removed, 2);
+        assert_eq!(removed, 1);
         let again = scan(&dir, 2).unwrap();
         assert_eq!(records(&again, 0), records(&s, 0));
         let _ = std::fs::remove_dir_all(&dir);
@@ -317,6 +425,90 @@ mod tests {
         // Both records survive, in order, across the rotation boundary.
         assert_eq!(records(&s, 0), vec![a, b]);
         assert_eq!(s.max_gen, 1);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn interleaved_partitions_come_back_in_per_partition_order() {
+        let dir = tmpdir("interleaved");
+        let logs = LogSet::open(&dir, 3, 0).unwrap();
+        // Uneven streams, so later flushes leave some partitions clean.
+        let streams: Vec<Vec<LogRecord>> =
+            (0..3u64).map(|p| (0..40 + 13 * p).map(|i| local(1000 * p + i)).collect()).collect();
+        let ends = write_interleaved(&logs, &streams, 3);
+        assert!(ends.len() > 20, "{} flushes", ends.len());
+        let s = scan(&dir, 3).unwrap();
+        for p in 0..3 {
+            assert_eq!(records(&s, p), streams[p as usize], "partition {p}");
+        }
+        assert_eq!(s.log_records_scanned, streams.iter().map(Vec::len).sum::<usize>() as u64);
+        assert_eq!(s.segments[0].len, *ends.last().unwrap());
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_tear_anywhere_in_the_last_write_keeps_every_earlier_flush() {
+        let dir = tmpdir("tear-src");
+        let logs = LogSet::open(&dir, 3, 0).unwrap();
+        let streams: Vec<Vec<LogRecord>> =
+            (0..3u64).map(|p| (0..6).map(|i| local(100 * p + i)).collect()).collect();
+        let ends = write_interleaved(&logs, &streams, 2);
+        assert_eq!(ends.len(), 3);
+        let bytes = std::fs::read(crate::segment_path(&dir, 0)).unwrap();
+        // Flushes 1 and 2 held rounds 0..4: four records per partition.
+        let (before, full) = (ends[1] as usize, bytes.len());
+        let torn = tmpdir("tear");
+        std::fs::create_dir_all(&torn).unwrap();
+        for cut in before..=full {
+            std::fs::write(crate::segment_path(&torn, 0), &bytes[..cut]).unwrap();
+            let s = scan(&torn, 3).unwrap();
+            assert!(s.segments[0].len <= cut as u64, "cut {cut}");
+            for p in 0..3 {
+                let got = records(&s, p);
+                let stream = &streams[p as usize];
+                assert!(got.len() >= 4, "cut {cut}: partition {p} kept {} records", got.len());
+                assert_eq!(got[..], stream[..got.len()], "cut {cut}: partition {p}");
+                if cut == full {
+                    assert_eq!(&got, stream);
+                }
+            }
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+        let _ = std::fs::remove_dir_all(&torn);
+    }
+
+    #[test]
+    fn a_zero_length_chunk_header_ends_the_segment() {
+        let dir = tmpdir("zero");
+        let logs = LogSet::open(&dir, 2, 0).unwrap();
+        logs.append(0, &local(1));
+        logs.append(1, &local(2));
+        logs.flush_all();
+        let path = crate::segment_path(&dir, 0);
+        let first = std::fs::read(&path).unwrap();
+        // A zero-filled header, then a well-formed copy of the first flush.
+        let mut bytes = first.clone();
+        bytes.extend_from_slice(&[0; CHUNK_HEADER]);
+        bytes.extend_from_slice(&first);
+        std::fs::write(&path, &bytes).unwrap();
+        let s = scan(&dir, 2).unwrap();
+        assert_eq!(s.segments[0].len, first.len() as u64);
+        assert_eq!(records(&s, 0), vec![local(1)]);
+        assert_eq!(records(&s, 1), vec![local(2)]);
+        assert_eq!(s.log_records_scanned, 2);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_per_partition_segment_is_refused_by_name() {
+        let dir = tmpdir("old-layout");
+        let logs = LogSet::open(&dir, 1, 0).unwrap();
+        logs.append(0, &local(1));
+        logs.flush_all();
+        std::fs::copy(crate::segment_path(&dir, 0), dir.join("log-p0-g0.wal")).unwrap();
+        let err = scan(&dir, 1).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert!(err.to_string().contains("log-p0-g0.wal"), "{err}");
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

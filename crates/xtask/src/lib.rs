@@ -1,6 +1,6 @@
 //! Text/line-based repo-invariant lints (`cargo xtask lint`).
 //!
-//! Four rules, all enforced over the non-test code under `crates/` (see
+//! Five rules, all enforced over the non-test code under `crates/` (see
 //! DESIGN.md §"Concurrency model & checking" for the invariants they guard):
 //!
 //! * **ordering-rationale** — every `Ordering::` use carries an adjacent
@@ -19,6 +19,9 @@
 //! * **send-unwrap** — no `unwrap()` / `expect(` on channel `.send(` calls
 //!   under `engine/src/runtime/`: a shutdown race would escalate a benign
 //!   disconnect into a panic.
+//! * **device-sync** — `sync_data(` / `sync_all(` appear only in
+//!   `wal/src/log.rs` (the group-commit flush) and `wal/src/snapshot.rs`
+//!   (snapshot files and markers), so no fsync creeps onto a serving path.
 //!
 //! Deliberately text-based (no `syn`, no dependencies): the rules key on
 //! line patterns plus a brace-tracked `#[cfg(test)]` mask, which is robust
@@ -60,6 +63,10 @@ const RUNTIME_DIR: &str = "crates/engine/src/runtime/";
 
 /// The file whose lock-claim loop gets the ascending-locks rule.
 const LOCK_RS: &str = "crates/engine/src/runtime/lock.rs";
+
+/// The only files that may sync a file to the device: the command log's
+/// group-commit flush and the snapshot writer.
+const DEVICE_SYNC_ALLOWED: &[&str] = &["crates/wal/src/log.rs", "crates/wal/src/snapshot.rs"];
 
 /// Whether `rel` is the file `entry` names, or — for an `entry` ending in
 /// `/` — lies under that directory.
@@ -191,6 +198,9 @@ pub fn check_file(
     }
     if FACADE_PORTED.iter().any(|f| path_matches(rel, f)) {
         out.extend(rule_facade_purity(rel, &lines, &mask));
+    }
+    if !all_test && !DEVICE_SYNC_ALLOWED.iter().any(|f| path_matches(rel, f)) {
+        out.extend(rule_device_sync(rel, &lines, &mask));
     }
     out
 }
@@ -447,6 +457,29 @@ fn rule_send_unwrap(rel: &str, lines: &[&str], mask: &[bool]) -> Vec<Violation> 
     out
 }
 
+fn rule_device_sync(rel: &str, lines: &[&str], mask: &[bool]) -> Vec<Violation> {
+    let mut out = Vec::new();
+    for (i, raw) in lines.iter().enumerate() {
+        if mask[i] {
+            continue;
+        }
+        let code = strip_comment(raw);
+        if code.contains("sync_data(") || code.contains("sync_all(") {
+            out.push(Violation {
+                file: rel.into(),
+                line: i + 1,
+                rule: "device-sync",
+                message: format!(
+                    "fsync outside the command log and the snapshot writer (durability \
+                     goes through `LogSet::flush_all`): {}",
+                    code.trim()
+                ),
+            });
+        }
+    }
+    out
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -536,6 +569,21 @@ mod tests {
             check_file("crates/engine/src/runtime/worker.rs", &src, &BTreeSet::new(), &mut used);
         let sends: Vec<_> = v.iter().filter(|x| x.rule == "send-unwrap").collect();
         assert_eq!(sends.len(), 2, "unwrap() and expect() must both trip: {v:?}");
+    }
+
+    #[test]
+    fn device_sync_fixture_fails_outside_the_wal() {
+        let src = fixture("device_sync.rs");
+        let mut used = BTreeSet::new();
+        let v =
+            check_file("crates/engine/src/runtime/worker.rs", &src, &BTreeSet::new(), &mut used);
+        let syncs: Vec<_> = v.iter().filter(|x| x.rule == "device-sync").collect();
+        assert_eq!(syncs.len(), 1, "one non-test call; comments and tests exempt: {v:?}");
+        assert_eq!(syncs[0].line, 5);
+        for allowed in DEVICE_SYNC_ALLOWED {
+            let v = check_file(allowed, &src, &BTreeSet::new(), &mut used);
+            assert!(v.iter().all(|x| x.rule != "device-sync"), "{allowed}: {v:?}");
+        }
     }
 
     #[test]
