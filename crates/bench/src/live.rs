@@ -658,12 +658,13 @@ fn measure_log_overhead(scale: Scale) -> Result<Reading, String> {
     const ROUNDS: usize = 7;
     let parts = 2;
     let houdini = Arc::new(trained_houdini(Bench::Tatp, parts, scale.trace_len(), true, 0.5, 71));
-    // Group commit is a throughput mechanism, not a latency one: an ack
-    // waits for the fsync covering its group, so a shallow closed loop
-    // (the scaling sweep's 4 clients/partition) serializes on the device
-    // and measures fsync *latency*, not logging *cost*. Deepen the loop
-    // so the flusher always has the next group forming while it syncs the
-    // current one — the regime the <10% bar is defined over.
+    // Group commit is a throughput mechanism, not a latency one: a
+    // writer's call waits for the fsync covering its group, so a shallow
+    // closed loop (the scaling sweep's 4 clients/partition) serializes on
+    // the device and measures fsync *latency*, not logging *cost*. Deepen
+    // the loop so the next group of waiting writers is always forming
+    // while the device syncs the current one — the regime the <10% bar is
+    // defined over.
     let base = ClosedLoop {
         clients_per_partition: 4 * CLIENTS_PER_PARTITION,
         ..ClosedLoop::new(Bench::Tatp, parts, 4 * requests(scale, 250), live_config(71, 0), 73)

@@ -71,7 +71,8 @@ struct State {
     durable: u64,
     /// A leader is currently inside the device operation.
     flushing: bool,
-    /// Flush demands served (flusher-thread groups + coordinator waits).
+    /// Flush demands served: one per wait, so in the live runtime one per
+    /// durable writing commit.
     total: u64,
     /// Demands satisfied without a dedicated device operation of their
     /// own (rode another leader's flush, or found the ticket durable).

@@ -314,10 +314,10 @@ pub struct RunMetrics {
     /// planning / coordination / queueing / other) per procedure —
     /// simulated µs in the simulator, wall-clock µs in the live runtime.
     pub profile: Profiler,
-    /// Commit-flush demands registered with the shared flush sequencer
-    /// (flusher-thread groups + coordinator 2PC durability waits); durable
-    /// live runtime only (0 otherwise), filled from the sequencer at
-    /// snapshot/teardown.
+    /// Commit-flush demands registered with the shared flush sequencer:
+    /// one per durable writing commit (a fast-path writer's client or a
+    /// 2PC coordinator waits once); durable live runtime only (0
+    /// otherwise), filled from the sequencer at snapshot/teardown.
     pub flushes_total: u64,
     /// The subset of `flushes_total` satisfied by a device operation some
     /// other thread led — cross-thread commit-flush coalescing at work.

@@ -203,8 +203,14 @@ impl<A: LiveAdvisor + 'static> Client<A> {
                     self.reply.take_or_abandon(|| lane.is_closed())
                 };
                 match got {
-                    Some(SingleReply::Done { committed, session, fp, times }) => {
+                    Some(SingleReply::Done { committed, session, fp, times, ticket }) => {
                         acc.fold_reply(times, us_since(t_send));
+                        // A durable writer was acknowledged as soon as its
+                        // worker logged it; the call returns once a device
+                        // flush covers that record.
+                        if let (Some(d), Some(t)) = (&env.durable, ticket) {
+                            d.wait_durable(t, &mut acc);
+                        }
                         Attempt::Done { committed, fp, session }
                     }
                     Some(SingleReply::Mispredict { req: r, observed, session, times }) => {

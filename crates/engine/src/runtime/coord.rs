@@ -34,9 +34,9 @@ pub(super) struct StageAcc {
     /// `coord_us`), splitting the distributed path's coordination cost the
     /// way Fig. 11's analysis needs it: time blocked acquiring the lock
     /// set, time in the 2PC finish round (outcome sends + acks), and time
-    /// waiting on the shared commit-flush sequencer (durable mode). The
-    /// fast path's residual coordination (durable-ack waits, channel hops)
-    /// lands in none of them.
+    /// waiting on the shared commit-flush sequencer (durable mode, on both
+    /// paths: `Durable::wait_durable`). The fast path's residual
+    /// coordination (channel hops) lands in none of them.
     pub(super) lock_us: f64,
     pub(super) twopc_us: f64,
     pub(super) flush_us: f64,
@@ -44,8 +44,8 @@ pub(super) struct StageAcc {
 
 impl StageAcc {
     /// Folds one fast-path round trip: the stages the worker measured,
-    /// plus the round trip's unexplained remainder (channel hops, waiting
-    /// for the covering device flush) as coordination.
+    /// plus the round trip's unexplained remainder (channel hops) as
+    /// coordination.
     pub(super) fn fold_reply(&mut self, times: StageTimes, round_trip_us: f64) {
         self.queue_us += times.queued_us;
         self.est_us += times.est_us;
@@ -419,16 +419,7 @@ pub(super) fn run_distributed<A: LiveAdvisor>(
                 record_remaining_hold(lock_holds, lock_set, fp.early_released, t_locked);
                 drop(locks_held);
                 if let Some((d, t)) = ticket {
-                    // Lead a flush at once if the device is idle; ride the
-                    // one in flight otherwise, and lead the next if that
-                    // one started before this ticket. Commits arriving
-                    // during one fsync share the next, so the fsync rate
-                    // stays at or below one per device-flush time.
-                    let t_flush = Instant::now();
-                    d.seq.wait_durable_dev(t, &d.device);
-                    let fw = us_since(t_flush);
-                    acc.coord_us += fw;
-                    acc.flush_us += fw;
+                    d.wait_durable(t, acc);
                 }
                 break (fin, true);
             }

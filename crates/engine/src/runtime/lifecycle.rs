@@ -1,9 +1,10 @@
 //! Configuration, shared state, and the runtime's start / recover / teardown.
 
 use super::client::Client;
+use super::coord::StageAcc;
 use super::lock::LockManager;
-use super::wire::{CtrlMsg, WorkerGate};
-use super::worker::{flusher_loop, worker_loop, FlushJob};
+use super::wire::{us_since, CtrlMsg, WorkerGate};
+use super::worker::worker_loop;
 use crate::advisor::{LiveAdvisor, LiveMaintainer, Request, TxnFeedback};
 use crate::catalog::Catalog;
 use crate::durability::{DurabilityConfig, RecoveryReport};
@@ -13,7 +14,7 @@ use crate::sim::RequestGenerator;
 use common::flush::FlushSequencer;
 use common::ring::Doorbell;
 use common::sync::atomic::{AtomicU64, Ordering};
-use common::sync::mpsc::{channel, sync_channel, Receiver, Sender, SyncSender};
+use common::sync::mpsc::{channel, sync_channel, Receiver, SyncSender};
 use common::sync::{Arc, Mutex, PoisonError};
 use common::{Error, PartitionId, PartitionSet, Result};
 use std::thread::JoinHandle;
@@ -42,9 +43,9 @@ pub struct LiveConfig {
     pub msg_delay_us: u64,
     /// Durability (DESIGN.md §7): when set, every committed writer is
     /// command-logged under the configured directory and its
-    /// acknowledgement is withheld until a real `write+fsync` covers it
-    /// (group commit via the shared [`FlushSequencer`], the fsync itself
-    /// off-worker on a dedicated flusher thread). `None` turns durability
+    /// call returns only once a real `write+fsync` covers it (group commit
+    /// via the shared [`FlushSequencer`]: the calling client leads or rides
+    /// the flush on its own thread, never a worker). `None` turns durability
     /// off: every reply goes out the moment its transaction finishes and
     /// a distributed commit waits on nothing.
     pub durability: Option<DurabilityConfig>,
@@ -96,10 +97,9 @@ pub(super) struct Shared<A: LiveAdvisor> {
     pub(super) next_client: AtomicU64,
     pub(super) started: Instant,
     /// Real-durability state ([`LiveConfig::durability`]): the open
-    /// command-log segments, the txn-id allocator, snapshot bookkeeping,
-    /// the flush sequencer, and the flusher-thread intake. `None` when
-    /// durability is off.
-    pub(super) durable: Option<Durable<A::Session>>,
+    /// command log, the txn-id allocator, snapshot bookkeeping, and the
+    /// flush sequencer. `None` when durability is off.
+    pub(super) durable: Option<Durable>,
 }
 
 impl<A: LiveAdvisor> Shared<A> {
@@ -124,19 +124,17 @@ impl<A: LiveAdvisor> Shared<A> {
     }
 }
 
-/// Live durability state (DESIGN.md §7), shared by workers, coordinators,
-/// the flusher thread, and the snapshotter.
-pub(super) struct Durable<S> {
+/// Live durability state (DESIGN.md §7), shared by workers, clients, and
+/// the snapshotter.
+pub(super) struct Durable {
     pub(super) logs: Arc<LogSet>,
     /// The one [`FlushDevice`](common::flush::FlushDevice) over `logs`:
-    /// every sequencer wait — flusher, coordinators, the teardown-race
-    /// fallback — leads its `write+fsync` through this.
+    /// every sequencer wait leads its `write+fsync` through this.
     pub(super) device: FileDevice,
-    /// Flush sequencer for the log device: flusher-thread groups and
-    /// coordinator 2PC durability waits all go through it, so concurrent
-    /// flush demands — from *different* workers and coordinators —
-    /// coalesce into one device operation (epoch-ticketed; see
-    /// [`common::flush`]).
+    /// Flush sequencer for the log device. Every durable commit's wait
+    /// goes through it, a fast-path writer's client and a 2PC
+    /// coordinator alike, so concurrent flush demands coalesce into one
+    /// device operation (epoch-ticketed; see [`common::flush`]).
     pub(super) seq: FlushSequencer,
     /// Next command-log transaction id. Ids only need global uniqueness —
     /// replay order comes from each partition's record order in the log,
@@ -149,13 +147,9 @@ pub(super) struct Durable<S> {
     /// Milliseconds [`LiveRuntime::recover`] spent before this runtime
     /// started serving; zero for a fresh boot.
     pub(super) recovery_ms: f64,
-    /// Intake of the dedicated flusher thread ([`flusher_loop`]): held
-    /// fast-path commit acks ride here with their sequencer ticket, so the
-    /// real fsync happens off every worker's serving path.
-    pub(super) flusher: Sender<FlushJob<S>>,
 }
 
-impl<S> Durable<S> {
+impl Durable {
     pub(super) fn next_id(&self) -> u64 {
         // ordering: Relaxed — ids only need uniqueness (see field docs);
         // every use is published through a channel or the log mutex.
@@ -163,11 +157,26 @@ impl<S> Durable<S> {
     }
 
     /// Command-logs one committed single-partition writer at its service
-    /// position in `p`'s log.
-    pub(super) fn append_local(&self, p: PartitionId, req: &Request) {
+    /// position in `p`'s log and returns the sequencer ticket its client
+    /// waits on. The ticket is taken after the append, so any flush that
+    /// covers it covers the record.
+    pub(super) fn append_local(&self, p: PartitionId, req: &Request) -> u64 {
         let record =
             LogRecord::Local { txn_id: self.next_id(), proc: req.proc, args: req.args.clone() };
         self.logs.append(p, &record);
+        self.seq.enqueue()
+    }
+
+    /// Blocks the calling client until `ticket` is durable: it leads a
+    /// device flush at once if the device is idle, rides the one in flight
+    /// otherwise, and leads the next if that one started before the
+    /// ticket. The wait is charged to `acc`'s Coordination/Flush.
+    pub(super) fn wait_durable(&self, ticket: u64, acc: &mut StageAcc) {
+        let t_flush = Instant::now();
+        self.seq.wait_durable_dev(ticket, &self.device);
+        let us = us_since(t_flush);
+        acc.coord_us += us;
+        acc.flush_us += us;
     }
 }
 
@@ -213,8 +222,6 @@ pub(super) fn snapshot_cluster<A: LiveAdvisor>(env: &Shared<A>) -> Option<u64> {
 struct Running {
     workers: Vec<JoinHandle<Shard>>,
     maintenance: Option<JoinHandle<MaintenanceReport>>,
-    /// Durable mode's dedicated fsync thread (see [`flusher_loop`]).
-    flusher: Option<JoinHandle<()>>,
     /// Background snapshotter: its stop flag (0 = run, 1 = stop) and
     /// handle. The thread sleeps via `park_timeout`, so teardown stores
     /// the flag and unparks.
@@ -332,17 +339,14 @@ impl<A: LiveAdvisor + 'static> LiveRuntime<A> {
         let num_partitions = db.num_partitions();
         let catalog = registry.catalog();
         let shards = db.into_shards();
-        // Durable mode: open the command-log segments (a recovered boot
-        // starts a fresh generation above everything on disk) and the
-        // flusher intake before any worker can serve.
+        // Durable mode: open the command log before any worker can serve
+        // (a recovered boot starts a fresh generation above everything on
+        // disk).
         let seed = recovered.unwrap_or(RecoverySeed { gen: 0, next_txn_id: 1, recovery_ms: 0.0 });
-        let mut flusher_rx: Option<Receiver<FlushJob<A::Session>>> = None;
         let durable = cfg.durability.as_ref().map(|dc| {
             let logs = LogSet::open(&dc.dir, num_partitions, seed.gen)
                 .expect("open command-log directory");
             let logs = Arc::new(logs);
-            let (tx, rx) = channel();
-            flusher_rx = Some(rx);
             Durable {
                 device: FileDevice(Arc::clone(&logs)),
                 seq: FlushSequencer::new(),
@@ -351,7 +355,6 @@ impl<A: LiveAdvisor + 'static> LiveRuntime<A> {
                 snapshots_taken: AtomicU64::new(0),
                 active_gen: AtomicU64::new(seed.gen),
                 recovery_ms: seed.recovery_ms,
-                flusher: tx,
             }
         });
         // The §4.5 feedback pipeline exists only when the advisor can
@@ -384,13 +387,6 @@ impl<A: LiveAdvisor + 'static> LiveRuntime<A> {
             next_client: AtomicU64::new(0),
             started: Instant::now(),
             durable,
-        });
-        let flusher = flusher_rx.map(|rx| {
-            let shared = Arc::clone(&shared);
-            std::thread::Builder::new()
-                .name("wal-flusher".into())
-                .spawn(move || flusher_loop::<A>(&shared, &rx))
-                .expect("spawn flusher thread")
         });
         let snapshotter =
             shared.cfg.durability.as_ref().and_then(|dc| dc.snapshot_every).map(|every| {
@@ -455,10 +451,7 @@ impl<A: LiveAdvisor + 'static> LiveRuntime<A> {
                 })
                 .expect("spawn maintenance thread")
         });
-        LiveRuntime {
-            shared,
-            running: Some(Running { workers, maintenance, flusher, snapshotter }),
-        }
+        LiveRuntime { shared, running: Some(Running { workers, maintenance, snapshotter }) }
     }
 
     /// Takes a transaction-consistent snapshot of every partition right
@@ -544,21 +537,11 @@ impl<A: LiveAdvisor + 'static> LiveRuntime<A> {
                 Err(p) => thread_panic = Some(p),
             }
         }
-        // Flusher after the workers: every ack they routed is already
-        // queued ahead of the Stop, so every held ack drains and flushes
-        // before the join; the final flush_all makes any buffered
-        // shutdown stragglers durable too.
-        if let Some(h) = running.flusher {
-            if let Some(d) = &self.shared.durable {
-                let _ = d.flusher.send(FlushJob::Stop);
-            }
-            match h.join() {
-                Ok(()) => {}
-                Err(p) => thread_panic = Some(p),
-            }
-            if let Some(d) = &self.shared.durable {
-                d.logs.flush_all();
-            }
+        // With the workers gone nothing appends any more: make whatever
+        // no client is waiting on durable too (the records of an aborted
+        // 2PC, or a writer whose client has yet to lead its flush).
+        if let Some(d) = &self.shared.durable {
+            d.logs.flush_all();
         }
         // Pin the measurement window at drain completion: every accepted
         // transaction has finished once the workers join. Charging the
@@ -678,8 +661,9 @@ pub(super) mod tests {
     use crate::advisor::{PlanContext, TxnOutcome, TxnPlan};
     use crate::baselines::{AssumeDistributed, AssumeSinglePartition};
     use crate::procedure::testing::{kv_database, kv_registry, KvGen};
-    use crate::profiler::Bucket;
+    use crate::profiler::{Bucket, CoordSub};
     use common::Value;
+    use std::sync::mpsc;
 
     fn live_run<A: LiveAdvisor + 'static>(
         advisor: A,
@@ -971,8 +955,7 @@ pub(super) mod tests {
         for i in 0..60i64 {
             // Alternate a committing write with a read-shaped call: a
             // missing id aborts before writing anything, so its reply
-            // skips the log and is acknowledged at once, even while the
-            // preceding write's ack is still in the flusher's hands.
+            // skips the log and its call waits on no device flush.
             let id = if i % 2 == 0 { i % 16 } else { 1_000 };
             match client.call(0, vec![Value::Array(vec![Value::Int(id)])]).unwrap() {
                 TxnOutcome::Committed => committed += 1,
@@ -988,6 +971,94 @@ pub(super) mod tests {
         let (report, _, tables2) = recover_kv(AssumeSinglePartition::new(), 2, cfg);
         assert_eq!(report.replayed, 30);
         assert_eq!(sorted_tables(&db, 2), tables2);
+    }
+
+    #[test]
+    fn fast_path_durable_wait_runs_on_the_client_and_is_attributed() {
+        // The test holds a device flush open on the runtime's sequencer,
+        // then lets one single-partition write commit. Its ticket names a
+        // later epoch than the open flush, so its client parks behind it.
+        // The worker acknowledged the write when it logged it, so a second
+        // client's read on the same partition completes meanwhile. Holding
+        // the device a further HOLD shows up in the writer's Flush
+        // sub-bucket.
+        const HOLD: Duration = Duration::from_millis(20);
+        let dir = durability_dir("fast-hold");
+        let cfg =
+            LiveConfig { durability: Some(DurabilityConfig::new(&dir)), ..Default::default() };
+        let rt =
+            LiveRuntime::start(kv_database(1, 8), kv_registry(), AssumeSinglePartition::new(), cfg);
+        let seq = &rt.shared().durable.as_ref().expect("durable runtime").seq;
+        let (mut writer, mut reader) = (rt.client(), rt.client());
+        let read = std::thread::scope(|s| {
+            let (in_device, in_device_rx) = mpsc::channel();
+            let (release, release_rx) = mpsc::channel::<()>();
+            s.spawn(move || {
+                seq.wait_durable_with(seq.enqueue(), |_| {
+                    in_device.send(()).unwrap();
+                    let _ = release_rx.recv();
+                })
+            });
+            in_device_rx.recv().unwrap();
+            let write =
+                s.spawn(move || writer.call(0, vec![Value::Array(vec![Value::Int(0)])]).unwrap());
+            // The open flush is one sequencer wait; the writer's is the
+            // second.
+            while seq.counters().0 < 2 {
+                std::thread::sleep(Duration::from_millis(1));
+            }
+            let (done, done_rx) = mpsc::channel();
+            s.spawn(move || {
+                let _ = done.send(reader.call(0, vec![Value::Array(vec![Value::Int(1_000)])]));
+            });
+            let read = done_rx.recv_timeout(Duration::from_secs(10)).ok();
+            std::thread::sleep(HOLD);
+            release.send(()).unwrap();
+            assert!(matches!(write.join().unwrap(), TxnOutcome::Committed));
+            read
+        });
+        let read = read.expect("the read queued behind the writer's durable wait");
+        assert!(matches!(read, Ok(TxnOutcome::UserAborted)), "missing id aborts: {read:?}");
+        let (m, _) = rt.shutdown();
+        let _ = std::fs::remove_dir_all(&dir);
+        let hold_us = HOLD.as_secs_f64() * 1e6;
+        let flush_us = m.profile.coord_us(0, CoordSub::Flush);
+        assert!(flush_us >= hold_us, "durable wait {flush_us:.0} µs, device held {hold_us:.0} µs");
+    }
+
+    /// The command-log segment is `/dev/full`, so the first device flush
+    /// fails. The writer's call must end rather than wait for an
+    /// acknowledgement that never comes. Today the failure is
+    /// `LogSet::flush_all`'s panic, on the writer's thread and again at
+    /// shutdown's final flush.
+    #[cfg(target_os = "linux")]
+    #[test]
+    fn failed_durable_flush_fails_the_writer_without_hanging() {
+        let dir = durability_dir("dev-full");
+        std::fs::create_dir_all(&dir).unwrap();
+        std::os::unix::fs::symlink("/dev/full", wal::segment_path(&dir, 0)).unwrap();
+        let cfg =
+            LiveConfig { durability: Some(DurabilityConfig::new(&dir)), ..Default::default() };
+        let rt =
+            LiveRuntime::start(kv_database(1, 8), kv_registry(), AssumeSinglePartition::new(), cfg);
+        let mut client = rt.client();
+        let (done, done_rx) = mpsc::channel();
+        // Detached: if the call hangs, the test fails on the timeout below
+        // instead of joining forever.
+        let writer = std::thread::spawn(move || {
+            let call = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                client.call(0, vec![Value::Array(vec![Value::Int(0)])])
+            }));
+            let _ = done.send(matches!(call, Ok(Ok(TxnOutcome::Committed))));
+        });
+        let acked = done_rx
+            .recv_timeout(Duration::from_secs(10))
+            .expect("the writer's call hung on a failed device flush");
+        assert!(!acked, "a commit the device never took was acknowledged");
+        writer.join().unwrap();
+        let teardown = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| rt.shutdown()));
+        let _ = std::fs::remove_dir_all(&dir);
+        assert!(teardown.is_err(), "shutdown's final flush hits the same device failure");
     }
 
     #[test]

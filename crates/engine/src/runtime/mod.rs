@@ -14,9 +14,8 @@
 //! * `wire` — every cross-thread message and its carrier (`FragCmd`,
 //!   `FragReply`, `SingleMsg`, `SingleReply`, `CtrlMsg`, `ReplySlot`,
 //!   `WorkerGate`, `FragConn` / `FragPort`).
-//! * `worker` — the partition server: `Intake`, `worker_loop`, the
-//!   `run_single` fast path, the durable-ack hand-off, and the
-//!   `flusher_loop` thread.
+//! * `worker` — the partition server: `Intake`, `worker_loop`, and the
+//!   `run_single` fast path.
 //! * `participant` — the participant side of a distributed transaction
 //!   (`serve_reservation`).
 //! * `coord` — the coordinator side (`run_distributed`, `push_frag`).
@@ -54,10 +53,11 @@
 //!   worker that parked with everything empty. A worker collects work *in runs*: it drains the control
 //!   channel, then sweeps its lanes fairly (round-robin, one message per
 //!   lane per pass) until a pass comes up empty. Each swept
-//!   single-partition transaction is acknowledged the moment it finishes
-//!   — unless durability is on and it committed a write, in which case it
-//!   is command-logged at its service position and its ack rides the
-//!   flusher thread's next `write+fsync` (DESIGN.md §7). A reservation
+//!   single-partition transaction is acknowledged the moment it finishes.
+//!   If durability is on and it committed a write, it is first
+//!   command-logged at its service position, and the ack carries a
+//!   flush-sequencer ticket: the client, not the worker, waits for the
+//!   `write+fsync` that covers it (DESIGN.md §7). A reservation
 //!   from a distributed transaction is admitted between runs (everything
 //!   swept before it has executed; per-client FIFO order is the lane
 //!   itself).
@@ -100,11 +100,11 @@
 //! rounds while keeping identical outcomes. With durability on, commit
 //! durability is paid once per distributed write transaction, *by the
 //! coordinator*: after every participant acked it waits on the shared
-//! [`common::flush::FlushSequencer`], whose epoch tickets let concurrent
-//! coordinators and the flusher thread's commit groups coalesce into one
-//! `write+fsync` — participants never flush on their own thread, so a
-//! distributed commit does not stall its partitions' fast paths. With
-//! durability off it waits on nothing.
+//! [`common::flush::FlushSequencer`], exactly as a fast-path writer's
+//! client waits on its ticket. The sequencer's epoch tickets let every
+//! concurrent waiter coalesce into one `write+fsync` — participants never
+//! flush on their own thread, so a distributed commit does not stall its
+//! partitions' fast paths. With durability off it waits on nothing.
 //! `LiveConfig::msg_delay_us` optionally sleeps at the participant before
 //! each fragment *message* (a whole `ExecBatch` counts once) — the live
 //! twin of `CostModel::remote_msg_us` — so 2PC costs wall-clock lock-hold
@@ -157,11 +157,13 @@
 //! Every [`Client::call`] attributes its wall time across the paper's
 //! Fig. 11 buckets into `RunMetrics::profile`: advisor planning/updates →
 //! `Estimation`; fragment/control-code execution → `Execution`; lock
-//! acquisition, 2PC, and the sequenced commit flush → `Coordination`,
-//! further split into `CoordSub::{LockWait, TwoPc, Flush}` sub-buckets on
-//! the distributed path; time a fast-path message sat on the worker queue
-//! → `Queueing`; the unattributed remainder (channel hops, durable-ack
-//! waits) → `Other`. `Planning`
+//! acquisition, 2PC, fast-path channel hops, and the sequenced commit
+//! flush → `Coordination`,
+//! further split into `CoordSub::{LockWait, TwoPc, Flush}` sub-buckets
+//! (a fast-path writer's durable wait is `Flush` too); time a fast-path
+//! message sat on the worker queue → `Queueing`; the unattributed
+//! remainder (session teardown, the glue between timed regions) →
+//! `Other`. `Planning`
 //! stays a sim-only bucket — the live runtime ships pre-compiled
 //! fragments.
 

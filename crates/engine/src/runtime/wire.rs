@@ -153,6 +153,10 @@ pub(super) enum SingleReply<S> {
         session: S,
         fp: Footprint,
         times: StageTimes,
+        /// Durable mode, committed writers only: the flush-sequencer ticket
+        /// taken after the worker command-logged the transaction. The
+        /// client waits on it before its call returns.
+        ticket: Option<u64>,
     },
     Mispredict {
         /// The request handed back for the replan — the client moved it
@@ -291,7 +295,7 @@ impl<T> ReplySlot<T> {
     }
 
     /// Waits up to `dur` (to [`REPLY_WATCHDOG`] granularity) for a reply —
-    /// test hook for deferred-ack checks.
+    /// test hook for the hand-driven protocol tests.
     #[cfg(test)]
     pub(super) fn take_within(&self, dur: std::time::Duration) -> Option<T> {
         let deadline = Instant::now() + dur;

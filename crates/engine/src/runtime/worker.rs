@@ -1,8 +1,8 @@
-//! The partition worker: intake, serving loop, fast path, durable-ack hand-off.
+//! The partition worker: intake, serving loop, fast path.
 
-use super::lifecycle::{Durable, Shared};
+use super::lifecycle::Shared;
 use super::participant::serve_reservation;
-use super::wire::{us_since, CtrlMsg, FragConn, SingleMsg, SingleReply, SingleSlot, StageTimes};
+use super::wire::{us_since, CtrlMsg, FragConn, SingleMsg, SingleReply, StageTimes};
 use super::IDLE_SPIN;
 use crate::advisor::{LiveAdvisor, Request, TxnPlan};
 use crate::exec::execute_fragment;
@@ -10,7 +10,6 @@ use crate::procedure::Step;
 use crate::txn::{Cursor, Footprint};
 use common::ring;
 use common::sync::mpsc::{Receiver, Sender};
-use common::sync::Arc;
 use common::{Error, PartitionSet};
 use std::time::Instant;
 use storage::Shard;
@@ -114,12 +113,12 @@ impl<S> Intake<'_, S> {
 /// [`common::ring::Doorbell`] protocol (announce intent, mandatory second
 /// poll, then sleep).
 ///
-/// Acknowledgement rule, per served message: with durability off every
-/// reply is `put` the moment its transaction finishes. With it on, a
-/// committed writer is command-logged at its service position and its ack
-/// handed to the flusher thread with a sequencer ticket ([`defer_ack`]);
-/// everything else is acknowledged at once (reads skip the log, as under
-/// H-Store command logging). A reservation from a distributed
+/// Every served message is acknowledged the moment its transaction
+/// finishes. With durability on, a committed writer is first
+/// command-logged at its service position, and its reply carries the
+/// sequencer ticket its client then waits on ([`run_single`]); the worker
+/// itself never waits for the device, and reads skip the log, as under
+/// H-Store command logging. A reservation from a distributed
 /// transaction is admitted between runs, so it observes exactly the state
 /// a one-message-at-a-time loop would have produced.
 ///
@@ -204,49 +203,24 @@ pub(super) fn worker_loop<A: LiveAdvisor>(
             let SingleMsg { req, plan, session, reply, enqueued } = msg;
             let mut out = run_single(&mut shard, env, req, &plan, session, &mut intake.targets);
             stamp_times(&mut out, enqueued, &mut t_cursor);
-            match &env.durable {
-                Some(d) if out.needs_flush() => {
-                    // Command-log the committed writer at its service
-                    // position, then hand its ack to the flusher: writers
-                    // closing while a flush is in the device share the
-                    // next one, and nothing served behind this writer
-                    // waits on it.
-                    let req = out.req.as_ref().expect("committed fast path retains its request");
-                    d.append_local(shard.partition(), req);
-                    defer_ack(d, (reply, out.reply));
-                }
-                // Durability off, or nothing to log: ack now.
-                _ => reply.put(out.reply),
-            }
+            reply.put(out.reply);
         }
     }
     intake.fail_lanes(&mut run);
     shard
 }
 
-/// What one fast-path execution produced: the client reply plus what the
-/// durable-ack hand-off needs (see [`worker_loop`]).
+/// What one fast-path execution produced: the client reply plus the
+/// advisor share of its execution time.
 struct SingleOutcome<S> {
     reply: SingleReply<S>,
-    /// The request, returned to the worker for the command-log append —
-    /// `None` when the `Mispredict` reply itself carries it.
-    req: Option<Request>,
-    /// Whether any executed query wrote.
-    wrote: bool,
     /// Advisor time (`on_query_live`) inside this execution, for Fig. 11.
     est_us: f64,
 }
 
 impl<S> SingleOutcome<S> {
-    fn plain(reply: SingleReply<S>, req: Option<Request>) -> Self {
-        SingleOutcome { reply, req, wrote: false, est_us: 0.0 }
-    }
-
-    /// Whether this transaction needs a commit flush before its ack under
-    /// durability: it committed and wrote something. The flush itself is
-    /// the *caller's* job ([`defer_ack`]).
-    fn needs_flush(&self) -> bool {
-        matches!(self.reply, SingleReply::Done { committed: true, .. }) && self.wrote
+    fn fatal(e: Error) -> Self {
+        SingleOutcome { reply: SingleReply::Fatal(e), est_us: 0.0 }
     }
 }
 
@@ -302,7 +276,7 @@ fn run_single<A: LiveAdvisor>(
                             cursor.constraint(msg);
                             break;
                         }
-                        Err(e) => return SingleOutcome::plain(SingleReply::Fatal(e), Some(req)),
+                        Err(e) => return SingleOutcome::fatal(e),
                     };
                     wrote |= def.is_write();
                     let t_est = Instant::now();
@@ -317,100 +291,34 @@ fn run_single<A: LiveAdvisor>(
             Step::Abort(_) => break Ok(false),
         }
     };
-    // Durable effects are *not* flushed here: the caller routes a commit's
-    // ack through the flusher when `SingleOutcome::needs_flush` says it
-    // wrote (see [`worker_loop`]). An abort or mispredict rolls back.
+    // An abort or mispredict rolls back.
     match end {
         Ok(true) => undo.clear(),
         _ if !undo.can_rollback() => {
             let txn = u64::from(req.proc) + if end.is_err() { 1000 } else { 0 };
-            let fatal = SingleReply::Fatal(Error::UnrecoverableAbort { txn });
-            return SingleOutcome::plain(fatal, Some(req));
+            return SingleOutcome::fatal(Error::UnrecoverableAbort { txn });
         }
         _ => {
             if let Err(e) = shard.rollback(&mut undo) {
-                return SingleOutcome::plain(SingleReply::Fatal(e), Some(req));
+                return SingleOutcome::fatal(e);
             }
         }
     }
     let times = StageTimes::default();
-    let (reply, req) = match end {
-        Ok(committed) => (SingleReply::Done { committed, session, fp, times }, Some(req)),
-        Err(observed) => (SingleReply::Mispredict { req, observed, session, times }, None),
+    let reply = match end {
+        Ok(committed) => {
+            // Durable mode: a committed writer is command-logged here, at
+            // its service position. The device flush is its client's wait
+            // on the returned ticket, never this worker's.
+            let ticket = match &env.durable {
+                Some(d) if committed && wrote => Some(d.append_local(me, &req)),
+                _ => None,
+            };
+            SingleReply::Done { committed, session, fp, times, ticket }
+        }
+        Err(observed) => SingleReply::Mispredict { req, observed, session, times },
     };
-    SingleOutcome { reply, req, wrote, est_us }
-}
-
-/// A fast-path reply held back until the device flush covering it
-/// completes.
-type DeferredAck<S> = (Arc<SingleSlot<S>>, SingleReply<S>);
-
-/// Hands a committed writer's ack to the flusher thread with a fresh
-/// sequencer ticket: it may only go out after a real `write+fsync` covers
-/// its log record. Nothing here waits for company: an ack handed over
-/// while the device is idle is flushed at once, and acks arriving during a
-/// flush share the next one. 2PC durability is not paid here: the
-/// *coordinator* waits once per distributed commit on the same sequencer,
-/// covering every participant's writes.
-fn defer_ack<S>(d: &Durable<S>, ack: DeferredAck<S>) {
-    let ticket = d.seq.enqueue();
-    if let Err(err) = d.flusher.send(FlushJob::Ack { ticket, ack }) {
-        // Flusher already stopped (teardown race): flush synchronously
-        // and release here — a held ack must never be dropped.
-        let FlushJob::Ack { ticket, ack: (slot, reply) } = err.0 else { return };
-        d.seq.wait_durable_dev(ticket, &d.device);
-        slot.put(reply);
-    }
-}
-
-/// One unit of flusher-thread work: a held ack that may only be released
-/// once the device flush covering `ticket` completed.
-pub(super) enum FlushJob<S> {
-    Ack { ticket: u64, ack: DeferredAck<S> },
-    Stop,
-}
-
-/// The dedicated flusher thread (durable mode only): receives held acks
-/// from every worker, coalesces whatever else is already queued into one
-/// commit group (one device wait at the max ticket covers every earlier
-/// one — the sequencer's epoch argument), performs the real `write+fsync`
-/// through the shared `FlushSequencer`, and releases the group's acks.
-/// There is no accumulation window: while one flush is in the device, the
-/// acks that arrive behind it queue here (and coordinators queue on the
-/// sequencer), so the next drain covers all of them with one flush. The
-/// group is as long as the device is slow, and one ack when a writer is
-/// alone. The group buffer is reused, so steady-state commits allocate
-/// nothing here. Workers never fsync on their serving path; distributed
-/// coordinators wait on the same sequencer from their client threads, so
-/// both demand streams coalesce into the same device operations.
-pub(super) fn flusher_loop<A: LiveAdvisor>(env: &Shared<A>, rx: &Receiver<FlushJob<A::Session>>) {
-    let durable = env.durable.as_ref().expect("flusher thread requires durability state");
-    let mut acks: Vec<DeferredAck<A::Session>> = Vec::new();
-    while let Ok(job) = rx.recv() {
-        let FlushJob::Ack { mut ticket, ack } = job else { return };
-        acks.push(ack);
-        let mut stop = false;
-        loop {
-            match rx.try_recv() {
-                Ok(FlushJob::Ack { ticket: t, ack }) => {
-                    ticket = ticket.max(t);
-                    acks.push(ack);
-                }
-                Ok(FlushJob::Stop) => {
-                    stop = true;
-                    break;
-                }
-                Err(_) => break,
-            }
-        }
-        durable.seq.wait_durable_dev(ticket, &durable.device);
-        for (slot, reply) in acks.drain(..) {
-            slot.put(reply);
-        }
-        if stop {
-            return;
-        }
-    }
+    SingleOutcome { reply, est_us }
 }
 
 #[cfg(test)]
@@ -422,7 +330,9 @@ pub(super) mod tests {
     use super::super::coord::push_frag;
     use super::super::lifecycle::LiveConfig;
     use super::super::lock::LockManager;
-    use super::super::wire::{BatchItem, FragCmd, FragPort, FragReply, ReplySlot, WorkerGate};
+    use super::super::wire::{
+        BatchItem, FragCmd, FragPort, FragReply, ReplySlot, SingleSlot, WorkerGate,
+    };
     use super::*;
     use crate::baselines::AssumeSinglePartition;
     use crate::metrics::RunMetrics;
@@ -430,7 +340,7 @@ pub(super) mod tests {
     use common::ring::Doorbell;
     use common::sync::atomic::AtomicU64;
     use common::sync::mpsc::channel;
-    use common::sync::Mutex;
+    use common::sync::{Arc, Mutex};
     use common::{QueryId, Value};
     use std::time::Duration;
     use storage::Row;

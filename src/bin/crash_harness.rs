@@ -37,8 +37,8 @@ fn drive<A: LiveAdvisor + 'static>(advisor: A, dir: &Path, mode: &str, seed: u64
     let phase2 = if mode == "snaplog" { PHASE2 } else { 0 };
     // Clients pause at the barrier between phases so the snapshot cuts at
     // a quiescent point the test can reproduce; the crash itself happens
-    // with the runtime fully live (threads parked mid-protocol, flusher
-    // running, file buffers warm).
+    // with the runtime fully live (threads parked mid-protocol, clients
+    // waiting on device flushes, file buffers warm).
     let barrier = Barrier::new(CLIENTS as usize + 1);
     std::thread::scope(|s| {
         for c in 0..CLIENTS {
