@@ -1,7 +1,7 @@
 //! The [`Client`] handle: plan, dispatch, retry, and fold one call's metrics.
 
 use super::coord::{run_distributed, Attempt, StageAcc};
-use super::lifecycle::{FeedbackMsg, Shared};
+use super::lifecycle::Shared;
 use super::wire::{
     us_since, CtrlMsg, FragPort, ReplySlot, SingleMsg, SingleReply, SingleSlot, WorkerGate,
 };
@@ -105,7 +105,8 @@ impl<A: LiveAdvisor + 'static> Client<A> {
 
     /// Session teardown: the advisor's feedback record heads for the
     /// maintenance thread — `try_send` keeps the acknowledgement latency
-    /// independent of maintenance, a full channel sheds the record into
+    /// independent of maintenance (the thread drains on its own tick, so
+    /// the send wakes no one), a full channel sheds the record into
     /// `fb_dropped` — and the spent session becomes `proc`'s spare.
     fn end_session(
         &mut self,
@@ -116,7 +117,7 @@ impl<A: LiveAdvisor + 'static> Client<A> {
     ) {
         let (record, reclaimed) = self.shared.advisor.end_live_reclaim(session, outcome);
         if let (Some(tx), Some(rec)) = (self.shared.fb_tx.as_ref(), record) {
-            if tx.try_send(FeedbackMsg::Record(rec)).is_err() {
+            if tx.try_send(rec).is_err() {
                 *fb_dropped += 1;
             }
         }

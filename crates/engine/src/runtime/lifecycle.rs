@@ -57,15 +57,6 @@ impl Default for LiveConfig {
     }
 }
 
-/// A record or a shutdown sentinel on the session-teardown → maintenance
-/// channel. The explicit `Stop` lets [`LiveRuntime::shutdown`] end the
-/// maintenance thread even while [`Client`] handles (each holding a sender
-/// clone through [`Shared`]) are still alive in the embedding application.
-pub(super) enum FeedbackMsg {
-    Record(TxnFeedback),
-    Stop,
-}
-
 /// Everything the runtime's threads share. One `Arc<Shared>` is held by
 /// the [`LiveRuntime`] handle, every worker thread, the maintenance
 /// thread, and every minted [`Client`] — the ownership inversion that lets
@@ -90,9 +81,10 @@ pub(super) struct Shared<A: LiveAdvisor> {
     /// Mid-run [`LiveRuntime::metrics`] snapshots therefore lag by at most
     /// the calls currently in flight.
     pub(super) metrics: Mutex<RunMetrics>,
-    /// Bounded feedback channel toward the maintenance thread (§4.5);
-    /// `None` when the advisor has no [`LiveMaintainer`].
-    pub(super) fb_tx: Option<SyncSender<FeedbackMsg>>,
+    /// Bounded feedback channel toward the maintenance thread (§4.5),
+    /// which drains it on its own tick; `None` when the advisor has no
+    /// [`LiveMaintainer`].
+    pub(super) fb_tx: Option<SyncSender<TxnFeedback>>,
     /// Next [`Client`] id — also selects the client's RNG stream.
     pub(super) next_client: AtomicU64,
     pub(super) started: Instant,
@@ -219,13 +211,39 @@ pub(super) fn snapshot_cluster<A: LiveAdvisor>(env: &Shared<A>) -> Option<u64> {
 }
 
 /// The threads a running [`LiveRuntime`] owns; `None` once torn down.
+/// No client ever wakes a background thread (a [`Ticker`]).
 struct Running {
     workers: Vec<JoinHandle<Shard>>,
-    maintenance: Option<JoinHandle<MaintenanceReport>>,
-    /// Background snapshotter: its stop flag (0 = run, 1 = stop) and
-    /// handle. The thread sleeps via `park_timeout`, so teardown stores
-    /// the flag and unparks.
-    snapshotter: Option<(Arc<AtomicU64>, JoinHandle<()>)>,
+    maintenance: Option<Ticker<MaintenanceReport>>,
+    snapshotter: Option<Ticker<()>>,
+}
+
+/// A background thread that sleeps in `park_timeout` between passes, and
+/// its stop flag (0 = run, 1 = stop): teardown stores it, unparks, joins.
+struct Ticker<T> {
+    stop: Arc<AtomicU64>,
+    handle: JoinHandle<T>,
+}
+
+impl<T: Send + 'static> Ticker<T> {
+    /// Spawns thread `name` running `body`, handed a stop-flag probe.
+    fn spawn(name: &str, body: impl FnOnce(&dyn Fn() -> bool) -> T + Send + 'static) -> Self {
+        let stop = Arc::new(AtomicU64::new(0));
+        let flag = Arc::clone(&stop);
+        // ordering: Acquire pairs with `stop`'s Release: a thread that sees
+        // the flag also sees everything queued before teardown set it.
+        let body = move || body(&|| flag.load(Ordering::Acquire) != 0);
+        let handle = std::thread::Builder::new().name(name.into()).spawn(body);
+        Ticker { stop, handle: handle.expect("spawn background thread") }
+    }
+
+    /// Stops the thread and joins it; `Err` carries its panic.
+    fn stop(self) -> std::thread::Result<T> {
+        // ordering: Release — see `spawn`.
+        self.stop.store(1, Ordering::Release);
+        self.handle.thread().unpark();
+        self.handle.join()
+    }
 }
 
 /// What a recovered boot seeds [`LiveRuntime`]'s durability state with.
@@ -361,7 +379,7 @@ impl<A: LiveAdvisor + 'static> LiveRuntime<A> {
         // learn: a bounded channel from session teardown to one background
         // maintenance thread that owns the advisor's `LiveMaintainer`.
         let (fb_tx, fb_rx) = if advisor.maintainer().is_some() {
-            let (tx, rx) = sync_channel::<FeedbackMsg>(super::FEEDBACK_CAPACITY);
+            let (tx, rx) = sync_channel::<TxnFeedback>(super::FEEDBACK_CAPACITY);
             (Some(tx), Some(rx))
         } else {
             (None, None)
@@ -390,25 +408,15 @@ impl<A: LiveAdvisor + 'static> LiveRuntime<A> {
         });
         let snapshotter =
             shared.cfg.durability.as_ref().and_then(|dc| dc.snapshot_every).map(|every| {
-                let stop = Arc::new(AtomicU64::new(0));
-                let flag = Arc::clone(&stop);
                 let shared = Arc::clone(&shared);
-                let handle = std::thread::Builder::new()
-                    .name("snapshotter".into())
-                    .spawn(move || {
-                        loop {
-                            std::thread::park_timeout(every);
-                            // ordering: Relaxed — the join in teardown is
-                            // the only consumer of this thread's effects; a
-                            // spurious early wake just snapshots early.
-                            if flag.load(Ordering::Relaxed) != 0 {
-                                return;
-                            }
-                            snapshot_cluster(&shared);
-                        }
-                    })
-                    .expect("spawn snapshotter thread");
-                (stop, handle)
+                Ticker::spawn("snapshotter", move |stopped| loop {
+                    // A spurious early wake just snapshots early.
+                    std::thread::park_timeout(every);
+                    if stopped() {
+                        return;
+                    }
+                    snapshot_cluster(&shared);
+                })
             });
         let workers = shards
             .into_iter()
@@ -424,32 +432,29 @@ impl<A: LiveAdvisor + 'static> LiveRuntime<A> {
             .collect();
         let maintenance = fb_rx.map(|rx| {
             let shared = Arc::clone(&shared);
-            std::thread::Builder::new()
-                .name("maintenance".into())
-                .spawn(move || {
-                    // The maintainer borrows the advisor; building it here,
-                    // on the thread's own stack over its own Arc, keeps the
-                    // runtime free of self-references. Drain until Stop (or
-                    // every sender is gone): records queued before shutdown
-                    // are consumed, so `feedback_records + feedback_dropped`
-                    // equals the records the clients emitted.
-                    // An advisor whose `maintainer()` answered `Some` to the
-                    // start-time probe but `None` here violates its
-                    // contract; drain
-                    // the queue (so client try_sends keep succeeding and
-                    // shutdown still joins cleanly) and report zero work
-                    // instead of taking the maintenance thread down.
-                    let mt: Option<Box<dyn LiveMaintainer + '_>> = shared.advisor.maintainer();
-                    let Some(mut mt) = mt else {
-                        while let Ok(FeedbackMsg::Record(_)) = rx.recv() {}
-                        return MaintenanceReport::default();
-                    };
-                    while let Ok(FeedbackMsg::Record(fb)) = rx.recv() {
-                        mt.absorb(fb);
+            Ticker::spawn("maintenance", move |stopped| {
+                // The maintainer borrows the advisor; building it here, on
+                // the thread's own stack over its own Arc, keeps the runtime
+                // free of self-references. An advisor whose `maintainer()`
+                // answered `Some` to the start-time probe but `None` here
+                // violates its contract: drain anyway and report zero work.
+                let mut mt: Option<Box<dyn LiveMaintainer + '_>> = shared.advisor.maintainer();
+                // One drain per tick, never a wake per record. The flag is
+                // read *before* the drain, so the last pass absorbs every
+                // record queued before teardown set it.
+                loop {
+                    let last = stopped();
+                    while let Ok(fb) = rx.try_recv() {
+                        if let Some(mt) = mt.as_mut() {
+                            mt.absorb(fb);
+                        }
                     }
-                    mt.report()
-                })
-                .expect("spawn maintenance thread")
+                    if last {
+                        return mt.map(|mt| mt.report()).unwrap_or_default();
+                    }
+                    std::thread::park_timeout(super::MAINTENANCE_TICK);
+                }
+            })
         });
         LiveRuntime { shared, running: Some(Running { workers, maintenance, snapshotter }) }
     }
@@ -494,7 +499,9 @@ impl<A: LiveAdvisor + 'static> LiveRuntime<A> {
     /// complete; clients block per call, so a quiesced application has
     /// nothing buffered), joins every owned thread, folds the maintenance
     /// report into the final metrics, and reassembles the [`Database`]
-    /// from the workers' shards.
+    /// from the workers' shards. The maintenance thread drains on its own
+    /// tick and is never woken by a client; shutdown unparks it to absorb
+    /// every feedback record queued so far.
     ///
     /// Outstanding [`Client`] handles stay valid as objects but their
     /// subsequent [`Client::call`]s return `Err`; calls racing the
@@ -514,18 +521,14 @@ impl<A: LiveAdvisor + 'static> LiveRuntime<A> {
         let running = self.running.take()?;
         // Snapshotter first: a fence racing shutdown would wait on worker
         // completions that will never come.
-        if let Some((stop, handle)) = running.snapshotter {
-            // ordering: Relaxed — the unpark and join below synchronize
-            // the thread's exit; the flag only requests it.
-            stop.store(1, Ordering::Relaxed);
-            handle.thread().unpark();
-            let _ = handle.join();
+        if let Some(snapshotter) = running.snapshotter {
+            let _ = snapshotter.stop();
         }
         // Workers next: each finishes its current run (and any reservation
-        // it is serving) before observing the sentinel, so
-        // in-flight transactions complete and their feedback records get
-        // a chance to precede the Stop below. Calls still buffered in a
-        // lane when its worker exits fail cleanly (see `Intake::fail_lanes`).
+        // it is serving) before observing the sentinel, so in-flight
+        // transactions complete and queue their feedback before the
+        // maintenance thread stops below. Calls still buffered in a lane
+        // when its worker exits fail cleanly (see `Intake::fail_lanes`).
         for gate in &self.shared.workers {
             gate.send_ctrl(CtrlMsg::Shutdown);
         }
@@ -549,20 +552,12 @@ impl<A: LiveAdvisor + 'static> LiveRuntime<A> {
         // feedback backlog) to `window_us` would deflate `throughput_tps`
         // for work that finished long before.
         let window_us = self.shared.started.elapsed().as_secs_f64() * 1e6;
-        let maint_report = running.maintenance.and_then(|h| {
-            // The explicit Stop ends the maintenance thread even while
-            // Client handles (each holding the channel open through
-            // `Shared`) are still alive somewhere in the application. A
-            // failed send means the thread is already gone; join tells.
-            if let Some(tx) = &self.shared.fb_tx {
-                let _ = tx.send(FeedbackMsg::Stop);
-            }
-            match h.join() {
-                Ok(report) => Some(report),
-                Err(p) => {
-                    thread_panic = Some(p);
-                    None
-                }
+        // The flag stops it even while Client handles keep the channel open.
+        let maint_report = running.maintenance.and_then(|m| match m.stop() {
+            Ok(report) => Some(report),
+            Err(p) => {
+                thread_panic = Some(p);
+                None
             }
         });
         if let Some(p) = thread_panic {
@@ -738,22 +733,33 @@ pub(super) mod tests {
         assert!(m.throughput_tps() > 0.0);
     }
 
-    /// Single-partition advisor whose maintainer sleeps per record,
-    /// building a feedback backlog that drains long after the workers
-    /// finish. With `withdrawn` set it offers that maintainer to the
-    /// start-time probe only and withdraws it when the maintenance thread
-    /// asks again — the contract violation the maintenance loop must
-    /// survive (regression: this used to panic the maintenance thread,
-    /// turning shutdown into a join on a panicked thread).
-    struct SlowMaintained {
+    /// Single-partition advisor with a test maintainer. A nonzero
+    /// `absorb_sleep` builds a feedback backlog that drains long after the
+    /// workers finish. With `withdrawn` set it offers that maintainer to
+    /// the start-time probe only and withdraws it when the maintenance
+    /// thread asks again — the contract violation the maintenance loop
+    /// must survive (regression: this used to panic the maintenance
+    /// thread, turning shutdown into a join on a panicked thread).
+    #[derive(Default)]
+    struct TestMaintained {
         withdrawn: Option<std::sync::atomic::AtomicBool>,
+        absorb_sleep: Duration,
+        /// Receives the maintenance thread's own voluntary context-switch
+        /// count at its first `absorb` (slot 0) and at `report` (slot 1).
+        switches: Option<Arc<[AtomicU64; 2]>>,
     }
 
-    impl LiveAdvisor for SlowMaintained {
+    impl TestMaintained {
+        fn sleepy() -> Self {
+            TestMaintained { absorb_sleep: Duration::from_millis(2), ..Default::default() }
+        }
+    }
+
+    impl LiveAdvisor for TestMaintained {
         type Session = ();
 
         fn name(&self) -> &str {
-            "slow-maintained"
+            "test-maintained"
         }
 
         fn plan_live_reusing(
@@ -797,23 +803,50 @@ pub(super) mod tests {
                 .withdrawn
                 .as_ref()
                 .is_some_and(|probed| probed.swap(true, std::sync::atomic::Ordering::SeqCst));
-            (!probed_before).then(|| Box::new(SleepyMaintainer { seen: 0 }) as Box<_>)
+            (!probed_before).then(|| Box::new(TestMaintainer { seen: 0, of: self }) as Box<_>)
         }
     }
 
-    struct SleepyMaintainer {
+    struct TestMaintainer<'a> {
         seen: u64,
+        of: &'a TestMaintained,
     }
 
-    impl LiveMaintainer for SleepyMaintainer {
+    /// `voluntary_ctxt_switches` of the calling thread (0 off Linux).
+    fn voluntary_switches() -> u64 {
+        let status = std::fs::read_to_string("/proc/thread-self/status").unwrap_or_default();
+        status
+            .lines()
+            .find_map(|l| l.strip_prefix("voluntary_ctxt_switches:"))
+            .and_then(|v| v.trim().parse().ok())
+            .unwrap_or(0)
+    }
+
+    impl TestMaintainer<'_> {
+        fn note_switches(&self, slot: usize) {
+            if let Some(s) = &self.of.switches {
+                s[slot].store(voluntary_switches(), Ordering::SeqCst);
+            }
+        }
+    }
+
+    impl LiveMaintainer for TestMaintainer<'_> {
         fn absorb(&mut self, _fb: TxnFeedback) {
+            if self.seen == 0 {
+                self.note_switches(0);
+            }
             self.seen += 1;
-            std::thread::sleep(Duration::from_millis(2));
+            std::thread::sleep(self.of.absorb_sleep);
         }
 
         fn report(&self) -> MaintenanceReport {
+            self.note_switches(1);
             MaintenanceReport { feedback_records: self.seen, ..Default::default() }
         }
+    }
+
+    fn kv_call() -> Vec<Value> {
+        vec![Value::Array(vec![Value::Int(0)])]
     }
 
     #[test]
@@ -821,12 +854,12 @@ pub(super) mod tests {
         let rt = LiveRuntime::start(
             kv_database(1, 8),
             kv_registry(),
-            SlowMaintained { withdrawn: None },
+            TestMaintained::sleepy(),
             LiveConfig::default(),
         );
         let mut client = rt.client();
         for _ in 0..100 {
-            client.call(0, vec![Value::Array(vec![Value::Int(0)])]).unwrap();
+            client.call(0, kv_call()).unwrap();
         }
         let mid = rt.metrics();
         let t_shutdown = Instant::now();
@@ -860,19 +893,84 @@ pub(super) mod tests {
         let rt = LiveRuntime::start(
             kv_database(1, 8),
             kv_registry(),
-            SlowMaintained { withdrawn: Some(std::sync::atomic::AtomicBool::new(false)) },
+            TestMaintained {
+                withdrawn: Some(std::sync::atomic::AtomicBool::new(false)),
+                ..TestMaintained::sleepy()
+            },
             LiveConfig::default(),
         );
         let mut client = rt.client();
         for _ in 0..50 {
-            client.call(0, vec![Value::Array(vec![Value::Int(0)])]).unwrap();
+            client.call(0, kv_call()).unwrap();
         }
-        // Shutdown must join a *live* maintenance thread (it drained the
-        // feedback instead of panicking) and fold in an all-zero report.
+        // Shutdown must join a *live* maintenance thread (its tick loop
+        // drained the feedback with no maintainer instead of panicking)
+        // and fold in an all-zero report.
         let (fin, _) = rt.shutdown();
         assert_eq!(fin.committed, 50);
         assert_eq!(fin.feedback_records, 0, "no maintainer, so no absorbed records");
         assert_eq!(fin.model_swaps, 0);
+    }
+
+    /// Clients never wake the maintenance thread: it drains on its own
+    /// tick, so its voluntary context switches are bounded by elapsed
+    /// ticks, not by records (a thread blocked on `recv` makes about one
+    /// per record).
+    #[cfg(target_os = "linux")]
+    #[test]
+    fn maintenance_wakes_are_bounded_by_ticks_not_records() {
+        let switches = Arc::new([AtomicU64::new(0), AtomicU64::new(0)]);
+        let advisor =
+            TestMaintained { switches: Some(Arc::clone(&switches)), ..Default::default() };
+        let rt =
+            LiveRuntime::start(kv_database(1, 8), kv_registry(), advisor, LiveConfig::default());
+        let mut client = rt.client();
+        let calls = 4000u64;
+        let t0 = Instant::now();
+        for _ in 0..calls {
+            client.call(0, kv_call()).unwrap();
+        }
+        // Both readings are taken inside this interval: the first at the
+        // first absorb, the second in `report` during shutdown.
+        let (fin, _) = rt.shutdown();
+        let elapsed_ms = t0.elapsed().as_secs_f64() * 1e3;
+        assert_eq!(fin.feedback_records + fin.feedback_dropped, calls);
+        let delta = switches[1].load(Ordering::SeqCst) - switches[0].load(Ordering::SeqCst);
+        let tick_ms = super::super::MAINTENANCE_TICK.as_secs_f64() * 1e3;
+        let bound = 2.0 * elapsed_ms / tick_ms + 20.0;
+        assert!(
+            (delta as f64) <= bound,
+            "maintenance thread switched {delta} times for {calls} records in \
+             {elapsed_ms:.1} ms (bound {bound:.0}): woken per record, not per tick"
+        );
+    }
+
+    /// Records queued while the maintenance thread is parked between ticks
+    /// are all absorbed by its last pass: teardown sets the stop flag and
+    /// unparks, and the thread reads the flag *before* its final drain.
+    /// Several rounds, because a round only exposes a lost final drain
+    /// when no tick fires between the last call and the stop.
+    #[test]
+    fn maintenance_shutdown_absorbs_everything_queued_while_parked() {
+        let n = 200u64;
+        for round in 0..5 {
+            let rt = LiveRuntime::start(
+                kv_database(1, 8),
+                kv_registry(),
+                TestMaintained::default(),
+                LiveConfig::default(),
+            );
+            let mut client = rt.client();
+            for _ in 0..n {
+                client.call(0, kv_call()).unwrap();
+            }
+            let t_shutdown = Instant::now();
+            let (fin, _) = rt.shutdown();
+            let shutdown = t_shutdown.elapsed();
+            assert_eq!(fin.feedback_dropped, 0, "round {round}");
+            assert_eq!(fin.feedback_records, n, "round {round}: queued records lost at shutdown");
+            assert!(shutdown < Duration::from_secs(1), "round {round}: shutdown took {shutdown:?}");
+        }
     }
 
     #[test]

@@ -146,11 +146,16 @@
 //! yield structured [`TxnFeedback`]; clients push it into a *bounded*
 //! channel with `try_send` — never blocking the acknowledgement path — and
 //! a background **maintenance thread** (spawned by [`LiveRuntime::start`]
-//! when the advisor provides a [`LiveMaintainer`]) drains it, accumulates per-model
-//! accuracy and transition deltas, rebuilds only drifted models, and
-//! publishes them as new advisor epochs that *fresh* transactions pick up
-//! while in-flight ones keep their snapshot (see DESIGN.md §5). Dropped
-//! records (`RunMetrics::feedback_dropped`) cost signal, not correctness.
+//! when the advisor provides a [`LiveMaintainer`]) drains it on its own
+//! tick (`MAINTENANCE_TICK`) and is never woken by a client, so a call's
+//! `try_send` costs no futex wake and puts no third runnable thread on the
+//! host per transaction. It accumulates per-model accuracy and transition
+//! deltas, rebuilds only drifted models, and publishes them as new advisor
+//! epochs that *fresh* transactions pick up while in-flight ones keep
+//! their snapshot (see DESIGN.md §5). Teardown stops it like the
+//! snapshotter — flag, unpark, join — and its last pass drains whatever
+//! is queued. Dropped records (`RunMetrics::feedback_dropped`) cost
+//! signal, not correctness.
 //!
 //! ## Per-stage time attribution (Fig. 11, live)
 //!
@@ -216,5 +221,15 @@ const IDLE_SPIN: u32 = 256;
 /// Bound of the session-teardown → maintenance-thread feedback channel
 /// (§4.5). Clients never block on maintenance: a full channel drops the
 /// record (counted in `RunMetrics::feedback_dropped`) and the
-/// transaction's acknowledgement proceeds untouched.
+/// transaction's acknowledgement proceeds untouched. The maintenance
+/// thread drains on its own tick and is never woken by a client, so the
+/// channel must hold one tick of peak traffic: about 140 records at the
+/// ~140 k calls/s the 1-worker TATP fast path reaches on a 2-core host.
+/// The rest is headroom for ticks the maintainer spends rebuilding a
+/// model.
 const FEEDBACK_CAPACITY: usize = 4096;
+
+/// Period of the maintenance thread's drain (§4.5). The thread sleeps in
+/// `park_timeout` between passes and only teardown unparks it, so it
+/// wakes about once per tick however many records arrive.
+const MAINTENANCE_TICK: Duration = Duration::from_millis(1);
