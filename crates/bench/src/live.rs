@@ -405,8 +405,10 @@ pub fn live_latency(scale: Scale) -> String {
 /// models (interning the previously-dark states with their live counts)
 /// and epoch-swap them in, so throughput and prediction accuracy recover
 /// mid-window; the frozen arm (`maintenance: false`) stays degraded —
-/// every shifted request dead-ends its estimate and falls back to
-/// lock-all.
+/// every shifted request runs distributed. `est-reuse%` is the share of
+/// commits planned from the clients' plan memos: dead-ended estimates are
+/// never memoised, and each epoch swap empties the memos, which then
+/// refill.
 pub fn live_drift(scale: Scale) -> String {
     let parts = LATENCY_PARTS;
     let half = parts / 2;
@@ -446,7 +448,7 @@ pub fn live_drift(scale: Scale) -> String {
     let mut out = format!(
         "{}\n\
          # Live drift: TATP partition-skew flip (trained on partitions 0-1, shifted to 2-3), {parts} workers\n\
-         arm             phase       tps     op2%   single-part  distrib  restarts  swaps  feedback  dropped\n",
+         arm             phase       tps     op2%  est-reuse%  single-part  distrib  restarts  swaps  feedback  dropped\n",
         host_header()
     );
     // Per-epoch accuracy of the maintenance arm's post-shift window: the
@@ -471,9 +473,10 @@ pub fn live_drift(scale: Scale) -> String {
         for (phase, m) in &windows {
             let _ = writeln!(
                 out,
-                "{arm:<15} {phase:<10} {:6.0}  {}  {:11}  {:7}  {:8}  {:5}  {:8}  {:7}",
+                "{arm:<15} {phase:<10} {:6.0}  {}       {}  {:11}  {:7}  {:8}  {:5}  {:8}  {:7}",
                 m.throughput_tps(),
                 q(m.overall_op2_pct()),
+                q(m.overall_est_reused_pct()),
                 m.single_partition,
                 m.distributed,
                 m.restarts,

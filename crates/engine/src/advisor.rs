@@ -40,7 +40,7 @@ pub struct Request {
 /// `Copy`: every field is a small scalar or bitset, and the live fast path
 /// moves a plan into each worker message — keeping it `Copy` pins that at
 /// zero allocations.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TxnPlan {
     /// Partition whose node runs the control code (OP1).
     pub base_partition: PartitionId,
@@ -54,6 +54,10 @@ pub struct TxnPlan {
     /// Simulated cost of producing this estimate, charged to the
     /// "estimation" profiler bucket (Fig. 11).
     pub estimate_cost_us: f64,
+    /// The advisor served this plan from a memo of its earlier plans
+    /// instead of estimating; counted per procedure in
+    /// [`crate::RunMetrics::est_reused_by_proc`].
+    pub estimate_reused: bool,
 }
 
 impl TxnPlan {
@@ -65,6 +69,7 @@ impl TxnPlan {
             disable_undo: false,
             early_prepare: false,
             estimate_cost_us: 0.0,
+            estimate_reused: false,
         }
     }
 
@@ -76,6 +81,7 @@ impl TxnPlan {
             disable_undo: false,
             early_prepare: false,
             estimate_cost_us: 0.0,
+            estimate_reused: false,
         }
     }
 }
@@ -198,9 +204,13 @@ pub trait LiveAdvisor: Send + Sync {
     /// earlier transaction of the *same procedure* on the *same client*
     /// (`None` when the caller keeps no cache). Advisors with
     /// allocation-heavy sessions graft the spare's already-sized buffers
-    /// into the fresh session; the rest drop it. Implementations must not
-    /// let any stale prediction state survive the graft — only raw
-    /// capacity (maps, vectors) may be reused.
+    /// into the fresh session; the rest drop it. No stale prediction state
+    /// may survive the graft: a spare's decisions and walk are rebuilt for
+    /// this request, and prediction state may be carried over only when it
+    /// is keyed by everything it was computed from — the advisor's model
+    /// epoch included — so a request whose key differs never sees it
+    /// (Houdini's plan memo). Anything else is raw capacity (maps,
+    /// vectors).
     fn plan_live_reusing(
         &self,
         req: &Request,

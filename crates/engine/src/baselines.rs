@@ -93,6 +93,7 @@ fn asp_escalation(
             disable_undo: false,
             early_prepare: false,
             estimate_cost_us: 0.0,
+            estimate_reused: false,
         }
     } else {
         TxnPlan::lock_all(observed.first().unwrap_or(random_local_partition), num_partitions)
@@ -222,6 +223,7 @@ impl LiveAdvisor for Oracle {
             disable_undo: outcome.committed && single,
             early_prepare: self.enable_early_prepare,
             estimate_cost_us: 0.0,
+            estimate_reused: false,
         };
         (plan, OracleTxn { finish_plan, cursor: 0, base })
     }

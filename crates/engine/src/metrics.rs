@@ -266,6 +266,11 @@ pub struct RunMetrics {
     pub committed: u64,
     /// Committed transactions per procedure (measurement window).
     pub committed_by_proc: FxHashMap<ProcId, u64>,
+    /// Of those, the ones whose plan the advisor served from its memo
+    /// without estimating ([`TxnPlan::estimate_reused`]). Kept beside
+    /// `committed_by_proc` rather than in [`OpCounters`], which holds
+    /// Table 4's optimization counters.
+    pub est_reused_by_proc: FxHashMap<ProcId, u64>,
     /// User aborts (control-code rollbacks).
     pub user_aborts: u64,
     /// Mispredict restarts (lock-set or base-partition misses).
@@ -417,6 +422,12 @@ impl RunMetrics {
         OpCounters::pct(ok, applicable)
     }
 
+    /// Percentage of committed transactions (measurement window), across
+    /// every procedure, that the advisor planned from its memo.
+    pub fn overall_est_reused_pct(&self) -> Option<f64> {
+        OpCounters::pct(self.est_reused_by_proc.values().sum(), self.committed)
+    }
+
     /// Folds another metrics partial into this one (live-runtime clients
     /// each record locally and merge at shutdown). `window_us` is *not*
     /// combined — the caller sets the shared wall-clock window once.
@@ -449,6 +460,9 @@ impl RunMetrics {
         for (&proc, &n) in &other.committed_by_proc {
             *self.committed_by_proc.entry(proc).or_insert(0) += n;
         }
+        for (&proc, &n) in &other.est_reused_by_proc {
+            *self.est_reused_by_proc.entry(proc).or_insert(0) += n;
+        }
         for (&proc, ops) in &other.ops {
             let mine = self.ops_mut(proc);
             mine.txns += ops.txns;
@@ -465,9 +479,10 @@ impl RunMetrics {
     /// engines: the final attempt's `plan` and footprint `fp`. A user abort
     /// counts in `user_aborts` only. A commit counts as distributed or
     /// single-partition, no-undo and in Table 4's counters;
-    /// with its client-visible `latency_us` it also counts in `committed`
-    /// and the latency histogram — the simulator passes `None` for a commit
-    /// outside its measurement window.
+    /// with its client-visible `latency_us` it also counts in `committed`,
+    /// `committed_by_proc` (and `est_reused_by_proc` if the plan came from
+    /// the advisor's memo) and the latency histogram — the simulator passes
+    /// `None` for a commit outside its measurement window.
     pub(crate) fn record_txn(
         &mut self,
         proc: ProcId,
@@ -484,6 +499,9 @@ impl RunMetrics {
         if let Some(us) = latency_us {
             self.committed += 1;
             *self.committed_by_proc.entry(proc).or_insert(0) += 1;
+            if plan.estimate_reused {
+                *self.est_reused_by_proc.entry(proc).or_insert(0) += 1;
+            }
             self.total_latency_us += us;
             self.latency.record_us(us);
         }
@@ -690,5 +708,23 @@ mod tests {
         };
         m2.tally_ops(0, &TxnPlan::lock_all(0, 4), &uni, 4);
         assert_eq!(m2.ops[&0].op1_applicable, 0);
+    }
+
+    #[test]
+    fn memo_plans_are_counted_per_procedure() {
+        let fp = Footprint { accessed: PartitionSet::single(0), ..Footprint::default() };
+        let reused = TxnPlan { estimate_reused: true, ..TxnPlan::single(0) };
+        let mut m = RunMetrics::default();
+        m.record_txn(3, &reused, true, &fp, 2, Some(5.0));
+        m.record_txn(3, &TxnPlan::single(0), true, &fp, 2, Some(5.0));
+        m.record_txn(4, &reused, true, &fp, 2, Some(5.0));
+        // Outside the measurement window, and a user abort: neither counts.
+        m.record_txn(4, &reused, true, &fp, 2, None);
+        m.record_txn(4, &reused, false, &fp, 2, Some(5.0));
+        let mut merged = RunMetrics::default();
+        merged.absorb(&m);
+        assert_eq!(merged.est_reused_by_proc, FxHashMap::from_iter([(3, 1), (4, 1)]));
+        assert_eq!(merged.committed_by_proc, FxHashMap::from_iter([(3, 2), (4, 1)]));
+        assert_eq!(merged.overall_est_reused_pct(), Some(100.0 * 2.0 / 3.0));
     }
 }

@@ -107,7 +107,11 @@ impl<A: LiveAdvisor + 'static> Client<A> {
     /// maintenance thread — `try_send` keeps the acknowledgement latency
     /// independent of maintenance (the thread drains on its own tick, so
     /// the send wakes no one), a full channel sheds the record into
-    /// `fb_dropped` — and the spent session becomes `proc`'s spare.
+    /// `fb_dropped` — and the spent session becomes `proc`'s spare unless
+    /// one is already kept. After a mispredict, the first attempt's
+    /// session (stored at its teardown) carries the advisor's plan memo,
+    /// and the replanned session that finishes the call must not replace
+    /// it.
     fn end_session(
         &mut self,
         proc: ProcId,
@@ -122,7 +126,7 @@ impl<A: LiveAdvisor + 'static> Client<A> {
             }
         }
         if let Some(r) = reclaimed {
-            self.spare.insert(proc, r);
+            self.spare.entry(proc).or_insert(r);
         }
     }
 

@@ -478,6 +478,7 @@ mod tests {
                     disable_undo: false,
                     early_prepare: false,
                     estimate_cost_us: 0.0,
+                    estimate_reused: false,
                 },
                 (),
             )

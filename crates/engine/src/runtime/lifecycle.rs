@@ -735,15 +735,19 @@ pub(super) mod tests {
 
     /// Single-partition advisor with a test maintainer. A nonzero
     /// `absorb_sleep` builds a feedback backlog that drains long after the
-    /// workers finish. With `withdrawn` set it offers that maintainer to
-    /// the start-time probe only and withdraws it when the maintenance
-    /// thread asks again — the contract violation the maintenance loop
-    /// must survive (regression: this used to panic the maintenance
-    /// thread, turning shutdown into a join on a panicked thread).
+    /// workers finish; `gate` makes the first record's `absorb` wait at a
+    /// barrier the test reaches once its calls are done, so the backlog
+    /// does not depend on how fast the calls ran. With `withdrawn` set it
+    /// offers that maintainer to the start-time probe only and withdraws it
+    /// when the maintenance thread asks again — the contract violation the
+    /// maintenance loop must survive (regression: this used to panic the
+    /// maintenance thread, turning shutdown into a join on a panicked
+    /// thread).
     #[derive(Default)]
     struct TestMaintained {
         withdrawn: Option<std::sync::atomic::AtomicBool>,
         absorb_sleep: Duration,
+        gate: Option<Arc<std::sync::Barrier>>,
         /// Receives the maintenance thread's own voluntary context-switch
         /// count at its first `absorb` (slot 0) and at `report` (slot 1).
         switches: Option<Arc<[AtomicU64; 2]>>,
@@ -836,6 +840,9 @@ pub(super) mod tests {
                 self.note_switches(0);
             }
             self.seen += 1;
+            if let Some(gate) = self.of.gate.as_ref().filter(|_| self.seen == 1) {
+                gate.wait();
+            }
             std::thread::sleep(self.of.absorb_sleep);
         }
 
@@ -851,16 +858,22 @@ pub(super) mod tests {
 
     #[test]
     fn window_pins_at_drain_completion_not_maintenance_join() {
+        // The first `absorb` waits for all 100 calls to return, so at least
+        // 99 records (about 200 ms of 2 ms absorbs) are queued at shutdown
+        // however slowly the calls ran; under load they can run slower than
+        // the maintainer absorbs, which would leave no backlog.
+        let gate = Arc::new(std::sync::Barrier::new(2));
         let rt = LiveRuntime::start(
             kv_database(1, 8),
             kv_registry(),
-            TestMaintained::sleepy(),
+            TestMaintained { gate: Some(Arc::clone(&gate)), ..TestMaintained::sleepy() },
             LiveConfig::default(),
         );
         let mut client = rt.client();
         for _ in 0..100 {
             client.call(0, kv_call()).unwrap();
         }
+        gate.wait();
         let mid = rt.metrics();
         let t_shutdown = Instant::now();
         let (fin, _) = rt.shutdown();

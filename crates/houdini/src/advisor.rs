@@ -10,12 +10,16 @@
 
 use crate::modelset::{lock_set_for, CatalogRule};
 use crate::train::ProcPredictor;
-use common::{EpochCell, PartitionSet, ProcId, QueryId, Value};
+use common::{EpochCell, FxHashMap, PartitionSet, ProcId, QueryId, Value};
 use engine::{
     Catalog, CatalogResolver, ExecutedQuery, LiveAdvisor, LiveMaintainer, MaintenanceReport,
-    PlanContext, Request, TxnFeedback, TxnOutcome, TxnPlan, Updates,
+    PartitionHint, PlanContext, Request, TxnFeedback, TxnOutcome, TxnPlan, Updates,
 };
-use markov::{estimate_path, EstimateConfig, ModelMonitor, QueryKind, VertexCursor, VertexId};
+use mapping::ParamSource;
+use markov::{
+    estimate_path, EstimateConfig, ModelMonitor, QueryKind, QueryPartitionRule, VertexCursor,
+    VertexId,
+};
 use std::sync::Arc;
 
 /// Minimum training observations before a state's finish table is trusted
@@ -88,6 +92,7 @@ impl Default for HoudiniConfig {
 /// Per-transaction decision state (inside [`LiveTxn`]), kept apart from
 /// the session's pinned predictor snapshot so `updates_at_state` can read
 /// the one while mutating the other.
+#[derive(Debug, Default, PartialEq)]
 struct TxnCore {
     lock_set: PartitionSet,
     declared: PartitionSet,
@@ -128,6 +133,120 @@ struct TxnCore {
     /// The transaction had a followed estimate and left it (§4.4
     /// deviation) — reported in feedback as a drift signal.
     deviated: bool,
+}
+
+impl Clone for TxnCore {
+    fn clone(&self) -> Self {
+        TxnCore {
+            step_queries: self.step_queries.clone(),
+            step_partitions: self.step_partitions.clone(),
+            finish_plan: self.finish_plan.clone(),
+            ..*self
+        }
+    }
+
+    /// Copies into the three step vectors rather than replacing them, so
+    /// they keep their capacity: a plan served from the memo allocates
+    /// nothing.
+    fn clone_from(&mut self, src: &Self) {
+        let mut step_queries = std::mem::take(&mut self.step_queries);
+        let mut step_partitions = std::mem::take(&mut self.step_partitions);
+        let mut finish_plan = std::mem::take(&mut self.finish_plan);
+        step_queries.clone_from(&src.step_queries);
+        step_partitions.clone_from(&src.step_partitions);
+        finish_plan.clone_from(&src.finish_plan);
+        *self = TxnCore { step_queries, step_partitions, finish_plan, ..*src };
+    }
+}
+
+/// Plans a session's memo holds before it starts over empty.
+const MEMO_CAPACITY: usize = 64;
+
+/// Signature word of a scalar routing argument the request does not carry.
+const SIG_MISSING: u64 = u64::MAX;
+
+/// Signature word of an array routing argument that is not an array.
+const SIG_NOT_ARRAY: u64 = u64::MAX - 1;
+
+/// What every plan in a [`PlanMemo`] was computed under besides its key:
+/// the procedure, the pinned predictor epoch and the knobs
+/// `plan_from_estimate` reads.
+#[derive(Clone, Copy, PartialEq)]
+struct MemoStamp {
+    proc: ProcId,
+    epoch: u64,
+    threshold: f64,
+    early_prepare: bool,
+}
+
+/// A session's plan memo. `estimate_path` reads a request's arguments
+/// only through the parameter mapping, and then only as a partition, an
+/// out-of-range array index or an unmapped parameter.
+/// So a plan is a pure function of the [`MemoStamp`], the model index and
+/// the *partition signature* of the routing arguments, which together
+/// form the key. A request whose key was seen before reuses the finished
+/// plan and decision state without estimating. Plans that drew on
+/// `random_local_partition` are never stored.
+#[derive(Default)]
+struct PlanMemo {
+    /// `None` until the first plan; a session planning under another
+    /// stamp starts the memo over.
+    stamp: Option<MemoStamp>,
+    /// The routing arguments: the mapped source of every query's
+    /// partitioning parameter, deduplicated, under the stamp's epoch.
+    sources: Vec<ParamSource>,
+    /// Key scratch: the model index, then per source its partition, or an
+    /// array's length and then each element's partition, or a marker.
+    key: Vec<u64>,
+    plans: FxHashMap<Vec<u64>, (TxnPlan, TxnCore)>,
+}
+
+impl PlanMemo {
+    /// Starts the memo over unless it was filled under `stamp`.
+    fn restamp(&mut self, stamp: MemoStamp, catalog: &Catalog, pred: &ProcPredictor) {
+        if self.stamp == Some(stamp) {
+            return;
+        }
+        self.stamp = Some(stamp);
+        self.plans.clear();
+        self.sources.clear();
+        for (q, def) in catalog.proc(stamp.proc).queries.iter().enumerate() {
+            let PartitionHint::Param(param) = def.hint else { continue };
+            if let Some(m) = pred.mapping.get(q as QueryId, param) {
+                if !self.sources.contains(&m.source) {
+                    self.sources.push(m.source);
+                }
+            }
+        }
+    }
+
+    /// Fills `key` for a request that selected `model_idx`.
+    fn fill_key(&mut self, model_idx: usize, args: &[Value], rule: &CatalogRule<'_>) {
+        self.key.clear();
+        self.key.push(model_idx as u64);
+        for source in &self.sources {
+            match *source {
+                ParamSource::Scalar(k) => {
+                    self.key.push(args.get(k).map_or(SIG_MISSING, |v| rule.partition_of(v).into()));
+                }
+                ParamSource::ArrayElement(k) => match args.get(k).and_then(Value::as_array) {
+                    Some(elems) => {
+                        self.key.push(elems.len() as u64);
+                        self.key.extend(elems.iter().map(|v| u64::from(rule.partition_of(v))));
+                    }
+                    None => self.key.push(SIG_NOT_ARRAY),
+                },
+            }
+        }
+    }
+
+    /// Stores a finished plan under the current `key`.
+    fn insert(&mut self, plan: TxnPlan, core: &TxnCore) {
+        if self.plans.len() >= MEMO_CAPACITY {
+            self.plans.clear();
+        }
+        self.plans.insert(self.key.clone(), (plan, core.clone()));
+    }
 }
 
 /// OP3/OP4 runtime updates (§4.4) at the state `to` reached by executing
@@ -278,31 +397,19 @@ impl Houdini {
     /// still track the model (unless the procedure is disabled outright)
     /// so OP4 can release partitions the tables say are finished — a
     /// lock-all transaction that never lets go would serialize the cluster.
-    fn passive_live(
+    fn passive_plan(
         &self,
-        epoch: u64,
-        procs: &Arc<Vec<ProcPredictor>>,
-        proc: ProcId,
-        args: &[Value],
+        pred: &ProcPredictor,
+        model_idx: usize,
         base: u32,
-    ) -> (TxnPlan, LiveTxn) {
-        let pred = &procs[proc as usize];
-        let model_idx = if pred.disabled { 0 } else { pred.models.select(args) };
+    ) -> (TxnPlan, TxnCore) {
         let track = !pred.disabled;
         let lock_set = PartitionSet::all(self.num_partitions);
         let core = TxnCore {
             lock_set,
-            declared: PartitionSet::EMPTY,
-            undo_disabled: false,
-            trust_abort: false,
-            est_complete: false,
-            step_queries: Vec::new(),
-            step_partitions: Vec::new(),
-            finish_plan: Vec::new(),
-            est_pos: None,
             model_loop_free: model_is_loop_free(pred.models.model(model_idx)),
             passive: !track,
-            deviated: false,
+            ..TxnCore::default()
         };
         let plan = TxnPlan {
             base_partition: base,
@@ -310,8 +417,9 @@ impl Houdini {
             disable_undo: false,
             early_prepare: track && self.cfg.early_prepare,
             estimate_cost_us: 0.0,
+            estimate_reused: false,
         };
-        (plan, LiveTxn::begin(proc, model_idx, epoch, procs, core))
+        (plan, core)
     }
 
     /// Derives the OP1–OP4 plan and decision state from a completed path
@@ -387,38 +495,70 @@ impl Houdini {
             disable_undo,
             early_prepare: self.cfg.early_prepare,
             estimate_cost_us: 0.0,
+            estimate_reused: false,
         };
         (plan, core)
     }
 
-    /// The planning body (§4.3): pin the current epoch, estimate the path,
-    /// derive the OP1–OP4 decisions.
-    fn plan(&self, req: &Request, ctx: &PlanContext<'_>) -> (TxnPlan, LiveTxn) {
+    /// The planning body (§4.3): select the model, then serve the plan
+    /// from `memo` or estimate the path and derive the OP1–OP4 decisions.
+    /// Returns the plan and the model index, and leaves the decision state
+    /// in `core`, the spare session's, so a memo hit copies into its
+    /// buffers.
+    fn plan_into(
+        &self,
+        req: &Request,
+        ctx: &PlanContext<'_>,
+        epoch: u64,
+        pred: &ProcPredictor,
+        memo: &mut PlanMemo,
+        core: &mut TxnCore,
+    ) -> (TxnPlan, usize) {
         let proc = req.proc;
-        // Pin the current predictor epoch for this whole transaction.
-        let (epoch, procs) = self.epochs.load_with_epoch();
-        let pred = &procs[proc as usize];
         if pred.disabled {
-            return self.passive_live(epoch, &procs, proc, &req.args, ctx.random_local_partition);
+            let (plan, passive) = self.passive_plan(pred, 0, ctx.random_local_partition);
+            *core = passive;
+            return (plan, 0);
         }
+        let stamp = MemoStamp {
+            proc,
+            epoch,
+            threshold: self.cfg.threshold,
+            early_prepare: self.cfg.early_prepare,
+        };
+        memo.restamp(stamp, &self.catalog, pred);
         let model_idx = pred.models.select(&req.args);
-        let model = pred.models.model(model_idx);
         let rule = CatalogRule::new(&self.catalog, proc, self.num_partitions);
+        memo.fill_key(model_idx, &req.args, &rule);
+        if let Some((plan, cached)) = memo.plans.get(memo.key.as_slice()) {
+            core.clone_from(cached);
+            return (TxnPlan { estimate_reused: true, ..*plan }, model_idx);
+        }
+        let model = pred.models.model(model_idx);
         let est = estimate_path(model, &rule, &pred.mapping, &req.args, &EstimateConfig::default());
         let cost = f64::from(est.states_examined) * EST_COST_PER_STATE_US;
         if !est.reached_commit && !est.reached_abort {
             // The walk dead-ended (a state never seen in training, §4.4):
             // the lock set cannot be trusted. Fall back to lock-all with
-            // tracking rather than gamble on a mispredict restart.
-            let (mut plan, session) =
-                self.passive_live(epoch, &procs, proc, &req.args, ctx.random_local_partition);
+            // tracking rather than gamble on a mispredict restart. Not
+            // memoised: the base is this request's random draw.
+            let (mut plan, passive) =
+                self.passive_plan(pred, model_idx, ctx.random_local_partition);
             plan.estimate_cost_us = cost;
-            return (plan, session);
+            *core = passive;
+            return (plan, model_idx);
         }
-        let (mut plan, core) =
+        // An estimate with no query step has no best base, so its plan's
+        // base is the random draw too.
+        let memoise = est.best_base().is_some();
+        let (mut plan, fresh) =
             self.plan_from_estimate(pred, model_idx, est, ctx.random_local_partition);
         plan.estimate_cost_us = cost;
-        (plan, LiveTxn::begin(proc, model_idx, epoch, &procs, core))
+        if memoise {
+            memo.insert(plan, &fresh);
+        }
+        *core = fresh;
+        (plan, model_idx)
     }
 }
 
@@ -441,27 +581,9 @@ pub struct LiveTxn {
     /// Executed `(query, partitions)` path, for teardown feedback.
     steps: Vec<(QueryId, PartitionSet)>,
     core: TxnCore,
-}
-
-impl LiveTxn {
-    /// A fresh session at the begin state of `procs[proc]`'s model.
-    fn begin(
-        proc: ProcId,
-        model_idx: usize,
-        epoch: u64,
-        procs: &Arc<Vec<ProcPredictor>>,
-        core: TxnCore,
-    ) -> Self {
-        LiveTxn {
-            proc,
-            model_idx,
-            epoch,
-            procs: procs.clone(),
-            cursor: VertexCursor::default(),
-            steps: Vec::new(),
-            core,
-        }
-    }
+    /// Plans this client made for `proc`; it rides the spare session from
+    /// one call to the next.
+    memo: PlanMemo,
 }
 
 impl LiveAdvisor for Houdini {
@@ -477,20 +599,22 @@ impl LiveAdvisor for Houdini {
         ctx: &PlanContext<'_>,
         spare: Option<LiveTxn>,
     ) -> (TxnPlan, LiveTxn) {
-        let (plan, mut session) = self.plan(req, ctx);
-        if let Some(mut old) = spare {
-            // Graft only raw capacity into the fresh session: the walk
-            // cursor and step vector are cleared, and every prediction
-            // field (epoch snapshot, core decisions) was already rebuilt by
-            // `plan` against the current epoch, so no stale state can
-            // survive. This is what makes the repeat-proc fast path
-            // allocation-free in steady state.
-            old.cursor.reset();
-            session.cursor = std::mem::take(&mut old.cursor);
-            old.steps.clear();
-            session.steps = std::mem::take(&mut old.steps);
-        }
-        (plan, session)
+        // Pin the current predictor epoch for this whole transaction.
+        let (epoch, procs) = self.epochs.load_with_epoch();
+        // The spare's walk cursor and step vector keep only their capacity,
+        // and its decision state is overwritten. Its memo survives: every
+        // entry is keyed by everything its plan was computed from, epoch
+        // included. A `None` spare is an empty memo, so the simulator,
+        // which passes none, always estimates.
+        let (mut cursor, mut steps, mut core, mut memo) = match spare {
+            Some(old) => (old.cursor, old.steps, old.core, old.memo),
+            None => Default::default(),
+        };
+        cursor.reset();
+        steps.clear();
+        let (plan, model_idx) =
+            self.plan_into(req, ctx, epoch, &procs[req.proc as usize], &mut memo, &mut core);
+        (plan, LiveTxn { proc: req.proc, model_idx, epoch, procs, cursor, steps, core, memo })
     }
 
     fn on_query_live(&self, cur: &mut LiveTxn, q: &ExecutedQuery) -> Updates {
@@ -520,7 +644,20 @@ impl LiveAdvisor for Houdini {
         // re-pinning whatever epoch is current now.
         let base = observed.first().unwrap_or(ctx.random_local_partition);
         let (epoch, procs) = self.epochs.load_with_epoch();
-        self.passive_live(epoch, &procs, req.proc, &req.args, base)
+        let pred = &procs[req.proc as usize];
+        let model_idx = if pred.disabled { 0 } else { pred.models.select(&req.args) };
+        let (plan, core) = self.passive_plan(pred, model_idx, base);
+        let session = LiveTxn {
+            proc: req.proc,
+            model_idx,
+            epoch,
+            procs,
+            cursor: VertexCursor::default(),
+            steps: Vec::new(),
+            core,
+            memo: PlanMemo::default(),
+        };
+        (plan, session)
     }
 
     fn end_live_reclaim(
@@ -642,7 +779,10 @@ mod tests {
     use super::*;
     use crate::train::{train, TrainingConfig};
     use common::Value;
-    use engine::run_offline;
+    use engine::{run_offline, LiveConfig, LiveRuntime, RequestGenerator};
+    use mapping::ProcMapping;
+    use std::sync::Mutex;
+    use trace::{TraceRecord, Workload};
     use workloads::{tpcc, Bench};
 
     fn trained(parts: u32, n: usize, partitioned: bool) -> (Houdini, Catalog) {
@@ -727,9 +867,12 @@ mod tests {
     #[test]
     fn threshold_zero_locks_everything() {
         let (mut h, catalog) = trained(2, 400, false);
-        h.cfg.threshold = 0.0;
         let req = new_order_req(1, 90_004, &[1, 1, 1]);
-        let (plan, _) = h.plan_live_reusing(&req, &ctx(&catalog), None);
+        // The spare's memo holds the plan made at the default threshold,
+        // which must not serve the request once the threshold changes.
+        let (_, spare) = h.plan_live_reusing(&req, &ctx(&catalog), None);
+        h.cfg.threshold = 0.0;
+        let (plan, _) = h.plan_live_reusing(&req, &ctx(&catalog), Some(spare));
         assert_eq!(
             plan.lock_set,
             PartitionSet::all(2),
@@ -742,10 +885,11 @@ mod tests {
     fn early_prepare_knob_gates_op4_plans() {
         let (mut h, catalog) = trained(2, 600, false);
         let req = new_order_req(0, 90_005, &[0, 0, 1]);
-        let (on, _) = h.plan_live_reusing(&req, &ctx(&catalog), None);
+        let (on, spare) = h.plan_live_reusing(&req, &ctx(&catalog), None);
         assert!(on.early_prepare);
         h.cfg.early_prepare = false;
-        let (off, _) = h.plan_live_reusing(&req, &ctx(&catalog), None);
+        // Planned from the spare, whose memo holds the OP4-on plan.
+        let (off, _) = h.plan_live_reusing(&req, &ctx(&catalog), Some(spare));
         assert!(!off.early_prepare, "OP4 ablation must not early-prepare");
         // The rest of the plan is unchanged by the ablation.
         assert_eq!(off.lock_set, on.lock_set);
@@ -802,5 +946,228 @@ mod tests {
             declared.contains(1),
             "customer partition declared finished (OP4), declared = {declared}"
         );
+    }
+
+    /// A Houdini with partitioned models (the default training), trained on
+    /// `n` requests of `bench`'s own generator at 2 partitions.
+    fn trained_on(bench: Bench, n: usize) -> (Houdini, Catalog) {
+        let reg = bench.registry();
+        let catalog = reg.catalog();
+        let mut gen = bench.client_generator(2, 7, 0);
+        let wl = engine::collect_trace(&mut bench.database(2), &reg, &mut gen, n, 8);
+        let preds = train(&catalog, 2, &wl, &TrainingConfig::default());
+        (Houdini::new(preds, catalog.clone(), 2, HoudiniConfig::default()), catalog)
+    }
+
+    /// 2-partition planning context whose random draw is `draw`.
+    fn ctx_drawing(catalog: &Catalog, draw: u32) -> PlanContext<'_> {
+        PlanContext { random_local_partition: draw, ..ctx(catalog) }
+    }
+
+    /// Plans `req` from `spare` (whose memo may serve it) and from scratch,
+    /// asserts that the two agree in the plan, the model index and every
+    /// decision field, and returns the first.
+    fn plan_checked(
+        h: &Houdini,
+        req: &Request,
+        ctx: &PlanContext<'_>,
+        spare: Option<LiveTxn>,
+    ) -> (TxnPlan, LiveTxn) {
+        let (plan, session) = h.plan_live_reusing(req, ctx, spare);
+        let (fresh, fresh_session) = h.plan_live_reusing(req, ctx, None);
+        assert!(!fresh.estimate_reused, "an empty memo cannot serve a plan");
+        assert_eq!(TxnPlan { estimate_reused: false, ..plan }, fresh, "plan for {req:?}");
+        assert_eq!(session.model_idx, fresh_session.model_idx, "model for {req:?}");
+        assert_eq!(session.core, fresh_session.core, "decisions for {req:?}");
+        (plan, session)
+    }
+
+    #[test]
+    fn memo_serves_exactly_the_fresh_plan_on_every_benchmark() {
+        for bench in Bench::ALL {
+            let (h, catalog) = trained_on(bench, 1500);
+            let mut spare: FxHashMap<ProcId, LiveTxn> = FxHashMap::default();
+            let (mut hits, mut plans) = (0u32, 0u32);
+            for seed in [99, 5] {
+                let mut gen = bench.client_generator(2, seed, 0);
+                for i in 0..600u32 {
+                    let (proc, args) = gen.next_request(0);
+                    let req = Request { proc, args, origin_node: 0 };
+                    // The draw alternates, so a plan that used it cannot
+                    // hide in the memo.
+                    let ctx = ctx_drawing(&catalog, i % 2);
+                    let (plan, session) = plan_checked(&h, &req, &ctx, spare.remove(&proc));
+                    hits += u32::from(plan.estimate_reused);
+                    plans += 1;
+                    let (_, reclaimed) = h.end_live_reclaim(session, TxnOutcome::Committed);
+                    spare.insert(proc, reclaimed.expect("Houdini reclaims its sessions"));
+                }
+            }
+            assert!(hits * 2 > plans, "{}: {hits} memo hits in {plans} plans", bench.name());
+        }
+    }
+
+    #[test]
+    fn memo_key_counts_array_lengths() {
+        // PostAuction routes on two arrays, sellers (0) and buyers (2). At
+        // 2 partitions both requests read partitions 0, 1, 0, 1 from them,
+        // split 2 + 2 in `a` and 1 + 3 in `b`: only the lengths tell the
+        // two apart.
+        let (h, catalog) = trained_on(Bench::AuctionMark, 1500);
+        let proc = catalog.proc_id("PostAuction").expect("AuctionMark proc");
+        let ints = |v: &[i64]| Value::Array(v.iter().map(|&x| Value::Int(x)).collect());
+        let a = Request {
+            proc,
+            args: vec![ints(&[2, 3]), ints(&[20, 30]), ints(&[4, 5])],
+            origin_node: 0,
+        };
+        let b =
+            Request { proc, args: vec![ints(&[2]), ints(&[20]), ints(&[3, 4, 5])], origin_node: 0 };
+        let ctx = ctx(&catalog);
+        let (_, session) = plan_checked(&h, &a, &ctx, None);
+        let (again, session) = plan_checked(&h, &a, &ctx, Some(session));
+        assert!(again.estimate_reused, "`a` is memoised");
+        let (other, _) = plan_checked(&h, &b, &ctx, Some(session));
+        assert!(!other.estimate_reused, "`b` has a key of its own");
+    }
+
+    #[test]
+    fn memo_never_serves_a_dead_end() {
+        // NewOrder without items: training never saw a NewOrder commit
+        // before its first item, so the walk dead-ends and the plan falls
+        // back to lock-all at the request's random draw.
+        let (h, catalog) = trained(2, 600, false);
+        let req = new_order_req(0, 90_010, &[]);
+        let (first, session) = plan_checked(&h, &req, &ctx_drawing(&catalog, 0), None);
+        assert!(first.estimate_cost_us > 0.0, "an estimate was attempted");
+        assert_eq!(first.lock_set, PartitionSet::all(2), "the dead end locks everything");
+        assert!(session.core.step_queries.is_empty());
+        assert_eq!(first.base_partition, 0);
+        let (again, _) = plan_checked(&h, &req, &ctx_drawing(&catalog, 1), Some(session));
+        assert!(!again.estimate_reused);
+        assert_eq!(again.base_partition, 1, "the fallback's base is this request's own draw");
+    }
+
+    #[test]
+    fn memo_never_serves_an_estimate_without_a_query_step() {
+        // Every training record of OrderStatus committed without a query,
+        // so its estimate goes straight from begin to commit: no partition
+        // is accessed and the base is the request's random draw.
+        let catalog = Bench::Tpcc.registry().catalog();
+        let proc = catalog.proc_id("OrderStatus").expect("TPC-C proc");
+        let records: Vec<TraceRecord> = (0..20)
+            .map(|i| TraceRecord {
+                proc,
+                params: vec![Value::Int(i)],
+                queries: Vec::new(),
+                aborted: false,
+            })
+            .collect();
+        let preds = train(&catalog, 2, &Workload { records }, &TrainingConfig::default());
+        let h = Houdini::new(preds, catalog.clone(), 2, HoudiniConfig::default());
+        let req = Request { proc, args: vec![Value::Int(3)], origin_node: 0 };
+        let (first, session) = plan_checked(&h, &req, &ctx_drawing(&catalog, 0), None);
+        assert!(!session.core.passive && session.core.step_queries.is_empty());
+        assert_eq!(first.base_partition, 0);
+        let (again, _) = plan_checked(&h, &req, &ctx_drawing(&catalog, 1), Some(session));
+        assert!(!again.estimate_reused);
+        assert_eq!(again.base_partition, 1, "the base is this request's own draw");
+    }
+
+    #[test]
+    fn epoch_swap_empties_the_memo() {
+        let (h, catalog) = trained(2, 600, false);
+        let req = new_order_req(0, 90_011, &[0, 0, 1]);
+        let ctx = ctx(&catalog);
+        let (_, session) = plan_checked(&h, &req, &ctx, None);
+        let (old, session) = plan_checked(&h, &req, &ctx, Some(session));
+        assert!(old.estimate_reused);
+        let old_core = session.core.clone();
+        // The next epoch forgets NewOrder's parameter mapping, so its walk
+        // can only follow the trained edges' own partitions.
+        let mut next = (*h.live_predictors()).clone();
+        next[req.proc as usize].mapping = ProcMapping::empty();
+        h.epochs.store(next);
+        let (new, session) = plan_checked(&h, &req, &ctx, Some(session));
+        assert!(!new.estimate_reused, "a plan from the previous epoch was served");
+        assert!(
+            TxnPlan { estimate_reused: true, ..new } != old || session.core != old_core,
+            "the swap must change the plan for this test to mean anything"
+        );
+    }
+
+    /// Houdini, except that each call's first plan locks only its base
+    /// partition, so a call that spans two partitions mispredicts once.
+    /// Records whether each first plan came from the memo.
+    struct NarrowFirstPlan {
+        inner: Houdini,
+        reused: Mutex<Vec<bool>>,
+    }
+
+    impl LiveAdvisor for NarrowFirstPlan {
+        type Session = LiveTxn;
+
+        fn name(&self) -> &str {
+            "narrow-first-plan"
+        }
+
+        fn plan_live_reusing(
+            &self,
+            req: &Request,
+            ctx: &PlanContext<'_>,
+            spare: Option<LiveTxn>,
+        ) -> (TxnPlan, LiveTxn) {
+            let (plan, session) = self.inner.plan_live_reusing(req, ctx, spare);
+            self.reused.lock().unwrap().push(plan.estimate_reused);
+            (TxnPlan { lock_set: PartitionSet::single(plan.base_partition), ..plan }, session)
+        }
+
+        fn on_query_live(&self, session: &mut LiveTxn, q: &ExecutedQuery) -> Updates {
+            self.inner.on_query_live(session, q)
+        }
+
+        fn replan_live(
+            &self,
+            req: &Request,
+            observed: PartitionSet,
+            attempt: u32,
+            ctx: &PlanContext<'_>,
+        ) -> (TxnPlan, LiveTxn) {
+            self.inner.replan_live(req, observed, attempt, ctx)
+        }
+
+        fn end_live_reclaim(
+            &self,
+            session: LiveTxn,
+            outcome: TxnOutcome,
+        ) -> (Option<TxnFeedback>, Option<LiveTxn>) {
+            self.inner.end_live_reclaim(session, outcome)
+        }
+    }
+
+    #[test]
+    fn memo_survives_a_mispredict() {
+        let (inner, _) = trained(2, 600, false);
+        let advisor = Arc::new(NarrowFirstPlan { inner, reused: Mutex::new(Vec::new()) });
+        let rt = LiveRuntime::start(
+            Bench::Tpcc.database(2),
+            Bench::Tpcc.registry(),
+            Arc::clone(&advisor),
+            LiveConfig::default(),
+        );
+        let mut client = rt.client();
+        // Remote Payment: customer at partition 1, warehouse at 0 (a fresh
+        // history id each). Both calls mispredict and finish on a lock-all
+        // replan. The second call's first plan comes from the memo the
+        // first call filled, which the replanned session must not have
+        // displaced as the client's spare.
+        for h_id in [77_000, 77_001] {
+            let args = [0, 1, 5, 100, h_id].map(Value::Int).to_vec();
+            assert_eq!(client.call(3, args).unwrap(), TxnOutcome::Committed);
+        }
+        drop(client);
+        let (m, _) = rt.shutdown();
+        assert_eq!(m.restarts, 2, "each call mispredicts once");
+        assert_eq!(*advisor.reused.lock().unwrap(), [false, true]);
     }
 }
