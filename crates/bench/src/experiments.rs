@@ -258,7 +258,7 @@ pub fn table3(scale: Scale) -> String {
         let (train_recs, test_recs) = wl.records.split_at(n / 2);
         let train_wl = trace::Workload { records: train_recs.to_vec() };
         for partitioned in [false, true] {
-            let cfg = TrainingConfig { partitioned, ..Default::default() };
+            let cfg = TrainingConfig { partitioned };
             let preds = train(&catalog, parts, &train_wl, &cfg);
             let mut agg = AccuracyReport::default();
             for (proc, pred) in preds.iter().enumerate() {

@@ -136,7 +136,7 @@ fn live_worker_counts() -> Vec<u32> {
 /// reply goes out the moment its transaction finishes (DESIGN.md §"Live
 /// runtime").
 fn live_config(seed: u64, msg_delay_us: u64) -> LiveConfig {
-    LiveConfig { max_restarts: 2, seed, msg_delay_us, ..Default::default() }
+    LiveConfig { seed, msg_delay_us, ..Default::default() }
 }
 
 /// Requests per closed-loop client: `quick` at smoke scale, 2 000 at
@@ -406,9 +406,9 @@ pub fn live_latency(scale: Scale) -> String {
 /// and epoch-swap them in, so throughput and prediction accuracy recover
 /// mid-window; the frozen arm (`maintenance: false`) stays degraded —
 /// every shifted request runs distributed. `est-reuse%` is the share of
-/// commits planned from the clients' plan memos: dead-ended estimates are
-/// never memoised, and each epoch swap empties the memos, which then
-/// refill.
+/// commits planned from the predictor epoch's plan tables, which every
+/// client shares: dead-ended estimates are never stored, and each epoch
+/// swap starts the tables over empty.
 pub fn live_drift(scale: Scale) -> String {
     let parts = LATENCY_PARTS;
     let half = parts / 2;

@@ -65,7 +65,7 @@ pub fn trained_houdini(
     seed: u64,
 ) -> Houdini {
     let (catalog, workload) = collect_trace(bench, parts, trace_len, seed);
-    let cfg = TrainingConfig { partitioned, ..Default::default() };
+    let cfg = TrainingConfig { partitioned };
     let preds = train(&catalog, parts, &workload, &cfg);
     Houdini::new(preds, catalog, parts, HoudiniConfig { threshold, ..Default::default() })
 }
@@ -79,7 +79,6 @@ pub fn sim_config(parts: u32, scale: Scale, seed: u64) -> SimConfig {
         warmup_us: scale.warmup_us(),
         measure_us: scale.measure_us(),
         seed,
-        max_restarts: 2,
         max_requests_per_client: None,
     }
 }

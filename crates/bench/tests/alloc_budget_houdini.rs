@@ -2,13 +2,12 @@
 //!
 //! `alloc_budget.rs` pins the fast path under `AssumeSinglePartition`,
 //! whose plan is free. Houdini's call path adds the plan and the per-query
-//! `on_query_live` walk. A repeated request is planned from the client's
-//! plan memo, which copies the cached decisions into the spare session's
-//! buffers, so in steady state the estimate allocates nothing. This test
-//! holds the line with the shared harness
-//! (`alloc_pin`): after a warm-up, two equal batches of identical TATP
-//! `GetSubscriber` calls must allocate *exactly* the same amount, under a
-//! per-call cap.
+//! `on_query_live` walk. A repeated request is planned from the predictor
+//! epoch's plan table, which copies the stored decisions into the spare
+//! session's buffers, so in steady state the estimate allocates nothing.
+//! This test holds the line with the shared harness (`alloc_pin`): after a
+//! warm-up, two equal batches of identical TATP `GetSubscriber` calls must
+//! allocate *exactly* the same amount, under a per-call cap.
 
 mod alloc_pin;
 
@@ -21,8 +20,8 @@ use workloads::Bench;
 /// Per-call allocation ceiling: `alloc_budget.rs`'s 10 under
 /// `AssumeSinglePartition` plus 2. Measured: 10 per call with maintenance
 /// off, the same as `AssumeSinglePartition`, because every call after the
-/// first is a memo hit that neither estimates nor allocates (20 before the
-/// memo). Fails loudly if the advisor's per-call work grows.
+/// first is a plan-table hit that neither estimates nor allocates. Fails
+/// loudly if the advisor's per-call work grows.
 const PER_CALL_CAP: u64 = 12;
 
 #[test]

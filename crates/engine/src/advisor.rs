@@ -54,7 +54,7 @@ pub struct TxnPlan {
     /// Simulated cost of producing this estimate, charged to the
     /// "estimation" profiler bucket (Fig. 11).
     pub estimate_cost_us: f64,
-    /// The advisor served this plan from a memo of its earlier plans
+    /// The advisor served this plan from a table of its earlier plans
     /// instead of estimating; counted per procedure in
     /// [`crate::RunMetrics::est_reused_by_proc`].
     pub estimate_reused: bool,
@@ -179,8 +179,10 @@ pub struct PlanContext<'a> {
 /// an explicit [`LiveAdvisor::Session`] value that travels with the
 /// transaction — to the owning worker for single-partition work, or staying
 /// with the coordinator for distributed work. A trained advisor therefore
-/// serves the whole cluster concurrently without locks, and the
-/// single-threaded simulator drives the very same calls.
+/// serves the whole cluster concurrently, and the single-threaded
+/// simulator drives the very same calls. State an advisor shares between
+/// transactions is its own to synchronise: Houdini's per-epoch plan table
+/// takes a read lock per plan and a write lock per stored plan.
 ///
 /// On-line model maintenance (§4.5) runs *beside* traffic rather than
 /// inside it: session teardown returns structured [`TxnFeedback`], the
@@ -201,16 +203,12 @@ pub trait LiveAdvisor: Send + Sync {
 
     /// Produces the initial plan and session for a new request. `spare` is
     /// a session reclaimed by [`LiveAdvisor::end_live_reclaim`] from an
-    /// earlier transaction of the *same procedure* on the *same client*
-    /// (`None` when the caller keeps no cache). Advisors with
-    /// allocation-heavy sessions graft the spare's already-sized buffers
-    /// into the fresh session; the rest drop it. No stale prediction state
-    /// may survive the graft: a spare's decisions and walk are rebuilt for
-    /// this request, and prediction state may be carried over only when it
-    /// is keyed by everything it was computed from — the advisor's model
-    /// epoch included — so a request whose key differs never sees it
-    /// (Houdini's plan memo). Anything else is raw capacity (maps,
-    /// vectors).
+    /// earlier transaction, of any procedure, on the *same client* (`None`
+    /// when the caller keeps no spare). Advisors with allocation-heavy
+    /// sessions graft the spare's already-sized buffers into the fresh
+    /// session; the rest drop it. A spare is raw capacity (maps, vectors):
+    /// no prediction state survives the graft, so its decisions and walk
+    /// are rebuilt for this request.
     fn plan_live_reusing(
         &self,
         req: &Request,
@@ -251,8 +249,8 @@ pub trait LiveAdvisor: Send + Sync {
 
     /// Session teardown: the transaction (or mispredicted attempt)
     /// finished. May yield structured path feedback for the maintainer,
-    /// and may hand the spent session back so the caller can cache it for
-    /// the next [`LiveAdvisor::plan_live_reusing`] of the same procedure.
+    /// and may hand the spent session back so the caller can keep it for
+    /// its next [`LiveAdvisor::plan_live_reusing`].
     /// Default: nothing to learn, nothing to reclaim.
     fn end_live_reclaim(
         &self,

@@ -80,10 +80,10 @@ impl OpCounters {
 /// per decade spanning 1 µs to 10^9 µs (~17 min), with one underflow and
 /// one overflow bucket. That bounds quantile error at ~12% per sample —
 /// plenty for p50/p95/p99 reporting — while keeping the struct a flat,
-/// mergeable array (each runtime worker records locally and merges at
-/// shutdown). Samples past the ceiling land in the overflow bucket;
-/// [`LatencyHistogram::quantile_us`] reports quantiles that fall there as
-/// `None` rather than inventing an in-range edge, and
+/// mergeable array (the open-loop driver's submitter threads each record
+/// their own and merge at the end). Samples past the ceiling land in the
+/// overflow bucket; [`LatencyHistogram::quantile_us`] reports quantiles
+/// that fall there as `None` rather than inventing an in-range edge, and
 /// [`LatencyHistogram::overflow_count`] exposes how many samples saturated.
 #[derive(Debug, Clone)]
 pub struct LatencyHistogram {
@@ -247,8 +247,9 @@ impl EpochAccuracy {
     }
 }
 
-/// What one run's maintenance thread did (merged into [`RunMetrics`] at
-/// shutdown by [`crate::run_live`]).
+/// What one run's maintainer did: merged into [`RunMetrics`] by
+/// [`RunMetrics::absorb_maintenance`] when a [`crate::LiveRuntime`] shuts
+/// down and at the end of [`crate::Simulation::run`].
 #[derive(Debug, Clone, Default)]
 pub struct MaintenanceReport {
     /// Model epochs published (each swap rebuilds only the drifted models).
@@ -266,7 +267,7 @@ pub struct RunMetrics {
     pub committed: u64,
     /// Committed transactions per procedure (measurement window).
     pub committed_by_proc: FxHashMap<ProcId, u64>,
-    /// Of those, the ones whose plan the advisor served from its memo
+    /// Of those, the ones whose plan the advisor served from its plan table
     /// without estimating ([`TxnPlan::estimate_reused`]). Kept beside
     /// `committed_by_proc` rather than in [`OpCounters`], which holds
     /// Table 4's optimization counters.
@@ -423,56 +424,9 @@ impl RunMetrics {
     }
 
     /// Percentage of committed transactions (measurement window), across
-    /// every procedure, that the advisor planned from its memo.
+    /// every procedure, that the advisor planned from its plan table.
     pub fn overall_est_reused_pct(&self) -> Option<f64> {
         OpCounters::pct(self.est_reused_by_proc.values().sum(), self.committed)
-    }
-
-    /// Folds another metrics partial into this one (live-runtime clients
-    /// each record locally and merge at shutdown). `window_us` is *not*
-    /// combined — the caller sets the shared wall-clock window once.
-    pub fn absorb(&mut self, other: &RunMetrics) {
-        self.committed += other.committed;
-        self.user_aborts += other.user_aborts;
-        self.restarts += other.restarts;
-        self.speculative += other.speculative;
-        self.cascaded_aborts += other.cascaded_aborts;
-        self.no_undo += other.no_undo;
-        self.distributed += other.distributed;
-        self.single_partition += other.single_partition;
-        self.total_latency_us += other.total_latency_us;
-        self.reserved_idle_us += other.reserved_idle_us;
-        self.model_swaps += other.model_swaps;
-        self.feedback_records += other.feedback_records;
-        self.feedback_dropped += other.feedback_dropped;
-        self.flushes_total += other.flushes_total;
-        self.flushes_coalesced += other.flushes_coalesced;
-        self.log_records += other.log_records;
-        self.log_bytes_written += other.log_bytes_written;
-        self.snapshots_taken += other.snapshots_taken;
-        self.recovery_ms = self.recovery_ms.max(other.recovery_ms);
-        for e in &other.epoch_accuracy {
-            self.record_epoch_accuracy(e.epoch, e.observed, e.matched);
-        }
-        self.latency.merge(&other.latency);
-        self.lock_hold.merge(&other.lock_hold);
-        self.profile.merge(&other.profile);
-        for (&proc, &n) in &other.committed_by_proc {
-            *self.committed_by_proc.entry(proc).or_insert(0) += n;
-        }
-        for (&proc, &n) in &other.est_reused_by_proc {
-            *self.est_reused_by_proc.entry(proc).or_insert(0) += n;
-        }
-        for (&proc, ops) in &other.ops {
-            let mine = self.ops_mut(proc);
-            mine.txns += ops.txns;
-            mine.op1 += ops.op1;
-            mine.op1_applicable += ops.op1_applicable;
-            mine.op2 += ops.op2;
-            mine.op2_applicable += ops.op2_applicable;
-            mine.op3 += ops.op3;
-            mine.op4 += ops.op4;
-        }
     }
 
     /// Records one finished transaction — the outcome record of both
@@ -481,8 +435,8 @@ impl RunMetrics {
     /// single-partition, no-undo and in Table 4's counters;
     /// with its client-visible `latency_us` it also counts in `committed`,
     /// `committed_by_proc` (and `est_reused_by_proc` if the plan came from
-    /// the advisor's memo) and the latency histogram — the simulator passes
-    /// `None` for a commit outside its measurement window.
+    /// the advisor's plan table) and the latency histogram — the simulator
+    /// passes `None` for a commit outside its measurement window.
     pub(crate) fn record_txn(
         &mut self,
         proc: ProcId,
@@ -721,10 +675,8 @@ mod tests {
         // Outside the measurement window, and a user abort: neither counts.
         m.record_txn(4, &reused, true, &fp, 2, None);
         m.record_txn(4, &reused, false, &fp, 2, Some(5.0));
-        let mut merged = RunMetrics::default();
-        merged.absorb(&m);
-        assert_eq!(merged.est_reused_by_proc, FxHashMap::from_iter([(3, 1), (4, 1)]));
-        assert_eq!(merged.committed_by_proc, FxHashMap::from_iter([(3, 2), (4, 1)]));
-        assert_eq!(merged.overall_est_reused_pct(), Some(100.0 * 2.0 / 3.0));
+        assert_eq!(m.est_reused_by_proc, FxHashMap::from_iter([(3, 1), (4, 1)]));
+        assert_eq!(m.committed_by_proc, FxHashMap::from_iter([(3, 2), (4, 1)]));
+        assert_eq!(m.overall_est_reused_pct(), Some(100.0 * 2.0 / 3.0));
     }
 }

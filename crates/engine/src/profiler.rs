@@ -127,21 +127,6 @@ impl Profiler {
         self.per_proc.entry(proc).or_default().txns += 1;
     }
 
-    /// Folds another profiler's accumulations into this one (used when
-    /// per-call metrics are absorbed into the run-wide aggregate).
-    pub fn merge(&mut self, other: &Profiler) {
-        for (proc, times) in &other.per_proc {
-            let entry = self.per_proc.entry(*proc).or_default();
-            for (acc, us) in entry.us.iter_mut().zip(times.us.iter()) {
-                *acc += us;
-            }
-            for (acc, us) in entry.coord.iter_mut().zip(times.coord.iter()) {
-                *acc += us;
-            }
-            entry.txns += times.txns;
-        }
-    }
-
     /// Total recorded microseconds across all procedures and buckets.
     pub fn grand_total_us(&self) -> f64 {
         self.per_proc.values().map(|t| t.us.iter().sum::<f64>()).sum()
@@ -179,17 +164,6 @@ impl Profiler {
     /// sub-bucket.
     pub fn coord_us(&self, proc: ProcId, sub: CoordSub) -> f64 {
         self.per_proc.get(&proc).map(|t| t.coord[sub as usize]).unwrap_or(0.0)
-    }
-
-    /// Fraction of `proc`'s recorded time in a coordination sub-bucket
-    /// (same denominator as [`Profiler::share`], so the three sub-shares
-    /// sum to at most the `Coordination` share).
-    pub fn coord_share(&self, proc: ProcId, sub: CoordSub) -> f64 {
-        let total = self.total_us(proc);
-        if total == 0.0 {
-            return 0.0;
-        }
-        self.coord_us(proc, sub) / total
     }
 
     /// Run-weighted coordination sub-bucket share across all procedures
@@ -262,27 +236,6 @@ mod tests {
     }
 
     #[test]
-    fn merge_folds_per_proc_totals() {
-        let mut a = Profiler::new();
-        a.add(0, Bucket::Execution, 40.0);
-        a.add(0, Bucket::Queueing, 10.0);
-        a.finish_txn(0);
-        let mut b = Profiler::new();
-        b.add(0, Bucket::Execution, 60.0);
-        b.add(2, Bucket::Coordination, 5.0);
-        b.finish_txn(0);
-        b.finish_txn(2);
-        a.merge(&b);
-        assert!((a.total_us(0) - 110.0).abs() < 1e-12);
-        assert!((a.mean_us(0, Bucket::Execution) - 50.0).abs() < 1e-12);
-        assert_eq!(a.txns(0), 2);
-        assert_eq!(a.txns(2), 1);
-        assert_eq!(a.total_txns(), 3);
-        assert!((a.grand_total_us() - 115.0).abs() < 1e-12);
-        assert_eq!(a.procs(), vec![0, 2]);
-    }
-
-    #[test]
     fn coord_sub_buckets_split_the_coordination_total() {
         let mut p = Profiler::new();
         p.add(0, Bucket::Execution, 50.0);
@@ -290,13 +243,11 @@ mod tests {
         p.add_coord(0, CoordSub::LockWait, 10.0);
         p.add_coord(0, CoordSub::TwoPc, 25.0);
         p.add_coord(0, CoordSub::Flush, 5.0);
-        let sub_sum: f64 = CoordSub::ALL.iter().map(|&s| p.coord_share(0, s)).sum();
+        let sub_sum: f64 = CoordSub::ALL.iter().map(|&s| p.overall_coord_share(s)).sum();
         assert!(sub_sum <= p.share(0, Bucket::Coordination) + 1e-12);
-        assert!((p.coord_share(0, CoordSub::TwoPc) - 0.25).abs() < 1e-12);
+        assert!((p.overall_coord_share(CoordSub::TwoPc) - 0.25).abs() < 1e-12);
         assert!((p.overall_coord_share(CoordSub::LockWait) - 0.10).abs() < 1e-12);
-        let mut q = Profiler::new();
-        q.merge(&p);
-        assert!((q.coord_us(0, CoordSub::Flush) - 5.0).abs() < 1e-12);
+        assert!((p.coord_us(0, CoordSub::Flush) - 5.0).abs() < 1e-12);
     }
 
     #[test]

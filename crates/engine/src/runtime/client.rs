@@ -14,7 +14,7 @@ use crate::txn::replan;
 use common::ring::{self, PushError};
 use common::sync::atomic::Ordering;
 use common::sync::{Arc, PoisonError};
-use common::{derive_seed, seeded_rng, Error, FxHashMap, ProcId, Result, Value};
+use common::{derive_seed, seeded_rng, Error, ProcId, Result, Value};
 use rand::rngs::SmallRng;
 use rand::Rng;
 use std::time::Instant;
@@ -45,10 +45,10 @@ pub struct Client<A: LiveAdvisor + 'static> {
     /// The reusable reply mailbox every fast-path call blocks on (an
     /// `Arc` clone travels inside each message; never reallocated).
     reply: Arc<SingleSlot<A::Session>>,
-    /// Reclaimed advisor sessions, one spare per procedure: the next call
-    /// to the same procedure reuses the session's plan scratch instead of
-    /// allocating fresh (see [`LiveAdvisor::plan_live_reusing`]).
-    spare: FxHashMap<ProcId, A::Session>,
+    /// A reclaimed advisor session: the next call reuses its buffers
+    /// instead of allocating fresh (see [`LiveAdvisor::plan_live_reusing`]).
+    /// Buffer capacity only grows, so one spare serves every procedure.
+    spare: Option<A::Session>,
     /// Reused buffer of lock-hold samples from distributed attempts,
     /// folded under the metrics lock once per call.
     lock_holds: Vec<f64>,
@@ -96,7 +96,7 @@ impl<A: LiveAdvisor + 'static> Client<A> {
             lanes: (0..shared.num_partitions as usize).map(|_| None).collect(),
             frag_ports: (0..shared.num_partitions as usize).map(|_| None).collect(),
             reply: Arc::new(ReplySlot::new()),
-            spare: FxHashMap::default(),
+            spare: None,
             lock_holds: Vec::new(),
             shared: Arc::clone(shared),
             id,
@@ -107,26 +107,17 @@ impl<A: LiveAdvisor + 'static> Client<A> {
     /// maintenance thread — `try_send` keeps the acknowledgement latency
     /// independent of maintenance (the thread drains on its own tick, so
     /// the send wakes no one), a full channel sheds the record into
-    /// `fb_dropped` — and the spent session becomes `proc`'s spare unless
-    /// one is already kept. After a mispredict, the first attempt's
-    /// session (stored at its teardown) carries the advisor's plan memo,
-    /// and the replanned session that finishes the call must not replace
-    /// it.
-    fn end_session(
-        &mut self,
-        proc: ProcId,
-        session: A::Session,
-        outcome: TxnOutcome,
-        fb_dropped: &mut u64,
-    ) {
+    /// `fb_dropped` — and the spent session becomes the spare unless one
+    /// is already kept.
+    fn end_session(&mut self, session: A::Session, outcome: TxnOutcome, fb_dropped: &mut u64) {
         let (record, reclaimed) = self.shared.advisor.end_live_reclaim(session, outcome);
         if let (Some(tx), Some(rec)) = (self.shared.fb_tx.as_ref(), record) {
             if tx.try_send(rec).is_err() {
                 *fb_dropped += 1;
             }
         }
-        if let Some(r) = reclaimed {
-            self.spare.entry(proc).or_insert(r);
+        if self.spare.is_none() {
+            self.spare = reclaimed;
         }
     }
 
@@ -141,8 +132,8 @@ impl<A: LiveAdvisor + 'static> Client<A> {
     /// transaction finishes: plans via the runtime's advisor, dispatches
     /// to the lock-free single-partition fast path or coordinates the
     /// distributed path (2PC, OP4 early prepare), restarts transparently
-    /// on mispredicts, and falls back to a lock-all plan after
-    /// `LiveConfig::max_restarts`.
+    /// on mispredicts, and falls back to a lock-all plan after two
+    /// restarts.
     ///
     /// Returns [`TxnOutcome::Committed`] or [`TxnOutcome::UserAborted`];
     /// `Err` means the transaction could not be completed — an
@@ -177,7 +168,7 @@ impl<A: LiveAdvisor + 'static> Client<A> {
         let (mut plan, mut session) = env.advisor.plan_live_reusing(
             req.as_ref().expect("request in hand"),
             &ctx,
-            self.spare.remove(&proc),
+            self.spare.take(),
         );
         acc.est_us += us_since(t0);
         let mut attempt = 0u32;
@@ -241,7 +232,7 @@ impl<A: LiveAdvisor + 'static> Client<A> {
                 Attempt::Done { committed, fp, session: s } => {
                     let outcome =
                         if committed { TxnOutcome::Committed } else { TxnOutcome::UserAborted };
-                    self.end_session(proc, s, outcome, &mut fb_dropped);
+                    self.end_session(s, outcome, &mut fb_dropped);
                     break Ok((outcome, fp, us_since(t0)));
                 }
                 Attempt::Mispredict { observed, session: s } => {
@@ -252,11 +243,10 @@ impl<A: LiveAdvisor + 'static> Client<A> {
                     // session. (Riding it into the retry would concatenate
                     // two walks into one feedback path and intern phantom
                     // states.)
-                    self.end_session(proc, s, TxnOutcome::Mispredicted, &mut fb_dropped);
+                    self.end_session(s, TxnOutcome::Mispredicted, &mut fb_dropped);
                     let r = req.as_ref().expect("request survives a mispredict");
                     let t_est = Instant::now();
-                    let max = env.cfg.max_restarts;
-                    session = replan(&env.advisor, r, &ctx, observed, &mut attempt, max, &mut plan);
+                    session = replan(&env.advisor, r, &ctx, observed, &mut attempt, &mut plan);
                     acc.est_us += us_since(t_est);
                 }
                 Attempt::Fatal(e) => break Err(e),

@@ -498,7 +498,7 @@ mod tests {
     #[test]
     fn lock_hold_recorded_on_mispredict_and_commit_releases() {
         // MultiGet over id 2 (partition 2 of 4) under a {0,1} plan: three
-        // mispredicted attempts (max_restarts = 2) each release two held
+        // mispredicted attempts (`MAX_RESTARTS` = 2) each release two held
         // partitions without reaching a commit, then the lock-all fallback
         // commits holding four. Before the fix only the commit path
         // recorded, so exactly the contended attempts went missing.

@@ -28,8 +28,6 @@ use wal::{FileDevice, LogRecord, LogSet};
 /// takes its load shape as arguments).
 #[derive(Debug, Clone)]
 pub struct LiveConfig {
-    /// Mispredict restarts before falling back to lock-all.
-    pub max_restarts: u32,
     /// Seed for the clients' random-partition draws.
     pub seed: u64,
     /// One-way coordinator→participant message latency (µs of real sleep at
@@ -53,7 +51,7 @@ pub struct LiveConfig {
 
 impl Default for LiveConfig {
     fn default() -> Self {
-        LiveConfig { max_restarts: 2, seed: 7, msg_delay_us: 0, durability: None }
+        LiveConfig { seed: 7, msg_delay_us: 0, durability: None }
     }
 }
 

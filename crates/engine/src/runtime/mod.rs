@@ -88,7 +88,7 @@
 //! Mispredicts go through the kernel the simulator uses: a query batch that
 //! targets a partition outside the lock set (or an early-released one)
 //! rolls the transaction back, the advisor replans (`attempt` counting
-//! up), and after `max_restarts` the transaction falls back to a lock-all
+//! up), and after two restarts the transaction falls back to a lock-all
 //! plan that cannot mispredict.
 //!
 //! Commit runs real two-phase commit, coalesced per (coordinator,
@@ -223,8 +223,9 @@ const IDLE_SPIN: u32 = 256;
 /// record (counted in `RunMetrics::feedback_dropped`) and the
 /// transaction's acknowledgement proceeds untouched. The maintenance
 /// thread drains on its own tick and is never woken by a client, so the
-/// channel must hold one tick of peak traffic: about 140 records at the
-/// ~140 k calls/s the 1-worker TATP fast path reaches on a 2-core host.
+/// channel must hold one tick of peak traffic: about 170 records at the
+/// ~170 k calls/s the 1-worker TATP fast path reaches on a 2-core host
+/// (`tatp-sp-1w`, median of 5 runs).
 /// The rest is headroom for ticks the maintainer spends rebuilding a
 /// model.
 const FEEDBACK_CAPACITY: usize = 4096;

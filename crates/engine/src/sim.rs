@@ -67,8 +67,6 @@ pub struct SimConfig {
     pub measure_us: f64,
     /// RNG seed (origin-node draws, random-partition policies).
     pub seed: u64,
-    /// Mispredict restarts before falling back to lock-all.
-    pub max_restarts: u32,
     /// When set, each closed-loop client issues at most this many requests
     /// and then stops. Used to compare a `Simulation` against the live
     /// runtime on an identical request population (set `measure_us` large
@@ -85,7 +83,6 @@ impl Default for SimConfig {
             warmup_us: 100_000.0,
             measure_us: 1_000_000.0,
             seed: 7,
-            max_restarts: 2,
             max_requests_per_client: None,
         }
     }
@@ -254,9 +251,7 @@ impl<'a, A: LiveAdvisor> Simulation<'a, A> {
                         num_partitions,
                         random_local_partition,
                     };
-                    let max = self.cfg.max_restarts;
-                    session =
-                        replan(self.advisor, req, &ctx, observed, &mut attempt, max, &mut plan);
+                    session = replan(self.advisor, req, &ctx, observed, &mut attempt, &mut plan);
                 }
             }
         }

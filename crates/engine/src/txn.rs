@@ -152,8 +152,12 @@ impl Footprint {
     }
 }
 
+/// Mispredict restarts, in either engine, before a transaction falls back
+/// to a lock-all plan.
+pub(crate) const MAX_RESTARTS: u32 = 2;
+
 /// The mispredict fallback: counts the attempt and replans from `observed`.
-/// Past `max_restarts` the *plan* is lock-all at `observed.first()`
+/// Past [`MAX_RESTARTS`] the *plan* is lock-all at `observed.first()`
 /// whatever the advisor answered, guaranteeing termination for any
 /// advisor; the replanned session still rides along.
 pub(crate) fn replan<A: LiveAdvisor>(
@@ -162,12 +166,11 @@ pub(crate) fn replan<A: LiveAdvisor>(
     ctx: &PlanContext<'_>,
     observed: PartitionSet,
     attempt: &mut u32,
-    max_restarts: u32,
     plan: &mut TxnPlan,
 ) -> A::Session {
     *attempt += 1;
     let (replanned, session) = advisor.replan_live(req, observed, *attempt, ctx);
-    *plan = if *attempt > max_restarts {
+    *plan = if *attempt > MAX_RESTARTS {
         TxnPlan::lock_all(observed.first().unwrap_or(plan.base_partition), ctx.num_partitions)
     } else {
         replanned

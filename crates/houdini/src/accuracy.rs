@@ -184,7 +184,7 @@ mod tests {
         let (catalog, records) = tatp_records(parts, 1200);
         let (train_recs, test_recs) = records.split_at(600);
         let wl = Workload { records: train_recs.to_vec() };
-        let cfg = TrainingConfig { partitioned: false, ..Default::default() };
+        let cfg = TrainingConfig { partitioned: false };
         let preds = train(&catalog, parts, &wl, &cfg);
         let mut agg = AccuracyReport::default();
         for (proc, pred) in preds.iter().enumerate() {
@@ -201,11 +201,12 @@ mod tests {
     #[test]
     fn disabled_predictor_reports_zero_txns() {
         let (catalog, records) = tatp_records(2, 50);
-        let wl = Workload { records: records.clone() };
-        let mut cfg = TrainingConfig { partitioned: false, ..Default::default() };
-        cfg.max_queries_per_txn = 0; // force everything disabled
-        let preds = train(&catalog, 2, &wl, &cfg);
-        let refs: Vec<&TraceRecord> = records.iter().collect();
+        // A procedure with no training records is disabled.
+        let (tested, trained): (Vec<_>, Vec<_>) = records.into_iter().partition(|r| r.proc == 3);
+        assert!(!tested.is_empty());
+        let preds = train(&catalog, 2, &Workload { records: trained }, &TrainingConfig::default());
+        assert!(preds[3].disabled);
+        let refs: Vec<&TraceRecord> = tested.iter().collect();
         let rep = evaluate_accuracy(&preds[3], &catalog, 2, 3, &refs, 0.5);
         assert_eq!(rep.txns, 0);
     }

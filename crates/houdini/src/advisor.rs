@@ -20,7 +20,7 @@ use markov::{
     estimate_path, EstimateConfig, ModelMonitor, QueryKind, QueryPartitionRule, VertexCursor,
     VertexId,
 };
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock, PoisonError, RwLock};
 
 /// Minimum training observations before a state's finish table is trusted
 /// for OP4: a state observed once or twice (e.g. only in an aborted record)
@@ -146,8 +146,8 @@ impl Clone for TxnCore {
     }
 
     /// Copies into the three step vectors rather than replacing them, so
-    /// they keep their capacity: a plan served from the memo allocates
-    /// nothing.
+    /// they keep their capacity: a plan served from a [`PlanTable`]
+    /// allocates nothing.
     fn clone_from(&mut self, src: &Self) {
         let mut step_queries = std::mem::take(&mut self.step_queries);
         let mut step_partitions = std::mem::take(&mut self.step_partitions);
@@ -159,8 +159,8 @@ impl Clone for TxnCore {
     }
 }
 
-/// Plans a session's memo holds before it starts over empty.
-const MEMO_CAPACITY: usize = 64;
+/// Plans one procedure's table holds before it starts over empty.
+const PLAN_TABLE_CAPACITY: usize = 256;
 
 /// Signature word of a scalar routing argument the request does not carry.
 const SIG_MISSING: u64 = u64::MAX;
@@ -168,84 +168,55 @@ const SIG_MISSING: u64 = u64::MAX;
 /// Signature word of an array routing argument that is not an array.
 const SIG_NOT_ARRAY: u64 = u64::MAX - 1;
 
-/// What every plan in a [`PlanMemo`] was computed under besides its key:
-/// the procedure, the pinned predictor epoch and the knobs
-/// `plan_from_estimate` reads.
-#[derive(Clone, Copy, PartialEq)]
-struct MemoStamp {
-    proc: ProcId,
-    epoch: u64,
-    threshold: f64,
-    early_prepare: bool,
-}
-
-/// A session's plan memo. `estimate_path` reads a request's arguments
-/// only through the parameter mapping, and then only as a partition, an
-/// out-of-range array index or an unmapped parameter.
-/// So a plan is a pure function of the [`MemoStamp`], the model index and
-/// the *partition signature* of the routing arguments, which together
-/// form the key. A request whose key was seen before reuses the finished
-/// plan and decision state without estimating. Plans that drew on
+/// One procedure's finished plans under one predictor epoch, shared by
+/// every client and the simulator. `estimate_path` reads a request's
+/// arguments only through the parameter mapping, and then only as a
+/// partition, an out-of-range array index or an unmapped parameter. The
+/// knobs `plan_from_estimate` reads are fixed when the [`Houdini`] is
+/// built. So within an epoch a plan is a pure function of the model index
+/// and the *partition signature* of the routing arguments, which together
+/// form the key. A request whose key was planned before reuses the
+/// finished plan and decision state without estimating. Plans that drew on
 /// `random_local_partition` are never stored.
+///
+/// The table lives in its epoch's [`ProcPredictor`], and cloning one (which
+/// is how the maintainer builds the next epoch) yields an empty table, so
+/// a table is never consulted under models other than its own.
 #[derive(Default)]
-struct PlanMemo {
-    /// `None` until the first plan; a session planning under another
-    /// stamp starts the memo over.
-    stamp: Option<MemoStamp>,
+pub(crate) struct PlanTable {
     /// The routing arguments: the mapped source of every query's
-    /// partitioning parameter, deduplicated, under the stamp's epoch.
-    sources: Vec<ParamSource>,
-    /// Key scratch: the model index, then per source its partition, or an
-    /// array's length and then each element's partition, or a marker.
-    key: Vec<u64>,
-    plans: FxHashMap<Vec<u64>, (TxnPlan, TxnCore)>,
+    /// partitioning parameter, deduplicated. Computed on first use.
+    sources: OnceLock<Vec<ParamSource>>,
+    plans: RwLock<FxHashMap<Vec<u64>, (TxnPlan, TxnCore)>>,
 }
 
-impl PlanMemo {
-    /// Starts the memo over unless it was filled under `stamp`.
-    fn restamp(&mut self, stamp: MemoStamp, catalog: &Catalog, pred: &ProcPredictor) {
-        if self.stamp == Some(stamp) {
+impl Clone for PlanTable {
+    fn clone(&self) -> Self {
+        PlanTable::default()
+    }
+}
+
+impl PlanTable {
+    /// The plan stored under `key`, its decision state copied into
+    /// `core`'s buffers (under the read lock, so a hit allocates nothing).
+    fn get_into(&self, key: &[u64], core: &mut TxnCore) -> Option<TxnPlan> {
+        let plans = self.plans.read().unwrap_or_else(PoisonError::into_inner);
+        let (plan, cached) = plans.get(key)?;
+        core.clone_from(cached);
+        Some(*plan)
+    }
+
+    /// Stores a finished plan under `key`. Clients that race on one key
+    /// computed the same plan, so the first one stored stays.
+    fn insert(&self, key: &[u64], plan: TxnPlan, core: &TxnCore) {
+        let mut plans = self.plans.write().unwrap_or_else(PoisonError::into_inner);
+        if plans.contains_key(key) {
             return;
         }
-        self.stamp = Some(stamp);
-        self.plans.clear();
-        self.sources.clear();
-        for (q, def) in catalog.proc(stamp.proc).queries.iter().enumerate() {
-            let PartitionHint::Param(param) = def.hint else { continue };
-            if let Some(m) = pred.mapping.get(q as QueryId, param) {
-                if !self.sources.contains(&m.source) {
-                    self.sources.push(m.source);
-                }
-            }
+        if plans.len() >= PLAN_TABLE_CAPACITY {
+            plans.clear();
         }
-    }
-
-    /// Fills `key` for a request that selected `model_idx`.
-    fn fill_key(&mut self, model_idx: usize, args: &[Value], rule: &CatalogRule<'_>) {
-        self.key.clear();
-        self.key.push(model_idx as u64);
-        for source in &self.sources {
-            match *source {
-                ParamSource::Scalar(k) => {
-                    self.key.push(args.get(k).map_or(SIG_MISSING, |v| rule.partition_of(v).into()));
-                }
-                ParamSource::ArrayElement(k) => match args.get(k).and_then(Value::as_array) {
-                    Some(elems) => {
-                        self.key.push(elems.len() as u64);
-                        self.key.extend(elems.iter().map(|v| u64::from(rule.partition_of(v))));
-                    }
-                    None => self.key.push(SIG_NOT_ARRAY),
-                },
-            }
-        }
-    }
-
-    /// Stores a finished plan under the current `key`.
-    fn insert(&mut self, plan: TxnPlan, core: &TxnCore) {
-        if self.plans.len() >= MEMO_CAPACITY {
-            self.plans.clear();
-        }
-        self.plans.insert(self.key.clone(), (plan, core.clone()));
+        plans.insert(key.to_vec(), (plan, core.clone()));
     }
 }
 
@@ -366,8 +337,8 @@ pub struct Houdini {
     epochs: EpochCell<Vec<ProcPredictor>>,
     catalog: Catalog,
     num_partitions: u32,
-    /// Knobs.
-    pub cfg: HoudiniConfig,
+    /// Knobs, fixed at construction: every plan table relies on it.
+    cfg: HoudiniConfig,
 }
 
 impl Houdini {
@@ -500,39 +471,70 @@ impl Houdini {
         (plan, core)
     }
 
+    /// Fills `key` for a request that selected `model_idx`: the model
+    /// index, then per routing source its partition, or an array's length
+    /// and then each element's partition, or a marker (see [`PlanTable`]).
+    fn fill_key(
+        &self,
+        key: &mut Vec<u64>,
+        pred: &ProcPredictor,
+        model_idx: usize,
+        req: &Request,
+        rule: &CatalogRule<'_>,
+    ) {
+        let sources = pred.plans.sources.get_or_init(|| {
+            let mut sources = Vec::new();
+            for (q, def) in self.catalog.proc(req.proc).queries.iter().enumerate() {
+                let PartitionHint::Param(param) = def.hint else { continue };
+                if let Some(m) = pred.mapping.get(q as QueryId, param) {
+                    if !sources.contains(&m.source) {
+                        sources.push(m.source);
+                    }
+                }
+            }
+            sources
+        });
+        key.clear();
+        key.push(model_idx as u64);
+        for source in sources {
+            match *source {
+                ParamSource::Scalar(k) => {
+                    key.push(req.args.get(k).map_or(SIG_MISSING, |v| rule.partition_of(v).into()));
+                }
+                ParamSource::ArrayElement(k) => match req.args.get(k).and_then(Value::as_array) {
+                    Some(elems) => {
+                        key.push(elems.len() as u64);
+                        key.extend(elems.iter().map(|v| u64::from(rule.partition_of(v))));
+                    }
+                    None => key.push(SIG_NOT_ARRAY),
+                },
+            }
+        }
+    }
+
     /// The planning body (§4.3): select the model, then serve the plan
-    /// from `memo` or estimate the path and derive the OP1–OP4 decisions.
-    /// Returns the plan and the model index, and leaves the decision state
-    /// in `core`, the spare session's, so a memo hit copies into its
-    /// buffers.
+    /// from the epoch's [`PlanTable`] or estimate the path and derive the
+    /// OP1–OP4 decisions. Returns the plan and the model index, and leaves
+    /// the decision state in `core` and the table key in `key`, both the
+    /// session's buffers.
     fn plan_into(
         &self,
         req: &Request,
         ctx: &PlanContext<'_>,
-        epoch: u64,
         pred: &ProcPredictor,
-        memo: &mut PlanMemo,
+        key: &mut Vec<u64>,
         core: &mut TxnCore,
     ) -> (TxnPlan, usize) {
-        let proc = req.proc;
         if pred.disabled {
             let (plan, passive) = self.passive_plan(pred, 0, ctx.random_local_partition);
             *core = passive;
             return (plan, 0);
         }
-        let stamp = MemoStamp {
-            proc,
-            epoch,
-            threshold: self.cfg.threshold,
-            early_prepare: self.cfg.early_prepare,
-        };
-        memo.restamp(stamp, &self.catalog, pred);
         let model_idx = pred.models.select(&req.args);
-        let rule = CatalogRule::new(&self.catalog, proc, self.num_partitions);
-        memo.fill_key(model_idx, &req.args, &rule);
-        if let Some((plan, cached)) = memo.plans.get(memo.key.as_slice()) {
-            core.clone_from(cached);
-            return (TxnPlan { estimate_reused: true, ..*plan }, model_idx);
+        let rule = CatalogRule::new(&self.catalog, req.proc, self.num_partitions);
+        self.fill_key(key, pred, model_idx, req, &rule);
+        if let Some(plan) = pred.plans.get_into(key, core) {
+            return (TxnPlan { estimate_reused: true, ..plan }, model_idx);
         }
         let model = pred.models.model(model_idx);
         let est = estimate_path(model, &rule, &pred.mapping, &req.args, &EstimateConfig::default());
@@ -541,7 +543,7 @@ impl Houdini {
             // The walk dead-ended (a state never seen in training, §4.4):
             // the lock set cannot be trusted. Fall back to lock-all with
             // tracking rather than gamble on a mispredict restart. Not
-            // memoised: the base is this request's random draw.
+            // stored: the base is this request's random draw.
             let (mut plan, passive) =
                 self.passive_plan(pred, model_idx, ctx.random_local_partition);
             plan.estimate_cost_us = cost;
@@ -550,12 +552,12 @@ impl Houdini {
         }
         // An estimate with no query step has no best base, so its plan's
         // base is the random draw too.
-        let memoise = est.best_base().is_some();
+        let store = est.best_base().is_some();
         let (mut plan, fresh) =
             self.plan_from_estimate(pred, model_idx, est, ctx.random_local_partition);
         plan.estimate_cost_us = cost;
-        if memoise {
-            memo.insert(plan, &fresh);
+        if store {
+            pred.plans.insert(key, plan, &fresh);
         }
         *core = fresh;
         (plan, model_idx)
@@ -581,9 +583,8 @@ pub struct LiveTxn {
     /// Executed `(query, partitions)` path, for teardown feedback.
     steps: Vec<(QueryId, PartitionSet)>,
     core: TxnCore,
-    /// Plans this client made for `proc`; it rides the spare session from
-    /// one call to the next.
-    memo: PlanMemo,
+    /// The request's [`PlanTable`] key.
+    key: Vec<u64>,
 }
 
 impl LiveAdvisor for Houdini {
@@ -601,20 +602,17 @@ impl LiveAdvisor for Houdini {
     ) -> (TxnPlan, LiveTxn) {
         // Pin the current predictor epoch for this whole transaction.
         let (epoch, procs) = self.epochs.load_with_epoch();
-        // The spare's walk cursor and step vector keep only their capacity,
-        // and its decision state is overwritten. Its memo survives: every
-        // entry is keyed by everything its plan was computed from, epoch
-        // included. A `None` spare is an empty memo, so the simulator,
-        // which passes none, always estimates.
-        let (mut cursor, mut steps, mut core, mut memo) = match spare {
-            Some(old) => (old.cursor, old.steps, old.core, old.memo),
+        // The spare is raw capacity: its walk cursor and step vector are
+        // emptied, and its decision state and key are overwritten.
+        let (mut cursor, mut steps, mut core, mut key) = match spare {
+            Some(old) => (old.cursor, old.steps, old.core, old.key),
             None => Default::default(),
         };
         cursor.reset();
         steps.clear();
         let (plan, model_idx) =
-            self.plan_into(req, ctx, epoch, &procs[req.proc as usize], &mut memo, &mut core);
-        (plan, LiveTxn { proc: req.proc, model_idx, epoch, procs, cursor, steps, core, memo })
+            self.plan_into(req, ctx, &procs[req.proc as usize], &mut key, &mut core);
+        (plan, LiveTxn { proc: req.proc, model_idx, epoch, procs, cursor, steps, core, key })
     }
 
     fn on_query_live(&self, cur: &mut LiveTxn, q: &ExecutedQuery) -> Updates {
@@ -655,7 +653,7 @@ impl LiveAdvisor for Houdini {
             cursor: VertexCursor::default(),
             steps: Vec::new(),
             core,
-            memo: PlanMemo::default(),
+            key: Vec::new(),
         };
         (plan, session)
     }
@@ -683,7 +681,7 @@ impl LiveAdvisor for Houdini {
             deviated: session.core.deviated,
             predicted: session.core.lock_set,
         });
-        // The session goes back to the caller's per-procedure cache. When
+        // The session goes back to the caller as its spare. When
         // feedback was emitted, `steps` left with it (the maintainer owns
         // the path), so only the cursor's capacity is recycled on that
         // path; with maintenance off, both buffers survive.
@@ -779,9 +777,8 @@ mod tests {
     use super::*;
     use crate::train::{train, TrainingConfig};
     use common::Value;
-    use engine::{run_offline, LiveConfig, LiveRuntime, RequestGenerator};
+    use engine::{run_offline, CostModel, RequestGenerator, SimConfig, Simulation};
     use mapping::ProcMapping;
-    use std::sync::Mutex;
     use trace::{TraceRecord, Workload};
     use workloads::{tpcc, Bench};
 
@@ -790,9 +787,14 @@ mod tests {
         let catalog = reg.catalog();
         let mut gen = tpcc::Generator::new(parts, 7);
         let wl = engine::collect_trace(&mut Bench::Tpcc.database(parts), &reg, &mut gen, n, 8);
-        let cfg = TrainingConfig { partitioned, ..Default::default() };
+        let cfg = TrainingConfig { partitioned };
         let preds = train(&catalog, parts, &wl, &cfg);
         (Houdini::new(preds, catalog.clone(), parts, HoudiniConfig::default()), catalog)
+    }
+
+    /// A second advisor over `h`'s current predictors, with knobs `cfg`.
+    fn rebuilt(h: &Houdini, cfg: HoudiniConfig) -> Houdini {
+        Houdini::new((*h.live_predictors()).clone(), h.catalog.clone(), h.num_partitions, cfg)
     }
 
     fn new_order_req(w: i64, o: i64, item_ws: &[i64]) -> Request {
@@ -866,13 +868,13 @@ mod tests {
 
     #[test]
     fn threshold_zero_locks_everything() {
-        let (mut h, catalog) = trained(2, 400, false);
+        let (h, catalog) = trained(2, 400, false);
         let req = new_order_req(1, 90_004, &[1, 1, 1]);
-        // The spare's memo holds the plan made at the default threshold,
-        // which must not serve the request once the threshold changes.
-        let (_, spare) = h.plan_live_reusing(&req, &ctx(&catalog), None);
-        h.cfg.threshold = 0.0;
-        let (plan, _) = h.plan_live_reusing(&req, &ctx(&catalog), Some(spare));
+        // `h`'s table holds the plan made at the default threshold, which
+        // must not serve an advisor built from the same predictors.
+        let _ = h.plan_live_reusing(&req, &ctx(&catalog), None);
+        let h = rebuilt(&h, HoudiniConfig { threshold: 0.0, ..HoudiniConfig::default() });
+        let (plan, _) = h.plan_live_reusing(&req, &ctx(&catalog), None);
         assert_eq!(
             plan.lock_set,
             PartitionSet::all(2),
@@ -883,13 +885,13 @@ mod tests {
 
     #[test]
     fn early_prepare_knob_gates_op4_plans() {
-        let (mut h, catalog) = trained(2, 600, false);
+        let (h, catalog) = trained(2, 600, false);
         let req = new_order_req(0, 90_005, &[0, 0, 1]);
-        let (on, spare) = h.plan_live_reusing(&req, &ctx(&catalog), None);
+        let (on, _) = h.plan_live_reusing(&req, &ctx(&catalog), None);
         assert!(on.early_prepare);
-        h.cfg.early_prepare = false;
-        // Planned from the spare, whose memo holds the OP4-on plan.
-        let (off, _) = h.plan_live_reusing(&req, &ctx(&catalog), Some(spare));
+        // Built from predictors whose table held the OP4-on plan.
+        let h = rebuilt(&h, HoudiniConfig { early_prepare: false, ..HoudiniConfig::default() });
+        let (off, _) = h.plan_live_reusing(&req, &ctx(&catalog), None);
         assert!(!off.early_prepare, "OP4 ablation must not early-prepare");
         // The rest of the plan is unchanged by the ablation.
         assert_eq!(off.lock_set, on.lock_set);
@@ -964,9 +966,62 @@ mod tests {
         PlanContext { random_local_partition: draw, ..ctx(catalog) }
     }
 
-    /// Plans `req` from `spare` (whose memo may serve it) and from scratch,
-    /// asserts that the two agree in the plan, the model index and every
-    /// decision field, and returns the first.
+    /// Houdini planning every request from scratch, against a copy of the
+    /// predictor, whose table is empty. Everything else is `.0`'s own.
+    struct Untabled<'a>(&'a Houdini);
+
+    impl LiveAdvisor for Untabled<'_> {
+        type Session = LiveTxn;
+
+        fn name(&self) -> &str {
+            "houdini-untabled"
+        }
+
+        fn plan_live_reusing(
+            &self,
+            req: &Request,
+            ctx: &PlanContext<'_>,
+            _spare: Option<LiveTxn>,
+        ) -> (TxnPlan, LiveTxn) {
+            let (epoch, procs) = self.0.epochs.load_with_epoch();
+            let pred = procs[req.proc as usize].clone();
+            let (mut key, mut core) = Default::default();
+            let (plan, model_idx) = self.0.plan_into(req, ctx, &pred, &mut key, &mut core);
+            assert!(!plan.estimate_reused, "a copied predictor's table must be empty");
+            let (cursor, steps) = Default::default();
+            (plan, LiveTxn { proc: req.proc, model_idx, epoch, procs, cursor, steps, core, key })
+        }
+
+        fn on_query_live(&self, session: &mut LiveTxn, q: &ExecutedQuery) -> Updates {
+            self.0.on_query_live(session, q)
+        }
+
+        fn replan_live(
+            &self,
+            req: &Request,
+            observed: PartitionSet,
+            attempt: u32,
+            ctx: &PlanContext<'_>,
+        ) -> (TxnPlan, LiveTxn) {
+            self.0.replan_live(req, observed, attempt, ctx)
+        }
+
+        fn end_live_reclaim(
+            &self,
+            session: LiveTxn,
+            outcome: TxnOutcome,
+        ) -> (Option<TxnFeedback>, Option<LiveTxn>) {
+            self.0.end_live_reclaim(session, outcome)
+        }
+
+        fn maintainer(&self) -> Option<Box<dyn LiveMaintainer + '_>> {
+            self.0.maintainer()
+        }
+    }
+
+    /// Plans `req` from `spare` (the epoch's table may serve it) and from
+    /// scratch, asserts that the two agree in the plan, the model index and
+    /// every decision field, and returns the first.
     fn plan_checked(
         h: &Houdini,
         req: &Request,
@@ -974,8 +1029,7 @@ mod tests {
         spare: Option<LiveTxn>,
     ) -> (TxnPlan, LiveTxn) {
         let (plan, session) = h.plan_live_reusing(req, ctx, spare);
-        let (fresh, fresh_session) = h.plan_live_reusing(req, ctx, None);
-        assert!(!fresh.estimate_reused, "an empty memo cannot serve a plan");
+        let (fresh, fresh_session) = Untabled(h).plan_live_reusing(req, ctx, None);
         assert_eq!(TxnPlan { estimate_reused: false, ..plan }, fresh, "plan for {req:?}");
         assert_eq!(session.model_idx, fresh_session.model_idx, "model for {req:?}");
         assert_eq!(session.core, fresh_session.core, "decisions for {req:?}");
@@ -986,7 +1040,8 @@ mod tests {
     fn memo_serves_exactly_the_fresh_plan_on_every_benchmark() {
         for bench in Bench::ALL {
             let (h, catalog) = trained_on(bench, 1500);
-            let mut spare: FxHashMap<ProcId, LiveTxn> = FxHashMap::default();
+            // One spare for every procedure, as a client keeps it.
+            let mut spare = None;
             let (mut hits, mut plans) = (0u32, 0u32);
             for seed in [99, 5] {
                 let mut gen = bench.client_generator(2, seed, 0);
@@ -994,17 +1049,100 @@ mod tests {
                     let (proc, args) = gen.next_request(0);
                     let req = Request { proc, args, origin_node: 0 };
                     // The draw alternates, so a plan that used it cannot
-                    // hide in the memo.
+                    // hide in the table.
                     let ctx = ctx_drawing(&catalog, i % 2);
-                    let (plan, session) = plan_checked(&h, &req, &ctx, spare.remove(&proc));
+                    let (plan, session) = plan_checked(&h, &req, &ctx, spare.take());
                     hits += u32::from(plan.estimate_reused);
                     plans += 1;
                     let (_, reclaimed) = h.end_live_reclaim(session, TxnOutcome::Committed);
-                    spare.insert(proc, reclaimed.expect("Houdini reclaims its sessions"));
+                    spare = reclaimed;
                 }
             }
-            assert!(hits * 2 > plans, "{}: {hits} memo hits in {plans} plans", bench.name());
+            assert!(hits * 2 > plans, "{}: {hits} table hits in {plans} plans", bench.name());
         }
+    }
+
+    #[test]
+    fn table_serves_callers_without_a_spare() {
+        // Two clients, or the simulator, which keeps no spare at all.
+        let (h, catalog) = trained(2, 600, false);
+        let req = new_order_req(0, 90_012, &[0, 0, 1]);
+        let (first, _) = plan_checked(&h, &req, &ctx(&catalog), None);
+        assert!(!first.estimate_reused && first.estimate_cost_us > 0.0);
+        let (again, _) = plan_checked(&h, &req, &ctx(&catalog), None);
+        assert!(again.estimate_reused);
+        assert_eq!(again.estimate_cost_us, first.estimate_cost_us, "a hit is charged as before");
+    }
+
+    #[test]
+    fn threads_sharing_a_table_get_identical_plans() {
+        for bench in [Bench::Tatp, Bench::Tpcc] {
+            let (h, catalog) = trained_on(bench, 1500);
+            let mut gen = bench.client_generator(2, 13, 0);
+            let reqs: Vec<Request> = (0..400)
+                .map(|_| {
+                    let (proc, args) = gen.next_request(0);
+                    Request { proc, args, origin_node: 0 }
+                })
+                .collect();
+            let run = || {
+                let mut spare = None;
+                let mut out = Vec::new();
+                for req in &reqs {
+                    let (plan, session) = plan_checked(&h, req, &ctx(&catalog), spare.take());
+                    out.push((TxnPlan { estimate_reused: false, ..plan }, session.core.clone()));
+                    spare = h.end_live_reclaim(session, TxnOutcome::Committed).1;
+                }
+                out
+            };
+            let (a, b) = std::thread::scope(|s| {
+                let a = s.spawn(run);
+                let b = s.spawn(run);
+                (a.join().unwrap(), b.join().unwrap())
+            });
+            assert!(a == b, "{}: the two threads planned differently", bench.name());
+        }
+    }
+
+    /// Outcome counters, Table 4 counters, latency quantiles and Fig. 11
+    /// bucket totals of one short 2-partition simulation of `bench`.
+    fn simulated<A: LiveAdvisor>(bench: Bench, advisor: &A) -> (String, u64) {
+        let mut db = bench.database(2);
+        let reg = bench.registry();
+        let mut gen = bench.generator(2, 11);
+        let cfg = SimConfig {
+            num_partitions: 2,
+            warmup_us: 10_000.0,
+            measure_us: 60_000.0,
+            ..Default::default()
+        };
+        let sim = Simulation::new(&mut db, &reg, advisor, &mut gen, CostModel::default(), cfg);
+        let (m, profile) = sim.run().expect("simulation must not halt");
+        let mut by_proc: Vec<_> = m.committed_by_proc.into_iter().collect();
+        by_proc.sort_unstable();
+        let mut ops: Vec<_> = m.ops.into_iter().map(|(p, o)| (p, format!("{o:?}"))).collect();
+        ops.sort_unstable();
+        let buckets = engine::Bucket::ALL.map(|b| profile.overall_share(b).to_bits());
+        let outcome = format!(
+            "{:?}",
+            (
+                (m.committed, m.user_aborts, m.restarts, m.distributed, m.single_partition),
+                (m.speculative, m.no_undo, m.model_swaps, by_proc, ops),
+                (m.latency.p50_ms(), m.latency.p99_ms(), profile.grand_total_us().to_bits()),
+                buckets,
+            )
+        );
+        (outcome, m.est_reused_by_proc.values().sum())
+    }
+
+    #[test]
+    fn simulator_reuses_plans_without_moving_an_outcome() {
+        let (h, _) = trained_on(Bench::Tatp, 1500);
+        let twin = rebuilt(&h, HoudiniConfig::default());
+        let (tabled, reused) = simulated(Bench::Tatp, &h);
+        let (fresh, _) = simulated(Bench::Tatp, &Untabled(&twin));
+        assert!(reused > 0, "the simulator never planned from the table");
+        assert_eq!(tabled, fresh);
     }
 
     #[test]
@@ -1026,7 +1164,7 @@ mod tests {
         let ctx = ctx(&catalog);
         let (_, session) = plan_checked(&h, &a, &ctx, None);
         let (again, session) = plan_checked(&h, &a, &ctx, Some(session));
-        assert!(again.estimate_reused, "`a` is memoised");
+        assert!(again.estimate_reused, "`a` is in the table");
         let (other, _) = plan_checked(&h, &b, &ctx, Some(session));
         assert!(!other.estimate_reused, "`b` has a key of its own");
     }
@@ -1087,87 +1225,23 @@ mod tests {
         // can only follow the trained edges' own partitions.
         let mut next = (*h.live_predictors()).clone();
         next[req.proc as usize].mapping = ProcMapping::empty();
+        let table_len =
+            |procs: &[ProcPredictor]| procs[req.proc as usize].plans.plans.read().unwrap().len();
+        assert_eq!(table_len(&next), 0, "a published epoch starts with an empty table");
         h.epochs.store(next);
+        // `session` is still in flight: it keeps its epoch, whose table
+        // still serves its plan.
+        assert_eq!((session.epoch, h.live_epoch()), (0, 1));
+        assert_eq!(table_len(&session.procs), 1);
+        let mut core = TxnCore::default();
+        let pinned = session.procs[req.proc as usize].plans.get_into(&session.key, &mut core);
+        assert_eq!(pinned, Some(TxnPlan { estimate_reused: false, ..old }));
+        assert_eq!(core, old_core);
         let (new, session) = plan_checked(&h, &req, &ctx, Some(session));
         assert!(!new.estimate_reused, "a plan from the previous epoch was served");
         assert!(
             TxnPlan { estimate_reused: true, ..new } != old || session.core != old_core,
             "the swap must change the plan for this test to mean anything"
         );
-    }
-
-    /// Houdini, except that each call's first plan locks only its base
-    /// partition, so a call that spans two partitions mispredicts once.
-    /// Records whether each first plan came from the memo.
-    struct NarrowFirstPlan {
-        inner: Houdini,
-        reused: Mutex<Vec<bool>>,
-    }
-
-    impl LiveAdvisor for NarrowFirstPlan {
-        type Session = LiveTxn;
-
-        fn name(&self) -> &str {
-            "narrow-first-plan"
-        }
-
-        fn plan_live_reusing(
-            &self,
-            req: &Request,
-            ctx: &PlanContext<'_>,
-            spare: Option<LiveTxn>,
-        ) -> (TxnPlan, LiveTxn) {
-            let (plan, session) = self.inner.plan_live_reusing(req, ctx, spare);
-            self.reused.lock().unwrap().push(plan.estimate_reused);
-            (TxnPlan { lock_set: PartitionSet::single(plan.base_partition), ..plan }, session)
-        }
-
-        fn on_query_live(&self, session: &mut LiveTxn, q: &ExecutedQuery) -> Updates {
-            self.inner.on_query_live(session, q)
-        }
-
-        fn replan_live(
-            &self,
-            req: &Request,
-            observed: PartitionSet,
-            attempt: u32,
-            ctx: &PlanContext<'_>,
-        ) -> (TxnPlan, LiveTxn) {
-            self.inner.replan_live(req, observed, attempt, ctx)
-        }
-
-        fn end_live_reclaim(
-            &self,
-            session: LiveTxn,
-            outcome: TxnOutcome,
-        ) -> (Option<TxnFeedback>, Option<LiveTxn>) {
-            self.inner.end_live_reclaim(session, outcome)
-        }
-    }
-
-    #[test]
-    fn memo_survives_a_mispredict() {
-        let (inner, _) = trained(2, 600, false);
-        let advisor = Arc::new(NarrowFirstPlan { inner, reused: Mutex::new(Vec::new()) });
-        let rt = LiveRuntime::start(
-            Bench::Tpcc.database(2),
-            Bench::Tpcc.registry(),
-            Arc::clone(&advisor),
-            LiveConfig::default(),
-        );
-        let mut client = rt.client();
-        // Remote Payment: customer at partition 1, warehouse at 0 (a fresh
-        // history id each). Both calls mispredict and finish on a lock-all
-        // replan. The second call's first plan comes from the memo the
-        // first call filled, which the replanned session must not have
-        // displaced as the client's spare.
-        for h_id in [77_000, 77_001] {
-            let args = [0, 1, 5, 100, h_id].map(Value::Int).to_vec();
-            assert_eq!(client.call(3, args).unwrap(), TxnOutcome::Committed);
-        }
-        drop(client);
-        let (m, _) = rt.shutdown();
-        assert_eq!(m.restarts, 2, "each call mispredicts once");
-        assert_eq!(*advisor.reused.lock().unwrap(), [false, true]);
     }
 }

@@ -1,6 +1,7 @@
 //! Off-line training: mappings, models, and model partitioning on one
 //! input-parameter feature (paper §3.2, §4.1, §5).
 
+use crate::advisor::PlanTable;
 use crate::feature::{extract_feature, feature_schema, Feature};
 use crate::modelset::{CatalogRule, ModelSet};
 use common::{FxHashMap, FxHashSet, PartitionSet, ProcId, QueryId};
@@ -20,20 +21,21 @@ const MAX_ROUTES: usize = 6;
 /// Smallest per-transaction penalty saving that justifies a split.
 const MIN_SAVING: f64 = 0.01;
 
+/// Procedures whose transactions exceed this many queries are disabled —
+/// Houdini takes too long to traverse such models (§4.6, the paper uses
+/// 175–200 and turns CheckWinningBids off).
+const MAX_QUERIES_PER_TXN: usize = 175;
+
 /// Training knobs.
 #[derive(Debug, Clone)]
 pub struct TrainingConfig {
     /// Build partitioned model sets (§5) rather than one global model.
     pub partitioned: bool,
-    /// Procedures whose transactions exceed this many queries are disabled
-    /// — Houdini takes too long to traverse such models (§4.6, the paper
-    /// uses 175–200 and turns CheckWinningBids off).
-    pub max_queries_per_txn: usize,
 }
 
 impl Default for TrainingConfig {
     fn default() -> Self {
-        TrainingConfig { partitioned: true, max_queries_per_txn: 175 }
+        TrainingConfig { partitioned: true }
     }
 }
 
@@ -64,6 +66,10 @@ pub struct ProcPredictor {
     /// is still reachable. Aggregated over *all* records, so sparse
     /// per-partition vertices inherit procedure-level abort knowledge.
     pub unsafe_signatures: FxHashSet<(QueryId, u16)>,
+    /// Plans made from these models. Neither persisted nor cloned: a copy
+    /// starts empty, so each epoch plans afresh.
+    #[serde(skip)]
+    pub(crate) plans: PlanTable,
 }
 
 impl ProcPredictor {
@@ -119,7 +125,7 @@ pub fn train_proc(
 ) -> ProcPredictor {
     let resolver = CatalogResolver::new(catalog, num_partitions);
     let disabled =
-        records.is_empty() || records.iter().any(|r| r.queries.len() > cfg.max_queries_per_txn);
+        records.is_empty() || records.iter().any(|r| r.queries.len() > MAX_QUERIES_PER_TXN);
     if disabled {
         return ProcPredictor {
             models: ModelSet::Global { model: Arc::new(MarkovModel::new(proc, num_partitions)) },
@@ -129,6 +135,7 @@ pub fn train_proc(
             saw_abort: vec![false],
             can_abort: true,
             unsafe_signatures: FxHashSet::default(),
+            plans: PlanTable::default(),
         };
     }
     let abort_rate = records.iter().filter(|r| r.aborted).count() as f64 / records.len() as f64;
@@ -155,6 +162,7 @@ pub fn train_proc(
         saw_abort,
         can_abort,
         unsafe_signatures,
+        plans: PlanTable::default(),
     }
 }
 
@@ -461,7 +469,7 @@ mod tests {
             let (train_recs, test_recs) = wl.records.split_at(n / 2);
             let train_wl = Workload { records: train_recs.to_vec() };
             let accuracy = |partitioned| {
-                let cfg = TrainingConfig { partitioned, ..Default::default() };
+                let cfg = TrainingConfig { partitioned };
                 let mut agg = AccuracyReport::default();
                 for (proc, pred) in train(&catalog, parts, &train_wl, &cfg).iter().enumerate() {
                     let test: Vec<&TraceRecord> =
@@ -503,7 +511,7 @@ mod tests {
     #[test]
     fn global_training_builds_one_model_per_proc() {
         let (catalog, wl) = tpcc_workload(2, 300);
-        let cfg = TrainingConfig { partitioned: false, ..Default::default() };
+        let cfg = TrainingConfig { partitioned: false };
         let preds = train(&catalog, 2, &wl, &cfg);
         for p in &preds {
             assert_eq!(p.models.len(), 1);

@@ -13,7 +13,6 @@
 pub mod builder;
 pub mod dot;
 pub mod estimate;
-pub mod io;
 pub mod maintenance;
 pub mod model;
 pub mod ptable;
@@ -21,7 +20,6 @@ pub mod ptable;
 pub use builder::build_model;
 pub use dot::to_dot;
 pub use estimate::{estimate_path, EstimateConfig, PathEstimate, QueryPartitionRule};
-pub use io::{load_model, save_model};
 pub use maintenance::{ModelMonitor, PathTracker, PendingState};
 pub use model::{Edge, MarkovModel, QueryKind, Vertex, VertexCursor, VertexId, VertexKey};
 pub use ptable::ProbTable;

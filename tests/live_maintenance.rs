@@ -27,7 +27,7 @@ fn skewed_predictors(
     let catalog = reg.catalog();
     let mut gen = tatp::Generator::new(parts, 13).with_hot_partitions(0, hot_hi);
     let wl = engine::collect_trace(&mut Bench::Tatp.database(parts), &reg, &mut gen, n, 4);
-    let cfg = TrainingConfig { partitioned, ..Default::default() };
+    let cfg = TrainingConfig { partitioned };
     let preds = train(&catalog, parts, &wl, &cfg);
     (catalog, preds)
 }
@@ -163,7 +163,7 @@ fn drift_run(maintenance: bool) -> RunMetrics {
     );
     let db = Bench::Tatp.database(PARTS);
     let reg = Bench::Tatp.registry();
-    let cfg = LiveConfig { max_restarts: 2, seed: 23, msg_delay_us: 0, ..Default::default() };
+    let cfg = LiveConfig { seed: 23, msg_delay_us: 0, ..Default::default() };
     let make_gen = |client: u64| {
         Box::new(
             tatp::Generator::for_client(PARTS, 23, client)

@@ -77,7 +77,7 @@ fn run_simulated(advisor: &Houdini) -> (RunMetrics, storage::Database) {
 fn run_live_runtime(advisor: Houdini) -> (RunMetrics, storage::Database) {
     let db = Bench::Tatp.database(PARTS);
     let reg = Bench::Tatp.registry();
-    let cfg = LiveConfig { max_restarts: 2, seed: SEED, msg_delay_us: 0, ..Default::default() };
+    let cfg = LiveConfig { seed: SEED, msg_delay_us: 0, ..Default::default() };
     let make_gen = |client: u64| Bench::Tatp.client_generator(PARTS, SEED, client);
     run_live(db, reg, advisor, &make_gen, CLIENTS_PER_PARTITION, REQUESTS_PER_CLIENT, &cfg)
         .expect("live runtime must not halt")
@@ -209,7 +209,7 @@ fn tpcc_conserves_requests_and_rows(msg_delay_us: u64) {
     let orders_table = db.table_id("ORDERS").expect("ORDERS exists");
     let orders_before = db.total_rows(orders_table);
     let reg = Bench::Tpcc.registry();
-    let cfg = LiveConfig { max_restarts: 2, seed: 37, msg_delay_us, ..Default::default() };
+    let cfg = LiveConfig { seed: 37, msg_delay_us, ..Default::default() };
     let make_gen = |client: u64| Bench::Tpcc.client_generator(PARTS, 37, client);
     let (m, db) = run_live(db, reg, houdini, &make_gen, CLIENTS, REQUESTS, &cfg)
         .expect("live runtime must not halt");
@@ -236,7 +236,7 @@ fn workers_shut_down_cleanly_when_generators_run_dry() {
         let advisor = AssumeSinglePartition::new();
         let db = Bench::Tatp.database(PARTS);
         let reg = Bench::Tatp.registry();
-        let cfg = LiveConfig { max_restarts: 2, seed: 11, msg_delay_us: 0, ..Default::default() };
+        let cfg = LiveConfig { seed: 11, msg_delay_us: 0, ..Default::default() };
         let make_gen = |client: u64| Bench::Tatp.client_generator(PARTS, 11, client);
         let (m, db) = run_live(db, reg, advisor, &make_gen, 2, 60, &cfg).expect("no halts");
         done_tx.send((m.committed + m.user_aborts, db.num_partitions())).unwrap();
