@@ -13,23 +13,34 @@
 //! # Doorbell protocol
 //!
 //! The consumer must never sleep while an element it has not observed sits
-//! in a lane. The protocol that guarantees this:
+//! in a lane. The protocol that guarantees this, written once as
+//! [`Doorbell::wait`]:
 //!
 //! 1. Producer: publish the element (ring `push`), then [`Doorbell::ring`].
-//! 2. Consumer: sweep all lanes; if empty, [`Doorbell::prepare_park`],
-//!    then **sweep again**, and only then [`Doorbell::park`] on the token.
+//! 2. Consumer: probe the lanes; if empty, [`Doorbell::prepare_park`],
+//!    then **probe again**, and only then [`Doorbell::park`] on the token.
 //!
-//! The second sweep is load-bearing: `prepare_park`'s acquire RMW joins the
+//! The second look is load-bearing: `prepare_park`'s acquire RMW joins the
 //! release clock of every `ring` already in the word's modification order,
-//! so any element published before its ring is visible to that sweep. A
+//! so any element published before its ring is visible to that probe. A
 //! ring that lands *after* `prepare_park` observes the parked bit and takes
 //! the mutex to notify, which serializes with the consumer's check-then-wait
 //! under the same mutex — so the wakeup cannot be lost on that side either.
-//! Dropping either sweep reintroduces the lost-wakeup deadlock; the model
+//! Dropping the second look reintroduces the lost-wakeup deadlock; the model
 //! test keeps a seeded twin of exactly that bug.
+//!
+//! # Spin, then park
+//!
+//! A park costs a futex sleep and a wake that lands on the ringer's path,
+//! so every waiter first yield-spins ([`spin`]) for one time budget, the
+//! spin-then-block rule of Karlin, Li, Manasse and Owicki (SOSP 1991).
+//! Each spin step is a `yield_now`, which hands the core to the thread
+//! being waited for on a host with more runnable threads than cores.
 
 use std::cell::UnsafeCell;
 use std::mem::MaybeUninit;
+#[cfg(not(feature = "check"))]
+use std::time::{Duration, Instant};
 
 use crate::sync::atomic::{AtomicU64, Ordering};
 use crate::sync::{Arc, Condvar, Mutex, PoisonError};
@@ -224,16 +235,45 @@ impl<T> Drop for Consumer<T> {
     }
 }
 
+/// How long a waiter yield-spins before it parks: long enough to cover a
+/// coordinator's next fragment message and a closed-loop client's next
+/// call on an oversubscribed two-core host, where a 4 µs budget missed
+/// them and parked anyway. EXPERIMENTS.md has the 32–256 µs sweep.
+#[cfg(not(feature = "check"))]
+const SPIN_BUDGET: Duration = Duration::from_micros(128);
+
+/// Probes, then yield-spins re-probing until the spin budget runs out;
+/// `None` means the caller should block. Under `--features check` only the
+/// first probe runs: a model explores schedules, not wall-clock time.
+pub fn spin<T>(mut probe: impl FnMut() -> Option<T>) -> Option<T> {
+    if let Some(v) = probe() {
+        return Some(v);
+    }
+    #[cfg(not(feature = "check"))]
+    {
+        let start = Instant::now();
+        while start.elapsed() < SPIN_BUDGET {
+            std::thread::yield_now();
+            if let Some(v) = probe() {
+                return Some(v);
+            }
+        }
+    }
+    None
+}
+
 /// Eventcount-style doorbell: one word shared by many ringers and a single
 /// parker. Bit 0 is the parked flag (flipped only by the parker); the
 /// upper bits count rings. The uncontended ring is a single RMW; the mutex
 /// and condvar are touched only while the parked bit is set. See the
-/// module docs for the park protocol and why the second sweep after
+/// module docs for the park protocol and why the second look after
 /// [`Doorbell::prepare_park`] is mandatory.
 pub struct Doorbell {
     word: AtomicU64,
     m: Mutex<()>,
     cv: Condvar,
+    /// Times the parker went to sleep on `cv`; touched only on that path.
+    parks: AtomicU64,
 }
 
 impl Default for Doorbell {
@@ -244,7 +284,36 @@ impl Default for Doorbell {
 
 impl Doorbell {
     pub fn new() -> Self {
-        Doorbell { word: AtomicU64::new(0), m: Mutex::new(()), cv: Condvar::new() }
+        Doorbell {
+            word: AtomicU64::new(0),
+            m: Mutex::new(()),
+            cv: Condvar::new(),
+            parks: AtomicU64::new(0),
+        }
+    }
+
+    /// Blocks until `probe` yields a value: [`spin`], then the park
+    /// protocol of the module docs, repeated until a probe succeeds. Every
+    /// runtime waiter on a doorbell waits through this.
+    pub fn wait<T>(&self, mut probe: impl FnMut() -> Option<T>) -> T {
+        loop {
+            if let Some(v) = spin(&mut probe) {
+                return v;
+            }
+            let token = self.prepare_park();
+            // The mandatory second look (module docs).
+            if let Some(v) = probe() {
+                self.cancel_park();
+                return v;
+            }
+            self.park(token);
+        }
+    }
+
+    /// Times the parker has gone to sleep since the doorbell was made.
+    pub fn parks(&self) -> u64 {
+        // ordering: Relaxed — a statistic; it publishes no other data.
+        self.parks.load(Ordering::Relaxed)
     }
 
     /// Signals the parker that new work may exist. Call *after* publishing
@@ -268,6 +337,8 @@ impl Doorbell {
     /// caller MUST re-check for work between this and [`Doorbell::park`]
     /// (and call [`Doorbell::cancel_park`] instead if it finds any): this
     /// RMW is the acquire edge that makes pre-announcement work visible.
+    /// [`Doorbell::wait`] does all of this; the steps are public so a
+    /// caller can time a bare park.
     #[must_use]
     pub fn prepare_park(&self) -> u64 {
         // ordering: AcqRel — the acquire half joins the release clock of
@@ -293,6 +364,8 @@ impl Doorbell {
         // loop because the word moved past the token makes the ringer's
         // lane stores visible to the sweep that follows the park.
         while self.word.load(Ordering::Acquire) == token {
+            // ordering: Relaxed — a statistic; it publishes no other data.
+            self.parks.fetch_add(1, Ordering::Relaxed);
             g = self.cv.wait(g).unwrap_or_else(PoisonError::into_inner);
         }
         drop(g);
@@ -374,24 +447,16 @@ mod tests {
         let bell = StdArc::new(Doorbell::new());
         let (mut tx, mut rx) = spsc::<u64>(8);
         let b2 = bell.clone();
-        let consumer = std::thread::spawn(move || {
-            let mut got = Vec::new();
-            loop {
-                while let Some(v) = rx.pop() {
-                    got.push(v);
-                }
-                if got.len() == 100 {
-                    return got;
-                }
-                let token = b2.prepare_park();
-                if rx.is_empty() {
-                    b2.park(token);
-                } else {
-                    b2.cancel_park();
+        let consumer =
+            std::thread::spawn(move || (0..100).map(|_| b2.wait(|| rx.pop())).collect::<Vec<_>>());
+        for i in 0..100u64 {
+            if i == 50 {
+                // Let the consumer run dry and go to sleep, so the second
+                // half is delivered through a wake.
+                while bell.parks() == 0 {
+                    std::thread::sleep(std::time::Duration::from_millis(1));
                 }
             }
-        });
-        for i in 0..100u64 {
             loop {
                 match tx.push(i) {
                     Ok(()) => break,

@@ -11,9 +11,12 @@
 //!   second sweep (lost wakeup, caught as a deadlock).
 //! * **The real `common::ring`** (under `--features check`): the facade
 //!   resolves to `checkers::sync`, so these models drive the production
-//!   `spsc`/`Doorbell` code itself — in-order delivery under the park
-//!   protocol and the producer-drop handshake (`is_closed` must not report
-//!   closed-and-empty while a final element is in flight).
+//!   `spsc`/`Doorbell` code itself, consumers waiting through
+//!   `Doorbell::wait` (its spin collapses to one probe under the feature)
+//!   — in-order delivery and the producer-drop handshake (`is_closed` must
+//!   not report closed-and-empty while a final element is in flight) —
+//!   plus a seeded twin of `wait` that skips the second look (lost
+//!   wakeup, caught as a deadlock).
 
 use checkers::sync::atomic::{AtomicU64, Ordering};
 use checkers::sync::{Arc, Condvar, Mutex};
@@ -207,9 +210,19 @@ fn seeded_skipped_resweep_loses_the_wakeup() {
 #[cfg(feature = "check")]
 mod real_ring {
     use super::{assert_pass, opts};
-    use checkers::explore;
     use checkers::sync::Arc;
-    use common::ring::{spsc, Doorbell};
+    use checkers::{explore, FailureKind};
+    use common::ring::{spin, spsc, Consumer, Doorbell};
+
+    /// The runtime's fragment-lane probe (`FragConn::recv`): the next
+    /// element, or `Some(None)` once the producer is gone and the lane is
+    /// drained.
+    fn next_or_closed(rx: &mut Consumer<u64>) -> Option<Option<u64>> {
+        match rx.pop() {
+            Some(v) => Some(Some(v)),
+            None => rx.is_closed().then_some(None),
+        }
+    }
 
     #[test]
     fn real_ring_delivers_in_order_under_the_park_protocol() {
@@ -226,21 +239,7 @@ mod real_ring {
                 }
             });
             model.thread(move || {
-                let mut got = Vec::new();
-                while got.len() < 3 {
-                    while let Some(v) = rx.pop() {
-                        got.push(v);
-                    }
-                    if got.len() == 3 {
-                        break;
-                    }
-                    let token = bell.prepare_park();
-                    if rx.is_empty() {
-                        bell.park(token);
-                    } else {
-                        bell.cancel_park();
-                    }
-                }
+                let got: Vec<u64> = (0..3).map(|_| bell.wait(|| rx.pop())).collect();
                 assert_eq!(got, vec![1, 2, 3], "lost or reordered elements");
             });
         });
@@ -262,27 +261,51 @@ mod real_ring {
                 b_p.ring();
             });
             model.thread(move || {
+                // is_closed is the lane-retirement check: its Acquire load
+                // of producer_alive must order the final element in, or
+                // this exits with `got` short.
                 let mut got = Vec::new();
-                loop {
-                    while let Some(v) = rx.pop() {
-                        got.push(v);
-                    }
-                    // is_closed is the lane-retirement check: its Acquire
-                    // load of producer_alive must order the final element
-                    // in, or this exits with `got` short.
-                    if rx.is_closed() {
-                        break;
-                    }
-                    let token = bell.prepare_park();
-                    if rx.is_empty() && !rx.is_closed() {
-                        bell.park(token);
-                    } else {
-                        bell.cancel_park();
-                    }
+                while let Some(v) = bell.wait(|| next_or_closed(&mut rx)) {
+                    got.push(v);
                 }
                 assert_eq!(got, vec![1], "final element stranded by the drop handshake");
             });
         });
         assert_pass(&r, "real_producer_drop");
+    }
+
+    /// `Doorbell::wait` with the seeded bug: it parks straight after
+    /// `prepare_park`, without the second look.
+    fn wait_skipping_second_look<T>(bell: &Doorbell, mut probe: impl FnMut() -> Option<T>) -> T {
+        loop {
+            if let Some(v) = spin(&mut probe) {
+                return v;
+            }
+            let token = bell.prepare_park();
+            bell.park(token);
+        }
+    }
+
+    #[test]
+    fn seeded_wait_without_the_second_look_loses_the_wakeup() {
+        // A push and ring that land between the twin's probe and its
+        // `prepare_park` are already counted in the token, so `park` finds
+        // the word unchanged and sleeps on an element it never saw; no
+        // ring follows.
+        let r = explore(opts(), |model| {
+            let (mut tx, mut rx) = spsc::<u64>(2);
+            let bell = Arc::new(Doorbell::new());
+            let b_p = bell.clone();
+            model.thread(move || {
+                tx.push(1).expect("capacity covers the push");
+                b_p.ring();
+            });
+            model.thread(move || {
+                assert_eq!(wait_skipping_second_look(&bell, || rx.pop()), 1);
+            });
+        });
+        let f = r.failure().expect("skipping the second look must lose a wakeup");
+        assert_eq!(f.kind, FailureKind::Deadlock);
+        eprintln!("[model::seeded_wait_without_second_look] {r}");
     }
 }

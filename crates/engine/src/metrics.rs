@@ -316,6 +316,14 @@ pub struct RunMetrics {
     pub feedback_dropped: u64,
     /// Per-advisor-epoch prediction accuracy (maintenance thread's view).
     pub epoch_accuracy: Vec<EpochAccuracy>,
+    /// Live runtime: times a worker went to sleep on its doorbell, idle or
+    /// reserved by a distributed transaction, after the spin budget ran
+    /// out (`common::ring::Doorbell::wait`). 0 in the simulator.
+    pub worker_parks: u64,
+    /// Live runtime: times a client went to sleep on a reply slot's
+    /// condvar after the spin budget ran out, fast path and fragment
+    /// replies alike. 0 in the simulator.
+    pub reply_parks: u64,
     /// Fig. 11 per-stage time attribution (estimation / execution /
     /// planning / coordination / queueing / other) per procedure —
     /// simulated µs in the simulator, wall-clock µs in the live runtime.

@@ -11,7 +11,7 @@ use super::LANE_CAPACITY;
 use crate::advisor::{LiveAdvisor, PlanContext, Request, TxnOutcome};
 use crate::profiler::{Bucket, CoordSub};
 use crate::txn::replan;
-use common::ring::{self, PushError};
+use common::ring;
 use common::sync::atomic::Ordering;
 use common::sync::{Arc, PoisonError};
 use common::{derive_seed, seeded_rng, Error, ProcId, Result, Value};
@@ -55,9 +55,7 @@ pub struct Client<A: LiveAdvisor + 'static> {
 }
 
 /// Pushes one fast-path message onto this client's lane to worker `base`,
-/// creating and registering the lane on first use, then rings the
-/// worker's doorbell (the push-then-ring order the doorbell protocol
-/// requires).
+/// creating and registering the lane on first use ([`WorkerGate::push`]).
 pub(super) fn send_on_lane<S>(
     lanes: &mut [Option<ring::Producer<SingleMsg<S>>>],
     workers: &[WorkerGate<S>],
@@ -72,16 +70,7 @@ pub(super) fn send_on_lane<S>(
         lanes[base] = Some(tx);
     }
     let lane = lanes[base].as_mut().expect("lane just ensured");
-    match lane.push(msg) {
-        Ok(()) => {
-            workers[base].bell.ring();
-            Ok(())
-        }
-        Err(PushError::Disconnected(_)) => Err(Error::Other(format!("worker {base} is gone"))),
-        // Unreachable for a blocking client (≤ 1 call in flight per lane,
-        // capacity LANE_CAPACITY); report rather than spin, defensively.
-        Err(PushError::Full(_)) => Err(Error::Other(format!("lane to worker {base} overflowed"))),
-    }
+    workers[base].push(lane, base, msg)
 }
 
 impl<A: LiveAdvisor + 'static> Client<A> {
@@ -196,7 +185,7 @@ impl<A: LiveAdvisor + 'static> Client<A> {
                     // If the worker retired this lane at shutdown with the
                     // message still buffered, no reply ever comes — the
                     // abandoned check turns that race into a clean error.
-                    self.reply.take_or_abandon(|| lane.is_closed())
+                    self.reply.take_or_abandon(|| lane.is_closed(), &mut acc.reply_parks)
                 };
                 match got {
                     Some(SingleReply::Done { committed, session, fp, times, ticket }) => {
@@ -264,6 +253,7 @@ impl<A: LiveAdvisor + 'static> Client<A> {
         let mut m = env.metrics.lock().unwrap_or_else(PoisonError::into_inner);
         m.restarts += restarts;
         m.feedback_dropped += fb_dropped;
+        m.reply_parks += acc.reply_parks;
         for &us in &self.lock_holds {
             m.lock_hold.record_us(us);
         }

@@ -40,6 +40,8 @@ pub(super) struct StageAcc {
     pub(super) lock_us: f64,
     pub(super) twopc_us: f64,
     pub(super) flush_us: f64,
+    /// Condvar sleeps on this call's reply slots (`RunMetrics::reply_parks`).
+    pub(super) reply_parks: u64,
 }
 
 impl StageAcc {
@@ -69,17 +71,12 @@ fn record_remaining_hold(
     }
 }
 
-/// Bounded yield-retry on a full fragment lane before declaring the
-/// worker wedged. Fragment shipping is ping-pong per worker: at most an
-/// unacknowledged read-only `Prepare` plus the next transaction's
-/// `LogBegin` and opening `ExecBatch` sit in a lane. A written participant
-/// gets no message at its early release, so it adds nothing; the retry
-/// only guards a protocol bug, never a real backlog.
-const FRAG_PUSH_RETRY: u32 = 1 << 16;
-
 /// Ensures this client's fragment lane to worker `p` exists (registering
-/// it over the control channel on first use), pushes one command, and
-/// rings the worker's doorbell.
+/// it over the control channel on first use), then pushes one command
+/// ([`WorkerGate::push`]). Fragment shipping is ping-pong per worker: at
+/// most an unacknowledged read-only `Prepare` plus the next transaction's
+/// `LogBegin` and opening `ExecBatch` sit in a lane. A written participant
+/// gets no message at its early release, so it adds nothing.
 pub(super) fn push_frag<S>(
     ports: &mut [Option<FragPort>],
     workers: &[WorkerGate<S>],
@@ -97,23 +94,7 @@ pub(super) fn push_frag<S>(
         ports[p] = Some(FragPort { tx, replies });
     }
     let port = ports[p].as_mut().expect("port just ensured");
-    let mut cmd = cmd;
-    for _ in 0..FRAG_PUSH_RETRY {
-        match port.tx.push(cmd) {
-            Ok(()) => {
-                workers[p].bell.ring();
-                return Ok(());
-            }
-            Err(ring::PushError::Disconnected(_)) => {
-                return Err(Error::Other(format!("worker {p} is gone")));
-            }
-            Err(ring::PushError::Full(c)) => {
-                cmd = c;
-                std::thread::yield_now();
-            }
-        }
-    }
-    Err(Error::Other(format!("fragment lane to worker {p} wedged")))
+    workers[p].push(&mut port.tx, p, cmd)
 }
 
 /// Coordinates one distributed transaction from the client thread: atomic
@@ -198,7 +179,7 @@ pub(super) fn run_distributed<A: LiveAdvisor>(
                 failure = Some(Error::Other(format!("worker {p} is gone")));
                 continue;
             };
-            match port.replies.take_or_abandon(|| port.tx.is_closed()) {
+            match port.replies.take_or_abandon(|| port.tx.is_closed(), &mut acc.reply_parks) {
                 Some(FragReply::Finished) => {}
                 Some(FragReply::Fatal(e)) => failure = Some(e),
                 Some(_) => failure = Some(Error::Other("fragment protocol violation".into())),
@@ -295,7 +276,8 @@ pub(super) fn run_distributed<A: LiveAdvisor>(
                 // sub-batch.
                 for p in shipped.iter() {
                     let port = ports[p as usize].as_ref().expect("shipped over this port");
-                    match port.replies.take_or_abandon(|| port.tx.is_closed()) {
+                    match port.replies.take_or_abandon(|| port.tx.is_closed(), &mut acc.reply_parks)
+                    {
                         Some(FragReply::Batch(items)) => {
                             per_part[p as usize] = Some(items.into_iter());
                         }

@@ -97,12 +97,13 @@ impl<A: LiveAdvisor> Shared<A> {
     /// flush-sequencer and durability counters kept outside the metrics
     /// mutex — the one snapshot both [`LiveRuntime::metrics`] and teardown
     /// report.
-    fn metrics_snapshot(&self, window_us: f64) -> RunMetrics {
+    pub(super) fn metrics_snapshot(&self, window_us: f64) -> RunMetrics {
         // Snapshots must stay available even if a client thread panicked
         // while folding its per-call metrics in: the aggregate is additive,
         // never half-updated in a way a reader could misread.
         let mut m = self.metrics.lock().unwrap_or_else(PoisonError::into_inner).clone();
         m.window_us = window_us;
+        m.worker_parks = self.workers.iter().map(|w| w.bell.parks()).sum();
         if let Some(d) = &self.durable {
             (m.flushes_total, m.flushes_coalesced) = d.seq.counters();
             (m.log_records, m.log_bytes_written) = d.logs.counters();

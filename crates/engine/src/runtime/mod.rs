@@ -49,8 +49,9 @@
 //!   dedicated bounded lock-free lane with each worker it talks to, so
 //!   the hot path crosses no shared mutex and no MPSC channel; rare
 //!   control traffic (lane registration, snapshot fences, shutdown) rides
-//!   a plain shared channel, and a [`common::ring::Doorbell`] wakes a
-//!   worker that parked with everything empty. A worker collects work *in runs*: it drains the control
+//!   a plain shared channel. A worker with everything empty spins
+//!   briefly, then parks on a [`common::ring::Doorbell`] that every
+//!   sender rings. A worker collects work *in runs*: it drains the control
 //!   channel, then sweeps its lanes fairly (round-robin, one message per
 //!   lane per pass) until a pass comes up empty. Each swept
 //!   single-partition transaction is acknowledged the moment it finishes.
@@ -189,34 +190,17 @@ use std::time::Duration;
 #[cfg(doc)]
 use storage::Database;
 
-/// Watchdog interval of a client parked on its reply slot. A reply
-/// normally arrives as a condvar signal; the tick only bounds how long a
-/// client can sleep past a shutdown that retired its lane with the call
-/// still buffered (the "calls racing shutdown fail cleanly" contract).
+/// Watchdog interval of a client parked on its reply slot (it parks only
+/// after the spin of `common::ring::spin`). A reply normally arrives as a
+/// condvar signal; the tick only bounds how long a client can sleep past
+/// a shutdown that retired its lane with the call still buffered (the
+/// "calls racing shutdown fail cleanly" contract).
 const REPLY_WATCHDOG: Duration = Duration::from_millis(25);
 
-/// Capacity of one client→worker SPSC lane. A blocking [`Client`] has at
-/// most one call in flight, so any power of two ≥ 2 works; 8 leaves slack
-/// for embedders that pipeline a few calls per thread before blocking.
+/// Capacity of one client→worker SPSC lane. A blocking [`Client`] keeps
+/// at most one fast-path call, or three fragment commands, in a lane, so
+/// a push that finds it full is reported as an error, never retried.
 const LANE_CAPACITY: usize = 8;
-
-/// Bounded yield-spin a client performs on its reply slot before falling
-/// back to the condvar (`ReplySlot::take_or_abandon`). Each iteration is
-/// one `yield_now`, so even on a single-core host the worker gets the CPU
-/// immediately. Sized past the typical closed-loop reply wait (a few
-/// peers' service plus scheduling) — a client that parks mid-steady-state
-/// costs a futex wait *and* puts a wake on the worker's ack path, so the
-/// budget errs long; it is only ever burned in full when no reply is
-/// coming (shutdown races), where the condvar backstop still bounds the
-/// wait.
-const REPLY_SPIN: u32 = 256;
-
-/// Bounded yield-spin re-sweeps an out-of-work worker performs before
-/// engaging the doorbell park protocol (`worker_loop`). Sized to cover
-/// a full closed-loop client cohort's between-call processing (each
-/// yield donates the CPU to one of them), so the steady state never pays
-/// a park/unpark futex cycle per batch.
-const IDLE_SPIN: u32 = 256;
 
 /// Bound of the session-teardown → maintenance-thread feedback channel
 /// (§4.5). Clients never block on maintenance: a full channel drops the

@@ -10,9 +10,10 @@ use common::Error;
 use storage::{Shard, UndoLog};
 use wal::LogRecord;
 
-/// Parks the worker for one distributed transaction: execute the fragments
+/// Holds the worker for one distributed transaction: execute the fragments
 /// arriving on `conn` against the owned shard, in lane order, until the
-/// reservation ends (waits park on the worker's doorbell `bell`). It ends
+/// reservation ends (between commands it waits on the worker's doorbell
+/// `bell`: spin, then park — [`FragConn::recv`]). It ends
 /// on the coordinator's `VoteFinish` (commit keeps the fragments' effects,
 /// abort rolls them back), on a read-only early prepare, or when the lane
 /// closes because the coordinator died (rolled back). A participant whose
@@ -123,7 +124,7 @@ mod tests {
     use super::*;
     use crate::procedure::testing::kv_database;
     use common::{QueryId, Value};
-    use std::time::Duration;
+    use std::time::{Duration, Instant};
     use storage::Row;
 
     /// Hand-drives one written-and-released participant: a write fragment
@@ -206,6 +207,32 @@ mod tests {
         });
         assert_committed(reply);
         assert_eq!(table_snapshot(&shard, 0), with_id0(before, 1));
+    }
+
+    #[test]
+    fn a_late_vote_finish_wakes_the_parked_participant_and_counts_the_park() {
+        // The write fragment is queued before the worker starts, so the
+        // worker opens the reservation without an idle park: every park
+        // below is the reserved participant's. The outcome is held back
+        // until the participant has outlasted its spin and parked; the
+        // `VoteFinish` must then wake it, and the park reach the metrics.
+        let (env, ctrl_rx) = test_env(2);
+        let mut driver = Driver::new(&env);
+        driver.frag(FragCmd::ExecBatch {
+            proc: 0,
+            queries: vec![(1, vec![Value::Int(0), Value::Int(10)])],
+        });
+        let bell = &env.workers[0].bell;
+        drive_worker(ctrl_rx, shard_zero_of_two(), driver, |d| {
+            assert_eq!(d.batch_rows()[0].len(), 1);
+            let deadline = Instant::now() + WAIT;
+            while bell.parks() == 0 {
+                assert!(Instant::now() < deadline, "the reserved worker never parked");
+                std::thread::sleep(Duration::from_millis(1));
+            }
+            d.vote_finish(true);
+        });
+        assert!(env.metrics_snapshot(0.0).worker_parks >= 1);
     }
 
     /// Runs one worker over the same four-query fragment script — bump id

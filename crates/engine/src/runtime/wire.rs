@@ -1,13 +1,13 @@
 //! The wire protocol: every cross-thread message and what carries it.
 
-use super::{REPLY_SPIN, REPLY_WATCHDOG};
+use super::REPLY_WATCHDOG;
 use crate::advisor::{Request, TxnPlan};
 use crate::txn::Footprint;
-use common::ring::{self, Doorbell};
+use common::ring::{self, Doorbell, PushError};
 use common::sync::atomic::{AtomicU64, Ordering};
 use common::sync::mpsc::Sender;
 use common::sync::{Arc, Condvar, Mutex, PoisonError};
-use common::{Error, PartitionSet, ProcId, QueryId, Value};
+use common::{Error, PartitionSet, ProcId, QueryId, Result, Value};
 use std::time::Instant;
 use storage::Row;
 
@@ -81,27 +81,16 @@ pub(super) struct FragConn {
 
 impl FragConn {
     /// Blocks for the next fragment command; `None` when the coordinator
-    /// is gone (producer dropped). Waits park on the worker's own doorbell
-    /// — the coordinator rings it after every push; stray rings from other
-    /// clients just cost a re-check.
+    /// is gone (producer dropped). Waits on the worker's own doorbell
+    /// ([`Doorbell::wait`]): the coordinator's next command usually lands
+    /// within the spin, so the reserved worker is awake for it; past the
+    /// spin it parks, and the coordinator's ring after every push wakes
+    /// it. Stray rings from other clients just cost a re-check.
     pub(super) fn recv(&mut self, bell: &Doorbell) -> Option<FragCmd> {
-        loop {
-            if let Some(cmd) = self.frags.pop() {
-                return Some(cmd);
-            }
-            if self.frags.is_closed() {
-                return None;
-            }
-            // Doorbell protocol: announce intent, MANDATORY second
-            // look (a push-and-ring that landed before the parked
-            // bit went up is only visible here), then sleep.
-            let token = bell.prepare_park();
-            if self.frags.is_empty() && !self.frags.is_closed() {
-                bell.park(token);
-            } else {
-                bell.cancel_park();
-            }
-        }
+        bell.wait(|| match self.frags.pop() {
+            Some(cmd) => Some(Some(cmd)),
+            None => self.frags.is_closed().then_some(None),
+        })
     }
 
     /// Delivers a reply to the coordinator; false if it is gone.
@@ -252,25 +241,23 @@ impl<T> ReplySlot<T> {
         }
     }
 
-    /// Blocks until a reply arrives. `abandoned` is polled on watchdog
-    /// ticks: once it reports true (the worker retired this client's lane
-    /// — possibly discarding the buffered call at shutdown) and the slot
-    /// is still empty, no reply can ever arrive, so give up with `None`.
-    pub(super) fn take_or_abandon(&self, abandoned: impl Fn() -> bool) -> Option<T> {
-        // Fast-path replies land within microseconds of the doorbell ring,
-        // so a bounded yield-spin usually collects them without paying the
-        // condvar's futex sleep/wake round trip — which would otherwise
-        // dominate the call's coordination share, especially on small
-        // hosts where the wake is a full scheduler pass. The condvar wait
-        // below stays the correctness path; the spin is best-effort.
-        for _ in 0..REPLY_SPIN {
-            {
-                let mut st = self.state.lock().unwrap_or_else(PoisonError::into_inner);
-                if let Some(r) = st.take() {
-                    return Some(r);
-                }
-            }
-            std::thread::yield_now();
+    /// Blocks until a reply arrives, adding each condvar sleep to `parks`.
+    /// `abandoned` is polled on watchdog ticks: once it reports true (the
+    /// worker retired this client's lane — possibly discarding the
+    /// buffered call at shutdown) and the slot is still empty, no reply
+    /// can ever arrive, so give up with `None`.
+    pub(super) fn take_or_abandon(
+        &self,
+        abandoned: impl Fn() -> bool,
+        parks: &mut u64,
+    ) -> Option<T> {
+        // A reply usually lands within the doorbell's spin budget, which
+        // spares the condvar's futex sleep and the wake it puts on the
+        // worker's ack path. The condvar wait below stays the correctness
+        // path; the spin is best-effort.
+        let probe = || self.state.lock().unwrap_or_else(PoisonError::into_inner).take();
+        if let Some(r) = ring::spin(probe) {
+            return Some(r);
         }
         let mut st = self.state.lock().unwrap_or_else(PoisonError::into_inner);
         // ordering: Relaxed — published to the worker by the mutex: the
@@ -284,6 +271,7 @@ impl<T> ReplySlot<T> {
             if abandoned() {
                 break None;
             }
+            *parks += 1;
             let (g, _) =
                 self.cv.wait_timeout(st, REPLY_WATCHDOG).unwrap_or_else(PoisonError::into_inner);
             st = g;
@@ -299,7 +287,7 @@ impl<T> ReplySlot<T> {
     #[cfg(test)]
     pub(super) fn take_within(&self, dur: std::time::Duration) -> Option<T> {
         let deadline = Instant::now() + dur;
-        self.take_or_abandon(|| Instant::now() >= deadline)
+        self.take_or_abandon(|| Instant::now() >= deadline, &mut 0)
     }
 }
 
@@ -319,5 +307,87 @@ impl<S> WorkerGate<S> {
         let ok = self.ctrl.send(msg).is_ok();
         self.bell.ring();
         ok
+    }
+
+    /// Pushes `msg` on a client's lane to this worker (worker `p`), then
+    /// rings the doorbell — the push-then-ring order the protocol needs.
+    /// A blocking client keeps at most three messages in a lane of
+    /// `LANE_CAPACITY`, so a full lane is a protocol bug: reported, never
+    /// retried.
+    pub(super) fn push<T>(&self, lane: &mut ring::Producer<T>, p: usize, msg: T) -> Result<()> {
+        match lane.push(msg) {
+            Ok(()) => {
+                self.bell.ring();
+                Ok(())
+            }
+            Err(PushError::Disconnected(_)) => Err(Error::Other(format!("worker {p} is gone"))),
+            Err(PushError::Full(_)) => Err(Error::Other(format!("lane to worker {p} overflowed"))),
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Blocks until the slot's client has gone to sleep on the condvar.
+    fn until_asleep<T>(slot: &ReplySlot<T>) {
+        while slot.sleeper.load(Ordering::Relaxed) == 0 {
+            std::thread::yield_now();
+        }
+    }
+
+    #[test]
+    fn an_abandoned_empty_slot_gives_up_within_two_watchdog_ticks() {
+        // Nothing notifies: only the watchdog tick can notice the flag.
+        let slot = ReplySlot::<u32>::new();
+        let gone = AtomicU64::new(0);
+        let mut parks = 0;
+        let (got, flipped, returned) = std::thread::scope(|s| {
+            let flipper = s.spawn(|| {
+                until_asleep(&slot);
+                let t = Instant::now();
+                gone.store(1, Ordering::Relaxed);
+                t
+            });
+            let got = slot.take_or_abandon(|| gone.load(Ordering::Relaxed) == 1, &mut parks);
+            let returned = Instant::now();
+            (got, flipper.join().expect("flipper"), returned)
+        });
+        assert!(got.is_none());
+        assert!(parks >= 1, "the client gave up without sleeping");
+        let waited = returned - flipped;
+        assert!(waited < 2 * REPLY_WATCHDOG, "gave up {waited:?} after the lane was abandoned");
+    }
+
+    #[test]
+    fn a_put_after_the_spin_wakes_the_sleeping_client() {
+        // The put lands while the client sleeps on the condvar. A lost wake
+        // would leave the reply to the next watchdog tick, a full tick after
+        // the client went to sleep; the put's notify returns it at once.
+        // The fastest of five rounds must beat half a tick: scheduling
+        // delay can slow one round, but a lost wake slows every round.
+        let fastest = (0..5)
+            .map(|round| {
+                let slot = ReplySlot::<u32>::new();
+                let mut parks = 0;
+                let (got, put_at, returned) = std::thread::scope(|s| {
+                    let putter = s.spawn(|| {
+                        until_asleep(&slot);
+                        let t = Instant::now();
+                        slot.put(round);
+                        t
+                    });
+                    let got = slot.take_or_abandon(|| false, &mut parks);
+                    let returned = Instant::now();
+                    (got, putter.join().expect("putter"), returned)
+                });
+                assert_eq!(got, Some(round));
+                assert!(parks >= 1, "the put landed before the client slept");
+                returned.saturating_duration_since(put_at)
+            })
+            .min()
+            .expect("five rounds");
+        assert!(fastest < REPLY_WATCHDOG / 2, "fastest wake took {fastest:?}");
     }
 }

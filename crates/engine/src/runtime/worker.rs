@@ -3,7 +3,6 @@
 use super::lifecycle::Shared;
 use super::participant::serve_reservation;
 use super::wire::{us_since, CtrlMsg, FragConn, SingleMsg, SingleReply, StageTimes};
-use super::IDLE_SPIN;
 use crate::advisor::{LiveAdvisor, Request, TxnPlan};
 use crate::exec::execute_fragment;
 use crate::procedure::Step;
@@ -108,10 +107,9 @@ impl<S> Intake<'_, S> {
 
 /// One partition's server loop: collect work *in runs* until shutdown,
 /// then hand the shard back. Each run is one [`Intake::poll`] — a
-/// control-channel drain followed by a fair lane sweep; if it comes up
-/// empty the worker parks on its doorbell under the
-/// [`common::ring::Doorbell`] protocol (announce intent, mandatory second
-/// poll, then sleep).
+/// control-channel drain followed by a fair lane sweep — taken through
+/// [`common::ring::Doorbell::wait`]: an idle worker re-polls through the
+/// spin budget, then parks on its doorbell.
 ///
 /// Every served message is acknowledged the moment its transaction
 /// finishes. With durability on, a committed writer is first
@@ -170,33 +168,14 @@ pub(super) fn worker_loop<A: LiveAdvisor>(
             continue;
         }
         intake.frag_lanes.retain(|c| !c.frags.is_closed());
-        let busy = intake.poll(&mut run);
+        // Closed-loop clients resubmit within microseconds of their acks,
+        // so the wait's spin usually catches the next run without a park
+        // and wake, whose scheduler latency would land in the Queueing
+        // bucket. The run may be empty when the poll found a reservation
+        // or a snapshot fence: the loop's top serves those.
+        bell.wait(|| intake.poll(&mut run).then_some(()));
         if intake.shutdown {
             break;
-        }
-        if !busy {
-            // Closed-loop clients resubmit within microseconds of their
-            // acks, so a bounded yield-spin re-poll usually catches the
-            // next batch without a futex park/wake cycle (whose scheduler
-            // latency would land squarely in the Queueing bucket). Only a
-            // genuinely idle worker falls through to the park protocol.
-            let found = (0..IDLE_SPIN).any(|_| {
-                std::thread::yield_now();
-                intake.poll(&mut run)
-            });
-            if found {
-                continue;
-            }
-            // Doorbell park protocol: announce intent, then the MANDATORY
-            // second look — a ring that landed before the parked bit went
-            // up is only visible here — and only then sleep.
-            let token = bell.prepare_park();
-            if intake.poll(&mut run) {
-                bell.cancel_park();
-            } else {
-                bell.park(token);
-            }
-            continue;
         }
         let mut t_cursor = Instant::now();
         for msg in run.drain(..) {
