@@ -50,7 +50,7 @@ pub fn fig3(scale: Scale) -> String {
         let mut gen = new_order_generator(parts, 11);
         let cfg = sim_config(parts, scale, 17);
         let sim = Simulation::new(&mut db, &reg, advisor, &mut gen, CostModel::default(), cfg);
-        let (m, _) = sim.run().expect("fig3 sim");
+        let m = sim.run().expect("fig3 sim");
         m.throughput_tps()
     }
     let mut out = String::new();
@@ -293,7 +293,7 @@ pub fn fig11(scale: Scale) -> String {
     );
     for bench in Bench::ALL {
         let houdini = trained_houdini(bench, parts, scale.trace_len(), true, 0.5, 31);
-        let (_, profiler) = run_sim(bench, parts, &houdini, scale, 37);
+        let profiler = run_sim(bench, parts, &houdini, scale, 37).profile;
         let catalog = bench.registry().catalog();
         for proc in profiler.procs() {
             let name = &catalog.proc(proc).name;
@@ -333,7 +333,7 @@ pub fn table4(scale: Scale) -> String {
     );
     for bench in Bench::ALL {
         let houdini = trained_houdini(bench, parts, scale.trace_len(), true, 0.5, 41);
-        let (metrics, profiler) = run_sim(bench, parts, &houdini, scale, 43);
+        let metrics = run_sim(bench, parts, &houdini, scale, 43);
         let catalog = bench.registry().catalog();
         let mut procs: Vec<u32> = metrics.ops.keys().copied().collect();
         procs.sort_unstable();
@@ -344,7 +344,7 @@ pub fn table4(scale: Scale) -> String {
                 Some(x) => format!("{x:6.1}"),
                 None => "     -".to_string(),
             };
-            let est_ms = profiler.mean_us(proc, Bucket::Estimation) / 1000.0;
+            let est_ms = metrics.profile.mean_us(proc, Bucket::Estimation) / 1000.0;
             let _ = writeln!(
                 out,
                 "{letter} {:<22} {}  {}  {}  {}  {:7.3}",
@@ -373,17 +373,17 @@ pub fn fig12(scale: Scale) -> String {
         for parts in CLUSTER_SIZES {
             let tps_part = {
                 let h = trained_houdini(bench, parts, scale.trace_len(), true, 0.5, 51);
-                run_sim(bench, parts, &h, scale, 53).0.throughput_tps()
+                run_sim(bench, parts, &h, scale, 53).throughput_tps()
             };
             let tps_glob = {
                 let h = trained_houdini(bench, parts, scale.trace_len(), false, 0.5, 51);
-                run_sim(bench, parts, &h, scale, 53).0.throughput_tps()
+                run_sim(bench, parts, &h, scale, 53).throughput_tps()
             };
             let tps_asp = {
                 let a = AssumeSinglePartition::new();
-                run_sim(bench, parts, &a, scale, 53).0.throughput_tps()
+                run_sim(bench, parts, &a, scale, 53).throughput_tps()
             };
-            let tps_oracle = run_sim(bench, parts, &Oracle::new(), scale, 53).0.throughput_tps();
+            let tps_oracle = run_sim(bench, parts, &Oracle::new(), scale, 53).throughput_tps();
             let _ = writeln!(
                 out,
                 "{:<12} {parts:5}  {tps_part:12.0}  {tps_glob:14.0}  {tps_asp:19.0}  \
@@ -417,7 +417,7 @@ pub fn fig13(scale: Scale) -> String {
         for (ti, &t) in thresholds.iter().enumerate() {
             let hcfg = HoudiniConfig { threshold: t, ..Default::default() };
             let h = Houdini::new(preds.clone(), catalog.clone(), parts, hcfg);
-            let (m, _) = run_sim(bench, parts, &h, scale, 67);
+            let m = run_sim(bench, parts, &h, scale, 67);
             let _ = write!(rows[ti], "  {:7.0}", m.throughput_tps());
         }
     }

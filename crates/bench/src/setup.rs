@@ -2,7 +2,7 @@
 
 use common::{derive_seed, ProcId, Value};
 use engine::{
-    Catalog, CostModel, LiveAdvisor, Profiler, RequestGenerator, RunMetrics, SimConfig, Simulation,
+    Catalog, CostModel, LiveAdvisor, RequestGenerator, RunMetrics, SimConfig, Simulation,
 };
 use houdini::{train, Houdini, HoudiniConfig, TrainingConfig};
 use trace::Workload;
@@ -90,7 +90,7 @@ pub fn run_sim<A: LiveAdvisor>(
     advisor: &A,
     scale: Scale,
     seed: u64,
-) -> (RunMetrics, Profiler) {
+) -> RunMetrics {
     let mut db = bench.database(parts);
     let reg = bench.registry();
     let mut gen = bench.generator(parts, derive_seed(seed, 0x6E6));
@@ -135,7 +135,7 @@ mod tests {
 
     #[test]
     fn quick_sim_runs() {
-        let (m, _) = run_sim(Bench::Tatp, 4, &Oracle::new(), Scale::Quick, 5);
+        let m = run_sim(Bench::Tatp, 4, &Oracle::new(), Scale::Quick, 5);
         assert!(m.committed > 100, "committed = {}", m.committed);
     }
 

@@ -130,13 +130,6 @@ pub struct TxnFeedback {
     /// `Some(committed)` when the transaction finished; `None` for a
     /// mispredict-aborted attempt (prefix only, no terminal edge).
     pub terminal: Option<bool>,
-    /// The transaction left its initial complete path estimate (§4.4
-    /// deviation) — a per-transaction drift signal on top of the per-edge
-    /// accuracy the maintenance thread computes from `path`.
-    pub deviated: bool,
-    /// The lock set the advisor predicted (OP2), for estimate-deviation
-    /// accounting against the accessed union of `path`.
-    pub predicted: PartitionSet,
 }
 
 /// On-line model maintenance (§4.5). The engine obtains one maintainer

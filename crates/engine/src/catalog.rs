@@ -66,6 +66,11 @@ pub struct QueryDef {
 }
 
 impl QueryDef {
+    /// Shorthand constructor.
+    pub fn new(name: &str, table: usize, op: QueryOp, hint: PartitionHint) -> Self {
+        QueryDef { name: name.into(), table, op, hint }
+    }
+
     /// True if the query writes.
     pub fn is_write(&self) -> bool {
         self.op.is_write()

@@ -196,15 +196,14 @@ pub(crate) fn replay(
 mod tests {
     use super::*;
     use crate::catalog::{ColumnOp, PartitionHint, ProcDef, QueryDef, QueryOp};
-    use crate::procedure::testing::{kv_database, MultiGetProc};
-    use crate::procedure::{ProcInstance, Procedure, QueryInvocation, Step};
+    use crate::procedure::testing::{kv_database, multi_get};
+    use crate::procedure::{Linear, Procedure, QueryInvocation};
     use common::PartitionSet;
     use proptest::prelude::*;
     use rand::rngs::SmallRng;
     use rand::Rng;
     use std::collections::{HashMap, HashSet};
     use std::path::Path;
-    use storage::Row;
     use wal::{DistOutcome, LogSet};
 
     /// `MultiGet`: bumps `VAL` on every id, so replay order never shows.
@@ -212,47 +211,28 @@ mod tests {
     /// `Put`: sets `VAL` to the transaction id, so replay order does show.
     const PUT: ProcId = 1;
 
-    /// `Put(ids, stamp)`: `SET VAL = stamp` on every id, then commit.
-    struct Put(ProcDef);
-
-    impl Procedure for Put {
-        fn def(&self) -> &ProcDef {
-            &self.0
-        }
-
-        fn instantiate(&self, args: &[Value]) -> Box<dyn ProcInstance> {
-            let ids = args[0].as_array().expect("arg 0 is id array");
-            let sets =
-                ids.iter().map(|id| QueryInvocation::new(0, vec![id.clone(), args[1].clone()]));
-            Box::new(PutRun(Some(sets.collect())))
-        }
-    }
-
-    struct PutRun(Option<Vec<QueryInvocation>>);
-
-    impl ProcInstance for PutRun {
-        fn next(&mut self, _results: Option<&[Vec<Row>]>) -> Step {
-            self.0.take().map_or(Step::Commit, Step::Queries)
-        }
-    }
-
-    /// The kv registry plus `Put`.
+    /// The kv registry plus `Put(ids, stamp)`: `SET VAL = stamp` on every
+    /// id, then commit.
     fn registry() -> ProcedureRegistry {
-        let put = ProcDef {
-            name: "Put".into(),
-            queries: vec![QueryDef {
-                name: "PutKV".into(),
-                table: 0,
-                op: QueryOp::UpdateByKey {
-                    key_params: vec![0],
-                    sets: vec![ColumnOp::Set { column: 2, param: 1 }],
-                },
-                hint: PartitionHint::Param(0),
-            }],
-            read_only: false,
-            can_abort: false,
+        let set = QueryOp::UpdateByKey {
+            key_params: vec![0],
+            sets: vec![ColumnOp::Set { column: 2, param: 1 }],
         };
-        ProcedureRegistry::new(vec![Box::new(MultiGetProc::new()), Box::new(Put(put))])
+        let put = Procedure {
+            def: ProcDef {
+                name: "Put".into(),
+                queries: vec![QueryDef::new("PutKV", 0, set, PartitionHint::Param(0))],
+                read_only: false,
+                can_abort: false,
+            },
+            start: |args| {
+                let ids = args[0].as_array().expect("arg 0 is id array");
+                let sets =
+                    ids.iter().map(|id| QueryInvocation::new(0, vec![id.clone(), args[1].clone()]));
+                Box::new(Linear::one(sets.collect()))
+            },
+        };
+        ProcedureRegistry::new(vec![multi_get(), put])
     }
 
     /// Arguments both procedures read: the ids, then the stamp.

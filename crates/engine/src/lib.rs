@@ -49,7 +49,7 @@ pub use cost::CostModel;
 pub use durability::{DurabilityConfig, RecoveryReport};
 pub use exec::{collect_trace, run_offline, ExecutedQuery, OfflineOutcome};
 pub use metrics::{EpochAccuracy, LatencyHistogram, MaintenanceReport, OpCounters, RunMetrics};
-pub use procedure::{ProcInstance, Procedure, ProcedureRegistry, QueryInvocation, Step};
+pub use procedure::{Linear, ProcInstance, Procedure, ProcedureRegistry, QueryInvocation, Step};
 pub use profiler::{Bucket, CoordSub, Profiler};
 pub use runtime::{run_live, Client, LiveConfig, LiveRuntime};
 pub use sim::{RequestGenerator, SimConfig, Simulation};

@@ -6,6 +6,35 @@
 //! batch's results and returns either another batch, `Commit`, or `Abort`.
 //! This is deterministic, allocation-light, and drives both the timed
 //! simulator and the offline trace executor with identical semantics.
+//!
+//! A [`Procedure`] is its catalog definition plus a `start` function that
+//! turns input parameters into a running instance. Control code that is a
+//! fixed list of batches needs no state machine of its own — [`Linear`]
+//! runs it:
+//!
+//! ```
+//! use engine::{Linear, PartitionHint, ProcDef, Procedure, QueryDef, QueryInvocation, QueryOp};
+//!
+//! // GetKV(id): one point read on table 0, routed by `id`, then commit.
+//! let get_kv = Procedure {
+//!     def: ProcDef {
+//!         name: "GetKV".into(),
+//!         queries: vec![QueryDef::new(
+//!             "GetKV",
+//!             0,
+//!             QueryOp::GetByKey { key_params: vec![0] },
+//!             PartitionHint::Param(0),
+//!         )],
+//!         read_only: true,
+//!         can_abort: false,
+//!     },
+//!     start: |args| Box::new(Linear::one(vec![QueryInvocation::new(0, args.to_vec())])),
+//! };
+//! assert_eq!(get_kv.def.query_id("GetKV"), Some(0));
+//! ```
+//!
+//! A procedure that branches on what it read implements [`ProcInstance`]
+//! on its own run state and boxes that from `start`.
 
 use crate::catalog::ProcDef;
 use common::{ProcId, QueryId, Value};
@@ -49,30 +78,71 @@ pub trait ProcInstance {
     fn next(&mut self, results: Option<&[Vec<Row>]>) -> Step;
 }
 
-/// A stored procedure: catalog metadata plus a factory for running
-/// instances.
-pub trait Procedure: Send + Sync {
+/// A stored procedure: catalog metadata plus the function that starts a
+/// running instance from the input parameters.
+pub struct Procedure {
     /// The procedure's catalog definition (queries, names, flags).
-    fn def(&self) -> &ProcDef;
+    pub def: ProcDef,
     /// Starts a new invocation with the given input parameters.
-    fn instantiate(&self, args: &[Value]) -> Box<dyn ProcInstance>;
+    pub start: fn(&[Value]) -> Box<dyn ProcInstance>,
+}
+
+/// Control code that is a fixed list of batches: hands them out in order,
+/// then commits.
+pub struct Linear {
+    /// The opening batch, until it is issued.
+    first: Option<Vec<QueryInvocation>>,
+    /// The batches after it, last first, each flagged to abort instead of
+    /// running when the batch before it found no rows with its first query.
+    rest: Vec<(Vec<QueryInvocation>, bool)>,
+}
+
+impl Linear {
+    /// Runs `batches` in order. A batch flagged `true` aborts the
+    /// transaction instead if the batch before it found no rows with its
+    /// first query; the opening batch's flag is never read.
+    pub fn new(mut batches: Vec<(Vec<QueryInvocation>, bool)>) -> Self {
+        batches.reverse();
+        let first = batches.pop().map(|(batch, _)| batch);
+        Linear { first, rest: batches }
+    }
+
+    /// One batch, then commit — allocates nothing beyond the batch.
+    pub fn one(batch: Vec<QueryInvocation>) -> Self {
+        Linear { first: Some(batch), rest: Vec::new() }
+    }
+}
+
+impl ProcInstance for Linear {
+    fn next(&mut self, results: Option<&[Vec<Row>]>) -> Step {
+        if let Some(batch) = self.first.take() {
+            return Step::Queries(batch);
+        }
+        match self.rest.pop() {
+            None => Step::Commit,
+            Some((_, true)) if results.is_some_and(|rs| rs.first().is_none_or(Vec::is_empty)) => {
+                Step::Abort("empty prerequisite".into())
+            }
+            Some((batch, _)) => Step::Queries(batch),
+        }
+    }
 }
 
 /// The set of procedures a benchmark registers with the engine. Procedure
 /// ids index into this registry and into the matching [`crate::Catalog`].
 pub struct ProcedureRegistry {
-    procs: Vec<Box<dyn Procedure>>,
+    procs: Vec<Procedure>,
 }
 
 impl ProcedureRegistry {
-    /// Builds a registry from boxed procedures; their order defines ids.
-    pub fn new(procs: Vec<Box<dyn Procedure>>) -> Self {
+    /// Builds a registry; the procedures' order defines their ids.
+    pub fn new(procs: Vec<Procedure>) -> Self {
         ProcedureRegistry { procs }
     }
 
     /// The procedure registered under `id`.
-    pub fn get(&self, id: ProcId) -> &dyn Procedure {
-        self.procs[id as usize].as_ref()
+    pub fn get(&self, id: ProcId) -> &Procedure {
+        &self.procs[id as usize]
     }
 
     /// Number of procedures.
@@ -87,7 +157,7 @@ impl ProcedureRegistry {
 
     /// Builds the [`crate::Catalog`] matching this registry.
     pub fn catalog(&self) -> crate::Catalog {
-        crate::Catalog { procs: self.procs.iter().map(|p| p.def().clone()).collect() }
+        crate::Catalog { procs: self.procs.iter().map(|p| p.def.clone()).collect() }
     }
 }
 
@@ -141,52 +211,31 @@ pub(crate) mod testing {
     /// `MultiGet` reads `ids[0..]`, then increments `VAL` on each, then
     /// commits; aborts instead if any id is missing. Query 0 = `GetKV`,
     /// query 1 = `BumpKV`.
-    pub struct MultiGetProc {
-        def: ProcDef,
-    }
-
-    impl MultiGetProc {
-        pub fn new() -> Self {
-            MultiGetProc {
-                def: ProcDef {
-                    name: "MultiGet".into(),
-                    queries: vec![
-                        QueryDef {
-                            name: "GetKV".into(),
-                            table: 0,
-                            op: QueryOp::GetByKey { key_params: vec![0] },
-                            hint: PartitionHint::Param(0),
-                        },
-                        QueryDef {
-                            name: "BumpKV".into(),
-                            table: 0,
-                            op: QueryOp::UpdateByKey {
-                                key_params: vec![0],
-                                sets: vec![ColumnOp::Add { column: 2, param: 1 }],
-                            },
-                            hint: PartitionHint::Param(0),
-                        },
-                    ],
-                    read_only: false,
-                    can_abort: true,
-                },
-            }
-        }
-    }
-
-    impl Procedure for MultiGetProc {
-        fn def(&self) -> &ProcDef {
-            &self.def
-        }
-
-        fn instantiate(&self, args: &[Value]) -> Box<dyn ProcInstance> {
-            let ids: Vec<i64> = args[0]
-                .as_array()
-                .expect("arg 0 is id array")
-                .iter()
-                .map(|v| v.expect_int())
-                .collect();
-            Box::new(MultiGetInstance { ids, stage: 0 })
+    pub fn multi_get() -> Procedure {
+        let bump = QueryOp::UpdateByKey {
+            key_params: vec![0],
+            sets: vec![ColumnOp::Add { column: 2, param: 1 }],
+        };
+        Procedure {
+            def: ProcDef {
+                name: "MultiGet".into(),
+                queries: vec![
+                    QueryDef::new(
+                        "GetKV",
+                        0,
+                        QueryOp::GetByKey { key_params: vec![0] },
+                        PartitionHint::Param(0),
+                    ),
+                    QueryDef::new("BumpKV", 0, bump, PartitionHint::Param(0)),
+                ],
+                read_only: false,
+                can_abort: true,
+            },
+            start: |args| {
+                let ids = args[0].as_array().expect("arg 0 is id array");
+                let ids = ids.iter().map(Value::expect_int).collect();
+                Box::new(MultiGetInstance { ids, stage: 0 })
+            },
         }
     }
 
@@ -227,7 +276,7 @@ pub(crate) mod testing {
 
     /// Registry with just `MultiGet`.
     pub fn kv_registry() -> ProcedureRegistry {
-        ProcedureRegistry::new(vec![Box::new(MultiGetProc::new())])
+        ProcedureRegistry::new(vec![multi_get()])
     }
 }
 
@@ -248,7 +297,7 @@ mod tests {
     #[test]
     fn state_machine_walkthrough() {
         let reg = kv_registry();
-        let mut inst = reg.get(0).instantiate(&[Value::Array(vec![Value::Int(1), Value::Int(2)])]);
+        let mut inst = (reg.get(0).start)(&[Value::Array(vec![Value::Int(1), Value::Int(2)])]);
         let s0 = inst.next(None);
         match s0 {
             Step::Queries(qs) => assert_eq!(qs.len(), 2),
@@ -263,9 +312,27 @@ mod tests {
     }
 
     #[test]
+    fn linear_issues_batches_in_order_and_checks_prerequisites() {
+        let batch = |q| vec![QueryInvocation::new(q, vec![])];
+        let mut lin = Linear::new(vec![(batch(0), true), (batch(1), false), (batch(2), true)]);
+        let found = vec![vec![vec![Value::Int(1)]]];
+        assert_eq!(lin.next(None), Step::Queries(batch(0)));
+        assert_eq!(lin.next(Some(&[vec![]])), Step::Queries(batch(1)));
+        assert_eq!(lin.next(Some(&found)), Step::Queries(batch(2)));
+        assert_eq!(lin.next(Some(&found)), Step::Commit);
+
+        let mut lin = Linear::new(vec![(batch(0), false), (batch(1), true)]);
+        lin.next(None);
+        assert!(matches!(lin.next(Some(&[vec![]])), Step::Abort(_)));
+        let mut one = Linear::one(batch(0));
+        assert_eq!(one.next(None), Step::Queries(batch(0)));
+        assert_eq!(one.next(Some(&[vec![]])), Step::Commit);
+    }
+
+    #[test]
     fn abort_on_missing() {
         let reg = kv_registry();
-        let mut inst = reg.get(0).instantiate(&[Value::Array(vec![Value::Int(1)])]);
+        let mut inst = (reg.get(0).start)(&[Value::Array(vec![Value::Int(1)])]);
         inst.next(None);
         let empty = vec![vec![]];
         assert!(matches!(inst.next(Some(&empty)), Step::Abort(_)));

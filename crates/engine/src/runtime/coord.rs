@@ -428,12 +428,10 @@ mod tests {
     use crate::catalog::{PartitionHint, QueryDef, QueryOp};
     use crate::durability::DurabilityConfig;
     use crate::exec::ExecutedQuery;
-    use crate::procedure::testing::{kv_database, kv_registry, MultiGetProc};
-    use crate::procedure::{ProcInstance, Procedure, ProcedureRegistry, QueryInvocation};
+    use crate::procedure::testing::{kv_database, kv_registry, multi_get};
+    use crate::procedure::{Linear, ProcedureRegistry, QueryInvocation};
     use crate::profiler::CoordSub;
-    use crate::ProcDef;
     use std::time::Duration;
-    use storage::Row;
 
     /// Plans `{0, 1}` for every request regardless of its true target, so
     /// work on partition 2 mispredicts on every attempt until the forced
@@ -568,41 +566,19 @@ mod tests {
     /// key duplicates id 0 (a constraint violation at partition 0), bump
     /// id 1. The transaction aborts after partition 1 already executed its
     /// whole share of the batch, bump included.
-    struct ReadInsertBump(ProcDef);
-
-    impl Procedure for ReadInsertBump {
-        fn def(&self) -> &ProcDef {
-            &self.0
-        }
-
-        fn instantiate(&self, _args: &[Value]) -> Box<dyn ProcInstance> {
-            Box::new(ReadInsertBumpRun)
-        }
-    }
-
-    struct ReadInsertBumpRun;
-
-    impl ProcInstance for ReadInsertBumpRun {
-        fn next(&mut self, _results: Option<&[Vec<Row>]>) -> Step {
-            Step::Queries(vec![
+    fn read_insert_bump_registry() -> ProcedureRegistry {
+        let mut proc = multi_get();
+        proc.def.name = "ReadInsertBump".into();
+        let put = QueryDef::new("PutKV", 0, QueryOp::InsertRow, PartitionHint::Param(0));
+        proc.def.queries.insert(1, put);
+        proc.start = |_args| {
+            Box::new(Linear::one(vec![
                 QueryInvocation::new(0, vec![Value::Int(1)]),
                 QueryInvocation::new(1, vec![Value::Int(0), Value::Int(0), Value::Int(0)]),
                 QueryInvocation::new(2, vec![Value::Int(1), Value::Int(1)]),
-            ])
-        }
-    }
-
-    fn read_insert_bump_registry() -> ProcedureRegistry {
-        let mut def = MultiGetProc::new().def().clone();
-        def.name = "ReadInsertBump".into();
-        let put = QueryDef {
-            name: "PutKV".into(),
-            table: 0,
-            op: QueryOp::InsertRow,
-            hint: PartitionHint::Param(0),
+            ]))
         };
-        def.queries.insert(1, put);
-        ProcedureRegistry::new(vec![Box::new(ReadInsertBump(def))])
+        ProcedureRegistry::new(vec![proc])
     }
 
     /// Locks `{0, 1}` with early prepare on, and declares a partition

@@ -789,15 +789,8 @@ pub(super) mod tests {
             _session: (),
             _outcome: TxnOutcome,
         ) -> (Option<TxnFeedback>, Option<()>) {
-            let feedback = TxnFeedback {
-                proc: 0,
-                model: 0,
-                epoch: 0,
-                path: Vec::new(),
-                terminal: Some(true),
-                deviated: false,
-                predicted: PartitionSet::single(0),
-            };
+            let feedback =
+                TxnFeedback { proc: 0, model: 0, epoch: 0, path: Vec::new(), terminal: Some(true) };
             (Some(feedback), None)
         }
 

@@ -29,7 +29,7 @@ use crate::cost::CostModel;
 use crate::exec::execute_query;
 use crate::metrics::RunMetrics;
 use crate::procedure::{ProcedureRegistry, Step};
-use crate::profiler::{Bucket, Profiler};
+use crate::profiler::Bucket;
 use crate::txn::{replan, Cursor, Footprint};
 use common::{
     derive_seed, seeded_rng, Error, FxHashMap, PartitionId, PartitionSet, ProcId, Result, Value,
@@ -110,7 +110,7 @@ enum Attempt {
 }
 
 /// The simulation driver. Borrows the database, advisor, and generator; owns
-/// clocks, metrics, and the profiler.
+/// clocks and metrics (the Fig. 11 profile included).
 pub struct Simulation<'a, A: LiveAdvisor> {
     db: &'a mut Database,
     registry: &'a ProcedureRegistry,
@@ -122,7 +122,6 @@ pub struct Simulation<'a, A: LiveAdvisor> {
     costs: CostModel,
     cfg: SimConfig,
     avail: Vec<f64>,
-    profiler: Profiler,
     metrics: RunMetrics,
 }
 
@@ -160,15 +159,15 @@ impl<'a, A: LiveAdvisor> Simulation<'a, A> {
             costs,
             cfg,
             avail: vec![0.0; n],
-            profiler: Profiler::new(),
             metrics: RunMetrics::default(),
         }
     }
 
-    /// Runs the closed loop to completion and returns the metrics.
+    /// Runs the closed loop to completion and returns the metrics, with
+    /// the Fig. 11 time attribution in [`RunMetrics::profile`].
     /// Errors only on an unrecoverable abort (a transaction aborted after
     /// its advisor disabled undo logging — "the node must halt", §2 OP3).
-    pub fn run(mut self) -> Result<(RunMetrics, Profiler)> {
+    pub fn run(mut self) -> Result<RunMetrics> {
         let end = self.cfg.warmup_us + self.cfg.measure_us;
         let clients = u64::from(self.cfg.num_partitions * self.cfg.clients_per_partition);
         let mut heap: BinaryHeap<Reverse<(Tf, u64)>> = BinaryHeap::new();
@@ -201,7 +200,7 @@ impl<'a, A: LiveAdvisor> Simulation<'a, A> {
         if let Some(m) = &self.maintainer {
             self.metrics.absorb_maintenance(&m.report());
         }
-        Ok((self.metrics, self.profiler))
+        Ok(self.metrics)
     }
 
     /// One request, start to finish — the same attempt loop as the live
@@ -228,7 +227,7 @@ impl<'a, A: LiveAdvisor> Simulation<'a, A> {
                 Attempt::Done { committed, client_done, fp } => {
                     let window = self.cfg.warmup_us..self.cfg.warmup_us + self.cfg.measure_us;
                     let latency = window.contains(&client_done).then_some(client_done - t_arrive);
-                    self.profiler.finish_txn(req.proc);
+                    self.metrics.profile.finish_txn(req.proc);
                     self.metrics.record_txn(
                         req.proc,
                         &plan,
@@ -282,13 +281,13 @@ impl<'a, A: LiveAdvisor> Simulation<'a, A> {
 
         // Arrival-node work: estimation, planning, setup.
         let mut t = t0;
-        self.profiler.add(proc, Bucket::Estimation, plan.estimate_cost_us);
-        self.profiler.add(proc, Bucket::Planning, self.costs.planning_us);
-        self.profiler.add(proc, Bucket::Other, self.costs.setup_us);
+        self.metrics.profile.add(proc, Bucket::Estimation, plan.estimate_cost_us);
+        self.metrics.profile.add(proc, Bucket::Planning, self.costs.planning_us);
+        self.metrics.profile.add(proc, Bucket::Other, self.costs.setup_us);
         t += plan.estimate_cost_us + self.costs.planning_us + self.costs.setup_us;
         if base_node != req.origin_node {
             let hop = self.costs.msg_us(req.origin_node, base_node);
-            self.profiler.add(proc, Bucket::Coordination, hop);
+            self.metrics.profile.add(proc, Bucket::Coordination, hop);
             t += hop;
         }
 
@@ -313,7 +312,7 @@ impl<'a, A: LiveAdvisor> Simulation<'a, A> {
             let reserved = lock_set.difference(fp.early_released.difference(wrote));
             match cursor.next() {
                 Step::Queries(batch) => {
-                    self.profiler.add(proc, Bucket::Execution, self.costs.control_code_us);
+                    self.metrics.profile.add(proc, Bucket::Execution, self.costs.control_code_us);
                     t += self.costs.control_code_us;
 
                     // Validate targets before touching storage so a
@@ -350,7 +349,7 @@ impl<'a, A: LiveAdvisor> Simulation<'a, A> {
                         let qcost = self.costs.query_cost_us(is_write, undo.is_enabled());
                         for p in parts.iter() {
                             if p == base {
-                                self.profiler.add(proc, Bucket::Execution, qcost);
+                                self.metrics.profile.add(proc, Bucket::Execution, qcost);
                                 t += qcost;
                             } else {
                                 *remote_work.entry(p).or_insert(0.0) += qcost;
@@ -366,7 +365,7 @@ impl<'a, A: LiveAdvisor> Simulation<'a, A> {
                             parts,
                         );
                         if upd.cost_us > 0.0 {
-                            self.profiler.add(proc, Bucket::Estimation, upd.cost_us);
+                            self.metrics.profile.add(proc, Bucket::Estimation, upd.cost_us);
                             t += upd.cost_us;
                         }
                         pending_release = pending_release.union(upd.finished);
@@ -390,9 +389,9 @@ impl<'a, A: LiveAdvisor> Simulation<'a, A> {
                             held.insert(p, done);
                             batch_done = batch_done.max(done + oneway);
                             net_total += 2.0 * oneway;
-                            self.profiler.add(proc, Bucket::Execution, work);
+                            self.metrics.profile.add(proc, Bucket::Execution, work);
                         }
-                        self.profiler.add(proc, Bucket::Coordination, net_total);
+                        self.metrics.profile.add(proc, Bucket::Coordination, net_total);
                         t = batch_done;
                     }
 
@@ -425,7 +424,11 @@ impl<'a, A: LiveAdvisor> Simulation<'a, A> {
                     let t_commit;
                     if !distributed {
                         t += self.costs.twopc_cpu_us; // commit bookkeeping
-                        self.profiler.add(proc, Bucket::Coordination, self.costs.twopc_cpu_us);
+                        self.metrics.profile.add(
+                            proc,
+                            Bucket::Coordination,
+                            self.costs.twopc_cpu_us,
+                        );
                         self.avail[base as usize] = self.avail[base as usize].max(t);
                         t_commit = t;
                     } else {
@@ -462,7 +465,7 @@ impl<'a, A: LiveAdvisor> Simulation<'a, A> {
                                 self.avail[p as usize] = self.avail[p as usize].max(release);
                             }
                         }
-                        self.profiler.add(
+                        self.metrics.profile.add(
                             proc,
                             Bucket::Coordination,
                             msgs + self.costs.twopc_cpu_us,
@@ -501,7 +504,7 @@ impl<'a, A: LiveAdvisor> Simulation<'a, A> {
             return Err(Error::UnrecoverableAbort { txn });
         }
         let rb = undo.len() as f64 * self.costs.rollback_record_us;
-        self.profiler.add(proc, Bucket::Execution, rb);
+        self.metrics.profile.add(proc, Bucket::Execution, rb);
         let t = t + rb;
         self.db.rollback(undo)?;
         for p in reserved.iter() {
@@ -517,9 +520,9 @@ mod tests {
     use crate::baselines::{AssumeDistributed, AssumeSinglePartition, Oracle};
     use crate::catalog::{ColumnOp, PartitionHint, ProcDef, QueryDef, QueryOp};
     use crate::procedure::testing::{kv_database, kv_registry, KvGen};
-    use crate::procedure::{ProcInstance, Procedure, QueryInvocation};
+    use crate::procedure::{Linear, ProcInstance, Procedure, QueryInvocation};
     use common::{QueryId, Value};
-    use storage::{Row, Schema};
+    use storage::Schema;
 
     fn run_with<A: LiveAdvisor>(advisor: A, spread: u32, parts: u32) -> RunMetrics {
         let mut db = kv_database(parts, 8);
@@ -532,8 +535,7 @@ mod tests {
             ..Default::default()
         };
         let sim = Simulation::new(&mut db, &reg, &advisor, &mut gen, CostModel::default(), cfg);
-        let (metrics, _) = sim.run().expect("no halts");
-        metrics
+        sim.run().expect("no halts")
     }
 
     #[test]
@@ -675,59 +677,37 @@ mod tests {
         };
         let clients = u64::from(cfg.num_partitions * cfg.clients_per_partition);
         let sim = Simulation::new(&mut db, &reg, &advisor, &mut gen, CostModel::default(), cfg);
-        let (m, _) = sim.run().unwrap();
+        let m = sim.run().unwrap();
         assert_eq!(m.committed + m.user_aborts, clients * 25);
     }
 
     /// `Script(queries, keys)`: one batch running query `queries[i]` on key
     /// `keys[i]`, then commit. Query 0 reads `KV`, query 1 bumps `KV`, query
     /// 2 reads `AUX`; both tables are partitioned on their key.
-    struct Script(ProcDef);
-
-    impl Procedure for Script {
-        fn def(&self) -> &ProcDef {
-            &self.0
-        }
-
-        fn instantiate(&self, args: &[Value]) -> Box<dyn ProcInstance> {
-            let ints = |v: &Value| -> Vec<i64> {
-                v.as_array().expect("array arg").iter().map(Value::expect_int).collect()
-            };
-            let batch = ints(&args[0])
-                .into_iter()
-                .zip(ints(&args[1]))
-                .map(|(q, key)| QueryInvocation::new(q as QueryId, vec![key.into(), Value::Int(1)]))
-                .collect();
-            Box::new(ScriptRun(Some(batch)))
-        }
-    }
-
-    struct ScriptRun(Option<Vec<QueryInvocation>>);
-
-    impl ProcInstance for ScriptRun {
-        fn next(&mut self, _results: Option<&[Vec<Row>]>) -> Step {
-            self.0.take().map_or(Step::Commit, Step::Queries)
-        }
+    fn script(args: &[Value]) -> Box<dyn ProcInstance> {
+        let ints = |v: &Value| -> Vec<i64> {
+            v.as_array().expect("array arg").iter().map(Value::expect_int).collect()
+        };
+        let batch = ints(&args[0])
+            .into_iter()
+            .zip(ints(&args[1]))
+            .map(|(q, key)| QueryInvocation::new(q as QueryId, vec![key.into(), Value::Int(1)]))
+            .collect();
+        Box::new(Linear::one(batch))
     }
 
     /// The `Script` registry over `KV(ID, V)` and `AUX(ID, V)`, one row per
     /// partition in each.
     fn script_registry_and_db(parts: u32) -> (ProcedureRegistry, Database) {
-        let get = |name: &str, table| QueryDef {
-            name: name.into(),
-            table,
-            op: QueryOp::GetByKey { key_params: vec![0] },
-            hint: PartitionHint::Param(0),
+        let get = |name, table| {
+            let op = QueryOp::GetByKey { key_params: vec![0] };
+            QueryDef::new(name, table, op, PartitionHint::Param(0))
         };
-        let bump = QueryDef {
-            name: "BumpKV".into(),
-            table: 0,
-            op: QueryOp::UpdateByKey {
-                key_params: vec![0],
-                sets: vec![ColumnOp::Add { column: 1, param: 1 }],
-            },
-            hint: PartitionHint::Param(0),
+        let add = QueryOp::UpdateByKey {
+            key_params: vec![0],
+            sets: vec![ColumnOp::Add { column: 1, param: 1 }],
         };
+        let bump = QueryDef::new("BumpKV", 0, add, PartitionHint::Param(0));
         let def = ProcDef {
             name: "Script".into(),
             queries: vec![get("GetKV", 0), bump, get("GetAux", 1)],
@@ -743,7 +723,7 @@ mod tests {
                 db.insert(p, table, vec![Value::Int(id), Value::Int(0)], &mut undo).unwrap();
             }
         }
-        (ProcedureRegistry::new(vec![Box::new(Script(def))]), db)
+        (ProcedureRegistry::new(vec![Procedure { def, start: script }]), db)
     }
 
     #[test]

@@ -37,7 +37,7 @@ pub(crate) struct Cursor {
 impl Cursor {
     /// Instantiates `proc` with `args`.
     pub(crate) fn new(registry: &ProcedureRegistry, proc: ProcId, args: &[Value]) -> Self {
-        Cursor { inst: registry.get(proc).instantiate(args), results: None, abort: None }
+        Cursor { inst: (registry.get(proc).start)(args), results: None, abort: None }
     }
 
     /// The control code's next step, fed the last batch's results — or

@@ -130,9 +130,6 @@ struct TxnCore {
     /// Houdini switched off (disabled procedure or restart fallback):
     /// no tracking, no updates.
     passive: bool,
-    /// The transaction had a followed estimate and left it (§4.4
-    /// deviation) — reported in feedback as a drift signal.
-    deviated: bool,
 }
 
 impl Clone for TxnCore {
@@ -318,7 +315,6 @@ fn updates_at_state(
             core.est_pos = Some(pos + 1);
         } else {
             core.est_pos = None; // deviated: stop trusting the plan
-            core.deviated = true;
         }
     }
     core.declared = core.declared.union(finished);
@@ -458,7 +454,6 @@ impl Houdini {
             est_pos: follow_plan.then_some(0),
             model_loop_free,
             passive: false,
-            deviated: false,
         };
         let plan = TxnPlan {
             base_partition: base,
@@ -678,8 +673,6 @@ impl LiveAdvisor for Houdini {
                 // signal, but no commit/abort edge was taken.
                 TxnOutcome::Mispredicted => None,
             },
-            deviated: session.core.deviated,
-            predicted: session.core.lock_set,
         });
         // The session goes back to the caller as its spare. When
         // feedback was emitted, `steps` left with it (the maintainer owns
@@ -1117,7 +1110,8 @@ mod tests {
             ..Default::default()
         };
         let sim = Simulation::new(&mut db, &reg, advisor, &mut gen, CostModel::default(), cfg);
-        let (m, profile) = sim.run().expect("simulation must not halt");
+        let m = sim.run().expect("simulation must not halt");
+        let profile = &m.profile;
         let mut by_proc: Vec<_> = m.committed_by_proc.into_iter().collect();
         by_proc.sort_unstable();
         let mut ops: Vec<_> = m.ops.into_iter().map(|(p, o)| (p, format!("{o:?}"))).collect();

@@ -78,11 +78,7 @@ pub fn feature_schema(num_params: usize) -> Vec<Feature> {
 }
 
 fn hash_of(v: &Value, num_partitions: u32) -> f64 {
-    let h = match v {
-        Value::Int(i) => i.unsigned_abs() % u64::from(num_partitions),
-        other => other.stable_hash() % u64::from(num_partitions),
-    };
-    h as f64
+    f64::from(v.home_partition(num_partitions))
 }
 
 /// Extracts one feature's value from the argument list, or `None` when

@@ -30,10 +30,7 @@ impl QueryPartitionRule for CatalogRule<'_> {
     }
 
     fn partition_of(&self, v: &Value) -> PartitionId {
-        match v {
-            Value::Int(i) => (i.unsigned_abs() % u64::from(self.num_partitions)) as PartitionId,
-            other => (other.stable_hash() % u64::from(self.num_partitions)) as PartitionId,
-        }
+        v.home_partition(self.num_partitions)
     }
 
     fn num_partitions(&self) -> u32 {

@@ -1,10 +1,8 @@
 //! Table schemas.
 
-use serde::{Deserialize, Serialize};
-
 /// A column definition. Types are dynamic ([`common::Value`]); the schema
 /// only needs names and roles.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Column {
     /// Column name, e.g. `W_ID`.
     pub name: String,
@@ -25,7 +23,7 @@ impl Column {
 /// broadcast-first procedures exercise the non-partitioning-column lookup
 /// path instead, so replication here is used only for small read-mostly
 /// dimension tables (e.g. TPC-C `ITEM`).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Schema {
     /// Table name.
     pub name: String,
@@ -65,16 +63,6 @@ impl Schema {
     pub fn arity(&self) -> usize {
         self.columns.len()
     }
-
-    /// Resolves a column name to its index.
-    pub fn column_index(&self, name: &str) -> Option<usize> {
-        self.columns.iter().position(|c| c.name == name)
-    }
-
-    /// True if the table is replicated rather than partitioned.
-    pub fn is_replicated(&self) -> bool {
-        self.partitioning_column.is_none()
-    }
 }
 
 #[cfg(test)]
@@ -85,15 +73,8 @@ mod tests {
     fn construction_and_lookup() {
         let s = Schema::new("WAREHOUSE", &["W_ID", "W_NAME", "W_YTD"], &[0], Some(0));
         assert_eq!(s.arity(), 3);
-        assert_eq!(s.column_index("W_NAME"), Some(1));
-        assert_eq!(s.column_index("NOPE"), None);
-        assert!(!s.is_replicated());
-    }
-
-    #[test]
-    fn replicated_table() {
-        let s = Schema::new("ITEM", &["I_ID", "I_NAME"], &[0], None);
-        assert!(s.is_replicated());
+        assert_eq!(s.columns[1], Column::new("W_NAME"));
+        assert_eq!(s.partitioning_column, Some(0));
     }
 
     #[test]

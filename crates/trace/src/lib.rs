@@ -7,10 +7,8 @@
 //! models must be regenerated from the trace (via a [`PartitionResolver`])
 //! whenever the partitioning scheme changes.
 
-pub mod io;
 pub mod record;
 pub mod split;
 
-pub use io::{read_trace, write_trace};
 pub use record::{PartitionResolver, QueryRecord, TraceRecord, Workload};
 pub use split::split_worksets;

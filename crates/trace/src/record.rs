@@ -1,10 +1,9 @@
 //! Trace record types and the partition-resolution hook.
 
 use common::{PartitionSet, ProcId, QueryId, Value};
-use serde::{Deserialize, Serialize};
 
 /// One query invocation inside a transaction record.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct QueryRecord {
     /// Query id within the stored procedure's catalog entry.
     pub query: QueryId,
@@ -13,7 +12,7 @@ pub struct QueryRecord {
 }
 
 /// One transaction in a workload trace.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TraceRecord {
     /// Stored procedure id within the benchmark catalog.
     pub proc: ProcId,
@@ -54,7 +53,7 @@ pub trait PartitionResolver {
 
 /// A full sample workload: many transaction records, possibly spanning many
 /// procedures.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct Workload {
     /// The transaction records, in collection order.
     pub records: Vec<TraceRecord>,

@@ -10,7 +10,7 @@
 
 use common::{derive_seed, seeded_rng, FxHashMap, ProcId, Value};
 use engine::{
-    ColumnOp, PartitionHint, ProcDef, ProcInstance, Procedure, ProcedureRegistry, QueryDef,
+    ColumnOp, Linear, PartitionHint, ProcDef, ProcInstance, Procedure, ProcedureRegistry, QueryDef,
     QueryInvocation, QueryOp, RequestGenerator, Step,
 };
 use rand::rngs::SmallRng;
@@ -147,92 +147,47 @@ pub fn database(parts: u32) -> Database {
     db
 }
 
-fn q(name: &str, table: usize, op: QueryOp, hint: PartitionHint) -> QueryDef {
-    QueryDef { name: name.into(), table, op, hint }
-}
-
-/// A generic linear procedure runner: a fixed list of batches with optional
-/// abort-if-empty checks on the previous batch's first result.
-struct Linear {
-    batches: Vec<Vec<QueryInvocation>>,
-    /// `abort_if_empty[i]` aborts before issuing batch `i` if batch `i-1`'s
-    /// first query returned no rows.
-    abort_if_empty: Vec<bool>,
-    cursor: usize,
-}
-
-impl Linear {
-    fn new(batches: Vec<Vec<QueryInvocation>>, abort_if_empty: Vec<bool>) -> Self {
-        debug_assert_eq!(batches.len(), abort_if_empty.len());
-        Linear { batches, abort_if_empty, cursor: 0 }
-    }
-}
-
-impl ProcInstance for Linear {
-    fn next(&mut self, results: Option<&[Vec<Row>]>) -> Step {
-        if self.cursor < self.batches.len() {
-            if self.cursor > 0 && self.abort_if_empty[self.cursor] {
-                if let Some(rs) = results {
-                    if rs.first().map(Vec::is_empty).unwrap_or(true) {
-                        return Step::Abort("empty prerequisite".into());
-                    }
-                }
-            }
-            let b = std::mem::take(&mut self.batches[self.cursor]);
-            self.cursor += 1;
-            Step::Queries(b)
-        } else {
-            Step::Commit
-        }
-    }
-}
-
 // ---------------------------------------------------------------------------
 // Procedure M: CheckWinningBids()  — >175 queries; Houdini disabled
 // ---------------------------------------------------------------------------
 
-struct CheckWinningBids {
-    def: ProcDef,
-}
-
 /// Items processed per CheckWinningBids invocation.
 const CWB_ITEMS: usize = 60;
 
-impl CheckWinningBids {
-    fn new() -> Self {
-        CheckWinningBids {
-            def: ProcDef {
-                name: "CheckWinningBids".into(),
-                queries: vec![
-                    q(
-                        "GetEndedItems",
-                        tables::ITEM,
-                        QueryOp::LookupBy { column: 3, param: 0 },
-                        PartitionHint::Broadcast,
-                    ),
-                    q(
-                        "GetItemRec",
-                        tables::ITEM,
-                        QueryOp::GetByKey { key_params: vec![0, 1] },
-                        PartitionHint::Param(0),
-                    ),
-                    q(
-                        "GetItemBids",
-                        tables::BID,
-                        QueryOp::LookupBy { column: 1, param: 1 },
-                        PartitionHint::Param(0),
-                    ),
-                    q(
-                        "GetMaxBidder",
-                        tables::USERACCT,
-                        QueryOp::GetByKey { key_params: vec![0] },
-                        PartitionHint::Param(0),
-                    ),
-                ],
-                read_only: true,
-                can_abort: false,
-            },
-        }
+fn check_winning_bids() -> Procedure {
+    Procedure {
+        def: ProcDef {
+            name: "CheckWinningBids".into(),
+            queries: vec![
+                QueryDef::new(
+                    "GetEndedItems",
+                    tables::ITEM,
+                    QueryOp::LookupBy { column: 3, param: 0 },
+                    PartitionHint::Broadcast,
+                ),
+                QueryDef::new(
+                    "GetItemRec",
+                    tables::ITEM,
+                    QueryOp::GetByKey { key_params: vec![0, 1] },
+                    PartitionHint::Param(0),
+                ),
+                QueryDef::new(
+                    "GetItemBids",
+                    tables::BID,
+                    QueryOp::LookupBy { column: 1, param: 1 },
+                    PartitionHint::Param(0),
+                ),
+                QueryDef::new(
+                    "GetMaxBidder",
+                    tables::USERACCT,
+                    QueryOp::GetByKey { key_params: vec![0] },
+                    PartitionHint::Param(0),
+                ),
+            ],
+            read_only: true,
+            can_abort: false,
+        },
+        start: |_args| Box::new(CheckWinningBidsRun { stage: 0, items: Vec::new(), cursor: 0 }),
     }
 }
 
@@ -240,15 +195,6 @@ struct CheckWinningBidsRun {
     stage: u8,
     items: Vec<(Value, Value)>, // (seller, i_id)
     cursor: usize,
-}
-
-impl Procedure for CheckWinningBids {
-    fn def(&self) -> &ProcDef {
-        &self.def
-    }
-    fn instantiate(&self, _args: &[Value]) -> Box<dyn ProcInstance> {
-        Box::new(CheckWinningBidsRun { stage: 0, items: Vec::new(), cursor: 0 })
-    }
 }
 
 impl ProcInstance for CheckWinningBidsRun {
@@ -305,57 +251,34 @@ impl ProcInstance for CheckWinningBidsRun {
 // Simple linear procedures
 // ---------------------------------------------------------------------------
 
-macro_rules! linear_proc {
-    ($struct_name:ident, $build:expr) => {
-        struct $struct_name {
-            def: ProcDef,
-        }
-        impl Procedure for $struct_name {
-            fn def(&self) -> &ProcDef {
-                &self.def
-            }
-            fn instantiate(&self, args: &[Value]) -> Box<dyn ProcInstance> {
-                #[allow(clippy::redundant_closure_call)]
-                ($build)(args)
-            }
-        }
-    };
-}
-
 // Procedure N: GetItem(seller_id, i_id)
-linear_proc!(GetItem, |args: &[Value]| {
-    Box::new(Linear::new(
-        vec![vec![
-            QueryInvocation::new(0, args.to_vec()),
-            QueryInvocation::new(1, vec![args[0].clone()]),
-        ]],
-        vec![false],
-    )) as Box<dyn ProcInstance>
-});
-
-impl GetItem {
-    fn new() -> Self {
-        GetItem {
-            def: ProcDef {
-                name: "GetItem".into(),
-                queries: vec![
-                    q(
-                        "GetItemRec",
-                        tables::ITEM,
-                        QueryOp::GetByKey { key_params: vec![0, 1] },
-                        PartitionHint::Param(0),
-                    ),
-                    q(
-                        "GetSeller",
-                        tables::USERACCT,
-                        QueryOp::GetByKey { key_params: vec![0] },
-                        PartitionHint::Param(0),
-                    ),
-                ],
-                read_only: true,
-                can_abort: false,
-            },
-        }
+fn get_item() -> Procedure {
+    Procedure {
+        def: ProcDef {
+            name: "GetItem".into(),
+            queries: vec![
+                QueryDef::new(
+                    "GetItemRec",
+                    tables::ITEM,
+                    QueryOp::GetByKey { key_params: vec![0, 1] },
+                    PartitionHint::Param(0),
+                ),
+                QueryDef::new(
+                    "GetSeller",
+                    tables::USERACCT,
+                    QueryOp::GetByKey { key_params: vec![0] },
+                    PartitionHint::Param(0),
+                ),
+            ],
+            read_only: true,
+            can_abort: false,
+        },
+        start: |args| {
+            Box::new(Linear::one(vec![
+                QueryInvocation::new(0, args.to_vec()),
+                QueryInvocation::new(1, vec![args[0].clone()]),
+            ]))
+        },
     }
 }
 
@@ -363,95 +286,75 @@ impl GetItem {
 // Procedure O: GetUserInfo(user_id, seller_items, buyer_items, feedback)
 // ---------------------------------------------------------------------------
 
-struct GetUserInfo {
-    def: ProcDef,
-}
-
-impl GetUserInfo {
-    fn new() -> Self {
-        GetUserInfo {
-            def: ProcDef {
-                name: "GetUserInfo".into(),
-                queries: vec![
-                    q(
-                        "GetUser",
-                        tables::USERACCT,
-                        QueryOp::GetByKey { key_params: vec![0] },
-                        PartitionHint::Param(0),
-                    ),
-                    q(
-                        "GetSellerItems",
-                        tables::ITEM,
-                        QueryOp::LookupBy { column: 0, param: 0 },
-                        PartitionHint::Param(0),
-                    ),
-                    q(
-                        "GetBuyerItems",
-                        tables::BID,
-                        QueryOp::LookupBy { column: 3, param: 0 },
-                        PartitionHint::Broadcast,
-                    ),
-                    q(
-                        "GetBuyerFeedback",
-                        tables::FEEDBACK,
-                        QueryOp::LookupBy { column: 2, param: 0 },
-                        PartitionHint::Broadcast,
-                    ),
-                ],
-                read_only: true,
-                can_abort: false,
-            },
-        }
-    }
-}
-
-impl Procedure for GetUserInfo {
-    fn def(&self) -> &ProcDef {
-        &self.def
-    }
-    fn instantiate(&self, args: &[Value]) -> Box<dyn ProcInstance> {
-        let user = args[0].clone();
-        let mut second: Vec<QueryInvocation> = Vec::new();
-        if args[1].expect_int() != 0 {
-            second.push(QueryInvocation::new(1, vec![user.clone()]));
-        }
-        if args[2].expect_int() != 0 {
-            second.push(QueryInvocation::new(2, vec![user.clone()]));
-        }
-        if args[3].expect_int() != 0 {
-            second.push(QueryInvocation::new(3, vec![user.clone()]));
-        }
-        let mut batches = vec![vec![QueryInvocation::new(0, vec![user])]];
-        let mut aborts = vec![false];
-        if !second.is_empty() {
-            batches.push(second);
-            aborts.push(false);
-        }
-        Box::new(Linear::new(batches, aborts))
+fn get_user_info() -> Procedure {
+    Procedure {
+        def: ProcDef {
+            name: "GetUserInfo".into(),
+            queries: vec![
+                QueryDef::new(
+                    "GetUser",
+                    tables::USERACCT,
+                    QueryOp::GetByKey { key_params: vec![0] },
+                    PartitionHint::Param(0),
+                ),
+                QueryDef::new(
+                    "GetSellerItems",
+                    tables::ITEM,
+                    QueryOp::LookupBy { column: 0, param: 0 },
+                    PartitionHint::Param(0),
+                ),
+                QueryDef::new(
+                    "GetBuyerItems",
+                    tables::BID,
+                    QueryOp::LookupBy { column: 3, param: 0 },
+                    PartitionHint::Broadcast,
+                ),
+                QueryDef::new(
+                    "GetBuyerFeedback",
+                    tables::FEEDBACK,
+                    QueryOp::LookupBy { column: 2, param: 0 },
+                    PartitionHint::Broadcast,
+                ),
+            ],
+            read_only: true,
+            can_abort: false,
+        },
+        start: |args| {
+            let user = args[0].clone();
+            let mut second: Vec<QueryInvocation> = Vec::new();
+            if args[1].expect_int() != 0 {
+                second.push(QueryInvocation::new(1, vec![user.clone()]));
+            }
+            if args[2].expect_int() != 0 {
+                second.push(QueryInvocation::new(2, vec![user.clone()]));
+            }
+            if args[3].expect_int() != 0 {
+                second.push(QueryInvocation::new(3, vec![user.clone()]));
+            }
+            let mut batches = vec![(vec![QueryInvocation::new(0, vec![user])], false)];
+            if !second.is_empty() {
+                batches.push((second, false));
+            }
+            Box::new(Linear::new(batches))
+        },
     }
 }
 
 // Procedure P: GetWatchedItems(user_id)
-linear_proc!(GetWatchedItems, |args: &[Value]| {
-    Box::new(Linear::new(vec![vec![QueryInvocation::new(0, vec![args[0].clone()])]], vec![false]))
-        as Box<dyn ProcInstance>
-});
-
-impl GetWatchedItems {
-    fn new() -> Self {
-        GetWatchedItems {
-            def: ProcDef {
-                name: "GetWatchedItems".into(),
-                queries: vec![q(
-                    "GetWatched",
-                    tables::WATCH,
-                    QueryOp::LookupBy { column: 0, param: 0 },
-                    PartitionHint::Param(0),
-                )],
-                read_only: true,
-                can_abort: false,
-            },
-        }
+fn get_watched_items() -> Procedure {
+    Procedure {
+        def: ProcDef {
+            name: "GetWatchedItems".into(),
+            queries: vec![QueryDef::new(
+                "GetWatched",
+                tables::WATCH,
+                QueryOp::LookupBy { column: 0, param: 0 },
+                PartitionHint::Param(0),
+            )],
+            read_only: true,
+            can_abort: false,
+        },
+        start: |args| Box::new(Linear::one(vec![QueryInvocation::new(0, vec![args[0].clone()])])),
     }
 }
 
@@ -459,64 +362,55 @@ impl GetWatchedItems {
 // Procedure Q: NewBid(seller_id, i_id, bid_id, buyer_id, amount)
 // ---------------------------------------------------------------------------
 
-struct NewBid {
-    def: ProcDef,
-}
-
-impl NewBid {
-    fn new() -> Self {
-        NewBid {
-            def: ProcDef {
-                name: "NewBid".into(),
-                queries: vec![
-                    q(
-                        "GetItem",
-                        tables::ITEM,
-                        QueryOp::GetByKey { key_params: vec![0, 1] },
-                        PartitionHint::Param(0),
-                    ),
-                    q("InsertBid", tables::BID, QueryOp::InsertRow, PartitionHint::Param(0)),
-                    q(
-                        "UpdateItemBids",
-                        tables::ITEM,
-                        QueryOp::UpdateByKey {
-                            key_params: vec![0, 1],
-                            sets: vec![
-                                ColumnOp::Set { column: 2, param: 2 },
-                                ColumnOp::Add { column: 4, param: 3 },
-                            ],
-                        },
-                        PartitionHint::Param(0),
-                    ),
-                    q(
-                        "UpdateBuyerBalance",
-                        tables::USERACCT,
-                        QueryOp::UpdateByKey {
-                            key_params: vec![0],
-                            sets: vec![ColumnOp::Add { column: 2, param: 1 }],
-                        },
-                        PartitionHint::Param(0),
-                    ),
-                ],
-                read_only: false,
-                can_abort: true,
-            },
-        }
+fn new_bid() -> Procedure {
+    Procedure {
+        def: ProcDef {
+            name: "NewBid".into(),
+            queries: vec![
+                QueryDef::new(
+                    "GetItem",
+                    tables::ITEM,
+                    QueryOp::GetByKey { key_params: vec![0, 1] },
+                    PartitionHint::Param(0),
+                ),
+                QueryDef::new(
+                    "InsertBid",
+                    tables::BID,
+                    QueryOp::InsertRow,
+                    PartitionHint::Param(0),
+                ),
+                QueryDef::new(
+                    "UpdateItemBids",
+                    tables::ITEM,
+                    QueryOp::UpdateByKey {
+                        key_params: vec![0, 1],
+                        sets: vec![
+                            ColumnOp::Set { column: 2, param: 2 },
+                            ColumnOp::Add { column: 4, param: 3 },
+                        ],
+                    },
+                    PartitionHint::Param(0),
+                ),
+                QueryDef::new(
+                    "UpdateBuyerBalance",
+                    tables::USERACCT,
+                    QueryOp::UpdateByKey {
+                        key_params: vec![0],
+                        sets: vec![ColumnOp::Add { column: 2, param: 1 }],
+                    },
+                    PartitionHint::Param(0),
+                ),
+            ],
+            read_only: false,
+            can_abort: true,
+        },
+        start: |args| Box::new(NewBidRun { args: args.to_vec(), stage: 0 }),
     }
 }
 
 struct NewBidRun {
     args: Vec<Value>,
     stage: u8,
-}
-
-impl Procedure for NewBid {
-    fn def(&self) -> &ProcDef {
-        &self.def
-    }
-    fn instantiate(&self, args: &[Value]) -> Box<dyn ProcInstance> {
-        Box::new(NewBidRun { args: args.to_vec(), stage: 0 })
-    }
 }
 
 impl ProcInstance for NewBidRun {
@@ -570,80 +464,71 @@ impl ProcInstance for NewBidRun {
 }
 
 // Procedure R: NewComment(seller_id, i_id, cm_id, from_id) — shortest txn.
-linear_proc!(NewComment, |args: &[Value]| {
-    Box::new(Linear::new(
-        vec![
-            vec![QueryInvocation::new(0, vec![args[0].clone(), args[1].clone()])],
-            vec![QueryInvocation::new(1, args.to_vec())],
-        ],
-        vec![false, true],
-    )) as Box<dyn ProcInstance>
-});
-
-impl NewComment {
-    fn new() -> Self {
-        NewComment {
-            def: ProcDef {
-                name: "NewComment".into(),
-                queries: vec![
-                    q(
-                        "GetItemRec",
-                        tables::ITEM,
-                        QueryOp::GetByKey { key_params: vec![0, 1] },
-                        PartitionHint::Param(0),
-                    ),
-                    q(
-                        "InsertComment",
-                        tables::COMMENT,
-                        QueryOp::InsertRow,
-                        PartitionHint::Param(0),
-                    ),
-                ],
-                read_only: false,
-                can_abort: true,
-            },
-        }
+fn new_comment() -> Procedure {
+    Procedure {
+        def: ProcDef {
+            name: "NewComment".into(),
+            queries: vec![
+                QueryDef::new(
+                    "GetItemRec",
+                    tables::ITEM,
+                    QueryOp::GetByKey { key_params: vec![0, 1] },
+                    PartitionHint::Param(0),
+                ),
+                QueryDef::new(
+                    "InsertComment",
+                    tables::COMMENT,
+                    QueryOp::InsertRow,
+                    PartitionHint::Param(0),
+                ),
+            ],
+            read_only: false,
+            can_abort: true,
+        },
+        start: |args| {
+            Box::new(Linear::new(vec![
+                (vec![QueryInvocation::new(0, vec![args[0].clone(), args[1].clone()])], false),
+                (vec![QueryInvocation::new(1, args.to_vec())], true),
+            ]))
+        },
     }
 }
 
 // Procedure S: NewItem(seller_id, i_id, price)
-linear_proc!(NewItem, |args: &[Value]| {
-    Box::new(Linear::new(
-        vec![
-            vec![QueryInvocation::new(0, vec![args[0].clone()])],
-            vec![QueryInvocation::new(
-                1,
-                vec![
-                    args[0].clone(),
-                    args[1].clone(),
-                    args[2].clone(),
-                    Value::Int(status::OPEN),
-                    Value::Int(0),
-                ],
-            )],
-        ],
-        vec![false, true],
-    )) as Box<dyn ProcInstance>
-});
-
-impl NewItem {
-    fn new() -> Self {
-        NewItem {
-            def: ProcDef {
-                name: "NewItem".into(),
-                queries: vec![
-                    q(
-                        "GetSeller",
-                        tables::USERACCT,
-                        QueryOp::GetByKey { key_params: vec![0] },
-                        PartitionHint::Param(0),
-                    ),
-                    q("InsertItem", tables::ITEM, QueryOp::InsertRow, PartitionHint::Param(0)),
-                ],
-                read_only: false,
-                can_abort: true,
-            },
-        }
+fn new_item() -> Procedure {
+    Procedure {
+        def: ProcDef {
+            name: "NewItem".into(),
+            queries: vec![
+                QueryDef::new(
+                    "GetSeller",
+                    tables::USERACCT,
+                    QueryOp::GetByKey { key_params: vec![0] },
+                    PartitionHint::Param(0),
+                ),
+                QueryDef::new(
+                    "InsertItem",
+                    tables::ITEM,
+                    QueryOp::InsertRow,
+                    PartitionHint::Param(0),
+                ),
+            ],
+            read_only: false,
+            can_abort: true,
+        },
+        start: |args| {
+            let item = vec![
+                args[0].clone(),
+                args[1].clone(),
+                args[2].clone(),
+                Value::Int(status::OPEN),
+                Value::Int(0),
+            ];
+            Box::new(Linear::new(vec![
+                (vec![QueryInvocation::new(0, vec![args[0].clone()])], false),
+                (vec![QueryInvocation::new(1, item)], true),
+            ]))
+        },
     }
 }
 
@@ -651,75 +536,61 @@ impl NewItem {
 // Procedure T: NewPurchase(seller_id, i_id, pu_id, buyer_id, amount)
 // ---------------------------------------------------------------------------
 
-struct NewPurchase {
-    def: ProcDef,
-}
-
-impl NewPurchase {
-    fn new() -> Self {
-        NewPurchase {
-            def: ProcDef {
-                name: "NewPurchase".into(),
-                queries: vec![
-                    q(
-                        "GetItem",
-                        tables::ITEM,
-                        QueryOp::GetByKey { key_params: vec![0, 1] },
-                        PartitionHint::Param(0),
-                    ),
-                    q(
-                        "InsertPurchase",
-                        tables::PURCHASE,
-                        QueryOp::InsertRow,
-                        PartitionHint::Param(0),
-                    ),
-                    q(
-                        "UpdateItemStatus",
-                        tables::ITEM,
-                        QueryOp::UpdateByKey {
-                            key_params: vec![0, 1],
-                            sets: vec![ColumnOp::Set { column: 3, param: 2 }],
-                        },
-                        PartitionHint::Param(0),
-                    ),
-                    q(
-                        "UpdateSellerBalance",
-                        tables::USERACCT,
-                        QueryOp::UpdateByKey {
-                            key_params: vec![0],
-                            sets: vec![ColumnOp::Add { column: 2, param: 1 }],
-                        },
-                        PartitionHint::Param(0),
-                    ),
-                    q(
-                        "UpdateBuyerBalance",
-                        tables::USERACCT,
-                        QueryOp::UpdateByKey {
-                            key_params: vec![0],
-                            sets: vec![ColumnOp::Add { column: 2, param: 1 }],
-                        },
-                        PartitionHint::Param(0),
-                    ),
-                ],
-                read_only: false,
-                can_abort: true,
-            },
-        }
+fn new_purchase() -> Procedure {
+    Procedure {
+        def: ProcDef {
+            name: "NewPurchase".into(),
+            queries: vec![
+                QueryDef::new(
+                    "GetItem",
+                    tables::ITEM,
+                    QueryOp::GetByKey { key_params: vec![0, 1] },
+                    PartitionHint::Param(0),
+                ),
+                QueryDef::new(
+                    "InsertPurchase",
+                    tables::PURCHASE,
+                    QueryOp::InsertRow,
+                    PartitionHint::Param(0),
+                ),
+                QueryDef::new(
+                    "UpdateItemStatus",
+                    tables::ITEM,
+                    QueryOp::UpdateByKey {
+                        key_params: vec![0, 1],
+                        sets: vec![ColumnOp::Set { column: 3, param: 2 }],
+                    },
+                    PartitionHint::Param(0),
+                ),
+                QueryDef::new(
+                    "UpdateSellerBalance",
+                    tables::USERACCT,
+                    QueryOp::UpdateByKey {
+                        key_params: vec![0],
+                        sets: vec![ColumnOp::Add { column: 2, param: 1 }],
+                    },
+                    PartitionHint::Param(0),
+                ),
+                QueryDef::new(
+                    "UpdateBuyerBalance",
+                    tables::USERACCT,
+                    QueryOp::UpdateByKey {
+                        key_params: vec![0],
+                        sets: vec![ColumnOp::Add { column: 2, param: 1 }],
+                    },
+                    PartitionHint::Param(0),
+                ),
+            ],
+            read_only: false,
+            can_abort: true,
+        },
+        start: |args| Box::new(NewPurchaseRun { args: args.to_vec(), stage: 0 }),
     }
 }
 
 struct NewPurchaseRun {
     args: Vec<Value>,
     stage: u8,
-}
-
-impl Procedure for NewPurchase {
-    fn def(&self) -> &ProcDef {
-        &self.def
-    }
-    fn instantiate(&self, args: &[Value]) -> Box<dyn ProcInstance> {
-        Box::new(NewPurchaseRun { args: args.to_vec(), stage: 0 })
-    }
 }
 
 impl ProcInstance for NewPurchaseRun {
@@ -765,119 +636,100 @@ impl ProcInstance for NewPurchaseRun {
 // Procedure U: PostAuction(seller_ids[], i_ids[], buyer_ids[])
 // ---------------------------------------------------------------------------
 
-struct PostAuction {
-    def: ProcDef,
-}
-
-impl PostAuction {
-    fn new() -> Self {
-        PostAuction {
-            def: ProcDef {
-                name: "PostAuction".into(),
-                queries: vec![
-                    q(
-                        "UpdateItemStatus",
-                        tables::ITEM,
-                        QueryOp::UpdateByKey {
-                            key_params: vec![0, 1],
-                            sets: vec![ColumnOp::Set { column: 3, param: 2 }],
-                        },
-                        PartitionHint::Param(0),
-                    ),
-                    q(
-                        "UpdateBuyerBalance",
-                        tables::USERACCT,
-                        QueryOp::UpdateByKey {
-                            key_params: vec![0],
-                            sets: vec![ColumnOp::Add { column: 2, param: 1 }],
-                        },
-                        PartitionHint::Param(0),
-                    ),
-                ],
-                read_only: false,
-                can_abort: false,
-            },
-        }
-    }
-}
-
-impl Procedure for PostAuction {
-    fn def(&self) -> &ProcDef {
-        &self.def
-    }
-    fn instantiate(&self, args: &[Value]) -> Box<dyn ProcInstance> {
-        let sellers = args[0].as_array().expect("seller_ids").to_vec();
-        let items = args[1].as_array().expect("i_ids").to_vec();
-        let buyers = args[2].as_array().expect("buyer_ids").to_vec();
-        let mut batches = Vec::with_capacity(sellers.len());
-        let mut aborts = Vec::with_capacity(sellers.len());
-        for k in 0..sellers.len() {
-            batches.push(vec![
-                QueryInvocation::new(
-                    0,
-                    vec![sellers[k].clone(), items[k].clone(), Value::Int(status::CLOSED)],
+fn post_auction() -> Procedure {
+    Procedure {
+        def: ProcDef {
+            name: "PostAuction".into(),
+            queries: vec![
+                QueryDef::new(
+                    "UpdateItemStatus",
+                    tables::ITEM,
+                    QueryOp::UpdateByKey {
+                        key_params: vec![0, 1],
+                        sets: vec![ColumnOp::Set { column: 3, param: 2 }],
+                    },
+                    PartitionHint::Param(0),
                 ),
-                QueryInvocation::new(1, vec![buyers[k].clone(), Value::Int(10)]),
-            ]);
-            aborts.push(false);
-        }
-        Box::new(Linear::new(batches, aborts))
+                QueryDef::new(
+                    "UpdateBuyerBalance",
+                    tables::USERACCT,
+                    QueryOp::UpdateByKey {
+                        key_params: vec![0],
+                        sets: vec![ColumnOp::Add { column: 2, param: 1 }],
+                    },
+                    PartitionHint::Param(0),
+                ),
+            ],
+            read_only: false,
+            can_abort: false,
+        },
+        start: |args| {
+            let sellers = args[0].as_array().expect("seller_ids").to_vec();
+            let items = args[1].as_array().expect("i_ids").to_vec();
+            let buyers = args[2].as_array().expect("buyer_ids").to_vec();
+            let mut batches = Vec::with_capacity(sellers.len());
+            for k in 0..sellers.len() {
+                let batch = vec![
+                    QueryInvocation::new(
+                        0,
+                        vec![sellers[k].clone(), items[k].clone(), Value::Int(status::CLOSED)],
+                    ),
+                    QueryInvocation::new(1, vec![buyers[k].clone(), Value::Int(10)]),
+                ];
+                batches.push((batch, false));
+            }
+            Box::new(Linear::new(batches))
+        },
     }
 }
 
 // Procedure V: UpdateItem(seller_id, i_id, price)
-linear_proc!(UpdateItem, |args: &[Value]| {
-    Box::new(Linear::new(
-        vec![
-            vec![QueryInvocation::new(0, vec![args[0].clone(), args[1].clone()])],
-            vec![QueryInvocation::new(1, args.to_vec())],
-        ],
-        vec![false, true],
-    )) as Box<dyn ProcInstance>
-});
-
-impl UpdateItem {
-    fn new() -> Self {
-        UpdateItem {
-            def: ProcDef {
-                name: "UpdateItem".into(),
-                queries: vec![
-                    q(
-                        "GetItemRec",
-                        tables::ITEM,
-                        QueryOp::GetByKey { key_params: vec![0, 1] },
-                        PartitionHint::Param(0),
-                    ),
-                    q(
-                        "SetItemPrice",
-                        tables::ITEM,
-                        QueryOp::UpdateByKey {
-                            key_params: vec![0, 1],
-                            sets: vec![ColumnOp::Set { column: 2, param: 2 }],
-                        },
-                        PartitionHint::Param(0),
-                    ),
-                ],
-                read_only: false,
-                can_abort: true,
-            },
-        }
+fn update_item() -> Procedure {
+    Procedure {
+        def: ProcDef {
+            name: "UpdateItem".into(),
+            queries: vec![
+                QueryDef::new(
+                    "GetItemRec",
+                    tables::ITEM,
+                    QueryOp::GetByKey { key_params: vec![0, 1] },
+                    PartitionHint::Param(0),
+                ),
+                QueryDef::new(
+                    "SetItemPrice",
+                    tables::ITEM,
+                    QueryOp::UpdateByKey {
+                        key_params: vec![0, 1],
+                        sets: vec![ColumnOp::Set { column: 2, param: 2 }],
+                    },
+                    PartitionHint::Param(0),
+                ),
+            ],
+            read_only: false,
+            can_abort: true,
+        },
+        start: |args| {
+            Box::new(Linear::new(vec![
+                (vec![QueryInvocation::new(0, vec![args[0].clone(), args[1].clone()])], false),
+                (vec![QueryInvocation::new(1, args.to_vec())], true),
+            ]))
+        },
     }
 }
 
 /// Builds the AuctionMark registry (letters M–V of Table 4).
 pub fn registry() -> ProcedureRegistry {
     ProcedureRegistry::new(vec![
-        Box::new(CheckWinningBids::new()), // M
-        Box::new(GetItem::new()),          // N
-        Box::new(GetUserInfo::new()),      // O
-        Box::new(GetWatchedItems::new()),  // P
-        Box::new(NewBid::new()),           // Q
-        Box::new(NewComment::new()),       // R
-        Box::new(NewItem::new()),          // S
-        Box::new(NewPurchase::new()),      // T
-        Box::new(PostAuction::new()),      // U
-        Box::new(UpdateItem::new()),       // V
+        check_winning_bids(), // M
+        get_item(),           // N
+        get_user_info(),      // O
+        get_watched_items(),  // P
+        new_bid(),            // Q
+        new_comment(),        // R
+        new_item(),           // S
+        new_purchase(),       // T
+        post_auction(),       // U
+        update_item(),        // V
     ])
 }
 

@@ -13,6 +13,14 @@
 //!
 //! Each benchmark exposes `database(num_partitions)`, `registry()` and a
 //! [`engine::RequestGenerator`]; procedure letters follow Table 4.
+//!
+//! A stored procedure is a function returning an [`engine::Procedure`]: its
+//! [`engine::ProcDef`] (queries built with [`engine::QueryDef::new`]) and a
+//! `start` function from the input parameters to a running instance. A
+//! procedure whose batches are fixed by its arguments starts an
+//! [`engine::Linear`]; one that branches on what it read starts its own
+//! `…Run` state machine, an [`engine::ProcInstance`]. `registry()` lists
+//! the procedures in Table 4 order, which defines their ids.
 
 pub mod auctionmark;
 pub mod tatp;
@@ -130,6 +138,59 @@ mod tests {
                     bench.name()
                 );
             }
+        }
+    }
+
+    #[test]
+    fn registries_keep_table_4_order() {
+        // Procedure ids index the catalog, the trained predictors and the
+        // letters of Table 4 (`bench::experiments::proc_letter`: TATP from
+        // A, TPC-C from H, AuctionMark from M), so registry order is
+        // pinned name by name.
+        let expected: [(Bench, &[&str]); 3] = [
+            (
+                Bench::Tatp,
+                &[
+                    "DeleteCallFwrd",   // A
+                    "GetAccessData",    // B
+                    "GetNewDest",       // C
+                    "GetSubscriber",    // D
+                    "InsertCallFwrd",   // E
+                    "UpdateLocation",   // F
+                    "UpdateSubscriber", // G
+                ],
+            ),
+            (
+                Bench::Tpcc,
+                &[
+                    "Delivery",    // H
+                    "NewOrder",    // I
+                    "OrderStatus", // J
+                    "Payment",     // K
+                    "StockLevel",  // L
+                ],
+            ),
+            (
+                Bench::AuctionMark,
+                &[
+                    "CheckWinningBids", // M
+                    "GetItem",          // N
+                    "GetUserInfo",      // O
+                    "GetWatchedItems",  // P
+                    "NewBid",           // Q
+                    "NewComment",       // R
+                    "NewItem",          // S
+                    "NewPurchase",      // T
+                    "PostAuction",      // U
+                    "UpdateItem",       // V
+                ],
+            ),
+        ];
+        for (bench, names) in expected {
+            let registry = bench.registry();
+            let got: Vec<&str> =
+                (0..registry.len()).map(|id| registry.get(id as u32).def.name.as_str()).collect();
+            assert_eq!(got, names, "{} registry order", bench.name());
         }
     }
 

@@ -10,7 +10,7 @@
 
 use common::{derive_seed, seeded_rng, FxHashMap, ProcId, Value};
 use engine::{
-    ColumnOp, PartitionHint, ProcDef, ProcInstance, Procedure, ProcedureRegistry, QueryDef,
+    ColumnOp, Linear, PartitionHint, ProcDef, ProcInstance, Procedure, ProcedureRegistry, QueryDef,
     QueryInvocation, QueryOp, RequestGenerator, Step,
 };
 use rand::rngs::SmallRng;
@@ -120,12 +120,8 @@ pub fn sub_nbr(s_id: i64) -> String {
     format!("NBR{s_id:012}")
 }
 
-fn q(name: &str, table: usize, op: QueryOp, hint: PartitionHint) -> QueryDef {
-    QueryDef { name: name.into(), table, op, hint }
-}
-
 fn broadcast_sub_lookup() -> QueryDef {
-    q(
+    QueryDef::new(
         "GetSubscriber",
         tables::SUBSCRIBER,
         QueryOp::LookupBy { column: 1, param: 0 },
@@ -137,43 +133,29 @@ fn broadcast_sub_lookup() -> QueryDef {
 // Procedure A: DeleteCallFwrd(sub_nbr, sf_type, start_time)
 // ---------------------------------------------------------------------------
 
-struct DeleteCallFwrd {
-    def: ProcDef,
-}
-
-impl DeleteCallFwrd {
-    fn new() -> Self {
-        DeleteCallFwrd {
-            def: ProcDef {
-                name: "DeleteCallFwrd".into(),
-                queries: vec![
-                    broadcast_sub_lookup(),
-                    q(
-                        "DeleteCallFwrd",
-                        tables::CALL_FORWARDING,
-                        QueryOp::DeleteByKey { key_params: vec![0, 1, 2] },
-                        PartitionHint::Param(0),
-                    ),
-                ],
-                read_only: false,
-                can_abort: false,
-            },
-        }
+fn delete_call_fwrd() -> Procedure {
+    Procedure {
+        def: ProcDef {
+            name: "DeleteCallFwrd".into(),
+            queries: vec![
+                broadcast_sub_lookup(),
+                QueryDef::new(
+                    "DeleteCallFwrd",
+                    tables::CALL_FORWARDING,
+                    QueryOp::DeleteByKey { key_params: vec![0, 1, 2] },
+                    PartitionHint::Param(0),
+                ),
+            ],
+            read_only: false,
+            can_abort: false,
+        },
+        start: |args| Box::new(DeleteCallFwrdRun { args: args.to_vec(), stage: 0 }),
     }
 }
 
 struct DeleteCallFwrdRun {
     args: Vec<Value>,
     stage: u8,
-}
-
-impl Procedure for DeleteCallFwrd {
-    fn def(&self) -> &ProcDef {
-        &self.def
-    }
-    fn instantiate(&self, args: &[Value]) -> Box<dyn ProcInstance> {
-        Box::new(DeleteCallFwrdRun { args: args.to_vec(), stage: 0 })
-    }
 }
 
 impl ProcInstance for DeleteCallFwrdRun {
@@ -203,50 +185,20 @@ impl ProcInstance for DeleteCallFwrdRun {
 // Procedure B: GetAccessData(s_id, ai_type)  — always single-partition
 // ---------------------------------------------------------------------------
 
-struct GetAccessData {
-    def: ProcDef,
-}
-
-impl GetAccessData {
-    fn new() -> Self {
-        GetAccessData {
-            def: ProcDef {
-                name: "GetAccessData".into(),
-                queries: vec![q(
-                    "GetAccessInfo",
-                    tables::ACCESS_INFO,
-                    QueryOp::GetByKey { key_params: vec![0, 1] },
-                    PartitionHint::Param(0),
-                )],
-                read_only: true,
-                can_abort: false,
-            },
-        }
-    }
-}
-
-struct OneShot {
-    invs: Vec<QueryInvocation>,
-    fired: bool,
-}
-
-impl ProcInstance for OneShot {
-    fn next(&mut self, _results: Option<&[Vec<Row>]>) -> Step {
-        if self.fired {
-            Step::Commit
-        } else {
-            self.fired = true;
-            Step::Queries(std::mem::take(&mut self.invs))
-        }
-    }
-}
-
-impl Procedure for GetAccessData {
-    fn def(&self) -> &ProcDef {
-        &self.def
-    }
-    fn instantiate(&self, args: &[Value]) -> Box<dyn ProcInstance> {
-        Box::new(OneShot { invs: vec![QueryInvocation::new(0, args.to_vec())], fired: false })
+fn get_access_data() -> Procedure {
+    Procedure {
+        def: ProcDef {
+            name: "GetAccessData".into(),
+            queries: vec![QueryDef::new(
+                "GetAccessInfo",
+                tables::ACCESS_INFO,
+                QueryOp::GetByKey { key_params: vec![0, 1] },
+                PartitionHint::Param(0),
+            )],
+            read_only: true,
+            can_abort: false,
+        },
+        start: |args| Box::new(Linear::one(vec![QueryInvocation::new(0, args.to_vec())])),
     }
 }
 
@@ -254,48 +206,34 @@ impl Procedure for GetAccessData {
 // Procedure C: GetNewDest(s_id, sf_type, start_time)
 // ---------------------------------------------------------------------------
 
-struct GetNewDest {
-    def: ProcDef,
-}
-
-impl GetNewDest {
-    fn new() -> Self {
-        GetNewDest {
-            def: ProcDef {
-                name: "GetNewDest".into(),
-                queries: vec![
-                    q(
-                        "GetSpecialFacility",
-                        tables::SPECIAL_FACILITY,
-                        QueryOp::GetByKey { key_params: vec![0, 1] },
-                        PartitionHint::Param(0),
-                    ),
-                    q(
-                        "GetCallForwarding",
-                        tables::CALL_FORWARDING,
-                        QueryOp::GetByKey { key_params: vec![0, 1, 2] },
-                        PartitionHint::Param(0),
-                    ),
-                ],
-                read_only: true,
-                can_abort: true,
-            },
-        }
+fn get_new_dest() -> Procedure {
+    Procedure {
+        def: ProcDef {
+            name: "GetNewDest".into(),
+            queries: vec![
+                QueryDef::new(
+                    "GetSpecialFacility",
+                    tables::SPECIAL_FACILITY,
+                    QueryOp::GetByKey { key_params: vec![0, 1] },
+                    PartitionHint::Param(0),
+                ),
+                QueryDef::new(
+                    "GetCallForwarding",
+                    tables::CALL_FORWARDING,
+                    QueryOp::GetByKey { key_params: vec![0, 1, 2] },
+                    PartitionHint::Param(0),
+                ),
+            ],
+            read_only: true,
+            can_abort: true,
+        },
+        start: |args| Box::new(GetNewDestRun { args: args.to_vec(), stage: 0 }),
     }
 }
 
 struct GetNewDestRun {
     args: Vec<Value>,
     stage: u8,
-}
-
-impl Procedure for GetNewDest {
-    fn def(&self) -> &ProcDef {
-        &self.def
-    }
-    fn instantiate(&self, args: &[Value]) -> Box<dyn ProcInstance> {
-        Box::new(GetNewDestRun { args: args.to_vec(), stage: 0 })
-    }
 }
 
 impl ProcInstance for GetNewDestRun {
@@ -326,34 +264,20 @@ impl ProcInstance for GetNewDestRun {
 // Procedure D: GetSubscriber(s_id)  — always single-partition
 // ---------------------------------------------------------------------------
 
-struct GetSubscriberData {
-    def: ProcDef,
-}
-
-impl GetSubscriberData {
-    fn new() -> Self {
-        GetSubscriberData {
-            def: ProcDef {
-                name: "GetSubscriber".into(),
-                queries: vec![q(
-                    "GetSubscriberData",
-                    tables::SUBSCRIBER,
-                    QueryOp::GetByKey { key_params: vec![0] },
-                    PartitionHint::Param(0),
-                )],
-                read_only: true,
-                can_abort: false,
-            },
-        }
-    }
-}
-
-impl Procedure for GetSubscriberData {
-    fn def(&self) -> &ProcDef {
-        &self.def
-    }
-    fn instantiate(&self, args: &[Value]) -> Box<dyn ProcInstance> {
-        Box::new(OneShot { invs: vec![QueryInvocation::new(0, args.to_vec())], fired: false })
+fn get_subscriber() -> Procedure {
+    Procedure {
+        def: ProcDef {
+            name: "GetSubscriber".into(),
+            queries: vec![QueryDef::new(
+                "GetSubscriberData",
+                tables::SUBSCRIBER,
+                QueryOp::GetByKey { key_params: vec![0] },
+                PartitionHint::Param(0),
+            )],
+            read_only: true,
+            can_abort: false,
+        },
+        start: |args| Box::new(Linear::one(vec![QueryInvocation::new(0, args.to_vec())])),
     }
 }
 
@@ -361,34 +285,31 @@ impl Procedure for GetSubscriberData {
 // Procedure E: InsertCallFwrd(sub_nbr, sf_type, start_time, numberx)
 // ---------------------------------------------------------------------------
 
-struct InsertCallFwrd {
-    def: ProcDef,
-}
-
-impl InsertCallFwrd {
-    fn new() -> Self {
-        InsertCallFwrd {
-            def: ProcDef {
-                name: "InsertCallFwrd".into(),
-                queries: vec![
-                    broadcast_sub_lookup(),
-                    q(
-                        "GetSFType",
-                        tables::SPECIAL_FACILITY,
-                        QueryOp::LookupBy { column: 0, param: 0 },
-                        PartitionHint::Param(0),
-                    ),
-                    q(
-                        "InsertCallFwrd",
-                        tables::CALL_FORWARDING,
-                        QueryOp::InsertRow,
-                        PartitionHint::Param(0),
-                    ),
-                ],
-                read_only: false,
-                can_abort: true,
-            },
-        }
+fn insert_call_fwrd() -> Procedure {
+    Procedure {
+        def: ProcDef {
+            name: "InsertCallFwrd".into(),
+            queries: vec![
+                broadcast_sub_lookup(),
+                QueryDef::new(
+                    "GetSFType",
+                    tables::SPECIAL_FACILITY,
+                    QueryOp::LookupBy { column: 0, param: 0 },
+                    PartitionHint::Param(0),
+                ),
+                QueryDef::new(
+                    "InsertCallFwrd",
+                    tables::CALL_FORWARDING,
+                    QueryOp::InsertRow,
+                    PartitionHint::Param(0),
+                ),
+            ],
+            read_only: false,
+            can_abort: true,
+        },
+        start: |args| {
+            Box::new(InsertCallFwrdRun { args: args.to_vec(), stage: 0, s_id: Value::Null })
+        },
     }
 }
 
@@ -396,15 +317,6 @@ struct InsertCallFwrdRun {
     args: Vec<Value>,
     stage: u8,
     s_id: Value,
-}
-
-impl Procedure for InsertCallFwrd {
-    fn def(&self) -> &ProcDef {
-        &self.def
-    }
-    fn instantiate(&self, args: &[Value]) -> Box<dyn ProcInstance> {
-        Box::new(InsertCallFwrdRun { args: args.to_vec(), stage: 0, s_id: Value::Null })
-    }
 }
 
 impl ProcInstance for InsertCallFwrdRun {
@@ -447,46 +359,32 @@ impl ProcInstance for InsertCallFwrdRun {
 // Procedure F: UpdateLocation(sub_nbr, vlr_location)
 // ---------------------------------------------------------------------------
 
-struct UpdateLocation {
-    def: ProcDef,
-}
-
-impl UpdateLocation {
-    fn new() -> Self {
-        UpdateLocation {
-            def: ProcDef {
-                name: "UpdateLocation".into(),
-                queries: vec![
-                    broadcast_sub_lookup(),
-                    q(
-                        "UpdateSubscriberLoc",
-                        tables::SUBSCRIBER,
-                        QueryOp::UpdateByKey {
-                            key_params: vec![0],
-                            sets: vec![ColumnOp::Set { column: 4, param: 1 }],
-                        },
-                        PartitionHint::Param(0),
-                    ),
-                ],
-                read_only: false,
-                can_abort: false,
-            },
-        }
+fn update_location() -> Procedure {
+    Procedure {
+        def: ProcDef {
+            name: "UpdateLocation".into(),
+            queries: vec![
+                broadcast_sub_lookup(),
+                QueryDef::new(
+                    "UpdateSubscriberLoc",
+                    tables::SUBSCRIBER,
+                    QueryOp::UpdateByKey {
+                        key_params: vec![0],
+                        sets: vec![ColumnOp::Set { column: 4, param: 1 }],
+                    },
+                    PartitionHint::Param(0),
+                ),
+            ],
+            read_only: false,
+            can_abort: false,
+        },
+        start: |args| Box::new(UpdateLocationRun { args: args.to_vec(), stage: 0 }),
     }
 }
 
 struct UpdateLocationRun {
     args: Vec<Value>,
     stage: u8,
-}
-
-impl Procedure for UpdateLocation {
-    fn def(&self) -> &ProcDef {
-        &self.def
-    }
-    fn instantiate(&self, args: &[Value]) -> Box<dyn ProcInstance> {
-        Box::new(UpdateLocationRun { args: args.to_vec(), stage: 0 })
-    }
 }
 
 impl ProcInstance for UpdateLocationRun {
@@ -516,54 +414,40 @@ impl ProcInstance for UpdateLocationRun {
 // Procedure G: UpdateSubscriber(s_id, bit_1, sf_type, data_a)
 // ---------------------------------------------------------------------------
 
-struct UpdateSubscriber {
-    def: ProcDef,
-}
-
-impl UpdateSubscriber {
-    fn new() -> Self {
-        UpdateSubscriber {
-            def: ProcDef {
-                name: "UpdateSubscriber".into(),
-                queries: vec![
-                    q(
-                        "UpdateSubscriberBit",
-                        tables::SUBSCRIBER,
-                        QueryOp::UpdateByKey {
-                            key_params: vec![0],
-                            sets: vec![ColumnOp::Set { column: 2, param: 1 }],
-                        },
-                        PartitionHint::Param(0),
-                    ),
-                    q(
-                        "UpdateSpecialFacility",
-                        tables::SPECIAL_FACILITY,
-                        QueryOp::UpdateByKey {
-                            key_params: vec![0, 1],
-                            sets: vec![ColumnOp::Set { column: 3, param: 2 }],
-                        },
-                        PartitionHint::Param(0),
-                    ),
-                ],
-                read_only: false,
-                can_abort: false,
-            },
-        }
+fn update_subscriber() -> Procedure {
+    Procedure {
+        def: ProcDef {
+            name: "UpdateSubscriber".into(),
+            queries: vec![
+                QueryDef::new(
+                    "UpdateSubscriberBit",
+                    tables::SUBSCRIBER,
+                    QueryOp::UpdateByKey {
+                        key_params: vec![0],
+                        sets: vec![ColumnOp::Set { column: 2, param: 1 }],
+                    },
+                    PartitionHint::Param(0),
+                ),
+                QueryDef::new(
+                    "UpdateSpecialFacility",
+                    tables::SPECIAL_FACILITY,
+                    QueryOp::UpdateByKey {
+                        key_params: vec![0, 1],
+                        sets: vec![ColumnOp::Set { column: 3, param: 2 }],
+                    },
+                    PartitionHint::Param(0),
+                ),
+            ],
+            read_only: false,
+            can_abort: false,
+        },
+        start: |args| Box::new(UpdateSubscriberRun { args: args.to_vec(), stage: 0 }),
     }
 }
 
 struct UpdateSubscriberRun {
     args: Vec<Value>,
     stage: u8,
-}
-
-impl Procedure for UpdateSubscriber {
-    fn def(&self) -> &ProcDef {
-        &self.def
-    }
-    fn instantiate(&self, args: &[Value]) -> Box<dyn ProcInstance> {
-        Box::new(UpdateSubscriberRun { args: args.to_vec(), stage: 0 })
-    }
 }
 
 impl ProcInstance for UpdateSubscriberRun {
@@ -591,13 +475,13 @@ impl ProcInstance for UpdateSubscriberRun {
 /// Builds the TATP procedure registry (procedure letters A–G of Table 4).
 pub fn registry() -> ProcedureRegistry {
     ProcedureRegistry::new(vec![
-        Box::new(DeleteCallFwrd::new()),    // A
-        Box::new(GetAccessData::new()),     // B
-        Box::new(GetNewDest::new()),        // C
-        Box::new(GetSubscriberData::new()), // D
-        Box::new(InsertCallFwrd::new()),    // E
-        Box::new(UpdateLocation::new()),    // F
-        Box::new(UpdateSubscriber::new()),  // G
+        delete_call_fwrd(),  // A
+        get_access_data(),   // B
+        get_new_dest(),      // C
+        get_subscriber(),    // D
+        insert_call_fwrd(),  // E
+        update_location(),   // F
+        update_subscriber(), // G
     ])
 }
 

@@ -143,63 +143,62 @@ pub fn database(parts: u32) -> Database {
     db
 }
 
-fn q(name: &str, table: usize, op: QueryOp, hint: PartitionHint) -> QueryDef {
-    QueryDef { name: name.into(), table, op, hint }
-}
-
 // ---------------------------------------------------------------------------
 // Procedure H: Delivery(w_id, carrier_id)
 // ---------------------------------------------------------------------------
 
-struct Delivery {
-    def: ProcDef,
-}
-
-impl Delivery {
-    fn new() -> Self {
-        Delivery {
-            def: ProcDef {
-                name: "Delivery".into(),
-                queries: vec![
-                    // q0: all undelivered orders at this warehouse.
-                    q(
-                        "GetUndelivered",
-                        tables::ORDERS,
-                        QueryOp::LookupBy { column: 3, param: 1 },
-                        PartitionHint::Param(0),
-                    ),
-                    // q1: stamp the carrier on one order.
-                    q(
-                        "UpdateOrderCarrier",
-                        tables::ORDERS,
-                        QueryOp::UpdateByKey {
-                            key_params: vec![0, 1],
-                            sets: vec![ColumnOp::Set { column: 3, param: 2 }],
-                        },
-                        PartitionHint::Param(0),
-                    ),
-                    // q2: the order's lines (amount to charge).
-                    q(
-                        "GetOrderLines",
-                        tables::ORDER_LINE,
-                        QueryOp::LookupBy { column: 2, param: 1 },
-                        PartitionHint::Param(0),
-                    ),
-                    // q3: charge the customer.
-                    q(
-                        "UpdateCustomerBalance",
-                        tables::CUSTOMER,
-                        QueryOp::UpdateByKey {
-                            key_params: vec![0, 1],
-                            sets: vec![ColumnOp::Add { column: 3, param: 2 }],
-                        },
-                        PartitionHint::Param(0),
-                    ),
-                ],
-                read_only: false,
-                can_abort: false,
-            },
-        }
+fn delivery() -> Procedure {
+    Procedure {
+        def: ProcDef {
+            name: "Delivery".into(),
+            queries: vec![
+                // q0: all undelivered orders at this warehouse.
+                QueryDef::new(
+                    "GetUndelivered",
+                    tables::ORDERS,
+                    QueryOp::LookupBy { column: 3, param: 1 },
+                    PartitionHint::Param(0),
+                ),
+                // q1: stamp the carrier on one order.
+                QueryDef::new(
+                    "UpdateOrderCarrier",
+                    tables::ORDERS,
+                    QueryOp::UpdateByKey {
+                        key_params: vec![0, 1],
+                        sets: vec![ColumnOp::Set { column: 3, param: 2 }],
+                    },
+                    PartitionHint::Param(0),
+                ),
+                // q2: the order's lines (amount to charge).
+                QueryDef::new(
+                    "GetOrderLines",
+                    tables::ORDER_LINE,
+                    QueryOp::LookupBy { column: 2, param: 1 },
+                    PartitionHint::Param(0),
+                ),
+                // q3: charge the customer.
+                QueryDef::new(
+                    "UpdateCustomerBalance",
+                    tables::CUSTOMER,
+                    QueryOp::UpdateByKey {
+                        key_params: vec![0, 1],
+                        sets: vec![ColumnOp::Add { column: 3, param: 2 }],
+                    },
+                    PartitionHint::Param(0),
+                ),
+            ],
+            read_only: false,
+            can_abort: false,
+        },
+        start: |args| {
+            Box::new(DeliveryRun {
+                w_id: args[0].clone(),
+                carrier: args[1].clone(),
+                stage: 0,
+                orders: Vec::new(),
+                cursor: 0,
+            })
+        },
     }
 }
 
@@ -213,21 +212,6 @@ struct DeliveryRun {
     stage: u8,
     orders: Vec<(Value, Value)>, // (o_id, c_id)
     cursor: usize,
-}
-
-impl Procedure for Delivery {
-    fn def(&self) -> &ProcDef {
-        &self.def
-    }
-    fn instantiate(&self, args: &[Value]) -> Box<dyn ProcInstance> {
-        Box::new(DeliveryRun {
-            w_id: args[0].clone(),
-            carrier: args[1].clone(),
-            stage: 0,
-            orders: Vec::new(),
-            cursor: 0,
-        })
-    }
 }
 
 impl ProcInstance for DeliveryRun {
@@ -289,52 +273,63 @@ impl DeliveryRun {
 // Procedure I: NewOrder(w_id, o_id, c_id, i_ids[], i_w_ids[], i_qtys[])
 // ---------------------------------------------------------------------------
 
-struct NewOrder {
-    def: ProcDef,
-}
-
-impl NewOrder {
-    fn new() -> Self {
-        NewOrder {
-            def: ProcDef {
-                name: "NewOrder".into(),
-                queries: vec![
-                    q(
-                        "GetWarehouse",
-                        tables::WAREHOUSE,
-                        QueryOp::GetByKey { key_params: vec![0] },
-                        PartitionHint::Param(0),
-                    ),
-                    q(
-                        "CheckStock",
-                        tables::STOCK,
-                        QueryOp::GetByKey { key_params: vec![1, 0] }, // (S_W_ID, S_I_ID) from (i_id, w_id)
-                        PartitionHint::Param(1),
-                    ),
-                    q("InsertOrder", tables::ORDERS, QueryOp::InsertRow, PartitionHint::Param(0)),
-                    q(
-                        "InsertOrdLine",
-                        tables::ORDER_LINE,
-                        QueryOp::InsertRow,
-                        PartitionHint::Param(0),
-                    ),
-                    q(
-                        "UpdateStock",
-                        tables::STOCK,
-                        QueryOp::UpdateByKey {
-                            key_params: vec![0, 1],
-                            sets: vec![
-                                ColumnOp::Add { column: 2, param: 2 }, // qty -= n (param negative)
-                                ColumnOp::Add { column: 3, param: 3 }, // ytd += n
-                            ],
-                        },
-                        PartitionHint::Param(0),
-                    ),
-                ],
-                read_only: false,
-                can_abort: true,
-            },
-        }
+fn new_order() -> Procedure {
+    Procedure {
+        def: ProcDef {
+            name: "NewOrder".into(),
+            queries: vec![
+                QueryDef::new(
+                    "GetWarehouse",
+                    tables::WAREHOUSE,
+                    QueryOp::GetByKey { key_params: vec![0] },
+                    PartitionHint::Param(0),
+                ),
+                QueryDef::new(
+                    "CheckStock",
+                    tables::STOCK,
+                    // (S_W_ID, S_I_ID) from (i_id, w_id)
+                    QueryOp::GetByKey { key_params: vec![1, 0] },
+                    PartitionHint::Param(1),
+                ),
+                QueryDef::new(
+                    "InsertOrder",
+                    tables::ORDERS,
+                    QueryOp::InsertRow,
+                    PartitionHint::Param(0),
+                ),
+                QueryDef::new(
+                    "InsertOrdLine",
+                    tables::ORDER_LINE,
+                    QueryOp::InsertRow,
+                    PartitionHint::Param(0),
+                ),
+                QueryDef::new(
+                    "UpdateStock",
+                    tables::STOCK,
+                    QueryOp::UpdateByKey {
+                        key_params: vec![0, 1],
+                        sets: vec![
+                            ColumnOp::Add { column: 2, param: 2 }, // qty -= n (param negative)
+                            ColumnOp::Add { column: 3, param: 3 }, // ytd += n
+                        ],
+                    },
+                    PartitionHint::Param(0),
+                ),
+            ],
+            read_only: false,
+            can_abort: true,
+        },
+        start: |args| {
+            Box::new(NewOrderRun {
+                w_id: args[0].clone(),
+                o_id: args[1].clone(),
+                c_id: args[2].clone(),
+                i_ids: args[3].as_array().expect("i_ids").to_vec(),
+                i_w_ids: args[4].as_array().expect("i_w_ids").to_vec(),
+                i_qtys: args[5].as_array().expect("i_qtys").to_vec(),
+                stage: 0,
+            })
+        },
     }
 }
 
@@ -346,23 +341,6 @@ struct NewOrderRun {
     i_w_ids: Vec<Value>,
     i_qtys: Vec<Value>,
     stage: u8,
-}
-
-impl Procedure for NewOrder {
-    fn def(&self) -> &ProcDef {
-        &self.def
-    }
-    fn instantiate(&self, args: &[Value]) -> Box<dyn ProcInstance> {
-        Box::new(NewOrderRun {
-            w_id: args[0].clone(),
-            o_id: args[1].clone(),
-            c_id: args[2].clone(),
-            i_ids: args[3].as_array().expect("i_ids").to_vec(),
-            i_w_ids: args[4].as_array().expect("i_w_ids").to_vec(),
-            i_qtys: args[5].as_array().expect("i_qtys").to_vec(),
-            stage: 0,
-        })
-    }
 }
 
 impl ProcInstance for NewOrderRun {
@@ -421,39 +399,36 @@ impl ProcInstance for NewOrderRun {
 // Procedure J: OrderStatus(w_id, c_id)  — read-only, single-partition
 // ---------------------------------------------------------------------------
 
-struct OrderStatus {
-    def: ProcDef,
-}
-
-impl OrderStatus {
-    fn new() -> Self {
-        OrderStatus {
-            def: ProcDef {
-                name: "OrderStatus".into(),
-                queries: vec![
-                    q(
-                        "GetCustomer",
-                        tables::CUSTOMER,
-                        QueryOp::GetByKey { key_params: vec![0, 1] },
-                        PartitionHint::Param(0),
-                    ),
-                    q(
-                        "GetCustomerOrders",
-                        tables::ORDERS,
-                        QueryOp::LookupBy { column: 2, param: 1 },
-                        PartitionHint::Param(0),
-                    ),
-                    q(
-                        "GetOrderLines",
-                        tables::ORDER_LINE,
-                        QueryOp::LookupBy { column: 2, param: 1 },
-                        PartitionHint::Param(0),
-                    ),
-                ],
-                read_only: true,
-                can_abort: false,
-            },
-        }
+fn order_status() -> Procedure {
+    Procedure {
+        def: ProcDef {
+            name: "OrderStatus".into(),
+            queries: vec![
+                QueryDef::new(
+                    "GetCustomer",
+                    tables::CUSTOMER,
+                    QueryOp::GetByKey { key_params: vec![0, 1] },
+                    PartitionHint::Param(0),
+                ),
+                QueryDef::new(
+                    "GetCustomerOrders",
+                    tables::ORDERS,
+                    QueryOp::LookupBy { column: 2, param: 1 },
+                    PartitionHint::Param(0),
+                ),
+                QueryDef::new(
+                    "GetOrderLines",
+                    tables::ORDER_LINE,
+                    QueryOp::LookupBy { column: 2, param: 1 },
+                    PartitionHint::Param(0),
+                ),
+            ],
+            read_only: true,
+            can_abort: false,
+        },
+        start: |args| {
+            Box::new(OrderStatusRun { w_id: args[0].clone(), c_id: args[1].clone(), stage: 0 })
+        },
     }
 }
 
@@ -461,15 +436,6 @@ struct OrderStatusRun {
     w_id: Value,
     c_id: Value,
     stage: u8,
-}
-
-impl Procedure for OrderStatus {
-    fn def(&self) -> &ProcDef {
-        &self.def
-    }
-    fn instantiate(&self, args: &[Value]) -> Box<dyn ProcInstance> {
-        Box::new(OrderStatusRun { w_id: args[0].clone(), c_id: args[1].clone(), stage: 0 })
-    }
 }
 
 impl ProcInstance for OrderStatusRun {
@@ -506,70 +472,74 @@ impl ProcInstance for OrderStatusRun {
 // Procedure K: Payment(w_id, c_w_id, c_id, amount, h_id)
 // ---------------------------------------------------------------------------
 
-struct Payment {
-    def: ProcDef,
-}
-
-impl Payment {
-    fn new() -> Self {
-        Payment {
-            def: ProcDef {
-                name: "Payment".into(),
-                queries: vec![
-                    q(
-                        "GetCustomer",
-                        tables::CUSTOMER,
-                        QueryOp::GetByKey { key_params: vec![0, 1] },
-                        PartitionHint::Param(0),
-                    ),
-                    q(
-                        "GetWarehouse",
-                        tables::WAREHOUSE,
-                        QueryOp::GetByKey { key_params: vec![0] },
-                        PartitionHint::Param(0),
-                    ),
-                    q(
-                        "UpdateWarehouseBalance",
-                        tables::WAREHOUSE,
-                        QueryOp::UpdateByKey {
-                            key_params: vec![0],
-                            sets: vec![ColumnOp::Add { column: 2, param: 1 }],
-                        },
-                        PartitionHint::Param(0),
-                    ),
-                    // Good-credit / bad-credit conditional branch (Fig. 10b).
-                    q(
-                        "UpdateGCCustomer",
-                        tables::CUSTOMER,
-                        QueryOp::UpdateByKey {
-                            key_params: vec![0, 1],
-                            sets: vec![ColumnOp::Add { column: 3, param: 2 }],
-                        },
-                        PartitionHint::Param(0),
-                    ),
-                    q(
-                        "UpdateBCCustomer",
-                        tables::CUSTOMER,
-                        QueryOp::UpdateByKey {
-                            key_params: vec![0, 1],
-                            sets: vec![
-                                ColumnOp::Add { column: 3, param: 2 },
-                                ColumnOp::Add { column: 4, param: 2 },
-                            ],
-                        },
-                        PartitionHint::Param(0),
-                    ),
-                    q(
-                        "InsertHistory",
-                        tables::HISTORY,
-                        QueryOp::InsertRow,
-                        PartitionHint::Param(0),
-                    ),
-                ],
-                read_only: false,
-                can_abort: false,
-            },
-        }
+fn payment() -> Procedure {
+    Procedure {
+        def: ProcDef {
+            name: "Payment".into(),
+            queries: vec![
+                QueryDef::new(
+                    "GetCustomer",
+                    tables::CUSTOMER,
+                    QueryOp::GetByKey { key_params: vec![0, 1] },
+                    PartitionHint::Param(0),
+                ),
+                QueryDef::new(
+                    "GetWarehouse",
+                    tables::WAREHOUSE,
+                    QueryOp::GetByKey { key_params: vec![0] },
+                    PartitionHint::Param(0),
+                ),
+                QueryDef::new(
+                    "UpdateWarehouseBalance",
+                    tables::WAREHOUSE,
+                    QueryOp::UpdateByKey {
+                        key_params: vec![0],
+                        sets: vec![ColumnOp::Add { column: 2, param: 1 }],
+                    },
+                    PartitionHint::Param(0),
+                ),
+                // Good-credit / bad-credit conditional branch (Fig. 10b).
+                QueryDef::new(
+                    "UpdateGCCustomer",
+                    tables::CUSTOMER,
+                    QueryOp::UpdateByKey {
+                        key_params: vec![0, 1],
+                        sets: vec![ColumnOp::Add { column: 3, param: 2 }],
+                    },
+                    PartitionHint::Param(0),
+                ),
+                QueryDef::new(
+                    "UpdateBCCustomer",
+                    tables::CUSTOMER,
+                    QueryOp::UpdateByKey {
+                        key_params: vec![0, 1],
+                        sets: vec![
+                            ColumnOp::Add { column: 3, param: 2 },
+                            ColumnOp::Add { column: 4, param: 2 },
+                        ],
+                    },
+                    PartitionHint::Param(0),
+                ),
+                QueryDef::new(
+                    "InsertHistory",
+                    tables::HISTORY,
+                    QueryOp::InsertRow,
+                    PartitionHint::Param(0),
+                ),
+            ],
+            read_only: false,
+            can_abort: false,
+        },
+        start: |args| {
+            Box::new(PaymentRun {
+                w_id: args[0].clone(),
+                c_w_id: args[1].clone(),
+                c_id: args[2].clone(),
+                amount: args[3].clone(),
+                h_id: args[4].clone(),
+                stage: 0,
+            })
+        },
     }
 }
 
@@ -580,22 +550,6 @@ struct PaymentRun {
     amount: Value,
     h_id: Value,
     stage: u8,
-}
-
-impl Procedure for Payment {
-    fn def(&self) -> &ProcDef {
-        &self.def
-    }
-    fn instantiate(&self, args: &[Value]) -> Box<dyn ProcInstance> {
-        Box::new(PaymentRun {
-            w_id: args[0].clone(),
-            c_w_id: args[1].clone(),
-            c_id: args[2].clone(),
-            amount: args[3].clone(),
-            h_id: args[4].clone(),
-            stage: 0,
-        })
-    }
 }
 
 impl ProcInstance for PaymentRun {
@@ -642,39 +596,36 @@ impl ProcInstance for PaymentRun {
 // Procedure L: StockLevel(w_id, threshold)  — read-only, single-partition
 // ---------------------------------------------------------------------------
 
-struct StockLevel {
-    def: ProcDef,
-}
-
-impl StockLevel {
-    fn new() -> Self {
-        StockLevel {
-            def: ProcDef {
-                name: "StockLevel".into(),
-                queries: vec![
-                    q(
-                        "GetRecentOrders",
-                        tables::ORDERS,
-                        QueryOp::LookupBy { column: 3, param: 1 },
-                        PartitionHint::Param(0),
-                    ),
-                    q(
-                        "GetOrderLines",
-                        tables::ORDER_LINE,
-                        QueryOp::LookupBy { column: 2, param: 1 },
-                        PartitionHint::Param(0),
-                    ),
-                    q(
-                        "CheckStockLevel",
-                        tables::STOCK,
-                        QueryOp::GetByKey { key_params: vec![0, 1] },
-                        PartitionHint::Param(0),
-                    ),
-                ],
-                read_only: true,
-                can_abort: false,
-            },
-        }
+fn stock_level() -> Procedure {
+    Procedure {
+        def: ProcDef {
+            name: "StockLevel".into(),
+            queries: vec![
+                QueryDef::new(
+                    "GetRecentOrders",
+                    tables::ORDERS,
+                    QueryOp::LookupBy { column: 3, param: 1 },
+                    PartitionHint::Param(0),
+                ),
+                QueryDef::new(
+                    "GetOrderLines",
+                    tables::ORDER_LINE,
+                    QueryOp::LookupBy { column: 2, param: 1 },
+                    PartitionHint::Param(0),
+                ),
+                QueryDef::new(
+                    "CheckStockLevel",
+                    tables::STOCK,
+                    QueryOp::GetByKey { key_params: vec![0, 1] },
+                    PartitionHint::Param(0),
+                ),
+            ],
+            read_only: true,
+            can_abort: false,
+        },
+        start: |args| {
+            Box::new(StockLevelRun { w_id: args[0].clone(), stage: 0, items: Vec::new() })
+        },
     }
 }
 
@@ -682,15 +633,6 @@ struct StockLevelRun {
     w_id: Value,
     stage: u8,
     items: Vec<i64>,
-}
-
-impl Procedure for StockLevel {
-    fn def(&self) -> &ProcDef {
-        &self.def
-    }
-    fn instantiate(&self, args: &[Value]) -> Box<dyn ProcInstance> {
-        Box::new(StockLevelRun { w_id: args[0].clone(), stage: 0, items: Vec::new() })
-    }
 }
 
 impl ProcInstance for StockLevelRun {
@@ -744,11 +686,11 @@ impl ProcInstance for StockLevelRun {
 /// Builds the TPC-C procedure registry (letters H–L of Table 4).
 pub fn registry() -> ProcedureRegistry {
     ProcedureRegistry::new(vec![
-        Box::new(Delivery::new()),    // H
-        Box::new(NewOrder::new()),    // I
-        Box::new(OrderStatus::new()), // J
-        Box::new(Payment::new()),     // K
-        Box::new(StockLevel::new()),  // L
+        delivery(),     // H
+        new_order(),    // I
+        order_status(), // J
+        payment(),      // K
+        stock_level(),  // L
     ])
 }
 

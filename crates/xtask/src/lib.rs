@@ -1,6 +1,6 @@
 //! Text/line-based repo-invariant lints (`cargo xtask lint`).
 //!
-//! Five rules, all enforced over the non-test code under `crates/` (see
+//! Six rules, all enforced over the non-test code under `crates/` (see
 //! DESIGN.md §"Concurrency model & checking" for the invariants they guard):
 //!
 //! * **ordering-rationale** — every `Ordering::` use carries an adjacent
@@ -22,6 +22,10 @@
 //! * **device-sync** — `sync_data(` / `sync_all(` appear only in
 //!   `wal/src/log.rs` (the group-commit flush) and `wal/src/snapshot.rs`
 //!   (snapshot files and markers), so no fsync creeps onto a serving path.
+//! * **routing-rule** — `unsigned_abs() %` / `stable_hash() %` appear only
+//!   in `common/src/value.rs`, inside `Value::home_partition`: every other
+//!   place that needs a value's partition calls it, so storage placement,
+//!   estimation and feature extraction cannot drift apart.
 //!
 //! Deliberately text-based (no `syn`, no dependencies): the rules key on
 //! line patterns plus a brace-tracked `#[cfg(test)]` mask, which is robust
@@ -67,6 +71,10 @@ const LOCK_RS: &str = "crates/engine/src/runtime/lock.rs";
 /// The only files that may sync a file to the device: the command log's
 /// group-commit flush and the snapshot writer.
 const DEVICE_SYNC_ALLOWED: &[&str] = &["crates/wal/src/log.rs", "crates/wal/src/snapshot.rs"];
+
+/// The only file that may spell out the routing arithmetic: the home of
+/// `Value::home_partition`.
+const ROUTING_RULE_HOME: &str = "crates/common/src/value.rs";
 
 /// Whether `rel` is the file `entry` names, or — for an `entry` ending in
 /// `/` — lies under that directory.
@@ -201,6 +209,9 @@ pub fn check_file(
     }
     if !all_test && !DEVICE_SYNC_ALLOWED.iter().any(|f| path_matches(rel, f)) {
         out.extend(rule_device_sync(rel, &lines, &mask));
+    }
+    if !all_test && !path_matches(rel, ROUTING_RULE_HOME) {
+        out.extend(rule_routing_rule(rel, &lines, &mask));
     }
     out
 }
@@ -480,6 +491,29 @@ fn rule_device_sync(rel: &str, lines: &[&str], mask: &[bool]) -> Vec<Violation> 
     out
 }
 
+fn rule_routing_rule(rel: &str, lines: &[&str], mask: &[bool]) -> Vec<Violation> {
+    let mut out = Vec::new();
+    for (i, raw) in lines.iter().enumerate() {
+        if mask[i] {
+            continue;
+        }
+        let code = strip_comment(raw);
+        if code.contains("unsigned_abs() %") || code.contains("stable_hash() %") {
+            out.push(Violation {
+                file: rel.into(),
+                line: i + 1,
+                rule: "routing-rule",
+                message: format!(
+                    "partition arithmetic outside `Value::home_partition` (call it instead, \
+                     so every layer routes a value the same way): {}",
+                    code.trim()
+                ),
+            });
+        }
+    }
+    out
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -584,6 +618,17 @@ mod tests {
             let v = check_file(allowed, &src, &BTreeSet::new(), &mut used);
             assert!(v.iter().all(|x| x.rule != "device-sync"), "{allowed}: {v:?}");
         }
+    }
+
+    #[test]
+    fn routing_rule_fixture_fails_outside_value_rs() {
+        let src = fixture("routing_rule.rs");
+        let mut used = BTreeSet::new();
+        let v = check_file("crates/houdini/src/feature.rs", &src, &BTreeSet::new(), &mut used);
+        let lines: Vec<_> = v.iter().filter(|x| x.rule == "routing-rule").map(|x| x.line).collect();
+        assert_eq!(lines, [6, 7], "both spellings trip; comments and tests exempt: {v:?}");
+        let v = check_file(ROUTING_RULE_HOME, &src, &BTreeSet::new(), &mut used);
+        assert!(v.iter().all(|x| x.rule != "routing-rule"), "{v:?}");
     }
 
     #[test]

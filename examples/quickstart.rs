@@ -57,7 +57,7 @@ fn main() {
         engine::CostModel::default(),
         cfg,
     );
-    let (metrics, profiler) = sim.run().expect("simulation");
+    let metrics = sim.run().expect("simulation");
     println!("  throughput       : {:>8.0} txn/s", metrics.throughput_tps());
     match metrics.mean_latency_ms() {
         Some(ms) => println!("  mean latency     : {ms:>8.2} ms"),
@@ -69,6 +69,6 @@ fn main() {
     println!("  restarts         : {:>8}", metrics.restarts);
     println!(
         "  estimation share : {:>8.1} %",
-        100.0 * profiler.overall_share(engine::Bucket::Estimation)
+        100.0 * metrics.profile.overall_share(engine::Bucket::Estimation)
     );
 }

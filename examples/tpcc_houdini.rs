@@ -21,7 +21,7 @@ fn run<A: LiveAdvisor>(bench: Bench, parts: u32, name: &str, advisor: &A) -> eng
         ..Default::default()
     };
     let sim = Simulation::new(&mut db, &registry, advisor, &mut gen, CostModel::default(), cfg);
-    let m = sim.run().expect("simulation").0;
+    let m = sim.run().expect("simulation");
     let lat = m.mean_latency_ms().map_or_else(|| "-".to_string(), |ms| format!("{ms:.2}"));
     println!("{name:<26} {:>9.0} {lat:>9} {:>9} {:>9}", m.throughput_tps(), m.restarts, m.no_undo);
     m

@@ -61,7 +61,8 @@ fn simulation_digest<A: LiveAdvisor>(bench: Bench, advisor: &A) -> u64 {
         ..Default::default()
     };
     let sim = Simulation::new(&mut db, &reg, advisor, &mut gen, CostModel::default(), cfg);
-    let (m, profile) = sim.run().expect("simulation must not halt");
+    let m = sim.run().expect("simulation must not halt");
+    let profile = &m.profile;
     let mut by_proc: Vec<_> = m.committed_by_proc.into_iter().collect();
     by_proc.sort_unstable();
     let mut ops: Vec<_> = m.ops.into_iter().map(|(p, o)| (p, format!("{o:?}"))).collect();

@@ -27,7 +27,7 @@ fn simulate<A: LiveAdvisor>(
         ..Default::default()
     };
     let sim = Simulation::new(&mut db, &registry, advisor, &mut gen, CostModel::default(), cfg);
-    sim.run().expect("simulation must not halt").0
+    sim.run().expect("simulation must not halt")
 }
 
 #[test]

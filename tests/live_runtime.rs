@@ -70,7 +70,7 @@ fn run_simulated(advisor: &Houdini) -> (RunMetrics, storage::Database) {
         ..Default::default()
     };
     let sim = Simulation::new(&mut db, &reg, advisor, &mut gen, CostModel::default(), cfg);
-    let (metrics, _) = sim.run().expect("simulation must not halt");
+    let metrics = sim.run().expect("simulation must not halt");
     (metrics, db)
 }
 

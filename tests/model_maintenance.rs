@@ -38,7 +38,7 @@ fn drifted_workload_triggers_recomputation_and_still_commits() {
         ..Default::default()
     };
     let sim = Simulation::new(&mut db, &registry, &houdini, &mut gen, CostModel::default(), cfg);
-    let (metrics, _) = sim.run().expect("drifted run must not halt");
+    let metrics = sim.run().expect("drifted run must not halt");
 
     assert!(metrics.committed > 200, "committed = {}", metrics.committed);
     assert!(
@@ -67,7 +67,7 @@ fn stable_workload_does_not_thrash_the_models() {
         ..Default::default()
     };
     let sim = Simulation::new(&mut db, &registry, &houdini, &mut gen, CostModel::default(), cfg);
-    let (metrics, _) = sim.run().expect("stable run");
+    let metrics = sim.run().expect("stable run");
     assert!(metrics.committed > 200);
     assert!(
         metrics.model_swaps <= 2,
@@ -103,7 +103,7 @@ fn simulator_emits_one_feedback_record_per_attempt() {
         ..Default::default()
     };
     let sim = Simulation::new(&mut db, &registry, &houdini, &mut gen, CostModel::default(), cfg);
-    let (m, _) = sim.run().expect("run must not halt");
+    let m = sim.run().expect("run must not halt");
 
     assert!(m.restarts > 0, "the drifted stream must mispredict to exercise the teardown");
     assert_eq!(

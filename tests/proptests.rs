@@ -287,57 +287,6 @@ proptest! {
 }
 
 // ---------------------------------------------------------------------------
-// Trace serialization round-trips arbitrary records.
-// ---------------------------------------------------------------------------
-
-fn value_strategy() -> impl Strategy<Value = Value> {
-    prop_oneof![
-        Just(Value::Null),
-        any::<i64>().prop_map(Value::Int),
-        "[a-z]{0,8}".prop_map(Value::Str),
-        proptest::collection::vec(any::<i64>().prop_map(Value::Int), 0..4).prop_map(Value::Array),
-    ]
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
-    #[test]
-    fn trace_json_roundtrip(
-        records in proptest::collection::vec(
-            (
-                0u32..8,
-                proptest::collection::vec(value_strategy(), 0..4),
-                proptest::collection::vec(
-                    (0u32..4, proptest::collection::vec(value_strategy(), 0..3)),
-                    0..5,
-                ),
-                proptest::bool::ANY,
-            ),
-            0..10,
-        ),
-    ) {
-        let wl = trace::Workload {
-            records: records
-                .into_iter()
-                .map(|(proc, params, queries, aborted)| TraceRecord {
-                    proc,
-                    params,
-                    queries: queries
-                        .into_iter()
-                        .map(|(query, params)| QueryRecord { query, params })
-                        .collect(),
-                    aborted,
-                })
-                .collect(),
-        };
-        let mut buf = Vec::new();
-        trace::write_trace(&wl, &mut buf).expect("write");
-        let back = trace::read_trace(&buf[..]).expect("read");
-        prop_assert_eq!(back.records, wl.records);
-    }
-}
-
-// ---------------------------------------------------------------------------
 // Path-estimation invariants over arbitrary toy traces.
 // ---------------------------------------------------------------------------
 

@@ -34,6 +34,6 @@ fn tatp_collect_train_simulate_smoke() {
         ..Default::default()
     };
     let sim = Simulation::new(&mut db, &registry, &houdini, &mut gen, CostModel::default(), cfg);
-    let (metrics, _) = sim.run().expect("simulation must not halt");
+    let metrics = sim.run().expect("simulation must not halt");
     assert!(metrics.committed > 0, "smoke simulation must commit transactions");
 }
