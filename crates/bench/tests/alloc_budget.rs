@@ -17,8 +17,9 @@ use engine::{LiveConfig, LiveRuntime};
 use workloads::Bench;
 
 /// Per-call allocation ceiling, with headroom over the measured count
-/// (10/call: request args, the procedure instance and its query
-/// invocations, executed-query records, and the committed row values).
+/// (9/call: request args, the procedure instance and its query
+/// invocations, executed-query records, and the committed row values; the
+/// point read's key is a slice of the query's parameters, not a copy).
 /// Fails loudly if a per-call channel, mailbox, or metrics scratch sneaks
 /// back onto the path.
 const PER_CALL_CAP: u64 = 24;

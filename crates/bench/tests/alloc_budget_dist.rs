@@ -19,9 +19,10 @@ use engine::{LiveConfig, LiveRuntime};
 use workloads::Bench;
 
 /// Per-call allocation ceiling, with headroom over the measured count
-/// (17/call: request args, the procedure instance and its query
+/// (16/call: request args, the procedure instance and its query
 /// invocations, per-batch ship/merge scratch, per-query param clones for
-/// the shipped fragments, and the result rows). Fails loudly if a
+/// the shipped fragments, and the result rows; the point read's key is a
+/// slice of the query's parameters, not a copy). Fails loudly if a
 /// per-transaction channel pair, mailbox, or per-query message sneaks
 /// back onto the coordinated path.
 const PER_CALL_CAP: u64 = 32;

@@ -17,12 +17,12 @@ use engine::{LiveConfig, LiveRuntime};
 use houdini::{train, Houdini, HoudiniConfig, TrainingConfig};
 use workloads::Bench;
 
-/// Per-call allocation ceiling: `alloc_budget.rs`'s 10 under
-/// `AssumeSinglePartition` plus 2. Measured: 10 per call with maintenance
+/// Per-call allocation ceiling: `alloc_budget.rs`'s 9 under
+/// `AssumeSinglePartition` plus 2. Measured: 9 per call with maintenance
 /// off, the same as `AssumeSinglePartition`, because every call after the
 /// first is a plan-table hit that neither estimates nor allocates. Fails
 /// loudly if the advisor's per-call work grows.
-const PER_CALL_CAP: u64 = 12;
+const PER_CALL_CAP: u64 = 11;
 
 #[test]
 fn houdini_call_allocations_are_pinned() {

@@ -32,12 +32,9 @@ fn run_on_partition(
     rows: &mut Vec<Row>,
 ) -> Result<()> {
     match &def.op {
-        QueryOp::GetByKey { key_params } => {
-            let key: Vec<Value> = key_params.iter().map(|&i| params[i].clone()).collect();
-            if let Some(r) = shard.get(def.table, &key) {
-                rows.push(r.clone());
-            }
-        }
+        QueryOp::GetByKey { key_params } => with_key(key_params, params, |key| {
+            rows.extend(shard.get(def.table, key).cloned());
+        }),
         QueryOp::LookupBy { column, param } => {
             rows.extend(shard.lookup_by(def.table, *column, &params[*param]));
         }
@@ -45,22 +42,26 @@ fn run_on_partition(
             shard.insert(def.table, params.to_vec(), undo)?;
             rows.push(params.to_vec());
         }
-        QueryOp::UpdateByKey { key_params, sets } => {
-            let key: Vec<Value> = key_params.iter().map(|&i| params[i].clone()).collect();
-            if shard.get(def.table, &key).is_some() {
-                shard.update(def.table, &key, |row| apply_sets(row, sets, params), undo)?;
-                rows.push(shard.get(def.table, &key).expect("just updated").clone());
-            }
-        }
-        QueryOp::DeleteByKey { key_params } => {
-            let key: Vec<Value> = key_params.iter().map(|&i| params[i].clone()).collect();
-            if shard.get(def.table, &key).is_some() {
-                let before = shard.delete(def.table, &key, undo)?;
-                rows.push(before);
-            }
-        }
+        QueryOp::UpdateByKey { key_params, sets } => with_key(key_params, params, |key| {
+            let updated = shard.update(def.table, key, |row| apply_sets(row, sets, params), undo);
+            rows.extend(updated.cloned());
+        }),
+        QueryOp::DeleteByKey { key_params } => with_key(key_params, params, |key| {
+            rows.extend(shard.delete(def.table, key, undo));
+        }),
     }
     Ok(())
+}
+
+/// Runs `f` on the primary key that `key_params` names in `params`: a slice
+/// of `params` itself when the key's parameters are contiguous and in key
+/// order, else a fresh copy.
+fn with_key<R>(key_params: &[usize], params: &[Value], f: impl FnOnce(&[Value]) -> R) -> R {
+    let first = key_params.first().copied().unwrap_or(0);
+    if key_params.iter().enumerate().all(|(i, &p)| p == first + i) {
+        return f(&params[first..first + key_params.len()]);
+    }
+    f(&key_params.iter().map(|&p| params[p].clone()).collect::<Vec<_>>())
 }
 
 /// Executes one query invocation against the database, returning the result

@@ -329,7 +329,7 @@ pub(super) mod tests {
     pub(in crate::runtime) type TableRows = Vec<(Vec<Value>, Row)>;
 
     pub(in crate::runtime) fn sorted_rows(table: &storage::Table) -> TableRows {
-        let mut rows: TableRows = table.iter().map(|(k, r)| (k.clone(), r.clone())).collect();
+        let mut rows: TableRows = table.iter().map(|(k, r)| (k.to_vec(), r.clone())).collect();
         rows.sort();
         rows
     }

@@ -77,11 +77,15 @@ impl Shard {
         &self.tables[table]
     }
 
-    /// Inserts `row` into `table`, logging undo.
+    /// Inserts `row` into `table`, logging undo under the key the table
+    /// stored. With undo off (OP3) the write is only counted.
     pub fn insert(&mut self, table: usize, row: Row, undo: &mut UndoLog) -> Result<()> {
-        let schema = &self.meta.schemas[table];
-        let key = self.tables[table].insert(schema, row)?;
-        undo.record(UndoRecord::Inserted { partition: self.partition, table, key });
+        let key = self.tables[table].insert(&self.meta.schemas[table], row)?;
+        if undo.is_enabled() {
+            undo.record(UndoRecord::Inserted { partition: self.partition, table, key });
+        } else {
+            undo.count_unlogged();
+        }
         Ok(())
     }
 
@@ -90,39 +94,50 @@ impl Shard {
         self.tables[table].get(key)
     }
 
-    /// In-place update by primary key, logging the pre-image.
+    /// In-place update by primary key, logging the pre-image; returns the
+    /// updated row, or `None` (and no write) if no row has `key`. With undo
+    /// off (OP3) neither the pre-image nor the key is copied; the write is
+    /// only counted.
     pub fn update(
         &mut self,
         table: usize,
         key: &[Value],
         f: impl FnOnce(&mut Row),
         undo: &mut UndoLog,
-    ) -> Result<()> {
-        let before = self.tables[table].update(key, f)?;
-        undo.record(UndoRecord::Updated {
-            partition: self.partition,
-            table,
-            key: key.to_vec(),
-            before,
-        });
-        Ok(())
+    ) -> Option<&Row> {
+        let (row, before) = self.tables[table].update(key, undo.is_enabled(), f)?;
+        match before {
+            Some(before) => undo.record(UndoRecord::Updated {
+                partition: self.partition,
+                table,
+                key: key.into(),
+                before,
+            }),
+            None => undo.count_unlogged(),
+        }
+        Some(row)
     }
 
-    /// Delete by primary key, logging the pre-image.
-    pub fn delete(&mut self, table: usize, key: &[Value], undo: &mut UndoLog) -> Result<Row> {
-        let before = self.tables[table]
-            .delete(key)
-            .ok_or_else(|| Error::NotFound(format!("key {key:?}")))?;
-        undo.record(UndoRecord::Deleted {
-            partition: self.partition,
-            table,
-            key: key.to_vec(),
-            before: before.clone(),
-        });
-        Ok(before)
+    /// Delete by primary key, logging the pre-image under the row's stored
+    /// key; returns the deleted row, or `None` (and no write) if no row
+    /// has `key`. With undo off (OP3) nothing is copied; the write is only
+    /// counted.
+    pub fn delete(&mut self, table: usize, key: &[Value], undo: &mut UndoLog) -> Option<Row> {
+        let (key, before) = self.tables[table].delete(key)?;
+        if undo.is_enabled() {
+            undo.record(UndoRecord::Deleted {
+                partition: self.partition,
+                table,
+                key,
+                before: before.clone(),
+            });
+        } else {
+            undo.count_unlogged();
+        }
+        Some(before)
     }
 
-    /// Equality lookup on an arbitrary column.
+    /// Equality lookup on an arbitrary column, in primary-key order.
     pub fn lookup_by(&self, table: usize, column: usize, value: &Value) -> Vec<Row> {
         self.tables[table].lookup_by(column, value).into_iter().cloned().collect()
     }
@@ -134,8 +149,7 @@ impl Shard {
         if !undo.can_rollback() {
             return Err(Error::UnrecoverableAbort { txn: 0 });
         }
-        let records: Vec<UndoRecord> = undo.drain_for_rollback().collect();
-        for rec in records {
+        for rec in undo.drain_for_rollback() {
             apply_undo(&mut self.tables, self.partition, rec);
         }
         Ok(())
@@ -156,6 +170,10 @@ impl Shard {
             self.tables[id].restore(&self.meta.schemas[id], rows);
         }
     }
+}
+
+fn not_found(key: &[Value]) -> Error {
+    Error::NotFound(format!("key {key:?}"))
 }
 
 fn apply_undo(tables: &mut [Table], shard_partition: PartitionId, rec: UndoRecord) {
@@ -292,7 +310,8 @@ impl Database {
         self.shards[partition as usize].get(table, key)
     }
 
-    /// In-place update by primary key, logging the pre-image.
+    /// In-place update by primary key, logging the pre-image; `NotFound`
+    /// if no row has `key`.
     pub fn update(
         &mut self,
         partition: PartitionId,
@@ -301,10 +320,14 @@ impl Database {
         f: impl FnOnce(&mut Row),
         undo: &mut UndoLog,
     ) -> Result<()> {
-        self.shards[partition as usize].update(table, key, f, undo)
+        match self.shards[partition as usize].update(table, key, f, undo) {
+            Some(_) => Ok(()),
+            None => Err(not_found(key)),
+        }
     }
 
-    /// Delete by primary key, logging the pre-image.
+    /// Delete by primary key, logging the pre-image; `NotFound` if no row
+    /// has `key`.
     pub fn delete(
         &mut self,
         partition: PartitionId,
@@ -312,7 +335,7 @@ impl Database {
         key: &[Value],
         undo: &mut UndoLog,
     ) -> Result<Row> {
-        self.shards[partition as usize].delete(table, key, undo)
+        self.shards[partition as usize].delete(table, key, undo).ok_or_else(|| not_found(key))
     }
 
     /// Equality lookup on an arbitrary column within one partition.
@@ -332,8 +355,7 @@ impl Database {
         if !undo.can_rollback() {
             return Err(Error::UnrecoverableAbort { txn: 0 });
         }
-        let records: Vec<UndoRecord> = undo.drain_for_rollback().collect();
-        for rec in records {
+        for rec in undo.drain_for_rollback() {
             let p = match &rec {
                 UndoRecord::Inserted { partition, .. }
                 | UndoRecord::Updated { partition, .. }

@@ -3,9 +3,13 @@
 use crate::index::SecondaryIndex;
 use crate::schema::Schema;
 use common::{Error, FxHashMap, Result, Value};
+use std::collections::hash_map::Entry;
+use std::sync::Arc;
 
 /// A primary-key value (one `Value` per key column, in schema key order).
-pub type Key = Vec<Value>;
+/// Shared: a row's key is stored once, and every secondary index entry for
+/// the row points at that copy.
+pub type Key = Arc<[Value]>;
 /// A row (one `Value` per column, in schema order).
 pub type Row = Vec<Value>;
 
@@ -17,6 +21,9 @@ pub type Row = Vec<Value>;
 pub struct Table {
     rows: FxHashMap<Key, Row>,
     secondary: Vec<SecondaryIndex>,
+    /// The indexed columns' values before an update that keeps no
+    /// pre-image, one per secondary index; a field so its buffer is reused.
+    indexed_before: Vec<Value>,
 }
 
 impl Table {
@@ -47,7 +54,8 @@ impl Table {
         self.rows.is_empty()
     }
 
-    /// Inserts a row; errors on duplicate primary key.
+    /// Inserts a row and returns its stored key; errors on duplicate
+    /// primary key.
     pub fn insert(&mut self, schema: &Schema, row: Row) -> Result<Key> {
         if row.len() != schema.arity() {
             return Err(Error::Constraint(format!(
@@ -57,18 +65,21 @@ impl Table {
                 schema.name
             )));
         }
-        let key = Self::key_of(schema, &row);
-        if self.rows.contains_key(&key) {
-            return Err(Error::Constraint(format!(
-                "duplicate primary key {key:?} in {}",
+        match self.rows.entry(Self::key_of(schema, &row)) {
+            Entry::Occupied(slot) => Err(Error::Constraint(format!(
+                "duplicate primary key {:?} in {}",
+                slot.key(),
                 schema.name
-            )));
+            ))),
+            Entry::Vacant(slot) => {
+                let key = slot.key().clone();
+                for idx in &mut self.secondary {
+                    idx.insert(&row, &key);
+                }
+                slot.insert(row);
+                Ok(key)
+            }
         }
-        for idx in &mut self.secondary {
-            idx.insert(&row, &key);
-        }
-        self.rows.insert(key.clone(), row);
-        Ok(key)
     }
 
     /// Point lookup by primary key.
@@ -76,60 +87,79 @@ impl Table {
         self.rows.get(key)
     }
 
-    /// Updates a row in place via `f`; returns the pre-image for undo, or
-    /// `NotFound` if the key does not exist. Secondary indexes are kept
-    /// consistent even if `f` modifies indexed columns.
-    pub fn update(&mut self, key: &[Value], f: impl FnOnce(&mut Row)) -> Result<Row> {
-        let row = self.rows.get_mut(key).ok_or_else(|| Error::NotFound(format!("key {key:?}")))?;
-        let before = row.clone();
-        f(row);
-        let after = row.clone();
-        for idx in &mut self.secondary {
-            idx.update(&before, &after, key);
+    /// Updates the row at `key` in place via `f` and returns it, with a
+    /// copy of the row as it was if `preimage` is set (the undo pre-image);
+    /// `None` if no row has `key`. Secondary indexes are kept consistent
+    /// even if `f` modifies indexed columns; without a pre-image only the
+    /// indexed columns' values are copied for that.
+    pub fn update(
+        &mut self,
+        key: &[Value],
+        preimage: bool,
+        f: impl FnOnce(&mut Row),
+    ) -> Option<(&Row, Option<Row>)> {
+        let row = self.rows.get_mut(key)?;
+        let before = preimage.then(|| row.clone());
+        self.indexed_before.clear();
+        if before.is_none() {
+            self.indexed_before.extend(self.secondary.iter().map(|idx| row[idx.column()].clone()));
         }
-        Ok(before)
+        f(row);
+        for (i, idx) in self.secondary.iter_mut().enumerate() {
+            let old = match &before {
+                Some(before) => &before[idx.column()],
+                None => &self.indexed_before[i],
+            };
+            idx.update(old, &row[idx.column()], key);
+        }
+        Some((row, before))
     }
 
     /// Overwrites the row stored at `key` (used by undo). Inserts if absent.
     pub fn put(&mut self, key: Key, row: Row) {
-        if let Some(old) = self.rows.get(&key) {
-            for idx in &mut self.secondary {
-                idx.update(old, &row, &key);
+        match self.rows.get_mut(&key) {
+            Some(slot) => {
+                for idx in &mut self.secondary {
+                    idx.update(&slot[idx.column()], &row[idx.column()], &key);
+                }
+                *slot = row;
             }
-        } else {
-            for idx in &mut self.secondary {
-                idx.insert(&row, &key);
+            None => {
+                for idx in &mut self.secondary {
+                    idx.insert(&row, &key);
+                }
+                self.rows.insert(key, row);
             }
         }
-        self.rows.insert(key, row);
     }
 
-    /// Deletes a row; returns the pre-image if present.
-    pub fn delete(&mut self, key: &[Value]) -> Option<Row> {
-        let row = self.rows.remove(key)?;
+    /// Deletes a row; returns its stored key and pre-image if present.
+    pub fn delete(&mut self, key: &[Value]) -> Option<(Key, Row)> {
+        let (key, row) = self.rows.remove_entry(key)?;
         for idx in &mut self.secondary {
-            idx.remove(&row, key);
+            idx.remove(&row, &key);
         }
-        Some(row)
+        Some((key, row))
     }
 
-    /// Looks up rows whose `column` equals `value`, via a secondary index if
-    /// one exists, otherwise by a full scan of this slice.
+    /// Looks up rows whose `column` equals `value`, in primary-key order:
+    /// via a secondary index if one exists (its keys are already in that
+    /// order), otherwise by a full scan of this slice and a sort.
     pub fn lookup_by(&self, column: usize, value: &Value) -> Vec<&Row> {
         if let Some(idx) = self.secondary.iter().find(|i| i.column() == column) {
-            idx.get(value)
-                .map(|keys| {
-                    let mut keys: Vec<_> = keys.collect();
-                    keys.sort(); // deterministic order
-                    keys.iter().filter_map(|k| self.rows.get(*k)).collect()
-                })
-                .unwrap_or_default()
+            idx.get(value).into_iter().flatten().filter_map(|k| self.rows.get(k)).collect()
         } else {
             let mut matches: Vec<(&Key, &Row)> =
                 self.rows.iter().filter(|(_, r)| &r[column] == value).collect();
             matches.sort_by(|a, b| a.0.cmp(b.0));
             matches.into_iter().map(|(_, r)| r).collect()
         }
+    }
+
+    /// True if a secondary index covers `column`, so `lookup_by` on it
+    /// takes no scan.
+    pub fn is_indexed(&self, column: usize) -> bool {
+        self.secondary.iter().any(|i| i.column() == column)
     }
 
     /// Iterates all rows (test/loader support; deterministic order not
@@ -206,10 +236,13 @@ mod tests {
         let s = schema();
         let mut t = Table::new();
         t.insert(&s, row(1, 10, 100)).unwrap();
-        let before = t.update(&[Value::Int(1)], |r| r[2] = Value::Int(999)).unwrap();
-        assert_eq!(before[2], Value::Int(100));
+        let (after, before) = t.update(&[Value::Int(1)], true, |r| r[2] = Value::Int(999)).unwrap();
+        assert_eq!(after[2], Value::Int(999));
+        assert_eq!(before.unwrap()[2], Value::Int(100));
         assert_eq!(t.get(&[Value::Int(1)]).unwrap()[2], Value::Int(999));
-        assert!(t.update(&[Value::Int(7)], |_| {}).is_err());
+        let (_, before) = t.update(&[Value::Int(1)], false, |r| r[2] = Value::Int(5)).unwrap();
+        assert!(before.is_none(), "no pre-image was asked for");
+        assert!(t.update(&[Value::Int(7)], true, |_| {}).is_none());
     }
 
     #[test]
@@ -246,8 +279,12 @@ mod tests {
         let mut t = Table::new();
         t.add_secondary_index(1);
         t.insert(&s, row(1, 5, 0)).unwrap();
-        t.update(&[Value::Int(1)], |r| r[1] = Value::Int(6)).unwrap();
+        t.update(&[Value::Int(1)], true, |r| r[1] = Value::Int(6)).unwrap();
         assert!(t.lookup_by(1, &Value::Int(5)).is_empty());
+        assert_eq!(t.lookup_by(1, &Value::Int(6)).len(), 1);
+        t.update(&[Value::Int(1)], false, |r| r[1] = Value::Int(5)).unwrap();
+        assert!(t.lookup_by(1, &Value::Int(6)).is_empty());
+        t.update(&[Value::Int(1)], false, |r| r[1] = Value::Int(6)).unwrap();
         assert_eq!(t.lookup_by(1, &Value::Int(6)).len(), 1);
         t.delete(&[Value::Int(1)]);
         assert!(t.lookup_by(1, &Value::Int(6)).is_empty());
@@ -259,9 +296,9 @@ mod tests {
         let mut t = Table::new();
         t.add_secondary_index(1);
         t.insert(&s, row(1, 5, 0)).unwrap();
-        let key = vec![Value::Int(1)];
+        let key: Key = [Value::Int(1)].into();
         let pre = t.get(&key).unwrap().clone();
-        t.update(&key, |r| r[1] = Value::Int(9)).unwrap();
+        t.update(&key, false, |r| r[1] = Value::Int(9)).unwrap();
         t.put(key.clone(), pre);
         assert_eq!(t.lookup_by(1, &Value::Int(5)).len(), 1);
         assert!(t.lookup_by(1, &Value::Int(9)).is_empty());

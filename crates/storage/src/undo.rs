@@ -2,9 +2,11 @@
 //!
 //! Main-memory DBMSs need undo information only to roll back an aborting
 //! transaction — not for recovery — so the log lives in memory and is
-//! discarded at commit. Maintaining it costs CPU per write; OP3 lets the
-//! engine skip it for transactions predicted never to abort, at the price
-//! that an unexpected abort becomes unrecoverable.
+//! discarded at commit. Maintaining it costs CPU per write: a copy of the
+//! key and of the row's pre-image. OP3 lets the engine skip it for
+//! transactions predicted never to abort, at the price that an unexpected
+//! abort becomes unrecoverable. With logging off a write copies neither; it
+//! only counts itself ([`UndoLog::count_unlogged`]).
 
 use crate::table::{Key, Row};
 use common::PartitionId;
@@ -22,10 +24,11 @@ pub enum UndoRecord {
 
 /// A per-transaction undo buffer.
 ///
-/// `enabled == false` models OP3: writes are performed without logging and
-/// [`UndoLog::record`] becomes a no-op. The engine checks `is_enabled` when a
-/// transaction aborts and escalates to a fatal error if work was done without
-/// undo information.
+/// `enabled == false` models OP3: writes are performed without logging. A
+/// writer checks [`UndoLog::is_enabled`] before it builds an
+/// [`UndoRecord`], and with logging off calls [`UndoLog::count_unlogged`]
+/// instead. The engine escalates an abort to a fatal error if work was done
+/// without undo information.
 #[derive(Debug)]
 pub struct UndoLog {
     records: Vec<UndoRecord>,
@@ -87,8 +90,15 @@ impl UndoLog {
         if self.enabled {
             self.records.push(rec);
         } else {
-            self.unlogged_writes += 1;
+            self.count_unlogged();
         }
+    }
+
+    /// Counts one write applied while logging is off, for which no record
+    /// was built.
+    pub fn count_unlogged(&mut self) {
+        debug_assert!(!self.enabled, "a logged write must record its undo");
+        self.unlogged_writes += 1;
     }
 
     /// Drains the records in reverse (apply-order for rollback).
@@ -109,7 +119,7 @@ mod tests {
     use common::Value;
 
     fn rec(i: i64) -> UndoRecord {
-        UndoRecord::Inserted { partition: 0, table: 0, key: vec![Value::Int(i)] }
+        UndoRecord::Inserted { partition: 0, table: 0, key: [Value::Int(i)].into() }
     }
 
     #[test]

@@ -195,6 +195,36 @@ mod tests {
     }
 
     #[test]
+    fn every_lookup_is_indexed() {
+        // An unindexed `LookupBy` scans and sorts the whole partition slice
+        // per call, so every shipped lookup must hit a secondary index its
+        // bench's `database()` declares.
+        for bench in Bench::ALL {
+            let db = bench.database(2);
+            let catalog = bench.registry().catalog();
+            let mut lookups = 0;
+            for id in 0..catalog.len() {
+                let proc = catalog.proc(id as u32);
+                for q in &proc.queries {
+                    if let engine::QueryOp::LookupBy { column, .. } = q.op {
+                        lookups += 1;
+                        assert!(
+                            db.table(0, q.table).is_indexed(column),
+                            "{} {}.{}: {}.{} has no secondary index",
+                            bench.name(),
+                            proc.name,
+                            q.name,
+                            db.schema(q.table).name,
+                            db.schema(q.table).columns[column].name,
+                        );
+                    }
+                }
+            }
+            assert!(lookups > 0, "{} ships no lookup", bench.name());
+        }
+    }
+
+    #[test]
     fn split_streams_issue_same_procedures_as_shared() {
         // Multi-client: per-client procedure/argument streams match the
         // directly-constructed shared generator except for globally-unique

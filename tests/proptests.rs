@@ -80,7 +80,7 @@ fn snapshot(db: &Database) -> Vec<(Vec<Value>, Vec<Value>)> {
     let mut rows = Vec::new();
     for p in 0..db.num_partitions() {
         for (k, r) in db.table(p, 0).iter() {
-            rows.push((k.clone(), r.clone()));
+            rows.push((k.to_vec(), r.clone()));
         }
     }
     rows.sort();
@@ -122,6 +122,122 @@ proptest! {
         }
         db.rollback(&mut undo).expect("rollback");
         prop_assert_eq!(snapshot(&db), before);
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Ordered secondary indexes: after any write, with or without undo, an
+// indexed lookup returns what a scan filtered on the value and sorted by
+// key returns. Updates move the indexed column.
+// ---------------------------------------------------------------------------
+
+/// Distinct values of the indexed column `GRP`.
+const GROUPS: i64 = 5;
+
+fn index_op_strategy() -> impl Strategy<Value = Op> {
+    prop_oneof![
+        (0i64..40, 0i64..GROUPS).prop_map(|(k, g)| Op::Insert(k, g)),
+        (0i64..40, 0i64..GROUPS).prop_map(|(k, g)| Op::Update(k, g)),
+        (0i64..40).prop_map(Op::Delete),
+    ]
+}
+
+/// Every partition's `lookup_by` on `GRP` equals its filtered, key-sorted
+/// scan, for every value.
+fn index_agrees_with_scan(db: &Database) {
+    for p in 0..db.num_partitions() {
+        let table = db.table(p, 0);
+        prop_assert!(table.is_indexed(1));
+        for g in 0..GROUPS {
+            let value = Value::Int(g);
+            let mut scan: Vec<(&storage::Key, &storage::Row)> =
+                table.iter().filter(|(_, r)| r[1] == value).collect();
+            scan.sort_by(|a, b| a.0.cmp(b.0));
+            let scan: Vec<Vec<Value>> = scan.into_iter().map(|(_, r)| r.clone()).collect();
+            prop_assert_eq!(db.lookup_by(p, 0, 1, &value), scan, "partition {}, GRP {}", p, g);
+        }
+    }
+}
+
+/// Applies `ops` to a `T(ID, GRP, V)` table indexed on `GRP`, with undo
+/// logging on or off, checking the index after every op. Logged, the ops
+/// are then rolled back and the index checked again; unlogged, each write
+/// that took effect must count exactly one unlogged write.
+fn check_index_through_writes(seed_rows: &[(i64, i64)], ops: &[Op], logged: bool) {
+    let schemas = vec![Schema::new("T", &["ID", "GRP", "V"], &[0], Some(0))];
+    let mut db = Database::new(schemas, 4, &[("T", 1)]);
+    let mut setup = UndoLog::new();
+    for &(k, g) in seed_rows {
+        let p = db.partition_for_value(&Value::Int(k));
+        let _ = db.insert(p, 0, vec![Value::Int(k), Value::Int(g), Value::Int(k)], &mut setup);
+    }
+    let before = snapshot(&db);
+    index_agrees_with_scan(&db);
+
+    let mut undo = if logged { UndoLog::new() } else { UndoLog::disabled() };
+    let mut writes = 0u64;
+    for op in ops {
+        let applied = match *op {
+            Op::Insert(k, g) => {
+                let p = db.partition_for_value(&Value::Int(k));
+                db.insert(p, 0, vec![Value::Int(k), Value::Int(g), Value::Int(g)], &mut undo)
+                    .is_ok()
+            }
+            Op::Update(k, g) => {
+                let p = db.partition_for_value(&Value::Int(k));
+                db.update(p, 0, &[Value::Int(k)], |r| r[1] = Value::Int(g), &mut undo).is_ok()
+            }
+            Op::Delete(k) => {
+                let p = db.partition_for_value(&Value::Int(k));
+                db.delete(p, 0, &[Value::Int(k)], &mut undo).is_ok()
+            }
+        };
+        writes += u64::from(applied);
+        index_agrees_with_scan(&db);
+    }
+    if logged {
+        prop_assert_eq!(undo.len() as u64, writes);
+        db.rollback(&mut undo).expect("rollback");
+        prop_assert_eq!(snapshot(&db), before);
+        index_agrees_with_scan(&db);
+    } else {
+        prop_assert_eq!(undo.unlogged_writes(), writes);
+        prop_assert!(undo.is_empty(), "an unlogged write built an undo record");
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+    #[test]
+    fn index_matches_scan_through_writes_and_rollback(
+        seed_rows in proptest::collection::vec((0i64..40, 0i64..GROUPS), 0..15),
+        ops in proptest::collection::vec(index_op_strategy(), 0..25),
+    ) {
+        check_index_through_writes(&seed_rows, &ops, true);
+    }
+
+    #[test]
+    fn index_matches_scan_through_unlogged_writes(
+        seed_rows in proptest::collection::vec((0i64..40, 0i64..GROUPS), 0..15),
+        ops in proptest::collection::vec(index_op_strategy(), 0..25),
+    ) {
+        check_index_through_writes(&seed_rows, &ops, false);
+    }
+}
+
+proptest! {
+    // Both index properties above at 20x their cases each. Ignored so the
+    // default suite keeps its case counts; CI runs it in release with
+    // `--ignored`.
+    #![proptest_config(ProptestConfig::with_cases(2 * 20 * 64))]
+    #[test]
+    #[ignore = "20x cases; run with `cargo test --release --test proptests -- --ignored`"]
+    fn index_matches_scan_many_cases(
+        seed_rows in proptest::collection::vec((0i64..40, 0i64..GROUPS), 0..15),
+        ops in proptest::collection::vec(index_op_strategy(), 0..25),
+        logged in any::<bool>(),
+    ) {
+        check_index_through_writes(&seed_rows, &ops, logged);
     }
 }
 
