@@ -19,8 +19,6 @@ pub enum Error {
     UnrecoverableAbort { txn: u64 },
     /// User/control-code-initiated abort (e.g. TPC-C invalid item).
     UserAbort(String),
-    /// Trace or model (de)serialization failure.
-    Serde(String),
     /// Anything else.
     Other(String),
 }
@@ -43,7 +41,6 @@ impl fmt::Display for Error {
                 write!(f, "txn {txn} aborted without undo log: node halt")
             }
             Error::UserAbort(msg) => write!(f, "user abort: {msg}"),
-            Error::Serde(msg) => write!(f, "serialization error: {msg}"),
             Error::Other(msg) => write!(f, "{msg}"),
         }
     }

@@ -1,6 +1,5 @@
 //! Identifier types and the [`PartitionSet`] bitmask.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A data partition (the unit of locking and single-threaded execution).
@@ -20,7 +19,7 @@ pub type TxnId = u64;
 /// `u64` mask covers every configuration while keeping Markov-model vertex
 /// keys `Copy` and comparisons O(1) — the vertex lookup is the hottest path
 /// of on-line estimation.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Default, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Default)]
 pub struct PartitionSet(pub u64);
 
 impl PartitionSet {

@@ -1,7 +1,6 @@
 //! The dynamic value type flowing through stored procedures, queries, rows,
 //! traces, and feature extraction.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A dynamically-typed value.
@@ -11,7 +10,7 @@ use std::fmt;
 /// parameters by the parameter-mapping machinery. Monetary quantities are
 /// stored as integer cents so that `Value` is `Eq + Hash + Ord`, which the
 /// Markov-model vertex keys and parameter-mapping comparisons rely on.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum Value {
     /// SQL NULL.
     Null,
@@ -208,14 +207,6 @@ mod tests {
         assert_eq!(Value::Int(-3).to_string(), "-3");
         assert_eq!(Value::from("hi").to_string(), "'hi'");
         assert_eq!(Value::from(vec![1i64, 2]).to_string(), "[1, 2]");
-    }
-
-    #[test]
-    fn serde_round_trip() {
-        let v = Value::Array(vec![Value::Int(1), Value::Null, Value::from("s")]);
-        let json = serde_json::to_string(&v).unwrap();
-        let back: Value = serde_json::from_str(&json).unwrap();
-        assert_eq!(v, back);
     }
 
     #[test]

@@ -179,12 +179,3 @@ fn value_hash_respects_equality() {
         assert_eq!(map.get(&v.clone()), Some(&i));
     }
 }
-
-#[test]
-fn value_json_roundtrip() {
-    for v in sample_values() {
-        let json = serde_json::to_string(&v).expect("serialize");
-        let back: Value = serde_json::from_str(&json).expect("deserialize");
-        assert_eq!(back, v, "round-trip through {json}");
-    }
-}

@@ -8,10 +8,9 @@
 //! ([`crate::ModelSet::Partitioned`]).
 
 use common::Value;
-use serde::{Deserialize, Serialize};
 
 /// The feature categories of Table 1.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum FeatureCategory {
     /// The normalized (numeric) value of the parameter.
     NormalizedValue,
@@ -50,7 +49,7 @@ impl FeatureCategory {
 }
 
 /// One feature instance: a category applied to one procedure parameter.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Feature {
     /// The category.
     pub category: FeatureCategory,

@@ -46,7 +46,7 @@ impl QueryPartitionRule for CatalogRule<'_> {
 /// maintainer snapshots the current epoch, deep-copies *only* the
 /// drifted model via [`ModelSet::model_arc_mut`] + `Arc::make_mut`, and
 /// publishes the result as the next epoch (clone-on-write, §4.5).
-#[derive(Clone, serde::Serialize, serde::Deserialize)]
+#[derive(Clone)]
 pub enum ModelSet {
     /// One model covers every invocation.
     Global {
@@ -81,20 +81,6 @@ impl ModelSet {
     /// True for a set with no model, which only a malformed bundle holds.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
-    }
-
-    /// Rebuilds every model's vertex index (after deserialization, where
-    /// each `Arc` is freshly created and unique — `make_mut` copies
-    /// nothing).
-    pub fn rebuild_indexes(&mut self) {
-        match self {
-            ModelSet::Global { model } => Arc::make_mut(model).rebuild_index(),
-            ModelSet::Partitioned { models, .. } => {
-                for m in models {
-                    Arc::make_mut(m).rebuild_index();
-                }
-            }
-        }
     }
 
     /// Total vertices across the set (scalability diagnostics, §4.6).

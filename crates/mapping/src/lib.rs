@@ -20,10 +20,9 @@ pub mod builder;
 pub use builder::{build_mapping, MAPPING_THRESHOLD};
 
 use common::{FxHashMap, QueryId, Value};
-use serde::{Deserialize, Serialize};
 
 /// Where a query parameter's value comes from.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum ParamSource {
     /// The procedure's scalar input parameter at this index.
     Scalar(usize),
@@ -33,7 +32,7 @@ pub enum ParamSource {
 }
 
 /// The resolved mapping for one query parameter.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct QueryParamMapping {
     /// The winning source.
     pub source: ParamSource,
@@ -43,45 +42,9 @@ pub struct QueryParamMapping {
 
 /// A stored procedure's full parameter mapping: `(query, query-param index)`
 /// → best procedure-parameter source above the threshold.
-///
-/// Serialized as a list of entries (JSON maps require string keys).
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
-#[serde(from = "Vec<MappingEntry>", into = "Vec<MappingEntry>")]
+#[derive(Debug, Clone, Default)]
 pub struct ProcMapping {
     entries: FxHashMap<(QueryId, usize), QueryParamMapping>,
-}
-
-/// Wire form of one mapping entry.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct MappingEntry {
-    /// Query id.
-    pub query: QueryId,
-    /// Query parameter index.
-    pub qparam: usize,
-    /// The mapping.
-    pub mapping: QueryParamMapping,
-}
-
-impl From<Vec<MappingEntry>> for ProcMapping {
-    fn from(v: Vec<MappingEntry>) -> Self {
-        let mut m = ProcMapping::empty();
-        for e in v {
-            m.insert(e.query, e.qparam, e.mapping);
-        }
-        m
-    }
-}
-
-impl From<ProcMapping> for Vec<MappingEntry> {
-    fn from(m: ProcMapping) -> Self {
-        let mut v: Vec<MappingEntry> = m
-            .entries
-            .into_iter()
-            .map(|((query, qparam), mapping)| MappingEntry { query, qparam, mapping })
-            .collect();
-        v.sort_by_key(|e| (e.query, e.qparam));
-        v
-    }
 }
 
 impl ProcMapping {

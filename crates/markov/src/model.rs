@@ -1,11 +1,10 @@
 //! The model graph: vertices, edges, lookups.
 
 use crate::ptable::ProbTable;
-use common::{FxHashMap, PartitionSet, ProcId, QueryId};
-use serde::{Deserialize, Serialize};
+use common::{Error, FxHashMap, PartitionSet, ProcId, QueryId, Result};
 
 /// Identifies what a vertex represents.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum QueryKind {
     /// The transaction has not executed anything yet.
     Begin,
@@ -18,7 +17,7 @@ pub enum QueryKind {
 }
 
 /// A vertex key — the paper's four-part execution-state identity (§3.1).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct VertexKey {
     /// The query (or begin/commit/abort).
     pub kind: QueryKind,
@@ -87,7 +86,7 @@ impl VertexCursor {
 pub type VertexId = u32;
 
 /// An outgoing edge with its trace count and derived probability.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Edge {
     /// Destination vertex.
     pub to: VertexId,
@@ -102,7 +101,7 @@ pub struct Edge {
 }
 
 /// One execution state plus its outgoing distribution and probability table.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Vertex {
     /// Identity.
     pub key: VertexKey,
@@ -147,7 +146,7 @@ impl Vertex {
 }
 
 /// A stored procedure's transaction Markov model.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MarkovModel {
     /// The procedure modeled.
     pub proc: ProcId,
@@ -155,7 +154,6 @@ pub struct MarkovModel {
     /// regenerated when the partitioning scheme changes (§3.1).
     pub num_partitions: u32,
     vertices: Vec<Vertex>,
-    #[serde(skip)]
     index: FxHashMap<VertexKey, VertexId>,
     begin: VertexId,
     commit: VertexId,
@@ -178,6 +176,54 @@ impl MarkovModel {
         m.commit = m.intern(VertexKey::special(QueryKind::Commit), "commit".into(), false);
         m.abort = m.intern(VertexKey::special(QueryKind::Abort), "abort".into(), false);
         m
+    }
+
+    /// Reassembles a model from its stored parts (a loaded predictor
+    /// bundle), rebuilding the key index. Refuses any model a later lookup
+    /// would panic on or misread: a special state or an edge pointing past
+    /// the vertex list, a special state of the wrong kind, a probability
+    /// table not sized for `num_partitions`, a key naming a partition
+    /// outside the cluster, or two vertices with one key.
+    pub fn from_parts(
+        proc: ProcId,
+        num_partitions: u32,
+        vertices: Vec<Vertex>,
+        begin: VertexId,
+        commit: VertexId,
+        abort: VertexId,
+    ) -> Result<Self> {
+        let bad = |msg: String| Err(Error::Other(format!("model of procedure {proc}: {msg}")));
+        let n = vertices.len();
+        let specials =
+            [(begin, QueryKind::Begin), (commit, QueryKind::Commit), (abort, QueryKind::Abort)];
+        for (id, kind) in specials {
+            match vertices.get(id as usize) {
+                None => return bad(format!("{kind:?} state {id} past {n} vertices")),
+                Some(v) if v.key.kind != kind => return bad(format!("state {id} is not {kind:?}")),
+                Some(_) => {}
+            }
+        }
+        let cluster = PartitionSet::all(num_partitions);
+        for (id, v) in vertices.iter().enumerate() {
+            if let Some(e) = v.edges.iter().find(|e| e.to as usize >= n) {
+                return bad(format!("vertex {id} has an edge to {} past {n} vertices", e.to));
+            }
+            if v.table.partitions.len() != num_partitions as usize {
+                return bad(format!(
+                    "vertex {id} has {} table entries for {num_partitions} partitions",
+                    v.table.partitions.len()
+                ));
+            }
+            if !v.key.seen().is_subset(cluster) {
+                return bad(format!("vertex {id} names a partition outside {num_partitions}"));
+            }
+        }
+        let index: FxHashMap<VertexKey, VertexId> =
+            vertices.iter().enumerate().map(|(i, v)| (v.key, i as VertexId)).collect();
+        if index.len() != n {
+            return bad("two vertices share a key".into());
+        }
+        Ok(MarkovModel { proc, num_partitions, vertices, index, begin, commit, abort })
     }
 
     /// The begin vertex.
@@ -275,12 +321,6 @@ impl MarkovModel {
                 e.prob = if total == 0 { 0.0 } else { e.count as f64 / total as f64 };
             }
         }
-    }
-
-    /// Rebuilds the key index (needed after deserialization).
-    pub fn rebuild_index(&mut self) {
-        self.index =
-            self.vertices.iter().enumerate().map(|(i, v)| (v.key, i as VertexId)).collect();
     }
 
     /// The most-observed trained vertex with the given query and counter,
@@ -392,6 +432,44 @@ mod tests {
         let b = m.intern(key, "Q".into(), false);
         assert_eq!(a, b);
         assert_eq!(m.len(), 4);
+    }
+
+    #[test]
+    fn from_parts_rebuilds_the_model_and_refuses_what_would_panic() {
+        let mut m = MarkovModel::new(0, 2);
+        let key = VertexKey {
+            kind: QueryKind::Query(0),
+            counter: 0,
+            partitions: PartitionSet::single(1),
+            previous: PartitionSet::EMPTY,
+        };
+        let q = m.intern(key, "Q".into(), false);
+        m.add_transition(m.begin(), q, 1);
+        m.add_transition(q, m.commit(), 1);
+        let parts = |m: &MarkovModel| (m.vertices.clone(), m.begin, m.commit, m.abort);
+        let (vs, b, c, a) = parts(&m);
+        let back = MarkovModel::from_parts(0, 2, vs.clone(), b, c, a).unwrap();
+        assert_eq!(back, m);
+        assert_eq!(back.find(&key), Some(q));
+
+        // Each special state out of range, or of the wrong kind.
+        for (b, c, a) in [(99, c, a), (b, 99, a), (b, c, 99), (c, b, a)] {
+            assert!(MarkovModel::from_parts(0, 2, vs.clone(), b, c, a).is_err());
+        }
+        let edits: [fn(&mut Vec<Vertex>); 4] = [
+            |vs| vs[0].edges[0].to = 1_000_000,
+            |vs| vs[3].table.partitions.truncate(1),
+            |vs| vs[3].key.previous = PartitionSet::single(5),
+            |vs| {
+                let dup = vs[3].clone();
+                vs.push(dup);
+            },
+        ];
+        for (i, edit) in edits.iter().enumerate() {
+            let mut vs = vs.clone();
+            edit(&mut vs);
+            assert!(MarkovModel::from_parts(0, 2, vs, b, c, a).is_err(), "edit {i}");
+        }
     }
 
     #[test]

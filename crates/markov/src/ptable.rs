@@ -8,10 +8,9 @@
 //! average of 24% of on-line computation time.
 
 use crate::model::{MarkovModel, QueryKind, VertexId};
-use serde::{Deserialize, Serialize};
 
 /// Per-partition event probabilities.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct PartitionProbs {
     /// P(some future query reads data at this partition).
     pub read: f64,
@@ -22,7 +21,7 @@ pub struct PartitionProbs {
 }
 
 /// A vertex's probability table.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct ProbTable {
     /// P(all remaining queries execute on the transaction's single partition
     /// — i.e. the transaction stays single-partitioned) (OP1).

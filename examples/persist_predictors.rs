@@ -24,7 +24,7 @@ fn main() {
     let preds = train(&catalog, parts, &wl, &TrainingConfig::default());
     let mut bundle = Vec::new();
     save_predictors(&preds, parts, &mut bundle).expect("save predictors");
-    println!("predictors: {} procedures, {} bytes of JSON", preds.len(), bundle.len());
+    println!("predictors: {} procedures, {} bundle bytes", preds.len(), bundle.len());
     let loaded = load_predictors(&bundle[..], parts).expect("load predictors");
     assert_eq!(loaded.len(), preds.len());
     let models: usize = loaded.iter().map(|p| p.models.len()).sum();
