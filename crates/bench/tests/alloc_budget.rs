@@ -5,7 +5,7 @@
 //! *constant* number of times per transaction — no per-call channel, no
 //! fresh mailbox, no metrics scratch. This test holds that line with the
 //! shared harness (`alloc_pin`): after a warm-up long enough to saturate
-//! every amortized structure (lane registry, spare-session map, metrics
+//! every amortized structure (connections, spare-session map, metrics
 //! sample buffers), two equal batches of identical calls must allocate
 //! *exactly* the same amount, under a small per-call cap.
 

@@ -6,7 +6,7 @@
 //! per-query message traffic every coordinated call used to allocate.
 //! This test holds that line the same way `alloc_budget.rs` does for the
 //! fast path, with the shared harness (`alloc_pin`): after a warm-up long
-//! enough to saturate every amortized structure (fragment-lane registry,
+//! enough to saturate every amortized structure (client connections,
 //! spare sessions, metrics sample buffers), two equal batches of
 //! identical forced-distributed calls must allocate *exactly* the same
 //! amount, under a per-call cap.
@@ -32,7 +32,7 @@ fn distributed_path_allocations_are_pinned() {
     let bench = Bench::Tatp;
     // Two partitions + lock-all advisor: every call coordinates a
     // two-partition lock set through the full distributed machinery
-    // (fragment lanes, ExecBatch, coalesced 2PC) even though the query
+    // (connections, ExecBatch, coalesced 2PC) even though the query
     // itself targets one partition.
     let db = bench.database(2);
     let registry = bench.registry();

@@ -13,10 +13,13 @@
 //!   resolves to `checkers::sync`, so these models drive the production
 //!   `spsc`/`Doorbell` code itself, consumers waiting through
 //!   `Doorbell::wait` (its spin collapses to one probe under the feature)
-//!   — in-order delivery and the producer-drop handshake (`is_closed` must
-//!   not report closed-and-empty while a final element is in flight) —
-//!   plus a seeded twin of `wait` that skips the second look (lost
-//!   wakeup, caught as a deadlock).
+//!   — in-order delivery, the producer-drop handshake (`is_closed` must
+//!   not report closed-and-empty while a final element is in flight), and
+//!   the engine runtime's reply path: a client waits for the reply to its
+//!   call while the worker either answers or drops its end of the
+//!   connection and rings — plus seeded twins of `wait` that skip the
+//!   second look, and of a worker that drops its end without ringing
+//!   (both lost wakeups, caught as deadlocks).
 
 use checkers::sync::atomic::{AtomicU64, Ordering};
 use checkers::sync::{Arc, Condvar, Mutex};
@@ -214,9 +217,8 @@ mod real_ring {
     use checkers::{explore, FailureKind};
     use common::ring::{spin, spsc, Consumer, Doorbell};
 
-    /// The runtime's fragment-lane probe (`FragConn::recv`): the next
-    /// element, or `Some(None)` once the producer is gone and the lane is
-    /// drained.
+    /// The runtime's connection probe (`End::poll`): the next element, or
+    /// `Some(None)` once the producer is gone and the ring is drained.
     fn next_or_closed(rx: &mut Consumer<u64>) -> Option<Option<u64>> {
         match rx.pop() {
             Some(v) => Some(Some(v)),
@@ -256,8 +258,8 @@ mod real_ring {
                 tx.push(1).expect("capacity covers the push");
                 b_p.ring();
                 drop(tx);
-                // The runtime's client teardown rings once more after
-                // dropping its lanes so a parked worker can retire them.
+                // A connection end's drop rings the peer after closing its
+                // rings, so a parked peer can observe the close.
                 b_p.ring();
             });
             model.thread(move || {
@@ -307,5 +309,58 @@ mod real_ring {
         let f = r.failure().expect("skipping the second look must lose a wakeup");
         assert_eq!(f.kind, FailureKind::Deadlock);
         eprintln!("[model::seeded_wait_without_second_look] {r}");
+    }
+
+    /// One call on a runtime connection: a request ring and a reply ring,
+    /// and each side's own doorbell. The client pushes the call, rings the
+    /// worker, and waits for the reply through `Doorbell::wait`. The
+    /// worker takes one look for the call — as a worker does when it
+    /// shuts down or dies, it may find the call or not — answers what it
+    /// found, then drops its end of the connection and, with `ring_on_drop`,
+    /// rings the client. The client must get the reply or `None`.
+    fn reply_path_scenario(ring_on_drop: bool) -> impl Fn(&mut checkers::Model) {
+        move |model| {
+            let (mut call_tx, mut call_rx) = spsc::<u64>(2);
+            let (mut reply_tx, mut reply_rx) = spsc::<u64>(2);
+            let worker_bell = Arc::new(Doorbell::new());
+            let client_bell = Arc::new(Doorbell::new());
+            let c_bell = client_bell.clone();
+            model.thread(move || {
+                if let Some(call) = call_rx.pop() {
+                    reply_tx.push(call * 10).expect("one reply fits");
+                    c_bell.ring();
+                }
+                drop(call_rx);
+                drop(reply_tx);
+                if ring_on_drop {
+                    c_bell.ring();
+                }
+            });
+            model.thread(move || {
+                // A push the dropped worker end refuses is an error at
+                // once, with nothing to wait for.
+                if call_tx.push(7).is_ok() {
+                    worker_bell.ring();
+                    let got = client_bell.wait(|| next_or_closed(&mut reply_rx));
+                    assert!(matches!(got, Some(70) | None), "wrong reply {got:?}");
+                }
+            });
+        }
+    }
+
+    #[test]
+    fn real_reply_path_answers_or_reports_the_closed_connection() {
+        let r = explore(opts(), reply_path_scenario(true));
+        assert_pass(&r, "real_reply_path");
+    }
+
+    #[test]
+    fn seeded_worker_drop_without_a_ring_strands_the_client() {
+        // The client parked after its second look still saw the worker's
+        // end alive; with no ring after the drop, nothing wakes it.
+        let r = explore(opts(), reply_path_scenario(false));
+        let f = r.failure().expect("a drop with no ring must strand the parked client");
+        assert_eq!(f.kind, FailureKind::Deadlock);
+        eprintln!("[model::seeded_worker_drop_without_ring] {r}");
     }
 }

@@ -320,9 +320,10 @@ pub struct RunMetrics {
     /// reserved by a distributed transaction, after the spin budget ran
     /// out (`common::ring::Doorbell::wait`). 0 in the simulator.
     pub worker_parks: u64,
-    /// Live runtime: times a client went to sleep on a reply slot's
-    /// condvar after the spin budget ran out, fast path and fragment
-    /// replies alike. 0 in the simulator.
+    /// Live runtime: times a client went to sleep on its own doorbell
+    /// waiting for a reply after the spin budget ran out
+    /// (`common::ring::Doorbell::wait`), fast path and fragment replies
+    /// alike. 0 in the simulator.
     pub reply_parks: u64,
     /// Fig. 11 per-stage time attribution (estimation / execution /
     /// planning / coordination / queueing / other) per procedure —

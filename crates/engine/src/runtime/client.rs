@@ -2,16 +2,12 @@
 
 use super::coord::{run_distributed, Attempt, StageAcc};
 use super::lifecycle::Shared;
-use super::wire::{
-    us_since, CtrlMsg, FragPort, ReplySlot, SingleMsg, SingleReply, SingleSlot, WorkerGate,
-};
+use super::wire::{us_since, Call, Conns, Reply, SingleMsg};
 #[cfg(doc)]
 use super::LiveRuntime;
-use super::LANE_CAPACITY;
 use crate::advisor::{LiveAdvisor, PlanContext, Request, TxnOutcome};
 use crate::profiler::{Bucket, CoordSub};
 use crate::txn::replan;
-use common::ring;
 use common::sync::atomic::Ordering;
 use common::sync::{Arc, PoisonError};
 use common::{derive_seed, seeded_rng, Error, ProcId, Result, Value};
@@ -34,17 +30,10 @@ pub struct Client<A: LiveAdvisor + 'static> {
     shared: Arc<Shared<A>>,
     id: u64,
     rng: SmallRng,
-    /// One SPSC fast-path lane per worker this handle has talked to,
-    /// created lazily on the first call routed to that partition.
-    lanes: Vec<Option<ring::Producer<SingleMsg<A::Session>>>>,
-    /// One fragment lane + reply slot per worker this handle has
-    /// coordinated a distributed transaction against, registered lazily
-    /// and reused forever after — the distributed path's analogue of
-    /// `lanes` (see [`FragPort`]).
-    frag_ports: Vec<Option<FragPort>>,
-    /// The reusable reply mailbox every fast-path call blocks on (an
-    /// `Arc` clone travels inside each message; never reallocated).
-    reply: Arc<SingleSlot<A::Session>>,
+    /// One connection per worker this handle has talked to, opened on
+    /// first contact; fast-path calls and fragment commands share it.
+    /// Dropping the handle closes them all ([`Conns`]).
+    conns: Conns<A::Session>,
     /// A reclaimed advisor session: the next call reuses its buffers
     /// instead of allocating fresh (see [`LiveAdvisor::plan_live_reusing`]).
     /// Buffer capacity only grows, so one spare serves every procedure.
@@ -52,25 +41,6 @@ pub struct Client<A: LiveAdvisor + 'static> {
     /// Reused buffer of lock-hold samples from distributed attempts,
     /// folded under the metrics lock once per call.
     lock_holds: Vec<f64>,
-}
-
-/// Pushes one fast-path message onto this client's lane to worker `base`,
-/// creating and registering the lane on first use ([`WorkerGate::push`]).
-pub(super) fn send_on_lane<S>(
-    lanes: &mut [Option<ring::Producer<SingleMsg<S>>>],
-    workers: &[WorkerGate<S>],
-    base: usize,
-    msg: SingleMsg<S>,
-) -> Result<()> {
-    if lanes[base].is_none() {
-        let (tx, rx) = ring::spsc(LANE_CAPACITY);
-        if !workers[base].send_ctrl(CtrlMsg::Lane(rx)) {
-            return Err(Error::Other(format!("worker {base} is gone")));
-        }
-        lanes[base] = Some(tx);
-    }
-    let lane = lanes[base].as_mut().expect("lane just ensured");
-    workers[base].push(lane, base, msg)
 }
 
 impl<A: LiveAdvisor + 'static> Client<A> {
@@ -82,9 +52,7 @@ impl<A: LiveAdvisor + 'static> Client<A> {
         let id = shared.next_client.fetch_add(1, Ordering::Relaxed);
         Client {
             rng: seeded_rng(derive_seed(shared.cfg.seed, 0xC11E47 ^ id)),
-            lanes: (0..shared.num_partitions as usize).map(|_| None).collect(),
-            frag_ports: (0..shared.num_partitions as usize).map(|_| None).collect(),
-            reply: Arc::new(ReplySlot::new()),
+            conns: Conns::new(shared.num_partitions as usize),
             spare: None,
             lock_holds: Vec::new(),
             shared: Arc::clone(shared),
@@ -143,6 +111,7 @@ impl<A: LiveAdvisor + 'static> Client<A> {
         // per-call metrics scratch.
         let mut fb_dropped = 0u64;
         let mut restarts = 0u64;
+        let parks = self.conns.parks();
         self.lock_holds.clear();
         // The request is `None` only while a fast-path message is in
         // flight — a `Mispredict` reply hands it back.
@@ -167,28 +136,22 @@ impl<A: LiveAdvisor + 'static> Client<A> {
             let outcome = if plan.lock_set.is_single() {
                 let base = plan.base_partition as usize;
                 // The request, plan, and session all *move* into the
-                // message (the plan is `Copy`, the reply slot an `Arc`
-                // clone): the steady-state send is allocation-free.
+                // message (the plan is `Copy`): the steady-state send is
+                // allocation-free.
                 let t_send = Instant::now();
                 let msg = SingleMsg {
                     req: req.take().expect("request in hand"),
                     plan,
                     session,
-                    reply: Arc::clone(&self.reply),
                     enqueued: t_send,
                 };
-                if let Err(e) = send_on_lane(&mut self.lanes, &env.workers, base, msg) {
+                if let Err(e) = self.conns.send(&env.workers, base, Call::Single(msg)) {
                     break Err(e);
                 }
-                let got = {
-                    let lane = self.lanes[base].as_ref().expect("lane just used");
-                    // If the worker retired this lane at shutdown with the
-                    // message still buffered, no reply ever comes — the
-                    // abandoned check turns that race into a clean error.
-                    self.reply.take_or_abandon(|| lane.is_closed(), &mut acc.reply_parks)
-                };
-                match got {
-                    Some(SingleReply::Done { committed, session, fp, times, ticket }) => {
+                // A worker that shuts down or dies with the call still
+                // unanswered closes the connection: `None`, a clean error.
+                match self.conns.recv(base) {
+                    Some(Reply::Done { committed, session, fp, times, ticket }) => {
                         acc.fold_reply(times, us_since(t_send));
                         // A durable writer was acknowledged as soon as its
                         // worker logged it; the call returns once a device
@@ -198,12 +161,13 @@ impl<A: LiveAdvisor + 'static> Client<A> {
                         }
                         Attempt::Done { committed, fp, session }
                     }
-                    Some(SingleReply::Mispredict { req: r, observed, session, times }) => {
+                    Some(Reply::Mispredict { req: r, observed, session, times }) => {
                         acc.fold_reply(times, us_since(t_send));
                         req = Some(r);
                         Attempt::Mispredict { observed, session }
                     }
-                    Some(SingleReply::Fatal(e)) => Attempt::Fatal(e),
+                    Some(Reply::Fatal(e)) => Attempt::Fatal(e),
+                    Some(_) => Attempt::Fatal(Error::Other("fast-path protocol violation".into())),
                     None => Attempt::Fatal(Error::Other(format!("worker {base} hung up"))),
                 }
             } else {
@@ -213,7 +177,7 @@ impl<A: LiveAdvisor + 'static> Client<A> {
                     &plan,
                     session,
                     &mut self.lock_holds,
-                    &mut self.frag_ports,
+                    &mut self.conns,
                     &mut acc,
                 )
             };
@@ -253,7 +217,7 @@ impl<A: LiveAdvisor + 'static> Client<A> {
         let mut m = env.metrics.lock().unwrap_or_else(PoisonError::into_inner);
         m.restarts += restarts;
         m.feedback_dropped += fb_dropped;
-        m.reply_parks += acc.reply_parks;
+        m.reply_parks += self.conns.parks() - parks;
         for &us in &self.lock_holds {
             m.lock_hold.record_us(us);
         }
@@ -277,23 +241,74 @@ impl<A: LiveAdvisor + 'static> Client<A> {
     }
 }
 
-impl<A: LiveAdvisor + 'static> Drop for Client<A> {
-    /// Retires this handle's lanes: dropping a producer marks the lane
-    /// closed, and the follow-up ring gives a parked worker the wake-up
-    /// it needs to observe that and drop its consumer — the drop
-    /// handshake the ring model checks (drop strictly before ring).
-    fn drop(&mut self) {
-        for (p, lane) in self.lanes.iter_mut().enumerate() {
-            if let Some(producer) = lane.take() {
-                drop(producer);
-                self.shared.workers[p].bell.ring();
-            }
+#[cfg(test)]
+mod tests {
+    use super::super::{LiveConfig, LiveRuntime};
+    use super::*;
+    use crate::procedure::testing::{kv_database, multi_get};
+    use crate::procedure::ProcedureRegistry;
+    use crate::TxnPlan;
+    use common::PartitionSet;
+
+    /// Plans every call single-partition at its first id's partition.
+    struct ByFirstId;
+
+    impl LiveAdvisor for ByFirstId {
+        type Session = ();
+
+        fn name(&self) -> &str {
+            "by-first-id"
         }
-        for (p, port) in self.frag_ports.iter_mut().enumerate() {
-            if let Some(port) = port.take() {
-                drop(port);
-                self.shared.workers[p].bell.ring();
-            }
+
+        fn plan_live_reusing(
+            &self,
+            req: &Request,
+            ctx: &PlanContext<'_>,
+            _spare: Option<()>,
+        ) -> (TxnPlan, ()) {
+            let ids = req.args[0].as_array().expect("arg 0 is id array");
+            (TxnPlan::single(ids[0].home_partition(ctx.num_partitions)), ())
         }
+
+        fn replan_live(
+            &self,
+            req: &Request,
+            _observed: PartitionSet,
+            _attempt: u32,
+            ctx: &PlanContext<'_>,
+        ) -> (TxnPlan, ()) {
+            self.plan_live_reusing(req, ctx, None)
+        }
+    }
+
+    #[test]
+    fn worker_death_fails_calls_on_its_partition_only() {
+        // `MultiGet` whose `start` panics when given a second argument: on
+        // the fast path it runs on the worker thread, so the marked call
+        // kills partition 0's worker mid-call.
+        let mut proc = multi_get();
+        proc.start = |args| {
+            if args.len() > 1 {
+                panic!("worker-death marker");
+            }
+            (multi_get().start)(args)
+        };
+        let registry = ProcedureRegistry::new(vec![proc]);
+        let rt = LiveRuntime::start(kv_database(2, 8), registry, ByFirstId, LiveConfig::default());
+        let mut client = rt.client();
+        let at = |id| vec![Value::Array(vec![Value::Int(id)])];
+        assert_eq!(client.call(0, at(0)).expect("worker 0 serves"), TxnOutcome::Committed);
+        let mut marked = at(0);
+        marked.push(Value::Int(0));
+        assert!(client.call(0, marked).is_err(), "the call that killed worker 0 returned Ok");
+        assert!(client.call(0, at(2)).is_err(), "a call to the dead worker returned Ok");
+        let mut other = rt.client();
+        assert!(other.call(0, at(0)).is_err(), "a new client's call there returned Ok");
+        for id in [1, 3] {
+            assert_eq!(client.call(0, at(id)).expect("worker 1 serves"), TxnOutcome::Committed);
+        }
+        let joined = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| rt.shutdown()));
+        let panic = joined.err().expect("shutdown must re-raise the worker's panic");
+        assert_eq!(panic.downcast_ref::<&str>(), Some(&"worker-death marker"));
     }
 }

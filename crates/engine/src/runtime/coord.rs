@@ -1,16 +1,10 @@
 //! The coordinator side of a distributed transaction (runs on the client).
 
 use super::lifecycle::{Durable, Shared};
-use super::wire::{
-    us_since, BatchItem, CtrlMsg, FragCmd, FragConn, FragPort, FragReply, ReplySlot, StageTimes,
-    WorkerGate,
-};
-use super::LANE_CAPACITY;
+use super::wire::{us_since, BatchItem, Call, Conns, FragCmd, Reply, StageTimes};
 use crate::advisor::{LiveAdvisor, Request, TxnPlan};
 use crate::procedure::Step;
 use crate::txn::{Cursor, Footprint};
-use common::ring;
-use common::sync::Arc;
 use common::{Error, PartitionSet, QueryId, Result, Value};
 use std::time::Instant;
 
@@ -40,8 +34,6 @@ pub(super) struct StageAcc {
     pub(super) lock_us: f64,
     pub(super) twopc_us: f64,
     pub(super) flush_us: f64,
-    /// Condvar sleeps on this call's reply slots (`RunMetrics::reply_parks`).
-    pub(super) reply_parks: u64,
 }
 
 impl StageAcc {
@@ -71,36 +63,13 @@ fn record_remaining_hold(
     }
 }
 
-/// Ensures this client's fragment lane to worker `p` exists (registering
-/// it over the control channel on first use), then pushes one command
-/// ([`WorkerGate::push`]). Fragment shipping is ping-pong per worker: at
-/// most an unacknowledged read-only `Prepare` plus the next transaction's
-/// `LogBegin` and opening `ExecBatch` sit in a lane. A written participant
-/// gets no message at its early release, so it adds nothing.
-pub(super) fn push_frag<S>(
-    ports: &mut [Option<FragPort>],
-    workers: &[WorkerGate<S>],
-    p: usize,
-    cmd: FragCmd,
-) -> Result<()> {
-    if ports[p].is_none() {
-        let (tx, rx) = ring::spsc(LANE_CAPACITY);
-        let replies = Arc::new(ReplySlot::new());
-        if !workers[p]
-            .send_ctrl(CtrlMsg::FragLane(FragConn { frags: rx, replies: Arc::clone(&replies) }))
-        {
-            return Err(Error::Other(format!("worker {p} is gone")));
-        }
-        ports[p] = Some(FragPort { tx, replies });
-    }
-    let port = ports[p].as_mut().expect("port just ensured");
-    workers[p].push(&mut port.tx, p, cmd)
-}
-
 /// Coordinates one distributed transaction from the client thread: atomic
-/// lock acquisition, batched fragment shipping over the reusable lanes,
-/// early prepares (OP4), 2PC outcome, and (durable mode) the one sequenced
-/// commit flush.
+/// lock acquisition, batched fragment shipping over the client's
+/// connections, early prepares (OP4), 2PC outcome, and (durable mode) the
+/// one sequenced commit flush. A connection's request ring holds at most
+/// an unacknowledged read-only `Prepare` plus the next transaction's
+/// `LogBegin` and opening `ExecBatch`; a written participant gets no
+/// message at its early release, so it adds nothing.
 #[allow(clippy::too_many_lines)]
 pub(super) fn run_distributed<A: LiveAdvisor>(
     env: &Shared<A>,
@@ -108,15 +77,15 @@ pub(super) fn run_distributed<A: LiveAdvisor>(
     plan: &TxnPlan,
     mut session: A::Session,
     lock_holds: &mut Vec<f64>,
-    ports: &mut [Option<FragPort>],
+    conns: &mut Conns<A::Session>,
     acc: &mut StageAcc,
 ) -> Attempt<A::Session> {
     let workers = &env.workers;
     let lock_set = plan.lock_set;
     // Held for the whole coordination; the drop guard also releases on an
     // unwind, so a panicking coordinator cannot wedge later transactions
-    // (an unwinding client also drops its lane producers, and workers roll
-    // back fragments of a closed lane).
+    // (a client dropped by the unwind also closes its connections, and
+    // workers roll back the fragments of a closed one).
     let t_acquire = Instant::now();
     let mut locks_held = env.locks.guard(lock_set);
     let lock_wait = us_since(t_acquire);
@@ -139,8 +108,8 @@ pub(super) fn run_distributed<A: LiveAdvisor>(
     let dist_id = env.durable.as_ref().map(Durable::next_id);
     let mut began = PartitionSet::EMPTY;
     // No reservation step: holding a partition's lock entitles this client
-    // to push on its (lazily registered) fragment lane, and the first push
-    // opens service at the worker. The base partition is a fragment
+    // to send fragment commands on its connection, and the first one opens
+    // service at the worker. The base partition is a fragment
     // executor like the others — control code runs here on the
     // coordinator.
     let n = env.num_partitions as usize;
@@ -155,11 +124,11 @@ pub(super) fn run_distributed<A: LiveAdvisor>(
     // yes; fragment errors surfaced at execution), only an extra message
     // round of lock-hold time per participant. Still reserved means not
     // early-released, or early-released after a write (that worker is
-    // still serving this lane); read-only released participants hear
+    // still serving this connection); read-only released participants hear
     // nothing (they are already out). All sends go out before any
     // acknowledgement is awaited, so participant-side work and modeled
     // delays overlap in wall-clock time.
-    let finish_all = |ports: &mut [Option<FragPort>],
+    let finish_all = |conns: &mut Conns<A::Session>,
                       acc: &mut StageAcc,
                       released: PartitionSet,
                       wrote: PartitionSet,
@@ -167,21 +136,18 @@ pub(super) fn run_distributed<A: LiveAdvisor>(
      -> Result<()> {
         let t_fin = Instant::now();
         let mut failure = None;
+        let mut sent = PartitionSet::EMPTY;
         let reserved = lock_set.difference(released.difference(wrote));
         for p in reserved.iter() {
-            if let Err(e) = push_frag(ports, workers, p as usize, FragCmd::VoteFinish { commit }) {
-                failure = Some(e);
+            match conns.send(workers, p as usize, Call::Frag(FragCmd::VoteFinish { commit })) {
+                Ok(()) => sent.insert(p),
+                Err(e) => failure = Some(e),
             }
         }
-        for p in reserved.iter() {
-            let Some(port) = ports[p as usize].as_ref() else {
-                // The lane registration itself failed above: worker gone.
-                failure = Some(Error::Other(format!("worker {p} is gone")));
-                continue;
-            };
-            match port.replies.take_or_abandon(|| port.tx.is_closed(), &mut acc.reply_parks) {
-                Some(FragReply::Finished) => {}
-                Some(FragReply::Fatal(e)) => failure = Some(e),
+        for p in sent.iter() {
+            match conns.recv(p as usize) {
+                Some(Reply::Finished) => {}
+                Some(Reply::Fatal(e)) => failure = Some(e),
                 Some(_) => failure = Some(Error::Other("fragment protocol violation".into())),
                 None => failure = Some(Error::Other(format!("worker {p} hung up"))),
             }
@@ -211,7 +177,7 @@ pub(super) fn run_distributed<A: LiveAdvisor>(
                 let checked =
                     fp.check_batch(proc_def, env.num_partitions, &batch, lock_set, &mut q_targets);
                 if let Err(observed) = checked {
-                    let fin = finish_all(ports, acc, fp.early_released, wrote_parts, false);
+                    let fin = finish_all(conns, acc, fp.early_released, wrote_parts, false);
                     record_remaining_hold(lock_holds, lock_set, fp.early_released, t_locked);
                     return match fin {
                         Ok(()) => Attempt::Mispredict { observed, session },
@@ -219,7 +185,7 @@ pub(super) fn run_distributed<A: LiveAdvisor>(
                     };
                 }
                 // Ship each participant's share of the batch as ONE
-                // `ExecBatch` — one lane push, one modeled network hop and
+                // `ExecBatch` — one ring push, one modeled network hop and
                 // one reply per participant per batch step, where the
                 // per-query path paid all three per query. Participants
                 // execute their sub-batches concurrently, each stopping at
@@ -244,7 +210,7 @@ pub(super) fn run_distributed<A: LiveAdvisor>(
                     if let Some(id) = dist_id {
                         if !began.contains(p) {
                             // The begin record precedes the partition's
-                            // first fragment in lane order, so the worker
+                            // first fragment in ring order, so the worker
                             // logs it at exactly the position the fragments
                             // serialize at.
                             let begin = FragCmd::LogBegin {
@@ -252,19 +218,15 @@ pub(super) fn run_distributed<A: LiveAdvisor>(
                                 proc: req.proc,
                                 args: req.args.clone(),
                             };
-                            if let Err(e) = push_frag(ports, workers, p as usize, begin) {
+                            if let Err(e) = conns.send(workers, p as usize, Call::Frag(begin)) {
                                 fatal = Some(e);
                                 continue;
                             }
                             began.insert(p);
                         }
                     }
-                    match push_frag(
-                        ports,
-                        workers,
-                        p as usize,
-                        FragCmd::ExecBatch { proc: req.proc, queries },
-                    ) {
+                    let batch = FragCmd::ExecBatch { proc: req.proc, queries };
+                    match conns.send(workers, p as usize, Call::Frag(batch)) {
                         Ok(()) => shipped.insert(p),
                         // Keep shipping to the survivors: their replies and
                         // rollbacks still need collecting below.
@@ -275,13 +237,11 @@ pub(super) fn run_distributed<A: LiveAdvisor>(
                 // order; each is the participant's item list for its whole
                 // sub-batch.
                 for p in shipped.iter() {
-                    let port = ports[p as usize].as_ref().expect("shipped over this port");
-                    match port.replies.take_or_abandon(|| port.tx.is_closed(), &mut acc.reply_parks)
-                    {
-                        Some(FragReply::Batch(items)) => {
+                    match conns.recv(p as usize) {
+                        Some(Reply::Batch(items)) => {
                             per_part[p as usize] = Some(items.into_iter());
                         }
-                        Some(FragReply::Fatal(e)) => fatal = Some(e),
+                        Some(Reply::Fatal(e)) => fatal = Some(e),
                         Some(_) => {
                             fatal = Some(Error::Other("fragment protocol violation".into()));
                         }
@@ -289,7 +249,7 @@ pub(super) fn run_distributed<A: LiveAdvisor>(
                     }
                 }
                 if let Some(e) = fatal {
-                    let _ = finish_all(ports, acc, fp.early_released, wrote_parts, false);
+                    let _ = finish_all(conns, acc, fp.early_released, wrote_parts, false);
                     record_remaining_hold(lock_holds, lock_set, fp.early_released, t_locked);
                     return Attempt::Fatal(e);
                 }
@@ -349,26 +309,29 @@ pub(super) fn run_distributed<A: LiveAdvisor>(
                 for p in to_release.iter() {
                     // A read-only participant gets the prepare, unacknowledged
                     // by design (the paper's unsolicited vote): the worker
-                    // serves this lane's commands in order, so it observes
+                    // serves this connection's commands in order, so it observes
                     // the prepare before anything a later lock holder
                     // pushes — releasing the lock immediately after the
                     // push is safe, and not blocking here keeps the
                     // coordinator off the scheduler's critical path (one
                     // ack round trip per released partition is measurable
                     // on small hosts). A participant whose fragment wrote
-                    // gets nothing: its worker stays on this lane until
+                    // gets nothing: its worker stays on this connection until
                     // `finish_all`'s `VoteFinish`, so the later lock holder
                     // waits for the outcome.
                     let prepared = if wrote_parts.contains(p) {
                         Ok(())
                     } else {
-                        push_frag(ports, workers, p as usize, FragCmd::Prepare)
+                        conns.send(workers, p as usize, Call::Frag(FragCmd::Prepare))
                     };
                     if let Err(e) = prepared {
-                        // The guard drop releases everything still held —
-                        // record the hold time for those partitions like
-                        // every other release path (this partition is still
-                        // held too: `early_released` not yet updated).
+                        // Abort like every other fatal exit, so no
+                        // participant stays reserved on this client's
+                        // connections. The guard drop releases everything
+                        // still held — record the hold time for those
+                        // partitions (this one is still held too:
+                        // `early_released` not yet updated).
+                        let _ = finish_all(conns, acc, fp.early_released, wrote_parts, false);
                         record_remaining_hold(lock_holds, lock_set, fp.early_released, t_locked);
                         return Attempt::Fatal(e);
                     }
@@ -385,7 +348,7 @@ pub(super) fn run_distributed<A: LiveAdvisor>(
                 acc.exec_us += (us_since(t_batch) - batch_est_us).max(0.0);
             }
             Step::Commit => {
-                let fin = finish_all(ports, acc, fp.early_released, wrote_parts, true);
+                let fin = finish_all(conns, acc, fp.early_released, wrote_parts, true);
                 // Durable mode: one durability wait per distributed write
                 // commit, through the shared sequencer — and *after* the
                 // lock guard drops. The ticket is taken first, while every
@@ -406,7 +369,7 @@ pub(super) fn run_distributed<A: LiveAdvisor>(
                 break (fin, true);
             }
             Step::Abort(_) => {
-                let fin = finish_all(ports, acc, fp.early_released, wrote_parts, false);
+                let fin = finish_all(conns, acc, fp.early_released, wrote_parts, false);
                 record_remaining_hold(lock_holds, lock_set, fp.early_released, t_locked);
                 break (fin, false);
             }
@@ -421,6 +384,10 @@ pub(super) fn run_distributed<A: LiveAdvisor>(
 #[cfg(test)]
 mod tests {
     use super::super::lifecycle::tests::durability_dir;
+    use super::super::worker::tests::{
+        bump_id0, committed, drive_worker, reply_within, shard_zero_of_two, single_call,
+        test_env_with, Driver, WAIT,
+    };
     use super::super::{LiveConfig, LiveRuntime};
     use super::*;
     use crate::advisor::{PlanContext, TxnOutcome, Updates};
@@ -638,5 +605,69 @@ mod tests {
         let (_, db) = rt.shutdown();
         let id1 = db.get(1, 0, &[Value::Int(1)]).expect("id 1 lives at partition 1");
         assert_eq!(id1[2], Value::Int(0), "the aborted transaction's bump leaked");
+    }
+
+    /// Locks both partitions with early prepare on, and declares partition
+    /// 1 finished after every query.
+    struct ReleaseOne;
+
+    impl LiveAdvisor for ReleaseOne {
+        type Session = ();
+
+        fn name(&self) -> &str {
+            "release-one"
+        }
+
+        fn plan_live_reusing(
+            &self,
+            _req: &Request,
+            ctx: &PlanContext<'_>,
+            _spare: Option<()>,
+        ) -> (TxnPlan, ()) {
+            let lock_all = TxnPlan::lock_all(0, ctx.num_partitions);
+            (TxnPlan { early_prepare: true, ..lock_all }, ())
+        }
+
+        fn on_query_live(&self, _session: &mut (), _q: &ExecutedQuery) -> Updates {
+            Updates { finished: PartitionSet::single(1), ..Updates::default() }
+        }
+
+        fn replan_live(
+            &self,
+            req: &Request,
+            _observed: PartitionSet,
+            _attempt: u32,
+            ctx: &PlanContext<'_>,
+        ) -> (TxnPlan, ()) {
+            self.plan_live_reusing(req, ctx, None)
+        }
+    }
+
+    #[test]
+    fn a_failed_early_prepare_leaves_no_participant_reserved() {
+        // Worker 1 is gone. The transaction reads id 0 at worker 0, which
+        // opens a reservation there; then its early prepare of partition
+        // 1 fails. The abort must reach worker 0, or worker 0 stays
+        // reserved on this client's connection: the client's next call
+        // would land inside the stale reservation, and another client's
+        // call would wait behind it.
+        let (env, ctrl_rx) = test_env_with(ReleaseOne, 2);
+        let (_, (own_call, other_call)) =
+            drive_worker(ctrl_rx, shard_zero_of_two(), Driver::new(&env), |d| {
+                let args = vec![Value::Array(vec![Value::Int(0)])];
+                let req = Request { proc: 0, args, origin_node: 0 };
+                let plan = TxnPlan { early_prepare: true, ..TxnPlan::lock_all(0, 2) };
+                let mut acc = StageAcc::default();
+                let attempt =
+                    run_distributed(&env, &req, &plan, (), &mut Vec::new(), &mut d.coord, &mut acc);
+                let Attempt::Fatal(e) = attempt else { panic!("the prepare to worker 1 failed") };
+                assert!(e.to_string().contains("worker 1 is gone"), "{e}");
+                d.coord.send(&env.workers, 0, single_call(bump_id0(), false)).expect("push");
+                let own_call = committed(reply_within(&mut d.coord, WAIT));
+                d.single(bump_id0(), false);
+                (own_call, committed(d.single_reply(WAIT)))
+            });
+        assert!(own_call, "the coordinator's next call was not served");
+        assert!(other_call, "another client's call was not served");
     }
 }

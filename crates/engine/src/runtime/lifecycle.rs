@@ -67,9 +67,9 @@ pub(super) struct Shared<A: LiveAdvisor> {
     pub(super) cfg: LiveConfig,
     pub(super) num_partitions: u32,
     pub(super) msg_delay: Duration,
-    /// One control-channel + doorbell gate per partition worker. Fast-path
-    /// traffic bypasses the gate's channel entirely: it rides the issuing
-    /// client's SPSC lane and only rings the gate's bell.
+    /// One control-channel + doorbell gate per partition worker. Calls
+    /// bypass the gate's channel entirely: they ride the issuing client's
+    /// connection and only ring the gate's bell.
     pub(super) workers: Vec<WorkerGate<A::Session>>,
     pub(super) locks: LockManager,
     /// Run-wide counters: [`Client::call`] folds each transaction's
@@ -387,7 +387,7 @@ impl<A: LiveAdvisor + 'static> LiveRuntime<A> {
         let mut worker_rx: Vec<Receiver<CtrlMsg<A::Session>>> = Vec::new();
         for _ in 0..num_partitions {
             let (tx, rx) = channel();
-            gates.push(WorkerGate { ctrl: tx, bell: Doorbell::new() });
+            gates.push(WorkerGate { ctrl: tx, bell: Arc::new(Doorbell::new()) });
             worker_rx.push(rx);
         }
         let shared = Arc::new(Shared {
@@ -526,8 +526,9 @@ impl<A: LiveAdvisor + 'static> LiveRuntime<A> {
         // Workers next: each finishes its current run (and any reservation
         // it is serving) before observing the sentinel, so in-flight
         // transactions complete and queue their feedback before the
-        // maintenance thread stops below. Calls still buffered in a lane
-        // when its worker exits fail cleanly (see `Intake::fail_lanes`).
+        // maintenance thread stops below. A call still unanswered when its
+        // worker exits fails cleanly: the worker's end of its connection
+        // closes and rings the waiting client.
         for gate in &self.shared.workers {
             gate.send_ctrl(CtrlMsg::Shutdown);
         }

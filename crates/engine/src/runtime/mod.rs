@@ -3,23 +3,23 @@
 //! Where [`crate::Simulation`] charges a cost model for time, this module
 //! runs the paper's architecture (§2, Fig. 1) for real: one OS worker
 //! thread per partition with *exclusive ownership* of that partition's
-//! [`storage::Shard`], a lock-free SPSC ring-lane dispatcher with a
-//! doorbell-parked control channel, and any number of caller-owned
+//! [`storage::Shard`], one lock-free SPSC connection per (client, worker)
+//! pair plus a doorbell-parked control channel, and any number of caller-owned
 //! [`Client`] handles that route every request through a shared, trained,
 //! read-only [`LiveAdvisor`].
 //!
 //! ## Module map — one protocol per module
 //!
 //! * `lock` — the partition-lock manager (`LockManager`, `LockGuard`).
-//! * `wire` — every cross-thread message and its carrier (`FragCmd`,
-//!   `FragReply`, `SingleMsg`, `SingleReply`, `CtrlMsg`, `ReplySlot`,
-//!   `WorkerGate`, `FragConn` / `FragPort`).
+//! * `wire` — every cross-thread message and its carrier (`Call`, `Reply`,
+//!   `SingleMsg`, `FragCmd`, `CtrlMsg`; a connection's `End`s, a client's
+//!   `Conns`, a worker's `WorkerGate`).
 //! * `worker` — the partition server: `Intake`, `worker_loop`, and the
 //!   `run_single` fast path.
 //! * `participant` — the participant side of a distributed transaction
 //!   (`serve_reservation`).
-//! * `coord` — the coordinator side (`run_distributed`, `push_frag`).
-//! * `client` — [`Client`] and its fast-path `send_on_lane`.
+//! * `coord` — the coordinator side (`run_distributed`).
+//! * `client` — [`Client`].
 //! * `lifecycle` — [`LiveConfig`], `Shared`, `Durable`, [`LiveRuntime`]
 //!   start / recover / teardown, cluster snapshots, [`run_live`].
 //!
@@ -43,37 +43,43 @@
 //! benchmark entry point [`run_live`] is a thin wrapper over exactly this
 //! lifecycle.
 //!
+//! * **Connections.** Each [`Client`] opens one *connection* with each
+//!   worker it talks to, on first contact: a bounded lock-free SPSC
+//!   request ring ([`common::ring`]) carrying fast-path calls and fragment
+//!   commands, a reply ring carrying every answer, and the two sides'
+//!   [`common::ring::Doorbell`]s — the worker's, which the client rings
+//!   after each push, and the client's own, which the worker rings after
+//!   each reply. Both sides wait the same way, `Doorbell::wait`: spin,
+//!   then park. The hot path crosses no shared mutex and no MPSC channel;
+//!   rare control traffic (registration, snapshot fences, shutdown) rides
+//!   a plain shared channel. Dropping either end closes its rings and
+//!   then rings the peer, so a client that goes away wakes the worker to
+//!   retire the connection, and a worker that shuts down or dies wakes
+//!   every client waiting on it with an error.
 //! * **Workers** (one per partition) own their shard outright — no locks
-//!   guard row access, ever. Fast-path requests arrive on *per-client SPSC
-//!   ring lanes* ([`common::ring`]) — each [`Client`] registers a
-//!   dedicated bounded lock-free lane with each worker it talks to, so
-//!   the hot path crosses no shared mutex and no MPSC channel; rare
-//!   control traffic (lane registration, snapshot fences, shutdown) rides
-//!   a plain shared channel. A worker with everything empty spins
-//!   briefly, then parks on a [`common::ring::Doorbell`] that every
-//!   sender rings. A worker collects work *in runs*: it drains the control
-//!   channel, then sweeps its lanes fairly (round-robin, one message per
-//!   lane per pass) until a pass comes up empty. Each swept
-//!   single-partition transaction is acknowledged the moment it finishes.
+//!   guard row access, ever. A worker collects work *in runs*: it drains
+//!   the control channel, then sweeps its connections fairly (round-robin,
+//!   one message per connection per pass) until a pass comes up empty.
+//!   Each swept single-partition transaction is acknowledged the moment it
+//!   finishes.
 //!   If durability is on and it committed a write, it is first
 //!   command-logged at its service position, and the ack carries a
 //!   flush-sequencer ticket: the client, not the worker, waits for the
-//!   `write+fsync` that covers it (DESIGN.md §7). A reservation
-//!   from a distributed transaction is admitted between runs (everything
-//!   swept before it has executed; per-client FIFO order is the lane
-//!   itself).
+//!   `write+fsync` that covers it (DESIGN.md §7). A fragment command
+//!   swept from a connection opens a reservation, served once the run
+//!   has executed (everything swept before it has executed; per-client
+//!   FIFO order is the request ring itself).
 //! * **Clients** (the paper's §6.4 load generators, or any embedding
 //!   application thread) plan each request via the shared advisor, then
 //!   either hand the whole transaction to its base partition's worker, or
 //!   — for a multi-partition lock set — become the transaction's
 //!   *coordinator*: they acquire the cluster lock atomically, drive the
-//!   control code themselves, and ship query fragments over reusable
-//!   per-(client, worker) SPSC *fragment lanes* (`FragConn`, registered
-//!   once like the fast path's lanes), batched per participant per query
-//!   batch (`FragCmd::ExecBatch`). Holding a partition's lock entitles
-//!   the client to push on its lane — the lock *is* the reservation, so
-//!   the steady state has no per-transaction channel setup and no
-//!   reservation round trip at all.
+//!   control code themselves, and ship query fragments over the same
+//!   connections, batched per participant per query batch
+//!   (`FragCmd::ExecBatch`). Holding a partition's lock entitles the
+//!   client to send fragment commands on its connection — the lock *is*
+//!   the reservation, so the steady state has no per-transaction channel
+//!   setup and no reservation round trip at all.
 //! * **The lock manager** is sharded by partition: one FIFO ticket queue
 //!   and condvar per partition, claimed in ascending partition order —
 //!   distributed transactions on disjoint shards never touch the same
@@ -125,14 +131,14 @@
 //! *read-only* participant is sent an early prepare and simply drops the
 //! reservation — nothing to flush, undo, or decide (the classic 2PC
 //! read-only optimization); nothing is awaited, and the worker (serving
-//! this lane's commands in order) observes it before anything a later lock
-//! holder pushes. A participant whose fragment *wrote* is sent nothing: its
-//! worker stays in `serve_reservation` on this coordinator's fragment lane,
-//! keeps the fragment's undo log, and ends the reservation on the ordinary
-//! `VoteFinish` (commit keeps the effects, abort rolls them back). If the
-//! coordinator dies first, its lane closes and the worker rolls back. A
-//! later lock holder of that partition, and fast-path singles routed to
-//! it, wait for the outcome.
+//! this connection's commands in order) observes it before anything a
+//! later lock holder pushes. A participant whose fragment *wrote* is sent
+//! nothing: its worker stays in `serve_reservation` on this coordinator's
+//! connection, keeps the fragment's undo log, and ends the reservation on
+//! the ordinary `VoteFinish` (commit keeps the effects, abort rolls them
+//! back). If the coordinator dies first, its connection closes and the
+//! worker rolls back. A later lock holder of that partition, and
+//! fast-path singles routed to it, wait for the outcome.
 //!
 //! Deadlock-freedom still holds: a parked participant waits only for the
 //! coordinator that released it, and "C' reserves a worker parked for C"
@@ -163,7 +169,7 @@
 //! Every [`Client::call`] attributes its wall time across the paper's
 //! Fig. 11 buckets into `RunMetrics::profile`: advisor planning/updates →
 //! `Estimation`; fragment/control-code execution → `Execution`; lock
-//! acquisition, 2PC, fast-path channel hops, and the sequenced commit
+//! acquisition, 2PC, fast-path ring hops, and the sequenced commit
 //! flush → `Coordination`,
 //! further split into `CoordSub::{LockWait, TwoPc, Flush}` sub-buckets
 //! (a fast-path writer's durable wait is `Flush` too); time a fast-path
@@ -190,16 +196,10 @@ use std::time::Duration;
 #[cfg(doc)]
 use storage::Database;
 
-/// Watchdog interval of a client parked on its reply slot (it parks only
-/// after the spin of `common::ring::spin`). A reply normally arrives as a
-/// condvar signal; the tick only bounds how long a client can sleep past
-/// a shutdown that retired its lane with the call still buffered (the
-/// "calls racing shutdown fail cleanly" contract).
-const REPLY_WATCHDOG: Duration = Duration::from_millis(25);
-
-/// Capacity of one client→worker SPSC lane. A blocking [`Client`] keeps
-/// at most one fast-path call, or three fragment commands, in a lane, so
-/// a push that finds it full is reported as an error, never retried.
+/// Capacity of each of a connection's two SPSC rings. A blocking
+/// [`Client`] keeps at most one fast-path call, or three fragment
+/// commands, in the request ring, and has at most one reply outstanding,
+/// so a push that finds a ring full is reported as an error, never retried.
 const LANE_CAPACITY: usize = 8;
 
 /// Bound of the session-teardown → maintenance-thread feedback channel

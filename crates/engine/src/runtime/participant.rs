@@ -1,8 +1,8 @@
 //! The participant side of a distributed transaction: serving one
-//! coordinator's fragment lane until its reservation ends.
+//! coordinator's connection until its reservation ends.
 
 use super::lifecycle::Shared;
-use super::wire::{BatchItem, FragCmd, FragConn, FragReply};
+use super::wire::{BatchItem, Call, FragCmd, Reply, WorkerEnd};
 use crate::advisor::LiveAdvisor;
 use crate::exec::execute_fragment;
 use common::ring::Doorbell;
@@ -10,12 +10,12 @@ use common::Error;
 use storage::{Shard, UndoLog};
 use wal::LogRecord;
 
-/// Holds the worker for one distributed transaction: execute the fragments
-/// arriving on `conn` against the owned shard, in lane order, until the
-/// reservation ends (between commands it waits on the worker's doorbell
-/// `bell`: spin, then park — [`FragConn::recv`]). It ends
-/// on the coordinator's `VoteFinish` (commit keeps the fragments' effects,
-/// abort rolls them back), on a read-only early prepare, or when the lane
+/// Holds the worker for one distributed transaction: execute `first`, then
+/// the fragment commands arriving on `conn`, against the owned shard, in
+/// ring order, until the reservation ends (between commands it waits on
+/// the worker's doorbell `bell`: spin, then park). It ends on the
+/// coordinator's `VoteFinish` (commit keeps the fragments' effects, abort
+/// rolls them back), on a read-only early prepare, or when the connection
 /// closes because the coordinator died (rolled back). A participant whose
 /// fragment wrote stays here through its early release: fast-path singles
 /// queued meanwhile wait for the outcome.
@@ -23,13 +23,15 @@ pub(super) fn serve_reservation<A: LiveAdvisor>(
     shard: &mut Shard,
     env: &Shared<A>,
     bell: &Doorbell,
-    conn: &mut FragConn,
+    conn: &mut WorkerEnd<A::Session>,
+    first: FragCmd,
 ) {
     let mut undo = UndoLog::new();
     let mut dist_id: Option<u64> = None;
+    let mut cmd = first;
     loop {
-        match conn.recv(bell) {
-            Some(FragCmd::LogBegin { txn_id, proc, args }) => {
+        match cmd {
+            FragCmd::LogBegin { txn_id, proc, args } => {
                 // Durable mode only (never sent otherwise): record the
                 // distributed transaction's begin at its service position —
                 // before any of its fragments execute here. No reply, no
@@ -41,7 +43,7 @@ pub(super) fn serve_reservation<A: LiveAdvisor>(
                 }
                 dist_id = Some(txn_id);
             }
-            Some(FragCmd::ExecBatch { proc, queries }) => {
+            FragCmd::ExecBatch { proc, queries } => {
                 // One modeled network hop covers the whole sub-batch —
                 // exactly the per-query message cost batching removes.
                 std::thread::sleep(env.msg_delay);
@@ -66,16 +68,16 @@ pub(super) fn serve_reservation<A: LiveAdvisor>(
                     }
                 }
                 let reply = match fatal {
-                    Some(e) => FragReply::Fatal(e),
-                    None => FragReply::Batch(items),
+                    Some(e) => Reply::Fatal(e),
+                    None => Reply::Batch(items),
                 };
-                if !conn.send(reply) {
+                if conn.send(reply).is_err() {
                     // Coordinator vanished: restore the shard and move on.
                     let _ = shard.rollback(&mut undo);
                     return;
                 }
             }
-            Some(FragCmd::Prepare) => {
+            FragCmd::Prepare => {
                 // Early prepare (OP4) of a read-only participant: no
                 // effects to keep or undo, no outcome to wait for — the
                 // reservation simply ends and the worker serves everything
@@ -84,7 +86,7 @@ pub(super) fn serve_reservation<A: LiveAdvisor>(
                 debug_assert!(undo.is_empty(), "read-only fragment logged undo");
                 return;
             }
-            Some(FragCmd::VoteFinish { commit }) => {
+            FragCmd::VoteFinish { commit } => {
                 // Coalesced 2PC: flush-and-vote plus the decision in one
                 // message — one modeled network hop, one acknowledgement.
                 // Outcome-identical to Vote + Finish because the vote is
@@ -99,59 +101,71 @@ pub(super) fn serve_reservation<A: LiveAdvisor>(
                 }
                 let reply = if commit {
                     undo.clear();
-                    FragReply::Finished
+                    Reply::Finished
                 } else {
                     match shard.rollback(&mut undo) {
-                        Ok(()) => FragReply::Finished,
-                        Err(e) => FragReply::Fatal(e),
+                        Ok(()) => Reply::Finished,
+                        Err(e) => Reply::Fatal(e),
                     }
                 };
                 let _ = conn.send(reply);
+                return;
+            }
+        }
+        cmd = match conn.recv(bell) {
+            Some(Call::Frag(next)) => next,
+            Some(Call::Single(_)) => {
+                // The coordinator's call unwound mid-transaction (a panic
+                // its caller caught) and left this reservation open: roll
+                // it back, and fail the new call.
+                let _ = shard.rollback(&mut undo);
+                let _ = conn.send(Reply::Fatal(Error::Other("call inside a reservation".into())));
                 return;
             }
             None => {
                 let _ = shard.rollback(&mut undo);
                 return;
             }
-        }
+        };
     }
 }
 
 #[cfg(test)]
 mod tests {
-    use super::super::wire::SingleReply;
     use super::super::worker::tests::*;
     use super::*;
+    use crate::baselines::AssumeSinglePartition;
     use crate::procedure::testing::kv_database;
     use common::{QueryId, Value};
     use std::time::{Duration, Instant};
     use storage::Row;
 
     /// Hand-drives one written-and-released participant: a write fragment
-    /// bumps id 0 by 10, then a fast-path single bumping the same row is
-    /// pushed behind it. The coordinator sends nothing at the release, so
-    /// the worker stays on the fragment lane and the single must not be
-    /// acknowledged before the outcome; `end` then resolves the
-    /// reservation (a `VoteFinish`, or the coordinator's death). Returns
-    /// (the single's reply, final snapshot, snapshot before the fragment).
+    /// bumps id 0 by 10, then another client's fast-path single bumping the
+    /// same row is pushed behind it. The coordinator sends nothing at the
+    /// release, so the worker stays on the coordinator's connection and the
+    /// single must not be acknowledged before the outcome; `end` then
+    /// resolves the reservation (a `VoteFinish`, or the coordinator's
+    /// death). Returns (whether the single committed, final snapshot,
+    /// snapshot before the fragment).
     fn drive_parked_participant(
-        end: impl FnOnce(&mut Driver<'_>),
-    ) -> (SingleReply<()>, TableRows, TableRows) {
+        end: impl FnOnce(&mut Driver<'_, AssumeSinglePartition>),
+    ) -> (bool, TableRows, TableRows) {
         let (env, ctrl_rx) = test_env(2);
         let shard = shard_zero_of_two();
         let before = table_snapshot(&shard, 0);
-        let (shard, reply) = drive_worker(ctrl_rx, shard, Driver::new(&env), |d| {
+        let (shard, committed) = drive_worker(ctrl_rx, shard, Driver::new(&env), |d| {
             let rows = d.exec(vec![(1, vec![Value::Int(0), Value::Int(10)])]);
             assert_eq!(rows[0].len(), 1);
-            let slot = d.single(bump_id0(), false);
+            d.single(bump_id0(), false);
             assert!(
-                slot.take_within(Duration::from_millis(200)).is_none(),
+                d.single_reply(Duration::from_millis(200)).is_none(),
                 "a single was served while its partition was still reserved"
             );
             end(d);
-            slot.take_within(WAIT).expect("single served after the reservation")
+            committed(d.single_reply(WAIT))
         });
-        (reply, table_snapshot(&shard, 0), before)
+        (committed, table_snapshot(&shard, 0), before)
     }
 
     /// `rows` with id 0's counter set to `v`.
@@ -161,17 +175,10 @@ mod tests {
         rows
     }
 
-    fn assert_committed(reply: SingleReply<()>) {
-        match reply {
-            SingleReply::Done { committed, .. } => assert!(committed),
-            _ => panic!("expected Done"),
-        }
-    }
-
     #[test]
     fn parked_participant_abort_restores_the_shard_before_the_single_runs() {
-        let (reply, after, before) = drive_parked_participant(|d| d.vote_finish(false));
-        assert_committed(reply);
+        let (committed, after, before) = drive_parked_participant(|d| d.vote_finish(false));
+        assert!(committed);
         // The fragment's +10 is gone byte for byte; the single's +1 ran on
         // the restored state.
         assert_eq!(after, with_id0(before, 1));
@@ -179,33 +186,53 @@ mod tests {
 
     #[test]
     fn parked_participant_commit_keeps_both_effects() {
-        let (reply, after, before) = drive_parked_participant(|d| d.vote_finish(true));
-        assert_committed(reply);
+        let (committed, after, before) = drive_parked_participant(|d| d.vote_finish(true));
+        assert!(committed);
         assert_eq!(after, with_id0(before, 11));
     }
 
     #[test]
     fn dead_coordinator_rolls_back_and_the_queued_single_is_served() {
-        // The coordinator unwinds without an outcome: its lane closes, the
-        // worker rolls the fragment back and serves the queued single.
-        let (reply, after, before) = drive_parked_participant(|d| d.drop_frag_port());
-        assert_committed(reply);
+        // The coordinator unwinds without an outcome: its connection
+        // closes, the worker rolls the fragment back and serves the queued
+        // single.
+        let (committed, after, before) = drive_parked_participant(|d| d.drop_coord());
+        assert!(committed);
         assert_eq!(after, with_id0(before, 1));
+    }
+
+    #[test]
+    fn a_call_inside_its_own_reservation_rolls_it_back_and_fails() {
+        // A coordinator whose call unwound mid-transaction, and whose
+        // caller caught the panic, calls again on the same connection
+        // while its write fragment's reservation is still open.
+        let (env, ctrl_rx) = test_env(2);
+        let shard = shard_zero_of_two();
+        let before = table_snapshot(&shard, 0);
+        let (shard, reply) = drive_worker(ctrl_rx, shard, Driver::new(&env), |d| {
+            d.exec(vec![(1, vec![Value::Int(0), Value::Int(10)])]);
+            d.coord.send(&env.workers, 0, single_call(bump_id0(), false)).expect("push");
+            reply_within(&mut d.coord, WAIT)
+        });
+        assert!(matches!(reply, Some(Reply::Fatal(_))), "the call was not failed");
+        assert_eq!(table_snapshot(&shard, 0), before, "the abandoned fragment's +10 survived");
     }
 
     #[test]
     fn read_only_early_prepare_ends_the_reservation() {
         // A read fragment, then the read-only early prepare: the worker
-        // leaves the lane at once and serves the single with no outcome.
+        // ends the reservation at once and serves the single with no
+        // outcome.
         let (env, ctrl_rx) = test_env(2);
         let shard = shard_zero_of_two();
         let before = table_snapshot(&shard, 0);
-        let (shard, reply) = drive_worker(ctrl_rx, shard, Driver::new(&env), |d| {
+        let (shard, committed) = drive_worker(ctrl_rx, shard, Driver::new(&env), |d| {
             d.exec(vec![(0, vec![Value::Int(0)])]);
             d.frag(FragCmd::Prepare);
-            d.single(bump_id0(), false).take_within(WAIT).expect("single served")
+            d.single(bump_id0(), false);
+            committed(d.single_reply(WAIT))
         });
-        assert_committed(reply);
+        assert!(committed);
         assert_eq!(table_snapshot(&shard, 0), with_id0(before, 1));
     }
 

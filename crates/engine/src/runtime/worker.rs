@@ -2,27 +2,31 @@
 
 use super::lifecycle::Shared;
 use super::participant::serve_reservation;
-use super::wire::{us_since, CtrlMsg, FragConn, SingleMsg, SingleReply, StageTimes};
+use super::wire::{us_since, Call, CtrlMsg, FragCmd, Reply, SingleMsg, StageTimes, WorkerEnd};
 use crate::advisor::{LiveAdvisor, Request, TxnPlan};
 use crate::exec::execute_fragment;
 use crate::procedure::Step;
 use crate::txn::{Cursor, Footprint};
-use common::ring;
 use common::sync::mpsc::{Receiver, Sender};
 use common::{Error, PartitionSet};
+use std::collections::VecDeque;
 use std::time::Instant;
 use storage::Shard;
 
 /// One worker's inbound state: the control receiver (its half of the
-/// `WorkerGate`), the registered fast-path and fragment lanes, and
-/// what the control channel delivered but the main loop has not yet served.
+/// `WorkerGate`), the registered connections, and what the control
+/// channel and the sweeps delivered but the main loop has not yet served.
 /// Every "collect work" step of [`worker_loop`] is one [`Intake::poll`],
 /// so the doorbell protocol's mandatory second look is the same code as
 /// the first.
 struct Intake<'a, S> {
     ctrl: &'a Receiver<CtrlMsg<S>>,
-    lanes: Vec<ring::Consumer<SingleMsg<S>>>,
-    frag_lanes: Vec<FragConn>,
+    /// Swept calls and opened reservations name their connection by index
+    /// here, so connections are retired only while neither holds any.
+    conns: Vec<WorkerEnd<S>>,
+    /// Reservations a sweep opened: the connection and its first fragment
+    /// command, served in sweep order once the current run has executed.
+    opened: VecDeque<(usize, FragCmd)>,
     /// Pending cluster-snapshot requests (served only at the main loop's
     /// top — never inside a reservation).
     snaps: Vec<(u64, Sender<()>)>,
@@ -33,115 +37,94 @@ struct Intake<'a, S> {
 }
 
 impl<S> Intake<'_, S> {
-    /// Drains the control channel: registers new lanes, queues snapshot
-    /// fences, records shutdown. Never blocks: the doorbell is the only
-    /// park/wake mechanism, and every control sender rings it.
+    /// Drains the control channel: registers new connections, queues
+    /// snapshot fences, records shutdown. Never blocks: the doorbell is
+    /// the only park/wake mechanism, and every control sender rings it.
     fn gather_ctrl(&mut self) {
         while let Ok(m) = self.ctrl.try_recv() {
             match m {
-                CtrlMsg::Lane(l) => self.lanes.push(l),
-                CtrlMsg::FragLane(c) => self.frag_lanes.push(c),
+                CtrlMsg::Connect(c) => self.conns.push(c),
                 CtrlMsg::Snapshot { gen, done } => self.snaps.push((gen, done)),
                 CtrlMsg::Shutdown => self.shutdown = true,
             }
         }
     }
 
-    /// Fair sweep over the fast-path lanes: one pop per lane per pass,
-    /// round-robin, until a full pass yields nothing — no lane can starve
-    /// another, and a blocking client has at most one call in flight per
-    /// lane, so the sweep is bounded and ends as soon as every client is
-    /// waiting on a reply. Lanes whose producer dropped (client gone) are
-    /// retired once drained.
-    fn sweep_lanes(&mut self, run: &mut Vec<SingleMsg<S>>) {
+    /// Fair sweep over the connections: one pop per connection per pass,
+    /// round-robin, until a full pass yields nothing — no client can
+    /// starve another, and a blocking client has at most one call in
+    /// flight, so the sweep is bounded and ends as soon as every client is
+    /// waiting on a reply. A fragment command opens a reservation: it is
+    /// held aside, and the sweep pops nothing more from that connection,
+    /// whose later commands belong to the reservation.
+    fn sweep(&mut self, run: &mut Vec<(usize, SingleMsg<S>)>) {
         loop {
             let mut any = false;
-            for lane in self.lanes.iter_mut() {
-                if let Some(m) = lane.pop() {
-                    run.push(m);
-                    any = true;
+            for (i, c) in self.conns.iter_mut().enumerate() {
+                if self.opened.iter().any(|&(j, _)| j == i) {
+                    continue;
                 }
+                match c.try_recv() {
+                    Some(Call::Single(m)) => run.push((i, m)),
+                    Some(Call::Frag(cmd)) => self.opened.push_back((i, cmd)),
+                    None => continue,
+                }
+                any = true;
             }
             if !any {
                 break;
             }
         }
-        self.lanes.retain(|l| !l.is_closed());
     }
 
-    /// The first fragment lane with a command buffered, if any — a
-    /// distributed transaction is waiting to be served.
-    fn next_reservation(&self) -> Option<usize> {
-        self.frag_lanes.iter().position(|c| !c.frags.is_empty())
-    }
-
-    /// One collection step: control drain, lane sweep, then whether the
-    /// main loop has anything to do — swept singles, a waiting
-    /// reservation, a snapshot fence, or shutdown.
-    fn poll(&mut self, run: &mut Vec<SingleMsg<S>>) -> bool {
+    /// One collection step: control drain, sweep, then whether the main
+    /// loop has anything to do — swept singles, an opened reservation, a
+    /// snapshot fence, or shutdown.
+    fn poll(&mut self, run: &mut Vec<(usize, SingleMsg<S>)>) -> bool {
         self.gather_ctrl();
-        self.sweep_lanes(run);
-        !run.is_empty()
-            || self.next_reservation().is_some()
-            || !self.snaps.is_empty()
-            || self.shutdown
-    }
-
-    /// Shutdown teardown: calls swept but not yet executed, plus
-    /// everything still buffered in the lanes, fail cleanly — the client
-    /// racing shutdown gets an error rather than silence (its
-    /// abandoned-lane watchdog is only the backstop for a message
-    /// discarded between push and sweep).
-    fn fail_lanes(&mut self, run: &mut Vec<SingleMsg<S>>) {
-        let dead = |m: SingleMsg<S>| {
-            m.reply.put(SingleReply::Fatal(Error::Other("runtime shut down".into())));
-        };
-        run.drain(..).for_each(&dead);
-        for lane in self.lanes.iter_mut() {
-            while let Some(m) = lane.pop() {
-                dead(m);
-            }
-        }
+        self.sweep(run);
+        !run.is_empty() || !self.opened.is_empty() || !self.snaps.is_empty() || self.shutdown
     }
 }
 
 /// One partition's server loop: collect work *in runs* until shutdown,
 /// then hand the shard back. Each run is one [`Intake::poll`] — a
-/// control-channel drain followed by a fair lane sweep — taken through
-/// [`common::ring::Doorbell::wait`]: an idle worker re-polls through the
-/// spin budget, then parks on its doorbell.
+/// control-channel drain followed by a fair sweep of the connections —
+/// taken through [`common::ring::Doorbell::wait`]: an idle worker re-polls
+/// through the spin budget, then parks on its doorbell.
 ///
-/// Every served message is acknowledged the moment its transaction
-/// finishes. With durability on, a committed writer is first
+/// Every served call is answered on its connection the moment its
+/// transaction finishes. With durability on, a committed writer is first
 /// command-logged at its service position, and its reply carries the
 /// sequencer ticket its client then waits on ([`run_single`]); the worker
 /// itself never waits for the device, and reads skip the log, as under
 /// H-Store command logging. A reservation from a distributed
-/// transaction is admitted between runs, so it observes exactly the state
+/// transaction is served between runs, so it observes exactly the state
 /// a one-message-at-a-time loop would have produced.
 ///
-/// A reservation holds the worker on its fragment lane until it ends
+/// A reservation holds the worker on its connection until it ends
 /// ([`serve_reservation`]), through an early release of a partition its
 /// fragment wrote too: singles and other reservations queued meanwhile wait
-/// for the outcome. At shutdown, calls still buffered in the lanes are
-/// failed cleanly ([`Intake::fail_lanes`]) rather than executed — a client
-/// racing shutdown gets an error, never silence.
+/// for the outcome. At shutdown, or if this thread dies, dropping the
+/// connections closes their reply rings and rings every client: calls
+/// swept or still buffered get `None`, and their clients an error, never
+/// silence.
 pub(super) fn worker_loop<A: LiveAdvisor>(
     mut shard: Shard,
     ctrl: &Receiver<CtrlMsg<A::Session>>,
     env: &Shared<A>,
     me: usize,
 ) -> Shard {
-    let bell = &env.workers[me].bell;
+    let bell = &*env.workers[me].bell;
     let mut intake = Intake {
         ctrl,
-        lanes: Vec::new(),
-        frag_lanes: Vec::new(),
+        conns: Vec::new(),
+        opened: VecDeque::new(),
         snaps: Vec::new(),
         shutdown: false,
         targets: Vec::new(),
     };
-    let mut run: Vec<SingleMsg<A::Session>> = Vec::new();
+    let mut run: Vec<(usize, SingleMsg<A::Session>)> = Vec::new();
     while !intake.shutdown {
         while let Some((gen, done)) = intake.snaps.pop() {
             // The snapshot fence holds every partition lock, so this shard
@@ -156,50 +139,51 @@ pub(super) fn worker_loop<A: LiveAdvisor>(
                 .expect("write snapshot");
             let _ = done.send(());
         }
-        // A non-empty fragment lane is a reservation: its client holds
-        // this partition's lock and pushed the transaction's first
-        // command. The lock is exclusive, so a second lane fills only after
-        // an early release, and then waits here until the released
-        // transaction's reservation ends; a closed lane's leftovers come
-        // from a coordinator that died mid-transaction and are rolled back
-        // inside serve.
-        if let Some(lane) = intake.next_reservation() {
-            serve_reservation(&mut shard, env, bell, &mut intake.frag_lanes[lane]);
+        // An opened reservation: its client holds this partition's lock
+        // and sent the transaction's first command. The lock is exclusive,
+        // so a second one opens only after an early release, and then
+        // waits here until the released transaction's reservation ends; a
+        // closed connection's leftovers come from a coordinator that died
+        // mid-transaction and are rolled back inside serve.
+        if let Some((c, first)) = intake.opened.pop_front() {
+            serve_reservation(&mut shard, env, bell, &mut intake.conns[c], first);
             continue;
         }
-        intake.frag_lanes.retain(|c| !c.frags.is_closed());
+        // Nothing refers to a connection by index here.
+        intake.conns.retain(|c| !c.is_closed());
         // Closed-loop clients resubmit within microseconds of their acks,
         // so the wait's spin usually catches the next run without a park
         // and wake, whose scheduler latency would land in the Queueing
-        // bucket. The run may be empty when the poll found a reservation
-        // or a snapshot fence: the loop's top serves those.
+        // bucket. The run may be empty when the poll opened a reservation
+        // or found a snapshot fence: the loop's top serves those.
         bell.wait(|| intake.poll(&mut run).then_some(()));
         if intake.shutdown {
             break;
         }
         let mut t_cursor = Instant::now();
-        for msg in run.drain(..) {
-            let SingleMsg { req, plan, session, reply, enqueued } = msg;
+        for (c, msg) in run.drain(..) {
+            let SingleMsg { req, plan, session, enqueued } = msg;
             let mut out = run_single(&mut shard, env, req, &plan, session, &mut intake.targets);
             stamp_times(&mut out, enqueued, &mut t_cursor);
-            reply.put(out.reply);
+            // A full ring is impossible (one call in flight per client);
+            // a closed one means the client is gone.
+            let _ = intake.conns[c].send(out.reply);
         }
     }
-    intake.fail_lanes(&mut run);
     shard
 }
 
 /// What one fast-path execution produced: the client reply plus the
 /// advisor share of its execution time.
 struct SingleOutcome<S> {
-    reply: SingleReply<S>,
+    reply: Reply<S>,
     /// Advisor time (`on_query_live`) inside this execution, for Fig. 11.
     est_us: f64,
 }
 
 impl<S> SingleOutcome<S> {
     fn fatal(e: Error) -> Self {
-        SingleOutcome { reply: SingleReply::Fatal(e), est_us: 0.0 }
+        SingleOutcome { reply: Reply::Fatal(e), est_us: 0.0 }
     }
 }
 
@@ -213,8 +197,7 @@ fn stamp_times<S>(out: &mut SingleOutcome<S>, enqueued: Instant, t_cursor: &mut 
     let queued_us = t_cursor.duration_since(enqueued).as_secs_f64() * 1e6;
     let exec_us = ((t_done - *t_cursor).as_secs_f64() * 1e6 - out.est_us).max(0.0);
     *t_cursor = t_done;
-    if let SingleReply::Done { times, .. } | SingleReply::Mispredict { times, .. } = &mut out.reply
-    {
+    if let Reply::Done { times, .. } | Reply::Mispredict { times, .. } = &mut out.reply {
         *times = StageTimes { queued_us, est_us: out.est_us, exec_us };
     }
 }
@@ -293,9 +276,9 @@ fn run_single<A: LiveAdvisor>(
                 Some(d) if committed && wrote => Some(d.append_local(me, &req)),
                 _ => None,
             };
-            SingleReply::Done { committed, session, fp, times, ticket }
+            Reply::Done { committed, session, fp, times, ticket }
         }
-        Err(observed) => SingleReply::Mispredict { req, observed, session, times },
+        Err(observed) => Reply::Mispredict { req, observed, session, times },
     };
     SingleOutcome { reply, est_us }
 }
@@ -303,15 +286,12 @@ fn run_single<A: LiveAdvisor>(
 #[cfg(test)]
 pub(super) mod tests {
     //! Besides the worker's own tests, home of the shared hand-driving kit
-    //! ([`Driver`], [`drive_worker`]) the `participant` tests also import.
+    //! ([`Driver`], [`drive_worker`]) the `participant` and `coord` tests
+    //! also import.
 
-    use super::super::client::send_on_lane;
-    use super::super::coord::push_frag;
     use super::super::lifecycle::LiveConfig;
     use super::super::lock::LockManager;
-    use super::super::wire::{
-        BatchItem, FragCmd, FragPort, FragReply, ReplySlot, SingleSlot, WorkerGate,
-    };
+    use super::super::wire::{BatchItem, Conns, WorkerGate};
     use super::*;
     use crate::baselines::AssumeSinglePartition;
     use crate::metrics::RunMetrics;
@@ -343,20 +323,29 @@ pub(super) mod tests {
     /// Upper bound on any reply wait in the hand-driven protocol tests.
     pub(in crate::runtime) const WAIT: Duration = Duration::from_secs(30);
 
-    /// A single-gate [`Shared`] for hand-driving worker 0, plus that
-    /// worker's control receiver; the lock manager and feedback plumbing
+    /// A [`Shared`] over `advisor` and the KV registry with one gate per
+    /// partition, plus worker 0's control receiver. Every other worker is
+    /// gone (its receiver dropped); the lock manager and feedback plumbing
     /// stay unused.
-    pub(in crate::runtime) fn test_env(parts: u32) -> (TestEnv, Receiver<CtrlMsg<()>>) {
+    pub(in crate::runtime) fn test_env_with<A: LiveAdvisor>(
+        advisor: A,
+        parts: u32,
+    ) -> (Shared<A>, Receiver<CtrlMsg<A::Session>>) {
         let reg = kv_registry();
-        let (ctrl_tx, ctrl_rx) = channel();
+        let (workers, mut receivers): (Vec<_>, Vec<_>) = (0..parts)
+            .map(|_| {
+                let (ctrl, rx) = channel();
+                (WorkerGate { ctrl, bell: Arc::new(Doorbell::new()) }, rx)
+            })
+            .unzip();
         let env = Shared {
             catalog: reg.catalog(),
             registry: reg,
-            advisor: AssumeSinglePartition::new(),
+            advisor,
             cfg: LiveConfig::default(),
             num_partitions: parts,
             msg_delay: Duration::ZERO,
-            workers: vec![WorkerGate { ctrl: ctrl_tx, bell: Doorbell::new() }],
+            workers,
             locks: LockManager::new(parts),
             metrics: Mutex::new(RunMetrics::default()),
             fb_tx: None,
@@ -364,41 +353,74 @@ pub(super) mod tests {
             started: Instant::now(),
             durable: None,
         };
-        (env, ctrl_rx)
+        (env, receivers.swap_remove(0))
+    }
+
+    /// [`test_env_with`] an `AssumeSinglePartition` advisor.
+    pub(in crate::runtime) fn test_env(parts: u32) -> (TestEnv, Receiver<CtrlMsg<()>>) {
+        test_env_with(AssumeSinglePartition::new(), parts)
+    }
+
+    /// One `MultiGet(args)` single planned for partition 0.
+    pub(in crate::runtime) fn single_call(args: Vec<Value>, disable_undo: bool) -> Call<()> {
+        Call::Single(SingleMsg {
+            req: Request { proc: 0, args, origin_node: 0 },
+            plan: TxnPlan { disable_undo, ..TxnPlan::single(0) },
+            session: (),
+            enqueued: Instant::now(),
+        })
+    }
+
+    /// Waits up to `within` for worker 0's next reply on `conns`; `None` on
+    /// timeout, or once the worker's end is gone. It polls, because a
+    /// deadline cannot wake a parked doorbell.
+    pub(in crate::runtime) fn reply_within(
+        conns: &mut Conns<()>,
+        within: Duration,
+    ) -> Option<Reply<()>> {
+        let deadline = Instant::now() + within;
+        let end = conns.end(0)?;
+        loop {
+            match end.poll() {
+                Some(reply) => return reply,
+                None if Instant::now() >= deadline => return None,
+                None => std::thread::sleep(Duration::from_millis(1)),
+            }
+        }
     }
 
     /// The client side of the wire protocol against worker 0, spoken
-    /// through the production entry points ([`push_frag`] for fragment
-    /// commands, [`send_on_lane`] for fast-path singles — both register
-    /// their lane on first use, exactly as a [`Client`] does). Dropping it
-    /// retires both lanes and sends `Shutdown`, so a script that panics
-    /// releases the worker instead of deadlocking the scope join.
-    pub(in crate::runtime) struct Driver<'a> {
-        env: &'a TestEnv,
-        ports: Vec<Option<FragPort>>,
-        lanes: Vec<Option<ring::Producer<SingleMsg<()>>>>,
+    /// through the production [`Conns`]. `coord`'s connection carries
+    /// fragment commands; a second client's carries fast-path singles (a
+    /// coordinator sends no call while its reservation is open). Dropping
+    /// it closes both connections and sends `Shutdown`, so a script that
+    /// panics releases the worker instead of deadlocking the scope join.
+    pub(in crate::runtime) struct Driver<'a, A: LiveAdvisor<Session = ()>> {
+        env: &'a Shared<A>,
+        pub(in crate::runtime) coord: Conns<()>,
+        singles: Conns<()>,
     }
 
-    impl<'a> Driver<'a> {
-        pub(in crate::runtime) fn new(env: &'a TestEnv) -> Self {
-            Driver { env, ports: vec![None], lanes: vec![None] }
+    impl<'a, A: LiveAdvisor<Session = ()>> Driver<'a, A> {
+        pub(in crate::runtime) fn new(env: &'a Shared<A>) -> Self {
+            let n = env.workers.len();
+            Driver { env, coord: Conns::new(n), singles: Conns::new(n) }
         }
 
         /// Pushes one fragment command — the lock holder's side of a
-        /// reservation (the first push opens service at the worker).
+        /// reservation (the first one opens service at the worker).
         pub(in crate::runtime) fn frag(&mut self, cmd: FragCmd) {
-            push_frag(&mut self.ports, &self.env.workers, 0, cmd).expect("fragment push");
+            self.coord.send(&self.env.workers, 0, Call::Frag(cmd)).expect("fragment push");
         }
 
-        /// Blocks for the worker's reply on the fragment lane's slot.
-        pub(in crate::runtime) fn frag_reply(&self) -> FragReply {
-            let port = self.ports[0].as_ref().expect("fragment lane registered");
-            port.replies.take_within(WAIT).expect("fragment reply")
+        /// Waits for the worker's next reply to the coordinator.
+        pub(in crate::runtime) fn frag_reply(&mut self) -> Reply<()> {
+            reply_within(&mut self.coord, WAIT).expect("fragment reply")
         }
 
         /// The per-query rows of the `ExecBatch` reply now due.
-        pub(in crate::runtime) fn batch_rows(&self) -> Vec<Vec<Row>> {
-            let FragReply::Batch(items) = self.frag_reply() else { panic!("expected a Batch") };
+        pub(in crate::runtime) fn batch_rows(&mut self) -> Vec<Vec<Row>> {
+            let Reply::Batch(items) = self.frag_reply() else { panic!("expected a Batch") };
             items
                 .into_iter()
                 .map(|item| match item {
@@ -417,43 +439,34 @@ pub(super) mod tests {
             self.batch_rows()
         }
 
-        /// Coalesced 2PC on the lane: `VoteFinish`, then its ack.
+        /// Coalesced 2PC: `VoteFinish`, then its ack.
         pub(in crate::runtime) fn vote_finish(&mut self, commit: bool) {
             self.frag(FragCmd::VoteFinish { commit });
-            assert!(matches!(self.frag_reply(), FragReply::Finished));
+            assert!(matches!(self.frag_reply(), Reply::Finished));
         }
 
-        /// Submits one `MultiGet(args)` single planned for partition 0 and
-        /// returns the fresh reply slot it will be acknowledged on.
-        pub(in crate::runtime) fn single(
-            &mut self,
-            args: Vec<Value>,
-            disable_undo: bool,
-        ) -> Arc<SingleSlot<()>> {
-            let slot = Arc::new(ReplySlot::new());
-            let msg = SingleMsg {
-                req: Request { proc: 0, args, origin_node: 0 },
-                plan: TxnPlan { disable_undo, ..TxnPlan::single(0) },
-                session: (),
-                reply: Arc::clone(&slot),
-                enqueued: Instant::now(),
-            };
-            send_on_lane(&mut self.lanes, &self.env.workers, 0, msg).expect("lane push");
-            slot
+        /// Submits one `MultiGet(args)` single from the second client.
+        pub(in crate::runtime) fn single(&mut self, args: Vec<Value>, disable_undo: bool) {
+            let call = single_call(args, disable_undo);
+            self.singles.send(&self.env.workers, 0, call).expect("single push");
         }
 
-        /// The coordinator dies: its fragment-lane producer drops, then the
-        /// ring that lets a parked worker notice ([`Client`]'s drop order).
-        pub(in crate::runtime) fn drop_frag_port(&mut self) {
-            self.ports[0] = None;
-            self.env.workers[0].bell.ring();
+        /// Waits up to `within` for the second client's next reply.
+        pub(in crate::runtime) fn single_reply(&mut self, within: Duration) -> Option<Reply<()>> {
+            reply_within(&mut self.singles, within)
+        }
+
+        /// The coordinator dies: its connection closes, then rings the
+        /// worker ([`super::super::wire::End`]'s drop handshake).
+        pub(in crate::runtime) fn drop_coord(&mut self) {
+            self.coord.close(0);
         }
     }
 
-    impl Drop for Driver<'_> {
+    impl<A: LiveAdvisor<Session = ()>> Drop for Driver<'_, A> {
         fn drop(&mut self) {
-            self.ports.clear();
-            self.lanes.clear();
+            self.coord.close(0);
+            self.singles.close(0);
             self.env.workers[0].send_ctrl(CtrlMsg::Shutdown);
         }
     }
@@ -462,18 +475,18 @@ pub(super) mod tests {
     /// worker down and hands back the shard with the script's result.
     /// Whatever `driver` buffered before the call is what the worker finds
     /// queued when it starts.
-    pub(in crate::runtime) fn drive_worker<'a, T>(
+    pub(in crate::runtime) fn drive_worker<'a, A: LiveAdvisor<Session = ()>, T>(
         ctrl_rx: Receiver<CtrlMsg<()>>,
         shard: Shard,
-        driver: Driver<'a>,
-        script: impl FnOnce(&mut Driver<'a>) -> T,
+        driver: Driver<'a, A>,
+        script: impl FnOnce(&mut Driver<'a, A>) -> T,
     ) -> (Shard, T) {
         let env = driver.env;
         std::thread::scope(move |s| {
             // Owned by this closure, so an unwinding script drops it (and
             // thereby stops the worker) before the scope joins.
             let mut driver = driver;
-            let h = s.spawn(move || worker_loop::<AssumeSinglePartition>(shard, &ctrl_rx, env, 0));
+            let h = s.spawn(move || worker_loop::<A>(shard, &ctrl_rx, env, 0));
             let out = script(&mut driver);
             drop(driver);
             (h.join().expect("worker thread"), out)
@@ -492,11 +505,19 @@ pub(super) mod tests {
         vec![Value::Array(vec![Value::Int(0)])]
     }
 
+    /// Whether a single's reply reports a commit.
+    pub(in crate::runtime) fn committed(reply: Option<Reply<()>>) -> bool {
+        match reply.expect("single acknowledged") {
+            Reply::Done { committed, .. } => committed,
+            _ => panic!("expected Done"),
+        }
+    }
+
     /// Runs one worker over the same six-message sequence — three bump
     /// singles, a reservation whose fragment reads the bumped row, then two
     /// more singles — and returns (reply shapes in send order, the row
     /// value the fragment observed, final table snapshot). With `batched`
-    /// both lanes, the three singles, and the reservation's opening
+    /// both connections, the three singles, and the reservation's opening
     /// `ExecBatch` are buffered before the worker thread starts, so the
     /// sequence is served out of backlog drains: one run of three singles
     /// ahead of the reservation. Without it each call waits for its
@@ -506,18 +527,13 @@ pub(super) mod tests {
         let (env, ctrl_rx) = test_env(1);
         let shard = kv_database(1, 8).into_shards().pop().unwrap();
         let read_id0 = || vec![(0, vec![Value::Int(0)])];
-        let take = |slot: Arc<SingleSlot<()>>| match slot.take_within(WAIT).expect("single ack") {
-            SingleReply::Done { committed, .. } => committed,
-            _ => panic!("expected Done"),
-        };
         let mut driver = Driver::new(&env);
-        let mut early = Vec::new();
         if batched {
-            // The worker's first control drain registers both lanes and
-            // its lane sweep picks the three singles up as one run —
+            // The worker's first control drain registers both connections
+            // and its sweep picks the three singles up as one run —
             // executed and acknowledged ahead of the reservation the
             // buffered fragment command opens.
-            early.extend((0..3).map(|_| driver.single(bump_id0(), false)));
+            (0..3).for_each(|_| driver.single(bump_id0(), false));
             driver.frag(FragCmd::ExecBatch { proc: 0, queries: read_id0() });
         }
         let (shard, (replies, observed)) = drive_worker(ctrl_rx, shard, driver, |d| {
@@ -525,14 +541,22 @@ pub(super) mod tests {
             let rows = if batched {
                 d.batch_rows()
             } else {
-                replies.extend((0..3).map(|_| take(d.single(bump_id0(), false))));
+                for _ in 0..3 {
+                    d.single(bump_id0(), false);
+                    replies.push(committed(d.single_reply(WAIT)));
+                }
                 d.exec(read_id0())
             };
             d.vote_finish(true);
-            replies.extend(early.into_iter().map(take));
+            if batched {
+                replies.extend((0..3).map(|_| committed(d.single_reply(WAIT))));
+            }
             // The trailing pair goes out only once the reservation has
             // resolved: an earlier push could race into the first run.
-            replies.extend((0..2).map(|_| take(d.single(bump_id0(), false))));
+            for _ in 0..2 {
+                d.single(bump_id0(), false);
+                replies.push(committed(d.single_reply(WAIT)));
+            }
             (replies, rows[0][0][2].expect_int())
         });
         (replies, observed, table_snapshot(&shard, 0))

@@ -5,15 +5,13 @@
 //! `engine::runtime` mechanism over `checkers::sync`, small enough for the
 //! checker to exhaust its interleavings at the stated bounds, faithful
 //! enough that the line-level logic matches the production code
-//! (`LockManager::acquire`/`release`). §2 models the shutdown race over a
-//! reply-`Sender` handoff, which production has not used since PR 8
-//! (`Client::call` waits on a `ReplySlot` via `take_or_abandon`); its
-//! replacement model is ROADMAP item 3's. Every model has a seeded-bug
-//! twin proving the checker actually catches the failure mode the real
-//! code's design prevents.
+//! (`LockManager::acquire`/`release`). Every model has a seeded-bug twin
+//! proving the checker actually catches the failure mode the real code's
+//! design prevents. The runtime's reply path (a client waiting on its
+//! connection while the worker answers or goes away) is checked on the
+//! real `common::ring` in `crates/common/tests/ring_model.rs`.
 
 use checkers::sync::atomic::{AtomicU64, Ordering};
-use checkers::sync::mpsc::{channel, Receiver, Sender};
 use checkers::sync::{Arc, Condvar, Mutex};
 use checkers::{explore, FailureKind, Options, Report};
 use std::collections::VecDeque;
@@ -220,74 +218,6 @@ fn seeded_notify_one_strands_the_front_waiter() {
     let f = r.failure().expect("notify_one must strand a waiter");
     assert_eq!(f.kind, FailureKind::Deadlock);
     eprintln!("[model::seeded_notify_one] {r}");
-}
-
-// ===========================================================================
-// 2. Shutdown vs. fast-path call race (a call sending its reply Sender
-//    inside the worker message, and Shutdown dropping the backlog — the
-//    pre-PR 8 handoff, see the header)
-// ===========================================================================
-
-enum CallMsg {
-    Call { reply: Sender<u64> },
-    Shutdown,
-}
-
-/// `worker_loop`'s shutdown contract: on `Shutdown`, stop consuming; the
-/// receiver drop clears the backlog, which drops any queued reply senders,
-/// which is what disconnects in-flight callers.
-fn call_worker(rx: Receiver<CallMsg>) {
-    while let Ok(msg) = rx.recv() {
-        match msg {
-            CallMsg::Call { reply } => {
-                let _ = reply.send(7);
-            }
-            CallMsg::Shutdown => break,
-        }
-    }
-    // rx dropped here: queued Call messages (and their reply senders) die.
-}
-
-fn shutdown_race_scenario(seeded_keep_reply_clone: bool) -> impl Fn(&mut checkers::Model) {
-    move |model| {
-        let (tx, rx) = channel::<CallMsg>();
-        let tx_shutdown = tx.clone();
-        model.thread(move || call_worker(rx));
-        model.thread(move || {
-            let (reply_tx, reply_rx) = channel::<u64>();
-            // Seeded bug: holding a clone of the reply sender means the
-            // reply channel can never disconnect, so a dropped call hangs
-            // the client forever instead of erroring.
-            let kept = seeded_keep_reply_clone.then(|| reply_tx.clone());
-            if tx.send(CallMsg::Call { reply: reply_tx }).is_ok() {
-                // No deadlock, no lost reply: either the worker answered,
-                // or the shutdown dropped our call and the disconnect wakes
-                // us — hanging here is the bug the checker must rule out.
-                // Err means the call raced shutdown: a clean disconnect.
-                if let Ok(v) = reply_rx.recv() {
-                    assert_eq!(v, 7);
-                }
-            }
-            drop(kept);
-        });
-        model.thread(move || {
-            let _ = tx_shutdown.send(CallMsg::Shutdown);
-        });
-    }
-}
-
-#[test]
-fn shutdown_race_never_hangs_or_loses_a_reply() {
-    let r = explore(opts(), shutdown_race_scenario(false));
-    assert_pass(&r, "shutdown_fast_path_race");
-}
-
-#[test]
-fn seeded_reply_sender_leak_hangs_the_client() {
-    let r = explore(opts(), shutdown_race_scenario(true));
-    let f = r.failure().expect("a leaked reply sender must hang the client");
-    assert_eq!(f.kind, FailureKind::Deadlock);
-    eprintln!("[model::seeded_reply_leak] {r}");
 }
 
 // ===========================================================================
