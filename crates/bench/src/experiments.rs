@@ -12,13 +12,11 @@ use common::Value;
 use engine::baselines::{AssumeDistributed, AssumeSinglePartition, Oracle};
 use engine::{Bucket, CostModel, LiveAdvisor, Simulation};
 use houdini::{
-    evaluate_accuracy, train, AccuracyReport, CatalogRule, Houdini, HoudiniConfig, ModelSet,
-    TrainingConfig,
+    evaluate_accuracy, train, CatalogRule, Houdini, HoudiniConfig, ModelSet, TrainingConfig,
 };
 use mapping::ParamSource;
 use markov::{estimate_path, to_dot, EstimateConfig, QueryKind};
 use std::fmt::Write as _;
-use trace::TraceRecord;
 use workloads::Bench;
 
 /// Cluster sizes of Figs. 3 and 12.
@@ -258,15 +256,9 @@ pub fn table3(scale: Scale) -> String {
         let (train_recs, test_recs) = wl.records.split_at(n / 2);
         let train_wl = trace::Workload { records: train_recs.to_vec() };
         for partitioned in [false, true] {
-            let cfg = TrainingConfig { partitioned };
-            let preds = train(&catalog, parts, &train_wl, &cfg);
-            let mut agg = AccuracyReport::default();
-            for (proc, pred) in preds.iter().enumerate() {
-                let test: Vec<&TraceRecord> =
-                    test_recs.iter().filter(|r| r.proc == proc as u32).collect();
-                let rep = evaluate_accuracy(pred, &catalog, parts, proc as u32, &test, 0.5);
-                agg.merge(&rep);
-            }
+            let preds = train(&catalog, parts, &train_wl, &TrainingConfig { partitioned });
+            let houdini = Houdini::new(preds, catalog.clone(), parts, HoudiniConfig::default());
+            let agg = evaluate_accuracy(&houdini, test_recs);
             let _ = writeln!(
                 out,
                 "{:<12} {:<11} {:5.1}  {:5.1}  {:5.1}  {:5.1}  {:5.1}",

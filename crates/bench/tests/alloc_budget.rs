@@ -1,13 +1,14 @@
 //! Pins the allocation count of the live fast path (`Client::call`).
 //!
-//! The session-reuse work (spare-session cache, reused reply slot,
-//! per-worker SPSC lanes) made the steady-state call path allocate a small
-//! *constant* number of times per transaction — no per-call channel, no
-//! fresh mailbox, no metrics scratch. This test holds that line with the
-//! shared harness (`alloc_pin`): after a warm-up long enough to saturate
-//! every amortized structure (connections, spare-session map, metrics
-//! sample buffers), two equal batches of identical calls must allocate
-//! *exactly* the same amount, under a small per-call cap.
+//! The session-reuse work (spare-session cache, one reused SPSC
+//! connection per client–worker pair) made the steady-state call path
+//! allocate a small *constant* number of times per transaction — no
+//! per-call channel, no fresh mailbox, no metrics scratch. This test
+//! holds that line with the shared harness (`alloc_pin`): after a warm-up
+//! long enough to saturate every amortized structure (connections,
+//! spare-session map, metrics sample buffers), two equal batches of
+//! identical calls must allocate *exactly* the same amount, under a small
+//! per-call cap.
 
 mod alloc_pin;
 

@@ -1,9 +1,10 @@
 //! Pins the allocation count of the live *distributed* path.
 //!
-//! The fragment-lane work (reusable per-(client, worker) SPSC lanes, a
-//! reusable per-participant reply slot, one `ExecBatch` message per
-//! participant per batch step) removed the two fresh channels and the
-//! per-query message traffic every coordinated call used to allocate.
+//! The connection work (one reusable SPSC connection per client–worker
+//! pair, carrying calls one way and replies the other, and one `ExecBatch`
+//! message per participant per batch step) removed the two fresh channels
+//! and the per-query message traffic every coordinated call used to
+//! allocate.
 //! This test holds that line the same way `alloc_budget.rs` does for the
 //! fast path, with the shared harness (`alloc_pin`): after a warm-up long
 //! enough to saturate every amortized structure (client connections,

@@ -9,10 +9,14 @@
 //! same paths resolve to the `checkers` model types so the ported code can
 //! be driven by the deterministic model checker.
 //!
-//! The `check` build is compile/clippy-only in CI today: the checked
-//! protocol models are compact reimplementations (see
-//! `crates/engine/tests/concurrency_models.rs`), and model-checking the
-//! full runtime through this facade is the documented next step.
+//! Under the `check` build the model checker runs production code, not
+//! only compact reimplementations: `crates/common/tests/ring_model.rs`
+//! (`real_ring`) drives the real `common::ring` rings and `Doorbell`, and
+//! `crates/common/tests/flush_model.rs` (`real_seq`) the real
+//! `common::flush::FlushSequencer`, both through this facade. The rest of
+//! the runtime is only compiled and linted in that mode (CI's
+//! `clippy -p engine --features check`); its other protocols are checked
+//! as compact models (`crates/engine/tests/concurrency_models.rs`).
 //!
 //! Note the swap is a cargo *feature*, not the bare `--cfg check` the
 //! original sketch used: features let the `checkers` dependency itself be

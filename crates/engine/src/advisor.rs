@@ -98,6 +98,19 @@ pub struct Updates {
     pub cost_us: f64,
 }
 
+/// The last-access OP4 plan of a predicted path (§4.4): entry `i` holds
+/// the partitions that step `i` touches and no later step does, so each
+/// can early-prepare once step `i` has executed.
+pub fn last_access_finish_plan(steps: &[PartitionSet]) -> Vec<PartitionSet> {
+    let mut plan = vec![PartitionSet::EMPTY; steps.len()];
+    let mut later = PartitionSet::EMPTY;
+    for (fin, &step) in plan.iter_mut().zip(steps).rev() {
+        *fin = step.difference(later);
+        later = later.union(step);
+    }
+    plan
+}
+
 /// How a transaction finished, reported back to the advisor.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TxnOutcome {

@@ -12,7 +12,9 @@
 //!   simulator lends it, which in the deterministic simulator yields ground
 //!   truth.
 
-use crate::advisor::{LiveAdvisor, PlanContext, Request, TxnPlan, Updates};
+use crate::advisor::{
+    last_access_finish_plan, LiveAdvisor, PlanContext, Request, TxnPlan, Updates,
+};
 use crate::exec::{run_offline, ExecutedQuery};
 use crate::procedure::ProcedureRegistry;
 use common::{FxHashMap, PartitionId, PartitionSet};
@@ -204,13 +206,7 @@ impl LiveAdvisor for Oracle {
             .max_by_key(|(p, c)| (**c, u32::MAX - **p)) // deterministic tiebreak: lowest id
             .map(|(p, _)| *p)
             .unwrap_or(ctx.random_local_partition);
-        // finish_plan[i]: partitions whose last access is query i.
-        let mut later = PartitionSet::EMPTY;
-        let mut finish_plan = vec![PartitionSet::EMPTY; per_query.len()];
-        for i in (0..per_query.len()).rev() {
-            finish_plan[i] = per_query[i].difference(later);
-            later = later.union(per_query[i]);
-        }
+        let finish_plan = last_access_finish_plan(&per_query);
         let single = outcome.touched.is_single();
         let plan = TxnPlan {
             base_partition: base,

@@ -42,7 +42,8 @@ pub mod sim;
 mod txn;
 
 pub use advisor::{
-    LiveAdvisor, LiveMaintainer, PlanContext, Request, TxnFeedback, TxnOutcome, TxnPlan, Updates,
+    last_access_finish_plan, LiveAdvisor, LiveMaintainer, PlanContext, Request, TxnFeedback,
+    TxnOutcome, TxnPlan, Updates,
 };
 pub use catalog::{Catalog, CatalogResolver, ColumnOp, PartitionHint, ProcDef, QueryDef, QueryOp};
 pub use cost::CostModel;

@@ -63,6 +63,27 @@ fn record_remaining_hold(
     }
 }
 
+/// Closes the client's connection to every partition of an attempt's lock
+/// set if the coordination unwinds (a panic in the control code or the
+/// advisor, which the caller may catch). A participant whose fragment
+/// wrote is reserved on that connection until it hears the outcome; once
+/// the connection closes it rolls back and serves everyone else again. On
+/// a normal return the guard does nothing.
+struct CloseOnUnwind<'a, S> {
+    conns: &'a mut Conns<S>,
+    lock_set: PartitionSet,
+}
+
+impl<S> Drop for CloseOnUnwind<'_, S> {
+    fn drop(&mut self) {
+        if std::thread::panicking() {
+            for p in self.lock_set.iter() {
+                self.conns.close(p as usize);
+            }
+        }
+    }
+}
+
 /// Coordinates one distributed transaction from the client thread: atomic
 /// lock acquisition, batched fragment shipping over the client's
 /// connections, early prepares (OP4), 2PC outcome, and (durable mode) the
@@ -83,11 +104,13 @@ pub(super) fn run_distributed<A: LiveAdvisor>(
     let workers = &env.workers;
     let lock_set = plan.lock_set;
     // Held for the whole coordination; the drop guard also releases on an
-    // unwind, so a panicking coordinator cannot wedge later transactions
-    // (a client dropped by the unwind also closes its connections, and
-    // workers roll back the fragments of a closed one).
+    // unwind, after `unwind` (declared later, dropped first) has closed the
+    // lock set's connections, so a panicking coordinator cannot wedge later
+    // transactions: its participants roll back.
     let t_acquire = Instant::now();
     let mut locks_held = env.locks.guard(lock_set);
+    let unwind = CloseOnUnwind { conns, lock_set };
+    let conns = &mut *unwind.conns;
     let lock_wait = us_since(t_acquire);
     acc.coord_us += lock_wait;
     acc.lock_us += lock_wait;
@@ -605,6 +628,73 @@ mod tests {
         let (_, db) = rt.shutdown();
         let id1 = db.get(1, 0, &[Value::Int(1)]).expect("id 1 lives at partition 1");
         assert_eq!(id1[2], Value::Int(0), "the aborted transaction's bump leaked");
+    }
+
+    /// Bumps every id of `args[0]` in one batch, then commits; given a
+    /// second argument, the control code panics after that batch instead.
+    struct BumpThenPanic {
+        bumps: Option<Vec<QueryInvocation>>,
+        panics: bool,
+    }
+
+    impl crate::procedure::ProcInstance for BumpThenPanic {
+        fn next(&mut self, _results: Option<&[Vec<storage::Row>]>) -> Step {
+            match self.bumps.take() {
+                Some(batch) => Step::Queries(batch),
+                None if self.panics => panic!("control-code marker"),
+                None => Step::Commit,
+            }
+        }
+    }
+
+    #[test]
+    fn a_call_unwound_mid_transaction_rolls_back_its_participants() {
+        // The marked call bumps ids 0 and 1 at partitions 0 and 1, then its
+        // control code panics on the coordinating client, whose caller
+        // catches the panic and keeps the handle. Both participants wrote,
+        // so each is reserved on that client's connection until the
+        // connection closes: another client's call must still be served,
+        // and no later transaction may see the abandoned bumps.
+        let mut proc = multi_get();
+        proc.start = |args| {
+            let ids = args[0].as_array().expect("arg 0 is id array");
+            let bumps =
+                ids.iter().map(|id| QueryInvocation::new(1, vec![id.clone(), Value::Int(1)]));
+            Box::new(BumpThenPanic { bumps: Some(bumps.collect()), panics: args.len() > 1 })
+        };
+        let registry = ProcedureRegistry::new(vec![proc]);
+        let rt = LiveRuntime::start(
+            kv_database(2, 8),
+            registry,
+            AssumeDistributed::new(),
+            LiveConfig::default(),
+        );
+        let ids = |ids: &[i64]| vec![Value::Array(ids.iter().map(|&id| Value::Int(id)).collect())];
+        let mut client = rt.client();
+        let mut marked = ids(&[0, 1]);
+        marked.push(Value::Int(0));
+        let unwound =
+            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| client.call(0, marked)));
+        assert!(unwound.is_err(), "the marked call did not unwind");
+        let mut other = rt.client();
+        let (done, done_rx) = std::sync::mpsc::channel();
+        let caller = std::thread::spawn(move || {
+            let outcome = other.call(0, ids(&[0]));
+            let _ = done.send(());
+            (outcome, other)
+        });
+        if done_rx.recv_timeout(WAIT).is_err() {
+            // Tearing the runtime down would wait on the wedged worker too.
+            std::mem::forget(rt);
+            panic!("another client's call to the abandoned partition was not served");
+        }
+        let (outcome, other) = caller.join().expect("the other client's thread");
+        assert_eq!(outcome.expect("the other client's call"), TxnOutcome::Committed);
+        assert_eq!(client.call(0, ids(&[0, 1])).expect("same client"), TxnOutcome::Committed);
+        drop((client, other));
+        let (_, db) = rt.shutdown();
+        let val = |id| db.get(id as u32 % 2, 0, &[Value::Int(id)]).expect("row")[2].clone();
+        assert_eq!((val(0), val(1)), (Value::Int(2), Value::Int(1)), "an abandoned bump survived");
     }
 
     /// Locks both partitions with early prepare on, and declares partition

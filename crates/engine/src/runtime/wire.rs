@@ -260,8 +260,8 @@ impl<S> Conns<S> {
         self.ends[p].as_mut()
     }
 
-    /// Closes the connection to worker `p` (its end's drop handshake).
-    #[cfg(test)]
+    /// Closes the connection to worker `p` (its end's drop handshake); the
+    /// next call to `p` opens a fresh one.
     pub(super) fn close(&mut self, p: usize) {
         self.ends[p] = None;
     }

@@ -1,22 +1,35 @@
 //! Off-line accuracy evaluation (paper §6.2, Table 3).
 //!
-//! An estimate is accurate when Houdini (1) identifies the optimizations at
-//! the correct moment (OP3 — never disabling undo for a transaction that
-//! aborts), (2) causes no unnecessary work (OP1 — right base partition,
-//! OP2 — no unused locked partition), and (3) causes no restart (OP2 —
-//! no unpredicted partition, OP4 — no access to a partition after declaring
-//! it finished). Models are *not* updated between estimates, so deficiencies
-//! are not masked by learning (§6.2).
+//! Every held-out record is replayed through the trained [`Houdini`] the
+//! way the engine drives it: one [`LiveAdvisor::plan_live_reusing`] per
+//! record, with a `random_local_partition` drawn per record from a seeded
+//! stream as a `Client` draws it, then one [`LiveAdvisor::on_query_live`]
+//! per recorded query. The decisions scored are the ones those calls
+//! return, so the report measures the advisor that runs.
+//!
+//! A record is accurate when Houdini (1) identifies the optimizations at
+//! the correct moment (OP3 — undo logging is never off when the attempt
+//! aborts or restarts), (2) causes no unnecessary work (OP1 — a
+//! most-accessed base partition, OP2 — no unused locked partition), and
+//! (3) causes no restart (OP2 — no unpredicted partition, OP4 — no access
+//! to a partition after declaring it finished). Scoring stops where the
+//! engine would restart: at a query outside the lock set, or at one that
+//! touches a partition already declared finished. No maintainer runs, so
+//! models are *not* updated between records and deficiencies are not
+//! masked by learning (§6.2). Records of disabled procedures are skipped.
 
-use crate::modelset::{lock_set_for, CatalogRule};
-use crate::train::{actual_of, base_is_best, ProcPredictor};
-use common::{FxHashMap, PartitionSet, ProcId, QueryId};
-use engine::{Catalog, CatalogResolver};
-use markov::{estimate_path, EstimateConfig, QueryKind, VertexKey};
+use crate::train::{actual_of, base_is_best};
+use crate::Houdini;
+use common::{seeded_rng, PartitionSet};
+use engine::{CatalogResolver, ExecutedQuery, LiveAdvisor, PlanContext, Request, TxnOutcome};
+use rand::Rng;
 use trace::{PartitionResolver, TraceRecord};
 
+/// Seed of the per-record `random_local_partition` stream.
+const DRAW_SEED: u64 = 0xACC;
+
 /// Per-optimization accuracy over a test workset.
-#[derive(Debug, Clone, Copy, Default)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct AccuracyReport {
     /// Transactions evaluated.
     pub txns: u64,
@@ -61,54 +74,65 @@ impl AccuracyReport {
     pub fn total_pct(&self) -> f64 {
         Self::pct(self.total, self.txns)
     }
-
-    /// Merges another report into this one (aggregating procedures).
-    pub fn merge(&mut self, other: &AccuracyReport) {
-        self.txns += other.txns;
-        self.op1 += other.op1;
-        self.op2 += other.op2;
-        self.op3 += other.op3;
-        self.op4 += other.op4;
-        self.total += other.total;
-    }
 }
 
-/// Evaluates one procedure's predictor on held-out records.
-pub fn evaluate_accuracy(
-    pred: &ProcPredictor,
-    catalog: &Catalog,
-    num_partitions: u32,
-    proc: ProcId,
-    test: &[&TraceRecord],
-    threshold: f64,
-) -> AccuracyReport {
-    let mut rep = AccuracyReport::default();
-    if pred.disabled {
-        return rep;
-    }
+/// Scores `houdini`'s decisions on held-out records, at the confidence
+/// threshold of its `HoudiniConfig`.
+pub fn evaluate_accuracy(houdini: &Houdini, test: &[TraceRecord]) -> AccuracyReport {
+    let catalog = &houdini.catalog;
+    let num_partitions = houdini.num_partitions;
     let resolver = CatalogResolver::new(catalog, num_partitions);
-    let rule = CatalogRule::new(catalog, proc, num_partitions);
-    let est_cfg = EstimateConfig::default();
-    for rec in test {
-        rep.txns += 1;
-        let idx = pred.models.select(&rec.params);
-        let model = pred.models.model(idx);
-        let est = estimate_path(model, &rule, &pred.mapping, &rec.params, &est_cfg);
-        let actual = actual_of(rec, &resolver);
-
-        let op1 = base_is_best(est.best_base(), &actual);
-        let lock_set = {
-            let mut s = lock_set_for(&est, model, threshold, num_partitions);
-            if let Some(b) = est.best_base() {
-                s.insert(b);
-            }
-            s
+    let preds = houdini.live_predictors();
+    let mut rng = seeded_rng(DRAW_SEED);
+    let mut spare = None;
+    let mut rep = AccuracyReport::default();
+    for rec in test.iter().filter(|r| !preds[r.proc as usize].disabled) {
+        let req = Request { proc: rec.proc, args: rec.params.clone(), origin_node: 0 };
+        let ctx = PlanContext {
+            catalog,
+            num_partitions,
+            random_local_partition: rng.gen_range(0..num_partitions),
         };
-        let op2 = lock_set == actual.touched;
-        let would_disable = est.reached_commit && est.abort_prob < 1e-9;
-        let op3 = !(would_disable && actual.aborted);
-        let op4 = finish_predictions_safe(model, rec, &resolver, threshold);
+        let (mut plan, mut session) = houdini.plan_live_reusing(&req, &ctx, spare.take());
+        plan.lock_set.insert(plan.base_partition);
+        let mut undo_off = plan.disable_undo;
+        let mut declared = PartitionSet::EMPTY;
+        let (mut restarted, mut op4) = (false, true);
+        for q in &rec.queries {
+            let partitions = resolver.partitions(rec.proc, q.query, &q.params);
+            if !partitions.is_subset(plan.lock_set) {
+                restarted = true;
+                break;
+            }
+            if !partitions.intersect(declared).is_empty() {
+                (restarted, op4) = (true, false);
+                break;
+            }
+            let executed = ExecutedQuery {
+                query: q.query,
+                params: q.params.clone(),
+                partitions,
+                is_write: catalog.proc(rec.proc).query(q.query).is_write(),
+            };
+            let upd = houdini.on_query_live(&mut session, &executed);
+            undo_off |= upd.disable_undo;
+            if plan.early_prepare && !plan.lock_set.is_single() {
+                declared = declared.union(upd.finished);
+            }
+        }
+        let outcome = match (restarted, rec.aborted) {
+            (true, _) => TxnOutcome::Mispredicted,
+            (false, true) => TxnOutcome::UserAborted,
+            (false, false) => TxnOutcome::Committed,
+        };
+        spare = houdini.end_live_reclaim(session, outcome).1;
 
+        let actual = actual_of(rec, &resolver);
+        let op1 = base_is_best(Some(plan.base_partition), &actual);
+        let op2 = plan.lock_set == actual.touched;
+        // Rolling back an abort or a restart needs the undo log.
+        let op3 = !(undo_off && (restarted || rec.aborted));
+        rep.txns += 1;
         rep.op1 += u64::from(op1);
         rep.op2 += u64::from(op2);
         rep.op3 += u64::from(op3);
@@ -118,56 +142,12 @@ pub fn evaluate_accuracy(
     rep
 }
 
-/// Replays the record's actual path through the model's probability tables
-/// and checks that no partition declared finished (finish probability above
-/// the threshold, §4.4) is accessed again later — the OP4 mispredict that
-/// forces an abort-and-restart.
-fn finish_predictions_safe(
-    model: &markov::MarkovModel,
-    rec: &TraceRecord,
-    resolver: &dyn PartitionResolver,
-    threshold: f64,
-) -> bool {
-    let mut prev = PartitionSet::EMPTY;
-    let mut counters: FxHashMap<QueryId, u16> = FxHashMap::default();
-    let mut declared = PartitionSet::EMPTY;
-    for q in &rec.queries {
-        let parts = resolver.partitions(rec.proc, q.query, &q.params);
-        // Accessing a declared-finished partition restarts the txn.
-        if parts.intersect(declared) != PartitionSet::EMPTY {
-            return false;
-        }
-        let counter = {
-            let c = counters.entry(q.query).or_insert(0);
-            let cur = *c;
-            *c += 1;
-            cur
-        };
-        let key = VertexKey {
-            kind: QueryKind::Query(q.query),
-            counter,
-            partitions: parts,
-            previous: prev,
-        };
-        prev = prev.union(parts);
-        let Some(v) = model.find(&key) else {
-            // Unknown state: no table, no declarations possible from here.
-            continue;
-        };
-        let table = &model.vertex(v).table;
-        for p in prev.iter() {
-            if !declared.contains(p) && table.finish(p) > threshold {
-                declared.insert(p);
-            }
-        }
-    }
-    true
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::train::{train, TrainingConfig};
+    use crate::HoudiniConfig;
+    use engine::Catalog;
     use trace::Workload;
     use workloads::{tatp, Bench};
 
@@ -184,18 +164,12 @@ mod tests {
         let (catalog, records) = tatp_records(parts, 1200);
         let (train_recs, test_recs) = records.split_at(600);
         let wl = Workload { records: train_recs.to_vec() };
-        let cfg = TrainingConfig { partitioned: false };
-        let preds = train(&catalog, parts, &wl, &cfg);
-        let mut agg = AccuracyReport::default();
-        for (proc, pred) in preds.iter().enumerate() {
-            let test: Vec<&TraceRecord> =
-                test_recs.iter().filter(|r| r.proc == proc as u32).collect();
-            let rep = evaluate_accuracy(pred, &catalog, parts, proc as u32, &test, 0.5);
-            agg.merge(&rep);
-        }
-        assert!(agg.txns > 400);
-        assert!(agg.op3_pct() > 99.0, "OP3 must never be fatally wrong");
-        assert!(agg.total_pct() > 70.0, "overall accuracy {:.1}% too low", agg.total_pct());
+        let preds = train(&catalog, parts, &wl, &TrainingConfig { partitioned: false });
+        let h = Houdini::new(preds, catalog, parts, HoudiniConfig::default());
+        let rep = evaluate_accuracy(&h, test_recs);
+        assert!(rep.txns > 400);
+        assert_eq!(rep.op3_pct(), 100.0, "OP3 must never be fatally wrong");
+        assert!(rep.total_pct() > 70.0, "overall accuracy {:.1}% too low", rep.total_pct());
     }
 
     #[test]
@@ -206,8 +180,7 @@ mod tests {
         assert!(!tested.is_empty());
         let preds = train(&catalog, 2, &Workload { records: trained }, &TrainingConfig::default());
         assert!(preds[3].disabled);
-        let refs: Vec<&TraceRecord> = tested.iter().collect();
-        let rep = evaluate_accuracy(&preds[3], &catalog, 2, 3, &refs, 0.5);
-        assert_eq!(rep.txns, 0);
+        let h = Houdini::new(preds, catalog, 2, HoudiniConfig::default());
+        assert_eq!(evaluate_accuracy(&h, &tested).txns, 0);
     }
 }

@@ -12,8 +12,9 @@ use crate::modelset::{lock_set_for, CatalogRule};
 use crate::train::ProcPredictor;
 use common::{EpochCell, FxHashMap, PartitionSet, ProcId, QueryId, Value};
 use engine::{
-    Catalog, CatalogResolver, ExecutedQuery, LiveAdvisor, LiveMaintainer, MaintenanceReport,
-    PartitionHint, PlanContext, Request, TxnFeedback, TxnOutcome, TxnPlan, Updates,
+    last_access_finish_plan, Catalog, CatalogResolver, ExecutedQuery, LiveAdvisor, LiveMaintainer,
+    MaintenanceReport, PartitionHint, PlanContext, Request, TxnFeedback, TxnOutcome, TxnPlan,
+    Updates,
 };
 use mapping::ParamSource;
 use markov::{
@@ -236,15 +237,18 @@ fn updates_at_state(
     // no such path exists, the state must be a trained one (not a live
     // placeholder), the transaction must be single-partition (§4.3), and no
     // continuation may leave the lock set — otherwise an OP2 mispredict
-    // after disabling undo would be unrecoverable.
+    // after disabling undo would be unrecoverable. The query must appear at
+    // no counter up to this one in any aborting training prefix: a loop
+    // that ran longer than every aborting record did can still abort after
+    // its last iteration. The unsafe set is downward closed per query, so
+    // that is counter 0.
     if let Some(to) = to {
         let vtx = model.vertex(to);
         let table = &vtx.table;
         let sig_safe = match vtx.key.kind {
             QueryKind::Query(qid) => {
                 !pred.can_abort
-                    || (pred.abort_rate > 0.0
-                        && !pred.unsafe_signatures.contains(&(qid, vtx.key.counter)))
+                    || (pred.abort_rate > 0.0 && !pred.unsafe_signatures.contains(&(qid, 0)))
             }
             _ => false,
         };
@@ -331,8 +335,8 @@ fn updates_at_state(
 pub struct Houdini {
     /// Predictor epochs (§4.5; see DESIGN.md §5).
     epochs: EpochCell<Vec<ProcPredictor>>,
-    catalog: Catalog,
-    num_partitions: u32,
+    pub(crate) catalog: Catalog,
+    pub(crate) num_partitions: u32,
     /// Knobs, fixed at construction: every plan table relies on it.
     cfg: HoudiniConfig,
 }
@@ -427,12 +431,7 @@ impl Houdini {
         // Oracle-style OP4 plan from the estimate: partitions whose last
         // predicted access is step i can early-prepare once step i has
         // executed — provided the transaction follows the estimate.
-        let mut finish_plan = vec![PartitionSet::EMPTY; est.step_partitions.len()];
-        let mut later = PartitionSet::EMPTY;
-        for i in (0..est.step_partitions.len()).rev() {
-            finish_plan[i] = est.step_partitions[i].difference(later);
-            later = later.union(est.step_partitions[i]);
-        }
+        let finish_plan = last_access_finish_plan(&est.step_partitions);
         // Loop gate, mirroring the table-finish rule: a model with query
         // loops (any state at counter > 0) may have reached commit through
         // a *shorter* trained iteration path than this request will
@@ -837,6 +836,43 @@ mod tests {
         let req = new_order_req(0, 90_002, &[0, 0, 0]);
         let (plan, _) = h.plan_live_reusing(&req, &ctx(&catalog), None);
         assert!(!plan.disable_undo);
+    }
+
+    #[test]
+    fn never_disables_undo_in_a_loop_longer_than_any_aborting_record() {
+        // NewOrder aborts after its CheckStock batch when its last item is
+        // invalid. Training keeps only the aborting orders of up to 7
+        // items, so an 8-item local order whose last item is invalid
+        // reaches a CheckStock counter no aborting record reached.
+        let reg = Bench::Tpcc.registry();
+        let catalog = reg.catalog();
+        let mut gen = tpcc::Generator::new(2, 7);
+        let mut wl = engine::collect_trace(&mut Bench::Tpcc.database(2), &reg, &mut gen, 600, 8);
+        wl.records.retain(|r| !(r.proc == 1 && r.aborted && r.queries.len() > 8));
+        let preds = train(&catalog, 2, &wl, &TrainingConfig { partitioned: false });
+        assert!(preds[1].abort_rate > 0.0, "no aborting order left in training");
+        let h = Houdini::new(preds, catalog.clone(), 2, HoudiniConfig::default());
+        let mut req = new_order_req(1, 90_013, &[1; 8]);
+        let Value::Array(items) = &mut req.args[3] else { unreachable!() };
+        items[7] = Value::Int(tpcc::INVALID_ITEM);
+        let out = run_offline(&mut Bench::Tpcc.database(2), &reg, &catalog, 1, &req.args, true)
+            .expect("offline run");
+        assert!(out.record.aborted);
+        let (plan, mut session) = h.plan_live_reusing(&req, &ctx(&catalog), None);
+        assert_eq!(plan.lock_set, PartitionSet::single(1));
+        assert!(!plan.disable_undo);
+        let resolver = CatalogResolver::new(&catalog, 2);
+        for (i, q) in out.record.queries.iter().enumerate() {
+            use trace::PartitionResolver as _;
+            let executed = ExecutedQuery {
+                query: q.query,
+                params: q.params.clone(),
+                partitions: resolver.partitions(1, q.query, &q.params),
+                is_write: catalog.proc(1).query(q.query).is_write(),
+            };
+            let upd = h.on_query_live(&mut session, &executed);
+            assert!(!upd.disable_undo, "undo logging off at query {i} of an aborting order");
+        }
     }
 
     #[test]

@@ -386,7 +386,7 @@ fn get_vertex(r: &mut Reader<'_>) -> Decoded<Vertex> {
 mod tests {
     use super::*;
     use crate::train::{train, TrainingConfig};
-    use crate::{evaluate_accuracy, AccuracyReport};
+    use crate::{evaluate_accuracy, Houdini, HoudiniConfig};
     use trace::{TraceRecord, Workload};
     use workloads::Bench;
 
@@ -417,14 +417,11 @@ mod tests {
         assert_eq!(saved(&loaded, parts), buf, "save -> load -> save gives the same bytes");
 
         // Accuracy of the loaded predictors matches the originals exactly.
-        for (proc, (a, b)) in preds.iter().zip(&loaded).enumerate() {
-            let test: Vec<&TraceRecord> =
-                test_recs.iter().filter(|r| r.proc == proc as u32).collect();
-            let ra: AccuracyReport = evaluate_accuracy(a, &catalog, parts, proc as u32, &test, 0.5);
-            let rb: AccuracyReport = evaluate_accuracy(b, &catalog, parts, proc as u32, &test, 0.5);
-            assert_eq!(ra.total, rb.total, "proc {proc}");
-            assert_eq!(ra.op2, rb.op2, "proc {proc}");
-        }
+        let accuracy = |preds| {
+            let h = Houdini::new(preds, catalog.clone(), parts, HoudiniConfig::default());
+            evaluate_accuracy(&h, test_recs)
+        };
+        assert_eq!(accuracy(loaded), accuracy(preds));
     }
 
     #[test]

@@ -138,23 +138,19 @@ fn database_invariants_hold_after_tpcc_run() {
 
 #[test]
 fn accuracy_pipeline_runs_for_all_benchmarks() {
-    use houdini::{evaluate_accuracy, AccuracyReport};
+    use houdini::evaluate_accuracy;
     let parts = 4;
     for bench in Bench::ALL {
         let (catalog, wl) = collect(bench, parts, 1200, 71);
         let (train_recs, test_recs) = wl.records.split_at(600);
         let tw = Workload { records: train_recs.to_vec() };
         let preds = train(&catalog, parts, &tw, &TrainingConfig::default());
-        let mut agg = AccuracyReport::default();
-        for (proc, pred) in preds.iter().enumerate() {
-            let test: Vec<&trace::TraceRecord> =
-                test_recs.iter().filter(|r| r.proc == proc as u32).collect();
-            let rep = evaluate_accuracy(pred, &catalog, parts, proc as u32, &test, 0.5);
-            agg.merge(&rep);
-        }
+        let houdini = Houdini::new(preds, catalog, parts, HoudiniConfig::default());
+        let agg = evaluate_accuracy(&houdini, test_recs);
         assert!(agg.txns > 300, "{}: {} txns evaluated", bench.name(), agg.txns);
-        assert!(
-            agg.op3_pct() > 99.0,
+        assert_eq!(
+            agg.op3_pct(),
+            100.0,
             "{}: OP3 accuracy {:.1}% — fatal mispredicts are forbidden",
             bench.name(),
             agg.op3_pct()
