@@ -243,7 +243,9 @@ pub fn fig10() -> String {
     out
 }
 
-/// Table 3 — global vs partitioned model accuracy per optimization.
+/// Table 3 — global vs partitioned model accuracy per optimization. An OP3
+/// cell below 100.0 is a fatal undo-logging decision: the table is printed
+/// with a closing line naming each such row, and the process exits 1.
 pub fn table3(scale: Scale) -> String {
     let parts = 16;
     let n = scale.trace_len() * 2;
@@ -251,6 +253,7 @@ pub fn table3(scale: Scale) -> String {
         "# Table 3: model accuracy (%), 16 partitions, train on first half / test on second\n\
          benchmark    variant      OP1    OP2    OP3    OP4    Total\n",
     );
+    let mut fatal = Vec::new();
     for bench in Bench::ALL {
         let (catalog, wl) = collect_trace(bench, parts, n, 23);
         let (train_recs, test_recs) = wl.records.split_at(n / 2);
@@ -259,11 +262,15 @@ pub fn table3(scale: Scale) -> String {
             let preds = train(&catalog, parts, &train_wl, &TrainingConfig { partitioned });
             let houdini = Houdini::new(preds, catalog.clone(), parts, HoudiniConfig::default());
             let agg = evaluate_accuracy(&houdini, test_recs);
+            let variant = if partitioned { "partitioned" } else { "global" };
+            if agg.op3 < agg.txns {
+                fatal.push(format!("{} {variant}", bench.name()));
+            }
             let _ = writeln!(
                 out,
                 "{:<12} {:<11} {:5.1}  {:5.1}  {:5.1}  {:5.1}  {:5.1}",
                 bench.name(),
-                if partitioned { "partitioned" } else { "global" },
+                variant,
                 agg.op1_pct(),
                 agg.op2_pct(),
                 agg.op3_pct(),
@@ -271,6 +278,10 @@ pub fn table3(scale: Scale) -> String {
                 agg.total_pct()
             );
         }
+    }
+    if !fatal.is_empty() {
+        println!("{out}table3 failed: OP3 below 100.0 on {}", fatal.join(", "));
+        std::process::exit(1);
     }
     out
 }

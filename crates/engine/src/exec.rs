@@ -139,10 +139,15 @@ pub fn run_offline(
     let mut cursor = Cursor::new(registry, proc, args);
     let mut undo = UndoLog::new();
     let mut queries = Vec::new();
+    // Each batch's end but the last's, pushed when the next batch starts.
+    let (mut batch_ends, mut first) = (Vec::new(), true);
     let mut touched = PartitionSet::EMPTY;
     let committed = loop {
         match cursor.next() {
             Step::Queries(batch) => {
+                if !std::mem::take(&mut first) {
+                    batch_ends.push(queries.len());
+                }
                 let mut batch_results = Vec::with_capacity(batch.len());
                 for inv in batch {
                     let def = catalog.proc(proc).query(inv.query);
@@ -167,11 +172,9 @@ pub fn run_offline(
     if !committed || !keep_effects {
         db.rollback(&mut undo)?;
     }
-    Ok(OfflineOutcome {
-        record: TraceRecord { proc, params: args.to_vec(), queries, aborted: !committed },
-        touched,
-        committed,
-    })
+    let record =
+        TraceRecord { proc, params: args.to_vec(), queries, batch_ends, aborted: !committed };
+    Ok(OfflineOutcome { record, touched, committed })
 }
 
 /// Collects a workload trace (paper §3.1: procedure inputs plus executed
@@ -200,7 +203,9 @@ pub fn collect_trace(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::procedure::testing::{kv_database, kv_registry};
+    use crate::catalog::{PartitionHint, QueryDef, QueryOp};
+    use crate::procedure::testing::{kv_database, kv_registry, multi_get};
+    use crate::procedure::{Linear, QueryInvocation};
 
     #[test]
     fn offline_commit_mutates_when_keeping_effects() {
@@ -212,6 +217,7 @@ mod tests {
         assert!(out.committed);
         assert!(!out.record.aborted);
         assert_eq!(out.record.queries.len(), 4); // 2 gets + 2 bumps
+        assert_eq!(out.record.batch_ends, [2]);
         assert_eq!(out.touched, PartitionSet::from_iter([1u32, 2]));
         assert_eq!(db.get(1, 0, &[Value::Int(1)]).unwrap()[2], Value::Int(1));
     }
@@ -238,6 +244,28 @@ mod tests {
         assert!(!out.committed);
         assert!(out.record.aborted);
         assert_eq!(db.get(1, 0, &[Value::Int(1)]).unwrap()[2], Value::Int(0));
+    }
+
+    #[test]
+    fn a_constraint_abort_ends_the_last_batch_at_the_failing_query() {
+        // Batch two reads id 2, then re-inserts id 0 and fails: its read of
+        // id 3 never runs, and the last batch ends where the insert would be.
+        let mut proc = multi_get();
+        let put = QueryDef::new("PutKV", 0, QueryOp::InsertRow, PartitionHint::Param(0));
+        proc.def.queries.push(put);
+        proc.start = |_args| {
+            let q = |query, params: &[i64]| {
+                QueryInvocation::new(query, params.iter().map(|&v| Value::Int(v)).collect())
+            };
+            let second = vec![q(0, &[2]), q(2, &[0, 0, 0]), q(0, &[3])];
+            Box::new(Linear::new(vec![(vec![q(0, &[1])], false), (second, false)]))
+        };
+        let reg = ProcedureRegistry::new(vec![proc]);
+        let out = run_offline(&mut kv_database(4, 4), &reg, &reg.catalog(), 0, &[], true).unwrap();
+        assert!(out.record.aborted);
+        assert_eq!(out.record.queries.iter().map(|q| q.query).collect::<Vec<_>>(), [0, 0]);
+        assert_eq!(out.record.batch_ends, [1]);
+        assert_eq!(out.record.batches().map(<[_]>::len).collect::<Vec<_>>(), [1, 1]);
     }
 
     #[test]

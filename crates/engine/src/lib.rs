@@ -54,3 +54,4 @@ pub use procedure::{Linear, ProcInstance, Procedure, ProcedureRegistry, QueryInv
 pub use profiler::{Bucket, CoordSub, Profiler};
 pub use runtime::{run_live, Client, LiveConfig, LiveRuntime};
 pub use sim::{RequestGenerator, SimConfig, Simulation};
+pub use txn::{replay, Accesses, Decision, Footprint};

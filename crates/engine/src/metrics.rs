@@ -24,7 +24,7 @@ pub struct OpCounters {
     pub txns: u64,
     /// OP1 successes.
     pub op1: u64,
-    /// Transactions where OP1 was applicable (advisor chose a base).
+    /// Transactions the OP1 rule applies to ([`crate::Accesses::base_is_best`]).
     pub op1_applicable: u64,
     /// OP2 successes.
     pub op2: u64,
@@ -402,22 +402,12 @@ impl RunMetrics {
         }
     }
 
-    /// Counter cell for `proc`, creating it on demand.
-    pub fn ops_mut(&mut self, proc: ProcId) -> &mut OpCounters {
-        self.ops.entry(proc).or_default()
-    }
-
-    /// Merges one per-epoch accuracy sample.
-    pub fn record_epoch_accuracy(&mut self, epoch: u64, observed: u64, matched: u64) {
-        EpochAccuracy::merge_into(&mut self.epoch_accuracy, epoch, observed, matched);
-    }
-
     /// Folds the maintenance thread's report in at shutdown.
     pub fn absorb_maintenance(&mut self, report: &MaintenanceReport) {
         self.model_swaps += report.model_swaps;
         self.feedback_records += report.feedback_records;
         for e in &report.epoch_accuracy {
-            self.record_epoch_accuracy(e.epoch, e.observed, e.matched);
+            EpochAccuracy::merge_into(&mut self.epoch_accuracy, e.epoch, e.observed, e.matched);
         }
     }
 
@@ -482,26 +472,16 @@ impl RunMetrics {
     /// Updates the Table 4 optimization counters for one committed
     /// transaction (§6.4).
     fn tally_ops(&mut self, proc: ProcId, plan: &TxnPlan, fp: &Footprint, num_partitions: u32) {
-        let ops = self.ops_mut(proc);
+        let ops = self.ops.entry(proc).or_default();
         ops.txns += 1;
-        // OP1: base partition is among the most-accessed partitions, and the
-        // choice was meaningful (access counts are not uniform over all
-        // partitions — e.g. broadcast-only transactions have no "best" base).
-        let max_count = fp.access_counts.values().copied().max().unwrap_or(0);
-        let min_count = if fp.accessed.len() == num_partitions {
-            fp.access_counts.values().copied().min().unwrap_or(0)
-        } else {
-            0
-        };
-        if max_count > min_count {
+        // OP1: the base is among the partitions accessed most.
+        if let Some(best) = fp.accessed.base_is_best(plan.base_partition, num_partitions) {
             ops.op1_applicable += 1;
-            if fp.access_counts.get(&plan.base_partition).copied().unwrap_or(0) == max_count {
-                ops.op1 += 1;
-            }
+            ops.op1 += u64::from(best);
         }
         // OP2: lock set exactly matched what was accessed.
         ops.op2_applicable += 1;
-        if plan.lock_set == fp.accessed {
+        if plan.lock_set == fp.accessed.touched {
             ops.op2 += 1;
         }
         if fp.undo_disabled_ever {
@@ -516,6 +496,7 @@ impl RunMetrics {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::txn::Accesses;
     use common::PartitionSet;
 
     #[test]
@@ -648,8 +629,10 @@ mod tests {
         let mut m = RunMetrics::default();
         let accessed = PartitionSet::from_iter([1u32, 2]);
         let fp = Footprint {
-            accessed,
-            access_counts: FxHashMap::from_iter([(1, 3), (2, 1)]),
+            accessed: Accesses {
+                touched: accessed,
+                counts: FxHashMap::from_iter([(1, 3), (2, 1)]),
+            },
             undo_disabled_ever: true,
             early_released: PartitionSet::single(2),
         };
@@ -664,18 +647,16 @@ mod tests {
 
         // A broadcast with uniform counts: OP1 not applicable.
         let mut m2 = RunMetrics::default();
-        let uni = Footprint {
-            accessed: PartitionSet::all(4),
-            access_counts: (0..4).map(|p| (p, 2)).collect(),
-            ..Footprint::default()
-        };
+        let counts = (0..4).map(|p| (p, 2)).collect();
+        let accessed = Accesses { touched: PartitionSet::all(4), counts };
+        let uni = Footprint { accessed, ..Footprint::default() };
         m2.tally_ops(0, &TxnPlan::lock_all(0, 4), &uni, 4);
         assert_eq!(m2.ops[&0].op1_applicable, 0);
     }
 
     #[test]
     fn memo_plans_are_counted_per_procedure() {
-        let fp = Footprint { accessed: PartitionSet::single(0), ..Footprint::default() };
+        let fp = Footprint::default();
         let reused = TxnPlan { estimate_reused: true, ..TxnPlan::single(0) };
         let mut m = RunMetrics::default();
         m.record_txn(3, &reused, true, &fp, 2, Some(5.0));

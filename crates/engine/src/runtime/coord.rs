@@ -328,7 +328,7 @@ pub(super) fn run_distributed<A: LiveAdvisor>(
                 // so the base is just another fragment executor (the
                 // simulator's base runs the control code and stays busy to
                 // commit).
-                let to_release = pending_release.difference(fp.early_released).intersect(lock_set);
+                let to_release = fp.releasable(pending_release, lock_set, PartitionSet::EMPTY);
                 for p in to_release.iter() {
                     // A read-only participant gets the prepare, unacknowledged
                     // by design (the paper's unsolicited vote): the worker

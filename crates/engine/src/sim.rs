@@ -404,17 +404,16 @@ impl<'a, A: LiveAdvisor> Simulation<'a, A> {
                     // One that wrote stays reserved until the commit round
                     // notifies it. The base runs the control code and stays
                     // busy until commit: never released here.
-                    for p in pending_release.iter() {
-                        if p != base && lock_set.contains(p) && !fp.early_released.contains(p) {
-                            fp.early_released.insert(p);
-                            if !wrote.contains(p) {
-                                let oneway = self.costs.msg_us(base_node, self.cfg.node_of(p));
-                                let done_at = match held.get(&p) {
-                                    Some(&last) => last,
-                                    None => t_batch_start + oneway,
-                                };
-                                self.avail[p as usize] = self.avail[p as usize].max(done_at);
-                            }
+                    let kept = PartitionSet::single(base);
+                    for p in fp.releasable(pending_release, lock_set, kept).iter() {
+                        fp.early_released.insert(p);
+                        if !wrote.contains(p) {
+                            let oneway = self.costs.msg_us(base_node, self.cfg.node_of(p));
+                            let done_at = match held.get(&p) {
+                                Some(&last) => last,
+                                None => t_batch_start + oneway,
+                            };
+                            self.avail[p as usize] = self.avail[p as usize].max(done_at);
                         }
                     }
                     cursor.resume(batch_results);

@@ -421,7 +421,9 @@ impl Houdini {
         let est_complete = est.reached_commit
             && est.uncertain_steps == 0
             && est.alt_partitions.is_subset(lock_set);
-        let disable_undo = pred.abort_safe_initial()
+        // The whole transaction may skip undo only if its control code
+        // cannot abort (§4.3).
+        let disable_undo = !pred.can_abort
             && trust_abort
             && est_complete
             && est.abort_prob < 1e-9
@@ -1228,6 +1230,7 @@ mod tests {
                 proc,
                 params: vec![Value::Int(i)],
                 queries: Vec::new(),
+                batch_ends: Vec::new(),
                 aborted: false,
             })
             .collect();

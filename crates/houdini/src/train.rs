@@ -4,12 +4,12 @@
 use crate::advisor::PlanTable;
 use crate::feature::{extract_feature, feature_schema, Feature};
 use crate::modelset::{CatalogRule, ModelSet};
-use common::{FxHashMap, FxHashSet, PartitionSet, ProcId, QueryId};
-use engine::{Catalog, CatalogResolver};
+use common::{FxHashMap, FxHashSet, ProcId, QueryId};
+use engine::{Accesses, Catalog, CatalogResolver};
 use mapping::{build_mapping, ProcMapping};
 use markov::{build_model, estimate_path, EstimateConfig, MarkovModel};
 use std::sync::Arc;
-use trace::{split_worksets, PartitionResolver, TraceRecord, Workload};
+use trace::{split_worksets, TraceRecord, Workload};
 
 /// Cap on records used inside the split evaluator.
 const EVAL_SAMPLE: usize = 600;
@@ -75,12 +75,6 @@ impl ProcPredictor {
     /// True if model `idx`'s zero-abort-probability claims are sound.
     pub fn trust_abort_estimates(&self, idx: usize) -> bool {
         self.abort_rate == 0.0 || self.saw_abort.get(idx).copied().unwrap_or(false)
-    }
-
-    /// True if undo logging may be disabled for the *whole* transaction:
-    /// only procedures whose control code cannot abort qualify (§4.3).
-    pub fn abort_safe_initial(&self) -> bool {
-        !self.can_abort
     }
 }
 
@@ -262,43 +256,6 @@ fn choose_split(
     (eval(None) - cost > margin).then_some((feature, routes))
 }
 
-/// Ground truth derived from a trace record under the current cluster
-/// configuration.
-pub struct ActualTxn {
-    /// Partitions the transaction touched.
-    pub touched: PartitionSet,
-    /// Per-partition access counts.
-    pub counts: FxHashMap<u32, u32>,
-    /// Whether it aborted.
-    pub aborted: bool,
-}
-
-/// Resolves a record into its actual partition behaviour.
-pub fn actual_of(rec: &TraceRecord, resolver: &dyn PartitionResolver) -> ActualTxn {
-    let mut touched = PartitionSet::EMPTY;
-    let mut counts: FxHashMap<u32, u32> = FxHashMap::default();
-    for q in &rec.queries {
-        let parts = resolver.partitions(rec.proc, q.query, &q.params);
-        touched = touched.union(parts);
-        for p in parts.iter() {
-            *counts.entry(p).or_insert(0) += 1;
-        }
-    }
-    ActualTxn { touched, counts, aborted: rec.aborted }
-}
-
-/// True if `base` is one of the most-accessed partitions in `actual`.
-pub fn base_is_best(base: Option<u32>, actual: &ActualTxn) -> bool {
-    let max = actual.counts.values().copied().max().unwrap_or(0);
-    if max == 0 {
-        return true; // nothing accessed: any base is fine
-    }
-    match base {
-        None => false,
-        Some(b) => actual.counts.get(&b).copied().unwrap_or(0) == max,
-    }
-}
-
 /// The §5.2 evaluator: build the split's models from the validation
 /// workset and charge prediction penalties on the testing workset; `split`
 /// `None` scores the single global model. Penalties per test transaction:
@@ -332,15 +289,17 @@ fn evaluate_split(
     for r in test_ws {
         let model = set.model(set.select(&r.params));
         let est = estimate_path(model, &rule, mapping, &r.params, &EstimateConfig::default());
-        let actual = actual_of(r, &resolver);
-        if !base_is_best(est.best_base(), &actual) {
+        let actual = Accesses::of(catalog.proc(proc), num_partitions, &r.queries);
+        // No base at all is wrong wherever the record touched anything.
+        let best = |b| actual.base_is_best(b, num_partitions) != Some(false);
+        if !est.best_base().map_or(actual.touched.is_empty(), best) {
             cost += 1.0;
         }
         if est.touched != actual.touched {
             cost += 1.0;
         }
         let would_disable = est.abort_prob < 1e-9 && est.reached_commit;
-        if would_disable && actual.aborted {
+        if would_disable && r.aborted {
             cost += 1000.0; // unrecoverable state: "infinite" penalty (§5.2)
         }
     }
@@ -388,7 +347,7 @@ mod tests {
                     queries.push(q(1, x + 1));
                 }
                 let params = vec![Value::Int(x), Value::Int(f), Value::Int(x + 1)];
-                TraceRecord { proc: 0, params, queries, aborted: false }
+                TraceRecord { proc: 0, params, queries, batch_ends: Vec::new(), aborted: false }
             })
             .collect()
     }
@@ -545,7 +504,7 @@ mod tests {
     }
 
     #[test]
-    fn actual_of_matches_offline_touched() {
+    fn record_accesses_match_offline_touched() {
         let parts = 4;
         let mut db = Bench::Tpcc.database(parts);
         let reg = Bench::Tpcc.registry();
@@ -559,14 +518,13 @@ mod tests {
             Value::Array(vec![Value::Int(1)]),
         ];
         let out = run_offline(&mut db, &reg, &catalog, 1, &args, true).unwrap();
-        let resolver = CatalogResolver::new(&catalog, parts);
-        let actual = actual_of(&out.record, &resolver);
+        let actual = Accesses::of(catalog.proc(1), parts, &out.record.queries);
         assert_eq!(actual.touched, out.touched);
-        assert!(!actual.aborted);
+        assert!(!out.record.aborted);
         // The remote supplying warehouse (partition 2) receives 3 of the 5
         // accesses (CheckStock, InsertOrdLine, UpdateStock): it is the best
         // base, and the home warehouse is not.
-        assert!(base_is_best(Some(2), &actual));
-        assert!(!base_is_best(Some(0), &actual));
+        assert_eq!(actual.base_is_best(2, parts), Some(true));
+        assert_eq!(actual.base_is_best(0, parts), Some(false));
     }
 }

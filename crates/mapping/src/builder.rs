@@ -163,6 +163,7 @@ mod tests {
                     proc: 0,
                     params: vec![Value::Int(w), Value::Array(ids), Value::Array(ws)],
                     queries,
+                    batch_ends: Vec::new(),
                     aborted: false,
                 }
             })
@@ -206,6 +207,7 @@ mod tests {
                 proc: 0,
                 params: vec![Value::Int(t % 2)],
                 queries: vec![QueryRecord { query: 0, params: vec![Value::Int(0)] }],
+                batch_ends: Vec::new(),
                 aborted: false,
             })
             .collect();
@@ -223,6 +225,7 @@ mod tests {
                 proc: 0,
                 params: vec![Value::Str(format!("NBR{t}"))],
                 queries: vec![QueryRecord { query: 0, params: vec![Value::Int(t)] }],
+                batch_ends: Vec::new(),
                 aborted: false,
             })
             .collect();

@@ -85,6 +85,7 @@ mod tests {
                 .into_iter()
                 .map(|(q, v)| QueryRecord { query: q, params: vec![Value::Int(v)] })
                 .collect(),
+            batch_ends: Vec::new(),
             aborted,
         }
     }

@@ -428,6 +428,7 @@ mod tests {
                 Value::Array(item_ws.iter().map(|&x| Value::Int(x)).collect()),
             ],
             queries,
+            batch_ends: Vec::new(),
             aborted,
         }
     }

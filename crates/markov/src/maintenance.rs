@@ -303,6 +303,7 @@ mod tests {
             proc: 0,
             params: vec![],
             queries: vec![QueryRecord { query: 0, params: vec![Value::Int(0)] }],
+            batch_ends: Vec::new(),
             aborted: false,
         };
         build_model(0, &[&rec], &ModResolver { parts: 2 })

@@ -20,6 +20,10 @@ pub struct TraceRecord {
     pub params: Vec<Value>,
     /// The queries the transaction executed, in order.
     pub queries: Vec<QueryRecord>,
+    /// Where each batch of `queries` but the last ends (exclusive), in
+    /// order; the last batch runs to the end of `queries`. A one-batch
+    /// record, or a hand-built one, leaves this empty.
+    pub batch_ends: Vec<usize>,
     /// True if the transaction ended in the abort state.
     pub aborted: bool,
 }
@@ -33,6 +37,12 @@ impl TraceRecord {
     /// True if the transaction executed no queries.
     pub fn is_empty(&self) -> bool {
         self.queries.is_empty()
+    }
+
+    /// The queries, batch by batch, as the control code submitted them.
+    pub fn batches(&self) -> impl Iterator<Item = &[QueryRecord]> {
+        let ends = self.batch_ends.iter().copied().chain([self.len()]);
+        ends.scan(0, |start, end| Some(&self.queries[std::mem::replace(start, end)..end]))
     }
 }
 
@@ -60,11 +70,6 @@ pub struct Workload {
 }
 
 impl Workload {
-    /// Creates an empty workload.
-    pub fn new() -> Self {
-        Workload::default()
-    }
-
     /// Number of transaction records.
     pub fn len(&self) -> usize {
         self.records.len()
@@ -100,6 +105,7 @@ mod tests {
             queries: (0..n)
                 .map(|i| QueryRecord { query: i as QueryId, params: vec![Value::Int(i as i64)] })
                 .collect(),
+            batch_ends: vec![1],
             aborted: false,
         }
     }
@@ -117,5 +123,13 @@ mod tests {
     fn record_len() {
         assert_eq!(rec(0, 4).len(), 4);
         assert!(!rec(0, 4).is_empty());
+    }
+
+    #[test]
+    fn the_last_batch_runs_to_the_end_of_the_queries() {
+        let lens = |r: &TraceRecord| r.batches().map(<[_]>::len).collect::<Vec<_>>();
+        assert_eq!(lens(&rec(0, 4)), [1, 3]);
+        assert_eq!(lens(&TraceRecord { batch_ends: vec![1, 1], ..rec(0, 4) }), [1, 0, 3]);
+        assert_eq!(lens(&TraceRecord { batch_ends: Vec::new(), ..rec(0, 4) }), [4]);
     }
 }

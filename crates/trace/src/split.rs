@@ -35,6 +35,7 @@ mod tests {
                 proc: 0,
                 params: vec![Value::Int(i as i64)],
                 queries: vec![],
+                batch_ends: Vec::new(),
                 aborted: false,
             })
             .collect()

@@ -36,16 +36,36 @@ fn every_benchmark_trace_is_deterministic() {
 /// Pins trace *content*, not just self-consistency: the acceptance
 /// benchmark trains from `bench::collect_trace`, so a refactor that shifts
 /// one record shifts every recorded number. FNV-1a of the records' `Debug`
-/// rendering; the constants were computed at the commit before
-/// `engine::collect_trace` replaced the hand-copied loops.
+/// rendering over `proc`, `params`, `queries` and `aborted` (the record's
+/// fields before batch boundaries were recorded); the constants were
+/// computed at the commit before `engine::collect_trace` replaced the
+/// hand-copied loops. The batch boundaries have a digest of their own,
+/// computed when `run_offline` began recording them.
 #[test]
 fn trace_content_is_pinned() {
     let got = Bench::ALL.map(|bench| {
         let (_, wl) = collect_trace(bench, 2, 200, 7);
-        wal::codec::fnv1a(format!("{:?}", wl.records).as_bytes())
+        let records: Vec<String> = wl
+            .records
+            .iter()
+            .map(|r| {
+                format!(
+                    "TraceRecord {{ proc: {:?}, params: {:?}, queries: {:?}, aborted: {:?} }}",
+                    r.proc, r.params, r.queries, r.aborted
+                )
+            })
+            .collect();
+        let batch_ends: Vec<_> = wl.records.iter().map(|r| &r.batch_ends).collect();
+        [
+            wal::codec::fnv1a(format!("[{}]", records.join(", ")).as_bytes()),
+            wal::codec::fnv1a(format!("{batch_ends:?}").as_bytes()),
+        ]
     });
     let want = [0x3fc8_3114_78cb_1773, 0x55ab_dc5a_44f5_5a2e, 0xab91_4a5f_e97b_2719];
-    assert_eq!(got, want, "TATP / TPC-C / AuctionMark trace content changed: {got:#018x?}");
+    let content = got.map(|[c, _]| c);
+    assert_eq!(content, want, "TATP / TPC-C / AuctionMark trace content changed: {got:#018x?}");
+    let batches = [0x3f58_db5f_9f79_e9b5, 0x7ae6_a33a_def0_b1ba, 0x473a_6d59_9215_499e];
+    assert_eq!(got.map(|[_, b]| b), batches, "batch boundaries changed: {got:#018x?}");
 }
 
 /// FNV-1a of one short 4-partition simulation's outcome counters, Table 4

@@ -292,6 +292,7 @@ proptest! {
                     .iter()
                     .map(|(q, v)| QueryRecord { query: *q, params: vec![Value::Int(*v)] })
                     .collect(),
+                batch_ends: Vec::new(),
                 aborted: *aborted,
             })
             .collect();
@@ -384,6 +385,7 @@ proptest! {
                         Value::Array(arrays[i].iter().map(|&e| Value::Int(e)).collect()),
                     ],
                     queries,
+                    batch_ends: Vec::new(),
                     aborted: false,
                 }
             })
@@ -433,6 +435,7 @@ proptest! {
                     .iter()
                     .map(|(q, v)| QueryRecord { query: *q, params: vec![Value::Int(*v)] })
                     .collect(),
+                batch_ends: Vec::new(),
                 aborted: *aborted,
             })
             .collect();
