@@ -538,10 +538,12 @@ impl Houdini {
         if !est.reached_commit && !est.reached_abort {
             // The walk dead-ended (a state never seen in training, §4.4):
             // the lock set cannot be trusted. Fall back to lock-all with
-            // tracking rather than gamble on a mispredict restart. Not
-            // stored: the base is this request's random draw.
-            let (mut plan, passive) =
-                self.passive_plan(pred, model_idx, ctx.random_local_partition);
+            // tracking rather than gamble on a mispredict restart, based at
+            // the partial walk's most-accessed partition, or at this
+            // request's random draw when the walk took no query step. Not
+            // stored: the plan table holds the plans of complete estimates.
+            let base = est.best_base().unwrap_or(ctx.random_local_partition);
+            let (mut plan, passive) = self.passive_plan(pred, model_idx, base);
             plan.estimate_cost_us = cost;
             *core = passive;
             return (plan, model_idx);
@@ -1205,17 +1207,18 @@ mod tests {
     fn memo_never_serves_a_dead_end() {
         // NewOrder without items: training never saw a NewOrder commit
         // before its first item, so the walk dead-ends and the plan falls
-        // back to lock-all at the request's random draw.
+        // back to lock-all, based where the partial walk went most: the
+        // home warehouse's partition 0, not the request's draw of 1.
         let (h, catalog) = trained(2, 600, false);
         let req = new_order_req(0, 90_010, &[]);
-        let (first, session) = plan_checked(&h, &req, &ctx_drawing(&catalog, 0), None);
+        let (first, session) = plan_checked(&h, &req, &ctx_drawing(&catalog, 1), None);
         assert!(first.estimate_cost_us > 0.0, "an estimate was attempted");
         assert_eq!(first.lock_set, PartitionSet::all(2), "the dead end locks everything");
         assert!(session.core.step_queries.is_empty());
-        assert_eq!(first.base_partition, 0);
+        assert_eq!(first.base_partition, 0, "the partial walk's most-accessed partition");
         let (again, _) = plan_checked(&h, &req, &ctx_drawing(&catalog, 1), Some(session));
         assert!(!again.estimate_reused);
-        assert_eq!(again.base_partition, 1, "the fallback's base is this request's own draw");
+        assert_eq!(again.base_partition, 0);
     }
 
     #[test]
