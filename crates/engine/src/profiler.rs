@@ -85,12 +85,54 @@ impl CoordSub {
     }
 }
 
-#[derive(Debug, Clone, Default)]
-struct ProcTimes {
+/// One procedure's row: time per bucket, the coordination sub-buckets,
+/// and the transactions they cover. The live client accumulates each call
+/// in a row of its own and folds it in with [`Profiler::fold`].
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct ProcTimes {
     us: [f64; 6],
-    /// Coordination sub-bucket times, parallel to `us[Coordination]`.
+    /// Coordination sub-bucket times, parts of `us[Coordination]`.
     coord: [f64; 3],
     txns: u64,
+}
+
+impl ProcTimes {
+    /// Adds `us` microseconds of `bucket` time.
+    pub(crate) fn add(&mut self, bucket: Bucket, us: f64) {
+        debug_assert!(us >= 0.0, "negative time {us}");
+        self.us[bucket as usize] += us;
+    }
+
+    /// Adds `us` microseconds to a [`Bucket::Coordination`] sub-bucket,
+    /// and so to `Coordination` itself.
+    pub(crate) fn add_coord(&mut self, sub: CoordSub, us: f64) {
+        self.add(Bucket::Coordination, us);
+        self.coord[sub as usize] += us;
+    }
+
+    /// Adds one fast-path round trip: the stages the worker measured, and
+    /// the rest of `round_trip_us` (channel hops) as coordination.
+    pub(crate) fn add_round_trip(&mut self, times: StageTimes, round_trip_us: f64) {
+        let StageTimes { queued_us, est_us, exec_us } = times;
+        self.add(Bucket::Queueing, queued_us);
+        self.add(Bucket::Estimation, est_us);
+        self.add(Bucket::Execution, exec_us);
+        self.add(Bucket::Coordination, (round_trip_us - queued_us - est_us - exec_us).max(0.0));
+    }
+}
+
+/// Wall-clock stage timings measured at the worker for one fast-path
+/// transaction, reported back to the client for Fig. 11 attribution (the
+/// client cannot observe queue wait or execution time from its side of
+/// the connection).
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct StageTimes {
+    /// Time the message sat on the worker queue before being picked up.
+    pub(crate) queued_us: f64,
+    /// Advisor time inside execution (`on_query_live`).
+    pub(crate) est_us: f64,
+    /// Execution time at the worker, minus the advisor share.
+    pub(crate) exec_us: f64,
 }
 
 /// Accumulates microseconds per (procedure, bucket) — simulated time in the
@@ -108,18 +150,21 @@ impl Profiler {
 
     /// Adds `us` microseconds of `bucket` time for `proc`.
     pub fn add(&mut self, proc: ProcId, bucket: Bucket, us: f64) {
-        debug_assert!(us >= 0.0, "negative time {us}");
-        let entry = self.per_proc.entry(proc).or_default();
-        entry.us[bucket as usize] += us;
+        self.per_proc.entry(proc).or_default().add(bucket, us);
     }
 
-    /// Adds `us` microseconds to a [`Bucket::Coordination`] sub-bucket for
-    /// `proc`. The caller records the same time under `Coordination` too —
-    /// this only refines how that total splits.
-    pub fn add_coord(&mut self, proc: ProcId, sub: CoordSub, us: f64) {
-        debug_assert!(us >= 0.0, "negative time {us}");
+    /// Folds one finished transaction of `proc`, whose time is `row` and
+    /// whose wall time was `total_us`: whatever of `total_us` the row does
+    /// not claim is `Other`.
+    pub(crate) fn fold(&mut self, proc: ProcId, row: &ProcTimes, total_us: f64) {
         let entry = self.per_proc.entry(proc).or_default();
-        entry.coord[sub as usize] += us;
+        let sums = entry.us.iter_mut().chain(&mut entry.coord);
+        for (sum, us) in sums.zip(row.us.iter().chain(&row.coord)) {
+            *sum += us;
+        }
+        let known: f64 = row.us.iter().sum();
+        entry.add(Bucket::Other, (total_us - known).max(0.0));
+        entry.txns += 1;
     }
 
     /// Marks one completed transaction of `proc` (for averaging).
@@ -237,12 +282,16 @@ mod tests {
 
     #[test]
     fn coord_sub_buckets_split_the_coordination_total() {
+        let mut row = ProcTimes::default();
+        row.add(Bucket::Execution, 50.0);
+        row.add(Bucket::Coordination, 10.0);
+        row.add_coord(CoordSub::LockWait, 10.0);
+        row.add_coord(CoordSub::TwoPc, 25.0);
+        row.add_coord(CoordSub::Flush, 5.0);
         let mut p = Profiler::new();
-        p.add(0, Bucket::Execution, 50.0);
-        p.add(0, Bucket::Coordination, 50.0);
-        p.add_coord(0, CoordSub::LockWait, 10.0);
-        p.add_coord(0, CoordSub::TwoPc, 25.0);
-        p.add_coord(0, CoordSub::Flush, 5.0);
+        p.fold(0, &row, 100.0);
+        assert_eq!(p.share(0, Bucket::Other), 0.0, "the row claims the whole call");
+        assert_eq!(p.txns(0), 1);
         let sub_sum: f64 = CoordSub::ALL.iter().map(|&s| p.overall_coord_share(s)).sum();
         assert!(sub_sum <= p.share(0, Bucket::Coordination) + 1e-12);
         assert!((p.overall_coord_share(CoordSub::TwoPc) - 0.25).abs() < 1e-12);

@@ -6,7 +6,7 @@ use super::wire::{us_since, Call, Conns, Reply, SingleMsg};
 #[cfg(doc)]
 use super::LiveRuntime;
 use crate::advisor::{LiveAdvisor, PlanContext, Request, TxnOutcome};
-use crate::profiler::{Bucket, CoordSub};
+use crate::profiler::Bucket;
 use crate::txn::replan;
 use common::sync::atomic::Ordering;
 use common::sync::{Arc, PoisonError};
@@ -128,11 +128,10 @@ impl<A: LiveAdvisor + 'static> Client<A> {
             &ctx,
             self.spare.take(),
         );
-        acc.est_us += us_since(t0);
+        acc.add(Bucket::Estimation, us_since(t0));
         let mut attempt = 0u32;
         // Ends with the final attempt's outcome, footprint and latency.
         let result = loop {
-            plan.lock_set.insert(plan.base_partition);
             let outcome = if plan.lock_set.is_single() {
                 let base = plan.base_partition as usize;
                 // The request, plan, and session all *move* into the
@@ -152,7 +151,7 @@ impl<A: LiveAdvisor + 'static> Client<A> {
                 // unanswered closes the connection: `None`, a clean error.
                 match self.conns.recv(base) {
                     Some(Reply::Done { committed, session, fp, times, ticket }) => {
-                        acc.fold_reply(times, us_since(t_send));
+                        acc.add_round_trip(times, us_since(t_send));
                         // A durable writer was acknowledged as soon as its
                         // worker logged it; the call returns once a device
                         // flush covers that record.
@@ -162,7 +161,7 @@ impl<A: LiveAdvisor + 'static> Client<A> {
                         Attempt::Done { committed, fp, session }
                     }
                     Some(Reply::Mispredict { req: r, observed, session, times }) => {
-                        acc.fold_reply(times, us_since(t_send));
+                        acc.add_round_trip(times, us_since(t_send));
                         req = Some(r);
                         Attempt::Mispredict { observed, session }
                     }
@@ -200,15 +199,15 @@ impl<A: LiveAdvisor + 'static> Client<A> {
                     let r = req.as_ref().expect("request survives a mispredict");
                     let t_est = Instant::now();
                     session = replan(&env.advisor, r, &ctx, observed, &mut attempt, &mut plan);
-                    acc.est_us += us_since(t_est);
+                    acc.add(Bucket::Estimation, us_since(t_est));
                 }
                 Attempt::Fatal(e) => break Err(e),
             }
         };
         // Fold this transaction's tallies into the run-wide counters even
         // on an error path: restarts that happened are real. Per-stage
-        // attribution (Fig. 11): whatever the staged accumulators didn't
-        // claim of the call's wall time — channel hops outside a timed
+        // attribution (Fig. 11): whatever the call's row didn't claim
+        // of the call's wall time — channel hops outside a timed
         // region, fatal-path teardown — is `Other`.
         // One lock section; a worker that panicked mid-call poisons this
         // mutex, but the counters stay consistent (all updates additive)
@@ -225,17 +224,7 @@ impl<A: LiveAdvisor + 'static> Client<A> {
             let committed = *outcome == TxnOutcome::Committed;
             m.record_txn(proc, &plan, committed, fp, env.num_partitions, Some(*latency_us));
         }
-        let p = &mut m.profile;
-        p.add(proc, Bucket::Estimation, acc.est_us);
-        p.add(proc, Bucket::Execution, acc.exec_us);
-        p.add(proc, Bucket::Coordination, acc.coord_us);
-        p.add_coord(proc, CoordSub::LockWait, acc.lock_us);
-        p.add_coord(proc, CoordSub::TwoPc, acc.twopc_us);
-        p.add_coord(proc, CoordSub::Flush, acc.flush_us);
-        p.add(proc, Bucket::Queueing, acc.queue_us);
-        let known = acc.est_us + acc.exec_us + acc.coord_us + acc.queue_us;
-        p.add(proc, Bucket::Other, (total_us - known).max(0.0));
-        p.finish_txn(proc);
+        m.profile.fold(proc, &acc, total_us);
         drop(m);
         result.map(|(outcome, ..)| outcome)
     }

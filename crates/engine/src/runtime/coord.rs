@@ -1,12 +1,25 @@
 //! The coordinator side of a distributed transaction (runs on the client).
+//!
+//! [`run_distributed`] drives one attempt: atomic lock acquisition,
+//! batched fragment shipping, OP4's early prepares and the 2PC outcome. A
+//! [`Hold`] owns everything the attempt holds, and resolving it is the one
+//! way out: a commit, a user abort, a mispredict, a fatal error after
+//! shipping or at an early prepare each end in one [`Hold::finish`], and an
+//! unwind in the guard's drop.
 
 use super::lifecycle::{Durable, Shared};
-use super::wire::{us_since, BatchItem, Call, Conns, FragCmd, Reply, StageTimes};
+use super::lock::LockGuard;
+use super::wire::{us_since, BatchItem, Call, Conns, FragCmd, Reply};
 use crate::advisor::{LiveAdvisor, Request, TxnPlan};
 use crate::procedure::Step;
+use crate::profiler::{Bucket, CoordSub};
 use crate::txn::{Cursor, Footprint};
-use common::{Error, PartitionSet, QueryId, Result, Value};
+use common::{Error, PartitionId, PartitionSet, QueryId, Result, Value};
 use std::time::Instant;
+
+/// One `Client::call`'s Fig. 11 row, accumulated across its attempts and
+/// folded into `RunMetrics::profile` once the call resolves.
+pub(super) use crate::profiler::ProcTimes as StageAcc;
 
 /// How one execution attempt ended, from the client's point of view.
 pub(super) enum Attempt<S> {
@@ -15,66 +28,129 @@ pub(super) enum Attempt<S> {
     Fatal(Error),
 }
 
-/// Client-side Fig. 11 stage accumulator for one `Client::call`: folded
-/// into `RunMetrics::profile` once the call resolves, with the residual
-/// against total wall time reported as `Other`.
-#[derive(Debug, Clone, Copy, Default)]
-pub(super) struct StageAcc {
-    pub(super) est_us: f64,
-    pub(super) exec_us: f64,
-    pub(super) coord_us: f64,
-    pub(super) queue_us: f64,
-    /// Sub-buckets *of* `coord_us` (each amount below is also added to
-    /// `coord_us`), splitting the distributed path's coordination cost the
-    /// way Fig. 11's analysis needs it: time blocked acquiring the lock
-    /// set, time in the 2PC finish round (outcome sends + acks), and time
-    /// waiting on the shared commit-flush sequencer (durable mode, on both
-    /// paths: `Durable::wait_durable`). The fast path's residual
-    /// coordination (channel hops) lands in none of them.
-    pub(super) lock_us: f64,
-    pub(super) twopc_us: f64,
-    pub(super) flush_us: f64,
-}
-
-impl StageAcc {
-    /// Folds one fast-path round trip: the stages the worker measured,
-    /// plus the round trip's unexplained remainder (channel hops) as
-    /// coordination.
-    pub(super) fn fold_reply(&mut self, times: StageTimes, round_trip_us: f64) {
-        self.queue_us += times.queued_us;
-        self.est_us += times.est_us;
-        self.exec_us += times.exec_us;
-        self.coord_us += (round_trip_us - times.queued_us - times.est_us - times.exec_us).max(0.0);
-    }
-}
-
-/// Records one lock-hold sample (acquisition → now) for every partition
-/// still held in `lock_set` minus `released`, into the client's reused
-/// sample buffer (folded under the metrics lock once per call).
-fn record_remaining_hold(
-    samples: &mut Vec<f64>,
+/// Everything one distributed attempt holds: its lock set, the client's
+/// connections (a participant whose fragment wrote stays reserved on its
+/// connection until it hears the outcome), what the attempt released and
+/// wrote, and when it took the locks. [`Hold::release`] lets one partition
+/// go early; [`Hold::finish`] resolves the attempt. Dropped while the
+/// thread unwinds instead (a panic in the control code or the advisor,
+/// which the caller may catch), it closes the connection to every
+/// partition of the lock set before the locks release: each reserved
+/// participant then rolls back and serves everyone else again.
+struct Hold<'a, A: LiveAdvisor> {
+    env: &'a Shared<A>,
+    conns: &'a mut Conns<A::Session>,
     lock_set: PartitionSet,
-    released: PartitionSet,
+    locks: LockGuard<'a>,
     t_locked: Instant,
-) {
-    let us = t_locked.elapsed().as_secs_f64() * 1e6;
-    for _ in lock_set.difference(released).iter() {
-        samples.push(us);
+    /// What the attempt has done: `fp.early_released` is the released set
+    /// the mispredict rule and metrics see.
+    fp: Footprint,
+    /// Partitions any write query was shipped to so far — a participant
+    /// may over-execute a write past the batch's constraint abort point,
+    /// and its undo must still be resolved by the outcome. A released
+    /// partition in this set is still reserved at its worker.
+    wrote: PartitionSet,
+    /// The client's lock-hold samples, folded under the metrics lock once
+    /// per call.
+    holds: &'a mut Vec<f64>,
+}
+
+impl<'a, A: LiveAdvisor> Hold<'a, A> {
+    /// Takes `lock_set`, charging the wait to `acc`'s LockWait.
+    fn acquire(
+        env: &'a Shared<A>,
+        lock_set: PartitionSet,
+        conns: &'a mut Conns<A::Session>,
+        holds: &'a mut Vec<f64>,
+        acc: &mut StageAcc,
+    ) -> Self {
+        let t_acquire = Instant::now();
+        let locks = env.locks.guard(lock_set);
+        acc.add_coord(CoordSub::LockWait, us_since(t_acquire));
+        let (fp, wrote) = (Footprint::default(), PartitionSet::EMPTY);
+        Hold { env, conns, lock_set, locks, t_locked: Instant::now(), fp, wrote, holds }
+    }
+
+    /// OP4's early prepare of `p`. A read-only participant gets `Prepare`,
+    /// unacknowledged by design (the paper's unsolicited vote): the worker
+    /// serves this connection's commands in order, so it observes the
+    /// prepare before anything a later lock holder pushes, and not waiting
+    /// for an ack keeps the coordinator off the scheduler's critical path
+    /// (one round trip per released partition is measurable on small
+    /// hosts). A participant whose fragment wrote gets nothing: its worker
+    /// stays on this connection until [`Hold::finish`]'s `VoteFinish`, so
+    /// the later lock holder waits for the outcome. Then `p`'s lock goes,
+    /// with its hold sample.
+    fn release(&mut self, p: PartitionId) -> Result<()> {
+        if !self.wrote.contains(p) {
+            self.conns.send(&self.env.workers, p as usize, Call::Frag(FragCmd::Prepare))?;
+        }
+        self.fp.early_released.insert(p);
+        self.holds.push(self.t_locked.elapsed().as_secs_f64() * 1e6);
+        self.locks.release_early(p);
+        Ok(())
+    }
+
+    /// Resolves the attempt and hands back its footprint. Coalesced 2PC
+    /// (§2): each participant still reserved — not released, or released
+    /// after a write — gets one `VoteFinish` carrying the flush-and-vote
+    /// *and* the decision. A split Vote round would buy no information
+    /// (participants always vote yes; fragment errors surfaced at
+    /// execution), only an extra message round of lock-hold time per
+    /// participant. All sends go out before any ack is awaited, so
+    /// participant-side work and modeled delays overlap.
+    ///
+    /// With the acks in hand (abort: every effect undone; commit: kept),
+    /// every partition still locked records its hold sample, and a durable
+    /// commit that wrote takes its sequencer ticket: every participant's
+    /// begin and decision appends happen-before it, so one `write+fsync`
+    /// covers them all. Then the locks go, and only then does the client
+    /// wait for the device: effects are visible the moment the locks
+    /// release, and only this client's acknowledgement stalls on the
+    /// device (DESIGN.md §7).
+    fn finish(mut self, commit: bool, acc: &mut StageAcc) -> Result<Footprint> {
+        let t_fin = Instant::now();
+        let mut failure = None;
+        let mut sent = PartitionSet::EMPTY;
+        let reserved = self.lock_set.difference(self.fp.early_released.difference(self.wrote));
+        for p in reserved.iter() {
+            let vote = Call::Frag(FragCmd::VoteFinish { commit });
+            match self.conns.send(&self.env.workers, p as usize, vote) {
+                Ok(()) => sent.insert(p),
+                Err(e) => failure = Some(e),
+            }
+        }
+        for p in sent.iter() {
+            match self.conns.recv(p as usize) {
+                Some(Reply::Finished) => {}
+                Some(Reply::Fatal(e)) => failure = Some(e),
+                Some(_) => failure = Some(Error::Other("fragment protocol violation".into())),
+                None => failure = Some(Error::Other(format!("worker {p} hung up"))),
+            }
+        }
+        acc.add_coord(CoordSub::TwoPc, us_since(t_fin));
+        let held_us = self.t_locked.elapsed().as_secs_f64() * 1e6;
+        for _ in self.lock_set.difference(self.fp.early_released).iter() {
+            self.holds.push(held_us);
+        }
+        let durable = self.env.durable.as_ref();
+        let ticket = match durable {
+            Some(d) if commit && failure.is_none() && !self.wrote.is_empty() => {
+                Some((d, d.seq.enqueue()))
+            }
+            _ => None,
+        };
+        let fp = std::mem::take(&mut self.fp);
+        drop(self);
+        if let Some((d, t)) = ticket {
+            d.wait_durable(t, acc);
+        }
+        failure.map_or(Ok(fp), Err)
     }
 }
 
-/// Closes the client's connection to every partition of an attempt's lock
-/// set if the coordination unwinds (a panic in the control code or the
-/// advisor, which the caller may catch). A participant whose fragment
-/// wrote is reserved on that connection until it hears the outcome; once
-/// the connection closes it rolls back and serves everyone else again. On
-/// a normal return the guard does nothing.
-struct CloseOnUnwind<'a, S> {
-    conns: &'a mut Conns<S>,
-    lock_set: PartitionSet,
-}
-
-impl<S> Drop for CloseOnUnwind<'_, S> {
+impl<A: LiveAdvisor> Drop for Hold<'_, A> {
     fn drop(&mut self) {
         if std::thread::panicking() {
             for p in self.lock_set.iter() {
@@ -84,13 +160,14 @@ impl<S> Drop for CloseOnUnwind<'_, S> {
     }
 }
 
-/// Coordinates one distributed transaction from the client thread: atomic
-/// lock acquisition, batched fragment shipping over the client's
-/// connections, early prepares (OP4), 2PC outcome, and (durable mode) the
-/// one sequenced commit flush. A connection's request ring holds at most
-/// an unacknowledged read-only `Prepare` plus the next transaction's
-/// `LogBegin` and opening `ExecBatch`; a written participant gets no
-/// message at its early release, so it adds nothing.
+/// Coordinates one distributed transaction from the client thread: lock
+/// acquisition, batched fragment shipping over the client's connections,
+/// early prepares (OP4), and the 2PC outcome with (durable mode) the one
+/// sequenced commit flush, all resolved through one [`Hold`]. A
+/// connection's request ring holds at most an unacknowledged read-only
+/// `Prepare` plus the next transaction's `LogBegin` and opening
+/// `ExecBatch`; a written participant gets no message at its early
+/// release, so it adds nothing.
 #[allow(clippy::too_many_lines)]
 pub(super) fn run_distributed<A: LiveAdvisor>(
     env: &Shared<A>,
@@ -103,28 +180,7 @@ pub(super) fn run_distributed<A: LiveAdvisor>(
 ) -> Attempt<A::Session> {
     let workers = &env.workers;
     let lock_set = plan.lock_set;
-    // Held for the whole coordination; the drop guard also releases on an
-    // unwind, after `unwind` (declared later, dropped first) has closed the
-    // lock set's connections, so a panicking coordinator cannot wedge later
-    // transactions: its participants roll back.
-    let t_acquire = Instant::now();
-    let mut locks_held = env.locks.guard(lock_set);
-    let unwind = CloseOnUnwind { conns, lock_set };
-    let conns = &mut *unwind.conns;
-    let lock_wait = us_since(t_acquire);
-    acc.coord_us += lock_wait;
-    acc.lock_us += lock_wait;
-    let t_locked = Instant::now();
-    // Early-released partitions: `fp.early_released` is the set the
-    // mispredict rule and metrics see. Those that `wrote_parts` also holds
-    // are still reserved at their workers and owe the 2PC outcome; the
-    // rest were read-only participants and are completely done with this
-    // txn.
-    let mut fp = Footprint::default();
-    // Partitions any write query was shipped to so far — a participant
-    // may over-execute a write past the batch's constraint abort point, and
-    // its undo must still be resolved by the outcome.
-    let mut wrote_parts = PartitionSet::EMPTY;
+    let mut hold = Hold::acquire(env, lock_set, conns, lock_holds, acc);
     // Durable mode: this transaction's command-log id, and the participants
     // whose logs already hold its `DistBegin` (shipped once per partition,
     // before its first fragment).
@@ -136,51 +192,6 @@ pub(super) fn run_distributed<A: LiveAdvisor>(
     // executor like the others — control code runs here on the
     // coordinator.
     let n = env.num_partitions as usize;
-    // Sends the 2PC outcome everywhere and waits for every ack (timing the
-    // round into `acc`'s 2PC share); every call site returns immediately
-    // afterwards, so the lock guard releases only
-    // after all fragment effects are final (abort: undone; commit: kept —
-    // durability is the caller's sequenced flush after this returns).
-    // Coalesced 2PC (§2): each still-reserved participant gets one
-    // `VoteFinish` carrying the flush-and-vote *and* the decision — the
-    // split Vote round bought no information (participants always vote
-    // yes; fragment errors surfaced at execution), only an extra message
-    // round of lock-hold time per participant. Still reserved means not
-    // early-released, or early-released after a write (that worker is
-    // still serving this connection); read-only released participants hear
-    // nothing (they are already out). All sends go out before any
-    // acknowledgement is awaited, so participant-side work and modeled
-    // delays overlap in wall-clock time.
-    let finish_all = |conns: &mut Conns<A::Session>,
-                      acc: &mut StageAcc,
-                      released: PartitionSet,
-                      wrote: PartitionSet,
-                      commit: bool|
-     -> Result<()> {
-        let t_fin = Instant::now();
-        let mut failure = None;
-        let mut sent = PartitionSet::EMPTY;
-        let reserved = lock_set.difference(released.difference(wrote));
-        for p in reserved.iter() {
-            match conns.send(workers, p as usize, Call::Frag(FragCmd::VoteFinish { commit })) {
-                Ok(()) => sent.insert(p),
-                Err(e) => failure = Some(e),
-            }
-        }
-        for p in sent.iter() {
-            match conns.recv(p as usize) {
-                Some(Reply::Finished) => {}
-                Some(Reply::Fatal(e)) => failure = Some(e),
-                Some(_) => failure = Some(Error::Other("fragment protocol violation".into())),
-                None => failure = Some(Error::Other(format!("worker {p} hung up"))),
-            }
-        }
-        let tw = us_since(t_fin);
-        acc.coord_us += tw;
-        acc.twopc_us += tw;
-        failure.map_or(Ok(()), Err)
-    };
-
     let mut cursor = Cursor::new(&env.registry, req.proc, &req.args);
     let proc_def = env.catalog.proc(req.proc);
     // Each batch query's targets, reused across batch steps.
@@ -188,24 +199,21 @@ pub(super) fn run_distributed<A: LiveAdvisor>(
     // Per-participant reply cursors for the current batch, reused across
     // batch steps (entries are taken by the merge and cleared after it).
     let mut per_part: Vec<Option<std::vec::IntoIter<BatchItem>>> = (0..n).map(|_| None).collect();
-    let (fin, committed) = loop {
+    // How the control code ended, as on the fast path: `Ok(committed)`, or
+    // a mispredict's `Err(observed)`; or a fatal error.
+    let end = 'attempt: loop {
         // Control code runs here on the coordinator: Execution time.
         let t_step = Instant::now();
         let step = cursor.next();
-        acc.exec_us += us_since(t_step);
+        acc.add(Bucket::Execution, us_since(t_step));
         match step {
             Step::Queries(batch) => {
                 let t_batch = Instant::now();
                 let mut batch_est_us = 0.0f64;
                 let checked =
-                    fp.check_batch(proc_def, env.num_partitions, &batch, lock_set, &mut q_targets);
+                    hold.fp.check_batch(proc_def, env.num_partitions, &batch, plan, &mut q_targets);
                 if let Err(observed) = checked {
-                    let fin = finish_all(conns, acc, fp.early_released, wrote_parts, false);
-                    record_remaining_hold(lock_holds, lock_set, fp.early_released, t_locked);
-                    return match fin {
-                        Ok(()) => Attempt::Mispredict { observed, session },
-                        Err(e) => Attempt::Fatal(e),
-                    };
+                    break Ok(Err(observed));
                 }
                 // Ship each participant's share of the batch as ONE
                 // `ExecBatch` — one ring push, one modeled network hop and
@@ -220,7 +228,7 @@ pub(super) fn run_distributed<A: LiveAdvisor>(
                         to_ship[p as usize].push((inv.query, inv.params.clone()));
                     }
                     if proc_def.query(inv.query).is_write() {
-                        wrote_parts = wrote_parts.union(targets);
+                        hold.wrote = hold.wrote.union(targets);
                     }
                 }
                 let mut fatal: Option<Error> = None;
@@ -241,7 +249,8 @@ pub(super) fn run_distributed<A: LiveAdvisor>(
                                 proc: req.proc,
                                 args: req.args.clone(),
                             };
-                            if let Err(e) = conns.send(workers, p as usize, Call::Frag(begin)) {
+                            if let Err(e) = hold.conns.send(workers, p as usize, Call::Frag(begin))
+                            {
                                 fatal = Some(e);
                                 continue;
                             }
@@ -249,7 +258,7 @@ pub(super) fn run_distributed<A: LiveAdvisor>(
                         }
                     }
                     let batch = FragCmd::ExecBatch { proc: req.proc, queries };
-                    match conns.send(workers, p as usize, Call::Frag(batch)) {
+                    match hold.conns.send(workers, p as usize, Call::Frag(batch)) {
                         Ok(()) => shipped.insert(p),
                         // Keep shipping to the survivors: their replies and
                         // rollbacks still need collecting below.
@@ -260,7 +269,7 @@ pub(super) fn run_distributed<A: LiveAdvisor>(
                 // order; each is the participant's item list for its whole
                 // sub-batch.
                 for p in shipped.iter() {
-                    match conns.recv(p as usize) {
+                    match hold.conns.recv(p as usize) {
                         Some(Reply::Batch(items)) => {
                             per_part[p as usize] = Some(items.into_iter());
                         }
@@ -272,9 +281,7 @@ pub(super) fn run_distributed<A: LiveAdvisor>(
                     }
                 }
                 if let Some(e) = fatal {
-                    let _ = finish_all(conns, acc, fp.early_released, wrote_parts, false);
-                    record_remaining_hold(lock_holds, lock_set, fp.early_released, t_locked);
-                    return Attempt::Fatal(e);
+                    break Err(e);
                 }
                 // Merge per query in ascending partition order — identical
                 // row order and abort choice to the per-query path. The
@@ -311,7 +318,8 @@ pub(super) fn run_distributed<A: LiveAdvisor>(
                     // finish declarations accumulate for the end-of-batch
                     // early prepare.
                     let t_est = Instant::now();
-                    let upd = fp.observe(&env.advisor, &mut session, plan, None, def, inv, targets);
+                    let upd =
+                        hold.fp.observe(&env.advisor, &mut session, plan, None, def, inv, targets);
                     batch_est_us += us_since(t_est);
                     pending_release = pending_release.union(upd.finished);
                     batch_results.push(rows);
@@ -328,79 +336,31 @@ pub(super) fn run_distributed<A: LiveAdvisor>(
                 // so the base is just another fragment executor (the
                 // simulator's base runs the control code and stays busy to
                 // commit).
-                let to_release = fp.releasable(pending_release, lock_set, PartitionSet::EMPTY);
+                let to_release = hold.fp.releasable(pending_release, lock_set, PartitionSet::EMPTY);
                 for p in to_release.iter() {
-                    // A read-only participant gets the prepare, unacknowledged
-                    // by design (the paper's unsolicited vote): the worker
-                    // serves this connection's commands in order, so it observes
-                    // the prepare before anything a later lock holder
-                    // pushes — releasing the lock immediately after the
-                    // push is safe, and not blocking here keeps the
-                    // coordinator off the scheduler's critical path (one
-                    // ack round trip per released partition is measurable
-                    // on small hosts). A participant whose fragment wrote
-                    // gets nothing: its worker stays on this connection until
-                    // `finish_all`'s `VoteFinish`, so the later lock holder
-                    // waits for the outcome.
-                    let prepared = if wrote_parts.contains(p) {
-                        Ok(())
-                    } else {
-                        conns.send(workers, p as usize, Call::Frag(FragCmd::Prepare))
-                    };
-                    if let Err(e) = prepared {
-                        // Abort like every other fatal exit, so no
-                        // participant stays reserved on this client's
-                        // connections. The guard drop releases everything
-                        // still held — record the hold time for those
-                        // partitions (this one is still held too:
-                        // `early_released` not yet updated).
-                        let _ = finish_all(conns, acc, fp.early_released, wrote_parts, false);
-                        record_remaining_hold(lock_holds, lock_set, fp.early_released, t_locked);
-                        return Attempt::Fatal(e);
+                    if let Err(e) = hold.release(p) {
+                        break 'attempt Err(e);
                     }
-                    fp.early_released.insert(p);
-                    lock_holds.push(t_locked.elapsed().as_secs_f64() * 1e6);
-                    locks_held.release_early(p);
                 }
                 cursor.resume(batch_results);
                 // Everything in this arm except the advisor calls —
                 // fragment shipping, participant execution, reply
                 // collection, early-prepare sends — counts as Execution;
                 // the advisor share is Estimation.
-                acc.est_us += batch_est_us;
-                acc.exec_us += (us_since(t_batch) - batch_est_us).max(0.0);
+                acc.add(Bucket::Estimation, batch_est_us);
+                acc.add(Bucket::Execution, (us_since(t_batch) - batch_est_us).max(0.0));
             }
-            Step::Commit => {
-                let fin = finish_all(conns, acc, fp.early_released, wrote_parts, true);
-                // Durable mode: one durability wait per distributed write
-                // commit, through the shared sequencer — and *after* the
-                // lock guard drops. The ticket is taken first, while every
-                // participant's ack is in hand (their begin and decision
-                // appends happen-before it), so one `write+fsync` covers
-                // all of them; effects are visible the moment the locks
-                // release, only this client's acknowledgement stalls on
-                // the device (DESIGN.md §7 has the ordering argument).
-                let ticket = match &env.durable {
-                    Some(d) if fin.is_ok() && !wrote_parts.is_empty() => Some((d, d.seq.enqueue())),
-                    _ => None,
-                };
-                record_remaining_hold(lock_holds, lock_set, fp.early_released, t_locked);
-                drop(locks_held);
-                if let Some((d, t)) = ticket {
-                    d.wait_durable(t, acc);
-                }
-                break (fin, true);
-            }
-            Step::Abort(_) => {
-                let fin = finish_all(conns, acc, fp.early_released, wrote_parts, false);
-                record_remaining_hold(lock_holds, lock_set, fp.early_released, t_locked);
-                break (fin, false);
-            }
+            Step::Commit => break Ok(Ok(true)),
+            Step::Abort(_) => break Ok(Ok(false)),
         }
     };
-    match fin {
-        Ok(()) => Attempt::Done { committed, fp, session },
-        Err(e) => Attempt::Fatal(e),
+    // Every exit, fatal ones included, resolves the attempt the same way;
+    // only a commit commits.
+    let fin = hold.finish(matches!(end, Ok(Ok(true))), acc);
+    match (end, fin) {
+        (Err(e), _) | (_, Err(e)) => Attempt::Fatal(e),
+        (Ok(Err(observed)), Ok(_)) => Attempt::Mispredict { observed, session },
+        (Ok(Ok(committed)), Ok(fp)) => Attempt::Done { committed, fp, session },
     }
 }
 
@@ -695,6 +655,121 @@ mod tests {
         let (_, db) = rt.shutdown();
         let val = |id| db.get(id as u32 % 2, 0, &[Value::Int(id)]).expect("row")[2].clone();
         assert_eq!((val(0), val(1)), (Value::Int(2), Value::Int(1)), "an abandoned bump survived");
+    }
+
+    /// Plans the home partitions of `args[0]`'s ids, based at the first
+    /// id's.
+    struct ByIds;
+
+    impl LiveAdvisor for ByIds {
+        type Session = ();
+
+        fn name(&self) -> &str {
+            "by-ids"
+        }
+
+        fn plan_live_reusing(
+            &self,
+            req: &Request,
+            ctx: &PlanContext<'_>,
+            _spare: Option<()>,
+        ) -> (TxnPlan, ()) {
+            let ids = req.args[0].as_array().expect("arg 0 is id array");
+            let home = |id: &Value| id.home_partition(ctx.num_partitions);
+            let lock_set = PartitionSet::from_iter(ids.iter().map(home));
+            (TxnPlan { lock_set, ..TxnPlan::single(home(&ids[0])) }, ())
+        }
+
+        fn replan_live(
+            &self,
+            req: &Request,
+            _observed: PartitionSet,
+            _attempt: u32,
+            ctx: &PlanContext<'_>,
+        ) -> (TxnPlan, ()) {
+            self.plan_live_reusing(req, ctx, None)
+        }
+    }
+
+    /// Bumps each id of `args[0]` by the matching delta of `args[1]` in one
+    /// batch, then reads the first id back and commits only if its value
+    /// is `args[2]`.
+    struct BumpThenCheck {
+        bumps: Option<Vec<QueryInvocation>>,
+        read: Option<QueryInvocation>,
+        want: Value,
+    }
+
+    impl crate::procedure::ProcInstance for BumpThenCheck {
+        fn next(&mut self, results: Option<&[Vec<storage::Row>]>) -> Step {
+            if let Some(batch) = self.bumps.take() {
+                return Step::Queries(batch);
+            }
+            if let Some(read) = self.read.take() {
+                return Step::Queries(vec![read]);
+            }
+            match results {
+                Some([rows]) if rows.first().map(|row| &row[2]) == Some(&self.want) => Step::Commit,
+                _ => Step::Abort("unexpected value".into()),
+            }
+        }
+    }
+
+    #[test]
+    fn a_participant_dying_mid_batch_leaves_the_survivors_rolled_back() {
+        // The doomed call bumps id 0 at partition 0 and id 1 at partition
+        // 1, whose non-integer delta kills worker 1 while it executes the
+        // batch. The coordinator sees worker 1 hang up after shipping, so
+        // the attempt fails and partition 0 must roll its bump back and
+        // serve everyone again: another client's bump of id 0 then reads 1,
+        // and the coordinator's own next one reads 2.
+        let mut proc = multi_get();
+        proc.start = |args| {
+            let (ids, deltas) =
+                (args[0].as_array().expect("ids"), args[1].as_array().expect("deltas"));
+            let bumps = ids
+                .iter()
+                .zip(deltas)
+                .map(|(id, d)| QueryInvocation::new(1, vec![id.clone(), d.clone()]));
+            let read = QueryInvocation::new(0, vec![ids[0].clone()]);
+            Box::new(BumpThenCheck {
+                bumps: Some(bumps.collect()),
+                read: Some(read),
+                want: args[2].clone(),
+            })
+        };
+        let registry = ProcedureRegistry::new(vec![proc]);
+        let rt = LiveRuntime::start(kv_database(2, 8), registry, ByIds, LiveConfig::default());
+        let ints = |vs: &[i64]| Value::Array(vs.iter().map(|&v| Value::Int(v)).collect());
+        let bump0 = move |want| vec![ints(&[0]), ints(&[1]), Value::Int(want)];
+        let mut client = rt.client();
+        let doomed = vec![
+            ints(&[0, 1]),
+            Value::Array(vec![Value::Int(1), Value::Str("x".into())]),
+            Value::Int(0),
+        ];
+        let err = client.call(0, doomed).expect_err("the call whose participant died returned Ok");
+        assert!(err.to_string().contains("worker 1 hung up"), "{err}");
+        let mut other = rt.client();
+        let (done, done_rx) = std::sync::mpsc::channel();
+        let caller = std::thread::spawn(move || {
+            let outcome = other.call(0, bump0(1));
+            let _ = done.send(());
+            (outcome, other)
+        });
+        if done_rx.recv_timeout(WAIT).is_err() {
+            // Tearing the runtime down would wait on the wedged worker too.
+            std::mem::forget(rt);
+            panic!("another client's call to the surviving participant was not served");
+        }
+        let (outcome, other) = caller.join().expect("the other client's thread");
+        assert_eq!(outcome.expect("the other client's call"), TxnOutcome::Committed);
+        assert_eq!(client.call(0, bump0(2)).expect("same client"), TxnOutcome::Committed);
+        drop((client, other));
+        let joined = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| rt.shutdown()));
+        let panic = joined.err().expect("shutdown must re-raise worker 1's panic");
+        let msg = panic.downcast_ref::<String>().expect("a formatted panic message");
+        assert!(msg.contains("expected Int"), "{msg}");
     }
 
     /// Locks both partitions with early prepare on, and declares partition

@@ -10,6 +10,7 @@ use crate::catalog::Catalog;
 use crate::durability::{DurabilityConfig, RecoveryReport};
 use crate::metrics::{MaintenanceReport, RunMetrics};
 use crate::procedure::ProcedureRegistry;
+use crate::profiler::CoordSub;
 use crate::sim::RequestGenerator;
 use common::flush::FlushSequencer;
 use common::ring::Doorbell;
@@ -165,9 +166,7 @@ impl Durable {
     pub(super) fn wait_durable(&self, ticket: u64, acc: &mut StageAcc) {
         let t_flush = Instant::now();
         self.seq.wait_durable_dev(ticket, &self.device);
-        let us = us_since(t_flush);
-        acc.coord_us += us;
-        acc.flush_us += us;
+        acc.add_coord(CoordSub::Flush, us_since(t_flush));
     }
 }
 
@@ -177,8 +176,9 @@ impl Durable {
 /// grant), has each worker rotate its command log to generation `gen` and
 /// serialize its shard, then publishes the generation's completion marker
 /// and truncates segments below it. Returns the published generation, or
-/// `None` when durability is off or a worker died mid-snapshot (no
-/// marker ⇒ recovery ignores the partial generation).
+/// `None` when durability is off, or a worker died or failed to rotate or
+/// write mid-snapshot, or the marker could not be written (no marker ⇒
+/// recovery ignores the partial generation).
 pub(super) fn snapshot_cluster<A: LiveAdvisor>(env: &Shared<A>) -> Option<u64> {
     let d = env.durable.as_ref()?;
     // ordering: Relaxed — the lock fence below serializes the bump against
@@ -202,7 +202,7 @@ pub(super) fn snapshot_cluster<A: LiveAdvisor>(env: &Shared<A>) -> Option<u64> {
         }
     }
     drop(guard);
-    wal::write_marker(d.logs.dir(), gen).expect("write snapshot marker");
+    wal::write_marker(d.logs.dir(), gen).ok()?;
     // ordering: Relaxed — metrics-only counter.
     d.snapshots_taken.fetch_add(1, Ordering::Relaxed);
     let _ = wal::truncate_below(d.logs.dir(), gen);
@@ -462,7 +462,9 @@ impl<A: LiveAdvisor + 'static> LiveRuntime<A> {
     /// now (durable mode only): fences the cluster, rotates every command
     /// log, serializes every shard, publishes the generation marker, and
     /// truncates obsolete segments. Returns the published generation, or
-    /// `None` when durability is off or the snapshot was abandoned.
+    /// `None` when durability is off or the snapshot was abandoned: a
+    /// worker died, or a log rotation or a snapshot write failed (the
+    /// workers keep serving).
     pub fn snapshot_now(&self) -> Option<u64> {
         snapshot_cluster(&self.shared)
     }
@@ -1228,5 +1230,32 @@ pub(super) mod tests {
         assert_eq!(m.committed, calls);
         assert!(m.snapshots_taken >= 1, "25 ms cadence over 120 ms must snapshot");
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_failed_snapshot_is_abandoned_and_every_worker_keeps_serving() {
+        // The durability directory moves away and a regular file takes its
+        // path: no worker can open its new log segment, so the snapshot is
+        // abandoned. The open segment moved with the directory, so later
+        // writers still log and flush.
+        let dir = durability_dir("snap-fail");
+        let cfg =
+            LiveConfig { durability: Some(DurabilityConfig::new(&dir)), ..Default::default() };
+        let rt =
+            LiveRuntime::start(kv_database(2, 8), kv_registry(), AssumeSinglePartition::new(), cfg);
+        let moved = dir.with_extension("moved");
+        std::fs::rename(&dir, &moved).expect("move the durability directory away");
+        std::fs::write(&dir, b"not a directory").expect("a file in its place");
+        assert_eq!(rt.snapshot_now(), None, "a snapshot no worker could write was published");
+        let mut client = rt.client();
+        for id in 0..4 {
+            let outcome = client.call(0, vec![Value::Array(vec![Value::Int(id)])]);
+            assert_eq!(outcome.expect("a worker died"), TxnOutcome::Committed);
+        }
+        drop(client);
+        let (m, _) = rt.shutdown();
+        let _ = std::fs::remove_file(&dir);
+        let _ = std::fs::remove_dir_all(&moved);
+        assert_eq!((m.committed, m.snapshots_taken), (4, 0));
     }
 }

@@ -2,6 +2,7 @@
 
 use super::LANE_CAPACITY;
 use crate::advisor::{Request, TxnPlan};
+use crate::profiler::StageTimes;
 use crate::txn::Footprint;
 use common::ring::{self, Doorbell, PushError};
 use common::sync::mpsc::Sender;
@@ -53,20 +54,6 @@ pub(super) enum FragCmd {
 pub(super) enum BatchItem {
     Rows(Vec<Row>),
     Constraint(String),
-}
-
-/// Wall-clock stage timings measured at the worker for one fast-path
-/// transaction, reported back to the coordinating client for Fig. 11
-/// attribution (the client cannot observe queue wait or execution time
-/// from its side of the connection).
-#[derive(Debug, Clone, Copy, Default)]
-pub(super) struct StageTimes {
-    /// Time the message sat on the worker queue before being picked up.
-    pub(super) queued_us: f64,
-    /// Advisor time inside execution (`on_query_live`).
-    pub(super) est_us: f64,
-    /// Execution time at the worker, minus the advisor share.
-    pub(super) exec_us: f64,
 }
 
 /// Microseconds elapsed since `t`.

@@ -2,10 +2,11 @@
 
 use super::lifecycle::Shared;
 use super::participant::serve_reservation;
-use super::wire::{us_since, Call, CtrlMsg, FragCmd, Reply, SingleMsg, StageTimes, WorkerEnd};
+use super::wire::{us_since, Call, CtrlMsg, FragCmd, Reply, SingleMsg, WorkerEnd};
 use crate::advisor::{LiveAdvisor, Request, TxnPlan};
 use crate::exec::execute_fragment;
 use crate::procedure::Step;
+use crate::profiler::StageTimes;
 use crate::txn::{Cursor, Footprint};
 use common::sync::mpsc::{Receiver, Sender};
 use common::{Error, PartitionSet};
@@ -130,14 +131,19 @@ pub(super) fn worker_loop<A: LiveAdvisor>(
             // The snapshot fence holds every partition lock, so this shard
             // is at a transaction boundary: rotate the command log to the
             // new generation (the rotation makes the old segment durable
-            // first), and serialize the shard. The `expect`s fire *before*
-            // the completion send — the snapshotter abandons the
-            // generation if this worker dies.
+            // first), and serialize the shard. A failed rotation or write
+            // sends no completion: the snapshotter abandons the generation,
+            // as if this worker had died, and the worker keeps serving
+            // (a rotation that fails leaves the log in its old generation).
             let d = env.durable.as_ref().expect("snapshot request requires durability state");
-            d.logs.rotate(shard.partition(), gen).expect("rotate command log");
-            wal::write_snapshot(d.logs.dir(), shard.partition(), gen, &shard.snapshot_rows())
-                .expect("write snapshot");
-            let _ = done.send(());
+            let p = shard.partition();
+            let written = d
+                .logs
+                .rotate(p, gen)
+                .and_then(|()| wal::write_snapshot(d.logs.dir(), p, gen, &shard.snapshot_rows()));
+            if written.is_ok() {
+                let _ = done.send(());
+            }
         }
         // An opened reservation: its client holds this partition's lock
         // and sent the transaction's first command. The lock is exclusive,
@@ -226,7 +232,7 @@ fn run_single<A: LiveAdvisor>(
         match cursor.next() {
             Step::Queries(batch) => {
                 let n = env.num_partitions;
-                if let Err(observed) = fp.check_batch(proc_def, n, &batch, plan.lock_set, targets) {
+                if let Err(observed) = fp.check_batch(proc_def, n, &batch, plan, targets) {
                     break Err(observed);
                 }
                 let mut batch_results = Vec::with_capacity(batch.len());

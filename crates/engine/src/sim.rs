@@ -222,7 +222,6 @@ impl<'a, A: LiveAdvisor> Simulation<'a, A> {
         let mut t = t_arrive;
         let mut attempt = 0u32;
         loop {
-            plan.lock_set.insert(plan.base_partition);
             match self.try_execute(req, &plan, &mut session, t)? {
                 Attempt::Done { committed, client_done, fp } => {
                     let window = self.cfg.warmup_us..self.cfg.warmup_us + self.cfg.measure_us;
@@ -319,7 +318,7 @@ impl<'a, A: LiveAdvisor> Simulation<'a, A> {
                     // mispredicted batch can abort cleanly.
                     let n = self.cfg.num_partitions;
                     let def = self.catalog.proc(proc);
-                    if let Err(observed) = fp.check_batch(def, n, &batch, lock_set, &mut targets) {
+                    if let Err(observed) = fp.check_batch(def, n, &batch, plan, &mut targets) {
                         let txn = u64::from(proc) + 1000;
                         let t_fail = self.roll_back(proc, t, &mut undo, reserved, txn)?;
                         return Ok(Attempt::Mispredict { observed, t_fail });

@@ -123,20 +123,27 @@ impl Footprint {
     }
 
     /// The mispredict rule, checked before a batch touches storage: every
-    /// target must lie inside `lock_set` and outside the early-released
-    /// set. A clean batch leaves each query's targets in `targets`. On a
-    /// violation the attempt learns only the partitions of the queries up
-    /// to and including the first offending one — it aborts there, like a
-    /// real engine that discovers the violation when the query is
-    /// dispatched — and `Err` carries `observed`: those plus `accessed`.
+    /// target must lie inside the plan's lock set and outside the
+    /// early-released set. A clean batch leaves each query's targets in
+    /// `targets`. On a violation the attempt learns only the partitions of
+    /// the queries up to and including the first offending one — it aborts
+    /// there, like a real engine that discovers the violation when the
+    /// query is dispatched — and `Err` carries `observed`: those plus
+    /// `accessed`.
+    ///
+    /// Every driver runs each batch through here, so this is also where
+    /// the advisor contract's base rule holds: a plan whose lock set omits
+    /// its base partition is refused (a panic, in every build).
     pub(crate) fn check_batch(
         &self,
         def: &ProcDef,
         num_partitions: u32,
         batch: &[QueryInvocation],
-        lock_set: PartitionSet,
+        plan: &TxnPlan,
         targets: &mut Vec<PartitionSet>,
     ) -> Result<(), PartitionSet> {
+        let lock_set = plan.lock_set;
+        assert!(lock_set.contains(plan.base_partition), "{plan:?}: lock set omits its base");
         targets.clear();
         targets.reserve(batch.len());
         let mut seen = self.accessed.touched;
@@ -257,15 +264,14 @@ pub fn replay<A: LiveAdvisor>(
 ) -> Decision {
     let def = ctx.catalog.proc(rec.proc);
     let req = Request { proc: rec.proc, args: rec.params.clone(), origin_node: 0 };
-    let (mut plan, mut session) = advisor.plan_live_reusing(&req, ctx, spare.take());
-    plan.lock_set.insert(plan.base_partition);
+    let (plan, mut session) = advisor.plan_live_reusing(&req, ctx, spare.take());
     let (mut fp, mut undo) = Footprint::begin(&plan);
     let mut targets = Vec::new();
     let mut observed = None;
     for batch in rec.batches() {
         let batch: Vec<_> =
             batch.iter().map(|q| QueryInvocation::new(q.query, q.params.clone())).collect();
-        let checked = fp.check_batch(def, ctx.num_partitions, &batch, plan.lock_set, &mut targets);
+        let checked = fp.check_batch(def, ctx.num_partitions, &batch, &plan, &mut targets);
         if let Err(seen) = checked {
             observed = Some(seen);
             break;
@@ -310,7 +316,8 @@ mod tests {
         let catalog = kv_registry().catalog();
         let mut targets = Vec::new();
         let locks = PartitionSet::from_iter(lock_set.iter().copied());
-        fp.check_batch(catalog.proc(0), 4, &reads(ids), locks, &mut targets).map(|()| targets)
+        let plan = TxnPlan { lock_set: locks, ..TxnPlan::single(lock_set[0]) };
+        fp.check_batch(catalog.proc(0), 4, &reads(ids), &plan, &mut targets).map(|()| targets)
     }
 
     #[test]
@@ -413,6 +420,13 @@ mod tests {
         assert_eq!(d.observed, Some(PartitionSet::from_iter([1u32, 2])));
         assert_eq!(d.footprint.accessed.touched, PartitionSet::single(1));
         assert_eq!(d.record.touched, PartitionSet::from_iter([1u32, 2, 3]));
+    }
+
+    #[test]
+    #[should_panic(expected = "lock set omits its base")]
+    fn a_plan_whose_lock_set_omits_its_base_is_refused() {
+        let plan = TxnPlan { lock_set: PartitionSet::from_iter([1u32, 2]), ..TxnPlan::single(0) };
+        replay_reads(plan, &[&[1]]);
     }
 
     #[test]

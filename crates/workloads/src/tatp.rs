@@ -441,34 +441,12 @@ fn update_subscriber() -> Procedure {
             read_only: false,
             can_abort: false,
         },
-        start: |args| Box::new(UpdateSubscriberRun { args: args.to_vec(), stage: 0 }),
-    }
-}
-
-struct UpdateSubscriberRun {
-    args: Vec<Value>,
-    stage: u8,
-}
-
-impl ProcInstance for UpdateSubscriberRun {
-    fn next(&mut self, _results: Option<&[Vec<Row>]>) -> Step {
-        match self.stage {
-            0 => {
-                self.stage = 1;
-                Step::Queries(vec![QueryInvocation::new(
-                    0,
-                    vec![self.args[0].clone(), self.args[1].clone()],
-                )])
-            }
-            1 => {
-                self.stage = 2;
-                Step::Queries(vec![QueryInvocation::new(
-                    1,
-                    vec![self.args[0].clone(), self.args[2].clone(), self.args[3].clone()],
-                )])
-            }
-            _ => Step::Commit,
-        }
+        start: |args| {
+            let bit = QueryInvocation::new(0, vec![args[0].clone(), args[1].clone()]);
+            let sf = vec![args[0].clone(), args[2].clone(), args[3].clone()];
+            let sf = QueryInvocation::new(1, sf);
+            Box::new(Linear::new(vec![(vec![bit], false), (vec![sf], false)]))
+        },
     }
 }
 
