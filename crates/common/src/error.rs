@@ -11,8 +11,9 @@ pub enum Error {
     TypeMismatch { expected: &'static str, got: String },
     /// An operation violated a storage invariant (e.g. duplicate primary key).
     Constraint(String),
-    /// A transaction touched a partition it did not lock; the engine aborts
-    /// and restarts it (paper §2 OP2).
+    /// A transaction's plan does not lock the base partition its control
+    /// code runs at, which the advisor contract requires (paper §2 OP1,
+    /// OP2); the engine refuses the plan and fails the transaction.
     PartitionViolation { txn: u64, partition: u32 },
     /// A transaction aborted after undo logging was disabled: unrecoverable
     /// (paper §2 OP3 — "the node must halt").
@@ -35,7 +36,7 @@ impl fmt::Display for Error {
             }
             Error::Constraint(msg) => write!(f, "constraint violation: {msg}"),
             Error::PartitionViolation { txn, partition } => {
-                write!(f, "txn {txn} accessed unlocked partition {partition}")
+                write!(f, "txn {txn} planned without locking its base partition {partition}")
             }
             Error::UnrecoverableAbort { txn } => {
                 write!(f, "txn {txn} aborted without undo log: node halt")

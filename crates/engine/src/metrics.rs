@@ -3,9 +3,9 @@
 //! deterministic [`crate::Simulation`] (simulated microseconds) and the live
 //! runtime (wall-clock microseconds).
 
-use crate::advisor::TxnPlan;
+use crate::advisor::{TxnOutcome, TxnPlan};
 use crate::profiler::Profiler;
-use crate::txn::Footprint;
+use crate::txn::{Decision, Footprint};
 use common::{FxHashMap, ProcId};
 
 /// Per-procedure counters of how often each optimization was applied
@@ -429,7 +429,7 @@ impl RunMetrics {
     }
 
     /// Records one finished transaction — the outcome record of both
-    /// engines: the final attempt's `plan` and footprint `fp`. A user abort
+    /// engines: the final attempt's decision `d`. A user abort
     /// counts in `user_aborts` only. A commit counts as distributed or
     /// single-partition, no-undo and in Table 4's counters;
     /// with its client-visible `latency_us` it also counts in `committed`,
@@ -439,16 +439,15 @@ impl RunMetrics {
     pub(crate) fn record_txn(
         &mut self,
         proc: ProcId,
-        plan: &TxnPlan,
-        committed: bool,
-        fp: &Footprint,
+        d: &Decision,
         num_partitions: u32,
         latency_us: Option<f64>,
     ) {
-        if !committed {
+        if d.outcome != TxnOutcome::Committed {
             self.user_aborts += 1;
             return;
         }
+        let (plan, fp) = (&d.plan, &d.footprint);
         if let Some(us) = latency_us {
             self.committed += 1;
             *self.committed_by_proc.entry(proc).or_insert(0) += 1;
@@ -494,7 +493,7 @@ impl RunMetrics {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::txn::Accesses;
     use common::PartitionSet;
@@ -635,6 +634,7 @@ mod tests {
             },
             undo_disabled_ever: true,
             early_released: PartitionSet::single(2),
+            ..Footprint::default()
         };
         let plan = TxnPlan { lock_set: accessed, ..TxnPlan::single(1) };
         m.tally_ops(0, &plan, &fp, 4);
@@ -654,17 +654,26 @@ mod tests {
         assert_eq!(m2.ops[&0].op1_applicable, 0);
     }
 
+    /// A decision under `plan` that did nothing and ended in `outcome`.
+    pub(crate) fn decision(plan: TxnPlan, outcome: TxnOutcome) -> Decision {
+        Decision { plan, footprint: Footprint::default(), observed: None, outcome }
+    }
+
     #[test]
     fn memo_plans_are_counted_per_procedure() {
-        let fp = Footprint::default();
-        let reused = TxnPlan { estimate_reused: true, ..TxnPlan::single(0) };
+        let reused = decision(
+            TxnPlan { estimate_reused: true, ..TxnPlan::single(0) },
+            TxnOutcome::Committed,
+        );
+        let fresh = decision(TxnPlan::single(0), TxnOutcome::Committed);
         let mut m = RunMetrics::default();
-        m.record_txn(3, &reused, true, &fp, 2, Some(5.0));
-        m.record_txn(3, &TxnPlan::single(0), true, &fp, 2, Some(5.0));
-        m.record_txn(4, &reused, true, &fp, 2, Some(5.0));
+        m.record_txn(3, &reused, 2, Some(5.0));
+        m.record_txn(3, &fresh, 2, Some(5.0));
+        m.record_txn(4, &reused, 2, Some(5.0));
         // Outside the measurement window, and a user abort: neither counts.
-        m.record_txn(4, &reused, true, &fp, 2, None);
-        m.record_txn(4, &reused, false, &fp, 2, Some(5.0));
+        m.record_txn(4, &reused, 2, None);
+        let aborted = Decision { outcome: TxnOutcome::UserAborted, ..reused };
+        m.record_txn(4, &aborted, 2, Some(5.0));
         assert_eq!(m.est_reused_by_proc, FxHashMap::from_iter([(3, 1), (4, 1)]));
         assert_eq!(m.committed_by_proc, FxHashMap::from_iter([(3, 2), (4, 1)]));
         assert_eq!(m.overall_est_reused_pct(), Some(100.0 * 2.0 / 3.0));

@@ -1,13 +1,13 @@
 //! The [`Client`] handle: plan, dispatch, retry, and fold one call's metrics.
 
-use super::coord::{run_distributed, Attempt, StageAcc};
+use super::coord::{run_distributed, StageAcc};
 use super::lifecycle::Shared;
 use super::wire::{us_since, Call, Conns, Reply, SingleMsg};
 #[cfg(doc)]
 use super::LiveRuntime;
 use crate::advisor::{LiveAdvisor, PlanContext, Request, TxnOutcome};
 use crate::profiler::Bucket;
-use crate::txn::replan;
+use crate::txn::{check_plan, replan};
 use common::sync::atomic::Ordering;
 use common::sync::{Arc, PoisonError};
 use common::{derive_seed, seeded_rng, Error, ProcId, Result, Value};
@@ -101,7 +101,6 @@ impl<A: LiveAdvisor + 'static> Client<A> {
     /// The transaction's counters (commit/abort, latency, restarts, OP
     /// tallies) are folded into the runtime-wide metrics before the call
     /// returns, so [`LiveRuntime::metrics`] sees it immediately.
-    #[allow(clippy::too_many_lines)]
     pub fn call(&mut self, proc: ProcId, args: Vec<Value>) -> Result<TxnOutcome> {
         let env = Arc::clone(&self.shared);
         let env = &*env;
@@ -114,7 +113,7 @@ impl<A: LiveAdvisor + 'static> Client<A> {
         let parks = self.conns.parks();
         self.lock_holds.clear();
         // The request is `None` only while a fast-path message is in
-        // flight — a `Mispredict` reply hands it back.
+        // flight — the reply hands it back.
         let mut req = Some(Request { proc, args, origin_node: 0 });
         let ctx = PlanContext {
             catalog: &env.catalog,
@@ -130,9 +129,12 @@ impl<A: LiveAdvisor + 'static> Client<A> {
         );
         acc.add(Bucket::Estimation, us_since(t0));
         let mut attempt = 0u32;
-        // Ends with the final attempt's outcome, footprint and latency.
+        // Ends with the final attempt's decision and latency.
         let result = loop {
-            let outcome = if plan.lock_set.is_single() {
+            if let Err(e) = check_plan(proc, &plan) {
+                break Err(e);
+            }
+            let decision = if plan.lock_set.is_single() {
                 let base = plan.base_partition as usize;
                 // The request, plan, and session all *move* into the
                 // message (the plan is `Copy`): the steady-state send is
@@ -150,7 +152,7 @@ impl<A: LiveAdvisor + 'static> Client<A> {
                 // A worker that shuts down or dies with the call still
                 // unanswered closes the connection: `None`, a clean error.
                 match self.conns.recv(base) {
-                    Some(Reply::Done { committed, session, fp, times, ticket }) => {
+                    Some(Reply::Ended { req: r, decision, session: s, times, ticket }) => {
                         acc.add_round_trip(times, us_since(t_send));
                         // A durable writer was acknowledged as soon as its
                         // worker logged it; the call returns once a device
@@ -158,51 +160,36 @@ impl<A: LiveAdvisor + 'static> Client<A> {
                         if let (Some(d), Some(t)) = (&env.durable, ticket) {
                             d.wait_durable(t, &mut acc);
                         }
-                        Attempt::Done { committed, fp, session }
+                        (req, session) = (Some(r), s);
+                        decision
                     }
-                    Some(Reply::Mispredict { req: r, observed, session, times }) => {
-                        acc.add_round_trip(times, us_since(t_send));
-                        req = Some(r);
-                        Attempt::Mispredict { observed, session }
-                    }
-                    Some(Reply::Fatal(e)) => Attempt::Fatal(e),
-                    Some(_) => Attempt::Fatal(Error::Other("fast-path protocol violation".into())),
-                    None => Attempt::Fatal(Error::Other(format!("worker {base} hung up"))),
+                    Some(Reply::Fatal(e)) => break Err(e),
+                    Some(_) => break Err(Error::Other("fast-path protocol violation".into())),
+                    None => break Err(Error::Other(format!("worker {base} hung up"))),
                 }
             } else {
-                run_distributed(
-                    env,
-                    req.as_ref().expect("request in hand"),
-                    &plan,
-                    session,
-                    &mut self.lock_holds,
-                    &mut self.conns,
-                    &mut acc,
-                )
+                let r = req.as_ref().expect("request in hand");
+                let (holds, conns) = (&mut self.lock_holds, &mut self.conns);
+                match run_distributed(env, r, &plan, &mut session, holds, conns, &mut acc) {
+                    Ok(decision) => decision,
+                    Err(e) => break Err(e),
+                }
             };
-            match outcome {
-                Attempt::Done { committed, fp, session: s } => {
-                    let outcome =
-                        if committed { TxnOutcome::Committed } else { TxnOutcome::UserAborted };
-                    self.end_session(s, outcome, &mut fb_dropped);
-                    break Ok((outcome, fp, us_since(t0)));
-                }
-                Attempt::Mispredict { observed, session: s } => {
-                    restarts += 1;
-                    // The superseded session's executed prefix is
-                    // maintenance signal (§4.5) before the replan replaces
-                    // it; its plan scratch is reclaimed for the retry's
-                    // session. (Riding it into the retry would concatenate
-                    // two walks into one feedback path and intern phantom
-                    // states.)
-                    self.end_session(s, TxnOutcome::Mispredicted, &mut fb_dropped);
-                    let r = req.as_ref().expect("request survives a mispredict");
-                    let t_est = Instant::now();
-                    session = replan(&env.advisor, r, &ctx, observed, &mut attempt, &mut plan);
-                    acc.add(Bucket::Estimation, us_since(t_est));
-                }
-                Attempt::Fatal(e) => break Err(e),
-            }
+            let Some(observed) = decision.observed else {
+                self.end_session(session, decision.outcome, &mut fb_dropped);
+                break Ok((decision, us_since(t0)));
+            };
+            restarts += 1;
+            // The superseded session's executed prefix is maintenance
+            // signal (§4.5) before the replan replaces it; its plan scratch
+            // is reclaimed for the retry's session. (Riding it into the
+            // retry would concatenate two walks into one feedback path and
+            // intern phantom states.)
+            self.end_session(session, TxnOutcome::Mispredicted, &mut fb_dropped);
+            let r = req.as_ref().expect("request survives a mispredict");
+            let t_est = Instant::now();
+            session = replan(&env.advisor, r, &ctx, observed, &mut attempt, &mut plan);
+            acc.add(Bucket::Estimation, us_since(t_est));
         };
         // Fold this transaction's tallies into the run-wide counters even
         // on an error path: restarts that happened are real. Per-stage
@@ -220,13 +207,12 @@ impl<A: LiveAdvisor + 'static> Client<A> {
         for &us in &self.lock_holds {
             m.lock_hold.record_us(us);
         }
-        if let Ok((outcome, fp, latency_us)) = &result {
-            let committed = *outcome == TxnOutcome::Committed;
-            m.record_txn(proc, &plan, committed, fp, env.num_partitions, Some(*latency_us));
+        if let Ok((d, latency_us)) = &result {
+            m.record_txn(proc, d, env.num_partitions, Some(*latency_us));
         }
         m.profile.fold(proc, &acc, total_us);
         drop(m);
-        result.map(|(outcome, ..)| outcome)
+        result.map(|(d, _)| d.outcome)
     }
 }
 
@@ -268,6 +254,62 @@ mod tests {
         ) -> (TxnPlan, ()) {
             self.plan_live_reusing(req, ctx, None)
         }
+    }
+
+    /// [`ByFirstId`], but a call given a second argument is planned
+    /// `{base: 0, lock_set: {1}}`: a lock set that omits its base.
+    struct OmitsBaseWhenMarked;
+
+    impl LiveAdvisor for OmitsBaseWhenMarked {
+        type Session = ();
+
+        fn name(&self) -> &str {
+            "omits-base-when-marked"
+        }
+
+        fn plan_live_reusing(
+            &self,
+            req: &Request,
+            ctx: &PlanContext<'_>,
+            _spare: Option<()>,
+        ) -> (TxnPlan, ()) {
+            if req.args.len() > 1 {
+                return (TxnPlan { lock_set: PartitionSet::single(1), ..TxnPlan::single(0) }, ());
+            }
+            ByFirstId.plan_live_reusing(req, ctx, None)
+        }
+
+        fn replan_live(
+            &self,
+            req: &Request,
+            _observed: PartitionSet,
+            _attempt: u32,
+            ctx: &PlanContext<'_>,
+        ) -> (TxnPlan, ()) {
+            self.plan_live_reusing(req, ctx, None)
+        }
+    }
+
+    #[test]
+    fn a_plan_that_omits_its_base_fails_only_its_call() {
+        let rt = LiveRuntime::start(
+            kv_database(2, 8),
+            ProcedureRegistry::new(vec![multi_get()]),
+            OmitsBaseWhenMarked,
+            LiveConfig::default(),
+        );
+        let mut client = rt.client();
+        let at = |id| vec![Value::Array(vec![Value::Int(id)])];
+        let mut marked = at(0);
+        marked.push(Value::Int(0));
+        let refused = Err(Error::PartitionViolation { txn: 0, partition: 0 });
+        assert_eq!(client.call(0, marked), refused);
+        for id in [0, 1] {
+            assert_eq!(client.call(0, at(id)), Ok(TxnOutcome::Committed), "partition {id}");
+        }
+        drop(client);
+        // Re-raises the panic of any worker the refused plan reached.
+        rt.shutdown();
     }
 
     #[test]

@@ -13,7 +13,7 @@ use super::wire::{us_since, BatchItem, Call, Conns, FragCmd, Reply};
 use crate::advisor::{LiveAdvisor, Request, TxnPlan};
 use crate::procedure::Step;
 use crate::profiler::{Bucket, CoordSub};
-use crate::txn::{Cursor, Footprint};
+use crate::txn::{Attempt, Cursor, Decision, Site};
 use common::{Error, PartitionId, PartitionSet, QueryId, Result, Value};
 use std::time::Instant;
 
@@ -21,36 +21,21 @@ use std::time::Instant;
 /// folded into `RunMetrics::profile` once the call resolves.
 pub(super) use crate::profiler::ProcTimes as StageAcc;
 
-/// How one execution attempt ended, from the client's point of view.
-pub(super) enum Attempt<S> {
-    Done { committed: bool, fp: Footprint, session: S },
-    Mispredict { observed: PartitionSet, session: S },
-    Fatal(Error),
-}
-
 /// Everything one distributed attempt holds: its lock set, the client's
 /// connections (a participant whose fragment wrote stays reserved on its
-/// connection until it hears the outcome), what the attempt released and
-/// wrote, and when it took the locks. [`Hold::release`] lets one partition
-/// go early; [`Hold::finish`] resolves the attempt. Dropped while the
-/// thread unwinds instead (a panic in the control code or the advisor,
-/// which the caller may catch), it closes the connection to every
-/// partition of the lock set before the locks release: each reserved
-/// participant then rolls back and serves everyone else again.
+/// connection until it hears the outcome), and when it took the locks.
+/// [`Hold::release`] lets one partition go early; [`Hold::finish`]
+/// resolves the attempt. Dropped while the thread unwinds instead (a
+/// panic in the control code or the advisor, which the caller may catch),
+/// it closes the connection to every partition of the lock set before the
+/// locks release: each reserved participant then rolls back and serves
+/// everyone else again.
 struct Hold<'a, A: LiveAdvisor> {
     env: &'a Shared<A>,
     conns: &'a mut Conns<A::Session>,
     lock_set: PartitionSet,
     locks: LockGuard<'a>,
     t_locked: Instant,
-    /// What the attempt has done: `fp.early_released` is the released set
-    /// the mispredict rule and metrics see.
-    fp: Footprint,
-    /// Partitions any write query was shipped to so far — a participant
-    /// may over-execute a write past the batch's constraint abort point,
-    /// and its undo must still be resolved by the outcome. A released
-    /// partition in this set is still reserved at its worker.
-    wrote: PartitionSet,
     /// The client's lock-hold samples, folded under the metrics lock once
     /// per call.
     holds: &'a mut Vec<f64>,
@@ -68,11 +53,11 @@ impl<'a, A: LiveAdvisor> Hold<'a, A> {
         let t_acquire = Instant::now();
         let locks = env.locks.guard(lock_set);
         acc.add_coord(CoordSub::LockWait, us_since(t_acquire));
-        let (fp, wrote) = (Footprint::default(), PartitionSet::EMPTY);
-        Hold { env, conns, lock_set, locks, t_locked: Instant::now(), fp, wrote, holds }
+        Hold { env, conns, lock_set, locks, t_locked: Instant::now(), holds }
     }
 
-    /// OP4's early prepare of `p`. A read-only participant gets `Prepare`,
+    /// OP4's early prepare of `p`, which the attempt released (and `wrote`
+    /// if a write reached it). A read-only participant gets `Prepare`,
     /// unacknowledged by design (the paper's unsolicited vote): the worker
     /// serves this connection's commands in order, so it observes the
     /// prepare before anything a later lock holder pushes, and not waiting
@@ -82,24 +67,20 @@ impl<'a, A: LiveAdvisor> Hold<'a, A> {
     /// stays on this connection until [`Hold::finish`]'s `VoteFinish`, so
     /// the later lock holder waits for the outcome. Then `p`'s lock goes,
     /// with its hold sample.
-    fn release(&mut self, p: PartitionId) -> Result<()> {
-        if !self.wrote.contains(p) {
+    fn release(&mut self, p: PartitionId, wrote: bool) -> Result<()> {
+        if !wrote {
             self.conns.send(&self.env.workers, p as usize, Call::Frag(FragCmd::Prepare))?;
         }
-        self.fp.early_released.insert(p);
         self.holds.push(self.t_locked.elapsed().as_secs_f64() * 1e6);
         self.locks.release_early(p);
         Ok(())
     }
 
-    /// Resolves the attempt and hands back its footprint. Coalesced 2PC
-    /// (§2): each participant still reserved — not released, or released
-    /// after a write — gets one `VoteFinish` carrying the flush-and-vote
-    /// *and* the decision. A split Vote round would buy no information
-    /// (participants always vote yes; fragment errors surfaced at
-    /// execution), only an extra message round of lock-hold time per
-    /// participant. All sends go out before any ack is awaited, so
-    /// participant-side work and modeled delays overlap.
+    /// Resolves `att`. Coalesced 2PC (§2): each participant the attempt
+    /// still reserves gets one `VoteFinish`, the flush-and-vote *and* the
+    /// decision (`FragCmd::VoteFinish` says why no split round is needed).
+    /// All sends go out before any ack is awaited, so participant-side
+    /// work and modeled delays overlap.
     ///
     /// With the acks in hand (abort: every effect undone; commit: kept),
     /// every partition still locked records its hold sample, and a durable
@@ -109,12 +90,11 @@ impl<'a, A: LiveAdvisor> Hold<'a, A> {
     /// wait for the device: effects are visible the moment the locks
     /// release, and only this client's acknowledgement stalls on the
     /// device (DESIGN.md §7).
-    fn finish(mut self, commit: bool, acc: &mut StageAcc) -> Result<Footprint> {
+    fn finish(self, commit: bool, att: &Attempt, acc: &mut StageAcc) -> Result<()> {
         let t_fin = Instant::now();
         let mut failure = None;
         let mut sent = PartitionSet::EMPTY;
-        let reserved = self.lock_set.difference(self.fp.early_released.difference(self.wrote));
-        for p in reserved.iter() {
+        for p in att.reserved().iter() {
             let vote = Call::Frag(FragCmd::VoteFinish { commit });
             match self.conns.send(&self.env.workers, p as usize, vote) {
                 Ok(()) => sent.insert(p),
@@ -131,22 +111,16 @@ impl<'a, A: LiveAdvisor> Hold<'a, A> {
         }
         acc.add_coord(CoordSub::TwoPc, us_since(t_fin));
         let held_us = self.t_locked.elapsed().as_secs_f64() * 1e6;
-        for _ in self.lock_set.difference(self.fp.early_released).iter() {
+        for _ in self.locks.held().iter() {
             self.holds.push(held_us);
         }
-        let durable = self.env.durable.as_ref();
-        let ticket = match durable {
-            Some(d) if commit && failure.is_none() && !self.wrote.is_empty() => {
-                Some((d, d.seq.enqueue()))
-            }
-            _ => None,
-        };
-        let fp = std::mem::take(&mut self.fp);
+        let logged = commit && failure.is_none() && !att.footprint().wrote.is_empty();
+        let ticket = self.env.durable.as_ref().filter(|_| logged).map(|d| (d, d.seq.enqueue()));
         drop(self);
         if let Some((d, t)) = ticket {
             d.wait_durable(t, acc);
         }
-        failure.map_or(Ok(fp), Err)
+        failure.map_or(Ok(()), Err)
     }
 }
 
@@ -160,24 +134,23 @@ impl<A: LiveAdvisor> Drop for Hold<'_, A> {
     }
 }
 
-/// Coordinates one distributed transaction from the client thread: lock
-/// acquisition, batched fragment shipping over the client's connections,
-/// early prepares (OP4), and the 2PC outcome with (durable mode) the one
-/// sequenced commit flush, all resolved through one [`Hold`]. A
-/// connection's request ring holds at most an unacknowledged read-only
-/// `Prepare` plus the next transaction's `LogBegin` and opening
-/// `ExecBatch`; a written participant gets no message at its early
-/// release, so it adds nothing.
+/// Coordinates one distributed attempt, a `crate::txn` [`Attempt`], from
+/// the client thread: batched fragment shipping over the client's
+/// connections, and the reply merge; its [`Hold`] takes the locks, sends
+/// OP4's early prepares and resolves the 2PC outcome. A connection's
+/// request ring holds at most an unacknowledged read-only `Prepare` (a
+/// written participant gets none) plus the next transaction's `LogBegin`
+/// and opening `ExecBatch`.
 #[allow(clippy::too_many_lines)]
 pub(super) fn run_distributed<A: LiveAdvisor>(
     env: &Shared<A>,
     req: &Request,
     plan: &TxnPlan,
-    mut session: A::Session,
+    session: &mut A::Session,
     lock_holds: &mut Vec<f64>,
     conns: &mut Conns<A::Session>,
     acc: &mut StageAcc,
-) -> Attempt<A::Session> {
+) -> Result<Decision> {
     let workers = &env.workers;
     let lock_set = plan.lock_set;
     let mut hold = Hold::acquire(env, lock_set, conns, lock_holds, acc);
@@ -188,20 +161,17 @@ pub(super) fn run_distributed<A: LiveAdvisor>(
     let mut began = PartitionSet::EMPTY;
     // No reservation step: holding a partition's lock entitles this client
     // to send fragment commands on its connection, and the first one opens
-    // service at the worker. The base partition is a fragment
-    // executor like the others — control code runs here on the
-    // coordinator.
+    // service at the worker. The base is a fragment executor like the rest.
     let n = env.num_partitions as usize;
     let mut cursor = Cursor::new(&env.registry, req.proc, &req.args);
     let proc_def = env.catalog.proc(req.proc);
-    // Each batch query's targets, reused across batch steps.
-    let mut q_targets: Vec<PartitionSet> = Vec::new();
+    let mut att = Attempt::new(Site::Coordinated, req.proc, plan);
     // Per-participant reply cursors for the current batch, reused across
     // batch steps (entries are taken by the merge and cleared after it).
     let mut per_part: Vec<Option<std::vec::IntoIter<BatchItem>>> = (0..n).map(|_| None).collect();
-    // How the control code ended, as on the fast path: `Ok(committed)`, or
-    // a mispredict's `Err(observed)`; or a fatal error.
-    let end = 'attempt: loop {
+    // How the control code ended: `Ok(committed)` (a mispredict is not a
+    // commit), or a fatal error.
+    let end = loop {
         // Control code runs here on the coordinator: Execution time.
         let t_step = Instant::now();
         let step = cursor.next();
@@ -210,10 +180,8 @@ pub(super) fn run_distributed<A: LiveAdvisor>(
             Step::Queries(batch) => {
                 let t_batch = Instant::now();
                 let mut batch_est_us = 0.0f64;
-                let checked =
-                    hold.fp.check_batch(proc_def, env.num_partitions, &batch, plan, &mut q_targets);
-                if let Err(observed) = checked {
-                    break Ok(Err(observed));
+                if !att.check(proc_def, env.num_partitions, &batch) {
+                    break Ok(false);
                 }
                 // Ship each participant's share of the batch as ONE
                 // `ExecBatch` — one ring push, one modeled network hop and
@@ -223,12 +191,9 @@ pub(super) fn run_distributed<A: LiveAdvisor>(
                 // its own first constraint violation; all pushes go out
                 // before any reply is awaited.
                 let mut to_ship: Vec<Vec<(QueryId, Vec<Value>)>> = vec![Vec::new(); n];
-                for (inv, &targets) in batch.iter().zip(&q_targets) {
+                for (inv, &targets) in batch.iter().zip(att.targets()) {
                     for p in targets.iter() {
                         to_ship[p as usize].push((inv.query, inv.params.clone()));
-                    }
-                    if proc_def.query(inv.query).is_write() {
-                        hold.wrote = hold.wrote.union(targets);
                     }
                 }
                 let mut fatal: Option<Error> = None;
@@ -291,10 +256,9 @@ pub(super) fn run_distributed<A: LiveAdvisor>(
                 // every target of every query up to and including it
                 // reports an item, and items past it stay unread — the 2PC
                 // rollback erases whatever a participant over-executed.
-                let mut pending_release = PartitionSet::EMPTY;
                 let mut batch_results = Vec::with_capacity(batch.len());
-                for (inv, &targets) in batch.into_iter().zip(&q_targets) {
-                    let def = proc_def.query(inv.query);
+                for (i, inv) in batch.into_iter().enumerate() {
+                    let targets = att.targets()[i];
                     let mut rows = Vec::new();
                     let mut constraint: Option<String> = None;
                     for p in targets.iter() {
@@ -313,34 +277,23 @@ pub(super) fn run_distributed<A: LiveAdvisor>(
                         cursor.constraint(msg);
                         break;
                     }
-                    // Runtime updates: OP3 is ignored on the distributed
-                    // path (undo stays on at every participant), but OP4
-                    // finish declarations accumulate for the end-of-batch
-                    // early prepare.
                     let t_est = Instant::now();
-                    let upd =
-                        hold.fp.observe(&env.advisor, &mut session, plan, None, def, inv, targets);
+                    att.fold(&env.advisor, session, proc_def.query(inv.query), inv);
                     batch_est_us += us_since(t_est);
-                    pending_release = pending_release.union(upd.finished);
                     batch_results.push(rows);
                 }
-                for leftover in &mut per_part {
-                    *leftover = None;
-                }
-                // Early prepare (OP4): release finished partitions at batch
-                // granularity — the same point the simulator applies
-                // `pending_release`, so a later query in this batch never
-                // sees a partition released mid-batch there but live here.
-                // Unlike the simulator, the *base* partition is releasable
-                // too: live control code runs on the coordinating client,
-                // so the base is just another fragment executor (the
-                // simulator's base runs the control code and stays busy to
-                // commit).
-                let to_release = hold.fp.releasable(pending_release, lock_set, PartitionSet::EMPTY);
-                for p in to_release.iter() {
-                    if let Err(e) = hold.release(p) {
-                        break 'attempt Err(e);
+                per_part.fill_with(|| None);
+                // Early prepare (OP4), at batch granularity, the base included
+                // (control code runs here). The attempt no longer reserves a
+                // released partition, so each one is let go even after
+                // another's prepare failed.
+                for p in att.end_batch().iter() {
+                    if let Err(e) = hold.release(p, att.footprint().wrote.contains(p)) {
+                        fatal = Some(e);
                     }
+                }
+                if let Some(e) = fatal {
+                    break Err(e);
                 }
                 cursor.resume(batch_results);
                 // Everything in this arm except the advisor calls —
@@ -350,18 +303,17 @@ pub(super) fn run_distributed<A: LiveAdvisor>(
                 acc.add(Bucket::Estimation, batch_est_us);
                 acc.add(Bucket::Execution, (us_since(t_batch) - batch_est_us).max(0.0));
             }
-            Step::Commit => break Ok(Ok(true)),
-            Step::Abort(_) => break Ok(Ok(false)),
+            Step::Commit => break Ok(true),
+            Step::Abort(_) => break Ok(false),
         }
     };
     // Every exit, fatal ones included, resolves the attempt the same way;
     // only a commit commits.
-    let fin = hold.finish(matches!(end, Ok(Ok(true))), acc);
-    match (end, fin) {
-        (Err(e), _) | (_, Err(e)) => Attempt::Fatal(e),
-        (Ok(Err(observed)), Ok(_)) => Attempt::Mispredict { observed, session },
-        (Ok(Ok(committed)), Ok(fp)) => Attempt::Done { committed, fp, session },
-    }
+    let fin = hold.finish(end == Ok(true), &att, acc);
+    let committed = end?;
+    fin?;
+    // The participants rolled back on the abort outcome.
+    att.end(committed, |_| Ok(()))
 }
 
 #[cfg(test)]
@@ -823,9 +775,16 @@ mod tests {
                 let req = Request { proc: 0, args, origin_node: 0 };
                 let plan = TxnPlan { early_prepare: true, ..TxnPlan::lock_all(0, 2) };
                 let mut acc = StageAcc::default();
-                let attempt =
-                    run_distributed(&env, &req, &plan, (), &mut Vec::new(), &mut d.coord, &mut acc);
-                let Attempt::Fatal(e) = attempt else { panic!("the prepare to worker 1 failed") };
+                let attempt = run_distributed(
+                    &env,
+                    &req,
+                    &plan,
+                    &mut (),
+                    &mut Vec::new(),
+                    &mut d.coord,
+                    &mut acc,
+                );
+                let e = attempt.expect_err("the prepare to worker 1 failed");
                 assert!(e.to_string().contains("worker 1 is gone"), "{e}");
                 d.coord.send(&env.workers, 0, single_call(bump_id0(), false)).expect("push");
                 let own_call = committed(reply_within(&mut d.coord, WAIT));
@@ -834,5 +793,96 @@ mod tests {
             });
         assert!(own_call, "the coordinator's next call was not served");
         assert!(other_call, "another client's call was not served");
+    }
+
+    /// Plans a call with two arguments lock-all at partition 1 with early
+    /// prepare on, and any other single-partition at its first id's
+    /// partition; declares partitions 0 and 1 finished after every query.
+    struct ReleaseZeroAndOne;
+
+    impl LiveAdvisor for ReleaseZeroAndOne {
+        type Session = ();
+
+        fn name(&self) -> &str {
+            "release-zero-and-one"
+        }
+
+        fn plan_live_reusing(
+            &self,
+            req: &Request,
+            ctx: &PlanContext<'_>,
+            _spare: Option<()>,
+        ) -> (TxnPlan, ()) {
+            if req.args.len() == 2 {
+                let lock_all = TxnPlan::lock_all(1, ctx.num_partitions);
+                return (TxnPlan { early_prepare: true, ..lock_all }, ());
+            }
+            let ids = req.args[0].as_array().expect("arg 0 is id array");
+            (TxnPlan::single(ids[0].home_partition(ctx.num_partitions)), ())
+        }
+
+        fn on_query_live(&self, _session: &mut (), _q: &ExecutedQuery) -> Updates {
+            Updates { finished: PartitionSet::from_iter([0u32, 1]), ..Updates::default() }
+        }
+
+        fn replan_live(
+            &self,
+            req: &Request,
+            _observed: PartitionSet,
+            _attempt: u32,
+            ctx: &PlanContext<'_>,
+        ) -> (TxnPlan, ()) {
+            self.plan_live_reusing(req, ctx, None)
+        }
+    }
+
+    #[test]
+    fn a_failed_early_prepare_still_prepares_the_other_released_partitions() {
+        // Worker 0 dies on a fast-path call whose control code panics. The
+        // next call reads id 1 under a lock-all plan and releases
+        // partitions 0 and 1 at the batch's end: the prepare to 0 fails,
+        // and partition 1, released too, must still hear its prepare — or
+        // it stays reserved on this client's connection, and another
+        // client's call to it waits forever.
+        let mut proc = multi_get();
+        proc.start = |args| {
+            if args.len() > 2 {
+                panic!("worker-death marker");
+            }
+            (multi_get().start)(args)
+        };
+        let registry = ProcedureRegistry::new(vec![proc]);
+        let rt = LiveRuntime::start(
+            kv_database(3, 8),
+            registry,
+            ReleaseZeroAndOne,
+            LiveConfig::default(),
+        );
+        let at = |id, extra: usize| {
+            let mut args = vec![Value::Array(vec![Value::Int(id)])];
+            args.extend((0..extra).map(|_| Value::Int(0)));
+            args
+        };
+        let mut client = rt.client();
+        assert!(client.call(0, at(0, 2)).is_err(), "the marked call killed worker 0");
+        let err = client.call(0, at(1, 1)).expect_err("the prepare to worker 0 failed");
+        assert!(err.to_string().contains("worker 0 is gone"), "{err}");
+        let mut other = rt.client();
+        let (done, done_rx) = std::sync::mpsc::channel();
+        let caller = std::thread::spawn(move || {
+            let outcome = other.call(0, at(1, 0));
+            let _ = done.send(());
+            (outcome, other)
+        });
+        if done_rx.recv_timeout(WAIT).is_err() {
+            // Tearing the runtime down would wait on the wedged worker too.
+            std::mem::forget(rt);
+            panic!("another client's call to released partition 1 was not served");
+        }
+        let (outcome, other) = caller.join().expect("the other client's thread");
+        assert_eq!(outcome.expect("the other client's call"), TxnOutcome::Committed);
+        drop((client, other));
+        let joined = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| rt.shutdown()));
+        assert!(joined.is_err(), "shutdown must re-raise worker 0's panic");
     }
 }

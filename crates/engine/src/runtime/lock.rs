@@ -111,6 +111,11 @@ impl LockGuard<'_> {
             self.mgr.release(PartitionSet::single(p));
         }
     }
+
+    /// The partitions still held.
+    pub(super) fn held(&self) -> PartitionSet {
+        self.set
+    }
 }
 
 impl Drop for LockGuard<'_> {

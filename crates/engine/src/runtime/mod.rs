@@ -23,12 +23,12 @@
 //! * `lifecycle` — [`LiveConfig`], `Shared`, `Durable`, [`LiveRuntime`]
 //!   start / recover / teardown, cluster snapshots, [`run_live`].
 //!
-//! The per-transaction protocol itself — the control-code cursor, the
-//! batch check, the footprint fold and advisor update, the mispredict
-//! fallback, the outcome record — is not here: it is the crate's
-//! transaction-step kernel (`crate::txn`), which `worker` (the fast path)
-//! and `coord` / `client` (the coordinator) drive exactly as
-//! [`crate::Simulation`] does.
+//! The per-transaction protocol itself — the batch check, the per-query
+//! fold and advisor update, the release rule, the reserved set, the
+//! rollback-or-halt end, the mispredict fallback — is not here: it is the
+//! crate's transaction-step kernel, one steppable `crate::txn::Attempt`,
+//! which `worker` (the fast path) and `coord` / `client` (the
+//! coordinator) step exactly as [`crate::Simulation`] does.
 //!
 //! ## Thread and ownership model
 //!
@@ -120,12 +120,12 @@
 //! ## Early prepare (OP4, §2/§4.4)
 //!
 //! When the advisor declares locked partitions *finished* mid-transaction
-//! (`Updates::finished`, which the kernel empties unless
-//! `TxnPlan::early_prepare` holds), the coordinator releases their slots in
-//! the lock manager at the end of the batch and adds them to
-//! `fp.early_released`; touching one again is a mispredict (the kernel's
-//! batch check, shared with the simulator, which models the same two
-//! release flavours below). Unlike the simulator's engine the base
+//! (`Updates::finished`, which the kernel ignores unless
+//! `TxnPlan::early_prepare` holds), the attempt marks them released at the
+//! end of the batch and the coordinator releases their slots in the lock
+//! manager; touching one again is a mispredict (the kernel's batch check,
+//! shared with the simulator, which models the same two release flavours
+//! below). Unlike the simulator's engine the base
 //! partition is releasable too: live control code runs on the
 //! coordinating client, so the base is just another fragment executor. A
 //! *read-only* participant is sent an early prepare and simply drops the

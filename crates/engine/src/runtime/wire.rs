@@ -3,11 +3,11 @@
 use super::LANE_CAPACITY;
 use crate::advisor::{Request, TxnPlan};
 use crate::profiler::StageTimes;
-use crate::txn::Footprint;
+use crate::txn::Decision;
 use common::ring::{self, Doorbell, PushError};
 use common::sync::mpsc::Sender;
 use common::sync::Arc;
-use common::{Error, PartitionSet, ProcId, QueryId, Result, Value};
+use common::{Error, ProcId, QueryId, Result, Value};
 use std::time::Instant;
 use storage::Row;
 
@@ -83,25 +83,19 @@ pub(super) enum Call<S> {
 /// What a worker answers on a connection's reply ring: one reply per
 /// [`Call::Single`], [`FragCmd::ExecBatch`] and [`FragCmd::VoteFinish`].
 pub(super) enum Reply<S> {
-    /// A fast-path transaction committed or user-aborted.
-    Done {
-        committed: bool,
+    /// A fast-path attempt ended: committed, user-aborted, or mispredicted
+    /// (it left its one-partition lock set).
+    Ended {
+        /// The request handed back — the client moved it into the message,
+        /// and a mispredict replans it.
+        req: Request,
+        decision: Decision,
         session: S,
-        fp: Footprint,
         times: StageTimes,
         /// Durable mode, committed writers only: the flush-sequencer ticket
         /// taken after the worker command-logged the transaction. The
         /// client waits on it before its call returns.
         ticket: Option<u64>,
-    },
-    /// A fast-path transaction left its one-partition lock set.
-    Mispredict {
-        /// The request handed back for the replan — the client moved it
-        /// into the message, so the reply returns ownership.
-        req: Request,
-        observed: PartitionSet,
-        session: S,
-        times: StageTimes,
     },
     /// Per-item outcomes of a [`FragCmd::ExecBatch`], in item order. A
     /// participant that hit a constraint stops there, so the vector may be

@@ -3,13 +3,13 @@
 use super::lifecycle::Shared;
 use super::participant::serve_reservation;
 use super::wire::{us_since, Call, CtrlMsg, FragCmd, Reply, SingleMsg, WorkerEnd};
-use crate::advisor::{LiveAdvisor, Request, TxnPlan};
+use crate::advisor::{LiveAdvisor, Request, TxnOutcome, TxnPlan};
 use crate::exec::execute_fragment;
 use crate::procedure::Step;
 use crate::profiler::StageTimes;
-use crate::txn::{Cursor, Footprint};
+use crate::txn::{Attempt, Cursor, Site};
 use common::sync::mpsc::{Receiver, Sender};
-use common::{Error, PartitionSet};
+use common::{Error, PartitionSet, Result};
 use std::collections::VecDeque;
 use std::time::Instant;
 use storage::Shard;
@@ -32,9 +32,9 @@ struct Intake<'a, S> {
     /// top — never inside a reservation).
     snaps: Vec<(u64, Sender<()>)>,
     shutdown: bool,
-    /// [`run_single`]'s batch-check scratch, reused by every call this
-    /// worker serves (the fast path allocates no per-call target list).
-    targets: Vec<PartitionSet>,
+    /// [`run_single`]'s attempt, begun anew by every call this worker
+    /// serves (so the fast path allocates no per-call batch-check scratch).
+    attempt: Attempt,
 }
 
 impl<S> Intake<'_, S> {
@@ -123,7 +123,7 @@ pub(super) fn worker_loop<A: LiveAdvisor>(
         opened: VecDeque::new(),
         snaps: Vec::new(),
         shutdown: false,
-        targets: Vec::new(),
+        attempt: Attempt::new(Site::Local, 0, &TxnPlan::single(0)),
     };
     let mut run: Vec<(usize, SingleMsg<A::Session>)> = Vec::new();
     while !intake.shutdown {
@@ -169,124 +169,87 @@ pub(super) fn worker_loop<A: LiveAdvisor>(
         let mut t_cursor = Instant::now();
         for (c, msg) in run.drain(..) {
             let SingleMsg { req, plan, session, enqueued } = msg;
-            let mut out = run_single(&mut shard, env, req, &plan, session, &mut intake.targets);
-            stamp_times(&mut out, enqueued, &mut t_cursor);
+            let (mut reply, est_us) =
+                run_single(&mut shard, env, req, &plan, session, &mut intake.attempt)
+                    .unwrap_or_else(|e| (Reply::Fatal(e), 0.0));
+            stamp_times(&mut reply, est_us, enqueued, &mut t_cursor);
             // A full ring is impossible (one call in flight per client);
             // a closed one means the client is gone.
-            let _ = intake.conns[c].send(out.reply);
+            let _ = intake.conns[c].send(reply);
         }
     }
     shard
 }
 
-/// What one fast-path execution produced: the client reply plus the
-/// advisor share of its execution time.
-struct SingleOutcome<S> {
-    reply: Reply<S>,
-    /// Advisor time (`on_query_live`) inside this execution, for Fig. 11.
-    est_us: f64,
-}
-
-impl<S> SingleOutcome<S> {
-    fn fatal(e: Error) -> Self {
-        SingleOutcome { reply: Reply::Fatal(e), est_us: 0.0 }
-    }
-}
-
-/// Stamps the worker-side stage timings (queue wait, advisor share,
-/// execution) onto a just-finished fast-path reply. `t_cursor` is the
+/// Stamps the worker-side stage timings (queue wait, the advisor share
+/// `est_us`, execution) onto a just-finished fast-path reply. `t_cursor` is the
 /// previous completion, which is when this execution started, and advances
 /// to this one's: one timestamp per completion bounds two intervals at
 /// once, halving the clock reads of a stamp-before-and-after scheme.
-fn stamp_times<S>(out: &mut SingleOutcome<S>, enqueued: Instant, t_cursor: &mut Instant) {
+fn stamp_times<S>(reply: &mut Reply<S>, est_us: f64, enqueued: Instant, t_cursor: &mut Instant) {
     let t_done = Instant::now();
     let queued_us = t_cursor.duration_since(enqueued).as_secs_f64() * 1e6;
-    let exec_us = ((t_done - *t_cursor).as_secs_f64() * 1e6 - out.est_us).max(0.0);
+    let exec_us = ((t_done - *t_cursor).as_secs_f64() * 1e6 - est_us).max(0.0);
     *t_cursor = t_done;
-    if let Reply::Done { times, .. } | Reply::Mispredict { times, .. } = &mut out.reply {
-        *times = StageTimes { queued_us, est_us: out.est_us, exec_us };
+    if let Reply::Ended { times, .. } = reply {
+        *times = StageTimes { queued_us, est_us, exec_us };
     }
 }
 
 /// Executes one whole single-partition transaction on the owning worker —
-/// the lock-free fast path, one shard's driver of the `crate::txn` kernel.
-/// `targets` is the worker's batch-check scratch.
+/// the lock-free fast path, one shard's driver of a `crate::txn`
+/// [`Attempt`] (the worker's own, begun here). Returns the reply and the
+/// advisor share of the execution time (Fig. 11), or a fatal error.
 fn run_single<A: LiveAdvisor>(
     shard: &mut Shard,
     env: &Shared<A>,
     req: Request,
     plan: &TxnPlan,
     mut session: A::Session,
-    targets: &mut Vec<PartitionSet>,
-) -> SingleOutcome<A::Session> {
+    att: &mut Attempt,
+) -> Result<(Reply<A::Session>, f64)> {
     let me = shard.partition();
     debug_assert_eq!(plan.lock_set, PartitionSet::single(me), "fast path misrouted");
     let proc_def = env.catalog.proc(req.proc);
     let mut cursor = Cursor::new(&env.registry, req.proc, &req.args);
-    let (mut fp, mut undo) = Footprint::begin(plan);
-    let mut wrote = false;
+    att.begin(Site::Local, req.proc, plan);
     let mut est_us = 0.0f64;
-    // How the control code ended: `Ok(committed)`, or a mispredict's
-    // `Err(observed)`.
-    let end = loop {
+    let committed = loop {
         match cursor.next() {
             Step::Queries(batch) => {
-                let n = env.num_partitions;
-                if let Err(observed) = fp.check_batch(proc_def, n, &batch, plan, targets) {
-                    break Err(observed);
+                if !att.check(proc_def, env.num_partitions, &batch) {
+                    break false;
                 }
                 let mut batch_results = Vec::with_capacity(batch.len());
                 for inv in batch {
                     let def = proc_def.query(inv.query);
-                    let rows = match execute_fragment(shard, def, &inv.params, &mut undo) {
+                    let rows = match execute_fragment(shard, def, &inv.params, att.undo()) {
                         Ok(rows) => rows,
                         Err(Error::Constraint(msg)) => {
                             cursor.constraint(msg);
                             break;
                         }
-                        Err(e) => return SingleOutcome::fatal(e),
+                        Err(e) => return Err(e),
                     };
-                    wrote |= def.is_write();
                     let t_est = Instant::now();
-                    let single = PartitionSet::single(me);
-                    fp.observe(&env.advisor, &mut session, plan, Some(&mut undo), def, inv, single);
+                    att.fold(&env.advisor, &mut session, def, inv);
                     est_us += us_since(t_est);
                     batch_results.push(rows);
                 }
+                att.end_batch();
                 cursor.resume(batch_results);
             }
-            Step::Commit => break Ok(true),
-            Step::Abort(_) => break Ok(false),
+            Step::Commit => break true,
+            Step::Abort(_) => break false,
         }
     };
-    // An abort or mispredict rolls back.
-    match end {
-        Ok(true) => undo.clear(),
-        _ if !undo.can_rollback() => {
-            let txn = u64::from(req.proc) + if end.is_err() { 1000 } else { 0 };
-            return SingleOutcome::fatal(Error::UnrecoverableAbort { txn });
-        }
-        _ => {
-            if let Err(e) = shard.rollback(&mut undo) {
-                return SingleOutcome::fatal(e);
-            }
-        }
-    }
-    let times = StageTimes::default();
-    let reply = match end {
-        Ok(committed) => {
-            // Durable mode: a committed writer is command-logged here, at
-            // its service position. The device flush is its client's wait
-            // on the returned ticket, never this worker's.
-            let ticket = match &env.durable {
-                Some(d) if committed && wrote => Some(d.append_local(me, &req)),
-                _ => None,
-            };
-            Reply::Done { committed, session, fp, times, ticket }
-        }
-        Err(observed) => Reply::Mispredict { req, observed, session, times },
-    };
-    SingleOutcome { reply, est_us }
+    let decision = att.end(committed, |undo| shard.rollback(undo))?;
+    // Durable mode: a committed writer is command-logged here, at its
+    // service position. The device flush is its client's wait on the
+    // returned ticket, never this worker's.
+    let logged = decision.outcome == TxnOutcome::Committed && !decision.footprint.wrote.is_empty();
+    let ticket = env.durable.as_ref().filter(|_| logged).map(|d| d.append_local(me, &req));
+    Ok((Reply::Ended { req, decision, session, times: StageTimes::default(), ticket }, est_us))
 }
 
 #[cfg(test)]
@@ -514,8 +477,8 @@ pub(super) mod tests {
     /// Whether a single's reply reports a commit.
     pub(in crate::runtime) fn committed(reply: Option<Reply<()>>) -> bool {
         match reply.expect("single acknowledged") {
-            Reply::Done { committed, .. } => committed,
-            _ => panic!("expected Done"),
+            Reply::Ended { decision, .. } => decision.outcome == TxnOutcome::Committed,
+            _ => panic!("expected Ended"),
         }
     }
 

@@ -14,14 +14,12 @@
 //! frees when its last fragment completes, and one it wrote stays reserved
 //! until the commit notification reaches it.
 //!
-//! Prediction is *not* simulated: every attempt runs the live runtime's
-//! transaction-step kernel (`crate::txn`: the control-code cursor, the
-//! batch check, the footprint fold and advisor update, the mispredict
-//! fallback and the outcome record), so the simulator drives the same
+//! Prediction is *not* simulated: every attempt is a `crate::txn` attempt,
+//! stepped as the live runtime steps it, so the simulator drives the same
 //! [`LiveAdvisor`] calls, in the same order per transaction, as
 //! `Client::call`, and feeds the advisor's [`LiveMaintainer`] every
 //! teardown's feedback synchronously (§4.5). What the simulator owns is
-//! time, whole-database batch execution, and its partition occupancy model.
+//! time, whole-database execution, and its partition occupancy model.
 
 use crate::advisor::{LiveAdvisor, LiveMaintainer, PlanContext, Request, TxnOutcome, TxnPlan};
 use crate::catalog::Catalog;
@@ -30,14 +28,12 @@ use crate::exec::execute_query;
 use crate::metrics::RunMetrics;
 use crate::procedure::{ProcedureRegistry, Step};
 use crate::profiler::Bucket;
-use crate::txn::{replan, Cursor, Footprint};
-use common::{
-    derive_seed, seeded_rng, Error, FxHashMap, PartitionId, PartitionSet, ProcId, Result, Value,
-};
+use crate::txn::{check_plan, replan, Attempt, Cursor, Decision, Site};
+use common::{derive_seed, seeded_rng, Error, FxHashMap, PartitionId, ProcId, Result, Value};
 use rand::Rng;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
-use storage::{Database, UndoLog};
+use storage::Database;
 
 /// Supplies the next request for a given client stream. Implemented by the
 /// benchmark workload generators.
@@ -98,15 +94,6 @@ impl SimConfig {
     pub fn node_of(&self, p: PartitionId) -> u32 {
         p / self.partitions_per_node
     }
-}
-
-/// Outcome of one execution attempt.
-enum Attempt {
-    /// Committed or user-aborted; the client has its answer at `client_done`.
-    Done { committed: bool, client_done: f64, fp: Footprint },
-    /// The transaction touched (or was about to touch) a partition outside
-    /// its lock set, or re-touched an early-released partition.
-    Mispredict { observed: PartitionSet, t_fail: f64 },
 }
 
 /// The simulation driver. Borrows the database, advisor, and generator; owns
@@ -222,36 +209,22 @@ impl<'a, A: LiveAdvisor> Simulation<'a, A> {
         let mut t = t_arrive;
         let mut attempt = 0u32;
         loop {
-            match self.try_execute(req, &plan, &mut session, t)? {
-                Attempt::Done { committed, client_done, fp } => {
-                    let window = self.cfg.warmup_us..self.cfg.warmup_us + self.cfg.measure_us;
-                    let latency = window.contains(&client_done).then_some(client_done - t_arrive);
-                    self.metrics.profile.finish_txn(req.proc);
-                    self.metrics.record_txn(
-                        req.proc,
-                        &plan,
-                        committed,
-                        &fp,
-                        num_partitions,
-                        latency,
-                    );
-                    let outcome =
-                        if committed { TxnOutcome::Committed } else { TxnOutcome::UserAborted };
-                    self.end_session(session, outcome);
-                    return Ok(client_done);
-                }
-                Attempt::Mispredict { observed, t_fail } => {
-                    self.metrics.restarts += 1;
-                    t = t_fail + self.costs.restart_penalty_us;
-                    self.end_session(session, TxnOutcome::Mispredicted);
-                    let ctx = PlanContext {
-                        catalog: &self.catalog,
-                        num_partitions,
-                        random_local_partition,
-                    };
-                    session = replan(self.advisor, req, &ctx, observed, &mut attempt, &mut plan);
-                }
-            }
+            check_plan(req.proc, &plan)?;
+            let (d, t_end) = self.try_execute(req, &plan, &mut session, t)?;
+            let Some(observed) = d.observed else {
+                let window = self.cfg.warmup_us..self.cfg.warmup_us + self.cfg.measure_us;
+                let latency = window.contains(&t_end).then_some(t_end - t_arrive);
+                self.metrics.profile.finish_txn(req.proc);
+                self.metrics.record_txn(req.proc, &d, num_partitions, latency);
+                self.end_session(session, d.outcome);
+                return Ok(t_end);
+            };
+            self.metrics.restarts += 1;
+            t = t_end + self.costs.restart_penalty_us;
+            self.end_session(session, TxnOutcome::Mispredicted);
+            let ctx =
+                PlanContext { catalog: &self.catalog, num_partitions, random_local_partition };
+            session = replan(self.advisor, req, &ctx, observed, &mut attempt, &mut plan);
         }
     }
 
@@ -264,6 +237,9 @@ impl<'a, A: LiveAdvisor> Simulation<'a, A> {
         }
     }
 
+    /// One attempt of `req` under `plan`, starting at `t0`: its decision,
+    /// and when the client has its answer — or, on a mispredict, when the
+    /// rollback ended.
     #[allow(clippy::too_many_lines)]
     fn try_execute(
         &mut self,
@@ -271,13 +247,10 @@ impl<'a, A: LiveAdvisor> Simulation<'a, A> {
         plan: &TxnPlan,
         session: &mut A::Session,
         t0: f64,
-    ) -> Result<Attempt> {
+    ) -> Result<(Decision, f64)> {
         let proc = req.proc;
         let base = plan.base_partition;
         let base_node = self.cfg.node_of(base);
-        let lock_set = plan.lock_set;
-        let distributed = !lock_set.is_single();
-
         // Arrival-node work: estimation, planning, setup.
         let mut t = t0;
         self.metrics.profile.add(proc, Bucket::Estimation, plan.estimate_cost_us);
@@ -299,29 +272,16 @@ impl<'a, A: LiveAdvisor> Simulation<'a, A> {
         t = t.max(self.avail[base as usize]);
         let mut held: FxHashMap<PartitionId, f64> = FxHashMap::default();
         held.insert(base, t);
-
-        let (mut fp, mut undo) = Footprint::begin(plan);
+        let mut att = Attempt::new(Site::Simulated, proc, plan);
         let mut cursor = Cursor::new(self.registry, proc, &req.args);
-        let mut targets = Vec::new();
-        let mut wrote = PartitionSet::EMPTY;
-
-        loop {
-            // Partitions this attempt still reserves: every locked one but
-            // those early-prepared after only being read.
-            let reserved = lock_set.difference(fp.early_released.difference(wrote));
+        let proc_def = self.catalog.proc(proc);
+        let committed = loop {
             match cursor.next() {
                 Step::Queries(batch) => {
                     self.metrics.profile.add(proc, Bucket::Execution, self.costs.control_code_us);
                     t += self.costs.control_code_us;
-
-                    // Validate targets before touching storage so a
-                    // mispredicted batch can abort cleanly.
-                    let n = self.cfg.num_partitions;
-                    let def = self.catalog.proc(proc);
-                    if let Err(observed) = fp.check_batch(def, n, &batch, plan, &mut targets) {
-                        let txn = u64::from(proc) + 1000;
-                        let t_fail = self.roll_back(proc, t, &mut undo, reserved, txn)?;
-                        return Ok(Attempt::Mispredict { observed, t_fail });
+                    if !att.check(proc_def, self.cfg.num_partitions, &batch) {
+                        break false;
                     }
 
                     // Execute: local queries run at the base engine; remote
@@ -329,12 +289,10 @@ impl<'a, A: LiveAdvisor> Simulation<'a, A> {
                     let t_batch_start = t;
                     let mut batch_results = Vec::with_capacity(batch.len());
                     let mut remote_work: FxHashMap<PartitionId, f64> = FxHashMap::default();
-                    let mut pending_release = PartitionSet::EMPTY;
                     for inv in batch {
-                        let def = self.catalog.proc(proc).query(inv.query);
-                        let is_write = def.is_write();
+                        let def = proc_def.query(inv.query);
                         let (rows, parts) =
-                            match execute_query(self.db, def, &inv.params, &mut undo) {
+                            match execute_query(self.db, def, &inv.params, att.undo()) {
                                 Ok(v) => v,
                                 Err(Error::Constraint(msg)) => {
                                     cursor.constraint(msg);
@@ -342,10 +300,8 @@ impl<'a, A: LiveAdvisor> Simulation<'a, A> {
                                 }
                                 Err(e) => return Err(e),
                             };
-                        if is_write {
-                            wrote = wrote.union(parts);
-                        }
-                        let qcost = self.costs.query_cost_us(is_write, undo.is_enabled());
+                        let qcost =
+                            self.costs.query_cost_us(def.is_write(), att.undo().is_enabled());
                         for p in parts.iter() {
                             if p == base {
                                 self.metrics.profile.add(proc, Bucket::Execution, qcost);
@@ -354,20 +310,11 @@ impl<'a, A: LiveAdvisor> Simulation<'a, A> {
                                 *remote_work.entry(p).or_insert(0.0) += qcost;
                             }
                         }
-                        let upd = fp.observe(
-                            self.advisor,
-                            session,
-                            plan,
-                            Some(&mut undo),
-                            def,
-                            inv,
-                            parts,
-                        );
-                        if upd.cost_us > 0.0 {
-                            self.metrics.profile.add(proc, Bucket::Estimation, upd.cost_us);
-                            t += upd.cost_us;
+                        let cost_us = att.fold(self.advisor, session, def, inv);
+                        if cost_us > 0.0 {
+                            self.metrics.profile.add(proc, Bucket::Estimation, cost_us);
+                            t += cost_us;
                         }
-                        pending_release = pending_release.union(upd.finished);
                         batch_results.push(rows);
                     }
 
@@ -401,12 +348,9 @@ impl<'a, A: LiveAdvisor> Simulation<'a, A> {
                     // available as soon as that fragment completes — not
                     // when the whole batch returns to the base partition.
                     // One that wrote stays reserved until the commit round
-                    // notifies it. The base runs the control code and stays
-                    // busy until commit: never released here.
-                    let kept = PartitionSet::single(base);
-                    for p in fp.releasable(pending_release, lock_set, kept).iter() {
-                        fp.early_released.insert(p);
-                        if !wrote.contains(p) {
+                    // notifies it.
+                    for p in att.end_batch().iter() {
+                        if !att.footprint().wrote.contains(p) {
                             let oneway = self.costs.msg_us(base_node, self.cfg.node_of(p));
                             let done_at = match held.get(&p) {
                                 Some(&last) => last,
@@ -417,98 +361,88 @@ impl<'a, A: LiveAdvisor> Simulation<'a, A> {
                     }
                     cursor.resume(batch_results);
                 }
-                Step::Commit => {
-                    undo.clear();
-                    let t_commit;
-                    if !distributed {
-                        t += self.costs.twopc_cpu_us; // commit bookkeeping
-                        self.metrics.profile.add(
-                            proc,
-                            Bucket::Coordination,
-                            self.costs.twopc_cpu_us,
-                        );
-                        self.avail[base as usize] = self.avail[base as usize].max(t);
-                        t_commit = t;
-                    } else {
-                        // Two-phase commit over partitions not already
-                        // early-prepared (early prepare piggybacks the vote
-                        // on the last query — "unsolicited vote", §2 OP4).
-                        // Locked-but-unused partitions still vote: wasted
-                        // locks cost real time (§2 OP2).
-                        let mut prepare_rtt = 0.0f64;
-                        let mut msgs = 0.0f64;
-                        for p in lock_set.difference(fp.early_released).iter() {
-                            if p != base {
-                                let oneway = self.costs.msg_us(base_node, self.cfg.node_of(p));
-                                prepare_rtt = prepare_rtt.max(2.0 * oneway);
-                                msgs += 2.0 * oneway;
-                            }
-                        }
-                        t += prepare_rtt + self.costs.twopc_cpu_us;
-                        t_commit = t;
-                        // Commit round: one-way notifications release the
-                        // remaining partitions — the early-prepared ones
-                        // that wrote, and ones the transaction locked but
-                        // never touched, which were reserved for its whole
-                        // lifetime.
-                        for p in reserved.iter() {
-                            if p == base {
-                                self.avail[p as usize] = self.avail[p as usize].max(t_commit);
-                            } else {
-                                let oneway = self.costs.msg_us(base_node, self.cfg.node_of(p));
-                                msgs += oneway;
-                                let release = t_commit + oneway;
-                                let idle_from = held.get(&p).copied().unwrap_or(t0).min(release);
-                                self.metrics.reserved_idle_us += release - idle_from;
-                                self.avail[p as usize] = self.avail[p as usize].max(release);
-                            }
-                        }
-                        self.metrics.profile.add(
-                            proc,
-                            Bucket::Coordination,
-                            msgs + self.costs.twopc_cpu_us,
-                        );
-                    }
-                    // Client acknowledgement. The return hop counts towards
-                    // client latency but not the profile — profiling stops
-                    // when the result is sent (§6.3).
-                    let client_done = t_commit + self.costs.msg_us(base_node, req.origin_node);
-                    return Ok(Attempt::Done { committed: true, client_done, fp });
-                }
-                Step::Abort(_) => {
-                    let txn = u64::from(proc);
-                    let t = self.roll_back(proc, t, &mut undo, reserved, txn)?;
-                    let client_done = t + self.costs.msg_us(base_node, req.origin_node);
-                    return Ok(Attempt::Done { committed: false, client_done, fp });
-                }
+                Step::Commit => break true,
+                Step::Abort(_) => break false,
+            }
+        };
+
+        let reserved = att.reserved();
+        if committed {
+            t = self.commit(proc, plan, &att, &held, t0, t);
+        } else {
+            // A user abort or a mispredict rolls back and frees what the
+            // attempt still reserves when the rollback ends; every fragment
+            // finished by then, so no held partition outlives it.
+            let rb = att.undo().len() as f64 * self.costs.rollback_record_us;
+            self.metrics.profile.add(proc, Bucket::Execution, rb);
+            t += rb;
+        }
+        let d = att.end(committed, |undo| self.db.rollback(undo))?;
+        if !committed {
+            for p in reserved.iter() {
+                self.avail[p as usize] = self.avail[p as usize].max(t);
             }
         }
+        // Client acknowledgement. The return hop counts towards client
+        // latency but not the profile — profiling stops when the result is
+        // sent (§6.3).
+        if d.observed.is_none() {
+            t += self.costs.msg_us(base_node, req.origin_node);
+        }
+        Ok((d, t))
     }
 
-    /// Rolls an attempt back (user abort or mispredict) and frees the
-    /// partitions it still `reserved` when the rollback ends, which it
-    /// returns. Every fragment finished by then, so no held partition
-    /// outlives it. Without undo the node must halt (§2 OP3):
-    /// `Error::UnrecoverableAbort { txn }`.
-    fn roll_back(
+    /// Commits `att`, an attempt of `proc` under `plan` that used the
+    /// `held` partitions since `t0`, at `t`; returns the commit time.
+    fn commit(
         &mut self,
         proc: ProcId,
-        t: f64,
-        undo: &mut UndoLog,
-        reserved: PartitionSet,
-        txn: u64,
-    ) -> Result<f64> {
-        if !undo.can_rollback() {
-            return Err(Error::UnrecoverableAbort { txn });
+        plan: &TxnPlan,
+        att: &Attempt,
+        held: &FxHashMap<PartitionId, f64>,
+        t0: f64,
+        mut t: f64,
+    ) -> f64 {
+        let base = plan.base_partition;
+        let base_node = self.cfg.node_of(base);
+        if plan.lock_set.is_single() {
+            t += self.costs.twopc_cpu_us; // commit bookkeeping
+            self.metrics.profile.add(proc, Bucket::Coordination, self.costs.twopc_cpu_us);
+            self.avail[base as usize] = self.avail[base as usize].max(t);
+            return t;
         }
-        let rb = undo.len() as f64 * self.costs.rollback_record_us;
-        self.metrics.profile.add(proc, Bucket::Execution, rb);
-        let t = t + rb;
-        self.db.rollback(undo)?;
-        for p in reserved.iter() {
-            self.avail[p as usize] = self.avail[p as usize].max(t);
+        // Two-phase commit over partitions not already early-prepared
+        // (early prepare piggybacks the vote on the last query —
+        // "unsolicited vote", §2 OP4). Locked-but-unused partitions still
+        // vote: wasted locks cost real time (§2 OP2).
+        let mut prepare_rtt = 0.0f64;
+        let mut msgs = 0.0f64;
+        for p in plan.lock_set.difference(att.footprint().early_released).iter() {
+            if p != base {
+                let oneway = self.costs.msg_us(base_node, self.cfg.node_of(p));
+                prepare_rtt = prepare_rtt.max(2.0 * oneway);
+                msgs += 2.0 * oneway;
+            }
         }
-        Ok(t)
+        t += prepare_rtt + self.costs.twopc_cpu_us;
+        // Commit round: one-way notifications release the remaining
+        // partitions — the early-prepared ones that wrote, and ones the
+        // transaction locked but never touched, which were reserved for
+        // its whole lifetime.
+        for p in att.reserved().iter() {
+            if p == base {
+                self.avail[p as usize] = self.avail[p as usize].max(t);
+            } else {
+                let oneway = self.costs.msg_us(base_node, self.cfg.node_of(p));
+                msgs += oneway;
+                let release = t + oneway;
+                let idle_from = held.get(&p).copied().unwrap_or(t0).min(release);
+                self.metrics.reserved_idle_us += release - idle_from;
+                self.avail[p as usize] = self.avail[p as usize].max(release);
+            }
+        }
+        self.metrics.profile.add(proc, Bucket::Coordination, msgs + self.costs.twopc_cpu_us);
+        t
     }
 }
 
@@ -520,7 +454,7 @@ mod tests {
     use crate::procedure::testing::{kv_database, kv_registry, KvGen};
     use crate::procedure::{Linear, ProcInstance, Procedure, QueryInvocation};
     use common::{QueryId, Value};
-    use storage::Schema;
+    use storage::{Schema, UndoLog};
 
     fn run_with<A: LiveAdvisor>(advisor: A, spread: u32, parts: u32) -> RunMetrics {
         let mut db = kv_database(parts, 8);

@@ -22,7 +22,7 @@
 
 use crate::Houdini;
 use common::seeded_rng;
-use engine::{replay, Decision, PlanContext, TxnOutcome};
+use engine::{replay, Accesses, Decision, PlanContext, TxnOutcome};
 use rand::Rng;
 use trace::TraceRecord;
 
@@ -47,10 +47,11 @@ pub struct AccuracyReport {
 }
 
 impl AccuracyReport {
-    /// Counts one record's decisions.
-    fn add(mut self, d: &Decision, num_partitions: u32) -> Self {
-        let op1 = d.record.base_is_best(d.plan.base_partition, num_partitions) != Some(false);
-        let op2 = d.plan.lock_set == d.record.touched;
+    /// Counts one record's decisions, against what the whole `record`
+    /// touches.
+    fn add(mut self, d: &Decision, record: &Accesses, num_partitions: u32) -> Self {
+        let op1 = record.base_is_best(d.plan.base_partition, num_partitions) != Some(false);
+        let op2 = d.plan.lock_set == record.touched;
         let op3 = !(d.footprint.undo_disabled_ever && d.outcome != TxnOutcome::Committed);
         // Every target up to the offender was locked: it hit a release.
         let op4 = d.observed.is_none_or(|seen| !seen.is_subset(d.plan.lock_set));
@@ -108,7 +109,10 @@ pub fn evaluate_accuracy(houdini: &Houdini, test: &[TraceRecord]) -> AccuracyRep
                 num_partitions,
                 random_local_partition: rng.gen_range(0..num_partitions),
             };
-            rep.add(&replay(houdini, &ctx, rec, &mut spare), num_partitions)
+            let d =
+                replay(houdini, &ctx, rec, &mut spare).expect("Houdini's plans lock their base");
+            let record = Accesses::of(houdini.catalog.proc(rec.proc), num_partitions, &rec.queries);
+            rep.add(&d, &record, num_partitions)
         },
     )
 }

@@ -146,10 +146,7 @@ impl Shard {
     /// record must belong to this shard's partition — the live runtime keeps
     /// one undo log per participating shard.
     pub fn rollback(&mut self, undo: &mut UndoLog) -> Result<()> {
-        if !undo.can_rollback() {
-            return Err(Error::UnrecoverableAbort { txn: 0 });
-        }
-        for rec in undo.drain_for_rollback() {
+        for rec in undo.drain_for_rollback()? {
             apply_undo(&mut self.tables, self.partition, rec);
         }
         Ok(())
@@ -352,10 +349,7 @@ impl Database {
     /// Rolls back every change recorded in `undo`, in reverse order. Unlike
     /// [`Shard::rollback`] the records may span partitions.
     pub fn rollback(&mut self, undo: &mut UndoLog) -> Result<()> {
-        if !undo.can_rollback() {
-            return Err(Error::UnrecoverableAbort { txn: 0 });
-        }
-        for rec in undo.drain_for_rollback() {
+        for rec in undo.drain_for_rollback()? {
             let p = match &rec {
                 UndoRecord::Inserted { partition, .. }
                 | UndoRecord::Updated { partition, .. }

@@ -9,7 +9,7 @@
 //! only counts itself ([`UndoLog::count_unlogged`]).
 
 use crate::table::{Key, Row};
-use common::PartitionId;
+use common::{Error, PartitionId, Result};
 
 /// One logical undo action, pushed before the corresponding forward change.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -101,9 +101,15 @@ impl UndoLog {
         self.unlogged_writes += 1;
     }
 
-    /// Drains the records in reverse (apply-order for rollback).
-    pub fn drain_for_rollback(&mut self) -> impl Iterator<Item = UndoRecord> + '_ {
-        self.records.drain(..).rev()
+    /// Drains the records in reverse (apply-order for rollback) — the one
+    /// rollback check: a log that missed writes cannot roll back, and the
+    /// node must halt (§2 OP3). Storage does not know the transaction, so
+    /// the error's `txn` is 0; the engine names it.
+    pub fn drain_for_rollback(&mut self) -> Result<impl Iterator<Item = UndoRecord> + '_> {
+        if !self.can_rollback() {
+            return Err(Error::UnrecoverableAbort { txn: 0 });
+        }
+        Ok(self.records.drain(..).rev())
     }
 
     /// Discards everything (commit).
@@ -127,7 +133,7 @@ mod tests {
         let mut log = UndoLog::new();
         log.record(rec(1));
         log.record(rec(2));
-        let order: Vec<_> = log.drain_for_rollback().collect();
+        let order: Vec<_> = log.drain_for_rollback().expect("logged writes only").collect();
         assert_eq!(order, vec![rec(2), rec(1)]);
         assert!(log.is_empty());
     }

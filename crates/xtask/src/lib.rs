@@ -1,6 +1,6 @@
 //! Text/line-based repo-invariant lints (`cargo xtask lint`).
 //!
-//! Six rules, all enforced over the non-test code under `crates/` (see
+//! Seven rules, all enforced over the non-test code under `crates/` (see
 //! DESIGN.md §"Concurrency model & checking" for the invariants they guard):
 //!
 //! * **ordering-rationale** — every `Ordering::` use carries an adjacent
@@ -26,6 +26,14 @@
 //!   in `common/src/value.rs`, inside `Value::home_partition`: every other
 //!   place that needs a value's partition calls it, so storage placement,
 //!   estimation and feature extraction cannot drift apart.
+//! * **one-kernel** — the transaction-step kernel's rules are spelled out
+//!   only in `engine/src/txn.rs` and in `storage`: the batch check
+//!   (`.check_batch(`), OP4's release and mark (`.releasable(`,
+//!   `early_released.insert(`), the reserved set
+//!   (`early_released.difference(`) and the rollback check
+//!   (`can_rollback(`). Every driver — fast path, coordinator, simulator,
+//!   replay — steps a `txn::Attempt` instead, so no driver grows its own
+//!   copy of a rule.
 //!
 //! Deliberately text-based (no `syn`, no dependencies): the rules key on
 //! line patterns plus a brace-tracked `#[cfg(test)]` mask, which is robust
@@ -75,6 +83,19 @@ const DEVICE_SYNC_ALLOWED: &[&str] = &["crates/wal/src/log.rs", "crates/wal/src/
 /// The only file that may spell out the routing arithmetic: the home of
 /// `Value::home_partition`.
 const ROUTING_RULE_HOME: &str = "crates/common/src/value.rs";
+
+/// The only places that may spell out a transaction-step rule: the kernel,
+/// and the storage crate whose rollback holds the one `can_rollback` check.
+const KERNEL_HOMES: &[&str] = &["crates/engine/src/txn.rs", "crates/storage/"];
+
+/// What spells out a transaction-step rule outside [`KERNEL_HOMES`].
+const KERNEL_RULES: &[&str] = &[
+    ".check_batch(",
+    ".releasable(",
+    "early_released.insert(",
+    "early_released.difference(",
+    "can_rollback(",
+];
 
 /// Whether `rel` is the file `entry` names, or — for an `entry` ending in
 /// `/` — lies under that directory.
@@ -212,6 +233,9 @@ pub fn check_file(
     }
     if !all_test && !path_matches(rel, ROUTING_RULE_HOME) {
         out.extend(rule_routing_rule(rel, &lines, &mask));
+    }
+    if !all_test && !KERNEL_HOMES.iter().any(|f| path_matches(rel, f)) {
+        out.extend(rule_one_kernel(rel, &lines, &mask));
     }
     out
 }
@@ -514,6 +538,29 @@ fn rule_routing_rule(rel: &str, lines: &[&str], mask: &[bool]) -> Vec<Violation>
     out
 }
 
+fn rule_one_kernel(rel: &str, lines: &[&str], mask: &[bool]) -> Vec<Violation> {
+    let mut out = Vec::new();
+    for (i, raw) in lines.iter().enumerate() {
+        if mask[i] {
+            continue;
+        }
+        let code = strip_comment(raw);
+        if KERNEL_RULES.iter().any(|r| code.contains(r)) {
+            out.push(Violation {
+                file: rel.into(),
+                line: i + 1,
+                rule: "one-kernel",
+                message: format!(
+                    "a transaction-step rule outside `engine::txn` (step a `txn::Attempt` \
+                     instead, so every driver applies the rule the same way): {}",
+                    code.trim()
+                ),
+            });
+        }
+    }
+    out
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -629,6 +676,19 @@ mod tests {
         assert_eq!(lines, [6, 7], "both spellings trip; comments and tests exempt: {v:?}");
         let v = check_file(ROUTING_RULE_HOME, &src, &BTreeSet::new(), &mut used);
         assert!(v.iter().all(|x| x.rule != "routing-rule"), "{v:?}");
+    }
+
+    #[test]
+    fn one_kernel_fixture_fails_outside_the_kernel() {
+        let src = fixture("one_kernel.rs");
+        let mut used = BTreeSet::new();
+        let v = check_file("crates/engine/src/sim.rs", &src, &BTreeSet::new(), &mut used);
+        let lines: Vec<_> = v.iter().filter(|x| x.rule == "one-kernel").map(|x| x.line).collect();
+        assert_eq!(lines, [4, 6, 7, 9, 11], "every rule trips; comments and tests exempt: {v:?}");
+        for home in ["crates/engine/src/txn.rs", "crates/storage/src/database.rs"] {
+            let v = check_file(home, &src, &BTreeSet::new(), &mut used);
+            assert!(v.iter().all(|x| x.rule != "one-kernel"), "{home}: {v:?}");
+        }
     }
 
     #[test]
