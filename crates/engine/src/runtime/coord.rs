@@ -141,7 +141,6 @@ impl<A: LiveAdvisor> Drop for Hold<'_, A> {
 /// request ring holds at most an unacknowledged read-only `Prepare` (a
 /// written participant gets none) plus the next transaction's `LogBegin`
 /// and opening `ExecBatch`.
-#[allow(clippy::too_many_lines)]
 pub(super) fn run_distributed<A: LiveAdvisor>(
     env: &Shared<A>,
     req: &Request,

@@ -240,7 +240,6 @@ impl<'a, A: LiveAdvisor> Simulation<'a, A> {
     /// One attempt of `req` under `plan`, starting at `t0`: its decision,
     /// and when the client has its answer — or, on a mispredict, when the
     /// rollback ended.
-    #[allow(clippy::too_many_lines)]
     fn try_execute(
         &mut self,
         req: &Request,
